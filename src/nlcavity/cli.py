@@ -13,10 +13,8 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,14 +122,6 @@ def _write_manifest(cfg: ScenarioConfig, resolved: dict, columns: dict, files: l
     return path
 
 
-def _pool_map(fn, items):
-    n = int(os.environ.get("NLCAVITY_THREADS", "1"))
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # detector scenarios
 # ---------------------------------------------------------------------------
@@ -194,9 +184,8 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
         p = harmonic if label == "harmonic" else params
         scale = I_bi_harm if label == "harmonic" else I_bi
         dw = r * abs(dw_bi)
-        pts = _pool_map(lambda x: _sweep_point(p, dw, float(x) * scale, bath_T),
-                        list(drive_ratios))
-        for x, res in zip(drive_ratios, pts):
+        for x in drive_ratios:
+            res = _sweep_point(p, dw, float(x) * scale, bath_T)
             if res["failure"]:
                 cfg.warnings.append(
                     f"{label} detuning {r}: drive {x:.3f} I_bi failed {res['failure']}")
@@ -330,7 +319,7 @@ def _trilinear_setup(mean_occ, dim):
     params = trilinear.TrilinearParams.degenerate(chi=1.0, omega_a=2.0, dims=spec.dims)
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
     psi0 = trilinear.initial_product_state(initial, spec)
-    return spec, params, initial, psi0
+    return params, initial, psi0
 
 
 def _run_trilinear_evolve(cfg: ScenarioConfig):
@@ -339,31 +328,25 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     dim = int(float(cfg.params.get("dim_per_mode", 0))) or \
         fock.min_coherent_dim(mean_occ) + 3
     taus = _tau_grid(cfg)
-    spec, params, initial, psi0 = _trilinear_setup(mean_occ, dim)
+    params, initial, psi0 = _trilinear_setup(mean_occ, dim)
 
     A = math.sqrt(mean_occ)
     curve = trilinear.semiclassical_pump(mean_occ, taus)
     nb_semi = trilinear.semiclassical_occupation(curve)
 
     states = trilinear.evolve_full(psi0, params, taus)
-    n_ops = trilinear.mode_numbers(spec)
     rows = []
-    for i, tau in enumerate(taus):
+    for i, (tau, state) in enumerate(zip(taus, states)):
         nb_param = trilinear.parametric_occupation(A, float(tau))
-        branches = trilinear.short_time_state(initial, float(tau))
-        nb_short = sum(abs(b.weight) ** 2
-                       * float(np.sum(np.arange(b.s + 1) * b.amplitudes ** 2))
-                       for b in branches)
-        na_full, nb_full, nc_full = (fock.expectation(states[i], op).real
-                                     for op in n_ops)
+        nb_short = trilinear.short_time_state(initial, float(tau)).n_b
         rows.append([tau,
                      mean_occ - nb_param, nb_param,
                      curve.N_a[i], nb_semi[i],
                      mean_occ - nb_short, nb_short,
-                     na_full, nb_full, nc_full,
-                     trilinear.occupation_factorization_residual(states[i]),
-                     states[i].norm() - 1.0,
-                     states[i].max_boundary_population()])
+                     state.n_a, state.n_b, state.n_b,
+                     state.pump_variance(),
+                     state.norm() - 1.0,
+                     state.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
               "Nb_semiclassical", "Na_shorttime", "Nb_shorttime",
               "Na_full", "Nb_full", "Nc_full", "Na_var_residual",
@@ -375,51 +358,39 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     return resolved, {"evolve": header}, [str(path)]
 
 
-def _info_diagnostics(rho_b, rho_a_q, n_a, n_b):
+def _info_diagnostics(rho_a, rho_b, n_a, n_b):
     fid_dim = rho_b.spec.total_dim
     sigma = qinfo.ThermalReference(n_b, omega=1.0, dim=fid_dim).density_matrix()
     fid = qinfo.fidelity(rho_b, sigma)
     info = qinfo.information(rho_b)
-    qp, qm = qinfo.squeezing_params(rho_a_q)
+    i_abc, i_bc = qinfo.mutual_information_partitions(rho_a, rho_b)
+    qp, qm = qinfo.squeezing_params(rho_a)
     d_gap = qinfo.effective_dimension(n_a) - qinfo.effective_dimension(n_b) ** 2
-    return fid, info, qp, qm, d_gap
+    return fid, info, i_abc, i_bc, qp, qm, d_gap
 
 
 def _run_trilinear_info(cfg: ScenarioConfig):
     means = _floats(cfg.params.get("mean_occupations", "1, 3, 6, 9"))
     taus = _tau_grid(cfg)
-    tiers = cfg.params.get("tiers", "short,full")
+    tiers = [tok.strip() for tok in cfg.params.get("tiers", "short,full").split(",")]
+    if not set(tiers) <= {"short", "full"}:
+        raise ValueError(f"tiers must be a comma list of short, full; got {tiers}")
     rows = []
     resolved = {"dims": {}}
     for mean_occ in means:
         dim = fock.min_coherent_dim(mean_occ) + 3
         resolved["dims"][mean_occ] = dim
-        spec, params, initial, psi0 = _trilinear_setup(mean_occ, dim)
-
+        params, initial, psi0 = _trilinear_setup(mean_occ, dim)
+        trajectories = []
         if "short" in tiers:
-            for tau in taus:
-                rho_a, rho_b = trilinear.short_time_reduced(initial, float(tau))
-                diag = rho_b.diagonal()
-                n_b = float(np.sum(diag * np.arange(diag.size)))
-                n_a = mean_occ - n_b
-                fid, info, qp, qm, d_gap = _info_diagnostics(rho_b, rho_a, n_a, n_b)
-                s_a = qinfo.von_neumann_entropy(rho_a)
-                s_b = qinfo.von_neumann_entropy(rho_b)
-                rows.append([tau, mean_occ, "short", n_b, fid, info,
-                             2.0 * s_a, 2.0 * s_b - s_a, qp, qm, d_gap])
-
+            trajectories.append(
+                ("short", [trilinear.short_time_state(initial, float(t)) for t in taus]))
         if "full" in tiers:
-            states = trilinear.evolve_full(psi0, params, taus)
-            n_ops = trilinear.mode_numbers(spec)
+            trajectories.append(("full", trilinear.evolve_full(psi0, params, taus)))
+        for tier, states in trajectories:
             for tau, state in zip(taus, states):
-                rho_a = fock.partial_trace(state, keep=[0])
-                rho_b = fock.partial_trace(state, keep=[1])
-                n_a = fock.expectation(state, n_ops[0]).real
-                n_b = fock.expectation(state, n_ops[1]).real
-                fid, info, qp, qm, d_gap = _info_diagnostics(rho_b, rho_a, n_a, n_b)
-                i_abc, i_bc = qinfo.mutual_information_partitions(state)
-                rows.append([tau, mean_occ, "full", n_b, fid, info,
-                             i_abc, i_bc, qp, qm, d_gap])
+                diag = _info_diagnostics(*state.reduced(), state.n_a, state.n_b)
+                rows.append([tau, mean_occ, tier, state.n_b, *diag])
 
     header = ["tau", "mean_occupation", "tier", "N_b", "fidelity",
               "information_nats", "I_a_bc", "I_b_c", "q_plus", "q_minus",

@@ -75,8 +75,13 @@ class DetectorParams:
 
     def __post_init__(self):
         for name in ("Z_p", "omega_T", "Q_T", "omega_m", "Q_m", "mass", "I_c", "C_J"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            x = getattr(self, name)
+            if not (x > 0.0) or not math.isfinite(x):
+                raise ValueError(f"{name} must be positive and finite, got {x}")
+        for name in ("phi_ext", "B_ext", "K_d", "K_Tm", "loop_inductance"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
 
     @property
     def gamma_pT(self) -> float:
@@ -593,6 +598,8 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     non-positive (or the low branch has been lost) and NonLorentzianError
     on a residual-gate failure.
     """
+    if bath_T < 0.0:
+        raise ValueError("bath temperature must be nonnegative")
     if frequency_pulling:
         chi = _select_for_thermo(params, drive, branch).chi
     else:

@@ -239,13 +239,13 @@ def evolve_ode(
     if span == 0.0:
         return out
 
-    h = span / 100.0
+    h = max(span / 100.0, np.finfo(float).tiny)  # a subnormal span is one step
     k1 = np.asarray(rhs(t, y), dtype=complex)
     for target in grid[1:]:
         while t < target:
             clamped = h >= target - t
             h_step = target - t if clamped else h
-            if h_step < 1e-14 * max(abs(t), span):
+            if h_step <= 1e-14 * max(abs(t), span):
                 raise StiffnessError(f"step size underflow at t={t}")
             ks = [k1]
             for i in range(1, 7):

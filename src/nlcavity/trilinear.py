@@ -7,7 +7,14 @@ Four evolution tiers are provided:
 * parametric  -- pump frozen at a classical amplitude A (two-mode squeezing),
 * semiclassical -- classical pump with back-reaction (elliptic-dn pump decay),
 * short-time  -- quantized pump, BCH-truncated propagator extrapolated in tau,
-* full        -- numerical Schrodinger evolution on a truncated Fock grid.
+* full        -- numerical Schrodinger evolution (RK45) on a truncated grid.
+
+H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
+leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
+Phys. Rev. A 1, 446 (1970)). The quantized-pump tiers therefore share one
+state, ``PairState``: the amplitude matrix C[p, i], from which occupations
+and the reduced pump and signal states follow directly. The full-grid
+generator and Hamiltonian remain as dense oracles.
 
 All dynamics are expressed in the interaction frame and in dimensionless
 time tau = chi*t, which scales out the coupling.
@@ -191,6 +198,68 @@ def semiclassical_occupation(curve: SemiclassicalCurve) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# pair-basis state shared by the quantized-pump tiers
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairState:
+    """Pure state sum_{p,i} C[p, i] |p>_a |i>_b |i>_c of the Manley-Rowe
+    pair span: p pump quanta and i signal-idler pairs.
+
+    Signal and idler carry the same number distribution, so N_c = N_b and
+    rho_c = rho_b; their top pair level is the last column of C.
+    """
+
+    C: np.ndarray
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.C))
+
+    def _moments(self, axis):
+        """(mean, second moment) of the pump (axis 1) or pair (axis 0) number."""
+        prob = np.sum(np.abs(self.C) ** 2, axis=axis)
+        n = np.arange(prob.size)
+        return float(np.sum(prob * n)), float(np.sum(prob * n * n))
+
+    @property
+    def n_a(self) -> float:
+        return self._moments(1)[0]
+
+    @property
+    def n_b(self) -> float:
+        """Signal occupation, equal to the idler's."""
+        return self._moments(0)[0]
+
+    def pump_variance(self) -> float:
+        """<N_a^2> - <N_a>^2: the residual of the mean-field factorization
+        underlying the semiclassical tier."""
+        mean, second = self._moments(1)
+        return second - mean * mean
+
+    def max_boundary_population(self) -> float:
+        """Truncation leak: population of the top pump level or top pair level."""
+        pops = np.abs(self.C) ** 2
+        return max(float(np.sum(pops[-1, :])), float(np.sum(pops[:, -1])))
+
+    def reduced(self):
+        """Reduced pump and signal density matrices: rho_a = C C+, rho_b =
+        diag(sum_p |C[p, i]|^2)."""
+        rho_a = self.C @ self.C.conj().T
+        rho_b = np.diag(np.sum(np.abs(self.C) ** 2, axis=0))
+        return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
+                DensityMatrix(HilbertSpec((rho_b.shape[0],)), rho_b))
+
+    def state_vector(self, spec: HilbertSpec) -> StateVector:
+        """Embedding in the full three-mode truncation grid."""
+        dp = self.C.shape[1]
+        if spec.n_modes != 3 or self.C.shape[0] > spec.dims[0] or dp > min(spec.dims[1:]):
+            raise ValueError(f"pair state of shape {self.C.shape} does not fit {spec}")
+        amps = np.zeros(spec.dims, dtype=complex)
+        amps[: self.C.shape[0], np.arange(dp), np.arange(dp)] = self.C
+        return StateVector(spec, amps.ravel())
+
+
+# ---------------------------------------------------------------------------
 # short-time (quantized pump) tier
 # ---------------------------------------------------------------------------
 
@@ -225,95 +294,36 @@ def branch_normalization(s: int, tau: float, k: float = 0.5) -> float:
                      for n in range(s + 1)))
 
 
-@dataclass(frozen=True)
-class ShortTimeBranch:
-    """One pump level s: weight a_s and unit-normalized amplitudes over
-    |s-n>_a |n>_b |n>_c for n = 0..s."""
+def short_time_state(initial: PumpInitialState, tau: float, k: float = 0.5) -> PairState:
+    """The BCH short-time state at dimensionless tau.
 
-    s: int
-    weight: complex
-    amplitudes: np.ndarray
-
-
-def short_time_state(initial: PumpInitialState, tau: float, k: float = 0.5):
-    """Branch decomposition of the BCH short-time state at dimensionless tau.
-
-    Amplitudes within branch s are f_n(k,s) tau^n / sqrt(N_s(tau)); they are
-    built in log space so late-time (tau >> 1) evaluation stays finite.
+    Pump level s branches onto the anti-diagonal p + i = s of C, with
+    amplitudes a_s f_i(k,s) tau^i / sqrt(N_s(tau)); they are built in log
+    space so late-time (tau >> 1) evaluation stays finite.
     """
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    branches = []
-    for s, a_s in enumerate(initial.coefficients):
-        if s == 0:
-            amps = np.ones(1)
-        elif tau == 0.0:
-            amps = np.zeros(s + 1)
-            amps[0] = 1.0
-        else:
-            log_amp = np.array([
-                0.5 * (math.lgamma(s + 1) + math.lgamma(2 * k + n)
-                       - math.lgamma(n + 1) - math.lgamma(s - n + 1)
-                       - math.lgamma(2 * k)) + n * math.log(tau)
-                for n in range(s + 1)])
-            log_amp -= log_amp.max()
-            amps = np.exp(log_amp)
-            amps /= np.linalg.norm(amps)
-        branches.append(ShortTimeBranch(s=s, weight=complex(a_s), amplitudes=amps))
-    return branches
-
-
-def short_time_state_vector(initial: PumpInitialState, tau: float,
-                            spec: HilbertSpec) -> StateVector:
-    """Assemble the short-time branches into a full tripartite StateVector."""
-    da, db, dc = spec.dims
-    if initial.coefficients.size > da:
-        raise ValueError("pump dim too small for the initial state")
-    amps = np.zeros(spec.dims, dtype=complex)
-    for br in short_time_state(initial, tau):
-        for n in range(br.s + 1):
-            if br.s - n < da and n < db and n < dc:
-                amps[br.s - n, n, n] += br.weight * br.amplitudes[n]
-    return StateVector(spec, amps.ravel(), normalize=True)
+    coeff = initial.coefficients
+    dim = max(coeff.size, 2)
+    C = np.zeros((dim, dim), dtype=complex)
+    if tau == 0.0:
+        C[: coeff.size, 0] = coeff
+        return PairState(C)
+    s, n = np.tril_indices(coeff.size)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
+    log_rise = np.array([math.lgamma(2 * k + j) for j in range(coeff.size)])
+    log_amp = np.full((coeff.size, coeff.size), -np.inf)
+    log_amp[s, n] = 0.5 * (log_fact[s] + log_rise[n] - log_fact[n] - log_fact[s - n]
+                           - math.lgamma(2 * k)) + n * math.log(tau)
+    amps = np.exp(log_amp - log_amp.max(axis=1, keepdims=True))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    C[s - n, n] = coeff[s] * amps[s, n]
+    return PairState(C)
 
 
 def short_time_reduced(initial: PumpInitialState, tau: float, k: float = 0.5):
-    """Reduced pump and signal density matrices of the short-time state.
-
-    The pump matrix keeps the inter-branch coherences <s-i| |r-i> allowed by
-    the idler/signal overlap (Kronecker pairing of the pair number i); the
-    signal matrix is diagonal.
-    """
-    branches = short_time_state(initial, tau, k)
-    smax = len(branches) - 1
-    dim = smax + 1
-
-    rho_a = np.zeros((dim, dim), dtype=complex)
-    rho_b = np.zeros((dim, dim), dtype=complex)
-    for bs in branches:
-        ws = bs.weight
-        if ws == 0:
-            continue
-        for br in branches:
-            wr = br.weight
-            if wr == 0:
-                continue
-            imax = min(bs.s, br.s)
-            for i in range(imax + 1):
-                rho_a[bs.s - i, br.s - i] += (ws * np.conj(wr)
-                                              * bs.amplitudes[i] * br.amplitudes[i])
-    for bs in branches:
-        p = abs(bs.weight) ** 2
-        if p == 0:
-            continue
-        for i in range(bs.s + 1):
-            rho_b[i, i] += p * bs.amplitudes[i] ** 2
-
-    spec1 = HilbertSpec((max(dim, 2),))
-    if dim < 2:
-        rho_a = np.pad(rho_a, ((0, 1), (0, 1)))
-        rho_b = np.pad(rho_b, ((0, 1), (0, 1)))
-    return (DensityMatrix(spec1, rho_a), DensityMatrix(spec1, rho_b))
+    """Reduced pump and signal density matrices of the short-time state."""
+    return short_time_state(initial, tau, k).reduced()
 
 
 def long_time_signal(P_s) -> DensityMatrix:
@@ -366,22 +376,37 @@ def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> State
 
 def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
                 tol: Tolerance = Tolerance(abs_tol=1e-12, rel_tol=1e-10),
-                leak_tol: float = 1e-6) -> list[StateVector]:
+                leak_tol: float = 1e-6) -> list[PairState]:
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi.
 
-    Raises TruncationError if the top Fock level of any mode accumulates
-    more than ``leak_tol`` population anywhere along the trajectory.
+    ``initial`` must lie in the pair span {|p, i, i>} (a pump-only state
+    does), which G leaves invariant on the truncated grid; the evolution
+    runs on C[p, i] with pair dimension min(d_b, d_c), where G acts as
+    kron(a, P+) - kron(a+, P) and P+|i> = (i+1)|i+1> creates one
+    signal-idler pair. Raises ValueError for weight off the span and
+    TruncationError if the top pump or pair level accumulates more than
+    ``leak_tol`` population anywhere along the trajectory.
     """
     spec = initial.spec
     if spec != params.spec:
         raise ValueError("initial state and params use different specs")
-    gen = interaction_generator(spec)
+    da, db, dc = spec.dims
+    dp = min(db, dc)
+    psi = np.array(initial.tensor_view())
+    C0 = psi[:, np.arange(dp), np.arange(dp)]
+    psi[:, np.arange(dp), np.arange(dp)] = 0.0
+    if np.any(psi):
+        raise ValueError("initial state has weight outside the pair span |p, i, i>")
+    pair_spec = HilbertSpec((da, dp))
+    up = ModeOperator(HilbertSpec((dp,)), np.diag(np.arange(1.0, dp), -1))  # P+
+    down = fock.embed(fock.ladder_ops(da)[0], 0, pair_spec) @ fock.embed(up, 1, pair_spec)
+    gen = (down - down.dag()).matrix
 
     def rhs(_t, y):
         return gen @ y
 
-    raw = evolve_ode(rhs, initial.amplitudes, tau_grid, tol)
-    states = [StateVector(spec, y) for y in raw]
+    raw = evolve_ode(rhs, C0.ravel(), tau_grid, tol)
+    states = [PairState(y.reshape(C0.shape)) for y in raw]
     leak = max(s.max_boundary_population() for s in states)
     if leak > leak_tol:
         raise TruncationError(
@@ -397,14 +422,3 @@ def mode_numbers(spec: HilbertSpec):
         _, _, num = fock.ladder_ops(d)
         ops.append(fock.embed(num, i, spec))
     return tuple(ops)
-
-
-def occupation_factorization_residual(state: StateVector) -> float:
-    """<N_a^2> - <N_a>^2 for the pump: the residual of the mean-field
-    factorization underlying the semiclassical tier."""
-    rho_a = fock.partial_trace(state, keep=[0])
-    n = np.arange(rho_a.spec.total_dim)
-    p = rho_a.diagonal()
-    mean = float(np.sum(p * n))
-    second = float(np.sum(p * n * n))
-    return second - mean * mean

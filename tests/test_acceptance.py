@@ -50,7 +50,7 @@ def coherent9_trajectory():
     init = trilinear.PumpInitialState.coherent(9.0, dim)
     psi0 = trilinear.initial_product_state(init, spec)
     taus = np.linspace(0.0, 3.0, 121)
-    states = trilinear.evolve_full(psi0, params, taus)
+    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, params, taus)]
     return spec, params, init, taus, states
 
 
@@ -271,7 +271,7 @@ def test_criterion_7_trilinear_oracles():
     psi0 = trilinear.initial_product_state(
         trilinear.PumpInitialState.fock(1, dim=2), spec)
     taus = np.linspace(0.0, 3.0, 31)
-    states = trilinear.evolve_full(psi0, params, taus)
+    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, params, taus)]
     nb_op = trilinear.mode_numbers(spec)[1]
     rabi_err = max(abs(fock.expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
@@ -282,7 +282,7 @@ def test_criterion_7_trilinear_oracles():
         trilinear.PumpInitialState.fock(2, dim=3), spec64)
     out = trilinear.evolve_full(psi064, params64, [0.0, 2.0])
     G = trilinear.interaction_generator(spec64).toarray()
-    expm_err = float(np.linalg.norm(out[-1].amplitudes
+    expm_err = float(np.linalg.norm(out[-1].state_vector(spec64).amplitudes
                                     - sla.expm(2.0 * G) @ psi064.amplitudes))
     elapsed = time.perf_counter() - start
     ok = rabi_err < 1e-6 and expm_err < 1e-7 and elapsed < 10.0

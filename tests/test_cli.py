@@ -79,6 +79,22 @@ def test_missing_param_exits_2(tmp_path):
     assert run(cfg) == EXIT_CONFIG
 
 
+COOL_GRID = {"detuning_ratio": "1.3", "drive_points": "2", "bath_T_K": "0"}
+INFO_PARAMS = {"mean_occupations": "1", "tiers": "short"}
+
+
+@pytest.mark.parametrize("kind, params, grid", [
+    ("detector-cooling", dict(CH2, Q_T="inf"), COOL_GRID),
+    ("detector-cooling", dict(CH2, Q_T="nan"), COOL_GRID),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="-0.05")),
+    ("trilinear-info", dict(INFO_PARAMS, tiers="none"), {"tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS, tiers="short,"), {"tau_points": "3"}),
+], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "tiers-none", "tiers-empty-item"])
+def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
+    cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+
+
 def test_physics_gate_exits_3(tmp_path):
     # half flux quantum: secant singularity fires before any sweep
     cfg = ScenarioConfig(kind="detector-bistability",
@@ -144,6 +160,31 @@ def test_trilinear_evolve_scenario(tmp_path):
     row0 = dict(zip(header, (float(x) for x in lines[1].split(","))))
     assert row0["Na_full"] == pytest.approx(1.0, abs=1e-9)
     assert row0["Nb_full"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_trilinear_info_scenario(tmp_path):
+    def info_run():
+        cfg = ScenarioConfig(
+            kind="trilinear-info",
+            params={"mean_occupations": "1", "tiers": "short,full"},
+            grid={"tau_points": "6"}, output_dir=tmp_path, label="info")
+        assert run(cfg) == EXIT_OK
+        return (tmp_path / "info_info.csv").read_bytes()
+
+    blob = info_run()
+    lines = blob.decode().splitlines()
+    assert len(lines) == 1 + 2 * 6  # header + both tiers over the tau grid
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    for tier in ("short", "full"):
+        first = next(r for r in rows if r["tier"] == tier)
+        assert float(first["tau"]) == 0.0
+        assert float(first["N_b"]) == pytest.approx(0.0, abs=1e-12)
+        assert float(first["fidelity"]) == pytest.approx(1.0, abs=1e-12)
+    for r in rows:
+        for col in ("information_nats", "I_a_bc", "I_b_c"):
+            assert float(r[col]) >= -1e-12
+    assert info_run() == blob
 
 
 def test_hawking_scenario_manifest(tmp_path):

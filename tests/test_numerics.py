@@ -182,6 +182,12 @@ def test_ode_zero_rhs_constant():
         assert np.allclose(y, y0, atol=1e-14)
 
 
+def test_ode_subnormal_span_terminates():
+    for span in (1e-310, 5e-324):
+        out = evolve_ode(lambda t, y: -1j * y, np.array([1.0 + 0j]), [0.0, span])
+        assert out[-1][0] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_ode_vs_expm_oracle():
     import scipy.linalg as sla
 

@@ -191,7 +191,8 @@ def test_mutual_information_product_state():
     amps = np.zeros(spec.dims, dtype=complex)
     amps[5, 0, 0] = 1.0
     psi = fock.StateVector(spec, amps.ravel())
-    i_abc, i_bc = mutual_information_partitions(psi)
+    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
+                                                fock.partial_trace(psi, keep=[1]))
     assert abs(i_abc) < 1e-9
     assert abs(i_bc) < 1e-9
 
@@ -204,7 +205,8 @@ def test_mutual_information_two_path_entropy():
     s_a = von_neumann_entropy(fock.partial_trace(psi, keep=[0]))
     s_bc = von_neumann_entropy(fock.partial_trace(psi, keep=[1, 2]))
     assert s_a == pytest.approx(s_bc, abs=1e-8)
-    i_abc, _ = mutual_information_partitions(psi)
+    i_abc, _ = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
+                                             fock.partial_trace(psi, keep=[1]))
     assert i_abc == pytest.approx(2 * s_a, abs=1e-8)
 
 
@@ -221,7 +223,8 @@ def test_mutual_information_parametric_tier():
     amps = np.zeros(spec.dims, dtype=complex)
     amps[0] = psi2.amplitudes.reshape(30, 30)
     psi3 = fock.StateVector(spec, amps.ravel())
-    i_abc, i_bc = mutual_information_partitions(psi3)
+    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi3, keep=[0]),
+                                                fock.partial_trace(psi3, keep=[1]))
     assert abs(i_abc) < 1e-9
     assert i_bc == pytest.approx(2 * s_b, abs=1e-7)
 
@@ -260,7 +263,7 @@ def small_trajectory():
     init = PumpInitialState.coherent(1.0, dim)
     psi0 = initial_product_state(init, spec)
     taus = np.linspace(0, 3, 16)
-    return evolve_full(psi0, params, taus)
+    return [s.state_vector(spec) for s in evolve_full(psi0, params, taus)]
 
 
 def test_entropy_bounds_along_trajectory(small_trajectory):
@@ -276,7 +279,8 @@ def test_pure_total_state_identities():
     spec = HilbertSpec((6, 6, 6))
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = initial_product_state(PumpInitialState.fock(3, dim=4), spec)
-    for s in evolve_full(psi0, params, np.linspace(0, 3, 7)):
+    for pair in evolve_full(psi0, params, np.linspace(0, 3, 7)):
+        s = pair.state_vector(spec)
         rho_abc = DensityMatrix(s.spec, np.outer(s.amplitudes, s.amplitudes.conj()))
         assert abs(von_neumann_entropy(rho_abc)) < 1e-8
         s_a = von_neumann_entropy(fock.partial_trace(s, keep=[0]))

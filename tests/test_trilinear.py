@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from nlcavity import fock
 from nlcavity.errors import TruncationError
@@ -26,7 +28,6 @@ from nlcavity.trilinear import (
     semiclassical_pump,
     short_time_reduced,
     short_time_state,
-    short_time_state_vector,
 )
 
 
@@ -128,7 +129,8 @@ def test_semiclassical_tracks_then_departs_full():
     spec = HilbertSpec((dim,) * 3)
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     init = PumpInitialState.coherent(9.0, dim)
-    states = evolve_full(initial_product_state(init, spec), params, taus)
+    states = [s.state_vector(spec)
+              for s in evolve_full(initial_product_state(init, spec), params, taus)]
     nb_op = mode_numbers(spec)[1]
     nb_full = np.array([expectation(s, nb_op).real for s in states])
 
@@ -163,10 +165,44 @@ def test_branch_normalization_gamma_identity():
 
 
 def test_short_time_branches_normalized():
+    # branch s sits on the anti-diagonal p + i = s and carries weight |a_s|^2
     init = PumpInitialState.coherent(9.0, 30)
     for tau in (0.0, 0.3, 2.0, 100.0):
-        for br in short_time_state(init, tau):
-            assert np.linalg.norm(br.amplitudes) == pytest.approx(1.0, abs=1e-9)
+        pops = np.abs(short_time_state(init, tau).C) ** 2
+        for s, P_s in enumerate(init.probabilities):
+            assert np.trace(np.fliplr(pops), offset=pops.shape[1] - 1 - s) == \
+                pytest.approx(P_s, abs=1e-9)
+
+
+def test_pair_state_matches_branch_formula_and_full_grid():
+    # C[s-n, n] = a_s f_n(s) tau^n / sqrt(N_s(tau)), built branch by branch;
+    # every read-out of the pair state against its full-grid oracle
+    dim = 18
+    init = PumpInitialState.coherent(4.0, dim)
+    spec = HilbertSpec((dim, dim, dim + 2))
+    N = mode_numbers(spec)
+    for tau in (0.3, 1.5):
+        state = short_time_state(init, tau)
+        expected = np.zeros((dim, dim), dtype=complex)
+        for s, a_s in enumerate(init.coefficients):
+            for n in range(s + 1):
+                expected[s - n, n] = a_s * branch_coefficient(n, s) * tau ** n \
+                    / math.sqrt(branch_normalization(s, tau))
+        assert np.max(np.abs(state.C - expected)) < 1e-14
+
+        psi = state.state_vector(spec)
+        rho_a, rho_b = state.reduced()
+        for rho, mode in ((rho_a, 0), (rho_b, 1)):
+            oracle = partial_trace(psi, keep=[mode]).entries
+            assert np.max(np.abs(rho.entries - oracle)) < 1e-14
+        assert state.n_a == pytest.approx(expectation(psi, N[0]).real, abs=1e-13)
+        assert state.n_b == pytest.approx(expectation(psi, N[1]).real, abs=1e-13)
+        assert state.n_b == pytest.approx(expectation(psi, N[2]).real, abs=1e-13)
+        na2 = expectation(psi, N[0] @ N[0]).real
+        assert state.pump_variance() == pytest.approx(na2 - state.n_a ** 2, abs=1e-12)
+        assert state.norm() == pytest.approx(psi.norm(), abs=1e-15)
+        assert state.max_boundary_population() == pytest.approx(
+            psi.max_boundary_population(), abs=1e-18)
 
 
 def test_short_time_zero_tau_recovers_initial():
@@ -185,8 +221,8 @@ def test_short_time_matches_full_evolution():
     init = PumpInitialState.fock(9, dim=10)
     tau = 0.1 / math.sqrt(0.5 * 9)
     states = evolve_full(initial_product_state(init, spec), params, [0.0, tau])
-    exact = states[-1].amplitudes
-    approx = short_time_state_vector(init, tau, spec).amplitudes
+    exact = states[-1].state_vector(spec).amplitudes
+    approx = short_time_state(init, tau).state_vector(spec).amplitudes
     phase = np.vdot(approx, exact)
     assert np.linalg.norm(exact * np.exp(-1j * np.angle(phase)) - approx) < 1e-3
 
@@ -282,7 +318,7 @@ def test_evolve_tau_zero():
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
     out = evolve_full(psi0, params, [0.0])
-    assert np.allclose(out[0].amplitudes, psi0.amplitudes)
+    assert np.allclose(out[0].state_vector(spec).amplitudes, psi0.amplitudes)
 
 
 def test_evolve_toy_rabi():
@@ -290,15 +326,13 @@ def test_evolve_toy_rabi():
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
     taus = np.linspace(0, 3, 31)
-    states = evolve_full(psi0, params, taus)
+    states = [s.state_vector(spec) for s in evolve_full(psi0, params, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in zip(taus, states):
         assert expectation(s, nb_op).real == pytest.approx(math.sin(t) ** 2, abs=1e-8)
 
 
 def test_evolve_matches_expm_small():
-    import scipy.linalg as sla
-
     spec = HilbertSpec((4, 4, 4))  # total dim 64
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = initial_product_state(PumpInitialState.fock(2, dim=3), spec)
@@ -306,7 +340,36 @@ def test_evolve_matches_expm_small():
     out = evolve_full(psi0, params, [0.0, tau])
     G = interaction_generator(spec).toarray()
     exact = sla.expm(tau * G) @ psi0.amplitudes
-    assert np.linalg.norm(out[-1].amplitudes - exact) < 1e-7
+    assert np.linalg.norm(out[-1].state_vector(spec).amplitudes - exact) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.tuples(*(st.integers(2, 5),) * 3),
+       pump=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                        allow_infinity=False), min_size=1, max_size=5),
+       tau=st.floats(0.0, 2.0))
+def test_pair_propagator_matches_dense_expm(dims, pump, tau):
+    coeff = np.array(pump[: dims[0]], dtype=complex)
+    if np.linalg.norm(coeff) < 1e-3:
+        coeff[0] = 1.0
+    spec = HilbertSpec(dims)
+    params = TrilinearParams.degenerate(1.0, 2.0, dims)
+    psi0 = initial_product_state(PumpInitialState(coeff / np.linalg.norm(coeff)), spec)
+    # the dense oracle truncates the same way, so no leak gate applies
+    states = evolve_full(psi0, params, np.unique([0.0, tau]), leak_tol=1.0)
+    exact = sla.expm(tau * interaction_generator(spec).toarray()) @ psi0.amplitudes
+    assert np.linalg.norm(states[-1].state_vector(spec).amplitudes - exact) < 1e-7
+    assert abs(states[-1].norm() - 1.0) < 1e-8
+    assert abs(states[-1].n_a + states[-1].n_b - states[0].n_a) < 1e-8
+
+
+def test_evolve_rejects_weight_off_pair_span():
+    spec = HilbertSpec((3, 3, 3))
+    params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
+    amps = np.zeros(spec.dims, dtype=complex)
+    amps[1, 0, 0] = amps[0, 1, 0] = math.sqrt(0.5)
+    with pytest.raises(ValueError):
+        evolve_full(fock.StateVector(spec, amps.ravel()), params, [0.0, 1.0])
 
 
 def test_evolve_conservation_and_symmetry():
@@ -316,7 +379,7 @@ def test_evolve_conservation_and_symmetry():
     init = PumpInitialState.coherent(3.0, dim)
     psi0 = initial_product_state(init, spec)
     taus = np.linspace(0, 2.5, 26)
-    states = evolve_full(psi0, params, taus)
+    states = [s.state_vector(spec) for s in evolve_full(psi0, params, taus)]
     na_op, nb_op, nc_op = mode_numbers(spec)
     H = build_interaction_hamiltonian(params)
     na0 = expectation(states[0], na_op).real
@@ -350,7 +413,8 @@ def test_parametric_limit_of_full_evolution():
     params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     init = PumpInitialState.coherent(25.0, dim)
     taus = np.linspace(0, 0.1, 5)
-    states = evolve_full(initial_product_state(init, spec), params, taus)
+    states = [s.state_vector(spec)
+              for s in evolve_full(initial_product_state(init, spec), params, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in list(zip(taus, states))[1:]:
         nb = expectation(s, nb_op).real
