@@ -265,13 +265,10 @@ def _run_hawking_line(cfg: ScenarioConfig):
         rise = hawking.rise_scale_for_gradient_rate(amplitude, params, target)
     pulse = hawking.tanh_pulse(amplitude, rise)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        horizons = hawking.find_horizon(pulse, params)
-        T_H = hawking.hawking_temperature(pulse, params, horizons[0])
-        power = hawking.radiated_power(T_H)
-        count = hawking.photons_per_pulse(pulse, params)
-    cfg.warnings.extend(str(w.message) for w in caught)
+    horizons = hawking.find_horizon(pulse, params)
+    T_H = hawking.hawking_temperature(pulse, params, horizons[0])
+    power = hawking.radiated_power(T_H)
+    count = hawking.photons_per_pulse(pulse, params)
 
     gates = hawking.validity_report(pulse, params)
     resolved = {
@@ -338,11 +335,11 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     rows = []
     for i, (tau, state) in enumerate(zip(taus, states)):
         nb_param = trilinear.parametric_occupation(A, float(tau))
-        nb_short = trilinear.short_time_state(initial, float(tau)).n_b
+        short = trilinear.short_time_state(initial, float(tau))
         rows.append([tau,
                      mean_occ - nb_param, nb_param,
                      curve.N_a[i], nb_semi[i],
-                     mean_occ - nb_short, nb_short,
+                     short.n_a, short.n_b,
                      state.n_a, state.n_b, state.n_b,
                      state.pump_variance(),
                      state.norm() - 1.0,
@@ -420,7 +417,11 @@ def run(cfg: ScenarioConfig) -> int:
         if not cfg.grid and cfg.kind != "hawking-line":
             raise ValueError("empty grid section")
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        resolved, columns, files = _RUNNERS[cfg.kind](cfg)
+        # numerical warnings of any runner go to the manifest, not stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resolved, columns, files = _RUNNERS[cfg.kind](cfg)
+        cfg.warnings.extend(str(w.message) for w in caught)
     # physics gates first: several of them subclass ValueError
     except (SingularFluxError, NoBistabilityError, NoHorizonError,
             TruncationError, InstabilityError, NonLorentzianError) as exc:

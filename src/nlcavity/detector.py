@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import Phi0, e_charge, hbar
+from .constants import Phi0, e_charge, hbar, k_B
 from .errors import (
     InstabilityError,
     NoBistabilityError,
@@ -405,9 +405,9 @@ def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
     combo = _alpha_combo_sq(params, drive, chi, omega)
 
     def occup(x):
-        vals = np.array([2.0 * bose_occupation(abs(v), bath_T) + 1.0
-                         for v in np.atleast_1d(x)])
-        return vals.reshape(np.shape(x))
+        if bath_T <= 0.0:
+            return np.ones_like(x)
+        return 2.0 * (1.0 / np.expm1(hbar * np.abs(x) / (k_B * bath_T))) + 1.0
 
     lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2) * occup(omega - wp)
     lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2) * occup(wp - omega)
@@ -435,6 +435,13 @@ def added_noise(params: DetectorParams, omega_s: float, delta_band: float) -> fl
     return hbar * omega_s * delta_band / (4.0 * math.pi * params.Z_p)
 
 
+def _band_integral(density, omega_s: float, delta_band: float) -> float:
+    """Adaptive Simpson integral of an omega-array density over the band."""
+    return integrate_adaptive(density, omega_s - delta_band / 2.0,
+                              omega_s + delta_band / 2.0,
+                              Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
+
+
 def signal_spectrum(params: DetectorParams, drive: DrivePoint, omega_s: float,
                     delta_band: float, bath_T: float = 0.0,
                     branch: str = "small") -> float:
@@ -442,25 +449,16 @@ def signal_spectrum(params: DetectorParams, drive: DrivePoint, omega_s: float,
     if bath_T < 0.0:
         raise ValueError("bath temperature must be nonnegative")
     chi = select_branch(mean_field(params, drive), branch).chi
-
-    def f(w):
-        return float(signal_density(params, drive, chi, w, bath_T))
-
-    return integrate_adaptive(f, omega_s - delta_band / 2.0, omega_s + delta_band / 2.0,
-                              Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
+    return _band_integral(lambda w: signal_density(params, drive, chi, w, bath_T),
+                          omega_s, delta_band)
 
 
 def noise_spectrum(params: DetectorParams, drive: DrivePoint, omega_s: float,
                    delta_band: float, branch: str = "small") -> float:
     """Band-integrated noise variance (A^2) including the added zero-point term."""
     chi = select_branch(mean_field(params, drive), branch).chi
-
-    def f(w):
-        return float(noise_density(params, drive, chi, w))
-
-    integral = integrate_adaptive(f, omega_s - delta_band / 2.0,
-                                  omega_s + delta_band / 2.0,
-                                  Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
+    integral = _band_integral(lambda w: noise_density(params, drive, chi, w),
+                              omega_s, delta_band)
     return integral + added_noise(params, omega_s, delta_band)
 
 
@@ -477,14 +475,12 @@ def caves_bound(params: DetectorParams, drive: DrivePoint, omega_s: float,
 
     def f(w):
         cavity = (w / wp) * gpt ** 2 / ((w - wp + dw) ** 2 + gpt ** 2)
-        combo = float(_alpha_combo_sq(params, drive, chi, w))
+        combo = _alpha_combo_sq(params, drive, chi, w)
         diff = (2.0 * gbm / ((w - wp - wm) ** 2 + gbm ** 2)
                 - 2.0 * gbm / ((wp - w - wm) ** 2 + gbm ** 2))
         return cavity * combo * diff / (2.0 * math.pi)
 
-    integral = integrate_adaptive(f, omega_s - delta_band / 2.0,
-                                  omega_s + delta_band / 2.0,
-                                  Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
+    integral = _band_integral(f, omega_s, delta_band)
     return abs(added_noise(params, omega_s, delta_band) - pre * integral)
 
 

@@ -219,7 +219,7 @@ def photons_per_pulse(pulse: FluxPulse, params: LineParams,
     decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
 
     def rate(t):
-        T = T0 * max(0.0, 1.0 - decay_rate * t)
+        T = T0 * np.maximum(0.0, 1.0 - decay_rate * t)
         return math.pi * k_B * T / (12.0 * hbar)
 
     return integrate_adaptive(rate, 0.0, lifetime,

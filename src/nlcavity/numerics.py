@@ -153,49 +153,101 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
     return _upper_gamma_cf(s, x)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = Tolerance(),
-) -> float:
+# unconverged panels one refinement level may hold before the integral is
+# given up: a level this wide means the integrand is not resolvable (NaN
+# everywhere, say), and each further level doubles the memory held
+_MAX_PANELS = 1 << 18
+
+
+def _sample(f, nodes):
+    values = np.asarray(f(nodes))
+    if values.shape != nodes.shape:
+        raise ValueError(f"integrand returned shape {values.shape} for nodes of "
+                         f"shape {nodes.shape}; it must map an array elementwise")
+    return values
+
+
+def _simpson_pass(f, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
+    """One adaptive Simpson pass over the panels [lo, hi], refined a level
+    at a time. Returns (sums, failed) per panel.
+
+    Each level splits every panel whose Richardson error exceeds its eps
+    (halved per level) and samples all new nodes in one call. The tree is
+    then summed bottom-up, children pairwise, exactly as the depth-first
+    recursion would add them.
+    """
+    failed = np.zeros(lo.size, dtype=bool)
+    owner = np.arange(lo.size)
+    levels = []
+    for depth in range(depth_cap + 1):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = np.split(_sample(f, np.concatenate([lm, rm])), 2)
+        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        err = (s_left + s_right - whole) / 15.0
+        split = ~(np.abs(err) <= eps)
+        if depth == depth_cap:
+            failed[owner[np.abs(err) > eps]] = True
+            split[:] = False
+        levels.append((s_left + s_right + err, split))
+        if not split.any():
+            break
+        if 2 * np.count_nonzero(split) > _MAX_PANELS:
+            raise ConvergenceError(
+                f"adaptive Simpson needs over {_MAX_PANELS} panels at depth {depth + 1}")
+        # children of the split panels: all left halves, then all right halves
+        children = ((lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
+                    (s_left, s_right), (eps / 2.0, eps / 2.0), (owner, owner))
+        lo, hi, flo, fmid, fhi, whole, eps, owner = (
+            np.concatenate([left[split], right[split]]) for left, right in children)
+
+    sums = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        half = sums.size // 2
+        value[split] = sums[:half] + sums[half:]
+        sums = value
+    return sums, failed
+
+
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a, b,
+                       tol: Tolerance = Tolerance()):
     """Adaptive Simpson quadrature of f over [a, b].
+
+    ``f`` maps a 1D array of nodes to an array of the same shape (any other
+    shape is a ValueError); each refinement level samples all of its new
+    nodes in one call. ``a`` and ``b`` may be arrays (broadcast together):
+    every interval [a_k, b_k] is then integrated on its own and an array
+    comes back, each entry bit-identical to the scalar call on that
+    interval. Scalar ends return a float. Every a_k < b_k is required.
 
     Subdivision stops once the Richardson error estimate satisfies
     err <= max(abs_tol, rel_tol*|result|); exhausting the depth budget
-    (tol.max_iter) raises ConvergenceError carrying the best estimate.
+    (tol.max_iter, at most 48) raises ConvergenceError carrying the best
+    estimate.
     """
-    if not (a < b):
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    if not np.all(lo < hi):
         raise ValueError("integration requires a < b")
 
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    fa, fm, fb = np.split(_sample(f, np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
     depth_cap = min(tol.max_iter, 48)
-    failed = False
 
-    def recurse(lo, hi, flo, fmid, fhi, s_whole, eps, depth):
-        nonlocal failed
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (s_left + s_right - s_whole) / 15.0
-        if abs(err) <= eps or depth >= depth_cap:
-            if depth >= depth_cap and abs(err) > eps:
-                failed = True
-            return s_left + s_right + err
-        return (recurse(lo, mid, flo, flm, fmid, s_left, eps / 2.0, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, s_right, eps / 2.0, depth + 1))
-
-    eps0 = max(tol.abs_tol, tol.rel_tol * abs(whole))
-    result = recurse(a, b, fa, fm, fb, whole, eps0, 0)
+    eps0 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(whole))
+    result, failed = _simpson_pass(f, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
     # refine once if the converged magnitude sharpened the relative target
-    eps1 = max(tol.abs_tol, tol.rel_tol * abs(result))
-    if eps1 < eps0 / 4.0:
-        failed = False
-        result = recurse(a, b, fa, fm, fb, whole, eps1, 0)
-    if failed:
+    eps1 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(result))
+    redo = eps1 < eps0 / 4.0
+    if redo.any():
+        result[redo], failed[redo] = _simpson_pass(
+            f, lo[redo], hi[redo], fa[redo], fm[redo], fb[redo], whole[redo],
+            eps1[redo], depth_cap)
+
+    result = float(result[0]) if shape == () else result.reshape(shape)
+    if failed.any():
         raise ConvergenceError(
             f"adaptive Simpson hit the depth cap ({depth_cap}) before converging",
             best_estimate=result,

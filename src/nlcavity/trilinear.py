@@ -160,8 +160,9 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     raw curve dips just below zero at the turning points; the exposed curve
     (and the theta integrand sqrt(N_a)) clamps at zero.
 
-    theta(tau) = int_0^tau sqrt(N_a) dtau' accumulated by adaptive Simpson
-    segments between grid points.
+    theta(tau) = int_0^tau sqrt(N_a) dtau' accumulated in grid order over
+    adaptive Simpson segments between grid points, all integrated in one
+    batched call.
     """
     if N_a0 <= 0.0:
         raise ValueError("N_a0 must be positive")
@@ -181,12 +182,11 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     # sqrt(N_a) has a one-sided square-root kink where the pump touches
     # zero, which caps the attainable Simpson accuracy per segment
     quad_tol = Tolerance(abs_tol=1e-9, rel_tol=1e-8, max_iter=48)
-    theta = np.empty_like(n_vals)
-    theta[0] = 0.0 if grid[0] == 0.0 else integrate_adaptive(
-        lambda t: math.sqrt(max(0.0, n_a(t))), 0.0, grid[0], quad_tol)
-    for i in range(1, grid.size):
-        theta[i] = theta[i - 1] + integrate_adaptive(
-            lambda t: math.sqrt(max(0.0, n_a(t))), grid[i - 1], grid[i], quad_tol)
+    first = 1 if grid[0] == 0.0 else 0  # a grid starting at 0 has no [0, tau_0]
+    segments = integrate_adaptive(
+        lambda ts: np.sqrt(np.maximum(0.0, [n_a(t) for t in ts])),
+        np.concatenate([[0.0], grid[:-1]])[first:], grid[first:], quad_tol)
+    theta = np.cumsum(np.concatenate([np.zeros(first), segments]))
 
     return SemiclassicalCurve(tau_grid=grid, N_a=n_vals, theta=theta,
                               beta_plus=bp, beta_minus=bm, modulus=m, N_a0=N_a0)

@@ -1,8 +1,10 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
+from nlcavity import detector, trilinear
 from nlcavity.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -131,6 +133,39 @@ def test_bistability_rerun_byte_identical(tmp_path):
     assert (tmp_path / "det_bistability.csv").read_bytes() == blob1
 
 
+def test_runner_warnings_go_to_the_manifest(tmp_path, monkeypatch, capsys):
+    boundary = detector.bistability_boundary
+
+    def warning_boundary(params, ratio):
+        warnings.warn("response determinant nearly singular", RuntimeWarning)
+        return boundary(params, ratio)
+
+    monkeypatch.setattr(detector, "bistability_boundary", warning_boundary)
+    cfg = ScenarioConfig(kind="detector-bistability", params=dict(CH2),
+                         grid={"points": "3"}, output_dir=tmp_path, label="warn")
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert run(cfg) == EXIT_OK
+    assert not escaped
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "warn_manifest.json").read_text())
+    assert manifest["warnings"].count("response determinant nearly singular") == 3
+
+
+def test_detector_signal_noise_rerun_byte_identical(tmp_path, capsys):
+    def signal_noise_run():
+        cfg = config_from_preset("ch2-detection", tmp_path)
+        cfg.grid.update(detuning_ratios="0.2", drive_points="3")
+        assert run(cfg) == EXIT_OK
+        return [(tmp_path / name).read_bytes() for name in
+                ("ch2-detection_signal_noise.csv", "ch2-detection_manifest.json")]
+
+    first = signal_noise_run()
+    assert len(first[0].decode().splitlines()) == 1 + 2 * 3  # duffing 0.2 + harmonic
+    assert signal_noise_run() == first
+    assert capsys.readouterr().err == ""
+
+
 def test_cooling_scenario_rows_and_nan_warnings(tmp_path):
     cfg = ScenarioConfig(
         kind="detector-cooling", params=dict(CH2),
@@ -160,6 +195,11 @@ def test_trilinear_evolve_scenario(tmp_path):
     row0 = dict(zip(header, (float(x) for x in lines[1].split(","))))
     assert row0["Na_full"] == pytest.approx(1.0, abs=1e-9)
     assert row0["Nb_full"] == pytest.approx(0.0, abs=1e-9)
+    # the short-time tier conserves N_a + N_b at the truncated pump's mean
+    pump_mean = trilinear.PumpInitialState.coherent(1.0, 13).mean_occupation
+    for line in lines[1:]:
+        row = dict(zip(header, (float(x) for x in line.split(","))))
+        assert row["Na_shorttime"] + row["Nb_shorttime"] == pytest.approx(pump_mean, abs=1e-12)
 
 
 def test_trilinear_info_scenario(tmp_path):

@@ -334,6 +334,26 @@ def test_signal_two_peaks_small_drive(params, onset):
     assert centers[1] == pytest.approx(wp + params.omega_m, abs=3 * (w[1] - w[0]))
 
 
+def test_thermal_signal_density_matches_scalar_occupations(params, onset):
+    # the vectorised occupation factor against per-frequency bose_occupation
+    from nlcavity.qinfo import bose_occupation
+
+    drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
+    chi = mean_field(params, drive)[0].chi
+    wp, wm, gbm = params.omega_T, params.omega_m, params.gamma_bm
+    w = np.linspace(wp - 2 * wm, wp + 2 * wm, 4000)  # even count: omega != wp
+    lor_plus = 2.0 * gbm / ((w - wp - wm) ** 2 + gbm ** 2)
+    lor_minus = 2.0 * gbm / ((wp - w - wm) ** 2 + gbm ** 2)
+    bath_T = 0.05
+    occ_plus = np.array([2.0 * bose_occupation(abs(x), bath_T) + 1.0 for x in w - wp])
+    occ_minus = np.array([2.0 * bose_occupation(abs(x), bath_T) + 1.0 for x in wp - w])
+    expected = signal_density(params, drive, chi, w, 0.0) \
+        * (lor_plus * occ_plus + lor_minus * occ_minus) / (lor_plus + lor_minus)
+    got = signal_density(params, drive, chi, w, bath_T)
+    assert np.all(occ_plus > 1.0)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
 def test_signal_adaptive_vs_fixed_grid(params, onset):
     drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
     chi = select_branch(mean_field(params, drive), "small").chi

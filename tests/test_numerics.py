@@ -84,7 +84,7 @@ def test_gamma_x0():
 
 def test_gamma_quadrature_oracle():
     # int_4^inf t^9 e^-t dt, upper limit where the tail is < 1e-18 relative
-    val = integrate_adaptive(lambda t: t ** 9 * math.exp(-t), 4.0, 120.0,
+    val = integrate_adaptive(lambda t: t ** 9 * np.exp(-t), 4.0, 120.0,
                              Tolerance(abs_tol=1e-6, rel_tol=1e-12))
     assert upper_incomplete_gamma(10.0, 4.0) == pytest.approx(val, rel=1e-9)
 
@@ -95,11 +95,11 @@ def test_gamma_complementarity(s, x):
     # regularizes the t -> 0 endpoint
     if s < 1.0:
         lower = integrate_adaptive(
-            lambda u: math.exp(-u ** (1.0 / s)) / s, 0.0, x ** s,
+            lambda u: np.exp(-u ** (1.0 / s)) / s, 0.0, x ** s,
             Tolerance(abs_tol=1e-16, rel_tol=1e-12))
     else:
         lower = integrate_adaptive(
-            lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, x,
+            lambda t: t ** (s - 1.0) * np.exp(-t), 0.0, x,
             Tolerance(abs_tol=1e-16, rel_tol=1e-12))
     assert upper_incomplete_gamma(s, x) + lower == pytest.approx(
         math.gamma(s), rel=1e-9)
@@ -120,11 +120,11 @@ def test_gamma_domain_error():
 # --- adaptive Simpson ------------------------------------------------------
 
 def test_integrate_constant():
-    assert integrate_adaptive(lambda x: 1.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
+    assert integrate_adaptive(np.ones_like, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_integrate_sin():
-    assert integrate_adaptive(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-9)
+    assert integrate_adaptive(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_integrate_lorentzian_closed_form():
@@ -142,7 +142,7 @@ def test_integrate_lorentzian_closed_form():
 def test_integrate_error_bound_corpus():
     cases = [
         (lambda x: x ** 3, 0.0, 1.0, 0.25),
-        (math.exp, 0.0, 1.0, math.e - 1.0),
+        (np.exp, 0.0, 1.0, math.e - 1.0),
         (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
     ]
     tol = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
@@ -164,6 +164,82 @@ def test_integrate_depth_exhaustion_carries_estimate():
 def test_integrate_bad_interval():
     with pytest.raises(ValueError):
         integrate_adaptive(math.sin, 1.0, 0.0)
+
+
+def test_integrate_rejects_bad_intervals_and_shapes():
+    for a, b in ((1.0, 1.0), ([0.0, 1.0, 2.0], [1.0, 3.0, 2.0]), ([0.0, 2.0], [1.0, 1.0])):
+        with pytest.raises(ValueError):
+            integrate_adaptive(np.sin, np.array(a), np.array(b))
+    for f in (lambda x: 1.0, lambda x: np.ones(x.size + 1), lambda x: x[:, None]):
+        with pytest.raises(ValueError):
+            integrate_adaptive(f, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            integrate_adaptive(f, np.zeros(3), np.ones(3))
+
+
+def test_integrate_unresolvable_integrand_stops():
+    # NaN never passes the Richardson test, so every panel splits at every
+    # level; the panel budget ends the doubling long before the depth cap
+    with pytest.raises(ConvergenceError, match="panels"):
+        integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def recursive_simpson(f, a, b, tol):
+    """The depth-first adaptive Simpson recursion with scalar callbacks that
+    integrate_adaptive's level-wise form reproduces."""
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    depth_cap = min(tol.max_iter, 48)
+
+    def recurse(lo, hi, flo, fmid, fhi, s_whole, eps, depth):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = f(lm), f(rm)
+        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        err = (s_left + s_right - s_whole) / 15.0
+        if abs(err) <= eps or depth >= depth_cap:
+            assert abs(err) <= eps, "oracle hit the depth cap"
+            return s_left + s_right + err
+        return (recurse(lo, mid, flo, flm, fmid, s_left, eps / 2.0, depth + 1)
+                + recurse(mid, hi, fmid, frm, fhi, s_right, eps / 2.0, depth + 1))
+
+    eps0 = max(tol.abs_tol, tol.rel_tol * abs(whole))
+    result = recurse(a, b, fa, fm, fb, whole, eps0, 0)
+    eps1 = max(tol.abs_tol, tol.rel_tol * abs(result))
+    if eps1 < eps0 / 4.0:
+        result = recurse(a, b, fa, fm, fb, whole, eps1, 0)
+    return result
+
+
+@given(
+    coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=6),
+    peak=st.tuples(st.floats(0, 5), st.floats(-10, 10), st.floats(1e-3, 1)),
+    intervals=st.lists(st.tuples(st.floats(-10, 10), st.floats(1e-3, 20)),
+                       min_size=1, max_size=5),
+    rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+@settings(max_examples=60, deadline=None)
+def test_integrate_intervals_match_scalar_calls_and_recursion(coeffs, peak, intervals, rel_tol):
+    height, x0, gamma = peak
+
+    def f(x):  # Lorentzian plus Horner polynomial: scalar or array x
+        poly = 0.0 * x
+        for c in coeffs:
+            poly = poly * x + c
+        return height * 2.0 * gamma / ((x - x0) ** 2 + gamma ** 2) + poly
+
+    tol = Tolerance(abs_tol=1e-12, rel_tol=rel_tol)
+    a = np.array([lo for lo, _ in intervals])
+    b = np.array([lo + width for lo, width in intervals])
+    batched = integrate_adaptive(f, a, b, tol)
+    assert isinstance(batched, np.ndarray) and batched.shape == a.shape
+    for k in range(a.size):
+        scalar = integrate_adaptive(f, float(a[k]), float(b[k]), tol)
+        assert isinstance(scalar, float)
+        assert scalar == batched[k]
+        oracle = recursive_simpson(f, float(a[k]), float(b[k]), tol)
+        assert abs(scalar - oracle) <= 1e-12 * max(abs(oracle), tol.abs_tol)
 
 
 # --- ODE -------------------------------------------------------------------
