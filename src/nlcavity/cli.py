@@ -24,6 +24,7 @@ from . import detector, fock, hawking, qinfo, trilinear
 from .constants import TWO_PI
 from .errors import (
     ConvergenceError,
+    FitDegenerateError,
     InstabilityError,
     NoBistabilityError,
     NoHorizonError,
@@ -92,6 +93,14 @@ def _floats(text: str):
     return [float(tok) for tok in str(text).replace(",", " ").split()]
 
 
+def _points(cfg, key: str, default: int) -> int:
+    """Grid point count ``key``; an empty or unbounded grid is a config error."""
+    n = float(cfg.grid.get(key, default))
+    if not 1.0 <= n < math.inf:
+        raise ValueError(f"{key} must be a finite count of at least 1, got {n}")
+    return int(n)
+
+
 def _fmt_cell(v):
     if isinstance(v, str):
         return v
@@ -149,9 +158,9 @@ def _sweep_point(params, dw, I0, bath_T):
         th = detector.effective_thermo(params, drive, bath_T=bath_T)
         ws = wp + th.R_omega * params.omega_m
         band = 2.0 * th.R_gamma * params.gamma_bm
-        sig = detector.signal_spectrum(params, drive, ws, band, bath_T)
-        noi = detector.noise_spectrum(params, drive, ws, band)
-        cav = detector.caves_bound(params, drive, ws, band)
+        sig = detector.signal_spectrum(params, drive, th.chi, ws, band, bath_T)
+        noi = detector.noise_spectrum(params, drive, th.chi, ws, band)
+        cav = detector.caves_bound(params, drive, th.chi, ws, band)
         return dict(signal=sig, noise=noi, caves=cav,
                     ratio=noi / sig if sig > 0 else math.nan,
                     R_omega=th.R_omega, R_gamma=th.R_gamma,
@@ -169,7 +178,7 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
     I_bi = resolved["I_bi"]
     dw_bi = resolved["delta_omega_bi"]
     ratios = _floats(cfg.grid.get("detuning_ratios", "0, 0.2, 0.4"))
-    n_pts = int(float(cfg.grid.get("drive_points", 30)))
+    n_pts = _points(cfg, "drive_points", 30)
     lo = float(cfg.grid.get("drive_min_ratio", 0.05))
     hi = float(cfg.grid.get("drive_max_ratio", 0.95))
     bath_T = float(cfg.grid.get("bath_T_K", 0.0))
@@ -206,7 +215,7 @@ def _run_detector_bistability(cfg: ScenarioConfig):
     params, resolved = _detector_common(cfg)
     lo = float(cfg.grid.get("ratio_min", 1.0))
     hi = float(cfg.grid.get("ratio_max", 3.0))
-    n = int(float(cfg.grid.get("points", 101)))
+    n = _points(cfg, "points", 101)
     rows = []
     for r in np.linspace(lo, hi, n):
         low, up = detector.bistability_boundary(params, float(r))
@@ -227,7 +236,7 @@ def _run_detector_cooling(cfg: ScenarioConfig):
     else:
         detuning = float(cfg.grid.get("detuning_ratio", 1.3)) * dw_bi
     resolved["detuning"] = detuning
-    n_pts = int(float(cfg.grid.get("drive_points", 40)))
+    n_pts = _points(cfg, "drive_points", 40)
     lo = float(cfg.grid.get("drive_min_ratio", 0.2))
     hi = float(cfg.grid.get("drive_max_ratio", 1.2))
     temps = _floats(cfg.grid.get("bath_T_K", "0"))
@@ -256,6 +265,7 @@ def _run_detector_cooling(cfg: ScenarioConfig):
 
 def _run_hawking_line(cfg: ScenarioConfig):
     params = build_line_params(cfg.params)
+    n = _points(cfg, "xi_points", 201)
     amplitude = float(cfg.params.get("amplitude_phi0", 0.2))
     if "rise_scale_m" in cfg.params:
         rise = float(cfg.params["rise_scale_m"])
@@ -282,7 +292,6 @@ def _run_hawking_line(cfg: ScenarioConfig):
         cfg.warnings.append(f"impedance gate Z_A/R_Q = {gates['Z_A_over_R_Q']:.3g} >= 1")
 
     lo, hi = pulse.window
-    n = int(float(cfg.grid.get("xi_points", 201)))
     rows = []
     for xi in np.linspace(lo, hi, n):
         flux = pulse(float(xi))
@@ -307,8 +316,7 @@ def _run_hawking_line(cfg: ScenarioConfig):
 
 def _tau_grid(cfg):
     tau_max = float(cfg.grid.get("tau_max", 3.0))
-    n = int(float(cfg.grid.get("tau_points", 400)))
-    return np.linspace(0.0, tau_max, n)
+    return np.linspace(0.0, tau_max, _points(cfg, "tau_points", 400))
 
 
 def _trilinear_setup(mean_occ, dim):
@@ -427,7 +435,7 @@ def run(cfg: ScenarioConfig) -> int:
             TruncationError, InstabilityError, NonLorentzianError) as exc:
         print(f"physics validity error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (ConvergenceError, StiffnessError) as exc:
+    except (ConvergenceError, StiffnessError, FitDegenerateError) as exc:
         print(f"numerical convergence error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except (ValueError, KeyError, TypeError) as exc:

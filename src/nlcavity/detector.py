@@ -140,6 +140,7 @@ class EffectiveThermo:
     n_back_minus: float
     n_net: float
     lorentzian_residual: float
+    chi: complex           # mean-field amplitude the response was resolved at
     weak_coupling: bool = False
 
     @property
@@ -340,31 +341,37 @@ def _d_func(omega, params, K_d):
             / (omega - params.omega_T + 1j * params.gamma_pT))
 
 
+def _response_terms(params, drive, chi, omega):
+    """(upper, lower, cross_w, determinant) of the 2x2 response system at
+    omega. Plain arithmetic, so omega may be real or complex, scalar or
+    array; the zero-frequency argument is 0.0 * omega for the same reason."""
+    K_Tm, K_d = coupling_constants(params)
+    dw = drive.delta_omega
+    wp = params.omega_T + dw
+    chi2 = abs(chi) ** 2
+
+    mirror = omega - 2.0 * dw
+    zero = 0.0 * omega
+    b_w_s = _b_func(omega, omega - wp, params, K_Tm)
+    b_m_s = _b_func(mirror, omega - wp, params, K_Tm)
+    d_w = _d_func(omega, params, K_d)
+    d_m = _d_func(mirror, params, K_d)
+
+    upper = 1.0 - 2.0 * chi2 * (_b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
+    lower = 1.0 + 2.0 * chi2 * (_b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
+    cross_w = 2.0 * b_w_s + d_w
+    cross_m = 2.0 * b_m_s + d_m
+    return upper, lower, cross_w, upper * lower + chi2 ** 2 * cross_w * cross_m
+
+
 def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
     """(alpha1, alpha2, beta1, beta2, determinant) at frequency omega.
 
     Accepts scalar or array omega. Warns when the determinant is within
     1e-14 of singular (bifurcation proximity).
     """
-    K_Tm, K_d = coupling_constants(params)
-    omega = np.asarray(omega, dtype=float)
-    dw = drive.delta_omega
-    wp = params.omega_T + dw
-    chi2 = abs(chi) ** 2
-
-    mirror = omega - 2.0 * dw
-    b_w_0 = _b_func(omega, np.zeros_like(omega), params, K_Tm)
-    b_w_s = _b_func(omega, omega - wp, params, K_Tm)
-    b_m_0 = _b_func(mirror, np.zeros_like(omega), params, K_Tm)
-    b_m_s = _b_func(mirror, omega - wp, params, K_Tm)
-    d_w = _d_func(omega, params, K_d)
-    d_m = _d_func(mirror, params, K_d)
-
-    upper = 1.0 - 2.0 * chi2 * (b_w_0 + b_w_s + d_w)
-    lower = 1.0 + 2.0 * chi2 * (b_m_0 + b_m_s + d_m)
-    cross_w = 2.0 * b_w_s + d_w
-    cross_m = 2.0 * b_m_s + d_m
-    det = upper * lower + chi2 ** 2 * cross_w * cross_m
+    upper, lower, cross_w, det = _response_terms(
+        params, drive, chi, np.asarray(omega, dtype=float))
 
     scale = 1.0 + np.abs(upper) + np.abs(lower)
     if np.any(np.abs(det) < 1e-14 * scale):
@@ -372,46 +379,52 @@ def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, ome
                       RuntimeWarning, stacklevel=2)
 
     alpha1 = lower / det * chi
-    alpha2 = -cross_w / det * chi2 * chi
+    alpha2 = -cross_w / det * abs(chi) ** 2 * chi
     beta1 = lower / det
     beta2 = cross_w / det * chi ** 2
     return alpha1, alpha2, beta1, beta2, det
 
 
-def _alpha_combo_sq(params, drive, chi, omega):
-    """|alpha1/c + alpha2/c * mirror-ratio|^2 appearing in the signal kernel."""
-    c = linear_amplitude(params, drive)
-    a1, a2, _, _, _ = response_coeffs(params, drive, chi, omega)
+def _signal_prefactor(params, drive):
+    """Drive- and coupling-strength prefactor of the signal kernel."""
+    K_Tm, _ = coupling_constants(params)
+    gpt, dw = params.gamma_pT, drive.delta_omega
+    return (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
+        * gpt ** 2 / (gpt ** 2 + dw ** 2)
+
+
+def _signal_terms(params, drive, chi, omega):
+    """(cavity filter, |alpha1/c + alpha2/c * mirror-ratio|^2, bare
+    mechanical Lorentzians at omega_p + omega_m and omega_p - omega_m) of
+    the signal kernel."""
+    gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
     dw = drive.delta_omega
     wp = params.omega_T + dw
-    gpt = params.gamma_pT
+    cavity = (omega / wp) * gpt ** 2 / ((omega - wp + dw) ** 2 + gpt ** 2)
+    c = linear_amplitude(params, drive)
+    a1, a2, _, _, _ = response_coeffs(params, drive, chi, omega)
     ratio = (omega - wp + dw + 1j * gpt) / (omega - wp - dw + 1j * gpt)
-    return np.abs(a1 / c + a2 / c * ratio) ** 2
+    combo = np.abs(a1 / c + a2 / c * ratio) ** 2
+    lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2)
+    lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2)
+    return cavity, combo, lor_plus, lor_minus
 
 
 def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
                    omega, bath_T: float = 0.0):
     """Thermal/zero-point signal response density (A^2 per rad/s, includes
     the 1/2pi measure)."""
-    K_Tm, _ = coupling_constants(params)
-    gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
-    dw = drive.delta_omega
-    wp = params.omega_T + dw
+    wp = params.omega_T + drive.delta_omega
     omega = np.asarray(omega, dtype=float)
-
-    pre = (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
-        * gpt ** 2 / (gpt ** 2 + dw ** 2)
-    cavity = (omega / wp) * gpt ** 2 / ((omega - wp + dw) ** 2 + gpt ** 2)
-    combo = _alpha_combo_sq(params, drive, chi, omega)
+    cavity, combo, lor_plus, lor_minus = _signal_terms(params, drive, chi, omega)
 
     def occup(x):
         if bath_T <= 0.0:
             return np.ones_like(x)
         return 2.0 * (1.0 / np.expm1(hbar * np.abs(x) / (k_B * bath_T))) + 1.0
 
-    lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2) * occup(omega - wp)
-    lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2) * occup(wp - omega)
-    return pre * cavity * combo * (lor_plus + lor_minus) / (2.0 * math.pi)
+    return _signal_prefactor(params, drive) * cavity * combo \
+        * (lor_plus * occup(omega - wp) + lor_minus * occup(wp - omega)) / (2.0 * math.pi)
 
 
 def noise_density(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
@@ -442,46 +455,38 @@ def _band_integral(density, omega_s: float, delta_band: float) -> float:
                               Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
 
 
-def signal_spectrum(params: DetectorParams, drive: DrivePoint, omega_s: float,
-                    delta_band: float, bath_T: float = 0.0,
-                    branch: str = "small") -> float:
-    """Band-integrated signal variance (A^2) around omega_s."""
-    if bath_T < 0.0:
-        raise ValueError("bath temperature must be nonnegative")
-    chi = select_branch(mean_field(params, drive), branch).chi
+def _check_bath_T(bath_T: float) -> None:
+    if not 0.0 <= bath_T < math.inf:
+        raise ValueError(f"bath temperature must be finite and nonnegative, got {bath_T}")
+
+
+def signal_spectrum(params: DetectorParams, drive: DrivePoint, chi: complex,
+                    omega_s: float, delta_band: float, bath_T: float = 0.0) -> float:
+    """Band-integrated signal variance (A^2) around omega_s at the
+    mean-field amplitude chi."""
+    _check_bath_T(bath_T)
     return _band_integral(lambda w: signal_density(params, drive, chi, w, bath_T),
                           omega_s, delta_band)
 
 
-def noise_spectrum(params: DetectorParams, drive: DrivePoint, omega_s: float,
-                   delta_band: float, branch: str = "small") -> float:
+def noise_spectrum(params: DetectorParams, drive: DrivePoint, chi: complex,
+                   omega_s: float, delta_band: float) -> float:
     """Band-integrated noise variance (A^2) including the added zero-point term."""
-    chi = select_branch(mean_field(params, drive), branch).chi
     integral = _band_integral(lambda w: noise_density(params, drive, chi, w),
                               omega_s, delta_band)
     return integral + added_noise(params, omega_s, delta_band)
 
 
-def caves_bound(params: DetectorParams, drive: DrivePoint, omega_s: float,
-                delta_band: float, branch: str = "small") -> float:
+def caves_bound(params: DetectorParams, drive: DrivePoint, chi: complex,
+                omega_s: float, delta_band: float) -> float:
     """Heisenberg minimum-noise bound (A^2) for the same band."""
-    K_Tm, _ = coupling_constants(params)
-    gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
-    dw = drive.delta_omega
-    wp = params.omega_T + dw
-    chi = select_branch(mean_field(params, drive), branch).chi
-    pre = (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
-        * gpt ** 2 / (gpt ** 2 + dw ** 2)
-
     def f(w):
-        cavity = (w / wp) * gpt ** 2 / ((w - wp + dw) ** 2 + gpt ** 2)
-        combo = _alpha_combo_sq(params, drive, chi, w)
-        diff = (2.0 * gbm / ((w - wp - wm) ** 2 + gbm ** 2)
-                - 2.0 * gbm / ((wp - w - wm) ** 2 + gbm ** 2))
-        return cavity * combo * diff / (2.0 * math.pi)
+        cavity, combo, lor_plus, lor_minus = _signal_terms(params, drive, chi, w)
+        return cavity * combo * (lor_plus - lor_minus) / (2.0 * math.pi)
 
     integral = _band_integral(f, omega_s, delta_band)
-    return abs(added_noise(params, omega_s, delta_band) - pre * integral)
+    return abs(added_noise(params, omega_s, delta_band)
+               - _signal_prefactor(params, drive) * integral)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +502,7 @@ def _determinant_zero(params, drive, chi, sideband: int):
 
     def g(w):
         # bare mechanical pole cleared so the secant iteration sees only the zero
-        return _det_complex(params, drive, chi, w) * (w - pole)
+        return _response_terms(params, drive, chi, w)[-1] * (w - pole)
 
     z = wp + sideband * wm - 0.5j * gbm
     step = 0.25 * gbm
@@ -513,30 +518,6 @@ def _determinant_zero(params, drive, chi, sideband: int):
         if abs(z2 - z) < 1e-10 * gbm:
             break
     return z2
-
-
-def _det_complex(params, drive, chi, omega):
-    """Determinant at (possibly complex) omega, scalar version."""
-    K_Tm, K_d = coupling_constants(params)
-    dw = drive.delta_omega
-    wp = params.omega_T + dw
-    chi2 = abs(chi) ** 2
-
-    def b(w, wprime):
-        return ((params.omega_T * K_Tm) ** 2 / (4.0 * math.pi)
-                / (w - params.omega_T + 1j * params.gamma_pT)
-                * (1.0 / (wprime - params.omega_m + 1j * params.gamma_bm)
-                   + 1.0 / (-wprime - params.omega_m - 1j * params.gamma_bm)))
-
-    def d(w):
-        return (params.omega_T * K_d / (2.0 * math.pi)
-                / (w - params.omega_T + 1j * params.gamma_pT))
-
-    mirror = omega - 2.0 * dw
-    upper = 1.0 - 2.0 * chi2 * (b(omega, 0.0) + b(omega, omega - wp) + d(omega))
-    lower = 1.0 + 2.0 * chi2 * (b(mirror, 0.0) + b(mirror, omega - wp) + d(mirror))
-    return upper * lower + chi2 ** 2 * (2.0 * b(omega, omega - wp) + d(omega)) \
-        * (2.0 * b(mirror, omega - wp) + d(mirror))
 
 
 def _select_for_thermo(params, drive, branch):
@@ -594,8 +575,7 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     non-positive (or the low branch has been lost) and NonLorentzianError
     on a residual-gate failure.
     """
-    if bath_T < 0.0:
-        raise ValueError("bath temperature must be nonnegative")
+    _check_bath_T(bath_T)
     if frequency_pulling:
         chi = _select_for_thermo(params, drive, branch).chi
     else:
@@ -669,7 +649,7 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
         R_omega=R_omega, R_gamma=R_gamma,
         G_plus=gain(a_s, g_s), G_minus=gain(a_s2, g_s2),
         n_back_plus=nb_plus, n_back_minus=nb_minus,
-        n_net=n_net, lorentzian_residual=residual, weak_coupling=weak)
+        n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
 
 
 def cooling_curve(params: DetectorParams, detuning: float, I_grid,

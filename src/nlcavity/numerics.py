@@ -98,61 +98,6 @@ def jacobi_dn(u: float, m: float) -> float:
     return math.sqrt(max(1.0 - m * sn * sn, 0.0))
 
 
-def _lower_gamma_series(s: float, x: float, tol: float = 1e-16, max_iter: int = 500) -> float:
-    """Series for the lower incomplete gamma, NR 6.2: valid for x < s+1."""
-    ap = s
-    term = 1.0 / s
-    total = term
-    for _ in range(max_iter):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * tol:
-            return total * math.exp(-x + s * math.log(x))
-    raise ConvergenceError("incomplete-gamma series did not converge")
-
-
-def _upper_gamma_cf(s: float, x: float, tol: float = 1e-16, max_iter: int = 500) -> float:
-    """Modified-Lentz continued fraction for Gamma(s,x), valid for x > s+1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < tol:
-            return f * math.exp(-x + s * math.log(x))
-    raise ConvergenceError("incomplete-gamma continued fraction did not converge")
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma function Gamma(s, x) for s > 0, x >= 0.
-
-    Series branch below x = s+1, continued fraction above (the standard
-    stability boundary between the two representations).
-    """
-    if not (s > 0.0):
-        raise ValueError(f"s={s} must be positive")
-    if x < 0.0:
-        raise ValueError(f"x={x} must be nonnegative")
-    if x == 0.0:
-        return math.gamma(s)
-    if x < s + 1.0:
-        return math.gamma(s) - _lower_gamma_series(s, x)
-    return _upper_gamma_cf(s, x)
-
-
 # unconverged panels one refinement level may hold before the integral is
 # given up: a level this wide means the integrand is not resolvable (NaN
 # everywhere, say), and each further level doubles the memory held

@@ -116,9 +116,9 @@ def _sweep_signal_noise(params, dw, I_bi, n_points, max_ratio):
             continue
         ws = params.omega_T + dw + th.R_omega * params.omega_m
         band = 2.0 * th.R_gamma * params.gamma_bm
-        sig = detector.signal_spectrum(params, drive, ws, band, 0.0)
-        noi = detector.noise_spectrum(params, drive, ws, band)
-        cav = detector.caves_bound(params, drive, ws, band)
+        sig = detector.signal_spectrum(params, drive, th.chi, ws, band, 0.0)
+        noi = detector.noise_spectrum(params, drive, th.chi, ws, band)
+        cav = detector.caves_bound(params, drive, th.chi, ws, band)
         rows.append((x, sig, noi, cav))
     return rows
 

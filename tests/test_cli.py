@@ -7,6 +7,7 @@ import pytest
 from nlcavity import detector, trilinear
 from nlcavity.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICS,
     EXIT_OK,
     EXIT_PHYSICS,
     ScenarioConfig,
@@ -15,6 +16,7 @@ from nlcavity.cli import (
     main,
     run,
 )
+from nlcavity.errors import FitDegenerateError
 from nlcavity.presets import list_presets
 
 CH2 = {
@@ -82,19 +84,44 @@ def test_missing_param_exits_2(tmp_path):
 
 
 COOL_GRID = {"detuning_ratio": "1.3", "drive_points": "2", "bath_T_K": "0"}
+SIGNAL_NOISE_GRID = {"detuning_ratios": "0.2", "drive_points": "3", "bath_T_K": "0"}
 INFO_PARAMS = {"mean_occupations": "1", "tiers": "short"}
+BELTRAN = list_presets()["ch3-beltran"]["params"]
 
 
 @pytest.mark.parametrize("kind, params, grid", [
     ("detector-cooling", dict(CH2, Q_T="inf"), COOL_GRID),
     ("detector-cooling", dict(CH2, Q_T="nan"), COOL_GRID),
     ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="-0.05")),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="nan")),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="inf")),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, bath_T_K="nan")),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, bath_T_K="inf")),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, drive_points="0")),
+    ("detector-bistability", dict(CH2), {"points": "0"}),
+    ("hawking-line", dict(BELTRAN), {"xi_points": "0"}),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_points": "0"}),
     ("trilinear-info", dict(INFO_PARAMS, tiers="none"), {"tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS, tiers="short,"), {"tau_points": "3"}),
-], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "tiers-none", "tiers-empty-item"])
+], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
+        "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
+        "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
+        "tiers-none", "tiers-empty-item"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
+
+
+def test_fit_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def degenerate_fit(*args, **kwargs):
+        raise FitDegenerateError("singular normal equations in Lorentzian fit")
+
+    monkeypatch.setattr(detector, "fit_lorentzian", degenerate_fit)
+    cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2), grid=COOL_GRID,
+                         output_dir=tmp_path)
+    assert run(cfg) == EXIT_NUMERICS
+    assert capsys.readouterr().err == \
+        "numerical convergence error: singular normal equations in Lorentzian fit\n"
 
 
 def test_physics_gate_exits_3(tmp_path):
@@ -164,6 +191,23 @@ def test_detector_signal_noise_rerun_byte_identical(tmp_path, capsys):
     assert len(first[0].decode().splitlines()) == 1 + 2 * 3  # duffing 0.2 + harmonic
     assert signal_noise_run() == first
     assert capsys.readouterr().err == ""
+
+
+def test_detector_signal_noise_solves_mean_field_once_per_point(tmp_path, monkeypatch):
+    solved = []
+    mean_field = detector.mean_field
+
+    def counted_mean_field(params, drive, *args, **kwargs):
+        solved.append(drive)
+        return mean_field(params, drive, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "mean_field", counted_mean_field)
+    cfg = config_from_preset("ch2-detection", tmp_path)
+    cfg.grid.update(detuning_ratios="0.2", drive_points="3")
+    assert run(cfg) == EXIT_OK
+    rows = (tmp_path / "ch2-detection_signal_noise.csv").read_text().splitlines()[1:]
+    assert any(row.endswith(",") for row in rows)  # some points reach the spectra
+    assert len(solved) == len(set(solved)) == len(rows) == 6
 
 
 def test_cooling_scenario_rows_and_nan_warnings(tmp_path):

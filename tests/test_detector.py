@@ -278,7 +278,7 @@ def test_beta_at_zero_chi(params):
 
 def test_determinant_vs_linear_solve_oracle(params, onset):
     # reconstruct alpha1/alpha2 by directly inverting the 2x2 linear system
-    from nlcavity.detector import _b_func, _d_func
+    from nlcavity.detector import _b_func, _d_func, _response_terms
 
     K_Tm, K_d = coupling_constants(params)
     _, dw_bi, I_bi = onset
@@ -286,7 +286,9 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
     chi = select_branch(mean_field(params, drive), "small").chi
     dw = drive.delta_omega
     wp = params.omega_T + dw
-    for w in (wp + 1.001 * params.omega_m, wp - 0.98 * params.omega_m):
+    wm, gbm = params.omega_m, params.gamma_bm
+    # complex omega near the sideband poles is where the pole search runs
+    for w in (wp + 1.001 * wm, wp - 0.98 * wm, wp + wm - 0.5j * gbm, wp - wm - 0.5j * gbm):
         chi2 = abs(chi) ** 2
         mirror = w - 2 * dw
         b_w0 = _b_func(w, 0.0, params, K_Tm)
@@ -301,6 +303,11 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
             [np.conj(chi) ** 2 * (2 * b_ms + d_m),
              1.0 + 2 * chi2 * (b_m0 + b_ms + d_m)],
         ])
+        # the shared kernel against the direct 2x2 determinant
+        assert _response_terms(params, drive, chi, w)[-1] == pytest.approx(
+            np.linalg.det(M), rel=1e-10)
+        if isinstance(w, complex):
+            continue
         rhs = np.array([chi, -np.conj(chi)])
         sol = np.linalg.solve(M, rhs)  # response to unit signal sources
         a1, a2, _, _, det = response_coeffs(params, drive, chi, np.array([w]))
@@ -317,8 +324,9 @@ def test_signal_zero_coupling(params, onset):
 
     p = dataclasses.replace(params, K_Tm=0.0)
     drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
+    chi = select_branch(mean_field(p, drive), "small").chi
     ws = p.omega_T + p.omega_m
-    assert signal_spectrum(p, drive, ws, 4 * p.gamma_bm) == 0.0
+    assert signal_spectrum(p, drive, chi, ws, 4 * p.gamma_bm) == 0.0
 
 
 def test_signal_two_peaks_small_drive(params, onset):
@@ -360,7 +368,7 @@ def test_signal_adaptive_vs_fixed_grid(params, onset):
     th = effective_thermo(params, drive)
     ws = params.omega_T + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
-    adaptive = signal_spectrum(params, drive, ws, band)
+    adaptive = signal_spectrum(params, drive, chi, ws, band)
     w = np.linspace(ws - band / 2, ws + band / 2, 60_001)
     fixed = np.trapezoid(signal_density(params, drive, chi, w, 0.0), w)
     assert adaptive == pytest.approx(fixed, rel=1e-6)
@@ -371,17 +379,19 @@ def test_noise_reduces_to_added(params, onset):
 
     p = dataclasses.replace(params, K_Tm=0.0, K_d=0.0)
     drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
+    chi = select_branch(mean_field(p, drive), "small").chi
     ws = p.omega_T + p.omega_m
     band = 4 * p.gamma_bm
-    assert noise_spectrum(p, drive, ws, band) == pytest.approx(
+    assert noise_spectrum(p, drive, chi, ws, band) == pytest.approx(
         added_noise(p, ws, band), rel=1e-12)
 
 
 def test_caves_small_drive_is_added(params, onset):
     drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
+    chi = select_branch(mean_field(params, drive), "small").chi
     ws = params.omega_T + params.omega_m
     band = 4 * params.gamma_bm
-    assert caves_bound(params, drive, ws, band) == pytest.approx(
+    assert caves_bound(params, drive, chi, ws, band) == pytest.approx(
         added_noise(params, ws, band), rel=1e-3)
 
 
@@ -392,8 +402,8 @@ def test_noise_at_least_caves_sampled(params, onset):
         th = effective_thermo(params, drive)
         ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
         band = 2 * th.R_gamma * params.gamma_bm
-        noi = noise_spectrum(params, drive, ws, band)
-        cav = caves_bound(params, drive, ws, band)
+        noi = noise_spectrum(params, drive, th.chi, ws, band)
+        cav = caves_bound(params, drive, th.chi, ws, band)
         assert noi >= cav * (1.0 - 1e-9)
 
 
@@ -403,8 +413,8 @@ def test_caves_ratio_one_at_large_gain(params, onset):
     th = effective_thermo(params, drive)
     ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
-    sig = signal_spectrum(params, drive, ws, band)
-    cav = caves_bound(params, drive, ws, band)
+    sig = signal_spectrum(params, drive, th.chi, ws, band)
+    cav = caves_bound(params, drive, th.chi, ws, band)
     assert cav / sig == pytest.approx(1.0, abs=0.05)
 
 
