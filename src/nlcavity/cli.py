@@ -90,7 +90,11 @@ def config_from_preset(name: str, out_dir: Path) -> ScenarioConfig:
 
 
 def _floats(text: str):
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+    """Comma- or space-separated numbers; an empty list is a config error."""
+    values = [float(tok) for tok in str(text).replace(",", " ").split()]
+    if not values:
+        raise ValueError(f"expected a list of numbers, got {text!r}")
+    return values
 
 
 def _points(cfg, key: str, default: int) -> int:

@@ -1,8 +1,8 @@
-"""Truncated multi-mode Fock-space linear algebra.
+"""Truncated multi-mode Fock-space states.
 
-States and density matrices are stored dense, operators sparse (CSR);
-mode order is fixed at construction and tensor indexing is row-major, so
-basis index i maps to occupations np.unravel_index(i, dims).
+States and density matrices are stored dense; mode order is fixed at
+construction and tensor indexing is row-major, so basis index i maps to
+occupations np.unravel_index(i, dims).
 
 All types are immutable after construction and every operation is pure.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TruncationError
 
@@ -45,50 +44,6 @@ class HilbertSpec:
 
     def __repr__(self):
         return f"HilbertSpec(dims={self.dims})"
-
-
-class ModeOperator:
-    """Sparse operator on a HilbertSpec, tagged with what it represents."""
-
-    def __init__(self, spec: HilbertSpec, matrix, label: str = "custom"):
-        mat = sp.csr_matrix(matrix, dtype=complex)
-        if mat.shape != (spec.total_dim, spec.total_dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match spec {spec}")
-        self.spec = spec
-        self.matrix = mat
-        self.label = label
-
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.spec, self.matrix.conjugate().transpose().tocsr(),
-                            label=self.label + "+")
-
-    def __matmul__(self, other):
-        if isinstance(other, ModeOperator):
-            if other.spec != self.spec:
-                raise ValueError("operator spec mismatch")
-            return ModeOperator(self.spec, self.matrix @ other.matrix)
-        return self.matrix @ other
-
-    def __add__(self, other):
-        return ModeOperator(self.spec, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return ModeOperator(self.spec, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return ModeOperator(self.spec, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def toarray(self):
-        return self.matrix.toarray()
-
-    def is_hermitian(self, tol=1e-12):
-        delta = (self.matrix - self.matrix.conjugate().transpose()).tocoo()
-        if delta.nnz == 0:
-            return True
-        scale = max(1.0, abs(self.matrix).max())
-        return np.max(np.abs(delta.data)) <= tol * scale
 
 
 class StateVector:
@@ -158,38 +113,6 @@ class DensityMatrix:
 
     def diagonal(self):
         return np.real(np.diag(self.entries)).copy()
-
-
-def ladder_ops(dim: int):
-    """Single-mode (annihilation, creation, number) operators, truncated.
-
-    a|n> = sqrt(n)|n-1>, a+|n> = sqrt(n+1)|n+1> with a+|dim-1> = 0.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    spec = HilbertSpec((dim,))
-    root = np.sqrt(np.arange(1, dim))
-    a = sp.diags(root, offsets=1, shape=(dim, dim), format="csr", dtype=complex)
-    adag = sp.diags(root, offsets=-1, shape=(dim, dim), format="csr", dtype=complex)
-    num = sp.diags(np.arange(dim, dtype=float), 0, shape=(dim, dim),
-                   format="csr", dtype=complex)
-    return (ModeOperator(spec, a, "annihilation"),
-            ModeOperator(spec, adag, "creation"),
-            ModeOperator(spec, num, "number"))
-
-
-def embed(op: ModeOperator, mode_index: int, spec: HilbertSpec) -> ModeOperator:
-    """Lift a single-mode operator to I x ... x op x ... x I on ``spec``."""
-    if not (0 <= mode_index < spec.n_modes):
-        raise ValueError(f"mode index {mode_index} out of range for {spec}")
-    d = spec.dims[mode_index]
-    if op.matrix.shape != (d, d):
-        raise ValueError(f"operator dim {op.matrix.shape[0]} != mode dim {d}")
-    mat = sp.identity(1, dtype=complex, format="csr")
-    for i, di in enumerate(spec.dims):
-        factor = op.matrix if i == mode_index else sp.identity(di, dtype=complex, format="csr")
-        mat = sp.kron(mat, factor, format="csr")
-    return ModeOperator(spec, mat, label=f"{op.label}@mode{mode_index}")
 
 
 def coherent_state(alpha: complex, dim: int) -> StateVector:
@@ -273,16 +196,3 @@ def partial_trace(state, keep) -> DensityMatrix:
     else:
         raise TypeError(f"cannot partial-trace a {type(state).__name__}")
     return DensityMatrix(HilbertSpec(kept_dims), rho)
-
-
-def expectation(state, op: ModeOperator) -> complex:
-    """<psi|O|psi> for a StateVector or Tr(rho O) for a DensityMatrix."""
-    if isinstance(state, StateVector):
-        if state.spec != op.spec:
-            raise ValueError("state/operator spec mismatch")
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if isinstance(state, DensityMatrix):
-        if state.spec != op.spec:
-            raise ValueError("state/operator spec mismatch")
-        return complex(np.trace(op.matrix @ state.entries))
-    raise TypeError(f"cannot take expectation on a {type(state).__name__}")

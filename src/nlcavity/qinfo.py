@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .constants import hbar, k_B
 from .fock import DensityMatrix, HilbertSpec
 
@@ -159,13 +158,12 @@ def squeezing_params(rho_a: DensityMatrix):
     X_+ = (a + a+)/2 and X_- = (a - a+)/(2i); vacuum and coherent states give
     (0, 0) and q_- < 0 flags squeezing.
     """
-    dim = rho_a.spec.total_dim
-    a_op, adag_op, num_op = fock.ladder_ops(dim)
-    a = a_op.matrix
     rho = rho_a.entries
-    exp_a = complex(np.trace(a @ rho))
-    exp_aa = complex(np.trace(a @ a @ rho))
-    exp_n = float(np.real(np.trace(num_op.matrix @ rho)))
+    # <a> = sum sqrt(n+1) rho[n+1, n], <a^2> = sum sqrt((n+1)(n+2)) rho[n+2, n]
+    root = np.sqrt(np.arange(1.0, rho.shape[0]))
+    exp_a = complex(np.sum(root * np.diagonal(rho, -1)))
+    exp_aa = complex(np.sum(root[:-1] * root[1:] * np.diagonal(rho, -2)))
+    exp_n = float(np.sum(np.arange(rho.shape[0]) * np.diagonal(rho).real))
 
     # <X+^2> = (  <a^2> + <a+^2> + 2<N> + 1 )/4,  <X-^2> with a minus sign
     var_plus = 0.25 * (2.0 * exp_n + 1.0 + 2.0 * exp_aa.real) \

@@ -13,8 +13,8 @@ H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
 Phys. Rev. A 1, 446 (1970)). The quantized-pump tiers therefore share one
 state, ``PairState``: the amplitude matrix C[p, i], from which occupations
-and the reduced pump and signal states follow directly. The full-grid
-generator and Hamiltonian remain as dense oracles.
+and the reduced pump and signal states follow directly. The full tier
+applies the interaction generator to C without building an operator.
 
 All dynamics are expressed in the interaction frame and in dimensionless
 time tau = chi*t, which scales out the coupling.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError
-from .fock import DensityMatrix, HilbertSpec, ModeOperator, StateVector
+from .fock import DensityMatrix, HilbertSpec, StateVector
 from .numerics import RealGrid, Tolerance, evolve_ode, integrate_adaptive, jacobi_dn
 
 
@@ -321,11 +321,6 @@ def short_time_state(initial: PumpInitialState, tau: float, k: float = 0.5) -> P
     return PairState(C)
 
 
-def short_time_reduced(initial: PumpInitialState, tau: float, k: float = 0.5):
-    """Reduced pump and signal density matrices of the short-time state."""
-    return short_time_state(initial, tau, k).reduced()
-
-
 def long_time_signal(P_s) -> DensityMatrix:
     """Late-time signal state: diagonal mixture carrying the initial pump
     number distribution."""
@@ -343,26 +338,6 @@ def long_time_signal(P_s) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # full quantum tier
 # ---------------------------------------------------------------------------
-
-def interaction_generator(spec: HilbertSpec):
-    """Sparse anti-Hermitian generator G = a b+ c+ - a+ b c (so H_I = i h chi G
-    and the interaction-frame Schrodinger equation reads dpsi/dtau = G psi)."""
-    da, db, dc = spec.dims
-    a, adag, _ = fock.ladder_ops(da)
-    b, bdag, _ = fock.ladder_ops(db)
-    c, cdag, _ = fock.ladder_ops(dc)
-    A = fock.embed(a, 0, spec).matrix
-    Bd = fock.embed(bdag, 1, spec).matrix
-    Cd = fock.embed(cdag, 2, spec).matrix
-    down = A @ Bd @ Cd
-    return (down - down.conjugate().transpose()).tocsr()
-
-
-def build_interaction_hamiltonian(params: TrilinearParams) -> ModeOperator:
-    """Interaction-frame Hamiltonian H_I/(h chi) = i(a b+ c+ - a+ b c)."""
-    gen = interaction_generator(params.spec)
-    return ModeOperator(params.spec, 1j * gen, label="H_I/(hbar*chi)")
-
 
 def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> StateVector:
     """|psi_pump> |0>_b |0>_c on the given truncation grid."""
@@ -397,13 +372,18 @@ def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
     psi[:, np.arange(dp), np.arange(dp)] = 0.0
     if np.any(psi):
         raise ValueError("initial state has weight outside the pair span |p, i, i>")
-    pair_spec = HilbertSpec((da, dp))
-    up = ModeOperator(HilbertSpec((dp,)), np.diag(np.arange(1.0, dp), -1))  # P+
-    down = fock.embed(fock.ladder_ops(da)[0], 0, pair_spec) @ fock.embed(up, 1, pair_spec)
-    gen = (down - down.dag()).matrix
+    # on the flattened C, kron(a, P+) maps index r + s to r (s = dp - 1)
+    # with weight sqrt(p+1)*i at (p, i) = divmod(r, dp); its adjoint maps r
+    # back to r + s. The i = 0 weights vanish, where r + s wraps a pump row.
+    s = dp - 1
+    p, i = np.indices((da, dp))
+    w = (np.sqrt(p + 1.0) * i).ravel()[:-s]
 
     def rhs(_t, y):
-        return gen @ y
+        dy = np.zeros_like(y)
+        dy[:-s] = w * y[s:]
+        dy[s:] -= w * y[:-s]
+        return dy
 
     raw = evolve_ode(rhs, C0.ravel(), tau_grid, tol)
     states = [PairState(y.reshape(C0.shape)) for y in raw]
@@ -413,12 +393,3 @@ def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge dims {spec.dims}",
             leak=leak)
     return states
-
-
-def mode_numbers(spec: HilbertSpec):
-    """Embedded number operators (N_a, N_b, N_c)."""
-    ops = []
-    for i, d in enumerate(spec.dims):
-        _, _, num = fock.ladder_ops(d)
-        ops.append(fock.embed(num, i, spec))
-    return tuple(ops)

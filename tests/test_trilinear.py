@@ -8,26 +8,30 @@ from hypothesis import given, settings, strategies as st
 
 from nlcavity import fock
 from nlcavity.errors import TruncationError
-from nlcavity.fock import HilbertSpec, expectation, partial_trace
+from nlcavity.fock import HilbertSpec, partial_trace
 from nlcavity.trilinear import (
     PumpInitialState,
     TrilinearParams,
     branch_coefficient,
     branch_normalization,
-    build_interaction_hamiltonian,
     evolve_full,
     initial_product_state,
-    interaction_generator,
     long_time_signal,
-    mode_numbers,
     parametric_occupation,
     parametric_state,
     parametric_temperature,
     pump_betas,
     semiclassical_occupation,
     semiclassical_pump,
-    short_time_reduced,
     short_time_state,
+)
+from oracles import (
+    build_interaction_hamiltonian,
+    embed,
+    expectation,
+    interaction_generator,
+    ladder_ops,
+    mode_numbers,
 )
 
 
@@ -48,8 +52,8 @@ def test_parametric_state_matches_occupation():
     A, tau, dim = 1.0, 0.6, 25
     psi = parametric_state(A, tau, dim)
     spec = psi.spec
-    _, _, num = fock.ladder_ops(dim)
-    nb = expectation(psi, fock.embed(num, 0, spec)).real
+    _, _, num = ladder_ops(dim)
+    nb = expectation(psi, embed(num, 0, spec)).real
     assert nb == pytest.approx(parametric_occupation(A, tau), abs=1e-7)
 
 
@@ -207,7 +211,7 @@ def test_pair_state_matches_branch_formula_and_full_grid():
 
 def test_short_time_zero_tau_recovers_initial():
     init = PumpInitialState.coherent(4.0, 18)
-    rho_a, rho_b = short_time_reduced(init, 0.0)
+    rho_a, rho_b = short_time_state(init, 0.0).reduced()
     assert rho_b.diagonal()[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.diag(rho_a.entries)[: init.coefficients.size],
                        init.probabilities, atol=1e-12)
@@ -230,14 +234,14 @@ def test_short_time_matches_full_evolution():
 def test_short_time_reduced_traces():
     init = PumpInitialState.coherent(9.0, 28)
     for tau in (0.2, 1.0, 10.0):
-        rho_a, rho_b = short_time_reduced(init, tau)
+        rho_a, rho_b = short_time_state(init, tau).reduced()
         assert np.trace(rho_a.entries).real == pytest.approx(1.0, abs=1e-9)
         assert np.trace(rho_b.entries).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_short_time_long_time_distribution():
     init = PumpInitialState.coherent(9.0, 30)
-    _, rho_b = short_time_reduced(init, 100.0)
+    _, rho_b = short_time_state(init, 100.0).reduced()
     diag = rho_b.diagonal()
     P = init.probabilities
     tv = 0.5 * np.sum(np.abs(diag[: P.size] - P)) + 0.5 * np.sum(diag[P.size:])
