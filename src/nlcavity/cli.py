@@ -282,7 +282,7 @@ def _run_hawking_line(cfg: ScenarioConfig):
     horizons = hawking.find_horizon(pulse, params)
     T_H = hawking.hawking_temperature(pulse, params, horizons[0])
     power = hawking.radiated_power(T_H)
-    count = hawking.photons_per_pulse(pulse, params)
+    count = hawking.photons_per_pulse(T_H, params)
 
     gates = hawking.validity_report(pulse, params)
     resolved = {

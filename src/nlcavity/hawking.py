@@ -40,8 +40,11 @@ class LineParams:
 
     def __post_init__(self):
         for name in ("I_c", "C_J", "C_0", "a", "N", "u"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            x = getattr(self, name)
+            if not (x > 0) or not math.isfinite(x):
+                raise ValueError(f"{name} must be positive and finite, got {x}")
+        if self.loop_inductance is not None and not math.isfinite(self.loop_inductance):
+            raise ValueError(f"loop_inductance must be finite, got {self.loop_inductance}")
 
     def critical_current(self, phi_ext: float) -> float:
         """Flux-suppressed critical current I_c^s = 2 I_c cos(pi phi)."""
@@ -83,8 +86,8 @@ class FluxPulse:
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 0.5):
             raise ValueError("pulse amplitude must lie in [0, 0.5) Phi0")
-        if self.rise_scale <= 0.0:
-            raise ValueError("rise scale must be positive")
+        if not (self.rise_scale > 0.0) or not math.isfinite(self.rise_scale):
+            raise ValueError(f"rise scale must be positive and finite, got {self.rise_scale}")
         if self.window is None:
             object.__setattr__(self, "window",
                                (-12.0 * self.rise_scale, 12.0 * self.rise_scale))
@@ -205,21 +208,21 @@ def radiated_power(T_H: float) -> float:
     return math.pi / (12.0 * hbar) * (k_B * T_H) ** 2
 
 
-def photons_per_pulse(pulse: FluxPulse, params: LineParams,
+def photons_per_pulse(T_H: float, params: LineParams,
                       decay_per_1000_cells: float = 0.10) -> float:
-    """Expected photon count over one pulse traversal of the array.
+    """Expected photon count over one pulse traversal of the array, for a
+    horizon that forms at temperature ``T_H`` (kelvin, as resolved by
+    ``hawking_temperature``).
 
     Emission rate is P/(kB T_H) with mean photon energy taken as kB T_H;
     T_H decays linearly with the cells traversed (default 10% per 1000
     cells, dispersion of the bias pulse), and the horizon lives N*a/u.
     """
-    xi_h = find_horizon(pulse, params)[0]
-    T0 = hawking_temperature(pulse, params, xi_h)
     lifetime = params.N * params.a / params.u
     decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
 
     def rate(t):
-        T = T0 * np.maximum(0.0, 1.0 - decay_rate * t)
+        T = T_H * np.maximum(0.0, 1.0 - decay_rate * t)
         return math.pi * k_B * T / (12.0 * hbar)
 
     return integrate_adaptive(rate, 0.0, lifetime,
@@ -252,28 +255,19 @@ def rise_scale_for_gradient_rate(amplitude: float, params: LineParams,
     """Rise scale making the horizon velocity-gradient rate |dc/dxi| equal
     ``target_rate`` (1/s) for a tanh step of the given amplitude.
 
-    The gradient scales as 1/rise_scale, so a logarithmic bracket around the
-    dimensional estimate always straddles the target.
+    The tanh pulse is a function of xi/rise_scale alone, so the horizon sits
+    at a fixed multiple of the rise scale and the gradient there is G/w for a
+    rise scale w (``velocity_gradient``'s stencil scales with w as well).
+    One horizon solve at the dimensional estimate w = (c_max - c_min)/target
+    gives G = w*g, and the rise scale G/target follows in closed form.
     """
+    if not (target_rate > 0.0) or not math.isfinite(target_rate):
+        raise ValueError(f"target rate must be positive and finite, got {target_rate}")
     c_hi = propagation_velocity(0.0, params)
     c_lo = propagation_velocity(amplitude, params)
     if not (c_lo < params.u < c_hi):
         raise NoHorizonError("pulse speed u outside (c_min, c_max): no horizon")
-    w_guess = (c_hi - c_lo) / target_rate
-
-    def gap(w):
-        pulse = tanh_pulse(amplitude, w)
-        xi_h = find_horizon(pulse, params)[0]
-        return velocity_gradient(pulse, params, xi_h) - target_rate
-
-    lo, hi = w_guess, w_guess
-    for _ in range(60):
-        if gap(lo) > 0.0:
-            break
-        lo /= 2.0
-    for _ in range(60):
-        if gap(hi) < 0.0:
-            break
-        hi *= 2.0
-    return find_root_bracketed(gap, lo, hi,
-                               Tolerance(abs_tol=1e-30, rel_tol=1e-12, max_iter=200))
+    w = (c_hi - c_lo) / target_rate
+    pulse = tanh_pulse(amplitude, w)
+    g = velocity_gradient(pulse, params, find_horizon(pulse, params)[0])
+    return w * g / target_rate

@@ -183,9 +183,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a, b,
 
     eps0 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(whole))
     result, failed = _simpson_pass(f, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
-    # refine once if the converged magnitude sharpened the relative target
+    # refine once if the converged magnitude sharpened the relative target,
+    # or loosened it where the coarse estimate missed a peak and the first
+    # pass chased a budget below round-off into the depth cap
     eps1 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(result))
-    redo = eps1 < eps0 / 4.0
+    redo = (eps1 < eps0 / 4.0) | (failed & (eps1 > eps0))
     if redo.any():
         result[redo], failed[redo] = _simpson_pass(
             f, lo[redo], hi[redo], fa[redo], fm[redo], fb[redo], whole[redo],

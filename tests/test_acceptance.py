@@ -254,7 +254,7 @@ def test_criterion_6_hawking_anchors():
     T_H = hawking.hawking_temperature(pulse, params)
     ok_T = abs(T_H / 0.120 - 1.0) < 0.10
 
-    count = hawking.photons_per_pulse(pulse, params)
+    count = hawking.photons_per_pulse(T_H, params)
     ok_n = 0.5 < count < 2.0
     elapsed = time.perf_counter() - start
     ok = ok_c and ok_T and ok_n and elapsed < 5.0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nlcavity
-from nlcavity import detector, trilinear
+from nlcavity import detector, hawking, trilinear
 from nlcavity.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
@@ -118,11 +118,18 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("detector-bistability", dict(CH2), {"ratio_max": "nan", "points": "2"}),
     ("detector-cooling", dict(CH2), dict(COOL_GRID, bath_T_K="")),
     ("trilinear-info", dict(INFO_PARAMS, mean_occupations=""), {"tau_points": "3"}),
+    ("hawking-line", dict(BELTRAN, gradient_rate_over_plasma="0"), {}),
+    ("hawking-line", dict(BELTRAN, I_c_A="inf"), {}),
+    ("hawking-line", dict(BELTRAN, C_0_F="nan"), {}),
+    ("hawking-line", dict(BELTRAN, a_m="inf"), {}),
+    ("hawking-line", dict(BELTRAN, u_over_c0flux="nan"), {}),
+    ("hawking-line", dict(BELTRAN, rise_scale_m="nan"), {}),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
         "tiers-none", "tiers-empty-item", "ratio_max-nan", "bath_T-empty",
-        "mean_occupations-empty"])
+        "mean_occupations-empty", "gradient_rate-0", "I_c-inf", "C_0-nan",
+        "a-inf", "u_over_c0flux-nan", "rise_scale-nan"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -224,6 +231,21 @@ def test_detector_signal_noise_solves_mean_field_once_per_point(tmp_path, monkey
     rows = (tmp_path / "ch2-detection_signal_noise.csv").read_text().splitlines()[1:]
     assert any(row.endswith(",") for row in rows)  # some points reach the spectra
     assert len(solved) == len(set(solved)) == len(rows) == 6
+
+
+def test_hawking_line_solves_horizon_at_most_twice(tmp_path, monkeypatch):
+    solved = []
+    find_horizon = hawking.find_horizon
+
+    def counted_find_horizon(pulse, params, *args, **kwargs):
+        solved.append(pulse.rise_scale)
+        return find_horizon(pulse, params, *args, **kwargs)
+
+    monkeypatch.setattr(hawking, "find_horizon", counted_find_horizon)
+    cfg = config_from_preset("ch3-beltran", tmp_path)
+    cfg.grid["xi_points"] = "11"
+    assert run(cfg) == EXIT_OK
+    assert 1 <= len(solved) <= 2
 
 
 def test_cooling_scenario_rows_and_nan_warnings(tmp_path):

@@ -23,6 +23,7 @@ from nlcavity.hawking import (
     validity_report,
     velocity_gradient,
 )
+from nlcavity.numerics import Tolerance, find_root_bracketed
 from nlcavity.presets import PRESETS, build_line_params
 
 
@@ -36,6 +37,11 @@ def pulse(params):
     target = 0.1 * params.plasma_frequency(0.0) / TWO_PI
     rise = rise_scale_for_gradient_rate(0.2, params, target)
     return tanh_pulse(0.2, rise)
+
+
+@pytest.fixture(scope="module")
+def T_H(params, pulse):
+    return hawking_temperature(pulse, params)
 
 
 # --- inductance / velocity -----------------------------------------------------
@@ -178,6 +184,54 @@ def test_gradient_scaling_linearity(params, pulse):
         2 * hawking_temperature(half, params, xi2), rel=1e-6)
 
 
+def bracketed_rise_scale(amplitude, params, target_rate):
+    """Reference solve of the gradient gap: brackets grown geometrically
+    from the dimensional estimate, then Brent, one horizon solve per gap."""
+    c_hi = propagation_velocity(0.0, params)
+    c_lo = propagation_velocity(amplitude, params)
+    w_guess = (c_hi - c_lo) / target_rate
+
+    def gap(w):
+        pulse = tanh_pulse(amplitude, w)
+        xi_h = find_horizon(pulse, params)[0]
+        return velocity_gradient(pulse, params, xi_h) - target_rate
+
+    lo, hi = w_guess, w_guess
+    for _ in range(60):
+        if gap(lo) > 0.0:
+            break
+        lo /= 2.0
+    for _ in range(60):
+        if gap(hi) < 0.0:
+            break
+        hi *= 2.0
+    return find_root_bracketed(gap, lo, hi,
+                               Tolerance(abs_tol=1e-30, rel_tol=1e-12, max_iter=200))
+
+
+@pytest.mark.parametrize("amplitude", [0.2, 0.3])
+@pytest.mark.parametrize("rate", [0.05, 0.2])
+@pytest.mark.parametrize("ratio", [0.93, 0.95])
+def test_rise_scale_closed_form_matches_bracketed_solve(params, amplitude, rate, ratio):
+    import dataclasses
+
+    line = dataclasses.replace(params, u=ratio * propagation_velocity(0.0, params))
+    target = rate * line.plasma_frequency(0.0) / TWO_PI
+    rise = rise_scale_for_gradient_rate(amplitude, line, target)
+    assert rise == pytest.approx(bracketed_rise_scale(amplitude, line, target), rel=1e-8)
+    pulse = tanh_pulse(amplitude, rise)
+    xi_h = find_horizon(pulse, line)[0]
+    assert velocity_gradient(pulse, line, xi_h) == pytest.approx(target, rel=1e-8)
+
+
+def test_rise_scale_rejects_bad_target(params):
+    for target in (0.0, -1e9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rise_scale_for_gradient_rate(0.2, params, target)
+    with pytest.raises(NoHorizonError):
+        rise_scale_for_gradient_rate(0.02, params, 1e9)
+
+
 def test_gradient_matches_analytic_tanh(params, pulse):
     xi = find_horizon(pulse, params)[0]
     c0 = propagation_velocity(0.0, params)
@@ -199,23 +253,23 @@ def test_radiated_power():
     assert radiated_power(2 * T) / radiated_power(T) == pytest.approx(4.0, rel=1e-12)
 
 
-def test_photons_per_pulse_anchor(params, pulse):
-    count = photons_per_pulse(pulse, params)
+def test_photons_per_pulse_anchor(params, T_H):
+    count = photons_per_pulse(T_H, params)
     assert 0.5 < count < 2.0
 
 
-def test_photons_linear_in_cell_count(params, pulse):
+def test_photons_linear_in_cell_count(params, T_H):
     import dataclasses
 
-    full = photons_per_pulse(pulse, params, decay_per_1000_cells=0.0)
-    half = photons_per_pulse(pulse, dataclasses.replace(params, N=params.N // 2),
+    full = photons_per_pulse(T_H, params, decay_per_1000_cells=0.0)
+    half = photons_per_pulse(T_H, dataclasses.replace(params, N=params.N // 2),
                              decay_per_1000_cells=0.0)
     assert full / half == pytest.approx(2.0, rel=0.01)
 
 
-def test_photons_decay_lowers_count(params, pulse):
-    with_decay = photons_per_pulse(pulse, params)
-    without = photons_per_pulse(pulse, params, decay_per_1000_cells=0.0)
+def test_photons_decay_lowers_count(params, T_H):
+    with_decay = photons_per_pulse(T_H, params)
+    without = photons_per_pulse(T_H, params, decay_per_1000_cells=0.0)
     assert with_decay < without
 
 
@@ -258,3 +312,17 @@ def test_pulse_validation():
         tanh_pulse(0.6, 1e-6)
     with pytest.raises(ValueError):
         FluxPulse(shape=lambda x: 0.1, amplitude=0.1, rise_scale=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tanh_pulse(0.2, bad)
+
+
+def test_line_params_reject_non_finite(params):
+    import dataclasses
+
+    for name in ("I_c", "C_J", "C_0", "a", "u"):
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError):
+                dataclasses.replace(params, **{name: bad})
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, loop_inductance=math.inf)
