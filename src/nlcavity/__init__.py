@@ -3,7 +3,7 @@
 Subpackages by physics area:
 
 * numerics  -- special functions, quadrature, RK45, roots, spectral fits
-* fock      -- truncated Fock-space states, operators, partial traces
+* fock      -- truncated Fock-space states, density matrices, partial traces
 * trilinear -- pump/signal/idler dynamics at four approximation tiers
 * qinfo     -- entropy, fidelity, information, squeezing diagnostics
 * detector  -- driven Duffing-cavity displacement detector and cooling

@@ -300,7 +300,7 @@ def _run_hawking_line(cfg: ScenarioConfig):
     for xi in np.linspace(lo, hi, n):
         flux = pulse(float(xi))
         c = hawking.propagation_velocity(flux, params)
-        g_tt, g_tx, g_xx = hawking.metric_components(pulse, params, float(xi))
+        g_tt, _, _ = hawking.metric_components(c, params)
         rows.append([xi, flux, c, g_tt])
     header = ["xi_m", "flux_phi0", "c_m_per_s", "g_tt"]
     p1 = cfg.output_dir / f"{cfg.label}_profile.csv"
@@ -320,6 +320,8 @@ def _run_hawking_line(cfg: ScenarioConfig):
 
 def _tau_grid(cfg):
     tau_max = float(cfg.grid.get("tau_max", 3.0))
+    if not 0.0 < tau_max < math.inf:
+        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
     return np.linspace(0.0, tau_max, _points(cfg, "tau_points", 400))
 
 
@@ -367,15 +369,17 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     return resolved, {"evolve": header}, [str(path)]
 
 
-def _info_diagnostics(rho_a, rho_b, n_a, n_b):
-    fid_dim = rho_b.spec.total_dim
-    sigma = qinfo.ThermalReference(n_b, omega=1.0, dim=fid_dim).density_matrix()
-    fid = qinfo.fidelity(rho_b, sigma)
-    info = qinfo.information(rho_b)
-    i_abc, i_bc = qinfo.mutual_information_partitions(rho_a, rho_b)
+def _info_diagnostics(rho_a, p_b, n_a, n_b):
+    # rho_b and its thermal reference are diagonal: F is the Bhattacharyya sum
+    q = qinfo.ThermalReference(n_b, omega=1.0, dim=p_b.size).probabilities
+    fid = float(np.sum(np.sqrt(p_b * q)))
+    if fid > 1.0 + 1e-8:
+        raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical slack")
+    info = qinfo.information(p_b)
+    i_abc, i_bc = qinfo.mutual_information_partitions(rho_a, p_b)
     qp, qm = qinfo.squeezing_params(rho_a)
     d_gap = qinfo.effective_dimension(n_a) - qinfo.effective_dimension(n_b) ** 2
-    return fid, info, i_abc, i_bc, qp, qm, d_gap
+    return min(fid, 1.0), info, i_abc, i_bc, qp, qm, d_gap
 
 
 def _run_trilinear_info(cfg: ScenarioConfig):

@@ -58,7 +58,7 @@ class StateVector:
             raise ValueError("zero state vector")
         if normalize:
             amps = amps / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        elif not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         self.spec = spec
         self.amplitudes = amps
@@ -96,7 +96,7 @@ class DensityMatrix:
             if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
                 raise ValueError("density matrix is not Hermitian")
             tr = complex(np.trace(mat)).real
-            if abs(tr - 1.0) > NORM_TOL:
+            if not abs(tr - 1.0) <= NORM_TOL:
                 raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
             if evals.min() < EIG_FLOOR:
@@ -124,6 +124,8 @@ def coherent_state(alpha: complex, dim: int) -> StateVector:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     nbar = abs(alpha) ** 2
+    if not math.isfinite(nbar):
+        raise ValueError(f"coherent amplitude {alpha} is not finite")
     # log-space Poisson weights; tail = 1 - retained probability
     ns = np.arange(dim)
     if nbar == 0.0:
@@ -151,8 +153,9 @@ def coherent_state(alpha: complex, dim: int) -> StateVector:
 def min_coherent_dim(mean_occupation: float, tail_bound: float = 1e-6) -> int:
     """Smallest truncation passing the coherent-state tail gate for the
     given mean occupation."""
-    if mean_occupation < 0.0:
-        raise ValueError("mean occupation must be nonnegative")
+    if not 0.0 <= mean_occupation < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, "
+                         f"got {mean_occupation}")
     if mean_occupation == 0.0:
         return 2
     cum = 0.0

@@ -140,9 +140,9 @@ def dispersion(k: float, phi_ext: float, params: LineParams) -> float:
     return 2.0 / math.sqrt(L * params.C_0) * abs(math.sin(0.5 * k * params.a))
 
 
-def metric_components(pulse: FluxPulse, params: LineParams, xi: float):
-    """Effective 1+1 metric entries (g_tt, g_tx, g_xx) = (c^2 - u^2, -u, -1)."""
-    c = propagation_velocity(pulse(xi), params)
+def metric_components(c: float, params: LineParams):
+    """Effective 1+1 metric entries (g_tt, g_tx, g_xx) = (c^2 - u^2, -u, -1)
+    where the local propagation speed is c."""
     return (c * c - params.u ** 2, -params.u, -1.0)
 
 

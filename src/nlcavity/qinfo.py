@@ -1,9 +1,9 @@
 """Entropy, fidelity, information, effective dimension, mutual information,
 and quadrature-squeezing diagnostics for the trilinear trajectories.
 
-Entropies are in nats (no Boltzmann factor). All matrix functions go
-through Hermitian eigendecompositions with eigenvalues below 1e-12 clamped
-to zero, since reduced matrices are rank-deficient early in the evolution.
+Entropies are in nats (no Boltzmann factor), of weight vectors with weights
+below 1e-12 clamped to zero: a diagonal state's distribution (the pair-span
+signal marginal) or a dense density matrix's spectrum.
 """
 
 from __future__ import annotations
@@ -66,20 +66,18 @@ class ThermalReference:
         return effective_temperature(self.mean_occupation, self.omega)
 
 
-def _clamped_eigvals(rho: DensityMatrix):
-    evals = rho.eigenvalues()
-    if evals.min() < -1e-9:
-        raise ValueError(f"density matrix has eigenvalue {evals.min()} < -1e-9")
-    evals = np.clip(evals, 0.0, None)
-    evals[evals < _CLAMP] = 0.0
-    return evals
+def entropy(p) -> float:
+    """S = -sum p ln p over the weights p (0 ln 0 := 0), nats."""
+    p = np.asarray(p, dtype=float)
+    if p.min() < -1e-9:
+        raise ValueError(f"negative weight {p.min()} < -1e-9")
+    nz = p[p >= _CLAMP]
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S = -sum lambda ln lambda over the eigenvalues (0 ln 0 := 0), nats."""
-    evals = _clamped_eigvals(rho)
-    nz = evals[evals > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    """Entropy of the eigenvalues of a dense density matrix, nats."""
+    return entropy(rho.eigenvalues())
 
 
 def thermal_entropy(n_bar: float) -> float:
@@ -123,12 +121,11 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(value, 1.0)
 
 
-def information(rho_b: DensityMatrix, omega: float = 1.0) -> float:
-    """Signal information S_th(<N>) - S(rho): the entropy deficit of the
-    state relative to the thermal state of equal mean occupation."""
-    n = np.arange(rho_b.spec.total_dim)
-    n_bar = float(np.real(np.sum(np.diag(rho_b.entries) * n)))
-    return thermal_entropy(n_bar) - von_neumann_entropy(rho_b)
+def information(p_b) -> float:
+    """Signal information S_th(<N>) - S(p_b) of the diagonal signal state p_b:
+    its entropy deficit against the thermal state of equal mean occupation."""
+    n_bar = float(np.sum(p_b * np.arange(p_b.size)))
+    return thermal_entropy(n_bar) - entropy(p_b)
 
 
 def effective_dimension(n_bar: float) -> float:
@@ -139,17 +136,16 @@ def effective_dimension(n_bar: float) -> float:
     return 2.0 * n_bar + 1.0
 
 
-def mutual_information_partitions(rho_a: DensityMatrix, rho_b: DensityMatrix):
-    """(I_{a-bc}, I_{b-c}) of a pure tripartite state from its pump and
-    signal marginals.
+def mutual_information_partitions(rho_a: DensityMatrix, p_b):
+    """(I_{a-bc}, I_{b-c}) of a pure tripartite state from its pump marginal
+    and the spectrum p_b of its signal marginal.
 
     Purity gives S_abc = 0 and S_a = S_bc, so I_{a-bc} = 2 S_a and
     I_{b-c} = S_b + S_c - S_bc = 2 S_b - S_a (signal and idler marginals
     coincide for vacuum-seeded evolution).
     """
     s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
-    return (2.0 * s_a, 2.0 * s_b - s_a)
+    return (2.0 * s_a, 2.0 * entropy(p_b) - s_a)
 
 
 def squeezing_params(rho_a: DensityMatrix):

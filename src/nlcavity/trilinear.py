@@ -68,7 +68,7 @@ class PumpInitialState:
     def __post_init__(self):
         coeff = np.asarray(self.coefficients, dtype=complex).ravel()
         total = float(np.sum(np.abs(coeff) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"pump coefficients not normalized: sum |a_s|^2 = {total}")
         object.__setattr__(self, "coefficients", coeff)
 
@@ -242,12 +242,11 @@ class PairState:
         return max(float(np.sum(pops[-1, :])), float(np.sum(pops[:, -1])))
 
     def reduced(self):
-        """Reduced pump and signal density matrices: rho_a = C C+, rho_b =
-        diag(sum_p |C[p, i]|^2)."""
+        """Pump marginal rho_a = C C+ and the diagonal of the signal marginal,
+        p_b[i] = sum_p |C[p, i]|^2; both traces are |C|^2, checked on rho_a."""
         rho_a = self.C @ self.C.conj().T
-        rho_b = np.diag(np.sum(np.abs(self.C) ** 2, axis=0))
         return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
-                DensityMatrix(HilbertSpec((rho_b.shape[0],)), rho_b))
+                np.sum(np.abs(self.C) ** 2, axis=0))
 
     def state_vector(self, spec: HilbertSpec) -> StateVector:
         """Embedding in the full three-mode truncation grid."""

@@ -4,16 +4,20 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlcavity
-from nlcavity import detector, hawking, trilinear
+from nlcavity import detector, fock, hawking, qinfo, trilinear
 from nlcavity.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
     EXIT_OK,
     EXIT_PHYSICS,
     ScenarioConfig,
+    _info_diagnostics,
+    _tau_grid,
+    _trilinear_setup,
     config_from_preset,
     load_config,
     main,
@@ -124,15 +128,33 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("hawking-line", dict(BELTRAN, a_m="inf"), {}),
     ("hawking-line", dict(BELTRAN, u_over_c0flux="nan"), {}),
     ("hawking-line", dict(BELTRAN, rise_scale_m="nan"), {}),
+    ("trilinear-info", dict(INFO_PARAMS, mean_occupations="nan"), {"tau_points": "3"}),
+    ("trilinear-evolve", {"mean_occupation": "nan"}, {"tau_points": "3"}),
+    ("trilinear-evolve", {"mean_occupation": "inf"}, {"tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "nan", "tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "inf", "tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "-1", "tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS, tiers="full"),
+     {"tau_max": "nan", "tau_points": "3"}),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
         "tiers-none", "tiers-empty-item", "ratio_max-nan", "bath_T-empty",
         "mean_occupations-empty", "gradient_rate-0", "I_c-inf", "C_0-nan",
-        "a-inf", "u_over_c0flux-nan", "rise_scale-nan"])
+        "a-inf", "u_over_c0flux-nan", "rise_scale-nan", "mean_occupations-nan",
+        "evolve-mean_occupation-nan", "evolve-mean_occupation-inf", "tau_max-nan",
+        "tau_max-inf", "tau_max-negative", "full-tau_max-nan"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tau_max", ["nan", "inf", "-1", "0"])
+def test_tau_grid_rejects_bad_tau_max(tau_max):
+    cfg = ScenarioConfig(kind="trilinear-info", params={}, output_dir=Path("."),
+                         grid={"tau_max": tau_max, "tau_points": "3"})
+    with pytest.raises(ValueError, match="tau_max"):
+        _tau_grid(cfg)
 
 
 def test_fit_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -248,6 +270,27 @@ def test_hawking_line_solves_horizon_at_most_twice(tmp_path, monkeypatch):
     assert 1 <= len(solved) <= 2
 
 
+def test_hawking_profile_row_resolves_velocity_once(tmp_path, monkeypatch):
+    # the horizon solves do not depend on xi_points, so ten more profile
+    # rows cost exactly ten more velocity evaluations
+    calls = []
+    velocity = hawking.propagation_velocity
+
+    def counted_velocity(*args, **kwargs):
+        calls.append(1)
+        return velocity(*args, **kwargs)
+
+    monkeypatch.setattr(hawking, "propagation_velocity", counted_velocity)
+    counts = []
+    for points in ("11", "21"):
+        calls.clear()
+        cfg = config_from_preset("ch3-beltran", tmp_path)
+        cfg.grid["xi_points"] = points
+        assert run(cfg) == EXIT_OK
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 10
+
+
 def test_cooling_scenario_rows_and_nan_warnings(tmp_path):
     cfg = ScenarioConfig(
         kind="detector-cooling", params=dict(CH2),
@@ -334,3 +377,28 @@ def test_main_run_requires_input():
 
 def test_main_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tier, mean_occ", [("short", 9.0), ("full", 3.0)])
+def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
+    # the parent path: rho_b = diag(p_b) as a dense matrix, Uhlmann fidelity
+    # against the dense thermal reference, von Neumann entropies
+    dim = fock.min_coherent_dim(mean_occ) + 3
+    params, initial, psi0 = _trilinear_setup(mean_occ, dim)
+    taus = np.linspace(0.0, 3.0, 25)
+    if tier == "short":
+        states = [trilinear.short_time_state(initial, float(t)) for t in taus]
+    else:
+        states = trilinear.evolve_full(psi0, params, taus)
+    for state in states:
+        rho_a, p_b = state.reduced()
+        fid, info, i_abc, i_bc, *_ = _info_diagnostics(rho_a, p_b, state.n_a, state.n_b)
+        rho_b = fock.DensityMatrix(fock.HilbertSpec((p_b.size,)), np.diag(p_b))
+        sigma = qinfo.ThermalReference(state.n_b, 1.0, p_b.size).density_matrix()
+        n_bar = float(np.sum(rho_b.diagonal() * np.arange(p_b.size)))
+        s_a = qinfo.von_neumann_entropy(rho_a)
+        s_b = qinfo.von_neumann_entropy(rho_b)
+        assert fid == pytest.approx(qinfo.fidelity(rho_b, sigma), rel=0, abs=1e-12)
+        assert info == pytest.approx(qinfo.thermal_entropy(n_bar) - s_b, rel=0, abs=1e-12)
+        assert i_abc == pytest.approx(2.0 * s_a, rel=0, abs=1e-12)
+        assert i_bc == pytest.approx(2.0 * s_b - s_a, rel=0, abs=1e-12)

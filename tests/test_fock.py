@@ -237,6 +237,8 @@ def test_state_norm_validation():
         StateVector(spec, [1.0, 1.0, 0.0])
     sv = StateVector(spec, [1.0, 1.0, 0.0], normalize=True)
     assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        StateVector(spec, [math.nan, 0.0, 0.0])
 
 
 def test_density_matrix_validation():
@@ -247,6 +249,8 @@ def test_density_matrix_validation():
         DensityMatrix(spec, [[0.9, 0.0], [0.0, 0.9]])       # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix(spec, [[1.1, 0.0], [0.0, -0.1]])      # negative eigenvalue
+    with pytest.raises(ValueError):
+        DensityMatrix(spec, [[math.nan, 0.0], [0.0, 0.5]])  # trace nan
 
 
 def test_boundary_population():
@@ -263,3 +267,15 @@ def test_min_coherent_dim_gate_consistency():
         coherent_state(math.sqrt(mean), d)  # must not raise
         with pytest.raises(TruncationError):
             coherent_state(math.sqrt(mean), d - 1)
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0])
+def test_min_coherent_dim_rejects_bad_mean(mean):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        min_coherent_dim(mean)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_coherent_rejects_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match="not finite"):
+        coherent_state(alpha, 5)

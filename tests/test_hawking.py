@@ -126,21 +126,23 @@ def test_dispersion_long_wavelength_property(params):
 # --- metric / horizon ---------------------------------------------------------------
 
 def test_metric_far_field_positive(params, pulse):
-    g_tt, g_tx, g_xx = metric_components(pulse, params, 100 * pulse.rise_scale)
+    c = propagation_velocity(pulse(100 * pulse.rise_scale), params)
+    g_tt, g_tx, g_xx = metric_components(c, params)
     assert g_tt > 0.0
     assert g_tx == -params.u
     assert g_xx == -1.0
 
 
 def test_metric_trapped_region(params, pulse):
-    g_tt, _, _ = metric_components(pulse, params, -100 * pulse.rise_scale)
+    c = propagation_velocity(pulse(-100 * pulse.rise_scale), params)
+    g_tt, _, _ = metric_components(c, params)
     assert g_tt < 0.0  # inside the pulse c(0.2 Phi0) < u
 
 
 def test_horizon_single_for_tanh(params, pulse):
     roots = find_horizon(pulse, params)
     assert len(roots) == 1
-    g_tt, _, _ = metric_components(pulse, params, roots[0])
+    g_tt, _, _ = metric_components(propagation_velocity(pulse(roots[0]), params), params)
     assert abs(g_tt) < 1e-6 * params.u ** 2
 
 

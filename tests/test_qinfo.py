@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlcavity import fock
 from nlcavity.fock import DensityMatrix, HilbertSpec
@@ -10,6 +11,7 @@ from nlcavity.qinfo import (
     bose_occupation,
     effective_dimension,
     effective_temperature,
+    entropy,
     fidelity,
     information,
     mutual_information_partitions,
@@ -61,6 +63,33 @@ def test_entropy_invalid_state():
     rho = DensityMatrix(spec, mat, check=False)
     with pytest.raises(ValueError):
         von_neumann_entropy(rho)
+
+
+def test_entropy_negative_weight_gate():
+    # round-off negatives down to -1e-9 count as zero weight; below, raise
+    assert entropy([0.5, 0.5, -1e-10]) == pytest.approx(math.log(2), rel=1e-15)
+    with pytest.raises(ValueError):
+        entropy([0.5, 0.5 + 2e-9, -2e-9])
+
+
+# a weight is zero, under the 1e-12 clamp, or well above it; at least one
+# weight is O(1), so normalizing keeps each class on its side of the clamp
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-18, 1e-14),
+                              st.floats(1e-9, 1.0)), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights, st.floats(0.1, 1.0))
+def test_entropy_matches_diagonal_von_neumann(weights, big):
+    p = np.array(weights + [big])
+    p /= p.sum()
+    rho = DensityMatrix(HilbertSpec((p.size,)), np.diag(p))
+    # independent reference: clamp the eigenvalues of diag(p), then sum
+    evals = np.linalg.eigvalsh(rho.entries)
+    kept = evals[evals >= 1e-12]
+    reference = float(-np.sum(kept * np.log(kept)))
+    assert entropy(p) == pytest.approx(von_neumann_entropy(rho), rel=1e-12, abs=1e-15)
+    assert entropy(p) == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
 def test_thermal_entropy_values():
@@ -152,17 +181,15 @@ def test_fidelity_dimension_mismatch():
 # --- information / effective dimension --------------------------------------------
 
 def test_information_thermal_zero():
-    rho = ThermalReference(2.0, 1.0, 120).density_matrix()
-    assert abs(information(rho)) < 1e-6
+    assert abs(information(ThermalReference(2.0, 1.0, 120).probabilities)) < 1e-6
 
 
 def test_information_fock_nine():
-    v = np.zeros(12)
-    v[9] = 1.0
-    rho = pure_dm(v)
+    p = np.zeros(12)
+    p[9] = 1.0
     # thermal_entropy(9) - 0 = 10 ln 10 - 9 ln 9
-    assert information(rho) == pytest.approx(10 * math.log(10) - 9 * math.log(9),
-                                             rel=1e-9)
+    assert information(p) == pytest.approx(10 * math.log(10) - 9 * math.log(9),
+                                           rel=1e-9)
 
 
 def test_information_nonnegative_on_mixtures():
@@ -170,7 +197,7 @@ def test_information_nonnegative_on_mixtures():
 
     init = PumpInitialState.coherent(9.0, 30)
     rho = long_time_signal(init.probabilities)
-    assert information(rho) > 0.0
+    assert information(rho.diagonal()) > 0.0
 
 
 def test_effective_dimension_values():
@@ -192,8 +219,8 @@ def test_mutual_information_product_state():
     amps = np.zeros(spec.dims, dtype=complex)
     amps[5, 0, 0] = 1.0
     psi = fock.StateVector(spec, amps.ravel())
-    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
-                                                fock.partial_trace(psi, keep=[1]))
+    p_b = fock.partial_trace(psi, keep=[1]).diagonal()
+    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]), p_b)
     assert abs(i_abc) < 1e-9
     assert abs(i_bc) < 1e-9
 
@@ -206,9 +233,12 @@ def test_mutual_information_two_path_entropy():
     s_a = von_neumann_entropy(fock.partial_trace(psi, keep=[0]))
     s_bc = von_neumann_entropy(fock.partial_trace(psi, keep=[1, 2]))
     assert s_a == pytest.approx(s_bc, abs=1e-8)
-    i_abc, _ = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
-                                             fock.partial_trace(psi, keep=[1]))
+    # rho_b is not diagonal here: its entropy enters through its spectrum
+    rho_b = fock.partial_trace(psi, keep=[1])
+    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
+                                                rho_b.eigenvalues())
     assert i_abc == pytest.approx(2 * s_a, abs=1e-8)
+    assert i_bc == pytest.approx(2 * von_neumann_entropy(rho_b) - s_a, abs=1e-12)
 
 
 def test_mutual_information_parametric_tier():
@@ -224,8 +254,8 @@ def test_mutual_information_parametric_tier():
     amps = np.zeros(spec.dims, dtype=complex)
     amps[0] = psi2.amplitudes.reshape(30, 30)
     psi3 = fock.StateVector(spec, amps.ravel())
-    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi3, keep=[0]),
-                                                fock.partial_trace(psi3, keep=[1]))
+    p_b = fock.partial_trace(psi3, keep=[1]).diagonal()
+    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi3, keep=[0]), p_b)
     assert abs(i_abc) < 1e-9
     assert i_bc == pytest.approx(2 * s_b, abs=1e-7)
 
@@ -314,8 +344,9 @@ def test_schmidt_identity_along_trajectory(small_trajectory):
 
 def test_information_nonnegative_along_trajectory(small_trajectory):
     for s in small_trajectory:
-        rho_b = fock.partial_trace(s, keep=[1])
-        assert information(rho_b) >= -1e-8
+        rho_b = fock.partial_trace(s, keep=[1]).entries
+        assert np.array_equal(rho_b, np.diag(np.diag(rho_b)))  # pair span: diagonal
+        assert information(np.diag(rho_b).real) >= -1e-8
 
 
 def test_heisenberg_bound_along_trajectory(small_trajectory):

@@ -10,6 +10,7 @@ from nlcavity import fock
 from nlcavity.errors import TruncationError
 from nlcavity.fock import HilbertSpec, partial_trace
 from nlcavity.trilinear import (
+    PairState,
     PumpInitialState,
     TrilinearParams,
     branch_coefficient,
@@ -195,10 +196,10 @@ def test_pair_state_matches_branch_formula_and_full_grid():
         assert np.max(np.abs(state.C - expected)) < 1e-14
 
         psi = state.state_vector(spec)
-        rho_a, rho_b = state.reduced()
-        for rho, mode in ((rho_a, 0), (rho_b, 1)):
+        rho_a, p_b = state.reduced()
+        for rho, mode in ((rho_a.entries, 0), (np.diag(p_b), 1)):
             oracle = partial_trace(psi, keep=[mode]).entries
-            assert np.max(np.abs(rho.entries - oracle)) < 1e-14
+            assert np.max(np.abs(rho - oracle)) < 1e-14
         assert state.n_a == pytest.approx(expectation(psi, N[0]).real, abs=1e-13)
         assert state.n_b == pytest.approx(expectation(psi, N[1]).real, abs=1e-13)
         assert state.n_b == pytest.approx(expectation(psi, N[2]).real, abs=1e-13)
@@ -211,8 +212,8 @@ def test_pair_state_matches_branch_formula_and_full_grid():
 
 def test_short_time_zero_tau_recovers_initial():
     init = PumpInitialState.coherent(4.0, 18)
-    rho_a, rho_b = short_time_state(init, 0.0).reduced()
-    assert rho_b.diagonal()[0] == pytest.approx(1.0, abs=1e-12)
+    rho_a, p_b = short_time_state(init, 0.0).reduced()
+    assert p_b[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.diag(rho_a.entries)[: init.coefficients.size],
                        init.probabilities, atol=1e-12)
 
@@ -231,18 +232,33 @@ def test_short_time_matches_full_evolution():
     assert np.linalg.norm(exact * np.exp(-1j * np.angle(phase)) - approx) < 1e-3
 
 
+def test_pump_coefficients_reject_non_finite():
+    with pytest.raises(ValueError):
+        PumpInitialState([math.nan, 0.0])
+
+
+def test_reduced_trace_check_covers_signal_distribution():
+    # Tr rho_a = sum p_b = |C|^2: an unnormalized or NaN C fails rho_a's check
+    C = short_time_state(PumpInitialState.coherent(4.0, 18), 0.5).C
+    with pytest.raises(ValueError):
+        PairState(1.01 * C).reduced()
+    C = C.copy()
+    C[0, 0] = math.nan
+    with pytest.raises(ValueError):
+        PairState(C).reduced()
+
+
 def test_short_time_reduced_traces():
     init = PumpInitialState.coherent(9.0, 28)
     for tau in (0.2, 1.0, 10.0):
-        rho_a, rho_b = short_time_state(init, tau).reduced()
+        rho_a, p_b = short_time_state(init, tau).reduced()
         assert np.trace(rho_a.entries).real == pytest.approx(1.0, abs=1e-9)
-        assert np.trace(rho_b.entries).real == pytest.approx(1.0, abs=1e-9)
+        assert p_b.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_short_time_long_time_distribution():
     init = PumpInitialState.coherent(9.0, 30)
-    _, rho_b = short_time_state(init, 100.0).reduced()
-    diag = rho_b.diagonal()
+    _, diag = short_time_state(init, 100.0).reduced()
     P = init.probabilities
     tv = 0.5 * np.sum(np.abs(diag[: P.size] - P)) + 0.5 * np.sum(diag[P.size:])
     assert tv < 1e-3
