@@ -130,14 +130,16 @@ class MeanFieldSolution:
 
 @dataclass(frozen=True)
 class EffectiveThermo:
-    """Lorentzian-parametrized detector response around the sidebands."""
+    """Lorentzian parametrization of the phase-preserving (+1) sideband.
+
+    The phase-conjugating (-1) gain and back-action occupation come from
+    ``phase_conjugate_thermo``, which reuses this resolution.
+    """
 
     R_omega: float
     R_gamma: float
     G_plus: float
-    G_minus: float
     n_back_plus: float
-    n_back_minus: float
     n_net: float
     lorentzian_residual: float
     chi: complex           # mean-field amplitude the response was resolved at
@@ -553,19 +555,62 @@ def _noise_peak_height(params, drive, chi, center, gamma):
     return float((3.0 * e0 - 4.0 * e10 + e20) * (40501.0 / 120000.0))
 
 
+# Lorentzian residual above which a sideband's thermal parametrization fails
+_RESIDUAL_GATE = 0.05
+
+
+def _sideband_fit(params, drive, chi, pole, bath_T):
+    """Lorentzian fit of the signal line at one renormalized mechanical pole.
+
+    Samples the signal density over +-5 pole widths (1601 points), fits it,
+    and probes the noise peak at the fitted center. Returns (center, width,
+    amplitude, noise-to-signal peak ratio, fit residual).
+    """
+    width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
+    w_fit = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
+    s_sig = signal_density(params, drive, chi, w_fit, bath_T)
+    c_s, g_s, a_s, res_s = fit_lorentzian(w_fit, np.clip(s_sig, 0.0, None))
+    n_pk = _noise_peak_height(params, drive, chi, c_s, g_s)
+    s_pk = float(signal_density(params, drive, chi, np.array([c_s]), bath_T)[0])
+    return c_s, g_s, a_s, n_pk / s_pk, res_s
+
+
+def _bath_factor(params, R_omega, bath_T):
+    """2 n_bath + 1 at the renormalized mechanical frequency."""
+    return 2.0 * bose_occupation(R_omega * params.omega_m, bath_T) + 1.0
+
+
+def _gain(params, R_omega, occ_bath, amp, width):
+    """Detector gain of a fitted sideband line."""
+    return params.Z_p * amp * width * (2.0 * params.mass * R_omega * params.omega_m) \
+        / (hbar * params.gamma_bm * occ_bath)
+
+
+def _n_back(params, R_gamma, occ_bath, peak_ratio, weak):
+    """Back-action occupation from a sideband's noise-to-signal peak ratio;
+    NaN where the back-action damping vanishes."""
+    gbm = params.gamma_bm
+    gamma_back = (R_gamma - 1.0) * gbm
+    if weak or gamma_back == 0.0:
+        return math.nan
+    occ = peak_ratio * occ_bath * gbm / gamma_back
+    return (occ - 1.0) / 2.0
+
+
 def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 0.0,
                      branch: str = "small",
-                     residual_gate: float = 0.05,
+                     residual_gate: float = _RESIDUAL_GATE,
                      frequency_pulling: bool = True) -> EffectiveThermo:
-    """Lorentzian parametrization of the sideband response.
+    """Lorentzian parametrization of the phase-preserving (+1) sideband.
 
-    R_omega, R_gamma and the gains come from Lorentzian fits of the signal
-    spectra over the central five linewidths; the fit residual is the
-    validity gate on the whole thermal parametrization. The back-action
-    occupations invert the noise parametrization at the fitted line center
+    R_omega, R_gamma and the gain come from a Lorentzian fit of the +1
+    signal spectrum over the central five linewidths; the fit residual is
+    the validity gate on the whole thermal parametrization. The back-action
+    occupation inverts the noise parametrization at the fitted line center
     (where interference contributions odd about the peak vanish) after
     removing the broad added-noise background, probed out to +-20
-    linewidths.
+    linewidths. The phase-conjugating (-1) line is not fitted here;
+    ``phase_conjugate_thermo`` extracts it from the returned resolution.
 
     Raises InstabilityError when the renormalized mechanical damping is
     non-positive (or the low branch has been lost) and NonLorentzianError
@@ -589,51 +634,16 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
 
     weak = abs(r_gamma_probe - 1.0) < 1e-9
 
-    results = {}
-    for sideband in (+1, -1):
-        sb_pole = pole if sideband == 1 else \
-            _determinant_zero(params, drive, chi, sideband=-1)
-        center = sb_pole.real
-        width = max(abs(sb_pole.imag), 1e-3 * gbm)
-
-        w_fit = np.linspace(center - 5.0 * width, center + 5.0 * width, 1601)
-        s_sig = signal_density(params, drive, chi, w_fit, bath_T)
-        c_s, g_s, a_s, res_s = fit_lorentzian(w_fit, np.clip(s_sig, 0.0, None))
-
-        n_pk = _noise_peak_height(params, drive, chi, c_s, g_s)
-        s_pk = float(signal_density(params, drive, chi, np.array([c_s]), bath_T)[0])
-        results[sideband] = (c_s, g_s, a_s, n_pk / s_pk, res_s)
-
-    # the phase-preserving sideband carries the thermal parametrization that
-    # n_net is built on: its fit residual is the validity gate. The
-    # phase-conjugating extraction is reported but only NaN'd when its own
-    # fit fails.
-    residual = results[+1][4]
+    c_s, g_s, a_s, peak_ratio, residual = _sideband_fit(params, drive, chi, pole, bath_T)
     if residual > residual_gate:
         raise NonLorentzianError(
             f"Lorentzian residual {residual:.3g} exceeds gate {residual_gate}",
             residual=residual)
 
-    c_s, g_s, a_s, peak_ratio, _ = results[+1]
     R_omega = (c_s - wp) / wm
     R_gamma = g_s / gbm
-    n_bath = bose_occupation(R_omega * wm, bath_T)
-    occ_bath = 2.0 * n_bath + 1.0
-    gamma_back = (R_gamma - 1.0) * gbm
-
-    def gain(a_fit, g_fit):
-        return params.Z_p * a_fit * g_fit * (2.0 * params.mass * R_omega * wm) \
-            / (hbar * gbm * occ_bath)
-
-    def n_back(ratio):
-        if weak or gamma_back == 0.0:
-            return math.nan
-        occ = ratio * occ_bath * gbm / gamma_back
-        return (occ - 1.0) / 2.0
-
-    nb_plus = n_back(peak_ratio)
-    c_s2, g_s2, a_s2, peak_ratio2, res_minus = results[-1]
-    nb_minus = n_back(peak_ratio2) if res_minus <= residual_gate else math.nan
+    occ_bath = _bath_factor(params, R_omega, bath_T)
+    nb_plus = _n_back(params, R_gamma, occ_bath, peak_ratio, weak)
 
     if weak or math.isnan(nb_plus):
         n_net = math.nan
@@ -643,9 +653,29 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
 
     return EffectiveThermo(
         R_omega=R_omega, R_gamma=R_gamma,
-        G_plus=gain(a_s, g_s), G_minus=gain(a_s2, g_s2),
-        n_back_plus=nb_plus, n_back_minus=nb_minus,
+        G_plus=_gain(params, R_omega, occ_bath, a_s, g_s),
+        n_back_plus=nb_plus,
         n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
+
+
+def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
+                           thermo: EffectiveThermo, bath_T: float = 0.0):
+    """(G_minus, n_back_minus) of the phase-conjugating (-1) sideband.
+
+    Fits the signal line at the -1 renormalized pole at the mean-field
+    amplitude ``thermo`` was resolved at, and scales it with that
+    resolution's R_omega, R_gamma and bath occupation. n_back_minus is NaN
+    when the -1 fit residual exceeds the default residual gate; a
+    degenerate -1 fit raises FitDegenerateError.
+    """
+    _check_bath_T(bath_T)
+    pole = _determinant_zero(params, drive, thermo.chi, sideband=-1)
+    _, g_s, a_s, peak_ratio, residual = _sideband_fit(
+        params, drive, thermo.chi, pole, bath_T)
+    occ_bath = _bath_factor(params, thermo.R_omega, bath_T)
+    n_back = _n_back(params, thermo.R_gamma, occ_bath, peak_ratio,
+                     thermo.weak_coupling) if residual <= _RESIDUAL_GATE else math.nan
+    return _gain(params, thermo.R_omega, occ_bath, a_s, g_s), n_back
 
 
 def cooling_curve(params: DetectorParams, detuning: float, I_grid,

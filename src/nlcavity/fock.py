@@ -91,6 +91,9 @@ class DensityMatrix:
         mat = np.asarray(entries, dtype=complex)
         if mat.shape != (spec.total_dim, spec.total_dim):
             raise ValueError(f"matrix shape {mat.shape} != ({spec.total_dim},)*2")
+        herm = 0.5 * (mat + mat.conj().T)
+        herm.setflags(write=False)
+        self._evals = None
         if check:
             scale = max(1.0, float(np.max(np.abs(mat))))
             if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
@@ -98,15 +101,20 @@ class DensityMatrix:
             tr = complex(np.trace(mat)).real
             if not abs(tr - 1.0) <= NORM_TOL:
                 raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
-            evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+            evals = np.linalg.eigvalsh(herm)
             if evals.min() < EIG_FLOOR:
                 raise ValueError(f"negative eigenvalue {evals.min()} below {EIG_FLOOR}")
+            evals.setflags(write=False)
+            self._evals = evals
         self.spec = spec
-        self.entries = 0.5 * (mat + mat.conj().T)
-        self.entries.setflags(write=False)
+        self.entries = herm
 
     def eigenvalues(self):
-        return np.linalg.eigvalsh(self.entries)
+        """Ascending spectrum of the Hermitian part; the positivity check's
+        result when the matrix was validated."""
+        if self._evals is None:
+            return np.linalg.eigvalsh(self.entries)
+        return self._evals
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.entries @ self.entries)))

@@ -437,31 +437,41 @@ def fit_lorentzian(omega, spectrum):
     theta = np.array([w0, gamma, amp])
     lam = 1e-3
     prev_cost = None
+    # offsets, denominator and model of the accepted theta; a rejected step
+    # keeps them, and with them the normal equations
+    c, g, A = theta
+    dc = w - c
+    denom = dc ** 2 + g ** 2
+    model = 2.0 * A * g / denom
+    fresh = True
     for _ in range(200):
-        c, g, A = theta
-        denom = (w - c) ** 2 + g ** 2
-        model = 2.0 * A * g / denom
-        r = s - model
-        cost = float(r @ r)
-        d_c = 4.0 * A * g * (w - c) / denom ** 2
-        d_g = 2.0 * A * (denom - 2.0 * g ** 2) / denom ** 2
-        d_A = 2.0 * g / denom
-        J = np.column_stack([d_c, d_g, d_A])
-        JTJ = J.T @ J
-        diag = np.diag(JTJ).copy()
-        if np.any(diag <= 0.0) or not np.all(np.isfinite(JTJ)):
-            raise FitDegenerateError("singular normal equations in Lorentzian fit")
+        if fresh:
+            r = s - model
+            cost = float(r @ r)
+            denom_sq = denom ** 2
+            J = np.column_stack([4.0 * A * g * dc / denom_sq,
+                                 2.0 * A * (denom - 2.0 * g ** 2) / denom_sq,
+                                 2.0 * g / denom])
+            JTJ = J.T @ J
+            diag = np.diag(JTJ).copy()
+            if np.any(diag <= 0.0) or not np.all(np.isfinite(JTJ)):
+                raise FitDegenerateError("singular normal equations in Lorentzian fit")
+            grad = J.T @ r
         try:
-            step = np.linalg.solve(JTJ + lam * np.diag(diag), J.T @ r)
+            step = np.linalg.solve(JTJ + lam * np.diag(diag), grad)
         except np.linalg.LinAlgError as exc:
             raise FitDegenerateError("singular normal equations in Lorentzian fit") from exc
         trial = theta + step
         trial[1] = abs(trial[1])
         c2, g2, A2 = trial
-        model2 = 2.0 * A2 * g2 / ((w - c2) ** 2 + g2 ** 2)
+        dc2 = w - c2
+        denom2 = dc2 ** 2 + g2 ** 2
+        model2 = 2.0 * A2 * g2 / denom2
         cost2 = float(np.sum((s - model2) ** 2))
-        if cost2 <= cost:
+        fresh = cost2 <= cost
+        if fresh:
             theta = trial
+            c, g, A, dc, denom, model = c2, g2, A2, dc2, denom2, model2
             lam = max(lam / 3.0, 1e-12)
             if prev_cost is not None and abs(prev_cost - cost2) <= 1e-14 * max(cost2, 1e-300):
                 break
@@ -471,9 +481,8 @@ def fit_lorentzian(omega, spectrum):
             if lam > 1e10:
                 break
 
-    c, g, A = (float(v) for v in theta)
-    if not (np.isfinite(theta).all() and g > 0.0):
+    if not (np.isfinite(theta).all() and theta[1] > 0.0):
         raise FitDegenerateError("Lorentzian fit diverged")
-    model = 2.0 * A * g / ((w - c) ** 2 + g ** 2)
     residual = float(np.linalg.norm(s - model) / np.linalg.norm(s))
+    c, g, A = (float(v) for v in theta)
     return c, g, A, residual

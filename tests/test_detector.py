@@ -20,6 +20,7 @@ from nlcavity.detector import (
     mean_field,
     mode_wavenumber,
     noise_spectrum,
+    phase_conjugate_thermo,
     response_coeffs,
     select_branch,
     signal_density,
@@ -513,7 +514,45 @@ def test_lorentzian_gate_holds_away_from_boundaries(cooling_params):
 
 def test_thermo_gain_positive(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    th = effective_thermo(cooling_params,
-                          DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
+    drive = DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi)
+    th = effective_thermo(cooling_params, drive)
     assert th.G_plus > 0.0
-    assert th.G_minus > 0.0
+    G_minus, _ = phase_conjugate_thermo(cooling_params, drive, th)
+    assert G_minus > 0.0
+
+
+@pytest.mark.parametrize("ratio, G_minus, n_back_minus", [
+    (0.8, 864917.9473585307, 1.4072483503480977),
+    (1.1, 4006424.275332824, 1.2773993846774563),
+])
+def test_phase_conjugate_thermo_pinned(cooling_params, ratio, G_minus, n_back_minus):
+    # values of the -1 sideband extraction when effective_thermo still
+    # fitted both sidebands on every call
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    drive = DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi)
+    th = effective_thermo(cooling_params, drive)
+    got = phase_conjugate_thermo(cooling_params, drive, th)
+    assert got == (pytest.approx(G_minus, rel=1e-12),
+                   pytest.approx(n_back_minus, rel=1e-12))
+
+
+def test_thermo_fits_one_sideband(cooling_params, monkeypatch):
+    import nlcavity.detector as det
+
+    calls = {"fit": 0, "pole": 0}
+    fit, pole = det.fit_lorentzian, det._determinant_zero
+
+    def counted_fit(*args):
+        calls["fit"] += 1
+        return fit(*args)
+
+    def counted_pole(*args, **kwargs):
+        calls["pole"] += 1
+        return pole(*args, **kwargs)
+
+    monkeypatch.setattr(det, "fit_lorentzian", counted_fit)
+    monkeypatch.setattr(det, "_determinant_zero", counted_pole)
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    effective_thermo(cooling_params,
+                     DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
+    assert calls == {"fit": 1, "pole": 1}

@@ -253,6 +253,29 @@ def test_density_matrix_validation():
         DensityMatrix(spec, [[math.nan, 0.0], [0.0, 0.5]])  # trace nan
 
 
+def test_density_matrix_spectrum_from_positivity_check(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    mat = x @ x.conj().T
+    mat /= np.trace(mat).real
+    spec = HilbertSpec((6,))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rho = DensityMatrix(spec, mat)
+    first, second = rho.eigenvalues(), rho.eigenvalues()
+    assert len(calls) == 1  # the positivity check's spectrum is reused
+    assert np.array_equal(first, eigvalsh(rho.entries)) and second is first
+    unchecked = DensityMatrix(spec, mat, check=False)
+    assert len(calls) == 1
+    assert np.array_equal(unchecked.eigenvalues(), first) and len(calls) == 2
+
+
 def test_boundary_population():
     spec = HilbertSpec((3, 3))
     psi = basis_state(spec, (2, 0))

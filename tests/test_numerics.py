@@ -401,6 +401,60 @@ def test_fit_two_peaks_fails_gate():
     assert res > 0.05
 
 
+def _fit_lorentzian_reference(w, s):
+    """The Levenberg-Marquardt loop as first written: every iteration
+    rebuilds the model and Jacobian from theta, rejected steps included."""
+    smax = s.max()
+    ipk = int(np.argmax(s))
+    idx = np.where(s >= 0.5 * smax)[0]
+    gamma = 0.5 * (w[idx[-1]] - w[idx[0]]) if w[idx[-1]] > w[idx[0]] \
+        else 0.25 * (w[-1] - w[0])
+    gamma = max(gamma, float(np.min(np.diff(w))))
+    theta = np.array([w[ipk], gamma, smax * gamma / 2.0])
+    lam, prev_cost = 1e-3, None
+    for _ in range(200):
+        c, g, A = theta
+        denom = (w - c) ** 2 + g ** 2
+        r = s - 2.0 * A * g / denom
+        cost = float(r @ r)
+        J = np.column_stack([4.0 * A * g * (w - c) / denom ** 2,
+                             2.0 * A * (denom - 2.0 * g ** 2) / denom ** 2,
+                             2.0 * g / denom])
+        JTJ = J.T @ J
+        step = np.linalg.solve(JTJ + lam * np.diag(np.diag(JTJ).copy()), J.T @ r)
+        trial = theta + step
+        trial[1] = abs(trial[1])
+        c2, g2, A2 = trial
+        cost2 = float(np.sum((s - 2.0 * A2 * g2 / ((w - c2) ** 2 + g2 ** 2)) ** 2))
+        if cost2 <= cost:
+            theta = trial
+            lam = max(lam / 3.0, 1e-12)
+            if prev_cost is not None and abs(prev_cost - cost2) <= 1e-14 * max(cost2, 1e-300):
+                break
+            prev_cost = cost2
+        else:
+            lam *= 4.0
+            if lam > 1e10:
+                break
+    c, g, A = (float(v) for v in theta)
+    model = 2.0 * A * g / ((w - c) ** 2 + g ** 2)
+    return c, g, A, float(np.linalg.norm(s - model) / np.linalg.norm(s))
+
+
+def test_fit_matches_reference_loop_bitwise():
+    rng = np.random.default_rng(7)
+    w = np.linspace(-10, 10, 1601)
+    clean = lorentzian(w, 1.3, 0.8, 2.5)
+    spectra = [
+        clean,
+        np.clip(clean * (1.0 + 0.05 * rng.standard_normal(w.size)), 0.0, None),
+        lorentzian(w, 0.0, 1.0, 1.0) + lorentzian(w, 6.0, 1.0, 1.0),
+        clean + 0.02 * clean.max(),
+    ]
+    for s in spectra:
+        assert fit_lorentzian(w, s) == _fit_lorentzian_reference(w, s)
+
+
 def test_fit_needs_five_samples():
     with pytest.raises(ValueError):
         fit_lorentzian([0, 1, 2], [1, 2, 1])
