@@ -295,13 +295,11 @@ def _run_hawking_line(cfg: ScenarioConfig):
     if gates["Z_A_over_R_Q"] >= 1.0:
         cfg.warnings.append(f"impedance gate Z_A/R_Q = {gates['Z_A_over_R_Q']:.3g} >= 1")
 
-    lo, hi = pulse.window
-    rows = []
-    for xi in np.linspace(lo, hi, n):
-        flux = pulse(float(xi))
-        c = hawking.propagation_velocity(flux, params)
-        g_tt, _, _ = hawking.metric_components(c, params)
-        rows.append([xi, flux, c, g_tt])
+    xi = np.linspace(*pulse.window, n)
+    flux = pulse(xi)
+    c = hawking.propagation_velocity(flux, params)
+    g_tt, _, _ = hawking.metric_components(c, params)
+    rows = np.column_stack([xi, flux, c, g_tt])
     header = ["xi_m", "flux_phi0", "c_m_per_s", "g_tt"]
     p1 = cfg.output_dir / f"{cfg.label}_profile.csv"
     _write_csv(p1, header, rows)
@@ -326,11 +324,9 @@ def _tau_grid(cfg):
 
 
 def _trilinear_setup(mean_occ, dim):
-    spec = fock.HilbertSpec((dim, dim, dim))
-    params = trilinear.TrilinearParams.degenerate(chi=1.0, omega_a=2.0, dims=spec.dims)
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
-    psi0 = trilinear.initial_product_state(initial, spec)
-    return params, initial, psi0
+    psi0 = trilinear.initial_product_state(initial, fock.HilbertSpec((dim, dim, dim)))
+    return initial, psi0
 
 
 def _run_trilinear_evolve(cfg: ScenarioConfig):
@@ -339,13 +335,13 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     dim = int(float(cfg.params.get("dim_per_mode", 0))) or \
         fock.min_coherent_dim(mean_occ) + 3
     taus = _tau_grid(cfg)
-    params, initial, psi0 = _trilinear_setup(mean_occ, dim)
+    initial, psi0 = _trilinear_setup(mean_occ, dim)
 
     A = math.sqrt(mean_occ)
     curve = trilinear.semiclassical_pump(mean_occ, taus)
     nb_semi = trilinear.semiclassical_occupation(curve)
 
-    states = trilinear.evolve_full(psi0, params, taus)
+    states = trilinear.evolve_full(psi0, taus)
     rows = []
     for i, (tau, state) in enumerate(zip(taus, states)):
         nb_param = trilinear.parametric_occupation(A, float(tau))
@@ -393,13 +389,13 @@ def _run_trilinear_info(cfg: ScenarioConfig):
     for mean_occ in means:
         dim = fock.min_coherent_dim(mean_occ) + 3
         resolved["dims"][mean_occ] = dim
-        params, initial, psi0 = _trilinear_setup(mean_occ, dim)
+        initial, psi0 = _trilinear_setup(mean_occ, dim)
         trajectories = []
         if "short" in tiers:
             trajectories.append(
                 ("short", [trilinear.short_time_state(initial, float(t)) for t in taus]))
         if "full" in tiers:
-            trajectories.append(("full", trilinear.evolve_full(psi0, params, taus)))
+            trajectories.append(("full", trilinear.evolve_full(psi0, taus)))
         for tier, states in trajectories:
             for tau, state in zip(taus, states):
                 diag = _info_diagnostics(*state.reduced(), state.n_a, state.n_b)

@@ -289,13 +289,9 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
     return sols
 
 
-def select_branch(solutions, policy: str = "small") -> MeanFieldSolution:
-    stable = [s for s in solutions if s.branch != "unstable"]
-    if policy == "small":
-        return min(stable, key=lambda s: s.E)
-    if policy == "large":
-        return max(stable, key=lambda s: s.E)
-    raise ValueError(f"unknown branch policy {policy!r}")
+def select_branch(solutions) -> MeanFieldSolution:
+    """The small-amplitude stable branch."""
+    return min((s for s in solutions if s.branch != "unstable"), key=lambda s: s.E)
 
 
 def bistability_onset(params: DetectorParams):
@@ -522,21 +518,21 @@ def _determinant_zero(params, drive, chi, sideband: int):
     return z2
 
 
-def _select_for_thermo(params, drive, branch):
-    """Branch selection with a fold guard: inside the bistable detuning
-    range, requesting the small branch past the upper fold (where it has
-    merged with the unstable one and vanished) is a validity failure."""
+def _select_for_thermo(params, drive):
+    """Small-branch selection with a fold guard: inside the bistable
+    detuning range, past the upper fold (where the small branch has merged
+    with the unstable one and vanished) is a validity failure."""
     sols = mean_field(params, drive)
     try:
         E_bi, dw_bi, _ = bistability_onset(params)
     except NoBistabilityError:
-        return select_branch(sols, branch)
+        return select_branch(sols)
     in_range = drive.delta_omega / dw_bi >= 1.0
     stable = [s for s in sols if s.branch != "unstable"]
-    if branch == "small" and in_range and len(stable) == 1 and stable[0].E > E_bi:
+    if in_range and len(stable) == 1 and stable[0].E > E_bi:
         raise InstabilityError(
             "small-amplitude branch lost past the upper bistable boundary")
-    return select_branch(sols, branch)
+    return select_branch(sols)
 
 
 def _noise_peak_height(params, drive, chi, center, gamma):
@@ -598,8 +594,6 @@ def _n_back(params, R_gamma, occ_bath, peak_ratio, weak):
 
 
 def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 0.0,
-                     branch: str = "small",
-                     residual_gate: float = _RESIDUAL_GATE,
                      frequency_pulling: bool = True) -> EffectiveThermo:
     """Lorentzian parametrization of the phase-preserving (+1) sideband.
 
@@ -618,7 +612,7 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     """
     _check_bath_T(bath_T)
     if frequency_pulling:
-        chi = _select_for_thermo(params, drive, branch).chi
+        chi = _select_for_thermo(params, drive).chi
     else:
         chi = mean_field(params, drive, frequency_pulling=False)[0].chi
     gbm, wm = params.gamma_bm, params.omega_m
@@ -635,9 +629,9 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     weak = abs(r_gamma_probe - 1.0) < 1e-9
 
     c_s, g_s, a_s, peak_ratio, residual = _sideband_fit(params, drive, chi, pole, bath_T)
-    if residual > residual_gate:
+    if residual > _RESIDUAL_GATE:
         raise NonLorentzianError(
-            f"Lorentzian residual {residual:.3g} exceeds gate {residual_gate}",
+            f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
             residual=residual)
 
     R_omega = (c_s - wp) / wm
@@ -665,8 +659,8 @@ def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
     Fits the signal line at the -1 renormalized pole at the mean-field
     amplitude ``thermo`` was resolved at, and scales it with that
     resolution's R_omega, R_gamma and bath occupation. n_back_minus is NaN
-    when the -1 fit residual exceeds the default residual gate; a
-    degenerate -1 fit raises FitDegenerateError.
+    when the -1 fit residual exceeds the residual gate; a degenerate -1 fit
+    raises FitDegenerateError.
     """
     _check_bath_T(bath_T)
     pole = _determinant_zero(params, drive, thermo.chi, sideband=-1)
@@ -678,8 +672,7 @@ def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
     return _gain(params, thermo.R_omega, occ_bath, a_s, g_s), n_back
 
 
-def cooling_curve(params: DetectorParams, detuning: float, I_grid,
-                  bath_T_list, branch_policy: str = "small"):
+def cooling_curve(params: DetectorParams, detuning: float, I_grid, bath_T_list):
     """Net mechanical occupation over a (drive current, bath temperature)
     grid. Returns a list of row dicts; points failing a validity gate carry
     NaN and the failure reason.
@@ -692,8 +685,7 @@ def cooling_curve(params: DetectorParams, detuning: float, I_grid,
                    "R_omega": math.nan, "R_gamma": math.nan,
                    "n_back": math.nan, "residual": math.nan, "gate_failure": ""}
             try:
-                thermo = effective_thermo(params, drive, bath_T=T,
-                                          branch=branch_policy)
+                thermo = effective_thermo(params, drive, bath_T=T)
                 row.update(n_net=thermo.n_net, R_omega=thermo.R_omega,
                            R_gamma=thermo.R_gamma, n_back=thermo.n_back_plus,
                            residual=thermo.lorentzian_residual)

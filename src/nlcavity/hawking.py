@@ -4,13 +4,15 @@ temperature/power, photon-count estimates, and impedance validity gates.
 
 Comoving coordinate xi = x - u*t; external flux is everywhere expressed in
 units of the flux quantum and must stay below 1/2 (insulating transition).
+The velocity law, the pulse shapes and the flux gate act elementwise on
+arrays, so a grid of positions is one call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,9 +26,7 @@ from .numerics import Tolerance, find_root_bracketed, integrate_adaptive
 class LineParams:
     """Array constants: per-junction critical current (A), junction and
     ground capacitances (F), cell length (m), cell count, pulse speed (m/s).
-
-    ``squid_pair`` selects the I_c^s = 2 I_c cos(...) convention (a SQUID of
-    two junctions per cell); False treats each cell as a single junction.
+    Each cell is a dc SQUID of two junctions.
     """
 
     I_c: float
@@ -35,7 +35,6 @@ class LineParams:
     a: float
     N: int
     u: float
-    squid_pair: bool = True
     loop_inductance: Optional[float] = None
 
     def __post_init__(self):
@@ -46,11 +45,10 @@ class LineParams:
         if self.loop_inductance is not None and not math.isfinite(self.loop_inductance):
             raise ValueError(f"loop_inductance must be finite, got {self.loop_inductance}")
 
-    def critical_current(self, phi_ext: float) -> float:
+    def critical_current(self, phi_ext):
         """Flux-suppressed critical current I_c^s = 2 I_c cos(pi phi)."""
         _check_flux(phi_ext)
-        base = 2.0 * self.I_c if self.squid_pair else self.I_c
-        return base * math.cos(math.pi * phi_ext)
+        return 2.0 * self.I_c * np.cos(np.pi * phi_ext)
 
     def plasma_frequency(self, phi_ext: float = 0.0) -> float:
         """Effective plasma frequency sqrt(2 pi I_c^s/(2 C_J Phi0)), rad/s."""
@@ -63,59 +61,58 @@ class LineParams:
         return 2.0 * math.pi * self.loop_inductance * self.I_c / Phi0
 
 
-def _check_flux(phi_ext: float):
-    if not (0.0 <= phi_ext < 0.5):
-        raise ValueError(
-            f"flux {phi_ext} Phi0 outside [0, 0.5): insulating transition gate")
+def _check_flux(phi_ext):
+    phi = np.asarray(phi_ext)
+    bad = ~((0.0 <= phi) & (phi < 0.5))  # NaN fails both comparisons
+    if np.any(bad):
+        raise ValueError(f"flux {phi[bad].flat[0]} Phi0 outside [0, 0.5): "
+                         "insulating transition gate")
 
 
 @dataclass(frozen=True)
 class FluxPulse:
     """Spatial flux-bias profile phi(xi) in units of Phi0, 0 <= phi < 1/2.
 
-    ``shape`` maps the comoving coordinate to flux; ``window`` bounds the
-    support scanned for horizons.
+    ``shape`` maps comoving coordinates (a scalar or an array) to flux.
     """
 
-    shape: Callable[[float], float]
+    shape: Callable
     amplitude: float
     rise_scale: float
-    kind: str = "tanh"
-    window: tuple = field(default=None)
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 0.5):
             raise ValueError("pulse amplitude must lie in [0, 0.5) Phi0")
         if not (self.rise_scale > 0.0) or not math.isfinite(self.rise_scale):
             raise ValueError(f"rise scale must be positive and finite, got {self.rise_scale}")
-        if self.window is None:
-            object.__setattr__(self, "window",
-                               (-12.0 * self.rise_scale, 12.0 * self.rise_scale))
 
-    def __call__(self, xi: float) -> float:
+    @property
+    def window(self) -> tuple:
+        """Support scanned for horizons and profiled: +-12 rise scales."""
+        return (-12.0 * self.rise_scale, 12.0 * self.rise_scale)
+
+    def __call__(self, xi):
         return self.shape(xi)
 
 
 def tanh_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
     """Step-like pulse: flux = amplitude behind the front (xi < 0), 0 ahead."""
     def shape(xi):
-        return 0.5 * amplitude * (1.0 - math.tanh(xi / rise_scale))
-    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale,
-                     kind="tanh")
+        return 0.5 * amplitude * (1.0 - np.tanh(xi / rise_scale))
+    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale)
 
 
 def gaussian_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
     """Bump pulse; generates a black-hole / white-hole horizon pair."""
     def shape(xi):
-        return amplitude * math.exp(-(xi / rise_scale) ** 2)
-    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale,
-                     kind="gaussian")
+        return amplitude * np.exp(-(xi / rise_scale) ** 2)
+    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale)
 
 
 def junction_inductance(I: float, phi_ext: float, params: LineParams) -> float:
     """Current- and flux-dependent cell inductance
     L = Phi0 arcsin(I/I_c^s)/(2 pi I), with the small-current limit
-    Phi0/(2 pi I_c^s)."""
+    Phi0/(2 pi I_c^s); scalar in both arguments."""
     ics = params.critical_current(phi_ext)
     if abs(I) >= ics:
         raise CriticalCurrentError(
@@ -125,19 +122,21 @@ def junction_inductance(I: float, phi_ext: float, params: LineParams) -> float:
     return Phi0 * math.asin(I / ics) / (2.0 * math.pi * I)
 
 
-def propagation_velocity(phi_ext: float, params: LineParams) -> float:
-    """Low-current propagation speed c = a/sqrt(L C_0) at flux phi_ext."""
-    L = junction_inductance(0.0, phi_ext, params)
-    return params.a / math.sqrt(L * params.C_0)
+def propagation_velocity(phi_ext, params: LineParams):
+    """Low-current propagation speed c = a/sqrt(L C_0) at flux phi_ext, with
+    the small-current cell inductance L = Phi0/(2 pi I_c^s); this is
+    c0 sqrt(cos(pi phi)), elementwise in phi_ext."""
+    L = Phi0 / (2.0 * math.pi * params.critical_current(phi_ext))
+    return params.a / np.sqrt(L * params.C_0)
 
 
 def dispersion(k: float, phi_ext: float, params: LineParams) -> float:
-    """Lattice dispersion w = (2/sqrt(L C0)) |sin(k a / 2)| inside the
-    Brillouin zone |k| a <= pi."""
+    """Lattice dispersion w = (2c/a) |sin(k a / 2)| inside the Brillouin
+    zone |k| a <= pi, with c the propagation speed at phi_ext."""
     if abs(k) * params.a > math.pi + 1e-12:
         raise ValueError(f"|k|a = {abs(k) * params.a} outside the Brillouin zone")
-    L = junction_inductance(0.0, phi_ext, params)
-    return 2.0 / math.sqrt(L * params.C_0) * abs(math.sin(0.5 * k * params.a))
+    c = propagation_velocity(phi_ext, params)
+    return 2.0 * c / params.a * abs(math.sin(0.5 * k * params.a))
 
 
 def metric_components(c: float, params: LineParams):
@@ -146,26 +145,23 @@ def metric_components(c: float, params: LineParams):
     return (c * c - params.u ** 2, -params.u, -1.0)
 
 
-def find_horizon(pulse: FluxPulse, params: LineParams,
-                 scan_points: int = 2001, allow_pair: bool = False):
-    """All comoving positions where c(xi) = u, by bracketed root finding on
-    a dense scan.
+def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False):
+    """All comoving positions where c(xi) = u: one 2 001-point scan of the
+    pulse window, then a Brent solve in each bracket where c - u changes
+    sign.
 
     A single root (step-like pulse) is the black-hole horizon. Multiple
     roots mean a white-hole partner is present: rejected with a warning
     unless ``allow_pair``.
     """
-    lo, hi = pulse.window
-    xs = np.linspace(lo, hi, scan_points)
-    vals = np.array([propagation_velocity(pulse(x), params) - params.u for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(find_root_bracketed(
-                lambda x: propagation_velocity(pulse(x), params) - params.u,
-                xs[i], xs[i + 1]))
+    def gap(x):
+        return propagation_velocity(pulse(x), params) - params.u
+
+    xs = np.linspace(*pulse.window, 2001)
+    vals = gap(xs)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [float(xs[i]) if vals[i] == 0.0 else find_root_bracketed(gap, xs[i], xs[i + 1])
+             for i in hits]
     if not roots:
         raise NoHorizonError(
             "propagation velocity never crosses the pulse velocity u")
@@ -184,8 +180,7 @@ def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
     h = 1e-3 * pulse.rise_scale
 
     def five_point(step):
-        c = [propagation_velocity(pulse(xi + k * step), params)
-             for k in (-2, -1, 1, 2)]
+        c = propagation_velocity(pulse(xi + np.array([-2, -1, 1, 2]) * step), params)
         return (c[0] - 8.0 * c[1] + 8.0 * c[2] - c[3]) / (12.0 * step)
 
     d1 = five_point(h)
@@ -241,8 +236,7 @@ def array_impedance(params: LineParams, phi_ext: float) -> float:
 def validity_report(pulse: FluxPulse, params: LineParams) -> dict:
     """Gate triple reported with every run: beta_L (if known), max impedance
     ratio over the pulse, and the peak flux ratio."""
-    xs = np.linspace(*pulse.window, 101)
-    max_flux = max(pulse(float(x)) for x in xs)
+    max_flux = float(np.max(pulse(np.linspace(*pulse.window, 101))))
     return {
         "beta_L": params.beta_L(),
         "Z_A_over_R_Q": array_impedance(params, max_flux) / R_Q,

@@ -60,22 +60,23 @@ class RealGrid:
         return self.points[i]
 
 
-def jacobi_dn(u: float, m: float) -> float:
-    """Jacobi elliptic dn(u|m) for modulus parameter m in [0,1].
+def jacobi_dn(u, m: float):
+    """Jacobi elliptic dn(u|m) for modulus parameter m in [0,1], elementwise
+    in u.
 
     Descending-Landen arithmetic-geometric-mean recursion (Abramowitz &
-    Stegun 16.4): the AGM phases give sn(u|m), then dn follows from the
-    identity dn^2 = 1 - m*sn^2 (dn > 0 throughout for m < 1). Convergence
-    is quadratic; the recursion depth is capped at 32.
+    Stegun 16.4): the AGM ladder depends on m only; its phases give
+    sn(u|m), then dn follows from the identity dn^2 = 1 - m*sn^2 (dn > 0
+    throughout for m < 1). Convergence is quadratic; the recursion depth is
+    capped at 32.
     """
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modulus parameter m={m} outside [0,1]")
+    u = np.asarray(u, dtype=float)
     if m == 0.0:
-        return 1.0
+        return np.ones_like(u)[()]  # [()] unwraps a 0-d result to a scalar
     if m == 1.0:
-        return 1.0 / math.cosh(u)
-    if u == 0.0:
-        return 1.0
+        return 1.0 / np.cosh(u)
 
     a = [1.0]
     c = [math.sqrt(m)]
@@ -92,10 +93,10 @@ def jacobi_dn(u: float, m: float) -> float:
     # backward phase recursion: phi_{k-1} = (phi_k + asin(c_k/a_k sin phi_k))/2
     phi = (2.0 ** n) * a[n] * u
     for k in range(n, 0, -1):
-        arg = (c[k] / a[k]) * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, arg))))
-    sn = math.sin(phi)
-    return math.sqrt(max(1.0 - m * sn * sn, 0.0))
+        arg = (c[k] / a[k]) * np.sin(phi)
+        phi = 0.5 * (phi + np.arcsin(np.clip(arg, -1.0, 1.0)))
+    sn = np.sin(phi)
+    return np.sqrt(np.maximum(1.0 - m * sn * sn, 0.0))
 
 
 # unconverged panels one refinement level may hold before the integral is

@@ -8,9 +8,11 @@ suffix and are converted to rad/s at build time.
 
 from __future__ import annotations
 
-from .constants import TWO_PI
+import dataclasses
+
+from .constants import TWO_PI, Phi0
 from .detector import DetectorParams
-from .hawking import LineParams
+from .hawking import LineParams, propagation_velocity
 
 # SQUID detector device of the detection study: a 5 GHz stripline with an
 # embedded dc SQUID coupled to a 4 MHz, 0.1 pg doubly clamped beam.
@@ -124,7 +126,6 @@ def build_detector_params(p: dict) -> DetectorParams:
 def build_line_params(p: dict) -> LineParams:
     """LineParams from a flat config mapping; C_J may be given directly or
     implied by a target zero-flux plasma frequency."""
-    from .constants import Phi0, TWO_PI
     I_c = float(p["I_c_A"])
     if "C_J_F" in p:
         C_J = float(p["C_J_F"])
@@ -140,8 +141,5 @@ def build_line_params(p: dict) -> LineParams:
         u=1.0,  # placeholder, fixed next from the velocity ratio
         loop_inductance=float(p["loop_inductance_H"]) if "loop_inductance_H" in p else None,
     )
-    from .hawking import propagation_velocity
     u = float(p.get("u_over_c0flux", "0.95")) * propagation_velocity(0.0, params)
-    return LineParams(I_c=params.I_c, C_J=params.C_J, C_0=params.C_0,
-                      a=params.a, N=params.N, u=u,
-                      loop_inductance=params.loop_inductance)
+    return dataclasses.replace(params, u=u)

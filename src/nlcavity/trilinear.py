@@ -34,32 +34,6 @@ from .numerics import RealGrid, Tolerance, evolve_ode, integrate_adaptive, jacob
 
 
 @dataclass(frozen=True)
-class TrilinearParams:
-    """Mode frequencies (rad/s), coupling chi (1/s) and truncation dims."""
-
-    chi: float
-    omega_a: float
-    omega_b: float
-    omega_c: float
-    spec: HilbertSpec
-
-    def __post_init__(self):
-        if self.chi <= 0.0:
-            raise ValueError("chi must be positive")
-        if self.spec.n_modes != 3:
-            raise ValueError("trilinear dynamics need a three-mode spec")
-        mismatch = abs(self.omega_a - (self.omega_b + self.omega_c))
-        if mismatch > 1e-12 * abs(self.omega_a):
-            raise ValueError(
-                f"frequency matching violated: w_a - (w_b + w_c) = {mismatch}")
-
-    @classmethod
-    def degenerate(cls, chi, omega_a, dims):
-        """Black-hole preset: w_b = w_c = w_a/2."""
-        return cls(chi, omega_a, omega_a / 2.0, omega_a / 2.0, HilbertSpec(dims))
-
-
-@dataclass(frozen=True)
 class PumpInitialState:
     """Pure initial pump state |psi> = sum_s a_s |s>, signal/idler in vacuum."""
 
@@ -175,16 +149,16 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
 
     def n_a(tau):
         dn = jacobi_dn(rate * tau, m)
-        return bp + (N_a0 - bp) / (dn * dn)
+        return np.maximum(0.0, bp + (N_a0 - bp) / (dn * dn))
 
-    n_vals = np.array([max(0.0, n_a(t)) for t in grid])
+    n_vals = n_a(grid)
 
     # sqrt(N_a) has a one-sided square-root kink where the pump touches
     # zero, which caps the attainable Simpson accuracy per segment
     quad_tol = Tolerance(abs_tol=1e-9, rel_tol=1e-8, max_iter=48)
     first = 1 if grid[0] == 0.0 else 0  # a grid starting at 0 has no [0, tau_0]
     segments = integrate_adaptive(
-        lambda ts: np.sqrt(np.maximum(0.0, [n_a(t) for t in ts])),
+        lambda ts: np.sqrt(n_a(ts)),
         np.concatenate([[0.0], grid[:-1]])[first:], grid[first:], quad_tol)
     theta = np.cumsum(np.concatenate([np.zeros(first), segments]))
 
@@ -348,9 +322,10 @@ def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> State
     return StateVector(spec, amps.ravel())
 
 
-def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
-                tol: Tolerance = Tolerance(abs_tol=1e-12, rel_tol=1e-10),
-                leak_tol: float = 1e-6) -> list[PairState]:
+_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
+
+
+def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> list[PairState]:
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi.
 
     ``initial`` must lie in the pair span {|p, i, i>} (a pump-only state
@@ -362,8 +337,8 @@ def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
     ``leak_tol`` population anywhere along the trajectory.
     """
     spec = initial.spec
-    if spec != params.spec:
-        raise ValueError("initial state and params use different specs")
+    if spec.n_modes != 3:
+        raise ValueError("trilinear dynamics need a three-mode spec")
     da, db, dc = spec.dims
     dp = min(db, dc)
     psi = np.array(initial.tensor_view())
@@ -384,7 +359,7 @@ def evolve_full(initial: StateVector, params: TrilinearParams, tau_grid,
         dy[s:] -= w * y[:-s]
         return dy
 
-    raw = evolve_ode(rhs, C0.ravel(), tau_grid, tol)
+    raw = evolve_ode(rhs, C0.ravel(), tau_grid, _ODE_TOL)
     states = [PairState(y.reshape(C0.shape)) for y in raw]
     leak = max(s.max_boundary_population() for s in states)
     if leak > leak_tol:

@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
-from nlcavity.trilinear import TrilinearParams
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +127,9 @@ def interaction_generator(spec: HilbertSpec):
     return (down - down.conjugate().transpose()).tocsr()
 
 
-def build_interaction_hamiltonian(params: TrilinearParams) -> ModeOperator:
+def build_interaction_hamiltonian(spec: HilbertSpec) -> ModeOperator:
     """Interaction-frame Hamiltonian H_I/(h chi) = i(a b+ c+ - a+ b c)."""
-    gen = interaction_generator(params.spec)
-    return ModeOperator(params.spec, 1j * gen, label="H_I/(hbar*chi)")
+    return ModeOperator(spec, 1j * interaction_generator(spec), label="H_I/(hbar*chi)")
 
 
 def mode_numbers(spec: HilbertSpec):

@@ -48,12 +48,11 @@ def coherent9_trajectory():
     """Shared <N_a(0)>=9 coherent trajectory on tau in [0,3]."""
     dim = fock.min_coherent_dim(9.0) + 3
     spec = fock.HilbertSpec((dim,) * 3)
-    params = trilinear.TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     init = trilinear.PumpInitialState.coherent(9.0, dim)
     psi0 = trilinear.initial_product_state(init, spec)
     taus = np.linspace(0.0, 3.0, 121)
-    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, params, taus)]
-    return spec, params, init, taus, states
+    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, taus)]
+    return spec, init, taus, states
 
 
 def test_criterion_1_zero_point(det_params):
@@ -269,20 +268,18 @@ def test_criterion_7_trilinear_oracles():
 
     start = time.perf_counter()
     spec = fock.HilbertSpec((3, 3, 3))
-    params = trilinear.TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = trilinear.initial_product_state(
         trilinear.PumpInitialState.fock(1, dim=2), spec)
     taus = np.linspace(0.0, 3.0, 31)
-    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, params, taus)]
+    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, taus)]
     nb_op = mode_numbers(spec)[1]
     rabi_err = max(abs(expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
 
     spec64 = fock.HilbertSpec((4, 4, 4))
-    params64 = trilinear.TrilinearParams.degenerate(1.0, 2.0, spec64.dims)
     psi064 = trilinear.initial_product_state(
         trilinear.PumpInitialState.fock(2, dim=3), spec64)
-    out = trilinear.evolve_full(psi064, params64, [0.0, 2.0])
+    out = trilinear.evolve_full(psi064, [0.0, 2.0])
     G = interaction_generator(spec64).toarray()
     expm_err = float(np.linalg.norm(out[-1].state_vector(spec64).amplitudes
                                     - sla.expm(2.0 * G) @ psi064.amplitudes))
@@ -295,9 +292,9 @@ def test_criterion_7_trilinear_oracles():
 
 def test_criterion_8_conservation_suite(coherent9_trajectory):
     start = time.perf_counter()
-    spec, params, init, taus, states = coherent9_trajectory
+    spec, init, taus, states = coherent9_trajectory
     na_op, nb_op, nc_op = mode_numbers(spec)
-    H = build_interaction_hamiltonian(params)
+    H = build_interaction_hamiltonian(spec)
     na0 = expectation(states[0], na_op).real
     scale = na0
     worst = 0.0
@@ -436,7 +433,7 @@ def test_criterion_10_long_time_distribution():
 
 def test_criterion_11_quantum_info_suite(coherent9_trajectory):
     start = time.perf_counter()
-    spec, params, init, taus, states = coherent9_trajectory
+    spec, init, taus, states = coherent9_trajectory
 
     # pure-state entropy
     v = np.zeros(16)

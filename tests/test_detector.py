@@ -284,7 +284,7 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
     K_Tm, K_d = coupling_constants(params)
     _, dw_bi, I_bi = onset
     drive = DrivePoint(I_0=0.7 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    chi = select_branch(mean_field(params, drive), "small").chi
+    chi = select_branch(mean_field(params, drive)).chi
     dw = drive.delta_omega
     wp = params.omega_T + dw
     wm, gbm = params.omega_m, params.gamma_bm
@@ -325,7 +325,7 @@ def test_signal_zero_coupling(params, onset):
 
     p = dataclasses.replace(params, K_Tm=0.0)
     drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(p, drive), "small").chi
+    chi = select_branch(mean_field(p, drive)).chi
     ws = p.omega_T + p.omega_m
     assert signal_spectrum(p, drive, chi, ws, 4 * p.gamma_bm) == 0.0
 
@@ -365,7 +365,7 @@ def test_thermal_signal_density_matches_scalar_occupations(params, onset):
 
 def test_signal_adaptive_vs_fixed_grid(params, onset):
     drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(params, drive), "small").chi
+    chi = select_branch(mean_field(params, drive)).chi
     th = effective_thermo(params, drive)
     ws = params.omega_T + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
@@ -380,7 +380,7 @@ def test_noise_reduces_to_added(params, onset):
 
     p = dataclasses.replace(params, K_Tm=0.0, K_d=0.0)
     drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(p, drive), "small").chi
+    chi = select_branch(mean_field(p, drive)).chi
     ws = p.omega_T + p.omega_m
     band = 4 * p.gamma_bm
     assert noise_spectrum(p, drive, chi, ws, band) == pytest.approx(
@@ -389,7 +389,7 @@ def test_noise_reduces_to_added(params, onset):
 
 def test_caves_small_drive_is_added(params, onset):
     drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(params, drive), "small").chi
+    chi = select_branch(mean_field(params, drive)).chi
     ws = params.omega_T + params.omega_m
     band = 4 * params.gamma_bm
     assert caves_bound(params, drive, chi, ws, band) == pytest.approx(
@@ -452,7 +452,7 @@ def test_thermo_fit_matches_determinant_probe(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drive = DrivePoint(I_0=0.9 * I_bi, delta_omega=1.3 * dw_bi)
     th = effective_thermo(cooling_params, drive)
-    chi = select_branch(mean_field(cooling_params, drive), "small").chi
+    chi = select_branch(mean_field(cooling_params, drive)).chi
     pole = _determinant_zero(cooling_params, drive, chi, +1)
     wp = cooling_params.omega_T + drive.delta_omega
     assert th.R_omega == pytest.approx((pole.real - wp) / cooling_params.omega_m,

@@ -95,6 +95,16 @@ def test_flux_gate(params):
         propagation_velocity(0.5, params)
     with pytest.raises(ValueError):
         propagation_velocity(-0.01, params)
+    for bad in (0.5, math.nan):  # one bad element rejects the whole array
+        with pytest.raises(ValueError, match="insulating transition"):
+            propagation_velocity(np.array([0.0, 0.2, bad, 0.1]), params)
+
+
+def test_velocity_array_matches_scalar_calls(params):
+    fluxes = np.linspace(0.0, 0.49, 50)
+    np.testing.assert_allclose(propagation_velocity(fluxes, params),
+                               [propagation_velocity(float(f), params) for f in fluxes],
+                               rtol=1e-15, atol=0.0)
 
 
 # --- dispersion ------------------------------------------------------------------

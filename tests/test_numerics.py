@@ -57,6 +57,14 @@ def test_dn_vs_ode_oracle(u, m):
     assert jacobi_dn(u, m) == pytest.approx(dn_rk4_oracle(u, m), abs=1e-9)
 
 
+@pytest.mark.parametrize("m", [0.0, 0.3, 0.9085, 1.0])
+def test_dn_array_matches_scalar_calls(m):
+    u = np.linspace(-6.0, 6.0, 49)
+    dn = jacobi_dn(u, m)
+    assert dn.shape == u.shape
+    np.testing.assert_allclose(dn, [jacobi_dn(float(x), m) for x in u], rtol=1e-15, atol=0.0)
+
+
 def test_dn_domain_error():
     with pytest.raises(ValueError):
         jacobi_dn(1.0, -0.1)

@@ -21,7 +21,6 @@ from nlcavity.qinfo import (
 )
 from nlcavity.trilinear import (
     PumpInitialState,
-    TrilinearParams,
     evolve_full,
     initial_product_state,
     parametric_state,
@@ -306,11 +305,10 @@ def test_squeezing_matches_ladder_operator_oracle(dim):
 def small_trajectory():
     dim = fock.min_coherent_dim(1.0) + 3
     spec = HilbertSpec((dim,) * 3)
-    params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     init = PumpInitialState.coherent(1.0, dim)
     psi0 = initial_product_state(init, spec)
     taus = np.linspace(0, 3, 16)
-    return [s.state_vector(spec) for s in evolve_full(psi0, params, taus)]
+    return [s.state_vector(spec) for s in evolve_full(psi0, taus)]
 
 
 def test_entropy_bounds_along_trajectory(small_trajectory):
@@ -324,9 +322,8 @@ def test_entropy_bounds_along_trajectory(small_trajectory):
 def test_pure_total_state_identities():
     # small grid so the full-state eigendecomposition stays cheap
     spec = HilbertSpec((6, 6, 6))
-    params = TrilinearParams.degenerate(1.0, 2.0, spec.dims)
     psi0 = initial_product_state(PumpInitialState.fock(3, dim=4), spec)
-    for pair in evolve_full(psi0, params, np.linspace(0, 3, 7)):
+    for pair in evolve_full(psi0, np.linspace(0, 3, 7)):
         s = pair.state_vector(spec)
         rho_abc = DensityMatrix(s.spec, np.outer(s.amplitudes, s.amplitudes.conj()))
         assert abs(von_neumann_entropy(rho_abc)) < 1e-8
