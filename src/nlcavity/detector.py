@@ -130,10 +130,16 @@ class MeanFieldSolution:
 
 @dataclass(frozen=True)
 class EffectiveThermo:
-    """Lorentzian parametrization of the phase-preserving (+1) sideband.
+    """Thermal parametrization of the phase-preserving (+1) sideband at one
+    (drive, bath temperature).
 
-    The phase-conjugating (-1) gain and back-action occupation come from
-    ``phase_conjugate_thermo``, which reuses this resolution.
+    R_omega and R_gamma are the fitted line center (offset from the pump,
+    in omega_m) and width (in gamma_bm); G_plus is the detector gain,
+    n_back_plus the back-action occupation and n_net the net mechanical
+    occupation. chi is the mean field the drive was resolved at, so
+    ``phase_conjugate_thermo`` can fit the -1 line at the same operating
+    point; weak_coupling flags a pole the drive has not moved off the bare
+    damping, where n_back_plus and n_net are NaN.
     """
 
     R_omega: float
@@ -391,21 +397,32 @@ def _signal_prefactor(params, drive):
         * gpt ** 2 / (gpt ** 2 + dw ** 2)
 
 
-def _signal_terms(params, drive, chi, omega):
+def _signal_terms(params, drive, omega, coeffs):
     """(cavity filter, |alpha1/c + alpha2/c * mirror-ratio|^2, bare
     mechanical Lorentzians at omega_p + omega_m and omega_p - omega_m) of
-    the signal kernel."""
+    the signal kernel, from the response coefficients at omega."""
     gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
     dw = drive.delta_omega
     wp = params.omega_T + dw
     cavity = (omega / wp) * gpt ** 2 / ((omega - wp + dw) ** 2 + gpt ** 2)
     c = linear_amplitude(params, drive)
-    a1, a2, _, _, _ = response_coeffs(params, drive, chi, omega)
+    a1, a2 = coeffs[:2]
     ratio = (omega - wp + dw + 1j * gpt) / (omega - wp - dw + 1j * gpt)
     combo = np.abs(a1 / c + a2 / c * ratio) ** 2
     lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2)
     lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2)
     return cavity, combo, lor_plus, lor_minus
+
+
+def _occupied(kernel, lor_plus, lor_minus, x, bath_T):
+    """Signal density from its bath-independent factors: kernel *
+    (lor_plus + lor_minus) (2n(x) + 1) / 2pi with x = omega - omega_p.
+    Both sidebands sit |x| from the pump, so they share one occupation."""
+    if bath_T <= 0.0:
+        occ = 1.0
+    else:
+        occ = 2.0 * (1.0 / np.expm1(hbar * np.abs(x) / (k_B * bath_T))) + 1.0
+    return kernel * (lor_plus * occ + lor_minus * occ) / (2.0 * math.pi)
 
 
 def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
@@ -414,31 +431,32 @@ def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
     the 1/2pi measure)."""
     wp = params.omega_T + drive.delta_omega
     omega = np.asarray(omega, dtype=float)
-    cavity, combo, lor_plus, lor_minus = _signal_terms(params, drive, chi, omega)
-
-    def occup(x):
-        if bath_T <= 0.0:
-            return np.ones_like(x)
-        return 2.0 * (1.0 / np.expm1(hbar * np.abs(x) / (k_B * bath_T))) + 1.0
-
-    return _signal_prefactor(params, drive) * cavity * combo \
-        * (lor_plus * occup(omega - wp) + lor_minus * occup(wp - omega)) / (2.0 * math.pi)
+    cavity, combo, lor_plus, lor_minus = _signal_terms(
+        params, drive, omega, response_coeffs(params, drive, chi, omega))
+    return _occupied(_signal_prefactor(params, drive) * cavity * combo,
+                     lor_plus, lor_minus, omega - wp, bath_T)
 
 
-def noise_density(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
-    """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
-    added-noise term is accounted for separately."""
+def _noise_terms(params, drive, omega, coeffs):
+    """Back-reaction noise density at omega from the response coefficients
+    there."""
     gpt = params.gamma_pT
     dw = drive.delta_omega
     wp = params.omega_T + dw
-    omega = np.asarray(omega, dtype=float)
-    _, _, b1, b2, _ = response_coeffs(params, drive, chi, omega)
+    b1, b2 = coeffs[2:4]
     x = omega - wp + dw
     mirror_ratio = (x ** 2 + gpt ** 2) / ((omega - wp - dw) ** 2 + gpt ** 2)
     bracket = (np.abs(b1) ** 2 + mirror_ratio * np.abs(b2) ** 2
                - np.real(b1) + x / gpt * np.imag(b1))
     return (hbar * omega / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
         * bracket / (2.0 * math.pi)
+
+
+def noise_density(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
+    """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
+    added-noise term is accounted for separately."""
+    omega = np.asarray(omega, dtype=float)
+    return _noise_terms(params, drive, omega, response_coeffs(params, drive, chi, omega))
 
 
 def added_noise(params: DetectorParams, omega_s: float, delta_band: float) -> float:
@@ -479,7 +497,8 @@ def caves_bound(params: DetectorParams, drive: DrivePoint, chi: complex,
                 omega_s: float, delta_band: float) -> float:
     """Heisenberg minimum-noise bound (A^2) for the same band."""
     def f(w):
-        cavity, combo, lor_plus, lor_minus = _signal_terms(params, drive, chi, w)
+        cavity, combo, lor_plus, lor_minus = _signal_terms(
+            params, drive, w, response_coeffs(params, drive, chi, w))
         return cavity * combo * (lor_plus - lor_minus) / (2.0 * math.pi)
 
     integral = _band_integral(f, omega_s, delta_band)
@@ -535,9 +554,14 @@ def _select_for_thermo(params, drive):
     return select_branch(sols)
 
 
-def _noise_peak_height(params, drive, chi, center, gamma):
+# noise probe offsets from the fitted line center, in fitted linewidths
+_NOISE_PROBES = np.array([0.0, -10.0, 10.0, -20.0, 20.0])
+
+
+def _noise_peak_height(v):
     """Peak height of the mechanical noise Lorentzian above the broad
-    added-noise background.
+    added-noise background, from the noise density ``v`` at the
+    ``_NOISE_PROBES`` offsets.
 
     With (center, gamma) pinned by the signal fit, symmetric probe pairs at
     0, 10 and 20 linewidths give three even-moment equations in (flat
@@ -545,8 +569,6 @@ def _noise_peak_height(params, drive, chi, center, gamma):
     terms odd about the peak cancel in the pair averages. The closed-form
     elimination below is exact for quadratic background + Lorentzian.
     """
-    v = noise_density(params, drive, chi,
-                      center + gamma * np.array([0.0, -10.0, 10.0, -20.0, 20.0]))
     e0, e10, e20 = v[0], 0.5 * (v[1] + v[2]), 0.5 * (v[3] + v[4])
     return float((3.0 * e0 - 4.0 * e10 + e20) * (40501.0 / 120000.0))
 
@@ -555,20 +577,71 @@ def _noise_peak_height(params, drive, chi, center, gamma):
 _RESIDUAL_GATE = 0.05
 
 
-def _sideband_fit(params, drive, chi, pole, bath_T):
-    """Lorentzian fit of the signal line at one renormalized mechanical pole.
-
-    Samples the signal density over +-5 pole widths (1601 points), fits it,
-    and probes the noise peak at the fitted center. Returns (center, width,
-    amplitude, noise-to-signal peak ratio, fit residual).
-    """
+def _signal_window(params, drive, chi, pole):
+    """The bath-independent factors of the signal density over +-5 widths
+    of one renormalized mechanical pole (1601 points): (omega,
+    prefactor * cavity * combo, lor_plus, lor_minus)."""
     width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
-    w_fit = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
-    s_sig = signal_density(params, drive, chi, w_fit, bath_T)
-    c_s, g_s, a_s, res_s = fit_lorentzian(w_fit, np.clip(s_sig, 0.0, None))
-    n_pk = _noise_peak_height(params, drive, chi, c_s, g_s)
-    s_pk = float(signal_density(params, drive, chi, np.array([c_s]), bath_T)[0])
-    return c_s, g_s, a_s, n_pk / s_pk, res_s
+    omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
+    cavity, combo, lor_plus, lor_minus = _signal_terms(
+        params, drive, omega, response_coeffs(params, drive, chi, omega))
+    return omega, _signal_prefactor(params, drive) * cavity * combo, lor_plus, lor_minus
+
+
+def _sideband_fits(params, drive, chi, window, temps):
+    """Lorentzian fits of the signal line in ``window``, one per bath
+    temperature.
+
+    Each temperature only applies its occupation factors to the window and
+    fits the result. The noise probes and the signal peak of every fitted
+    line are then evaluated in one response call. Returns, per temperature,
+    (center, width, amplitude, noise-to-signal peak ratio, fit residual).
+    """
+    omega, kernel, lor_plus, lor_minus = window
+    wp = params.omega_T + drive.delta_omega
+    fits = [fit_lorentzian(omega, np.clip(
+        _occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)) for T in temps]
+    centers = np.array([fit[0] for fit in fits])
+    widths = np.array([fit[1] for fit in fits])
+    n_noise = _NOISE_PROBES.size * len(fits)
+    probe = np.concatenate(
+        [(centers[:, None] + widths[:, None] * _NOISE_PROBES).ravel(), centers])
+    coeffs = response_coeffs(params, drive, chi, probe)
+    noise = _noise_terms(params, drive, probe[:n_noise],
+                         [c[:n_noise] for c in coeffs]).reshape(len(fits), -1)
+    cavity, combo, pk_plus, pk_minus = _signal_terms(
+        params, drive, centers, [c[n_noise:] for c in coeffs])
+    pk_kernel = _signal_prefactor(params, drive) * cavity * combo
+    out = []
+    for j, (T, (c_s, g_s, a_s, res_s)) in enumerate(zip(temps, fits)):
+        s_pk = float(_occupied(pk_kernel[j], pk_plus[j], pk_minus[j], centers[j] - wp, T))
+        out.append((c_s, g_s, a_s, _noise_peak_height(noise[j]) / s_pk, res_s))
+    return out
+
+
+def _resolve_drive(params, drive, frequency_pulling=True):
+    """The bath-independent part of the +1 thermal parametrization at one
+    drive: (chi, weak, window).
+
+    chi is the fold-guarded small-branch mean field, weak flags a pole that
+    the drive has not moved off the bare mechanical damping, and window is
+    the ``_signal_window`` at the renormalized +1 pole. Raises
+    InstabilityError when that pole's damping is non-positive or the small
+    branch has been lost.
+    """
+    if frequency_pulling:
+        chi = _select_for_thermo(params, drive).chi
+    else:
+        chi = mean_field(params, drive, frequency_pulling=False)[0].chi
+    # stability probe: renormalized mechanical pole must stay in the lower
+    # half plane
+    pole = _determinant_zero(params, drive, chi, sideband=+1)
+    r_gamma_probe = -pole.imag / params.gamma_bm
+    if r_gamma_probe <= 0.0:
+        raise InstabilityError(
+            f"net mechanical damping non-positive (R_gamma ~ {r_gamma_probe:.3g})")
+    weak = abs(r_gamma_probe - 1.0) < 1e-9
+    return chi, weak, _signal_window(params, drive, chi, pole)
 
 
 def _bath_factor(params, R_omega, bath_T):
@@ -593,79 +666,82 @@ def _n_back(params, R_gamma, occ_bath, peak_ratio, weak):
     return (occ - 1.0) / 2.0
 
 
+def _thermo_lines(params, drive, resolved, temps):
+    """The +1 thermal parametrization of a ``_resolve_drive`` resolution at
+    each bath temperature: an EffectiveThermo, or the NonLorentzianError of
+    a line that fails the residual gate."""
+    chi, weak, window = resolved
+    wp = params.omega_T + drive.delta_omega
+    out = []
+    for T, (c_s, g_s, a_s, peak_ratio, residual) in zip(
+            temps, _sideband_fits(params, drive, chi, window, temps)):
+        if residual > _RESIDUAL_GATE:
+            out.append(NonLorentzianError(
+                f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
+                residual=residual))
+            continue
+        R_omega = (c_s - wp) / params.omega_m
+        R_gamma = g_s / params.gamma_bm
+        occ_bath = _bath_factor(params, R_omega, T)
+        nb_plus = _n_back(params, R_gamma, occ_bath, peak_ratio, weak)
+        if weak or math.isnan(nb_plus):
+            n_net = math.nan
+        else:
+            n_net = 0.5 * (occ_bath / R_gamma
+                           + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
+        out.append(EffectiveThermo(
+            R_omega=R_omega, R_gamma=R_gamma,
+            G_plus=_gain(params, R_omega, occ_bath, a_s, g_s),
+            n_back_plus=nb_plus,
+            n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak))
+    return out
+
+
 def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 0.0,
                      frequency_pulling: bool = True) -> EffectiveThermo:
-    """Lorentzian parametrization of the phase-preserving (+1) sideband.
+    """Lorentzian parametrization of the phase-preserving (+1) sideband at
+    one drive and one bath temperature.
 
-    R_omega, R_gamma and the gain come from a Lorentzian fit of the +1
-    signal spectrum over the central five linewidths; the fit residual is
-    the validity gate on the whole thermal parametrization. The back-action
-    occupation inverts the noise parametrization at the fitted line center
-    (where interference contributions odd about the peak vanish) after
-    removing the broad added-noise background, probed out to +-20
-    linewidths. The phase-conjugating (-1) line is not fitted here;
-    ``phase_conjugate_thermo`` extracts it from the returned resolution.
+    The drive fixes the mean field, the renormalized +1 pole and the
+    bath-independent signal kernel; the bath temperature enters only
+    through the occupation factors 2n + 1. R_omega, R_gamma and the gain
+    come from a Lorentzian fit of the +1 signal spectrum over +-5 pole
+    widths; the fit residual is the validity gate on the whole thermal
+    parametrization. The back-action occupation inverts the noise
+    parametrization at the fitted line center (where interference
+    contributions odd about the peak vanish) after removing the broad
+    added-noise background, probed out to +-20 linewidths. This is the
+    one-temperature case of ``cooling_curve``'s per-drive resolution; the
+    phase-conjugating (-1) line is left to ``phase_conjugate_thermo``.
 
-    Raises InstabilityError when the renormalized mechanical damping is
+    Raises ValueError for a negative or non-finite bath temperature,
+    InstabilityError when the renormalized mechanical damping is
     non-positive (or the low branch has been lost) and NonLorentzianError
     on a residual-gate failure.
     """
     _check_bath_T(bath_T)
-    if frequency_pulling:
-        chi = _select_for_thermo(params, drive).chi
-    else:
-        chi = mean_field(params, drive, frequency_pulling=False)[0].chi
-    gbm, wm = params.gamma_bm, params.omega_m
-    wp = params.omega_T + drive.delta_omega
-
-    # stability probe: renormalized mechanical pole must stay in the lower
-    # half plane
-    pole = _determinant_zero(params, drive, chi, sideband=+1)
-    r_gamma_probe = -pole.imag / gbm
-    if r_gamma_probe <= 0.0:
-        raise InstabilityError(
-            f"net mechanical damping non-positive (R_gamma ~ {r_gamma_probe:.3g})")
-
-    weak = abs(r_gamma_probe - 1.0) < 1e-9
-
-    c_s, g_s, a_s, peak_ratio, residual = _sideband_fit(params, drive, chi, pole, bath_T)
-    if residual > _RESIDUAL_GATE:
-        raise NonLorentzianError(
-            f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
-            residual=residual)
-
-    R_omega = (c_s - wp) / wm
-    R_gamma = g_s / gbm
-    occ_bath = _bath_factor(params, R_omega, bath_T)
-    nb_plus = _n_back(params, R_gamma, occ_bath, peak_ratio, weak)
-
-    if weak or math.isnan(nb_plus):
-        n_net = math.nan
-    else:
-        n_net = 0.5 * (occ_bath / R_gamma
-                       + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
-
-    return EffectiveThermo(
-        R_omega=R_omega, R_gamma=R_gamma,
-        G_plus=_gain(params, R_omega, occ_bath, a_s, g_s),
-        n_back_plus=nb_plus,
-        n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
+    line, = _thermo_lines(params, drive,
+                          _resolve_drive(params, drive, frequency_pulling), [bath_T])
+    if isinstance(line, NonLorentzianError):
+        raise line
+    return line
 
 
 def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
                            thermo: EffectiveThermo, bath_T: float = 0.0):
     """(G_minus, n_back_minus) of the phase-conjugating (-1) sideband.
 
-    Fits the signal line at the -1 renormalized pole at the mean-field
-    amplitude ``thermo`` was resolved at, and scales it with that
-    resolution's R_omega, R_gamma and bath occupation. n_back_minus is NaN
-    when the -1 fit residual exceeds the residual gate; a degenerate -1 fit
-    raises FitDegenerateError.
+    Samples the signal window at the -1 renormalized pole of the mean field
+    ``thermo`` was resolved at, fits it at ``bath_T`` with the same helpers
+    as the +1 line, and scales it with ``thermo``'s R_omega, R_gamma and
+    bath occupation. n_back_minus is NaN when the -1 fit residual exceeds
+    the residual gate; a degenerate -1 fit raises FitDegenerateError.
     """
     _check_bath_T(bath_T)
     pole = _determinant_zero(params, drive, thermo.chi, sideband=-1)
-    _, g_s, a_s, peak_ratio, residual = _sideband_fit(
-        params, drive, thermo.chi, pole, bath_T)
+    window = _signal_window(params, drive, thermo.chi, pole)
+    (_, g_s, a_s, peak_ratio, residual), = _sideband_fits(
+        params, drive, thermo.chi, window, [bath_T])
     occ_bath = _bath_factor(params, thermo.R_omega, bath_T)
     n_back = _n_back(params, thermo.R_gamma, occ_bath, peak_ratio,
                      thermo.weak_coupling) if residual <= _RESIDUAL_GATE else math.nan
@@ -674,22 +750,37 @@ def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
 
 def cooling_curve(params: DetectorParams, detuning: float, I_grid, bath_T_list):
     """Net mechanical occupation over a (drive current, bath temperature)
-    grid. Returns a list of row dicts; points failing a validity gate carry
-    NaN and the failure reason.
+    grid, as a list of row dicts in drive-major order.
+
+    Every bath temperature is checked before any drive is solved (ValueError
+    for a negative or non-finite one). Each drive is then resolved once
+    (mean field, +1 pole and signal window) and only the occupation
+    factors, the fit and the inversion run per temperature, with the
+    results of ``effective_thermo`` at that (drive, temperature). Rows
+    failing a validity gate carry NaN and the failure reason; a drive that
+    fails the stability gate fails it at every temperature.
     """
+    temps = [float(T) for T in bath_T_list]
+    for T in temps:
+        _check_bath_T(T)
     rows = []
     for I0 in I_grid:
         drive = DrivePoint(I_0=float(I0), delta_omega=detuning)
-        for T in bath_T_list:
-            row = {"I_0": float(I0), "bath_T": float(T), "n_net": math.nan,
+        try:
+            resolved = _resolve_drive(params, drive)
+        except InstabilityError as exc:
+            lines = [exc] * len(temps)
+        else:
+            lines = _thermo_lines(params, drive, resolved, temps)
+        for T, line in zip(temps, lines):
+            row = {"I_0": float(I0), "bath_T": T, "n_net": math.nan,
                    "R_omega": math.nan, "R_gamma": math.nan,
                    "n_back": math.nan, "residual": math.nan, "gate_failure": ""}
-            try:
-                thermo = effective_thermo(params, drive, bath_T=T)
-                row.update(n_net=thermo.n_net, R_omega=thermo.R_omega,
-                           R_gamma=thermo.R_gamma, n_back=thermo.n_back_plus,
-                           residual=thermo.lorentzian_residual)
-            except (InstabilityError, NonLorentzianError) as exc:
-                row["gate_failure"] = type(exc).__name__
+            if isinstance(line, EffectiveThermo):
+                row.update(n_net=line.n_net, R_omega=line.R_omega,
+                           R_gamma=line.R_gamma, n_back=line.n_back_plus,
+                           residual=line.lorentzian_residual)
+            else:
+                row["gate_failure"] = type(line).__name__
             rows.append(row)
     return rows

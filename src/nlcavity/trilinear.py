@@ -236,42 +236,36 @@ class PairState:
 # short-time (quantized pump) tier
 # ---------------------------------------------------------------------------
 
-def branch_coefficient(n: int, s: int, k: float = 0.5) -> float:
-    """f_n(k, s) = sqrt(s! Gamma(2k+n) / (n! (s-n)! Gamma(2k))).
-
-    For vacuum signal/idler (k = 1/2) this reduces to sqrt(s!/(s-n)!).
-    """
+def branch_coefficient(n: int, s: int) -> float:
+    """f_n(s) = sqrt(s! Gamma(1+n) / (n! (s-n)!)) for vacuum signal/idler
+    (Bargmann index 1/2); this equals sqrt(s!/(s-n)!)."""
     if not (0 <= n <= s):
         raise ValueError("need 0 <= n <= s")
-    log_f2 = (math.lgamma(s + 1) + math.lgamma(2 * k + n)
-              - math.lgamma(n + 1) - math.lgamma(s - n + 1) - math.lgamma(2 * k))
+    log_f2 = (math.lgamma(s + 1) + math.lgamma(1.0 + n)
+              - math.lgamma(n + 1) - math.lgamma(s - n + 1))
     return math.exp(0.5 * log_f2)
 
 
-def branch_normalization(s: int, tau: float, k: float = 0.5) -> float:
+def branch_normalization(s: int, tau: float) -> float:
     """Normalization N_s(tau) = sum_n f_n^2 tau^(2n) of a pump level-s branch.
 
-    For k = 1/2 this equals the closed form e^(1/tau^2) tau^(2s)
-    Gamma(s+1, 1/tau^2), evaluated here through its stable finite sum
-    s! * sum_u tau^(2(s-u))/u!.
+    This equals the closed form e^(1/tau^2) tau^(2s) Gamma(s+1, 1/tau^2),
+    evaluated here through its stable finite sum s! * sum_u tau^(2(s-u))/u!.
     """
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
     if tau == 0.0:
         return 1.0
-    if k == 0.5:
-        return float(sum(math.exp(math.lgamma(s + 1) - math.lgamma(u + 1)
-                                  + 2.0 * (s - u) * math.log(tau))
-                         for u in range(s + 1)))
-    return float(sum(branch_coefficient(n, s, k) ** 2 * tau ** (2 * n)
-                     for n in range(s + 1)))
+    return float(sum(math.exp(math.lgamma(s + 1) - math.lgamma(u + 1)
+                              + 2.0 * (s - u) * math.log(tau))
+                     for u in range(s + 1)))
 
 
-def short_time_state(initial: PumpInitialState, tau: float, k: float = 0.5) -> PairState:
+def short_time_state(initial: PumpInitialState, tau: float) -> PairState:
     """The BCH short-time state at dimensionless tau.
 
     Pump level s branches onto the anti-diagonal p + i = s of C, with
-    amplitudes a_s f_i(k,s) tau^i / sqrt(N_s(tau)); they are built in log
+    amplitudes a_s f_i(s) tau^i / sqrt(N_s(tau)); they are built in log
     space so late-time (tau >> 1) evaluation stays finite.
     """
     if tau < 0.0:
@@ -284,10 +278,10 @@ def short_time_state(initial: PumpInitialState, tau: float, k: float = 0.5) -> P
         return PairState(C)
     s, n = np.tril_indices(coeff.size)
     log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
-    log_rise = np.array([math.lgamma(2 * k + j) for j in range(coeff.size)])
+    log_rise = np.array([math.lgamma(1.0 + j) for j in range(coeff.size)])
     log_amp = np.full((coeff.size, coeff.size), -np.inf)
-    log_amp[s, n] = 0.5 * (log_fact[s] + log_rise[n] - log_fact[n] - log_fact[s - n]
-                           - math.lgamma(2 * k)) + n * math.log(tau)
+    log_amp[s, n] = 0.5 * (log_fact[s] + log_rise[n] - log_fact[n] - log_fact[s - n]) \
+        + n * math.log(tau)
     amps = np.exp(log_amp - log_amp.max(axis=1, keepdims=True))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     C[s - n, n] = coeff[s] * amps[s, n]

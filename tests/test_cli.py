@@ -306,6 +306,28 @@ def test_cooling_scenario_rows_and_nan_warnings(tmp_path):
     assert len(manifest["warnings"]) >= len(nan_rows) > 0
 
 
+def test_cooling_rerun_byte_identical(tmp_path, capsys):
+    def cooling_run():
+        cfg = config_from_preset("ch2-cooling-Q1e4", tmp_path)
+        cfg.grid.update(drive_points="4", bath_T_K="0, 0.05")
+        assert run(cfg) == EXIT_OK
+        return [(tmp_path / name).read_bytes() for name in
+                ("ch2-cooling-Q1e4_cooling.csv", "ch2-cooling-Q1e4_manifest.json")]
+
+    first = cooling_run()
+    assert cooling_run() == first
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in first[0].decode().splitlines()[1:]]
+    assert len(rows) == 4 * 2
+    gated = [row for row in rows if row[-1]]
+    assert gated  # the top drive sits at the fold
+    warnings_ = json.loads(first[1])["warnings"]
+    assert len(warnings_) == len(gated)
+    for row in gated:
+        prefix = f"drive {float(row[0]):.3f} I_bi, T={float(row[1])}: {row[-1]}"
+        assert warnings_.count(prefix) == 1
+
+
 def test_trilinear_evolve_scenario(tmp_path):
     cfg = ScenarioConfig(
         kind="trilinear-evolve",

@@ -556,3 +556,66 @@ def test_thermo_fits_one_sideband(cooling_params, monkeypatch):
     effective_thermo(cooling_params,
                      DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
     assert calls == {"fit": 1, "pole": 1}
+
+
+COOL_TEMPS = [0.0, 0.001, 0.01, 0.05, 0.1]
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_cooling_curve_resolves_each_drive_once(cooling_params, monkeypatch):
+    import nlcavity.detector as det
+
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    drives = [0.5 * I_bi, 1.2 * I_bi, 1.2912 * I_bi]  # the last is past the fold
+    calls = _count_calls(monkeypatch, det, ("mean_field", "_determinant_zero",
+                                            "fit_lorentzian", "response_coeffs"))
+    rows = cooling_curve(cooling_params, 1.3 * dw_bi, drives, COOL_TEMPS)
+    assert len(rows) == len(drives) * len(COOL_TEMPS)
+    assert [r["gate_failure"] for r in rows[-len(COOL_TEMPS):]] == \
+        ["InstabilityError"] * len(COOL_TEMPS)
+    assert not any(r["gate_failure"] for r in rows[:-len(COOL_TEMPS)])
+    resolved = len(drives) - 1
+    assert calls["mean_field"] == len(drives)
+    assert calls["_determinant_zero"] == resolved  # the fold guard fires first
+    assert calls["fit_lorentzian"] == resolved * len(COOL_TEMPS)
+    assert calls["response_coeffs"] <= 2 * resolved
+
+    # every row is the single-point parametrization at its (drive, T), bit for bit
+    fields = {"n_net": "n_net", "R_omega": "R_omega", "R_gamma": "R_gamma",
+              "n_back": "n_back_plus", "residual": "lorentzian_residual"}
+    for row in rows:
+        drive = DrivePoint(I_0=row["I_0"], delta_omega=1.3 * dw_bi)
+        if row["gate_failure"]:
+            with pytest.raises(InstabilityError):
+                effective_thermo(cooling_params, drive, row["bath_T"])
+            assert all(math.isnan(row[key]) for key in fields)
+            continue
+        th = effective_thermo(cooling_params, drive, row["bath_T"])
+        for key, attr in fields.items():
+            assert float.hex(row[key]) == float.hex(getattr(th, attr)), key
+
+
+@pytest.mark.parametrize("bad_T", [-1e-3, math.nan, math.inf])
+def test_cooling_curve_rejects_bad_bath_T_before_solving(cooling_params, monkeypatch,
+                                                        bad_T):
+    import nlcavity.detector as det
+
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    calls = _count_calls(monkeypatch, det, ("mean_field",))
+    with pytest.raises(ValueError, match="bath temperature"):
+        cooling_curve(cooling_params, 1.3 * dw_bi, [0.5 * I_bi, 0.8 * I_bi],
+                      [0.0, 0.05, bad_T])
+    assert calls["mean_field"] == 0
