@@ -98,11 +98,20 @@ def _floats(text: str):
 
 
 def _points(cfg, key: str, default: int) -> int:
-    """Grid point count ``key``; an empty or unbounded grid is a config error."""
+    """Grid point count ``key``; an empty, unbounded or fractional count is a
+    config error."""
     n = float(cfg.grid.get(key, default))
-    if not 1.0 <= n < math.inf:
-        raise ValueError(f"{key} must be a finite count of at least 1, got {n}")
+    if not (1.0 <= n < math.inf and n == int(n)):
+        raise ValueError(f"{key} must be a finite whole count of at least 1, got {n}")
     return int(n)
+
+
+def _finite(key: str, values, lowest: float = -math.inf):
+    """``values`` of grid ``key``, each checked finite and >= ``lowest``."""
+    if not all(math.isfinite(v) and v >= lowest for v in values):
+        bound = "" if lowest == -math.inf else f" and at least {lowest}"
+        raise ValueError(f"{key} must be finite{bound}, got {values}")
+    return values
 
 
 def _fmt_cell(v):
@@ -155,36 +164,51 @@ def _detector_common(cfg):
     return params, resolved
 
 
-def _sweep_point(params, dw, I0, bath_T):
-    drive = detector.DrivePoint(I_0=I0, delta_omega=dw)
-    wp = params.omega_T + dw
-    try:
-        th = detector.effective_thermo(params, drive, bath_T=bath_T)
-        ws = wp + th.R_omega * params.omega_m
-        band = 2.0 * th.R_gamma * params.gamma_bm
-        sig = detector.signal_spectrum(params, drive, th.chi, ws, band, bath_T)
-        noi = detector.noise_spectrum(params, drive, th.chi, ws, band)
-        cav = detector.caves_bound(params, drive, th.chi, ws, band)
-        return dict(signal=sig, noise=noi, caves=cav,
-                    ratio=noi / sig if sig > 0 else math.nan,
-                    R_omega=th.R_omega, R_gamma=th.R_gamma,
-                    n_back=th.n_back_plus, residual=th.lorentzian_residual,
-                    failure="")
-    except (InstabilityError, NonLorentzianError) as exc:
-        return dict(signal=math.nan, noise=math.nan, caves=math.nan,
-                    ratio=math.nan, R_omega=math.nan, R_gamma=math.nan,
-                    n_back=math.nan, residual=math.nan,
-                    failure=type(exc).__name__)
+def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
+    """CSV rows of one detuning curve. Each drive is resolved on its own
+    (mean field, gates, sideband fit); the band spectra of every point that
+    passes its gates then come from one ``band_spectra`` call."""
+    thermos = []
+    for x in drive_ratios:
+        drive = detector.DrivePoint(I_0=float(x) * scale, delta_omega=dw)
+        try:
+            thermos.append(detector.effective_thermo(params, drive, bath_T=bath_T))
+        except (InstabilityError, NonLorentzianError) as exc:
+            thermos.append(type(exc).__name__)
+            cfg.warnings.append(
+                f"{label} detuning {r}: drive {x:.3f} I_bi failed {thermos[-1]}")
+    ok = [i for i, th in enumerate(thermos) if not isinstance(th, str)]
+    spectra = {}
+    if ok:
+        wp = params.omega_T + dw
+        sig, noi, cav = detector.band_spectra(
+            params, dw, [float(drive_ratios[i]) * scale for i in ok],
+            [thermos[i].chi for i in ok],
+            [wp + thermos[i].R_omega * params.omega_m for i in ok],
+            [2.0 * thermos[i].R_gamma * params.gamma_bm for i in ok], bath_T)
+        spectra = dict(zip(ok, zip(sig.tolist(), noi.tolist(), cav.tolist())))
+    rows = []
+    for i, (x, th) in enumerate(zip(drive_ratios, thermos)):
+        if isinstance(th, str):
+            rows.append([x, label, r, x * scale] + [math.nan] * 8 + [th])
+            continue
+        sig, noi, cav = spectra[i]
+        rows.append([x, label, r, x * scale, sig, noi, cav,
+                     noi / sig if sig > 0 else math.nan, th.R_omega, th.R_gamma,
+                     th.n_back_plus, th.lorentzian_residual, ""])
+    return rows
 
 
 def _run_detector_signal_noise(cfg: ScenarioConfig):
     params, resolved = _detector_common(cfg)
     I_bi = resolved["I_bi"]
     dw_bi = resolved["delta_omega_bi"]
-    ratios = _floats(cfg.grid.get("detuning_ratios", "0, 0.2, 0.4"))
+    # every grid value is checked before any operating point is solved
+    ratios = _finite("detuning_ratios",
+                     _floats(cfg.grid.get("detuning_ratios", "0, 0.2, 0.4")))
     n_pts = _points(cfg, "drive_points", 30)
-    lo = float(cfg.grid.get("drive_min_ratio", 0.05))
-    hi = float(cfg.grid.get("drive_max_ratio", 0.95))
+    lo, = _finite("drive_min_ratio", [float(cfg.grid.get("drive_min_ratio", 0.05))], 0.0)
+    hi, = _finite("drive_max_ratio", [float(cfg.grid.get("drive_max_ratio", 0.95))], 0.0)
     bath_T = float(cfg.grid.get("bath_T_K", 0.0))
     drive_ratios = np.linspace(lo, hi, n_pts)
 
@@ -194,18 +218,9 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
 
     rows = []
     for label, r in curves:
-        p = harmonic if label == "harmonic" else params
-        scale = I_bi_harm if label == "harmonic" else I_bi
-        dw = r * abs(dw_bi)
-        for x in drive_ratios:
-            res = _sweep_point(p, dw, float(x) * scale, bath_T)
-            if res["failure"]:
-                cfg.warnings.append(
-                    f"{label} detuning {r}: drive {x:.3f} I_bi failed {res['failure']}")
-            rows.append([x, label, r, x * scale, res["signal"], res["noise"],
-                         res["caves"], res["ratio"], res["R_omega"],
-                         res["R_gamma"], res["n_back"], res["residual"],
-                         res["failure"]])
+        p, scale = (harmonic, I_bi_harm) if label == "harmonic" else (params, I_bi)
+        rows += _signal_noise_curve(cfg, label, p, r, r * abs(dw_bi), scale,
+                                    drive_ratios, bath_T)
 
     header = ["I_over_Ibi", "curve", "detuning_ratio", "I_0_A", "signal_A2",
               "noise_A2", "caves_A2", "noise_to_signal", "R_omega", "R_gamma",

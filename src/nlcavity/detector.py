@@ -12,10 +12,11 @@ quantities are phase-insensitive).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -345,27 +346,71 @@ def _d_func(omega, params, K_d):
             / (omega - params.omega_T + 1j * params.gamma_pT))
 
 
-def _response_terms(params, drive, chi, omega):
+class _Point(NamedTuple):
+    """The drive- and mean-field-dependent factors of the response algebra
+    at one operating point: detuning, chi, |chi|^2, |chi|^4, chi^2, the
+    small-drive amplitude c and the drive- and coupling-strength prefactor
+    of the signal kernel. ``band_spectra`` gathers them into per-node
+    arrays."""
+
+    dw: float
+    chi: complex
+    chi2: float
+    chi4: float
+    chi_sq: complex
+    c: complex
+    prefactor: float
+
+
+def _point(params, drive, chi) -> _Point:
+    """The ``_Point`` of (drive, chi), in scalar Python arithmetic: numpy's
+    abs and power round differently on complex arrays, and every gathered
+    copy must equal the scalar factor bit for bit."""
+    K_Tm, _ = coupling_constants(params)
+    gpt, dw = params.gamma_pT, drive.delta_omega
+    prefactor = (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
+        * gpt ** 2 / (gpt ** 2 + dw ** 2)
+    chi2 = abs(chi) ** 2
+    return _Point(dw, chi, chi2, chi2 ** 2, chi ** 2, linear_amplitude(params, drive),
+                  prefactor)
+
+
+def _response_terms(params, pt, omega):
     """(upper, lower, cross_w, determinant) of the 2x2 response system at
     omega. Plain arithmetic, so omega may be real or complex, scalar or
-    array; the zero-frequency argument is 0.0 * omega for the same reason."""
+    array, and the ``_Point`` factors scalars or arrays of omega's shape;
+    the zero-frequency argument is 0.0 * omega for the same reason."""
     K_Tm, K_d = coupling_constants(params)
-    dw = drive.delta_omega
-    wp = params.omega_T + dw
-    chi2 = abs(chi) ** 2
+    wp = params.omega_T + pt.dw
 
-    mirror = omega - 2.0 * dw
+    mirror = omega - 2.0 * pt.dw
     zero = 0.0 * omega
     b_w_s = _b_func(omega, omega - wp, params, K_Tm)
     b_m_s = _b_func(mirror, omega - wp, params, K_Tm)
     d_w = _d_func(omega, params, K_d)
     d_m = _d_func(mirror, params, K_d)
 
-    upper = 1.0 - 2.0 * chi2 * (_b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
-    lower = 1.0 + 2.0 * chi2 * (_b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
+    upper = 1.0 - 2.0 * pt.chi2 * (_b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
+    lower = 1.0 + 2.0 * pt.chi2 * (_b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
     cross_w = 2.0 * b_w_s + d_w
     cross_m = 2.0 * b_m_s + d_m
-    return upper, lower, cross_w, upper * lower + chi2 ** 2 * cross_w * cross_m
+    return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
+
+
+def _coefficients(params, pt, omega):
+    """``response_coeffs`` from the ``_Point`` factors at real omega."""
+    upper, lower, cross_w, det = _response_terms(params, pt, omega)
+
+    scale = 1.0 + np.abs(upper) + np.abs(lower)
+    if np.any(np.abs(det) < 1e-14 * scale):
+        warnings.warn("response determinant nearly singular (bifurcation proximity)",
+                      RuntimeWarning, stacklevel=3)
+
+    alpha1 = lower / det * pt.chi
+    alpha2 = -cross_w / det * pt.chi2 * pt.chi
+    beta1 = lower / det
+    beta2 = cross_w / det * pt.chi_sq
+    return alpha1, alpha2, beta1, beta2, det
 
 
 def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
@@ -374,41 +419,21 @@ def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, ome
     Accepts scalar or array omega. Warns when the determinant is within
     1e-14 of singular (bifurcation proximity).
     """
-    upper, lower, cross_w, det = _response_terms(
-        params, drive, chi, np.asarray(omega, dtype=float))
-
-    scale = 1.0 + np.abs(upper) + np.abs(lower)
-    if np.any(np.abs(det) < 1e-14 * scale):
-        warnings.warn("response determinant nearly singular (bifurcation proximity)",
-                      RuntimeWarning, stacklevel=2)
-
-    alpha1 = lower / det * chi
-    alpha2 = -cross_w / det * abs(chi) ** 2 * chi
-    beta1 = lower / det
-    beta2 = cross_w / det * chi ** 2
-    return alpha1, alpha2, beta1, beta2, det
+    return _coefficients(params, _point(params, drive, chi),
+                         np.asarray(omega, dtype=float))
 
 
-def _signal_prefactor(params, drive):
-    """Drive- and coupling-strength prefactor of the signal kernel."""
-    K_Tm, _ = coupling_constants(params)
-    gpt, dw = params.gamma_pT, drive.delta_omega
-    return (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
-        * gpt ** 2 / (gpt ** 2 + dw ** 2)
-
-
-def _signal_terms(params, drive, omega, coeffs):
+def _signal_terms(params, pt, omega, coeffs):
     """(cavity filter, |alpha1/c + alpha2/c * mirror-ratio|^2, bare
     mechanical Lorentzians at omega_p + omega_m and omega_p - omega_m) of
     the signal kernel, from the response coefficients at omega."""
     gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
-    dw = drive.delta_omega
+    dw = pt.dw
     wp = params.omega_T + dw
     cavity = (omega / wp) * gpt ** 2 / ((omega - wp + dw) ** 2 + gpt ** 2)
-    c = linear_amplitude(params, drive)
     a1, a2 = coeffs[:2]
     ratio = (omega - wp + dw + 1j * gpt) / (omega - wp - dw + 1j * gpt)
-    combo = np.abs(a1 / c + a2 / c * ratio) ** 2
+    combo = np.abs(a1 / pt.c + a2 / pt.c * ratio) ** 2
     lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2)
     lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2)
     return cavity, combo, lor_plus, lor_minus
@@ -425,23 +450,27 @@ def _occupied(kernel, lor_plus, lor_minus, x, bath_T):
     return kernel * (lor_plus * occ + lor_minus * occ) / (2.0 * math.pi)
 
 
+def _signal_at(params, pt, omega, coeffs, bath_T):
+    """Signal density at omega from the response coefficients there."""
+    cavity, combo, lor_plus, lor_minus = _signal_terms(params, pt, omega, coeffs)
+    return _occupied(pt.prefactor * cavity * combo, lor_plus, lor_minus,
+                     omega - (params.omega_T + pt.dw), bath_T)
+
+
 def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
                    omega, bath_T: float = 0.0):
     """Thermal/zero-point signal response density (A^2 per rad/s, includes
     the 1/2pi measure)."""
-    wp = params.omega_T + drive.delta_omega
+    pt = _point(params, drive, chi)
     omega = np.asarray(omega, dtype=float)
-    cavity, combo, lor_plus, lor_minus = _signal_terms(
-        params, drive, omega, response_coeffs(params, drive, chi, omega))
-    return _occupied(_signal_prefactor(params, drive) * cavity * combo,
-                     lor_plus, lor_minus, omega - wp, bath_T)
+    return _signal_at(params, pt, omega, _coefficients(params, pt, omega), bath_T)
 
 
-def _noise_terms(params, drive, omega, coeffs):
+def _noise_terms(params, pt, omega, coeffs):
     """Back-reaction noise density at omega from the response coefficients
     there."""
     gpt = params.gamma_pT
-    dw = drive.delta_omega
+    dw = pt.dw
     wp = params.omega_T + dw
     b1, b2 = coeffs[2:4]
     x = omega - wp + dw
@@ -455,20 +484,21 @@ def _noise_terms(params, drive, omega, coeffs):
 def noise_density(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
     """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
     added-noise term is accounted for separately."""
+    pt = _point(params, drive, chi)
     omega = np.asarray(omega, dtype=float)
-    return _noise_terms(params, drive, omega, response_coeffs(params, drive, chi, omega))
+    return _noise_terms(params, pt, omega, _coefficients(params, pt, omega))
 
 
-def added_noise(params: DetectorParams, omega_s: float, delta_band: float) -> float:
+def _caves_at(params, pt, omega, coeffs):
+    """Integrand of the Caves bound over the band, without the signal
+    prefactor."""
+    cavity, combo, lor_plus, lor_minus = _signal_terms(params, pt, omega, coeffs)
+    return cavity * combo * (lor_plus - lor_minus) / (2.0 * math.pi)
+
+
+def added_noise(params: DetectorParams, omega_s, delta_band):
     """Probe-line zero-point noise added at the output (A^2 in the band)."""
     return hbar * omega_s * delta_band / (4.0 * math.pi * params.Z_p)
-
-
-def _band_integral(density, omega_s: float, delta_band: float) -> float:
-    """Adaptive Simpson integral of an omega-array density over the band."""
-    return integrate_adaptive(density, omega_s - delta_band / 2.0,
-                              omega_s + delta_band / 2.0,
-                              Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40))
 
 
 def _check_bath_T(bath_T: float) -> None:
@@ -476,34 +506,47 @@ def _check_bath_T(bath_T: float) -> None:
         raise ValueError(f"bath temperature must be finite and nonnegative, got {bath_T}")
 
 
-def signal_spectrum(params: DetectorParams, drive: DrivePoint, chi: complex,
-                    omega_s: float, delta_band: float, bath_T: float = 0.0) -> float:
-    """Band-integrated signal variance (A^2) around omega_s at the
-    mean-field amplitude chi."""
+_BAND_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40)
+
+
+def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
+                 omega_s, bands, bath_T: float = 0.0):
+    """Band-integrated (signal, noise, Caves bound) variances (A^2) of
+    operating points that share params and the pump detuning.
+
+    Point j has drive current I_0s[j], mean-field amplitude chis[j] and the
+    band of width bands[j] centred on omega_s[j]. The noise includes the
+    added zero-point term; the Caves bound is the Heisenberg minimum-noise
+    bound for the same band. All 3n band integrals run as one adaptive
+    Simpson call (abs_tol 1e-300, rel_tol 1e-8), each node evaluating only
+    its own point and kind, so entry j equals the one-point call bit for
+    bit. Returns three arrays of length n.
+    """
     _check_bath_T(bath_T)
-    return _band_integral(lambda w: signal_density(params, drive, chi, w, bath_T),
-                          omega_s, delta_band)
+    points = [_point(params, DrivePoint(I_0=float(I_0), delta_omega=delta_omega), chi)
+              for I_0, chi in zip(I_0s, chis)]
+    n = len(points)
+    table = _Point._make(np.array(column) for column in zip(*points))
+    kinds = (functools.partial(_signal_at, bath_T=bath_T), _noise_terms, _caves_at)
+    omega_s = np.asarray(omega_s, dtype=float)
+    bands = np.asarray(bands, dtype=float)
 
+    def densities(omega, k):
+        # interval k is point k % n of kind k // n
+        kind, j = np.divmod(k, n)
+        out = np.empty_like(omega)
+        for which, density in enumerate(kinds):
+            mine = kind == which
+            w = omega[mine]
+            pt = _Point._make(column[j[mine]] for column in table)
+            out[mine] = density(params, pt, w, _coefficients(params, pt, w))
+        return out
 
-def noise_spectrum(params: DetectorParams, drive: DrivePoint, chi: complex,
-                   omega_s: float, delta_band: float) -> float:
-    """Band-integrated noise variance (A^2) including the added zero-point term."""
-    integral = _band_integral(lambda w: noise_density(params, drive, chi, w),
-                              omega_s, delta_band)
-    return integral + added_noise(params, omega_s, delta_band)
-
-
-def caves_bound(params: DetectorParams, drive: DrivePoint, chi: complex,
-                omega_s: float, delta_band: float) -> float:
-    """Heisenberg minimum-noise bound (A^2) for the same band."""
-    def f(w):
-        cavity, combo, lor_plus, lor_minus = _signal_terms(
-            params, drive, w, response_coeffs(params, drive, chi, w))
-        return cavity * combo * (lor_plus - lor_minus) / (2.0 * math.pi)
-
-    integral = _band_integral(f, omega_s, delta_band)
-    return abs(added_noise(params, omega_s, delta_band)
-               - _signal_prefactor(params, drive) * integral)
+    lo, hi = omega_s - bands / 2.0, omega_s + bands / 2.0
+    signal, noise, caves = np.split(
+        integrate_adaptive(densities, np.tile(lo, 3), np.tile(hi, 3), _BAND_TOL), 3)
+    added = added_noise(params, omega_s, bands)
+    return signal, noise + added, np.abs(added - table.prefactor * caves)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +560,11 @@ def _determinant_zero(params, drive, chi, sideband: int):
     wp = params.omega_T + drive.delta_omega
     pole = wp + sideband * wm - 1j * gbm
 
+    pt = _point(params, drive, chi)
+
     def g(w):
         # bare mechanical pole cleared so the secant iteration sees only the zero
-        return _response_terms(params, drive, chi, w)[-1] * (w - pole)
+        return _response_terms(params, pt, w)[-1] * (w - pole)
 
     z = wp + sideband * wm - 0.5j * gbm
     step = 0.25 * gbm
@@ -583,9 +628,10 @@ def _signal_window(params, drive, chi, pole):
     prefactor * cavity * combo, lor_plus, lor_minus)."""
     width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
     omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
+    pt = _point(params, drive, chi)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
-        params, drive, omega, response_coeffs(params, drive, chi, omega))
-    return omega, _signal_prefactor(params, drive) * cavity * combo, lor_plus, lor_minus
+        params, pt, omega, response_coeffs(params, drive, chi, omega))
+    return omega, pt.prefactor * cavity * combo, lor_plus, lor_minus
 
 
 def _sideband_fits(params, drive, chi, window, temps):
@@ -606,12 +652,13 @@ def _sideband_fits(params, drive, chi, window, temps):
     n_noise = _NOISE_PROBES.size * len(fits)
     probe = np.concatenate(
         [(centers[:, None] + widths[:, None] * _NOISE_PROBES).ravel(), centers])
+    pt = _point(params, drive, chi)
     coeffs = response_coeffs(params, drive, chi, probe)
-    noise = _noise_terms(params, drive, probe[:n_noise],
+    noise = _noise_terms(params, pt, probe[:n_noise],
                          [c[:n_noise] for c in coeffs]).reshape(len(fits), -1)
     cavity, combo, pk_plus, pk_minus = _signal_terms(
-        params, drive, centers, [c[n_noise:] for c in coeffs])
-    pk_kernel = _signal_prefactor(params, drive) * cavity * combo
+        params, pt, centers, [c[n_noise:] for c in coeffs])
+    pk_kernel = pt.prefactor * cavity * combo
     out = []
     for j, (T, (c_s, g_s, a_s, res_s)) in enumerate(zip(temps, fits)):
         s_pk = float(_occupied(pk_kernel[j], pk_plus[j], pk_minus[j], centers[j] - wp, T))

@@ -216,7 +216,7 @@ def photons_per_pulse(T_H: float, params: LineParams,
     lifetime = params.N * params.a / params.u
     decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
 
-    def rate(t):
+    def rate(t, _):
         T = T_H * np.maximum(0.0, 1.0 - decay_rate * t)
         return math.pi * k_B * T / (12.0 * hbar)
 

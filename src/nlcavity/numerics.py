@@ -105,22 +105,23 @@ def jacobi_dn(u, m: float):
 _MAX_PANELS = 1 << 18
 
 
-def _sample(f, nodes):
-    values = np.asarray(f(nodes))
+def _sample(f, nodes, k):
+    values = np.asarray(f(nodes, k))
     if values.shape != nodes.shape:
         raise ValueError(f"integrand returned shape {values.shape} for nodes of "
                          f"shape {nodes.shape}; it must map an array elementwise")
     return values
 
 
-def _simpson_pass(f, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
+def _simpson_pass(f, index, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
     """One adaptive Simpson pass over the panels [lo, hi], refined a level
     at a time. Returns (sums, failed) per panel.
 
     Each level splits every panel whose Richardson error exceeds its eps
-    (halved per level) and samples all new nodes in one call. The tree is
-    then summed bottom-up, children pairwise, exactly as the depth-first
-    recursion would add them.
+    (halved per level) and samples all new nodes in one call, passing each
+    node's interval number ``index[panel]``. The tree is then summed
+    bottom-up, children pairwise, exactly as the depth-first recursion
+    would add them.
     """
     failed = np.zeros(lo.size, dtype=bool)
     owner = np.arange(lo.size)
@@ -128,7 +129,8 @@ def _simpson_pass(f, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
     for depth in range(depth_cap + 1):
         mid = 0.5 * (lo + hi)
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = np.split(_sample(f, np.concatenate([lm, rm])), 2)
+        flm, frm = np.split(_sample(f, np.concatenate([lm, rm]),
+                                    index[np.concatenate([owner, owner])]), 2)
         s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         err = (s_left + s_right - whole) / 15.0
@@ -156,16 +158,19 @@ def _simpson_pass(f, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
     return sums, failed
 
 
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a, b,
+def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
                        tol: Tolerance = Tolerance()):
     """Adaptive Simpson quadrature of f over [a, b].
 
-    ``f`` maps a 1D array of nodes to an array of the same shape (any other
-    shape is a ValueError); each refinement level samples all of its new
-    nodes in one call. ``a`` and ``b`` may be arrays (broadcast together):
-    every interval [a_k, b_k] is then integrated on its own and an array
-    comes back, each entry bit-identical to the scalar call on that
-    interval. Scalar ends return a float. Every a_k < b_k is required.
+    ``f(x, k)`` maps a 1D array of nodes x to an array of the same shape
+    (any other shape is a ValueError); k[j] is the index into the flattened
+    intervals of the one node x[j] belongs to, so one call can integrate a
+    different integrand on each interval. Each refinement level samples all
+    of its new nodes in one call. ``a`` and ``b`` may be arrays (broadcast
+    together): every interval [a_k, b_k] is then integrated on its own and
+    an array comes back, each entry bit-identical to the scalar call on
+    that interval with the integrand x -> f(x, k). Scalar ends return a
+    float. Every a_k < b_k is required.
 
     Subdivision stops once the Richardson error estimate satisfies
     err <= max(abs_tol, rel_tol*|result|); exhausting the depth budget
@@ -178,12 +183,14 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a, b,
     if not np.all(lo < hi):
         raise ValueError("integration requires a < b")
 
-    fa, fm, fb = np.split(_sample(f, np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
+    index = np.arange(lo.size)
+    fa, fm, fb = np.split(_sample(f, np.concatenate([lo, 0.5 * (lo + hi), hi]),
+                                  np.concatenate([index, index, index])), 3)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
     depth_cap = min(tol.max_iter, 48)
 
     eps0 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(whole))
-    result, failed = _simpson_pass(f, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
+    result, failed = _simpson_pass(f, index, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
     # refine once if the converged magnitude sharpened the relative target,
     # or loosened it where the coarse estimate missed a peak and the first
     # pass chased a budget below round-off into the depth cap
@@ -191,8 +198,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a, b,
     redo = (eps1 < eps0 / 4.0) | (failed & (eps1 > eps0))
     if redo.any():
         result[redo], failed[redo] = _simpson_pass(
-            f, lo[redo], hi[redo], fa[redo], fm[redo], fb[redo], whole[redo],
-            eps1[redo], depth_cap)
+            f, index[redo], lo[redo], hi[redo], fa[redo], fm[redo], fb[redo],
+            whole[redo], eps1[redo], depth_cap)
 
     result = float(result[0]) if shape == () else result.reshape(shape)
     if failed.any():

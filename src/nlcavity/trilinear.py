@@ -158,7 +158,7 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     quad_tol = Tolerance(abs_tol=1e-9, rel_tol=1e-8, max_iter=48)
     first = 1 if grid[0] == 0.0 else 0  # a grid starting at 0 has no [0, tau_0]
     segments = integrate_adaptive(
-        lambda ts: np.sqrt(n_a(ts)),
+        lambda ts, _: np.sqrt(n_a(ts)),
         np.concatenate([[0.0], grid[:-1]])[first:], grid[first:], quad_tol)
     theta = np.cumsum(np.concatenate([np.zeros(first), segments]))
 

@@ -108,20 +108,19 @@ def test_criterion_3_bistability_topology(det_params):
 
 
 def _sweep_signal_noise(params, dw, I_bi, n_points, max_ratio):
-    rows = []
+    points = []
     for x in np.linspace(0.01, max_ratio, n_points):
         drive = detector.DrivePoint(I_0=x * I_bi, delta_omega=dw)
         try:
             th = detector.effective_thermo(params, drive, bath_T=0.0)
         except (InstabilityError, NonLorentzianError):
             continue
-        ws = params.omega_T + dw + th.R_omega * params.omega_m
-        band = 2.0 * th.R_gamma * params.gamma_bm
-        sig = detector.signal_spectrum(params, drive, th.chi, ws, band, 0.0)
-        noi = detector.noise_spectrum(params, drive, th.chi, ws, band)
-        cav = detector.caves_bound(params, drive, th.chi, ws, band)
-        rows.append((x, sig, noi, cav))
-    return rows
+        points.append((x, drive.I_0, th))
+    sig, noi, cav = detector.band_spectra(
+        params, dw, [I_0 for _, I_0, _ in points], [th.chi for _, _, th in points],
+        [params.omega_T + dw + th.R_omega * params.omega_m for _, _, th in points],
+        [2.0 * th.R_gamma * params.gamma_bm for _, _, th in points], 0.0)
+    return list(zip([x for x, _, _ in points], sig, noi, cav))
 
 
 def test_criterion_4_caves_consistency(det_params):

@@ -136,6 +136,13 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "-1", "tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS, tiers="full"),
      {"tau_max": "nan", "tau_points": "3"}),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_points="2.5")),
+    ("detector-bistability", dict(CH2), {"points": "2.5"}),
+    ("hawking-line", dict(BELTRAN), {"xi_points": "2.5"}),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_points": "2.5"}),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, detuning_ratios="nan")),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_max_ratio="inf")),
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_min_ratio="-0.5")),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
@@ -143,10 +150,25 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
         "mean_occupations-empty", "gradient_rate-0", "I_c-inf", "C_0-nan",
         "a-inf", "u_over_c0flux-nan", "rise_scale-nan", "mean_occupations-nan",
         "evolve-mean_occupation-nan", "evolve-mean_occupation-inf", "tau_max-nan",
-        "tau_max-inf", "tau_max-negative", "full-tau_max-nan"])
+        "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
+        "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
+        "drive_max_ratio-inf", "drive_min_ratio-negative"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("detuning_ratios", "0.2, nan"), ("drive_max_ratio", "inf"),
+    ("drive_min_ratio", "-0.5"), ("drive_points", "2.5")])
+def test_detection_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key, value):
+    solved = []
+    monkeypatch.setattr(detector, "effective_thermo", lambda *args, **kw: solved.append(args))
+    cfg = ScenarioConfig(kind="detector-signal-noise", params=dict(CH2),
+                         grid=dict(SIGNAL_NOISE_GRID, **{key: value}), output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    assert solved == []
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
 
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-1", "0"])
@@ -236,6 +258,25 @@ def test_detector_signal_noise_rerun_byte_identical(tmp_path, capsys):
     assert len(first[0].decode().splitlines()) == 1 + 2 * 3  # duffing 0.2 + harmonic
     assert signal_noise_run() == first
     assert capsys.readouterr().err == ""
+
+
+def test_detection_rerun_byte_identical(tmp_path, capsys):
+    # every curve of the preset, with gated and ungated points on each
+    def detection_run():
+        cfg = config_from_preset("ch2-detection", tmp_path)
+        cfg.grid.update(drive_min_ratio="0.1", drive_max_ratio="0.3", drive_points="4")
+        assert run(cfg) == EXIT_OK
+        return [(tmp_path / name).read_bytes() for name in
+                ("ch2-detection_signal_noise.csv", "ch2-detection_manifest.json")]
+
+    first = detection_run()
+    assert detection_run() == first
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in first[0].decode().splitlines()[1:]]
+    assert len(rows) == 4 * 4
+    gated = [row for row in rows if row[-1]]
+    assert 0 < len(gated) < len(rows)
+    assert len(json.loads(first[1])["warnings"]) == len(gated)
 
 
 def test_detector_signal_noise_solves_mean_field_once_per_point(tmp_path, monkeypatch):

@@ -8,9 +8,9 @@ from nlcavity.detector import (
     DrivePoint,
     GeometricBlock,
     added_noise,
+    band_spectra,
     bistability_boundary,
     bistability_onset,
-    caves_bound,
     cooling_curve,
     coupling_constants,
     effective_duffing,
@@ -19,12 +19,11 @@ from nlcavity.detector import (
     linear_amplitude,
     mean_field,
     mode_wavenumber,
-    noise_spectrum,
+    noise_density,
     phase_conjugate_thermo,
     response_coeffs,
     select_branch,
     signal_density,
-    signal_spectrum,
     zero_point,
 )
 from nlcavity.errors import (
@@ -279,7 +278,7 @@ def test_beta_at_zero_chi(params):
 
 def test_determinant_vs_linear_solve_oracle(params, onset):
     # reconstruct alpha1/alpha2 by directly inverting the 2x2 linear system
-    from nlcavity.detector import _b_func, _d_func, _response_terms
+    from nlcavity.detector import _b_func, _d_func, _point, _response_terms
 
     K_Tm, K_d = coupling_constants(params)
     _, dw_bi, I_bi = onset
@@ -305,7 +304,7 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
              1.0 + 2 * chi2 * (b_m0 + b_ms + d_m)],
         ])
         # the shared kernel against the direct 2x2 determinant
-        assert _response_terms(params, drive, chi, w)[-1] == pytest.approx(
+        assert _response_terms(params, _point(params, drive, chi), w)[-1] == pytest.approx(
             np.linalg.det(M), rel=1e-10)
         if isinstance(w, complex):
             continue
@@ -320,6 +319,12 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
 
 # --- spectra ---------------------------------------------------------------------------
 
+def one_point(params, drive, chi, ws, band, bath_T=0.0):
+    """(signal, noise, caves) of one operating point from the band kernel."""
+    return tuple(float(v[0]) for v in band_spectra(
+        params, drive.delta_omega, [drive.I_0], [chi], [ws], [band], bath_T))
+
+
 def test_signal_zero_coupling(params, onset):
     import dataclasses
 
@@ -327,7 +332,7 @@ def test_signal_zero_coupling(params, onset):
     drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
     chi = select_branch(mean_field(p, drive)).chi
     ws = p.omega_T + p.omega_m
-    assert signal_spectrum(p, drive, chi, ws, 4 * p.gamma_bm) == 0.0
+    assert one_point(p, drive, chi, ws, 4 * p.gamma_bm)[0] == 0.0
 
 
 def test_signal_two_peaks_small_drive(params, onset):
@@ -369,7 +374,7 @@ def test_signal_adaptive_vs_fixed_grid(params, onset):
     th = effective_thermo(params, drive)
     ws = params.omega_T + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
-    adaptive = signal_spectrum(params, drive, chi, ws, band)
+    adaptive, _, _ = one_point(params, drive, chi, ws, band)
     w = np.linspace(ws - band / 2, ws + band / 2, 60_001)
     fixed = np.trapezoid(signal_density(params, drive, chi, w, 0.0), w)
     assert adaptive == pytest.approx(fixed, rel=1e-6)
@@ -383,7 +388,7 @@ def test_noise_reduces_to_added(params, onset):
     chi = select_branch(mean_field(p, drive)).chi
     ws = p.omega_T + p.omega_m
     band = 4 * p.gamma_bm
-    assert noise_spectrum(p, drive, chi, ws, band) == pytest.approx(
+    assert one_point(p, drive, chi, ws, band)[1] == pytest.approx(
         added_noise(p, ws, band), rel=1e-12)
 
 
@@ -392,7 +397,7 @@ def test_caves_small_drive_is_added(params, onset):
     chi = select_branch(mean_field(params, drive)).chi
     ws = params.omega_T + params.omega_m
     band = 4 * params.gamma_bm
-    assert caves_bound(params, drive, chi, ws, band) == pytest.approx(
+    assert one_point(params, drive, chi, ws, band)[2] == pytest.approx(
         added_noise(params, ws, band), rel=1e-3)
 
 
@@ -403,8 +408,7 @@ def test_noise_at_least_caves_sampled(params, onset):
         th = effective_thermo(params, drive)
         ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
         band = 2 * th.R_gamma * params.gamma_bm
-        noi = noise_spectrum(params, drive, th.chi, ws, band)
-        cav = caves_bound(params, drive, th.chi, ws, band)
+        _, noi, cav = one_point(params, drive, th.chi, ws, band)
         assert noi >= cav * (1.0 - 1e-9)
 
 
@@ -414,9 +418,77 @@ def test_caves_ratio_one_at_large_gain(params, onset):
     th = effective_thermo(params, drive)
     ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
-    sig = signal_spectrum(params, drive, th.chi, ws, band)
-    cav = caves_bound(params, drive, th.chi, ws, band)
+    sig, _, cav = one_point(params, drive, th.chi, ws, band)
     assert cav / sig == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("bath_T", [0.0, 0.05])
+def test_band_spectra_curve_matches_one_point_calls(params, onset, bath_T):
+    # one detuning curve through one kernel call: every entry is the
+    # one-point call bit for bit, whatever the other points of the curve,
+    # and the signal and noise are the scalar integrals of the densities
+    from nlcavity.detector import _BAND_TOL
+    from nlcavity.numerics import integrate_adaptive
+
+    _, dw_bi, I_bi = onset
+    dw = 0.2 * abs(dw_bi)
+    I_0s, chis, centres, bands = [], [], [], []
+    for ratio in np.linspace(0.02, 0.15, 7):
+        drive = DrivePoint(I_0=float(ratio) * I_bi, delta_omega=dw)
+        th = effective_thermo(params, drive, bath_T=bath_T)
+        I_0s.append(drive.I_0)
+        chis.append(th.chi)
+        centres.append(params.omega_T + dw + th.R_omega * params.omega_m)
+        bands.append(2.0 * th.R_gamma * params.gamma_bm)
+    curve = band_spectra(params, dw, I_0s, chis, centres, bands, bath_T)
+    assert all(v.shape == (7,) for v in curve)
+    for j in range(7):
+        drive = DrivePoint(I_0=I_0s[j], delta_omega=dw)
+        single = one_point(params, drive, chis[j], centres[j], bands[j], bath_T)
+        assert single == tuple(float(v[j]) for v in curve)
+        assert single[1] >= single[2] * (1.0 - 1e-9)
+        lo, hi = centres[j] - bands[j] / 2.0, centres[j] + bands[j] / 2.0
+        assert single[0] == integrate_adaptive(
+            lambda w, _: signal_density(params, drive, chis[j], w, bath_T), lo, hi, _BAND_TOL)
+        assert single[1] == integrate_adaptive(
+            lambda w, _: noise_density(params, drive, chis[j], w), lo, hi, _BAND_TOL) \
+            + added_noise(params, centres[j], bands[j])
+
+
+@pytest.mark.parametrize("bath_T", [-0.01, math.nan, math.inf])
+def test_band_spectra_rejects_bad_bath_T(params, onset, bath_T):
+    drive = DrivePoint(I_0=0.1 * onset[2], delta_omega=0.0)
+    chi = select_branch(mean_field(params, drive)).chi
+    with pytest.raises(ValueError, match="bath temperature"):
+        one_point(params, drive, chi, params.omega_T + params.omega_m,
+                  4 * params.gamma_bm, bath_T)
+
+
+def test_all_gated_curve_skips_the_band_kernel(tmp_path, monkeypatch):
+    # every drive of every curve is past the stability gate: no kernel call,
+    # NaN spectra in every row and one manifest warning per row
+    import json
+
+    from nlcavity import cli, detector
+
+    calls = []
+    monkeypatch.setattr(detector, "band_spectra",
+                        lambda *args: calls.append(args) or band_spectra(*args))
+    cfg = cli.config_from_preset("ch2-detection", tmp_path)
+    cfg.grid.update(drive_min_ratio="0.3", drive_max_ratio="0.32", drive_points="3")
+    assert cli.run(cfg) == cli.EXIT_OK
+    assert calls == []
+    rows = [line.split(",") for line in
+            (tmp_path / "ch2-detection_signal_noise.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4 * 3
+    warnings_ = json.loads((tmp_path / "ch2-detection_manifest.json").read_text())["warnings"]
+    assert len(warnings_) == len(rows)
+    for row in rows:
+        assert row[-1] == "InstabilityError"
+        assert all(math.isnan(float(cell)) for cell in row[4:12])
+        label, r, x = row[1], float(row[2]), float(row[0])
+        assert warnings_.count(
+            f"{label} detuning {r}: drive {x:.3f} I_bi failed InstabilityError") == 1
 
 
 # --- effective thermometry ----------------------------------------------------------
