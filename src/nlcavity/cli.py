@@ -40,8 +40,6 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICS = 4
 
-_FMT = "{:.16e}"  # 17 significant digits, scientific
-
 
 @dataclass
 class ScenarioConfig:
@@ -52,11 +50,8 @@ class ScenarioConfig:
     label: str = "run"
     warnings: list = field(default_factory=list)
 
-    KINDS = ("detector-signal-noise", "detector-bistability", "detector-cooling",
-             "hawking-line", "trilinear-evolve", "trilinear-info")
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
 
@@ -114,17 +109,14 @@ def _finite(key: str, values, lowest: float = -math.inf):
     return values
 
 
-def _fmt_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FMT.format(float(v))
-
-
 def _write_csv(path: Path, header, rows):
+    """One table as CSV. A str column is written as is and any other with
+    17 significant digits in scientific notation; the row format is built
+    once, from the cell types of the first row."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
+    if len(rows):
+        fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -225,9 +217,7 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
     header = ["I_over_Ibi", "curve", "detuning_ratio", "I_0_A", "signal_A2",
               "noise_A2", "caves_A2", "noise_to_signal", "R_omega", "R_gamma",
               "n_back_plus", "lorentzian_residual", "gate_failure"]
-    path = cfg.output_dir / f"{cfg.label}_signal_noise.csv"
-    _write_csv(path, header, rows)
-    return resolved, {"signal_noise": header}, [str(path)]
+    return resolved, {"signal_noise": (header, rows)}
 
 
 def _run_detector_bistability(cfg: ScenarioConfig):
@@ -240,24 +230,26 @@ def _run_detector_bistability(cfg: ScenarioConfig):
         low, up = detector.bistability_boundary(params, float(r))
         rows.append([r, low, up])
     header = ["detuning_over_detuning_bi", "I_lower_over_Ibi", "I_upper_over_Ibi"]
-    path = cfg.output_dir / f"{cfg.label}_bistability.csv"
-    _write_csv(path, header, rows)
-    return resolved, {"bistability": header}, [str(path)]
+    return resolved, {"bistability": (header, rows)}
 
 
 def _run_detector_cooling(cfg: ScenarioConfig):
     params, resolved = _detector_common(cfg)
     I_bi = resolved["I_bi"]
     dw_bi = resolved["delta_omega_bi"]
+    # every grid value is checked before any drive is solved
     mode = cfg.grid.get("detuning_mode", "ratio")
     if mode == "optimal-harmonic":
         detuning = -math.sqrt(params.omega_m ** 2 + params.gamma_pT ** 2)
+    elif mode == "ratio":
+        ratio, = _finite("detuning_ratio", [float(cfg.grid.get("detuning_ratio", 1.3))])
+        detuning = ratio * dw_bi
     else:
-        detuning = float(cfg.grid.get("detuning_ratio", 1.3)) * dw_bi
+        raise ValueError(f"detuning_mode must be ratio or optimal-harmonic, got {mode!r}")
     resolved["detuning"] = detuning
     n_pts = _points(cfg, "drive_points", 40)
-    lo = float(cfg.grid.get("drive_min_ratio", 0.2))
-    hi = float(cfg.grid.get("drive_max_ratio", 1.2))
+    lo, = _finite("drive_min_ratio", [float(cfg.grid.get("drive_min_ratio", 0.2))], 0.0)
+    hi, = _finite("drive_max_ratio", [float(cfg.grid.get("drive_max_ratio", 1.2))], 0.0)
     temps = _floats(cfg.grid.get("bath_T_K", "0"))
     I_grid = np.linspace(lo, hi, n_pts) * I_bi
 
@@ -273,9 +265,7 @@ def _run_detector_cooling(cfg: ScenarioConfig):
                      row["residual"], row["gate_failure"]])
     header = ["I_over_Ibi", "bath_T_K", "n_net", "R_omega", "R_gamma",
               "n_back_plus", "lorentzian_residual", "gate_failure"]
-    path = cfg.output_dir / f"{cfg.label}_cooling.csv"
-    _write_csv(path, header, rows)
-    return resolved, {"cooling": header}, [str(path)]
+    return resolved, {"cooling": (header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +304,13 @@ def _run_hawking_line(cfg: ScenarioConfig):
     flux = pulse(xi)
     c = hawking.propagation_velocity(flux, params)
     g_tt, _, _ = hawking.metric_components(c, params)
-    rows = np.column_stack([xi, flux, c, g_tt])
-    header = ["xi_m", "flux_phi0", "c_m_per_s", "g_tt"]
-    p1 = cfg.output_dir / f"{cfg.label}_profile.csv"
-    _write_csv(p1, header, rows)
-
-    header2 = ["horizon_m", "T_H_K", "power_W", "photons_per_pulse",
-               "Z_A_over_R_Q", "max_flux_ratio"]
-    p2 = cfg.output_dir / f"{cfg.label}_summary.csv"
-    _write_csv(p2, header2, [[horizons[0], T_H, power, count,
-                              gates["Z_A_over_R_Q"], gates["max_flux_ratio"]]])
-    return resolved, {"profile": header, "summary": header2}, [str(p1), str(p2)]
+    profile = (["xi_m", "flux_phi0", "c_m_per_s", "g_tt"],
+               np.column_stack([xi, flux, c, g_tt]))
+    summary = (["horizon_m", "T_H_K", "power_W", "photons_per_pulse",
+                "Z_A_over_R_Q", "max_flux_ratio"],
+               [[horizons[0], T_H, power, count,
+                 gates["Z_A_over_R_Q"], gates["max_flux_ratio"]]])
+    return resolved, {"profile": profile, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +361,7 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
               "norm_drift", "boundary_population"]
     resolved = {"dim_per_mode": dim, "beta_plus": curve.beta_plus,
                 "beta_minus": curve.beta_minus, "modulus": curve.modulus}
-    path = cfg.output_dir / f"{cfg.label}_evolve.csv"
-    _write_csv(path, header, rows)
-    return resolved, {"evolve": header}, [str(path)]
+    return resolved, {"evolve": (header, rows)}
 
 
 def _info_diagnostics(rho_a, p_b, n_a, n_b):
@@ -419,9 +403,7 @@ def _run_trilinear_info(cfg: ScenarioConfig):
     header = ["tau", "mean_occupation", "tier", "N_b", "fidelity",
               "information_nats", "I_a_bc", "I_b_c", "q_plus", "q_minus",
               "d_eff_gap"]
-    path = cfg.output_dir / f"{cfg.label}_info.csv"
-    _write_csv(path, header, rows)
-    return resolved, {"info": header}, [str(path)]
+    return resolved, {"info": (header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +421,12 @@ _RUNNERS = {
 
 
 def run(cfg: ScenarioConfig) -> int:
-    """Execute one scenario; returns the process exit status."""
+    """Execute one scenario; returns the process exit status.
+
+    A runner returns (resolved, tables), tables an ordered {name: (header,
+    rows)}. Each table is written to ``{label}_{name}.csv``, and the
+    manifest's columns and artifacts come from the same tables, in order.
+    """
     try:
         if not cfg.grid and cfg.kind != "hawking-line":
             raise ValueError("empty grid section")
@@ -447,8 +434,11 @@ def run(cfg: ScenarioConfig) -> int:
         # numerical warnings of any runner go to the manifest, not stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resolved, columns, files = _RUNNERS[cfg.kind](cfg)
+            resolved, tables = _RUNNERS[cfg.kind](cfg)
         cfg.warnings.extend(str(w.message) for w in caught)
+        paths = [cfg.output_dir / f"{cfg.label}_{name}.csv" for name in tables]
+        for path, (header, rows) in zip(paths, tables.values()):
+            _write_csv(path, header, rows)
     # physics gates first: several of them subclass ValueError
     except (SingularFluxError, NoBistabilityError, NoHorizonError,
             TruncationError, InstabilityError, NonLorentzianError) as exc:
@@ -460,8 +450,9 @@ def run(cfg: ScenarioConfig) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = _write_manifest(cfg, resolved, columns, files)
-    print(f"wrote {len(files)} artifact(s) + manifest {manifest}")
+    columns = {name: header for name, (header, _) in tables.items()}
+    manifest = _write_manifest(cfg, resolved, columns, [str(p) for p in paths])
+    print(f"wrote {len(paths)} artifact(s) + manifest {manifest}")
     return EXIT_OK
 
 

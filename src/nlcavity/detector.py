@@ -137,9 +137,9 @@ class EffectiveThermo:
     R_omega and R_gamma are the fitted line center (offset from the pump,
     in omega_m) and width (in gamma_bm); G_plus is the detector gain,
     n_back_plus the back-action occupation and n_net the net mechanical
-    occupation. chi is the mean field the drive was resolved at, so
-    ``phase_conjugate_thermo`` can fit the -1 line at the same operating
-    point; weak_coupling flags a pole the drive has not moved off the bare
+    occupation. chi is the mean field the drive was resolved at, so the
+    band spectra of the same operating point need no second mean-field
+    solve; weak_coupling flags a pole the drive has not moved off the bare
     damping, where n_back_plus and n_net are NaN.
     """
 
@@ -520,12 +520,14 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
     bound for the same band. All 3n band integrals run as one adaptive
     Simpson call (abs_tol 1e-300, rel_tol 1e-8), each node evaluating only
     its own point and kind, so entry j equals the one-point call bit for
-    bit. Returns three arrays of length n.
+    bit. Returns three arrays of length n (empty when n is 0).
     """
     _check_bath_T(bath_T)
     points = [_point(params, DrivePoint(I_0=float(I_0), delta_omega=delta_omega), chi)
               for I_0, chi in zip(I_0s, chis)]
     n = len(points)
+    if n == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
     table = _Point._make(np.array(column) for column in zip(*points))
     kinds = (functools.partial(_signal_at, bath_T=bath_T), _noise_terms, _caves_at)
     omega_s = np.asarray(omega_s, dtype=float)
@@ -553,12 +555,13 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
 # effective thermal parametrization
 # ---------------------------------------------------------------------------
 
-def _determinant_zero(params, drive, chi, sideband: int):
-    """Complex zero of the response determinant near omega_p + sideband*omega_m:
-    the renormalized mechanical pole. Stability requires Im(zero) < 0."""
+def _determinant_zero(params, drive, chi):
+    """Complex zero of the response determinant near omega_p + omega_m: the
+    renormalized mechanical pole of the +1 sideband. Stability requires
+    Im(zero) < 0."""
     gbm, wm = params.gamma_bm, params.omega_m
     wp = params.omega_T + drive.delta_omega
-    pole = wp + sideband * wm - 1j * gbm
+    pole = wp + wm - 1j * gbm
 
     pt = _point(params, drive, chi)
 
@@ -566,7 +569,7 @@ def _determinant_zero(params, drive, chi, sideband: int):
         # bare mechanical pole cleared so the secant iteration sees only the zero
         return _response_terms(params, pt, w)[-1] * (w - pole)
 
-    z = wp + sideband * wm - 0.5j * gbm
+    z = wp + wm - 0.5j * gbm
     step = 0.25 * gbm
     gz = g(z)
     z2 = z + step
@@ -622,18 +625,6 @@ def _noise_peak_height(v):
 _RESIDUAL_GATE = 0.05
 
 
-def _signal_window(params, drive, chi, pole):
-    """The bath-independent factors of the signal density over +-5 widths
-    of one renormalized mechanical pole (1601 points): (omega,
-    prefactor * cavity * combo, lor_plus, lor_minus)."""
-    width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
-    omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
-    pt = _point(params, drive, chi)
-    cavity, combo, lor_plus, lor_minus = _signal_terms(
-        params, pt, omega, response_coeffs(params, drive, chi, omega))
-    return omega, pt.prefactor * cavity * combo, lor_plus, lor_minus
-
-
 def _sideband_fits(params, drive, chi, window, temps):
     """Lorentzian fits of the signal line in ``window``, one per bath
     temperature.
@@ -671,10 +662,11 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     drive: (chi, weak, window).
 
     chi is the fold-guarded small-branch mean field, weak flags a pole that
-    the drive has not moved off the bare mechanical damping, and window is
-    the ``_signal_window`` at the renormalized +1 pole. Raises
-    InstabilityError when that pole's damping is non-positive or the small
-    branch has been lost.
+    the drive has not moved off the bare mechanical damping, and window
+    holds the bath-independent factors of the signal density over +-5
+    widths of the renormalized +1 pole (1601 points): (omega, prefactor *
+    cavity * combo, lor_plus, lor_minus). Raises InstabilityError when
+    that pole's damping is non-positive or the small branch has been lost.
     """
     if frequency_pulling:
         chi = _select_for_thermo(params, drive).chi
@@ -682,35 +674,18 @@ def _resolve_drive(params, drive, frequency_pulling=True):
         chi = mean_field(params, drive, frequency_pulling=False)[0].chi
     # stability probe: renormalized mechanical pole must stay in the lower
     # half plane
-    pole = _determinant_zero(params, drive, chi, sideband=+1)
+    pole = _determinant_zero(params, drive, chi)
     r_gamma_probe = -pole.imag / params.gamma_bm
     if r_gamma_probe <= 0.0:
         raise InstabilityError(
             f"net mechanical damping non-positive (R_gamma ~ {r_gamma_probe:.3g})")
     weak = abs(r_gamma_probe - 1.0) < 1e-9
-    return chi, weak, _signal_window(params, drive, chi, pole)
-
-
-def _bath_factor(params, R_omega, bath_T):
-    """2 n_bath + 1 at the renormalized mechanical frequency."""
-    return 2.0 * bose_occupation(R_omega * params.omega_m, bath_T) + 1.0
-
-
-def _gain(params, R_omega, occ_bath, amp, width):
-    """Detector gain of a fitted sideband line."""
-    return params.Z_p * amp * width * (2.0 * params.mass * R_omega * params.omega_m) \
-        / (hbar * params.gamma_bm * occ_bath)
-
-
-def _n_back(params, R_gamma, occ_bath, peak_ratio, weak):
-    """Back-action occupation from a sideband's noise-to-signal peak ratio;
-    NaN where the back-action damping vanishes."""
-    gbm = params.gamma_bm
-    gamma_back = (R_gamma - 1.0) * gbm
-    if weak or gamma_back == 0.0:
-        return math.nan
-    occ = peak_ratio * occ_bath * gbm / gamma_back
-    return (occ - 1.0) / 2.0
+    width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
+    omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
+    pt = _point(params, drive, chi)
+    cavity, combo, lor_plus, lor_minus = _signal_terms(
+        params, pt, omega, response_coeffs(params, drive, chi, omega))
+    return chi, weak, (omega, pt.prefactor * cavity * combo, lor_plus, lor_minus)
 
 
 def _thermo_lines(params, drive, resolved, temps):
@@ -719,6 +694,7 @@ def _thermo_lines(params, drive, resolved, temps):
     a line that fails the residual gate."""
     chi, weak, window = resolved
     wp = params.omega_T + drive.delta_omega
+    gbm, wm = params.gamma_bm, params.omega_m
     out = []
     for T, (c_s, g_s, a_s, peak_ratio, residual) in zip(
             temps, _sideband_fits(params, drive, chi, window, temps)):
@@ -727,18 +703,21 @@ def _thermo_lines(params, drive, resolved, temps):
                 f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
                 residual=residual))
             continue
-        R_omega = (c_s - wp) / params.omega_m
-        R_gamma = g_s / params.gamma_bm
-        occ_bath = _bath_factor(params, R_omega, T)
-        nb_plus = _n_back(params, R_gamma, occ_bath, peak_ratio, weak)
-        if weak or math.isnan(nb_plus):
-            n_net = math.nan
+        R_omega = (c_s - wp) / wm
+        R_gamma = g_s / gbm
+        occ_bath = 2.0 * bose_occupation(R_omega * wm, T) + 1.0  # 2 n_bath + 1
+        gamma_back = (R_gamma - 1.0) * gbm
+        if weak or gamma_back == 0.0:
+            # no back-action damping to invert the noise peak with
+            nb_plus = n_net = math.nan
         else:
+            nb_plus = (peak_ratio * occ_bath * gbm / gamma_back - 1.0) / 2.0
             n_net = 0.5 * (occ_bath / R_gamma
                            + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
         out.append(EffectiveThermo(
             R_omega=R_omega, R_gamma=R_gamma,
-            G_plus=_gain(params, R_omega, occ_bath, a_s, g_s),
+            G_plus=params.Z_p * a_s * g_s * (2.0 * params.mass * R_omega * wm)
+            / (hbar * gbm * occ_bath),
             n_back_plus=nb_plus,
             n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak))
     return out
@@ -758,8 +737,8 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     parametrization at the fitted line center (where interference
     contributions odd about the peak vanish) after removing the broad
     added-noise background, probed out to +-20 linewidths. This is the
-    one-temperature case of ``cooling_curve``'s per-drive resolution; the
-    phase-conjugating (-1) line is left to ``phase_conjugate_thermo``.
+    one-temperature case of ``cooling_curve``'s per-drive resolution. The
+    phase-conjugating (-1) line is not parametrized.
 
     Raises ValueError for a negative or non-finite bath temperature,
     InstabilityError when the renormalized mechanical damping is
@@ -772,27 +751,6 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     if isinstance(line, NonLorentzianError):
         raise line
     return line
-
-
-def phase_conjugate_thermo(params: DetectorParams, drive: DrivePoint,
-                           thermo: EffectiveThermo, bath_T: float = 0.0):
-    """(G_minus, n_back_minus) of the phase-conjugating (-1) sideband.
-
-    Samples the signal window at the -1 renormalized pole of the mean field
-    ``thermo`` was resolved at, fits it at ``bath_T`` with the same helpers
-    as the +1 line, and scales it with ``thermo``'s R_omega, R_gamma and
-    bath occupation. n_back_minus is NaN when the -1 fit residual exceeds
-    the residual gate; a degenerate -1 fit raises FitDegenerateError.
-    """
-    _check_bath_T(bath_T)
-    pole = _determinant_zero(params, drive, thermo.chi, sideband=-1)
-    window = _signal_window(params, drive, thermo.chi, pole)
-    (_, g_s, a_s, peak_ratio, residual), = _sideband_fits(
-        params, drive, thermo.chi, window, [bath_T])
-    occ_bath = _bath_factor(params, thermo.R_omega, bath_T)
-    n_back = _n_back(params, thermo.R_gamma, occ_bath, peak_ratio,
-                     thermo.weak_coupling) if residual <= _RESIDUAL_GATE else math.nan
-    return _gain(params, thermo.R_omega, occ_bath, a_s, g_s), n_back
 
 
 def cooling_curve(params: DetectorParams, detuning: float, I_grid, bath_T_list):

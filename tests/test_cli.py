@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -18,13 +19,14 @@ from nlcavity.cli import (
     _info_diagnostics,
     _tau_grid,
     _trilinear_setup,
+    _write_csv,
     config_from_preset,
     load_config,
     main,
     run,
 )
 from nlcavity.errors import FitDegenerateError
-from nlcavity.presets import list_presets
+from nlcavity.presets import build_detector_params, list_presets
 
 CH2 = {
     "Z_p_ohm": "50", "omega_T_hz": "5e9", "Q_T": "300", "omega_m_hz": "4e6",
@@ -143,6 +145,7 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, detuning_ratios="nan")),
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_max_ratio="inf")),
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_min_ratio="-0.5")),
+    ("detector-cooling", dict(CH2), dict(COOL_GRID, detuning_mode="optimal_harmonic")),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
@@ -152,7 +155,7 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
         "evolve-mean_occupation-nan", "evolve-mean_occupation-inf", "tau_max-nan",
         "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
-        "drive_max_ratio-inf", "drive_min_ratio-negative"])
+        "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -169,6 +172,82 @@ def test_detection_grid_checked_before_solving(tmp_path, monkeypatch, capsys, ke
     assert run(cfg) == EXIT_CONFIG
     assert solved == []
     assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("detuning_ratio", "nan"), ("detuning_ratio", "inf"), ("drive_max_ratio", "inf"),
+    ("drive_min_ratio", "-0.5"), ("drive_min_ratio", "nan"), ("detuning_mode", "optimal")])
+def test_cooling_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key, value):
+    solved = []
+    monkeypatch.setattr(detector, "cooling_curve", lambda *args: solved.append(args) or [])
+    cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
+                         grid=dict(COOL_GRID, **{key: value}), output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    assert solved == []
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+def test_optimal_harmonic_detuning(tmp_path):
+    cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
+                         grid=dict(COOL_GRID, detuning_mode="optimal-harmonic",
+                                   detuning_ratio="nan"),
+                         output_dir=tmp_path, label="opt")
+    assert run(cfg) == EXIT_OK
+    params = build_detector_params(CH2)
+    manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
+    assert manifest["resolved"]["detuning"] == \
+        -math.sqrt(params.omega_m ** 2 + params.gamma_pT ** 2)
+
+
+def test_write_csv_literal_text(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["x", "tag", "y"], [
+        [math.nan, "ok", -0.0], [math.inf, "", -math.inf], [np.float64(0.1), "a b", 2.5]])
+    assert path.read_text() == (
+        "x,tag,y\n"
+        "nan,ok,-0.0000000000000000e+00\n"
+        "inf,,-inf\n"
+        "1.0000000000000001e-01,a b,2.5000000000000000e+00\n")
+    _write_csv(path, ["a", "b"], np.array([[1.0, -2e-300], [math.nan, 123456789.0]]))
+    assert path.read_text() == (
+        "a,b\n"
+        "1.0000000000000000e+00,-2.0000000000000001e-300\n"
+        "nan,1.2345678900000000e+08\n")
+    _write_csv(path, ["a", "b"], [])
+    assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("kind, params, grid, names", [
+    ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_points="2"),
+     ["signal_noise"]),
+    ("detector-bistability", dict(CH2), {"points": "3"}, ["bistability"]),
+    ("detector-cooling", dict(CH2), COOL_GRID, ["cooling"]),
+    ("hawking-line", dict(BELTRAN), {"xi_points": "5"}, ["profile", "summary"]),
+    ("trilinear-evolve", {"mean_occupation": "1"}, {"tau_points": "3"}, ["evolve"]),
+    ("trilinear-info", dict(INFO_PARAMS), {"tau_points": "3"}, ["info"]),
+])
+def test_run_writes_one_csv_per_table(tmp_path, monkeypatch, kind, params, grid, names):
+    # the manifest's artifacts are the written CSVs, path first, in table order
+    import nlcavity.cli as cli
+
+    written = []
+    write_csv = cli._write_csv
+
+    def recorded(path, header, rows):
+        written.append(str(path))
+        return write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path,
+                         label="lab")
+    assert run(cfg) == EXIT_OK
+    manifest = json.loads((tmp_path / "lab_manifest.json").read_text())
+    assert list(manifest["columns"]) == names
+    assert manifest["artifacts"] == written == \
+        [str(tmp_path / f"lab_{name}.csv") for name in names]
+    for name, path in zip(names, written):
+        header = Path(path).read_text().splitlines()[0]
+        assert header == ",".join(manifest["columns"][name])
 
 
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-1", "0"])
