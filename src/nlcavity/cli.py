@@ -222,13 +222,14 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
 
 def _run_detector_bistability(cfg: ScenarioConfig):
     params, resolved = _detector_common(cfg)
-    lo = float(cfg.grid.get("ratio_min", 1.0))
-    hi = float(cfg.grid.get("ratio_max", 3.0))
+    lo, = _finite("ratio_min", [float(cfg.grid.get("ratio_min", 1.0))])
+    hi, = _finite("ratio_max", [float(cfg.grid.get("ratio_max", 3.0))])
     n = _points(cfg, "points", 101)
-    rows = []
-    for r in np.linspace(lo, hi, n):
-        low, up = detector.bistability_boundary(params, float(r))
-        rows.append([r, low, up])
+    try:
+        rows = [[r, *detector.bistability_boundary(params, float(r))]
+                for r in np.linspace(lo, hi, n)]
+    except OverflowError as exc:
+        raise ValueError(f"ratio_min {lo} or ratio_max {hi} overflows the boundary") from exc
     header = ["detuning_over_detuning_bi", "I_lower_over_Ibi", "I_upper_over_Ibi"]
     return resolved, {"bistability": (header, rows)}
 
@@ -253,7 +254,10 @@ def _run_detector_cooling(cfg: ScenarioConfig):
     temps = _floats(cfg.grid.get("bath_T_K", "0"))
     I_grid = np.linspace(lo, hi, n_pts) * I_bi
 
-    all_rows = detector.cooling_curve(params, detuning, I_grid, temps)
+    try:
+        all_rows = detector.cooling_curve(params, detuning, I_grid, temps)
+    except OverflowError as exc:
+        raise ValueError(f"drive_min_ratio {lo} or drive_max_ratio {hi} overflows") from exc
     rows = []
     for row in all_rows:
         if row["gate_failure"]:
@@ -342,19 +346,13 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     curve = trilinear.semiclassical_pump(mean_occ, taus)
     nb_semi = trilinear.semiclassical_occupation(curve)
 
-    states = trilinear.evolve_full(psi0, taus)
-    rows = []
-    for i, (tau, state) in enumerate(zip(taus, states)):
-        nb_param = trilinear.parametric_occupation(A, float(tau))
-        short = trilinear.short_time_state(initial, float(tau))
-        rows.append([tau,
-                     mean_occ - nb_param, nb_param,
-                     curve.N_a[i], nb_semi[i],
-                     short.n_a, short.n_b,
-                     state.n_a, state.n_b, state.n_b,
-                     state.pump_variance(),
-                     state.norm() - 1.0,
-                     state.max_boundary_population()])
+    na_short, nb_short = trilinear.short_time_occupations(initial, taus)
+    full = trilinear.evolve_full(psi0, taus)
+    nb_param = np.array([trilinear.parametric_occupation(A, float(t)) for t in taus])
+    rows = np.column_stack([taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi,
+                            na_short, nb_short, full.n_a, full.n_b, full.n_b,
+                            full.pump_variance(), full.norm() - 1.0,
+                            full.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
               "Nb_semiclassical", "Na_shorttime", "Nb_shorttime",
               "Na_full", "Nb_full", "Nc_full", "Na_var_residual",
@@ -391,14 +389,14 @@ def _run_trilinear_info(cfg: ScenarioConfig):
         initial, psi0 = _trilinear_setup(mean_occ, dim)
         trajectories = []
         if "short" in tiers:
-            trajectories.append(
-                ("short", [trilinear.short_time_state(initial, float(t)) for t in taus]))
+            trajectories.append(("short", trilinear.short_time_state(initial, taus)))
         if "full" in tiers:
             trajectories.append(("full", trilinear.evolve_full(psi0, taus)))
         for tier, states in trajectories:
-            for tau, state in zip(taus, states):
-                diag = _info_diagnostics(*state.reduced(), state.n_a, state.n_b)
-                rows.append([tau, mean_occ, tier, state.n_b, *diag])
+            n_a, n_b = states.n_a, states.n_b
+            for k, tau in enumerate(taus):
+                diag = _info_diagnostics(*states[k].reduced(), n_a[k], n_b[k])
+                rows.append([tau, mean_occ, tier, n_b[k], *diag])
 
     header = ["tau", "mean_occupation", "tier", "N_b", "fidelity",
               "information_nats", "I_a_bc", "I_b_c", "q_plus", "q_minus",

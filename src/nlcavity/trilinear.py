@@ -182,42 +182,53 @@ class PairState:
 
     Signal and idler carry the same number distribution, so N_c = N_b and
     rho_c = rho_b; their top pair level is the last column of C.
+
+    C may hold a trajectory C[tau, p, i]: the reductions act on the last two
+    axes, one value per tau, and indexing picks the state at one tau.
     """
 
     C: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.C))
+    def __getitem__(self, index):
+        return PairState(self.C[index])
+
+    def _marginal(self, axis):
+        """Pump (axis -1 summed) or pair (axis -2 summed) number distribution,
+        taken as re^2 + im^2 without a |C|^2 temporary."""
+        spec = "...pi,...pi->..." + ("p" if axis == -1 else "i")
+        return sum(np.einsum(spec, x, x) for x in (self.C.real, self.C.imag))
+
+    def norm(self):
+        return np.sqrt(self._marginal(-1).sum(axis=-1))
 
     def _moments(self, axis):
-        """(mean, second moment) of the pump (axis 1) or pair (axis 0) number."""
-        prob = np.sum(np.abs(self.C) ** 2, axis=axis)
-        n = np.arange(prob.size)
-        return float(np.sum(prob * n)), float(np.sum(prob * n * n))
+        """(mean, second moment) of the pump (axis -1) or pair (axis -2) number."""
+        prob = self._marginal(axis)
+        n = np.arange(prob.shape[-1])
+        return prob @ n, prob @ (n * n)
 
     @property
-    def n_a(self) -> float:
-        return self._moments(1)[0]
+    def n_a(self):
+        return self._moments(-1)[0]
 
     @property
-    def n_b(self) -> float:
+    def n_b(self):
         """Signal occupation, equal to the idler's."""
-        return self._moments(0)[0]
+        return self._moments(-2)[0]
 
-    def pump_variance(self) -> float:
+    def pump_variance(self):
         """<N_a^2> - <N_a>^2: the residual of the mean-field factorization
         underlying the semiclassical tier."""
-        mean, second = self._moments(1)
+        mean, second = self._moments(-1)
         return second - mean * mean
 
-    def max_boundary_population(self) -> float:
+    def max_boundary_population(self):
         """Truncation leak: population of the top pump level or top pair level."""
-        pops = np.abs(self.C) ** 2
-        return max(float(np.sum(pops[-1, :])), float(np.sum(pops[:, -1])))
+        return np.maximum(self._marginal(-1)[..., -1], self._marginal(-2)[..., -1])
 
     def reduced(self):
-        """Pump marginal rho_a = C C+ and the diagonal of the signal marginal,
-        p_b[i] = sum_p |C[p, i]|^2; both traces are |C|^2, checked on rho_a."""
+        """Pump marginal rho_a = C C+ and signal diagonal p_b[i] = sum_p |C[p, i]|^2
+        of one state (index a trajectory first); traces |C|^2, checked on rho_a."""
         rho_a = self.C @ self.C.conj().T
         return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
                 np.sum(np.abs(self.C) ** 2, axis=0))
@@ -236,56 +247,46 @@ class PairState:
 # short-time (quantized pump) tier
 # ---------------------------------------------------------------------------
 
-def branch_coefficient(n: int, s: int) -> float:
-    """f_n(s) = sqrt(s! Gamma(1+n) / (n! (s-n)!)) for vacuum signal/idler
-    (Bargmann index 1/2); this equals sqrt(s!/(s-n)!)."""
-    if not (0 <= n <= s):
-        raise ValueError("need 0 <= n <= s")
-    log_f2 = (math.lgamma(s + 1) + math.lgamma(1.0 + n)
-              - math.lgamma(n + 1) - math.lgamma(s - n + 1))
-    return math.exp(0.5 * log_f2)
-
-
-def branch_normalization(s: int, tau: float) -> float:
-    """Normalization N_s(tau) = sum_n f_n^2 tau^(2n) of a pump level-s branch.
-
-    This equals the closed form e^(1/tau^2) tau^(2s) Gamma(s+1, 1/tau^2),
-    evaluated here through its stable finite sum s! * sum_u tau^(2(s-u))/u!.
+def short_time_state(initial: PumpInitialState, tau) -> PairState:
+    """The BCH short-time state at dimensionless tau, a scalar or an array
+    for the trajectory C[tau, p, i]. Pump level s branches onto the
+    anti-diagonal p + i = s of C, with amplitudes a_s f_i(s) tau^i /
+    sqrt(N_s(tau)), built in log space on the packed triangle i <= s for all
+    tau at once, so tau >> 1 stays finite; tau = 0 gives C[s, 0] = a_s.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return 1.0
-    return float(sum(math.exp(math.lgamma(s + 1) - math.lgamma(u + 1)
-                              + 2.0 * (s - u) * math.log(tau))
-                     for u in range(s + 1)))
-
-
-def short_time_state(initial: PumpInitialState, tau: float) -> PairState:
-    """The BCH short-time state at dimensionless tau.
-
-    Pump level s branches onto the anti-diagonal p + i = s of C, with
-    amplitudes a_s f_i(s) tau^i / sqrt(N_s(tau)); they are built in log
-    space so late-time (tau >> 1) evaluation stays finite.
-    """
-    if tau < 0.0:
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
-    C = np.zeros((dim, dim), dtype=complex)
-    if tau == 0.0:
-        C[: coeff.size, 0] = coeff
-        return PairState(C)
     s, n = np.tril_indices(coeff.size)
+    start = np.flatnonzero(n == 0)
     log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
-    log_rise = np.array([math.lgamma(1.0 + j) for j in range(coeff.size)])
-    log_amp = np.full((coeff.size, coeff.size), -np.inf)
-    log_amp[s, n] = 0.5 * (log_fact[s] + log_rise[n] - log_fact[n] - log_fact[s - n]) \
-        + n * math.log(tau)
-    amps = np.exp(log_amp - log_amp.max(axis=1, keepdims=True))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    C[s - n, n] = coeff[s] * amps[s, n]
+    with np.errstate(divide="ignore", invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
+        amps = np.where(n > 0, n * np.log(tau)[..., None], 0.0)
+    amps += 0.5 * (log_fact[s] - log_fact[s - n])
+    amps -= np.maximum.reduceat(amps, start, axis=-1)[..., s]
+    np.exp(amps, out=amps)
+    amps /= np.sqrt(np.add.reduceat(amps * amps, start, axis=-1))[..., s]
+    C = np.zeros(tau.shape + (dim, dim), dtype=complex)
+    C.real[..., s - n, n] = amps  # then a_s on each anti-diagonal, without a complex temporary
+    C *= np.append(coeff, np.zeros(dim))[np.add.outer(np.arange(dim), np.arange(dim))]
     return PairState(C)
+
+
+def short_time_occupations(initial: PumpInitialState, tau):
+    """(N_a, N_b) of ``short_time_state(initial, tau)`` without building C:
+    branch s has N_s = 1 + s tau^2 N_(s-1) and mean pair number m_s =
+    (1 - g_s)(m_(s-1) + 1), run on g_s = 1/N_s (finite at any tau, 1 at 0)."""
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0.0):
+        raise ValueError("tau must be nonnegative")
+    g, m, n_b = np.ones_like(tau), np.zeros_like(tau), np.zeros_like(tau)
+    for s, P_s in enumerate(initial.probabilities[1:], 1):
+        g = g / (g + s * tau * tau)
+        m = (1.0 - g) * (m + 1.0)
+        n_b += P_s * m
+    return initial.mean_occupation - n_b, n_b
 
 
 def long_time_signal(P_s) -> DensityMatrix:
@@ -319,26 +320,26 @@ def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> State
 _ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
 
 
-def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> list[PairState]:
+def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> PairState:
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi.
 
     ``initial`` must lie in the pair span {|p, i, i>} (a pump-only state
     does), which G leaves invariant on the truncated grid; the evolution
     runs on C[p, i] with pair dimension min(d_b, d_c), where G acts as
     kron(a, P+) - kron(a+, P) and P+|i> = (i+1)|i+1> creates one
-    signal-idler pair. Raises ValueError for weight off the span and
-    TruncationError if the top pump or pair level accumulates more than
-    ``leak_tol`` population anywhere along the trajectory.
+    signal-idler pair. Returns the trajectory C[tau, p, i]. Raises
+    ValueError for weight off the span and TruncationError if the top pump
+    or pair level accumulates more than ``leak_tol`` population anywhere
+    along the trajectory.
     """
     spec = initial.spec
     if spec.n_modes != 3:
         raise ValueError("trilinear dynamics need a three-mode spec")
     da, db, dc = spec.dims
     dp = min(db, dc)
-    psi = np.array(initial.tensor_view())
+    psi = initial.tensor_view()
     C0 = psi[:, np.arange(dp), np.arange(dp)]
-    psi[:, np.arange(dp), np.arange(dp)] = 0.0
-    if np.any(psi):
+    if np.count_nonzero(psi) != np.count_nonzero(C0):  # C0 holds the span's entries
         raise ValueError("initial state has weight outside the pair span |p, i, i>")
     # on the flattened C, kron(a, P+) maps index r + s to r (s = dp - 1)
     # with weight sqrt(p+1)*i at (p, i) = divmod(r, dp); its adjoint maps r
@@ -348,16 +349,15 @@ def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> list[
     w = (np.sqrt(p + 1.0) * i).ravel()[:-s]
 
     def rhs(_t, y):
-        dy = np.zeros_like(y)
+        dy = np.zeros(y.shape, dtype=complex)
         dy[:-s] = w * y[s:]
         dy[s:] -= w * y[:-s]
         return dy
 
-    raw = evolve_ode(rhs, C0.ravel(), tau_grid, _ODE_TOL)
-    states = [PairState(y.reshape(C0.shape)) for y in raw]
-    leak = max(s.max_boundary_population() for s in states)
+    trajectory = PairState(evolve_ode(rhs, C0.ravel(), tau_grid, _ODE_TOL).reshape(-1, da, dp))
+    leak = trajectory.max_boundary_population().max()
     if leak > leak_tol:
         raise TruncationError(
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge dims {spec.dims}",
             leak=leak)
-    return states
+    return trajectory

@@ -6,9 +6,15 @@ apply CSR operators on a ``HilbertSpec``; ``interaction_generator``,
 ``build_interaction_hamiltonian`` and ``mode_numbers`` assemble the
 three-mode trilinear generator, Hamiltonian and number operators from
 them. The package computes the same quantities without building operators.
+
+``branch_coefficient`` and ``branch_normalization`` are the closed forms of
+one short-time branch, evaluated scalar by scalar; ``short_time_state``
+builds every branch of every tau at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,3 +145,32 @@ def mode_numbers(spec: HilbertSpec):
         _, _, num = ladder_ops(d)
         ops.append(embed(num, i, spec))
     return tuple(ops)
+
+
+# ---------------------------------------------------------------------------
+# short-time branch closed forms
+# ---------------------------------------------------------------------------
+
+def branch_coefficient(n: int, s: int) -> float:
+    """f_n(s) = sqrt(s! Gamma(1+n) / (n! (s-n)!)) for vacuum signal/idler
+    (Bargmann index 1/2); this equals sqrt(s!/(s-n)!)."""
+    if not (0 <= n <= s):
+        raise ValueError("need 0 <= n <= s")
+    log_f2 = (math.lgamma(s + 1) + math.lgamma(1.0 + n)
+              - math.lgamma(n + 1) - math.lgamma(s - n + 1))
+    return math.exp(0.5 * log_f2)
+
+
+def branch_normalization(s: int, tau: float) -> float:
+    """Normalization N_s(tau) = sum_n f_n^2 tau^(2n) of a pump level-s branch.
+
+    This equals the closed form e^(1/tau^2) tau^(2s) Gamma(s+1, 1/tau^2),
+    evaluated here through its stable finite sum s! * sum_u tau^(2(s-u))/u!.
+    """
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
+    if tau == 0.0:
+        return 1.0
+    return float(sum(math.exp(math.lgamma(s + 1) - math.lgamma(u + 1)
+                              + 2.0 * (s - u) * math.log(tau))
+                     for u in range(s + 1)))

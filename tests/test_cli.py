@@ -187,6 +187,20 @@ def test_cooling_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key,
     assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
 
+@pytest.mark.parametrize("kind, grid, key", [
+    ("detector-bistability", {"ratio_max": "1e300", "points": "3"}, "ratio_max"),
+    ("detector-bistability", {"ratio_min": "inf", "ratio_max": "inf", "points": "3"},
+     "ratio_min"),
+    ("detector-cooling", dict(COOL_GRID, drive_max_ratio="1e200"), "drive_max_ratio"),
+], ids=["ratio_max-1e300", "ratio_min-max-inf", "drive_max_ratio-1e200"])
+def test_overflowing_grid_exits_2_naming_key(tmp_path, capsys, kind, grid, key):
+    # a finite grid value whose boundary or drive overflows is a config error
+    cfg = ScenarioConfig(kind=kind, params=dict(CH2), grid=grid, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "nan" not in err
+
+
 def test_optimal_harmonic_detuning(tmp_path):
     cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
                          grid=dict(COOL_GRID, detuning_mode="optimal-harmonic",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
-from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError
+from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError, StiffnessError
 from nlcavity.numerics import (
     RealGrid,
     Tolerance,
@@ -307,6 +307,126 @@ def test_ode_norm_preservation_anti_hermitian():
     out = evolve_ode(lambda t, y: G @ y, y0, np.linspace(0, 1, 11))
     for y in out:
         assert abs(np.linalg.norm(y) - 1.0) < 1e-8
+
+
+_DP_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_STAGES = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+
+
+def _evolve_ode_reference(rhs, y0, grid, tol):
+    """The Dormand-Prince loop as first written: every stage input, y5 and
+    y4 are Python sums over a list of stages."""
+    grid = np.asarray(grid, dtype=float)
+    y = np.asarray(y0, dtype=complex).copy()
+    out = [y.copy()]
+    t = float(grid[0])
+    span = float(grid[-1] - grid[0])
+    h = max(span / 100.0, np.finfo(float).tiny)
+    k1 = np.asarray(rhs(t, y), dtype=complex)
+    for target in grid[1:]:
+        while t < target:
+            clamped = h >= target - t
+            h_step = target - t if clamped else h
+            if h_step <= 1e-14 * max(abs(t), span):
+                raise StiffnessError(f"step size underflow at t={t}")
+            ks = [k1]
+            for i in range(1, 7):
+                yi = y + h_step * sum(aij * kj for aij, kj in zip(_DP_STAGES[i], ks))
+                ks.append(np.asarray(rhs(t + _DP_NODES[i] * h_step, yi), dtype=complex))
+            y5 = y + h_step * sum(b * k for b, k in zip(_DP_B5, ks) if b)
+            y4 = y + h_step * sum(b * k for b, k in zip(_DP_B4, ks) if b)
+            scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.max(np.abs(y5 - y4) / scale))
+            if err <= 1.0:
+                t = target if clamped else t + h_step
+                y = y5
+                k1 = ks[6]
+                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h = h_step * grow
+            else:
+                h = h_step * max(0.1, 0.9 * err ** -0.25)
+        out.append(y.copy())
+    return np.array(out)
+
+
+def _counted(rhs):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return rhs(t, y)
+    return f, calls
+
+
+def _step_sequence(times):
+    """Accepted (True) or rejected (False) for each step, read off the rhs
+    times: a step of size h from t calls rhs at t + h/5, ..., t + h, t + h,
+    and a rejected step is retried from the same t."""
+    stages = np.reshape(times[1:], (-1, 6))
+    h = 1.25 * (stages[:, 5] - stages[:, 0])
+    start = stages[:, 5] - h
+    return np.append(np.diff(start) > 0.5 * h[:-1], True)
+
+
+def _assert_kernel_matches_reference(rhs, y0, grid, tol):
+    """Same accepted/rejected step sequence and samples within 1e-13 of the
+    reference loop's. The two error estimates differ at round-off, so the
+    step sizes agree closely but not bit for bit."""
+    f, calls = _counted(rhs)
+    out = evolve_ode(f, y0, grid, tol)
+    f_ref, calls_ref = _counted(rhs)
+    ref = _evolve_ode_reference(f_ref, y0, grid, tol)
+    assert len(calls) == len(calls_ref)
+    np.testing.assert_array_equal(_step_sequence(calls), _step_sequence(calls_ref))
+    np.testing.assert_allclose(calls, calls_ref, rtol=1e-4, atol=0.0)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13
+
+
+def test_ode_stage_kernel_matches_reference_loop_dense():
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    G = M - M.conj().T  # skew-Hermitian
+    y0 = rng.normal(size=12) + 1j * rng.normal(size=12)
+    y0 /= np.linalg.norm(y0)
+    for tol in (Tolerance(1e-12, 1e-10), Tolerance()):
+        _assert_kernel_matches_reference(lambda t, y: G @ y, y0, np.linspace(0, 2, 9), tol)
+
+
+def test_ode_stage_kernel_matches_reference_loop_pair_generator(monkeypatch):
+    # the full trilinear tier's own right-hand side, grid and tolerance
+    from nlcavity import fock, trilinear
+
+    seen = []
+
+    def recording(rhs, y0, grid, tol):
+        seen.append((rhs, y0, grid, tol))
+        return evolve_ode(rhs, y0, grid, tol)
+
+    monkeypatch.setattr(trilinear, "evolve_ode", recording)
+    dim = fock.min_coherent_dim(3.0) + 3
+    init = trilinear.PumpInitialState.coherent(3.0, dim)
+    psi0 = trilinear.initial_product_state(init, fock.HilbertSpec((dim,) * 3))
+    trilinear.evolve_full(psi0, np.linspace(0.0, 3.0, 31))
+    rhs, y0, grid, tol = seen[0]
+    _assert_kernel_matches_reference(rhs, y0, grid, tol)
+
+
+def test_ode_step_underflow_raises_stiffness():
+    # y' = y^2 from y(0) = 1 blows up at t = 1; the step collapses before it
+    with pytest.raises(StiffnessError):
+        evolve_ode(lambda t, y: y * y, np.array([1.0 + 0j]), [0.0, 2.0])
 
 
 def test_grid_validation():

@@ -12,8 +12,6 @@ from nlcavity.fock import HilbertSpec, partial_trace
 from nlcavity.trilinear import (
     PairState,
     PumpInitialState,
-    branch_coefficient,
-    branch_normalization,
     evolve_full,
     initial_product_state,
     long_time_signal,
@@ -23,9 +21,12 @@ from nlcavity.trilinear import (
     pump_betas,
     semiclassical_occupation,
     semiclassical_pump,
+    short_time_occupations,
     short_time_state,
 )
 from oracles import (
+    branch_coefficient,
+    branch_normalization,
     build_interaction_hamiltonian,
     embed,
     expectation,
@@ -274,6 +275,67 @@ def test_short_time_long_time_distribution():
     P = init.probabilities
     tv = 0.5 * np.sum(np.abs(diag[: P.size] - P)) + 0.5 * np.sum(diag[P.size:])
     assert tv < 1e-3
+
+
+def test_short_time_trajectory_matches_per_tau_calls():
+    init = PumpInitialState.coherent(9.0, 30)
+    taus = np.array([0.0, 0.05, 0.3, 1.0, 2.0, 10.0, 100.0])
+    traj = short_time_state(init, taus)
+    assert traj.C.shape == (taus.size, 30, 30)
+    for tau, C in zip(taus, traj.C):
+        np.testing.assert_array_equal(C, short_time_state(init, float(tau)).C)
+    # the tau = 0 row is the initial pump state, exactly
+    np.testing.assert_array_equal(traj.C[0, :, 0], init.coefficients)
+    assert not traj.C[0, :, 1:].any()
+    # the occupations from the anti-diagonal populations alone
+    na, nb = short_time_occupations(init, taus)
+    np.testing.assert_allclose(na, traj.n_a, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(nb, traj.n_b, rtol=1e-14, atol=1e-14)
+    assert nb[0] == 0.0 and na[0] == pytest.approx(init.mean_occupation, abs=1e-14)
+
+
+def _pop_reductions(C):
+    """n_a, n_b, pump variance, norm and boundary population of one C[p, i]
+    from its |C|^2 populations."""
+    pops = np.abs(C) ** 2
+    p_a, p_b = pops.sum(axis=1), pops.sum(axis=0)
+    n = np.arange(p_a.size)
+    mean = float(np.sum(p_a * n))
+    return (mean, float(np.sum(p_b * np.arange(p_b.size))),
+            float(np.sum(p_a * n * n)) - mean * mean, math.sqrt(pops.sum()),
+            max(p_a[-1], p_b[-1]))
+
+
+def test_trajectory_reductions_match_per_tau_states():
+    dim = fock.min_coherent_dim(3.0) + 3
+    spec = HilbertSpec((dim,) * 3)
+    init = PumpInitialState.coherent(3.0, dim)
+    taus = np.linspace(0.0, 2.5, 21)
+    for traj in (evolve_full(initial_product_state(init, spec), taus),
+                 short_time_state(init, taus)):
+        assert traj.C.shape == (taus.size, dim, dim)
+        reductions = [traj.n_a, traj.n_b, traj.pump_variance(), traj.norm(),
+                      traj.max_boundary_population()]
+        for k, C in enumerate(traj.C):
+            one = PairState(C)
+            per_tau = [one.n_a, one.n_b, one.pump_variance(), one.norm(),
+                       one.max_boundary_population()]
+            assert all(isinstance(v, float) for v in per_tau)
+            assert traj[k].n_b == one.n_b
+            np.testing.assert_allclose([r[k] for r in reductions], per_tau,
+                                       rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(per_tau, _pop_reductions(C), rtol=1e-13, atol=1e-15)
+
+
+def test_evolve_leak_gate_fires_mid_trajectory():
+    # Fock-1 pump: the top pair level of a (3, 2, 2) grid holds sin^2(tau),
+    # back near 0 at tau = pi, so only the tau = 1.5 sample trips the gate
+    spec = HilbertSpec((3, 2, 2))
+    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
+    assert evolve_full(psi0, [0.0, math.pi]).max_boundary_population().max() < 1e-6
+    with pytest.raises(TruncationError) as err:
+        evolve_full(psi0, [0.0, 1.5, math.pi])
+    assert err.value.leak == pytest.approx(math.sin(1.5) ** 2, rel=1e-6)
 
 
 def test_long_time_signal_roundtrip():
