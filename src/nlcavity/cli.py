@@ -225,7 +225,7 @@ def _run_detector_bistability(cfg: ScenarioConfig):
     lo, = _finite("ratio_min", [float(cfg.grid.get("ratio_min", 1.0))])
     hi, = _finite("ratio_max", [float(cfg.grid.get("ratio_max", 3.0))])
     n = _points(cfg, "points", 101)
-    try:
+    try:  # the boundary is a function of the ratio alone
         rows = [[r, *detector.bistability_boundary(params, float(r))]
                 for r in np.linspace(lo, hi, n)]
     except OverflowError as exc:
@@ -256,8 +256,9 @@ def _run_detector_cooling(cfg: ScenarioConfig):
 
     try:
         all_rows = detector.cooling_curve(params, detuning, I_grid, temps)
-    except OverflowError as exc:
-        raise ValueError(f"drive_min_ratio {lo} or drive_max_ratio {hi} overflows") from exc
+    except OverflowError as exc:  # the drive and the detector params enter together
+        raise ValueError(f"the drive sweep of drive_min_ratio {lo} to drive_max_ratio {hi} "
+                         "overflows the detector response with these detector params") from exc
     rows = []
     for row in all_rows:
         if row["gate_failure"]:
@@ -346,13 +347,13 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     curve = trilinear.semiclassical_pump(mean_occ, taus)
     nb_semi = trilinear.semiclassical_occupation(curve)
 
-    na_short, nb_short = trilinear.short_time_occupations(initial, taus)
-    full = trilinear.evolve_full(psi0, taus)
     nb_param = np.array([trilinear.parametric_occupation(A, float(t)) for t in taus])
-    rows = np.column_stack([taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi,
-                            na_short, nb_short, full.n_a, full.n_b, full.n_b,
-                            full.pump_variance(), full.norm() - 1.0,
-                            full.max_boundary_population()])
+    short = trilinear.short_time_state(initial, taus)
+    columns = [taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi, short.n_a, short.n_b]
+    del short  # freed before the full tier's trajectory of the same size is built
+    full = trilinear.evolve_full(psi0, taus)
+    rows = np.column_stack(columns + [full.n_a, full.n_b, full.n_b, full.pump_variance(),
+                                      full.norm() - 1.0, full.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
               "Nb_semiclassical", "Na_shorttime", "Nb_shorttime",
               "Na_full", "Nb_full", "Nc_full", "Na_var_residual",

@@ -184,13 +184,26 @@ class PairState:
     rho_c = rho_b; their top pair level is the last column of C.
 
     C may hold a trajectory C[tau, p, i]: the reductions act on the last two
-    axes, one value per tau, and indexing picks the state at one tau.
+    axes, one value per tau, and len, iteration and indexing run over tau.
     """
 
     C: np.ndarray
 
+    def _require(self, ndim):
+        """C, checked to be one state (ndim 2) or a trajectory (ndim 3)."""
+        if self.C.ndim != ndim:
+            kind = "one state" if ndim == 2 else "a trajectory"
+            raise TypeError(f"needs {kind}, got a PairState of shape {self.C.shape}")
+        return self.C
+
+    def __len__(self):
+        return len(self._require(3))
+
+    def __iter__(self):
+        return map(PairState, self._require(3))
+
     def __getitem__(self, index):
-        return PairState(self.C[index])
+        return PairState(self._require(3)[index])
 
     def _marginal(self, axis):
         """Pump (axis -1 summed) or pair (axis -2 summed) number distribution,
@@ -229,17 +242,19 @@ class PairState:
     def reduced(self):
         """Pump marginal rho_a = C C+ and signal diagonal p_b[i] = sum_p |C[p, i]|^2
         of one state (index a trajectory first); traces |C|^2, checked on rho_a."""
-        rho_a = self.C @ self.C.conj().T
+        C = self._require(2)
+        rho_a = C @ C.conj().T
         return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
-                np.sum(np.abs(self.C) ** 2, axis=0))
+                np.sum(np.abs(C) ** 2, axis=0))
 
     def state_vector(self, spec: HilbertSpec) -> StateVector:
-        """Embedding in the full three-mode truncation grid."""
-        dp = self.C.shape[1]
-        if spec.n_modes != 3 or self.C.shape[0] > spec.dims[0] or dp > min(spec.dims[1:]):
-            raise ValueError(f"pair state of shape {self.C.shape} does not fit {spec}")
+        """Embedding of one state in the full three-mode truncation grid."""
+        C = self._require(2)
+        dp = C.shape[1]
+        if spec.n_modes != 3 or C.shape[0] > spec.dims[0] or dp > min(spec.dims[1:]):
+            raise ValueError(f"pair state of shape {C.shape} does not fit {spec}")
         amps = np.zeros(spec.dims, dtype=complex)
-        amps[: self.C.shape[0], np.arange(dp), np.arange(dp)] = self.C
+        amps[: C.shape[0], np.arange(dp), np.arange(dp)] = C
         return StateVector(spec, amps.ravel())
 
 
@@ -251,42 +266,25 @@ def short_time_state(initial: PumpInitialState, tau) -> PairState:
     """The BCH short-time state at dimensionless tau, a scalar or an array
     for the trajectory C[tau, p, i]. Pump level s branches onto the
     anti-diagonal p + i = s of C, with amplitudes a_s f_i(s) tau^i /
-    sqrt(N_s(tau)), built in log space on the packed triangle i <= s for all
-    tau at once, so tau >> 1 stays finite; tau = 0 gives C[s, 0] = a_s.
+    sqrt(N_s(tau)), built in log space one branch at a time for all tau, so
+    tau >> 1 stays finite; tau = 0 gives C[s, 0] = a_s.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
-    s, n = np.tril_indices(coeff.size)
-    start = np.flatnonzero(n == 0)
     log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
-    with np.errstate(divide="ignore", invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
-        amps = np.where(n > 0, n * np.log(tau)[..., None], 0.0)
-    amps += 0.5 * (log_fact[s] - log_fact[s - n])
-    amps -= np.maximum.reduceat(amps, start, axis=-1)[..., s]
-    np.exp(amps, out=amps)
-    amps /= np.sqrt(np.add.reduceat(amps * amps, start, axis=-1))[..., s]
+    with np.errstate(divide="ignore"):
+        log_tau = np.log(tau)[..., None]
     C = np.zeros(tau.shape + (dim, dim), dtype=complex)
-    C.real[..., s - n, n] = amps  # then a_s on each anti-diagonal, without a complex temporary
-    C *= np.append(coeff, np.zeros(dim))[np.add.outer(np.arange(dim), np.arange(dim))]
+    for s, a_s in enumerate(coeff):
+        n = np.arange(s + 1)
+        with np.errstate(invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
+            log_amp = np.where(n > 0, n * log_tau, 0.0) + 0.5 * (log_fact[s] - log_fact[s - n])
+        amp = np.exp(log_amp - log_amp.max(axis=-1, keepdims=True))
+        C[..., s - n, n] = a_s * (amp / np.linalg.norm(amp, axis=-1, keepdims=True))
     return PairState(C)
-
-
-def short_time_occupations(initial: PumpInitialState, tau):
-    """(N_a, N_b) of ``short_time_state(initial, tau)`` without building C:
-    branch s has N_s = 1 + s tau^2 N_(s-1) and mean pair number m_s =
-    (1 - g_s)(m_(s-1) + 1), run on g_s = 1/N_s (finite at any tau, 1 at 0)."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be nonnegative")
-    g, m, n_b = np.ones_like(tau), np.zeros_like(tau), np.zeros_like(tau)
-    for s, P_s in enumerate(initial.probabilities[1:], 1):
-        g = g / (g + s * tau * tau)
-        m = (1.0 - g) * (m + 1.0)
-        n_b += P_s * m
-    return initial.mean_occupation - n_b, n_b
 
 
 def long_time_signal(P_s) -> DensityMatrix:

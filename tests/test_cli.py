@@ -201,6 +201,16 @@ def test_overflowing_grid_exits_2_naming_key(tmp_path, capsys, kind, grid, key):
     assert err.startswith("config error:") and key in err and "nan" not in err
 
 
+def test_overflowing_params_name_the_params(tmp_path, capsys):
+    # a finite drive grid with a huge non-grid parameter overflows the same
+    # sweep; the message must not put it on the drive keys alone
+    cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2, omega_T_hz="1e300"),
+                         grid=COOL_GRID, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "detector params" in err
+
+
 def test_optimal_harmonic_detuning(tmp_path):
     cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
                          grid=dict(COOL_GRID, detuning_mode="optimal-harmonic",

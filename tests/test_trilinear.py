@@ -21,7 +21,6 @@ from nlcavity.trilinear import (
     pump_betas,
     semiclassical_occupation,
     semiclassical_pump,
-    short_time_occupations,
     short_time_state,
 )
 from oracles import (
@@ -287,11 +286,8 @@ def test_short_time_trajectory_matches_per_tau_calls():
     # the tau = 0 row is the initial pump state, exactly
     np.testing.assert_array_equal(traj.C[0, :, 0], init.coefficients)
     assert not traj.C[0, :, 1:].any()
-    # the occupations from the anti-diagonal populations alone
-    na, nb = short_time_occupations(init, taus)
-    np.testing.assert_allclose(na, traj.n_a, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(nb, traj.n_b, rtol=1e-14, atol=1e-14)
-    assert nb[0] == 0.0 and na[0] == pytest.approx(init.mean_occupation, abs=1e-14)
+    assert traj.n_b[0] == 0.0
+    assert traj.n_a[0] == pytest.approx(init.mean_occupation, abs=1e-14)
 
 
 def _pop_reductions(C):
@@ -325,6 +321,17 @@ def test_trajectory_reductions_match_per_tau_states():
             np.testing.assert_allclose([r[k] for r in reductions], per_tau,
                                        rtol=1e-14, atol=1e-300)
             np.testing.assert_allclose(per_tau, _pop_reductions(C), rtol=1e-13, atol=1e-15)
+
+
+def test_state_and_trajectory_are_not_interchangeable():
+    traj = short_time_state(PumpInitialState.fock(3), np.array([0.0, 0.5, 1.0]))
+    assert len(traj) == 3 and [s.C.shape for s in traj] == [(4, 4)] * 3
+    one = traj[1]
+    spec = HilbertSpec((4,) * 3)
+    for misuse in (lambda: len(one), lambda: iter(one), lambda: one[0],
+                   traj.reduced, lambda: traj.state_vector(spec)):
+        with pytest.raises(TypeError):
+            misuse()
 
 
 def test_evolve_leak_gate_fires_mid_trajectory():
