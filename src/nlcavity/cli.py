@@ -140,12 +140,27 @@ def _write_manifest(cfg: ScenarioConfig, resolved: dict, columns: dict, files: l
 # detector scenarios
 # ---------------------------------------------------------------------------
 
+def _drive_overflow(lo, hi, detuning):
+    """The config error of a drive sweep that overflows the detector response."""
+    return ValueError(f"the drive sweep of drive_min_ratio {lo} to drive_max_ratio {hi} "
+                      f"at {detuning} overflows the detector response with these "
+                      "detector params")
+
+
 def _detector_common(cfg):
     params = build_detector_params(cfg.params)
-    E_bi, dw_bi, I_bi = detector.bistability_onset(params)
+    try:  # huge finite params overflow either as an exception or to inf
+        K_eff = detector.effective_duffing(params)
+        E_bi, dw_bi, I_bi = detector.bistability_onset(params)
+        finite = all(map(math.isfinite, (K_eff, E_bi, dw_bi, I_bi)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the detector params overflow the effective Duffing constant "
+                         "or the bistability onset")
     resolved = {
         "gamma_pT": params.gamma_pT, "gamma_bm": params.gamma_bm,
-        "K_eff": detector.effective_duffing(params),
+        "K_eff": K_eff,
         "E_bi": E_bi, "delta_omega_bi": dw_bi, "I_bi": I_bi,
         "zero_point_m": detector.zero_point(params),
         "validity_gates": params.validity_gates(I_bi),
@@ -211,8 +226,11 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
     rows = []
     for label, r in curves:
         p, scale = (harmonic, I_bi_harm) if label == "harmonic" else (params, I_bi)
-        rows += _signal_noise_curve(cfg, label, p, r, r * abs(dw_bi), scale,
-                                    drive_ratios, bath_T)
+        try:
+            rows += _signal_noise_curve(cfg, label, p, r, r * abs(dw_bi), scale,
+                                        drive_ratios, bath_T)
+        except OverflowError as exc:
+            raise _drive_overflow(lo, hi, f"detuning_ratios {ratios}") from exc
 
     header = ["I_over_Ibi", "curve", "detuning_ratio", "I_0_A", "signal_A2",
               "noise_A2", "caves_A2", "noise_to_signal", "R_omega", "R_gamma",
@@ -257,8 +275,7 @@ def _run_detector_cooling(cfg: ScenarioConfig):
     try:
         all_rows = detector.cooling_curve(params, detuning, I_grid, temps)
     except OverflowError as exc:  # the drive and the detector params enter together
-        raise ValueError(f"the drive sweep of drive_min_ratio {lo} to drive_max_ratio {hi} "
-                         "overflows the detector response with these detector params") from exc
+        raise _drive_overflow(lo, hi, f"detuning {detuning} rad/s") from exc
     rows = []
     for row in all_rows:
         if row["gate_failure"]:
@@ -365,7 +382,7 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
 
 def _info_diagnostics(rho_a, p_b, n_a, n_b):
     # rho_b and its thermal reference are diagonal: F is the Bhattacharyya sum
-    q = qinfo.ThermalReference(n_b, omega=1.0, dim=p_b.size).probabilities
+    q = qinfo.ThermalReference(n_b, p_b.size).probabilities
     fid = float(np.sum(np.sqrt(p_b * q)))
     if fid > 1.0 + 1e-8:
         raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical slack")

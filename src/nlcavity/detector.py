@@ -1,7 +1,7 @@
 """Frequency-domain engine for the SQUID-embedded nonlinear cavity
-displacement detector: coupling constants, driven mean-field response with
-bistability, signal/noise/quantum-limit spectra, and effective back-action
-thermometry for cooling curves.
+displacement detector: driven mean-field response with bistability,
+signal/noise/quantum-limit spectra, and effective back-action thermometry
+for cooling curves, all from the two coupling constants K_d and K_Tm.
 
 Conventions: omega_p = omega_T + delta_omega is the pump frequency,
 gamma_pT = omega_T/(2 Q_T) and gamma_bm = omega_m/(2 Q_m) are amplitude
@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constants import Phi0, e_charge, hbar, k_B
+from .constants import Phi0, hbar, k_B
 from .errors import (
     InstabilityError,
     NoBistabilityError,
@@ -28,35 +28,17 @@ from .errors import (
     OutsideRegionError,
     SingularFluxError,
 )
-from .numerics import (
-    Tolerance,
-    find_root_bracketed,
-    fit_lorentzian,
-    integrate_adaptive,
-    solve_cubic_real,
-)
+from .numerics import Tolerance, fit_lorentzian, integrate_adaptive, solve_cubic_real
 from .qinfo import bose_occupation
-
-
-@dataclass(frozen=True)
-class GeometricBlock:
-    """Geometric inputs needed to compute the couplings from first
-    principles: lambda correction factor, oscillator length (m), and the
-    total line inductance/capacitance products L_T*l (H), C_T*l (F)."""
-
-    lambda_geo: float
-    l_osc: float
-    LT_l: float
-    CT_l: float
 
 
 @dataclass(frozen=True)
 class DetectorParams:
     """Circuit constants of the detector.
 
-    phi_ext is in units of the flux quantum. K_d/K_Tm may be given directly
-    (direct mode, takes precedence) or computed from ``geometry``.
-    loop_inductance (H) feeds the beta_L validity gate when provided.
+    phi_ext is in units of the flux quantum; K_d is the Duffing constant
+    and K_Tm the cavity-mechanics coupling. loop_inductance (H) feeds the
+    beta_L validity gate when provided.
     """
 
     Z_p: float
@@ -69,9 +51,8 @@ class DetectorParams:
     C_J: float
     phi_ext: float
     B_ext: float
-    K_d: Optional[float] = None
-    K_Tm: Optional[float] = None
-    geometry: Optional[GeometricBlock] = None
+    K_d: float
+    K_Tm: float
     loop_inductance: Optional[float] = None
 
     def __post_init__(self):
@@ -152,78 +133,17 @@ class EffectiveThermo:
     chi: complex           # mean-field amplitude the response was resolved at
     weak_coupling: bool = False
 
-    @property
-    def gamma_back_over_gamma_bm(self):
-        return self.R_gamma - 1.0
-
 
 def zero_point(params: DetectorParams) -> float:
     """Zero-point displacement sqrt(hbar/(2 m omega_m)) in meters."""
     return math.sqrt(hbar / (2.0 * params.mass * params.omega_m))
 
 
-def inductance_coeffs(params: DetectorParams):
-    """SQUID effective-inductance expansion coefficients (L00, L20, L01)."""
-    sec = params.secant()
-    tan = math.tan(math.pi * params.phi_ext)
-    L00 = Phi0 * sec / (4.0 * math.pi * params.I_c)
-    L20 = Phi0 * sec ** 3 / (96.0 * math.pi * params.I_c)
-    lam = params.geometry.lambda_geo if params.geometry else 1.0
-    losc = params.geometry.l_osc if params.geometry else 1.0
-    L01 = lam * params.B_ext * losc * sec * tan / (4.0 * params.I_c)
-    return L00, L20, L01
-
-
-def mode_wavenumber(params: DetectorParams) -> float:
-    """Root x = k0*l of the transcendental mode condition
-    (x/2) tan(x/2) = 1/zeta with zeta = L00/(L_T l)."""
-    if params.geometry is None:
-        raise ValueError("geometric block required")
-    L00, _, _ = inductance_coeffs(params)
-    zeta = L00 / params.geometry.LT_l
-    target = 1.0 / zeta
-
-    def f(x):
-        return 0.5 * x * math.tan(0.5 * x) - target
-
-    eps = 1e-9
-    if zeta > 0.0:
-        return find_root_bracketed(f, eps, math.pi - eps)
-    return find_root_bracketed(f, math.pi + eps, 2.0 * math.pi - eps)
-
-
-def coupling_constants(params: DetectorParams):
-    """(K_Tm, K_d); direct-mode values pass through unchanged, otherwise
-    both are computed from the geometric block."""
-    if params.K_Tm is not None and params.K_d is not None:
-        return params.K_Tm, params.K_d
-    if params.geometry is None:
-        raise ValueError("need either direct (K_Tm, K_d) or a geometric block")
-    geo = params.geometry
-    sec = params.secant()
-    tan = math.tan(math.pi * params.phi_ext)
-    dzp = zero_point(params)
-    x = mode_wavenumber(params)
-    L00, _, _ = inductance_coeffs(params)
-    zeta = L00 / geo.LT_l
-    K_Tm = (geo.lambda_geo * params.B_ext * geo.l_osc * dzp
-            / (Phi0 / math.pi)
-            * Phi0 / (4.0 * math.pi * geo.LT_l * params.I_c) * tan * sec)
-    K_d = -(x ** 2) * zeta ** 3 * ((2.0 * e_charge) ** 2 / (2.0 * geo.CT_l)) \
-        / (hbar * params.omega_T)
-    if params.K_Tm is not None:
-        K_Tm = params.K_Tm
-    if params.K_d is not None:
-        K_d = params.K_d
-    return K_Tm, K_d
-
-
 def effective_duffing(params: DetectorParams) -> float:
     """K_eff = K_d - 2 w_T w_m K_Tm^2/(w_m^2 + gamma_bm^2): the Duffing
     constant plus the always-softening mechanically-induced term."""
-    K_Tm, K_d = coupling_constants(params)
     gbm = params.gamma_bm
-    return K_d - 2.0 * params.omega_T * params.omega_m * K_Tm ** 2 \
+    return params.K_d - 2.0 * params.omega_T * params.omega_m * params.K_Tm ** 2 \
         / (params.omega_m ** 2 + gbm ** 2)
 
 
@@ -366,9 +286,8 @@ def _point(params, drive, chi) -> _Point:
     """The ``_Point`` of (drive, chi), in scalar Python arithmetic: numpy's
     abs and power round differently on complex arrays, and every gathered
     copy must equal the scalar factor bit for bit."""
-    K_Tm, _ = coupling_constants(params)
     gpt, dw = params.gamma_pT, drive.delta_omega
-    prefactor = (drive.I_0 * K_Tm * params.omega_T / gpt) ** 2 \
+    prefactor = (drive.I_0 * params.K_Tm * params.omega_T / gpt) ** 2 \
         * gpt ** 2 / (gpt ** 2 + dw ** 2)
     chi2 = abs(chi) ** 2
     return _Point(dw, chi, chi2, chi2 ** 2, chi ** 2, linear_amplitude(params, drive),
@@ -380,7 +299,7 @@ def _response_terms(params, pt, omega):
     omega. Plain arithmetic, so omega may be real or complex, scalar or
     array, and the ``_Point`` factors scalars or arrays of omega's shape;
     the zero-frequency argument is 0.0 * omega for the same reason."""
-    K_Tm, K_d = coupling_constants(params)
+    K_Tm, K_d = params.K_Tm, params.K_d
     wp = params.omega_T + pt.dw
 
     mirror = omega - 2.0 * pt.dw

@@ -49,16 +49,12 @@ class HilbertSpec:
 class StateVector:
     """Normalized pure state over a truncated tensor-product Fock basis."""
 
-    def __init__(self, spec: HilbertSpec, amplitudes, normalize: bool = False):
+    def __init__(self, spec: HilbertSpec, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         if amps.size != spec.total_dim:
             raise ValueError(f"amplitude length {amps.size} != total dim {spec.total_dim}")
         norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("zero state vector")
-        if normalize:
-            amps = amps / norm
-        elif not abs(norm - 1.0) <= NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         self.spec = spec
         self.amplitudes = amps
@@ -70,57 +66,33 @@ class StateVector:
     def tensor_view(self):
         return self.amplitudes.reshape(self.spec.dims)
 
-    def boundary_population(self):
-        """Probability in the top Fock level of each mode (truncation leak)."""
-        psi = self.tensor_view()
-        pops = []
-        for ax in range(self.spec.n_modes):
-            sl = [slice(None)] * self.spec.n_modes
-            sl[ax] = -1
-            pops.append(float(np.sum(np.abs(psi[tuple(sl)]) ** 2)))
-        return pops
-
-    def max_boundary_population(self) -> float:
-        return max(self.boundary_population())
-
 
 class DensityMatrix:
-    """Hermitian, trace-one operator on a truncated Fock space."""
+    """Hermitian, trace-one, positive operator on a truncated Fock space."""
 
-    def __init__(self, spec: HilbertSpec, entries, check: bool = True):
+    def __init__(self, spec: HilbertSpec, entries):
         mat = np.asarray(entries, dtype=complex)
         if mat.shape != (spec.total_dim, spec.total_dim):
             raise ValueError(f"matrix shape {mat.shape} != ({spec.total_dim},)*2")
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
+            raise ValueError("density matrix is not Hermitian")
+        tr = complex(np.trace(mat)).real
+        if not abs(tr - 1.0) <= NORM_TOL:
+            raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
         herm = 0.5 * (mat + mat.conj().T)
         herm.setflags(write=False)
-        self._evals = None
-        if check:
-            scale = max(1.0, float(np.max(np.abs(mat))))
-            if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
-                raise ValueError("density matrix is not Hermitian")
-            tr = complex(np.trace(mat)).real
-            if not abs(tr - 1.0) <= NORM_TOL:
-                raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
-            evals = np.linalg.eigvalsh(herm)
-            if evals.min() < EIG_FLOOR:
-                raise ValueError(f"negative eigenvalue {evals.min()} below {EIG_FLOOR}")
-            evals.setflags(write=False)
-            self._evals = evals
+        evals = np.linalg.eigvalsh(herm)
+        if evals.min() < EIG_FLOOR:
+            raise ValueError(f"negative eigenvalue {evals.min()} below {EIG_FLOOR}")
+        evals.setflags(write=False)
         self.spec = spec
         self.entries = herm
+        self._evals = evals
 
     def eigenvalues(self):
-        """Ascending spectrum of the Hermitian part; the positivity check's
-        result when the matrix was validated."""
-        if self._evals is None:
-            return np.linalg.eigvalsh(self.entries)
+        """Ascending spectrum of the Hermitian part, from the positivity check."""
         return self._evals
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-    def diagonal(self):
-        return np.real(np.diag(self.entries)).copy()
 
 
 def coherent_state(alpha: complex, dim: int) -> StateVector:

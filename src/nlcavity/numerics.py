@@ -39,25 +39,15 @@ class Tolerance:
             raise ValueError("max_iter must be >= 1")
 
 
-class RealGrid:
-    """Strictly increasing, nonempty 1D grid of real sample points."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("grid must be a nonempty 1D array")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid must be strictly increasing")
-        self.points = pts
-
-    def __len__(self):
-        return self.points.size
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
+def _increasing_grid(points) -> np.ndarray:
+    """``points`` as a float array, checked to be a nonempty, strictly
+    increasing 1D grid."""
+    grid = np.asarray(points, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a nonempty 1D array")
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
 
 
 def jacobi_dn(u, m: float):
@@ -239,7 +229,7 @@ def evolve_ode(
     raises StiffnessError. y and the seven stages live in one stack K, so a
     stage input is one product of a (real) tableau row with K's real view.
     """
-    grid = t_grid.points if isinstance(t_grid, RealGrid) else RealGrid(t_grid).points
+    grid = _increasing_grid(t_grid)
     y = np.asarray(y0, dtype=complex)
     out = np.tile(y, (grid.size, 1))
     t = float(grid[0])

@@ -104,8 +104,15 @@ def list_presets() -> dict[str, dict]:
 
 
 def build_detector_params(p: dict) -> DetectorParams:
-    """DetectorParams from a flat config mapping (strings or numbers)."""
-    g = lambda key, default=None: float(p[key]) if key in p else default
+    """DetectorParams from a flat config mapping (strings or numbers);
+    B_ext_T and loop_inductance_H are optional, every other key is required."""
+    def g(key, optional=False):
+        if key in p:
+            return float(p[key])
+        if optional:
+            return None
+        raise ValueError(f"detector config needs {key}")
+
     return DetectorParams(
         Z_p=g("Z_p_ohm"),
         omega_T=TWO_PI * g("omega_T_hz"),
@@ -116,10 +123,10 @@ def build_detector_params(p: dict) -> DetectorParams:
         I_c=g("I_c_A"),
         C_J=g("C_J_F"),
         phi_ext=g("phi_ext_phi0"),
-        B_ext=g("B_ext_T"),
+        B_ext=g("B_ext_T", optional=True),
         K_d=g("K_d"),
         K_Tm=g("K_Tm"),
-        loop_inductance=g("loop_inductance_H"),
+        loop_inductance=g("loop_inductance_H", optional=True),
     )
 
 

@@ -1,5 +1,6 @@
-"""Entropy, fidelity, information, effective dimension, mutual information,
-and quadrature-squeezing diagnostics for the trilinear trajectories.
+"""Entropy, thermal reference, information, effective dimension, mutual
+information, and quadrature-squeezing diagnostics for the trilinear
+trajectories.
 
 Entropies are in nats (no Boltzmann factor), of weight vectors with weights
 below 1e-12 clamped to zero: a diagonal state's distribution (the pair-span
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hbar, k_B
-from .fock import DensityMatrix, HilbertSpec
+from .fock import DensityMatrix
 
 _CLAMP = 1e-12
 
@@ -31,7 +32,6 @@ class ThermalReference:
     """
 
     mean_occupation: float
-    omega: float
     dim: int
 
     def __post_init__(self):
@@ -58,12 +58,6 @@ class ThermalReference:
         if n_bar == 0.0:
             return 0.0
         return (n_bar / (n_bar + 1.0)) ** self.dim
-
-    def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(HilbertSpec((self.dim,)), np.diag(self.probabilities))
-
-    def temperature(self) -> float:
-        return effective_temperature(self.mean_occupation, self.omega)
 
 
 def entropy(p) -> float:
@@ -104,21 +98,6 @@ def bose_occupation(omega: float, T: float) -> float:
     if T <= 0.0:
         return 0.0
     return 1.0 / math.expm1(hbar * omega / (k_B * T))
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
-    if rho.spec.total_dim != sigma.spec.total_dim:
-        raise ValueError("density matrices must share a dimension")
-    evals, vecs = np.linalg.eigh(rho.entries)
-    evals = np.clip(evals, 0.0, None)
-    sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    inner = sqrt_rho @ sigma.entries @ sqrt_rho
-    ev_inner = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    value = float(np.sum(np.sqrt(np.clip(ev_inner, 0.0, None))))
-    if value > 1.0 + 1e-8:
-        raise ValueError(f"fidelity {value} exceeds 1 beyond numerical slack")
-    return min(value, 1.0)
 
 
 def information(p_b) -> float:

@@ -23,14 +23,14 @@ time tau = chi*t, which scales out the coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .errors import TruncationError
 from .fock import DensityMatrix, HilbertSpec, StateVector
-from .numerics import RealGrid, Tolerance, evolve_ode, integrate_adaptive, jacobi_dn
+from .numerics import Tolerance, _increasing_grid, evolve_ode, integrate_adaptive, jacobi_dn
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,14 @@ class PumpInitialState:
 
 @dataclass(frozen=True)
 class SemiclassicalCurve:
-    """Classical pump trajectory N_a(tau) and accumulated phase theta(tau)."""
+    """Classical pump trajectory N_a(tau) and accumulated phase theta(tau)
+    on the tau grid it was computed on."""
 
-    tau_grid: np.ndarray
     N_a: np.ndarray
     theta: np.ndarray
     beta_plus: float
     beta_minus: float
     modulus: float
-    N_a0: float = field(default=0.0)
 
 
 def parametric_occupation(A: float, tau: float) -> float:
@@ -140,7 +139,7 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     """
     if N_a0 <= 0.0:
         raise ValueError("N_a0 must be positive")
-    grid = tau_grid.points if isinstance(tau_grid, RealGrid) else RealGrid(tau_grid).points
+    grid = _increasing_grid(tau_grid)
     if grid[0] < 0.0:
         raise ValueError("tau grid must start at tau >= 0")
     bp, bm = pump_betas(N_a0)
@@ -162,8 +161,8 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
         np.concatenate([[0.0], grid[:-1]])[first:], grid[first:], quad_tol)
     theta = np.cumsum(np.concatenate([np.zeros(first), segments]))
 
-    return SemiclassicalCurve(tau_grid=grid, N_a=n_vals, theta=theta,
-                              beta_plus=bp, beta_minus=bm, modulus=m, N_a0=N_a0)
+    return SemiclassicalCurve(N_a=n_vals, theta=theta, beta_plus=bp, beta_minus=bm,
+                              modulus=m)
 
 
 def semiclassical_occupation(curve: SemiclassicalCurve) -> np.ndarray:

@@ -10,6 +10,11 @@ them. The package computes the same quantities without building operators.
 ``branch_coefficient`` and ``branch_normalization`` are the closed forms of
 one short-time branch, evaluated scalar by scalar; ``short_time_state``
 builds every branch of every tau at once.
+
+``boundary_population`` reads the truncation leak of a dense state mode by
+mode, ``fidelity`` is the dense Uhlmann fidelity the diagonal-state
+Bhattacharyya sums of the package are checked against, and
+``thermal_density_matrix`` is the dense form of a ``ThermalReference``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
+from nlcavity.qinfo import ThermalReference
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +180,44 @@ def branch_normalization(s: int, tau: float) -> float:
     return float(sum(math.exp(math.lgamma(s + 1) - math.lgamma(u + 1)
                               + 2.0 * (s - u) * math.log(tau))
                      for u in range(s + 1)))
+
+
+# ---------------------------------------------------------------------------
+# dense-state diagnostics
+# ---------------------------------------------------------------------------
+
+def boundary_population(psi: StateVector):
+    """Probability in the top Fock level of each mode (truncation leak)."""
+    tensor = psi.tensor_view()
+    pops = []
+    for ax in range(psi.spec.n_modes):
+        sl = [slice(None)] * psi.spec.n_modes
+        sl[ax] = -1
+        pops.append(float(np.sum(np.abs(tensor[tuple(sl)]) ** 2)))
+    return pops
+
+
+def max_boundary_population(psi: StateVector) -> float:
+    return max(boundary_population(psi))
+
+
+def thermal_density_matrix(n_bar: float, dim: int) -> DensityMatrix:
+    """The renormalized truncated thermal state ``ThermalReference(n_bar, dim)``
+    as a dense diagonal density matrix."""
+    p = ThermalReference(n_bar, dim).probabilities
+    return DensityMatrix(HilbertSpec((dim,)), np.diag(p))
+
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
+    if rho.spec.total_dim != sigma.spec.total_dim:
+        raise ValueError("density matrices must share a dimension")
+    evals, vecs = np.linalg.eigh(rho.entries)
+    evals = np.clip(evals, 0.0, None)
+    sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    inner = sqrt_rho @ sigma.entries @ sqrt_rho
+    ev_inner = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    value = float(np.sum(np.sqrt(np.clip(ev_inner, 0.0, None))))
+    if value > 1.0 + 1e-8:
+        raise ValueError(f"fidelity {value} exceeds 1 beyond numerical slack")
+    return min(value, 1.0)

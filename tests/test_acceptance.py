@@ -22,8 +22,8 @@ from nlcavity import detector, fock, hawking, qinfo, trilinear
 from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
-from oracles import (build_interaction_hamiltonian, expectation, interaction_generator,
-                     mode_numbers)
+from oracles import (build_interaction_hamiltonian, expectation, fidelity,
+                     interaction_generator, mode_numbers, thermal_density_matrix)
 
 RESULTS = []
 
@@ -320,13 +320,13 @@ def thermal_fidelity(p_b):
 
     rho_b = diag(p_b) lives on the first ``dim`` levels, where the
     untruncated thermal state equals (1 - leak) times the renormalized
-    truncation ``ThermalReference(...).density_matrix()``, so the fidelity is
+    truncation ``thermal_density_matrix(nb, dim)``, so the fidelity is
     exactly F(rho_b, sigma_dim) * sqrt(1 - leak).
     """
     rho_b = fock.DensityMatrix(fock.HilbertSpec((p_b.size,)), np.diag(p_b))
     nb = float(np.sum(p_b * np.arange(p_b.size)))
-    ref = qinfo.ThermalReference(nb, 1.0, p_b.size)
-    return nb, qinfo.fidelity(rho_b, ref.density_matrix()) * math.sqrt(1.0 - ref.leak)
+    leak = qinfo.ThermalReference(nb, p_b.size).leak
+    return nb, fidelity(rho_b, thermal_density_matrix(nb, p_b.size)) * math.sqrt(1.0 - leak)
 
 
 def short_time_signal_oracle(P, tau):
@@ -444,7 +444,7 @@ def test_criterion_11_quantum_info_suite(coherent9_trajectory):
     therm_dev = 0.0
     for n_bar in (0.5, 4.5, 9.0):
         dim = 60 * (1 + int(n_bar))
-        rho = qinfo.ThermalReference(n_bar, 1.0, dim).density_matrix()
+        rho = thermal_density_matrix(n_bar, dim)
         therm_dev = max(therm_dev, abs(qinfo.von_neumann_entropy(rho)
                                        - qinfo.thermal_entropy(n_bar)))
 

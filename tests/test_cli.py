@@ -27,6 +27,7 @@ from nlcavity.cli import (
 )
 from nlcavity.errors import FitDegenerateError
 from nlcavity.presets import build_detector_params, list_presets
+from oracles import fidelity, thermal_density_matrix
 
 CH2 = {
     "Z_p_ohm": "50", "omega_T_hz": "5e9", "Q_T": "300", "omega_m_hz": "4e6",
@@ -146,6 +147,9 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_max_ratio="inf")),
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_min_ratio="-0.5")),
     ("detector-cooling", dict(CH2), dict(COOL_GRID, detuning_mode="optimal_harmonic")),
+    ("detector-signal-noise", dict(CH2, K_Tm="1e300"), SIGNAL_NOISE_GRID),
+    ("detector-bistability", dict(CH2, K_Tm="1e300"), {"points": "3"}),
+    ("detector-cooling", dict(CH2, K_Tm="1e300"), COOL_GRID),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
@@ -155,7 +159,8 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
         "evolve-mean_occupation-nan", "evolve-mean_occupation-inf", "tau_max-nan",
         "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
-        "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore"])
+        "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore",
+        "signal-noise-K_Tm-1e300", "bistability-K_Tm-1e300", "cooling-K_Tm-1e300"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -192,7 +197,10 @@ def test_cooling_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key,
     ("detector-bistability", {"ratio_min": "inf", "ratio_max": "inf", "points": "3"},
      "ratio_min"),
     ("detector-cooling", dict(COOL_GRID, drive_max_ratio="1e200"), "drive_max_ratio"),
-], ids=["ratio_max-1e300", "ratio_min-max-inf", "drive_max_ratio-1e200"])
+    ("detector-signal-noise", dict(SIGNAL_NOISE_GRID, drive_max_ratio="1e200"),
+     "drive_max_ratio"),
+], ids=["ratio_max-1e300", "ratio_min-max-inf", "drive_max_ratio-1e200",
+        "signal-noise-drive_max_ratio-1e200"])
 def test_overflowing_grid_exits_2_naming_key(tmp_path, capsys, kind, grid, key):
     # a finite grid value whose boundary or drive overflows is a config error
     cfg = ScenarioConfig(kind=kind, params=dict(CH2), grid=grid, output_dir=tmp_path)
@@ -201,14 +209,32 @@ def test_overflowing_grid_exits_2_naming_key(tmp_path, capsys, kind, grid, key):
     assert err.startswith("config error:") and key in err and "nan" not in err
 
 
+DETECTOR_RUNNERS = {"detector-signal-noise": SIGNAL_NOISE_GRID,
+                    "detector-bistability": {"points": "3"}, "detector-cooling": COOL_GRID}
+
+
 def test_overflowing_params_name_the_params(tmp_path, capsys):
-    # a finite drive grid with a huge non-grid parameter overflows the same
-    # sweep; the message must not put it on the drive keys alone
-    cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2, omega_T_hz="1e300"),
-                         grid=COOL_GRID, output_dir=tmp_path)
+    # a huge non-grid parameter overflows the bistability onset (K_Tm ** 2
+    # raises at 1e300 and is inf at 1e150) or the drive sweep; the message
+    # must not put it on the drive keys alone
+    cases = [(kind, grid, dict(CH2, K_Tm=K_Tm))
+             for kind, grid in DETECTOR_RUNNERS.items() for K_Tm in ("1e300", "1e150")]
+    cases.append(("detector-cooling", COOL_GRID, dict(CH2, omega_T_hz="1e300")))
+    for kind, grid, params in cases:
+        cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
+        assert run(cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "detector params" in err, (kind, params)
+
+
+@pytest.mark.parametrize("kind", DETECTOR_RUNNERS)
+@pytest.mark.parametrize("key", ["K_d", "K_Tm"])
+def test_missing_coupling_constant_names_the_key(tmp_path, capsys, kind, key):
+    params = {k: v for k, v in CH2.items() if k != key}
+    cfg = ScenarioConfig(kind=kind, params=params, grid=DETECTOR_RUNNERS[kind],
+                         output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "detector params" in err
+    assert capsys.readouterr().err == f"config error: detector config needs {key}\n"
 
 
 def test_optimal_harmonic_detuning(tmp_path):
@@ -560,11 +586,11 @@ def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
         rho_a, p_b = state.reduced()
         fid, info, i_abc, i_bc, *_ = _info_diagnostics(rho_a, p_b, state.n_a, state.n_b)
         rho_b = fock.DensityMatrix(fock.HilbertSpec((p_b.size,)), np.diag(p_b))
-        sigma = qinfo.ThermalReference(state.n_b, 1.0, p_b.size).density_matrix()
-        n_bar = float(np.sum(rho_b.diagonal() * np.arange(p_b.size)))
+        sigma = thermal_density_matrix(state.n_b, p_b.size)
+        n_bar = float(np.sum(np.diag(rho_b.entries).real * np.arange(p_b.size)))
         s_a = qinfo.von_neumann_entropy(rho_a)
         s_b = qinfo.von_neumann_entropy(rho_b)
-        assert fid == pytest.approx(qinfo.fidelity(rho_b, sigma), rel=0, abs=1e-12)
+        assert fid == pytest.approx(fidelity(rho_b, sigma), rel=0, abs=1e-12)
         assert info == pytest.approx(qinfo.thermal_entropy(n_bar) - s_b, rel=0, abs=1e-12)
         assert i_abc == pytest.approx(2.0 * s_a, rel=0, abs=1e-12)
         assert i_bc == pytest.approx(2.0 * s_b - s_a, rel=0, abs=1e-12)

@@ -3,22 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from nlcavity.constants import Phi0
 from nlcavity.detector import (
     DrivePoint,
-    GeometricBlock,
     added_noise,
     band_spectra,
     bistability_boundary,
     bistability_onset,
     cooling_curve,
-    coupling_constants,
     effective_duffing,
     effective_thermo,
-    inductance_coeffs,
     linear_amplitude,
     mean_field,
-    mode_wavenumber,
     noise_density,
     response_coeffs,
     select_branch,
@@ -29,7 +24,6 @@ from nlcavity.errors import (
     InstabilityError,
     NoBistabilityError,
     OutsideRegionError,
-    SingularFluxError,
 )
 from nlcavity.presets import PRESETS, build_detector_params
 
@@ -56,70 +50,6 @@ def test_zero_point_scaling(params):
     doubled = dataclasses.replace(params, mass=2 * params.mass)
     assert zero_point(doubled) == pytest.approx(zero_point(params) / math.sqrt(2),
                                                 rel=1e-12)
-
-
-def test_inductance_zero_flux():
-    p = build_detector_params(dict(PRESETS["ch2-detection"]["params"],
-                                   phi_ext_phi0="0"))
-    L00, L20, L01 = inductance_coeffs(p)
-    assert L00 == pytest.approx(Phi0 / (4 * math.pi * p.I_c), rel=1e-12)
-    assert L01 == 0.0
-
-
-def test_inductance_direct_eval(params):
-    L00, L20, L01 = inductance_coeffs(params)
-    sec = 1.0 / math.cos(0.442 * math.pi)
-    assert L00 == pytest.approx(Phi0 * sec / (4 * math.pi * 4.5e-6), rel=1e-12)
-    assert L20 / L00 == pytest.approx(sec ** 2 / 24.0, rel=1e-12)
-
-
-def test_inductance_half_flux_singularity():
-    p = build_detector_params(dict(PRESETS["ch2-detection"]["params"],
-                                   phi_ext_phi0="0.5"))
-    with pytest.raises(SingularFluxError):
-        inductance_coeffs(p)
-
-
-def test_coupling_direct_passthrough(params):
-    K_Tm, K_d = coupling_constants(params)
-    assert K_Tm == 1.1e-5
-    assert K_d == -3.4e-6
-
-
-def geometric_detector(phi_ext):
-    base = build_detector_params(PRESETS["ch2-detection"]["params"])
-    import dataclasses
-
-    geo = GeometricBlock(lambda_geo=0.9, l_osc=5e-6, LT_l=2.0e-9, CT_l=4.0e-13)
-    return dataclasses.replace(base, K_d=None, K_Tm=None, geometry=geo,
-                               phi_ext=phi_ext)
-
-
-def test_coupling_geometric_mode_root():
-    p = geometric_detector(0.442)
-    x = mode_wavenumber(p)
-    L00, _, _ = inductance_coeffs(p)
-    zeta = L00 / p.geometry.LT_l
-    assert 0.5 * x * math.tan(0.5 * x) == pytest.approx(1.0 / zeta, rel=1e-10)
-    K_Tm, K_d = coupling_constants(p)
-    assert K_d < 0.0  # softening below the half flux quantum
-    assert K_Tm > 0.0
-
-
-def test_coupling_zeta_limit_small_root():
-    # large zeta (SQUID-dominated): k0 l -> 0 like 2/sqrt(zeta)
-    p = geometric_detector(0.4999)  # sec huge -> zeta huge
-    from nlcavity.detector import inductance_coeffs as ic
-    zeta = ic(p)[0] / p.geometry.LT_l
-    x = mode_wavenumber(p)
-    assert x < 0.5
-    assert x == pytest.approx(2.0 / math.sqrt(zeta), rel=0.05)
-
-
-def test_kd_sign_flips_across_half_flux():
-    below = coupling_constants(geometric_detector(0.442))[1]
-    above = coupling_constants(geometric_detector(0.558))[1]
-    assert below < 0.0 < above
 
 
 def test_effective_duffing_anchor(params):
@@ -279,7 +209,7 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
     # reconstruct alpha1/alpha2 by directly inverting the 2x2 linear system
     from nlcavity.detector import _b_func, _d_func, _point, _response_terms
 
-    K_Tm, K_d = coupling_constants(params)
+    K_Tm, K_d = params.K_Tm, params.K_d
     _, dw_bi, I_bi = onset
     drive = DrivePoint(I_0=0.7 * I_bi, delta_omega=0.4 * abs(dw_bi))
     chi = select_branch(mean_field(params, drive)).chi

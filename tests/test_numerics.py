@@ -7,7 +7,6 @@ from scipy.special import gammaincc
 
 from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError, StiffnessError
 from nlcavity.numerics import (
-    RealGrid,
     Tolerance,
     evolve_ode,
     find_root_bracketed,
@@ -430,10 +429,14 @@ def test_ode_step_underflow_raises_stiffness():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        RealGrid([])
-    with pytest.raises(ValueError):
-        RealGrid([0.0, 0.0, 1.0])
+    # the ODE stepper and the semiclassical tier share one grid check
+    from nlcavity.trilinear import semiclassical_pump
+
+    for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="grid must be"):
+            evolve_ode(lambda t, y: -y, np.array([1.0 + 0j]), grid)
+        with pytest.raises(ValueError, match="grid must be"):
+            semiclassical_pump(9.0, grid)
 
 
 # --- cubic -----------------------------------------------------------------
