@@ -2,7 +2,7 @@
 
 Subpackages by physics area:
 
-* numerics  -- special functions, quadrature, RK45, roots, spectral fits
+* numerics  -- special functions, quadrature, roots, spectral fits
 * fock      -- truncated Fock-space states, density matrices, partial traces
 * trilinear -- pump/signal/idler dynamics at four approximation tiers
 * qinfo     -- entropy, fidelity, information, squeezing diagnostics

@@ -30,7 +30,6 @@ from .errors import (
     NoHorizonError,
     NonLorentzianError,
     SingularFluxError,
-    StiffnessError,
     TruncationError,
 )
 from .presets import build_detector_params, build_line_params, list_presets
@@ -460,7 +459,7 @@ def run(cfg: ScenarioConfig) -> int:
             TruncationError, InstabilityError, NonLorentzianError) as exc:
         print(f"physics validity error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (ConvergenceError, StiffnessError, FitDegenerateError) as exc:
+    except (ConvergenceError, FitDegenerateError) as exc:
         print(f"numerical convergence error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except (ValueError, KeyError, TypeError) as exc:

@@ -2,7 +2,8 @@
 
 Domain/precondition violations raise ValueError subclasses so that callers
 can still catch them generically; numerical failures (non-convergence,
-stiffness) derive from RuntimeError and carry the best estimate found.
+a degenerate fit) derive from RuntimeError; ConvergenceError carries the
+best estimate found.
 """
 
 
@@ -12,10 +13,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
-
-
-class StiffnessError(RuntimeError):
-    """ODE step size underflowed; the problem is too stiff for this solver."""
 
 
 class BracketError(ValueError):

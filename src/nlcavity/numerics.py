@@ -1,5 +1,5 @@
-"""Shared numerical kernel: special functions, quadrature, ODE stepping,
-root finding, and Lorentzian spectral fitting.
+"""Shared numerical kernel: special functions, quadrature, root finding, and
+Lorentzian spectral fitting.
 
 Everything here is a pure function of its inputs; no module state.
 """
@@ -8,16 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    FitDegenerateError,
-    StiffnessError,
-)
+from .errors import BracketError, ConvergenceError, FitDegenerateError
 
 _EPS = np.finfo(float).eps
 
@@ -198,72 +193,6 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
             best_estimate=result,
         )
     return result
-
-
-# Dormand-Prince 5(4) tableau. Row i of _DP_A weighs (y, k_1..k_i+1) into
-# stage i + 2, the k weights times the step. Its last row is b5, so stage 7
-# is evaluated at y5 (first-same-as-last); _DP_E = b5 - b4 gives the error.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([
-    [1.0, 1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1.0, 3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [1.0, 44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_E = np.append(_DP_A[-1, 1:], 0.0) - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def evolve_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y0: Sequence[complex],
-    t_grid,
-    tol: Tolerance = Tolerance(abs_tol=1e-10, rel_tol=1e-8),
-) -> np.ndarray:
-    """Integrate dy/dt = rhs(t, y) with the Dormand-Prince embedded RK 4(5) pair.
-
-    Returns the solution sampled exactly at the points of ``t_grid`` (whose
-    first point is the initial time), one row per point. Step-size underflow
-    raises StiffnessError. y and the seven stages live in one stack K, so a
-    stage input is one product of a (real) tableau row with K's real view.
-    """
-    grid = _increasing_grid(t_grid)
-    y = np.asarray(y0, dtype=complex)
-    out = np.tile(y, (grid.size, 1))
-    t = float(grid[0])
-    span = float(grid[-1] - grid[0])
-    if span == 0.0:
-        return out
-
-    K = np.empty((8, y.size), dtype=complex)
-    K[0], K[1], Kr = y, rhs(t, y), K.view(float)
-    h = max(span / 100.0, np.finfo(float).tiny)  # a subnormal span is one step
-    for j, target in enumerate(grid[1:], 1):
-        while t < target:
-            clamped = h >= target - t
-            h_step = target - t if clamped else h
-            if h_step <= 1e-14 * max(abs(t), span):
-                raise StiffnessError(f"step size underflow at t={t}")
-            a = h_step * _DP_A
-            a[:, 0] = 1.0
-            for i in range(6):  # the last stage input is y5
-                y5 = (a[i, : i + 2] @ Kr[: i + 2]).view(complex)
-                K[i + 2] = rhs(t + _DP_C[i + 1] * h_step, y5)
-            delta = ((h_step * _DP_E) @ Kr[1:]).view(complex)
-            scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(K[0]), np.abs(y5))
-            err = float(np.max(np.abs(delta) / scale)) if y.size else 0.0
-            if err <= 1.0:
-                t = target if clamped else t + h_step
-                K[0] = y5
-                K[1] = K[7]  # first-same-as-last
-                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = h_step * grow
-            else:
-                h = h_step * max(0.1, 0.9 * err ** -0.25)
-        out[j] = K[0]
-    return out
 
 
 def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:

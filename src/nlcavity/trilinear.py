@@ -7,14 +7,16 @@ Four evolution tiers are provided:
 * parametric  -- pump frozen at a classical amplitude A (two-mode squeezing),
 * semiclassical -- classical pump with back-reaction (elliptic-dn pump decay),
 * short-time  -- quantized pump, BCH-truncated propagator extrapolated in tau,
-* full        -- numerical Schrodinger evolution (RK45) on a truncated grid.
+* full        -- exact Schrodinger evolution on a truncated grid, one
+                 eigen-solve per conserved block n = p + i.
 
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
 Phys. Rev. A 1, 446 (1970)). The quantized-pump tiers therefore share one
 state, ``PairState``: the amplitude matrix C[p, i], from which occupations
 and the reduced pump and signal states follow directly. The full tier
-applies the interaction generator to C without building an operator.
+propagates each anti-diagonal p + i = n of C exactly, without building an
+operator on the full grid.
 
 All dynamics are expressed in the interaction frame and in dimensionless
 time tau = chi*t, which scales out the coupling.
@@ -30,7 +32,7 @@ import numpy as np
 from . import fock
 from .errors import TruncationError
 from .fock import DensityMatrix, HilbertSpec, StateVector
-from .numerics import Tolerance, _increasing_grid, evolve_ode, integrate_adaptive, jacobi_dn
+from .numerics import Tolerance, _increasing_grid, integrate_adaptive, jacobi_dn
 
 
 @dataclass(frozen=True)
@@ -314,20 +316,28 @@ def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> State
     return StateVector(spec, amps.ravel())
 
 
-_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
+# i^k for k mod 4, exact
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> PairState:
-    """Interaction-picture Schrodinger evolution dpsi/dtau = G psi.
+    """Interaction-picture Schrodinger evolution dpsi/dtau = G psi,
+    propagated exactly one conserved block at a time.
 
     ``initial`` must lie in the pair span {|p, i, i>} (a pump-only state
     does), which G leaves invariant on the truncated grid; the evolution
-    runs on C[p, i] with pair dimension min(d_b, d_c), where G acts as
-    kron(a, P+) - kron(a+, P) and P+|i> = (i+1)|i+1> creates one
-    signal-idler pair. Returns the trajectory C[tau, p, i]. Raises
-    ValueError for weight off the span and TruncationError if the top pump
-    or pair level accumulates more than ``leak_tol`` population anywhere
-    along the trajectory.
+    runs on C[p, i] with pair dimension min(d_b, d_c), where G couples
+    (p, i) to (p + 1, i - 1) with weight sqrt(p+1)*i. G conserves
+    n = p + i, so each anti-diagonal block C_n, indexed by k = i, obeys
+    dC_n/dtau = A C_n with A real antisymmetric tridiagonal (Walls &
+    Barakat, Phys. Rev. A 1, 446 (1970)). With D = diag(i^k), A = -i D T
+    D^-1 for the real symmetric T of off-diagonal sqrt(n-k+1)*k, so one
+    eigh(T) = U diag(lam) U^T per block gives every tau at once:
+    C_n(tau) = D U exp(-i lam (tau - tau_0)) U^T D^-1 C_n(tau_0), where
+    tau_0 is the grid's first point and blocks without initial weight stay
+    zero. Returns the trajectory C[tau, p, i]. Raises ValueError for weight
+    off the span and TruncationError if the top pump or pair level holds
+    more than ``leak_tol`` population anywhere along the trajectory.
     """
     spec = initial.spec
     if spec.n_modes != 3:
@@ -338,20 +348,29 @@ def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> PairS
     C0 = psi[:, np.arange(dp), np.arange(dp)]
     if np.count_nonzero(psi) != np.count_nonzero(C0):  # C0 holds the span's entries
         raise ValueError("initial state has weight outside the pair span |p, i, i>")
-    # on the flattened C, kron(a, P+) maps index r + s to r (s = dp - 1)
-    # with weight sqrt(p+1)*i at (p, i) = divmod(r, dp); its adjoint maps r
-    # back to r + s. The i = 0 weights vanish, where r + s wraps a pump row.
-    s = dp - 1
-    p, i = np.indices((da, dp))
-    w = (np.sqrt(p + 1.0) * i).ravel()[:-s]
+    grid = _increasing_grid(tau_grid)
 
-    def rhs(_t, y):
-        dy = np.zeros(y.shape, dtype=complex)
-        dy[:-s] = w * y[s:]
-        dy[s:] -= w * y[:-s]
-        return dy
+    C = np.zeros((grid.size, da, dp), dtype=complex)
+    C[0] = C0
+    minus_i_dt = -1j * (grid[1:] - grid[0])
+    for n in range(da + dp - 1):
+        k = np.arange(max(0, n - da + 1), min(n, dp - 1) + 1)
+        c0 = C0[n - k, k]
+        if not c0.any():
+            continue
+        off = np.sqrt(n - k[1:] + 1.0) * k[1:]
+        lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        d = _I_POWERS[k % 4]
+        # built in place from complex operands (no casting buffers): a block
+        # holds at most two (tau, k) temporaries beside the trajectory
+        Z = np.multiply.outer(minus_i_dt, lam.astype(complex))
+        np.exp(Z, out=Z)
+        Z *= U.T @ (d.conj() * c0)
+        Z = Z @ U.T
+        Z *= d
+        C[1:, n - k, k] = Z
 
-    trajectory = PairState(evolve_ode(rhs, C0.ravel(), tau_grid, _ODE_TOL).reshape(-1, da, dp))
+    trajectory = PairState(C)
     leak = trajectory.max_boundary_population().max()
     if leak > leak_tol:
         raise TruncationError(

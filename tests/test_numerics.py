@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
-from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError, StiffnessError
+from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError
 from nlcavity.numerics import (
     Tolerance,
-    evolve_ode,
     find_root_bracketed,
     fit_lorentzian,
     integrate_adaptive,
     jacobi_dn,
     solve_cubic_real,
 )
+from oracles import StiffnessError, evolve_ode, pair_rhs
 
 
 # --- jacobi dn -------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_integrate_intervals_match_scalar_calls_and_recursion(coeffs, peak, inte
             assert abs(scalar - oracle) <= 1e-12 * max(abs(oracle), tol.abs_tol)
 
 
-# --- ODE -------------------------------------------------------------------
+# --- ODE (the RK45 oracle of tests/oracles.py) ------------------------------
 
 def test_ode_rotation_one_period():
     w = 2.3
@@ -403,23 +403,17 @@ def test_ode_stage_kernel_matches_reference_loop_dense():
         _assert_kernel_matches_reference(lambda t, y: G @ y, y0, np.linspace(0, 2, 9), tol)
 
 
-def test_ode_stage_kernel_matches_reference_loop_pair_generator(monkeypatch):
-    # the full trilinear tier's own right-hand side, grid and tolerance
+def test_ode_stage_kernel_matches_reference_loop_pair_generator():
+    # the pair-span right-hand side at N_a = 3, with the grid and tolerance
+    # the full trilinear tier was once integrated with
     from nlcavity import fock, trilinear
 
-    seen = []
-
-    def recording(rhs, y0, grid, tol):
-        seen.append((rhs, y0, grid, tol))
-        return evolve_ode(rhs, y0, grid, tol)
-
-    monkeypatch.setattr(trilinear, "evolve_ode", recording)
     dim = fock.min_coherent_dim(3.0) + 3
     init = trilinear.PumpInitialState.coherent(3.0, dim)
-    psi0 = trilinear.initial_product_state(init, fock.HilbertSpec((dim,) * 3))
-    trilinear.evolve_full(psi0, np.linspace(0.0, 3.0, 31))
-    rhs, y0, grid, tol = seen[0]
-    _assert_kernel_matches_reference(rhs, y0, grid, tol)
+    y0 = np.zeros((dim, dim), dtype=complex)
+    y0[:, 0] = init.coefficients
+    _assert_kernel_matches_reference(pair_rhs(dim, dim), y0.ravel(), np.linspace(0.0, 3.0, 31),
+                                     Tolerance(1e-12, 1e-10))
 
 
 def test_ode_step_underflow_raises_stiffness():
@@ -429,14 +423,20 @@ def test_ode_step_underflow_raises_stiffness():
 
 
 def test_grid_validation():
-    # the ODE stepper and the semiclassical tier share one grid check
-    from nlcavity.trilinear import semiclassical_pump
+    # the runtime users of the one grid check, and the RK45 oracle
+    from nlcavity import fock
+    from nlcavity.trilinear import (PumpInitialState, evolve_full, initial_product_state,
+                                    semiclassical_pump)
 
+    spec = fock.HilbertSpec((3, 3, 3))
+    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
     for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="grid must be"):
-            evolve_ode(lambda t, y: -y, np.array([1.0 + 0j]), grid)
+            evolve_full(psi0, grid)
         with pytest.raises(ValueError, match="grid must be"):
             semiclassical_pump(9.0, grid)
+        with pytest.raises(ValueError, match="grid must be"):
+            evolve_ode(lambda t, y: -y, np.array([1.0 + 0j]), grid)
 
 
 # --- cubic -----------------------------------------------------------------

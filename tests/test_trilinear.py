@@ -28,6 +28,7 @@ from oracles import (
     branch_normalization,
     build_interaction_hamiltonian,
     embed,
+    evolve_pair_rk45,
     expectation,
     interaction_generator,
     ladder_ops,
@@ -498,6 +499,44 @@ def test_evolve_truncation_error_reports_leak():
     with pytest.raises(TruncationError) as err:
         evolve_full(psi0, [0.0, 1.0])
     assert err.value.leak > 1e-6
+
+
+# --- exact block propagation on the ch4-coherent9 configuration ----------------
+
+@pytest.fixture(scope="module")
+def coherent9():
+    """N_a(0) = 9, dim 30 per mode, 400 tau on [0, 3]: the pump-only state,
+    the grid and the full tier's trajectory."""
+    spec = HilbertSpec((30,) * 3)
+    psi0 = initial_product_state(PumpInitialState.coherent(9.0, 30), spec)
+    taus = np.linspace(0.0, 3.0, 400)
+    return psi0, taus, evolve_full(psi0, taus)
+
+
+def test_full_tier_norm_holds_to_round_off(coherent9):
+    _, _, traj = coherent9
+    assert np.max(np.abs(traj.norm() - 1.0)) <= 1e-14
+
+
+def test_full_tier_conserves_manley_rowe_sum(coherent9):
+    # every block n = p + i keeps its own weight, so N_a + N_b is exact
+    _, _, traj = coherent9
+    assert np.max(np.abs(traj.n_a + traj.n_b - traj.n_a[0])) <= 1e-12
+
+
+def test_full_tier_matches_rk45_oracle(coherent9):
+    psi0, taus, traj = coherent9
+    assert np.max(np.abs(traj.C - evolve_pair_rk45(psi0, taus))) <= 1e-9
+
+
+def test_full_tier_starts_at_first_grid_point():
+    # the first grid point is the initial time, wherever the grid starts
+    spec = HilbertSpec((5, 6, 4))
+    psi0 = initial_product_state(PumpInitialState([0.6, 0.64j, 0.48]), spec)
+    late = evolve_full(psi0, [0.5, 1.0])
+    np.testing.assert_array_equal(late.C[0], psi0.tensor_view()[:, np.arange(4), np.arange(4)])
+    early = evolve_full(psi0, [0.0, 0.5])
+    assert np.max(np.abs(late.C[1] - early.C[1])) <= 1e-13
 
 
 def test_parametric_limit_of_full_evolution():
