@@ -345,10 +345,12 @@ def _tau_grid(cfg):
     return np.linspace(0.0, tau_max, _points(cfg, "tau_points", 400))
 
 
-def _trilinear_setup(mean_occ, dim):
-    initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
+def _full_tier(initial, taus):
+    """The full tier's trajectory from the pump state ``initial`` with signal
+    and idler in vacuum, on the cubic grid of the pump's dimension."""
+    dim = initial.coefficients.size
     psi0 = trilinear.initial_product_state(initial, fock.HilbertSpec((dim, dim, dim)))
-    return initial, psi0
+    return trilinear.evolve_full(psi0, taus)
 
 
 def _run_trilinear_evolve(cfg: ScenarioConfig):
@@ -357,7 +359,7 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     dim = int(float(cfg.params.get("dim_per_mode", 0))) or \
         fock.min_coherent_dim(mean_occ) + 3
     taus = _tau_grid(cfg)
-    initial, psi0 = _trilinear_setup(mean_occ, dim)
+    initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
 
     A = math.sqrt(mean_occ)
     curve = trilinear.semiclassical_pump(mean_occ, taus)
@@ -367,7 +369,7 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     short = trilinear.short_time_state(initial, taus)
     columns = [taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi, short.n_a, short.n_b]
     del short  # freed before the full tier's trajectory of the same size is built
-    full = trilinear.evolve_full(psi0, taus)
+    full = _full_tier(initial, taus)
     rows = np.column_stack(columns + [full.n_a, full.n_b, full.n_b, full.pump_variance(),
                                       full.norm() - 1.0, full.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
@@ -379,17 +381,22 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     return resolved, {"evolve": (header, rows)}
 
 
-def _info_diagnostics(rho_a, p_b, n_a, n_b):
+def _info_diagnostics(states):
+    """N_b and the seven info columns of a trajectory PairState, one value per
+    tau: the pump entropy from the Schmidt spectrum of C, the signal's from
+    its pair distribution p_b and the squeezing from C, without forming rho_a."""
+    p_b, n_a, n_b = states.p_b, states.n_a, states.n_b
+    # checks both marginals to unit trace at every tau, before F relies on it
+    i_abc, i_bc = qinfo.mutual_information_partitions(states.C, p_b)
     # rho_b and its thermal reference are diagonal: F is the Bhattacharyya sum
-    q = qinfo.ThermalReference(n_b, p_b.size).probabilities
-    fid = float(np.sum(np.sqrt(p_b * q)))
-    if fid > 1.0 + 1e-8:
-        raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical slack")
-    info = qinfo.information(p_b)
-    i_abc, i_bc = qinfo.mutual_information_partitions(rho_a, p_b)
-    qp, qm = qinfo.squeezing_params(rho_a)
+    q = qinfo.ThermalReference(n_b, p_b.shape[-1]).probabilities
+    fid = np.sum(np.sqrt(p_b * q), axis=-1)
+    if fid.max() > 1.0 + 1e-8:
+        raise ValueError(f"fidelity {fid.max()} exceeds 1 beyond numerical slack")
+    qp, qm = qinfo.squeezing_params(states.C)
     d_gap = qinfo.effective_dimension(n_a) - qinfo.effective_dimension(n_b) ** 2
-    return min(fid, 1.0), info, i_abc, i_bc, qp, qm, d_gap
+    return (n_b, np.minimum(fid, 1.0), qinfo.information(p_b), i_abc, i_bc, qp, qm,
+            d_gap)
 
 
 def _run_trilinear_info(cfg: ScenarioConfig):
@@ -403,17 +410,15 @@ def _run_trilinear_info(cfg: ScenarioConfig):
     for mean_occ in means:
         dim = fock.min_coherent_dim(mean_occ) + 3
         resolved["dims"][mean_occ] = dim
-        initial, psi0 = _trilinear_setup(mean_occ, dim)
+        initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
         trajectories = []
         if "short" in tiers:
             trajectories.append(("short", trilinear.short_time_state(initial, taus)))
         if "full" in tiers:
-            trajectories.append(("full", trilinear.evolve_full(psi0, taus)))
+            trajectories.append(("full", _full_tier(initial, taus)))
         for tier, states in trajectories:
-            n_a, n_b = states.n_a, states.n_b
-            for k, tau in enumerate(taus):
-                diag = _info_diagnostics(*states[k].reduced(), n_a[k], n_b[k])
-                rows.append([tau, mean_occ, tier, n_b[k], *diag])
+            rows += [[tau, mean_occ, tier, *cells]
+                     for tau, *cells in zip(taus, *_info_diagnostics(states))]
 
     header = ["tau", "mean_occupation", "tier", "N_b", "fidelity",
               "information_nats", "I_a_bc", "I_b_c", "q_plus", "q_minus",

@@ -230,6 +230,11 @@ class PairState:
         """Signal occupation, equal to the idler's."""
         return self._moments(-2)[0]
 
+    @property
+    def p_b(self):
+        """Signal number distribution p_b[i] = sum_p |C[p, i]|^2, the idler's too."""
+        return self._marginal(-2)
+
     def pump_variance(self):
         """<N_a^2> - <N_a>^2: the residual of the mean-field factorization
         underlying the semiclassical tier."""
@@ -239,14 +244,6 @@ class PairState:
     def max_boundary_population(self):
         """Truncation leak: population of the top pump level or top pair level."""
         return np.maximum(self._marginal(-1)[..., -1], self._marginal(-2)[..., -1])
-
-    def reduced(self):
-        """Pump marginal rho_a = C C+ and signal diagonal p_b[i] = sum_p |C[p, i]|^2
-        of one state (index a trajectory first); traces |C|^2, checked on rho_a."""
-        C = self._require(2)
-        rho_a = C @ C.conj().T
-        return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
-                np.sum(np.abs(C) ** 2, axis=0))
 
     def state_vector(self, spec: HilbertSpec) -> StateVector:
         """Embedding of one state in the full three-mode truncation grid."""

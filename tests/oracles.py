@@ -15,6 +15,11 @@ builds every branch of every tau at once.
 mode, ``fidelity`` is the dense Uhlmann fidelity the diagonal-state
 Bhattacharyya sums of the package are checked against, and
 ``thermal_density_matrix`` is the dense form of a ``ThermalReference``.
+``reduced`` forms one pair state's pump density matrix and signal diagonal,
+``dense_von_neumann_entropy`` is the eigenvalue entropy of a dense density
+matrix that the package's singular-value (Schmidt) entropies are checked
+against, and ``mode_factor`` is the factor C of a reduced state C C+ that
+those entropies take.
 
 ``evolve_ode`` is the Dormand-Prince embedded RK 4(5) stepper, and
 ``evolve_pair_rk45`` integrates the pair amplitudes with it on the right-hand
@@ -31,7 +36,7 @@ import scipy.sparse as sp
 
 from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
 from nlcavity.numerics import Tolerance, _increasing_grid
-from nlcavity.qinfo import ThermalReference
+from nlcavity.qinfo import ThermalReference, entropy
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +210,30 @@ def boundary_population(psi: StateVector):
 
 def max_boundary_population(psi: StateVector) -> float:
     return max(boundary_population(psi))
+
+
+def reduced(state):
+    """Pump marginal rho_a = C C+ and signal diagonal p_b[i] = sum_p |C[p, i]|^2
+    of one PairState (index a trajectory first); traces |C|^2, checked on rho_a."""
+    C = state.C
+    if C.ndim != 2:
+        raise TypeError(f"needs one state, got a PairState of shape {C.shape}")
+    rho_a = C @ C.conj().T
+    return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
+            np.sum(np.abs(C) ** 2, axis=0))
+
+
+def dense_von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Entropy of the eigenvalues of a dense density matrix, nats."""
+    return float(entropy(rho.eigenvalues()))
+
+
+def mode_factor(psi: StateVector, keep) -> np.ndarray:
+    """C with partial_trace(psi, keep) = C C+: the amplitudes with the kept
+    modes' axes first, flattened to (kept dimension, rest)."""
+    keep = list(keep)
+    kept_dim = int(np.prod([psi.spec.dims[k] for k in keep]))
+    return np.moveaxis(psi.tensor_view(), keep, range(len(keep))).reshape(kept_dim, -1)
 
 
 def thermal_density_matrix(n_bar: float, dim: int) -> DensityMatrix:

@@ -23,7 +23,8 @@ from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
 from oracles import (build_interaction_hamiltonian, expectation, fidelity,
-                     interaction_generator, mode_numbers, thermal_density_matrix)
+                     interaction_generator, mode_factor, mode_numbers, reduced,
+                     thermal_density_matrix)
 
 RESULTS = []
 
@@ -350,7 +351,7 @@ def short_time_signal():
     on tau in [0,3]."""
     init = trilinear.PumpInitialState.coherent(9.0, 30)
     taus = np.linspace(0.0, 3.0, 400)
-    return init, taus, [trilinear.short_time_state(init, float(tau)).reduced()[1]
+    return init, taus, [reduced(trilinear.short_time_state(init, float(tau)))[1]
                         for tau in taus]
 
 
@@ -382,7 +383,7 @@ def test_criterion_9a_fidelity_shape(short_time_signal, short_time_curves):
     # tau -> infinity: the signal carries the pump's Poisson(9) distribution,
     # so F tends to the Bhattacharyya coefficient of Poisson(9) against the
     # thermal distribution of mean 9
-    _, F_100 = thermal_fidelity(trilinear.short_time_state(init, 100.0).reduced()[1])
+    _, F_100 = thermal_fidelity(reduced(trilinear.short_time_state(init, 100.0))[1])
     m = np.arange(400)
     bhattacharyya = float(np.sum(np.exp(0.5 * (m * math.log(9.0) - 9.0 - gammaln(m + 1)
                                                + m * math.log(0.9) - math.log(10.0)))))
@@ -420,7 +421,7 @@ def test_criterion_9b_information_onset(short_time_curves):
 def test_criterion_10_long_time_distribution():
     start = time.perf_counter()
     init = trilinear.PumpInitialState.coherent(9.0, 30)
-    _, diag = trilinear.short_time_state(init, 100.0).reduced()
+    _, diag = reduced(trilinear.short_time_state(init, 100.0))
     P = init.probabilities
     tv = 0.5 * float(np.sum(np.abs(diag[: P.size] - P)) + np.sum(diag[P.size:]))
     elapsed = time.perf_counter() - start
@@ -437,29 +438,26 @@ def test_criterion_11_quantum_info_suite(coherent9_trajectory):
     # pure-state entropy
     v = np.zeros(16)
     v[3] = 1.0
-    rho_pure = fock.DensityMatrix(fock.HilbertSpec((16,)), np.outer(v, v))
-    s_pure = qinfo.von_neumann_entropy(rho_pure)
+    s_pure = qinfo.von_neumann_entropy(v[:, None])  # factor of |v><v|
 
-    # closed form vs eigen-decomposition
+    # closed form vs singular-value decomposition; rho is diagonal, so its
+    # elementwise root is a factor
     therm_dev = 0.0
     for n_bar in (0.5, 4.5, 9.0):
         dim = 60 * (1 + int(n_bar))
         rho = thermal_density_matrix(n_bar, dim)
-        therm_dev = max(therm_dev, abs(qinfo.von_neumann_entropy(rho)
+        therm_dev = max(therm_dev, abs(qinfo.von_neumann_entropy(np.sqrt(rho.entries))
                                        - qinfo.thermal_entropy(n_bar)))
 
     d_eff_dev = abs(qinfo.effective_dimension(4.5) - 10.0)
 
     psi_c = fock.coherent_state(3.0, 30)
-    rho_c = fock.DensityMatrix(psi_c.spec,
-                               np.outer(psi_c.amplitudes, psi_c.amplitudes.conj()))
-    qp_c, qm_c = qinfo.squeezing_params(rho_c)
+    qp_c, qm_c = qinfo.squeezing_params(psi_c.amplitudes[:, None])
 
     heis_min = math.inf
     qm_track = []
     for s in states:
-        rho_a = fock.partial_trace(s, keep=[0])
-        qp, qm = qinfo.squeezing_params(rho_a)
+        qp, qm = qinfo.squeezing_params(mode_factor(s, [0]))
         heis_min = min(heis_min, (qp + 1.0) * (qm + 1.0))
         qm_track.append(qm)
 

@@ -16,9 +16,9 @@ from nlcavity.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
     ScenarioConfig,
+    _full_tier,
     _info_diagnostics,
     _tau_grid,
-    _trilinear_setup,
     _write_csv,
     config_from_preset,
     load_config,
@@ -27,7 +27,13 @@ from nlcavity.cli import (
 )
 from nlcavity.errors import FitDegenerateError
 from nlcavity.presets import build_detector_params, list_presets
-from oracles import fidelity, thermal_density_matrix
+from oracles import (
+    dense_von_neumann_entropy,
+    expectation,
+    fidelity,
+    ladder_ops,
+    thermal_density_matrix,
+)
 
 CH2 = {
     "Z_p_ohm": "50", "omega_T_hz": "5e9", "Q_T": "300", "omega_m_hz": "4e6",
@@ -571,26 +577,55 @@ def test_main_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("tier, mean_occ", [("short", 9.0), ("full", 3.0)])
-def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
-    # the parent path: rho_b = diag(p_b) as a dense matrix, Uhlmann fidelity
-    # against the dense thermal reference, von Neumann entropies
-    dim = fock.min_coherent_dim(mean_occ) + 3
-    initial, psi0 = _trilinear_setup(mean_occ, dim)
-    taus = np.linspace(0.0, 3.0, 25)
+def _info_trajectory(tier, mean_occ, taus):
+    initial = trilinear.PumpInitialState.coherent(mean_occ, fock.min_coherent_dim(mean_occ) + 3)
     if tier == "short":
-        states = [trilinear.short_time_state(initial, float(t)) for t in taus]
-    else:
-        states = trilinear.evolve_full(psi0, taus)
-    for state in states:
-        rho_a, p_b = state.reduced()
-        fid, info, i_abc, i_bc, *_ = _info_diagnostics(rho_a, p_b, state.n_a, state.n_b)
-        rho_b = fock.DensityMatrix(fock.HilbertSpec((p_b.size,)), np.diag(p_b))
-        sigma = thermal_density_matrix(state.n_b, p_b.size)
-        n_bar = float(np.sum(np.diag(rho_b.entries).real * np.arange(p_b.size)))
-        s_a = qinfo.von_neumann_entropy(rho_a)
-        s_b = qinfo.von_neumann_entropy(rho_b)
-        assert fid == pytest.approx(fidelity(rho_b, sigma), rel=0, abs=1e-12)
-        assert info == pytest.approx(qinfo.thermal_entropy(n_bar) - s_b, rel=0, abs=1e-12)
-        assert i_abc == pytest.approx(2.0 * s_a, rel=0, abs=1e-12)
-        assert i_bc == pytest.approx(2.0 * s_b - s_a, rel=0, abs=1e-12)
+        return trilinear.short_time_state(initial, taus)
+    return _full_tier(initial, taus)
+
+
+@pytest.mark.parametrize("tier, mean_occ", [("short", 3.0), ("short", 9.0),
+                                            ("full", 3.0), ("full", 9.0)])
+def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
+    # every column of the one-pass trajectory diagnostics against the dense
+    # path at every tau: reduced density matrices from the full-grid state,
+    # their eigenvalue entropies, the Uhlmann fidelity of rho_b against the
+    # dense thermal reference, and the ladder-operator squeezing of rho_a
+    taus = np.linspace(0.0, 3.0, 25)
+    states = _info_trajectory(tier, mean_occ, taus)
+    columns = np.column_stack(_info_diagnostics(states))
+    dim = states.C.shape[-1]
+    spec = fock.HilbertSpec((dim,) * 3)
+    a, _, num = ladder_ops(dim)
+    levels = np.arange(dim)
+    for k, state in enumerate(states):
+        psi = state.state_vector(spec)
+        rho_a = fock.partial_trace(psi, keep=[0])
+        rho_b = fock.partial_trace(psi, keep=[1])
+        p_b = np.diag(rho_b.entries).real
+        n_a, n_b = np.diag(rho_a.entries).real @ levels, p_b @ levels
+        s_a, s_b = dense_von_neumann_entropy(rho_a), dense_von_neumann_entropy(rho_b)
+        exp_a, exp_aa = expectation(rho_a, a), expectation(rho_a, a @ a)
+        exp_n = expectation(rho_a, num).real
+        dense = [n_b, fidelity(rho_b, thermal_density_matrix(n_b, dim)),
+                 qinfo.thermal_entropy(n_b) - s_b, 2.0 * s_a, 2.0 * s_b - s_a,
+                 2.0 * exp_n + 2.0 * exp_aa.real - 4.0 * exp_a.real ** 2,
+                 2.0 * exp_n - 2.0 * exp_aa.real - 4.0 * exp_a.imag ** 2,
+                 (2.0 * n_a + 1.0) - (2.0 * n_b + 1.0) ** 2]
+        np.testing.assert_allclose(columns[k], dense, rtol=0, atol=1e-12)
+
+
+def test_info_trace_gate_fires_on_one_tau_slice(tmp_path, monkeypatch):
+    # a trajectory whose tau = 1 slice has norm 1.01: the per-tau trace check
+    # raises ValueError, and the CLI maps it to the config exit code
+    taus = np.linspace(0.0, 2.0, 5)
+    C = _info_trajectory("short", 3.0, taus).C.copy()
+    C[2] *= 1.01
+    with pytest.raises(ValueError, match="trace"):
+        _info_diagnostics(trilinear.PairState(C))
+    monkeypatch.setattr(trilinear, "short_time_state",
+                        lambda initial, tau: trilinear.PairState(C))
+    cfg = ScenarioConfig(
+        kind="trilinear-info", params={"mean_occupations": "3", "tiers": "short"},
+        grid={"tau_max": "2.0", "tau_points": "5"}, output_dir=tmp_path, label="bad")
+    assert run(cfg) == EXIT_CONFIG

@@ -24,7 +24,14 @@ from nlcavity.trilinear import (
     initial_product_state,
     parametric_state,
 )
-from oracles import expectation, fidelity, ladder_ops, thermal_density_matrix
+from oracles import (
+    dense_von_neumann_entropy,
+    expectation,
+    fidelity,
+    ladder_ops,
+    mode_factor,
+    thermal_density_matrix,
+)
 
 
 def pure_dm(amps):
@@ -33,26 +40,33 @@ def pure_dm(amps):
     return DensityMatrix(HilbertSpec((v.size,)), np.outer(v, v.conj()))
 
 
+def pure_factor(amps):
+    """The factor v[:, None] of the pure state |v><v|, v normalized."""
+    v = np.asarray(amps, dtype=complex)
+    return (v / np.linalg.norm(v))[:, None]
+
+
 # --- entropies ----------------------------------------------------------------
 
 def test_entropy_pure_state():
-    rho = pure_dm([0.3, 0.4, 0.5 + 0.2j, 0.0])
-    assert abs(von_neumann_entropy(rho)) < 1e-9
+    assert abs(von_neumann_entropy(pure_factor([0.3, 0.4, 0.5 + 0.2j, 0.0]))) < 1e-9
 
 
 def test_entropy_maximally_mixed():
     d = 7
-    rho = DensityMatrix(HilbertSpec((d,)), np.eye(d) / d)
-    assert von_neumann_entropy(rho) == pytest.approx(math.log(d), rel=1e-12)
+    assert von_neumann_entropy(np.eye(d) / math.sqrt(d)) == pytest.approx(math.log(d),
+                                                                         rel=1e-12)
 
 
 @pytest.mark.parametrize("n_bar", [0.5, 4.5, 9.0])
 def test_entropy_thermal_closed_form(n_bar):
-    # eigen-decomposition route vs the closed form; truncation chosen so the
-    # discarded tail is below the comparison tolerance
+    # singular-value route vs the closed form; truncation chosen so the
+    # discarded tail is below the comparison tolerance. rho is diagonal, so
+    # its elementwise root is a factor
     dim = 40 * (1 + int(n_bar))
     rho = thermal_density_matrix(n_bar, dim)
-    assert von_neumann_entropy(rho) == pytest.approx(thermal_entropy(n_bar), abs=1e-6)
+    assert von_neumann_entropy(np.sqrt(rho.entries)) == pytest.approx(
+        thermal_entropy(n_bar), abs=1e-6)
 
 
 def test_entropy_invalid_state():
@@ -84,8 +98,25 @@ def test_entropy_matches_diagonal_von_neumann(weights, big):
     evals = np.linalg.eigvalsh(rho.entries)
     kept = evals[evals >= 1e-12]
     reference = float(-np.sum(kept * np.log(kept)))
-    assert entropy(p) == pytest.approx(von_neumann_entropy(rho), rel=1e-12, abs=1e-15)
+    assert entropy(p) == pytest.approx(von_neumann_entropy(np.diag(np.sqrt(p))),
+                                       rel=1e-12, abs=1e-15)
     assert entropy(p) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_schmidt_entropy_matches_dense_eigenvalues(d_a, d_p, rank, seed):
+    # a normalized pair amplitude matrix of any shape (d_a != d_p allowed) and
+    # rank: the entropy of its squared singular values is that of the
+    # eigenvalues of the dense rho_a = C C+
+    rng = np.random.default_rng(seed)
+    r = min(rank, d_a, d_p)
+    left = rng.normal(size=(d_a, r)) + 1j * rng.normal(size=(d_a, r))
+    C = left @ (rng.normal(size=(r, d_p)) + 1j * rng.normal(size=(r, d_p)))
+    C /= np.linalg.norm(C)
+    rho = DensityMatrix(HilbertSpec((d_a,)), C @ C.conj().T)
+    assert von_neumann_entropy(C) == pytest.approx(dense_von_neumann_entropy(rho),
+                                                   rel=0, abs=1e-12)
 
 
 def test_thermal_entropy_values():
@@ -216,7 +247,7 @@ def test_mutual_information_product_state():
     amps[5, 0, 0] = 1.0
     psi = fock.StateVector(spec, amps.ravel())
     p_b = np.diag(fock.partial_trace(psi, keep=[1]).entries).real
-    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]), p_b)
+    i_abc, i_bc = mutual_information_partitions(mode_factor(psi, [0]), p_b)
     assert abs(i_abc) < 1e-9
     assert abs(i_bc) < 1e-9
 
@@ -226,15 +257,16 @@ def test_mutual_information_two_path_entropy():
     spec = HilbertSpec((4, 3, 3))
     v = rng.normal(size=36) + 1j * rng.normal(size=36)
     psi = fock.StateVector(spec, v / np.linalg.norm(v))
-    s_a = von_neumann_entropy(fock.partial_trace(psi, keep=[0]))
-    s_bc = von_neumann_entropy(fock.partial_trace(psi, keep=[1, 2]))
+    # S_a from the Schmidt spectrum, S_bc from the dense marginal's eigenvalues
+    s_a = von_neumann_entropy(mode_factor(psi, [0]))
+    s_bc = dense_von_neumann_entropy(fock.partial_trace(psi, keep=[1, 2]))
     assert s_a == pytest.approx(s_bc, abs=1e-8)
     # rho_b is not diagonal here: its entropy enters through its spectrum
     rho_b = fock.partial_trace(psi, keep=[1])
-    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi, keep=[0]),
+    i_abc, i_bc = mutual_information_partitions(mode_factor(psi, [0]),
                                                 rho_b.eigenvalues())
     assert i_abc == pytest.approx(2 * s_a, abs=1e-8)
-    assert i_bc == pytest.approx(2 * von_neumann_entropy(rho_b) - s_a, abs=1e-12)
+    assert i_bc == pytest.approx(2 * dense_von_neumann_entropy(rho_b) - s_a, abs=1e-12)
 
 
 def test_mutual_information_parametric_tier():
@@ -242,7 +274,7 @@ def test_mutual_information_parametric_tier():
     # S_b is the thermal entropy at sinh^2(r)
     r = 0.8
     psi2 = parametric_state(1.0, r, 30)
-    s_b = von_neumann_entropy(fock.partial_trace(psi2, keep=[0]))
+    s_b = von_neumann_entropy(mode_factor(psi2, [0]))
     assert s_b == pytest.approx(thermal_entropy(math.sinh(r) ** 2), abs=1e-7)
 
     # embed as (pump)x(signal)x(idler) with a trivial pump
@@ -251,23 +283,40 @@ def test_mutual_information_parametric_tier():
     amps[0] = psi2.amplitudes.reshape(30, 30)
     psi3 = fock.StateVector(spec, amps.ravel())
     p_b = np.diag(fock.partial_trace(psi3, keep=[1]).entries).real
-    i_abc, i_bc = mutual_information_partitions(fock.partial_trace(psi3, keep=[0]), p_b)
+    i_abc, i_bc = mutual_information_partitions(mode_factor(psi3, [0]), p_b)
     assert abs(i_abc) < 1e-9
     assert i_bc == pytest.approx(2 * s_b, abs=1e-7)
+
+
+def test_marginal_trace_gates_per_tau():
+    # a trajectory of pure pump factors whose tau = 1 slice has norm 1.01, or
+    # holds a NaN: rho_a's trace (sum of squared singular values) and p_b's
+    # are each checked at every tau, replacing the dense matrix's trace check
+    C = np.stack([pure_factor([1.0, t, 0.5j]) for t in (0.0, 1.0, 2.0)])
+    p_b = np.array([[1.0, 0.0]] * 3)
+    assert mutual_information_partitions(C, p_b)[0] == pytest.approx([0.0] * 3, abs=1e-12)
+    bad = C.copy()
+    bad[1] *= 1.01
+    with pytest.raises(ValueError, match="trace"):
+        von_neumann_entropy(bad)
+    with pytest.raises(ValueError, match="trace"):
+        mutual_information_partitions(C, p_b * np.array([[1.0], [1.0201], [1.0]]))
+    bad[1, 0, 0] = math.nan
+    with pytest.raises(ValueError):
+        von_neumann_entropy(bad)
 
 
 # --- squeezing ------------------------------------------------------------------------
 
 def test_squeezing_vacuum():
-    qp, qm = squeezing_params(pure_dm([1.0] + [0.0] * 9))
+    qp, qm = squeezing_params(pure_factor([1.0] + [0.0] * 9))
     assert qp == pytest.approx(0.0, abs=1e-12)
     assert qm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_squeezing_coherent():
     psi = fock.coherent_state(3.0, 30)
-    rho = DensityMatrix(psi.spec, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    qp, qm = squeezing_params(rho)
+    qp, qm = squeezing_params(psi.amplitudes[:, None])
     assert qp == pytest.approx(0.0, abs=1e-3)
     assert qm == pytest.approx(0.0, abs=1e-3)
 
@@ -275,7 +324,7 @@ def test_squeezing_coherent():
 def test_squeezing_fock_one():
     v = np.zeros(5)
     v[1] = 1.0
-    qp, qm = squeezing_params(pure_dm(v))
+    qp, qm = squeezing_params(pure_factor(v))
     assert qp == pytest.approx(2.0, abs=1e-12)
     assert qm == pytest.approx(2.0, abs=1e-12)
 
@@ -284,14 +333,15 @@ def test_squeezing_fock_one():
 def test_squeezing_matches_ladder_operator_oracle(dim):
     rng = np.random.default_rng(dim)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = DensityMatrix(HilbertSpec((dim,)), m @ m.conj().T / np.trace(m @ m.conj().T))
+    C = m / np.sqrt(np.trace(m @ m.conj().T))
+    rho = DensityMatrix(HilbertSpec((dim,)), C @ C.conj().T)
     a, _, num = ladder_ops(dim)
     exp_a = expectation(rho, a)
     exp_aa = expectation(rho, a @ a)
     exp_n = expectation(rho, num).real
     q_plus = 2.0 * exp_n + 2.0 * exp_aa.real - 4.0 * exp_a.real ** 2
     q_minus = 2.0 * exp_n - 2.0 * exp_aa.real - 4.0 * exp_a.imag ** 2
-    qp, qm = squeezing_params(rho)
+    qp, qm = squeezing_params(C)
     assert qp == pytest.approx(q_plus, rel=1e-12, abs=1e-12)
     assert qm == pytest.approx(q_minus, rel=1e-12, abs=1e-12)
 
@@ -311,9 +361,9 @@ def small_trajectory():
 def test_entropy_bounds_along_trajectory(small_trajectory):
     for s in small_trajectory:
         for keep in ([0], [1]):
-            rho = fock.partial_trace(s, keep=keep)
-            S = von_neumann_entropy(rho)
-            assert -1e-9 <= S <= math.log(rho.spec.total_dim) + 1e-9
+            C = mode_factor(s, keep)
+            S = von_neumann_entropy(C)
+            assert -1e-9 <= S <= math.log(C.shape[0]) + 1e-9
 
 
 def test_pure_total_state_identities():
@@ -322,17 +372,16 @@ def test_pure_total_state_identities():
     psi0 = initial_product_state(PumpInitialState.fock(3, dim=4), spec)
     for pair in evolve_full(psi0, np.linspace(0, 3, 7)):
         s = pair.state_vector(spec)
-        rho_abc = DensityMatrix(s.spec, np.outer(s.amplitudes, s.amplitudes.conj()))
-        assert abs(von_neumann_entropy(rho_abc)) < 1e-8
-        s_a = von_neumann_entropy(fock.partial_trace(s, keep=[0]))
-        s_bc = von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
+        assert abs(von_neumann_entropy(s.amplitudes[:, None])) < 1e-8
+        s_a = von_neumann_entropy(mode_factor(s, [0]))
+        s_bc = dense_von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
         assert abs(s_a - s_bc) < 1e-7
 
 
 def test_schmidt_identity_along_trajectory(small_trajectory):
     for s in small_trajectory:
-        s_a = von_neumann_entropy(fock.partial_trace(s, keep=[0]))
-        s_bc = von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
+        s_a = von_neumann_entropy(mode_factor(s, [0]))
+        s_bc = dense_von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
         assert abs(s_a - s_bc) < 1e-7
 
 
@@ -345,8 +394,7 @@ def test_information_nonnegative_along_trajectory(small_trajectory):
 
 def test_heisenberg_bound_along_trajectory(small_trajectory):
     for s in small_trajectory:
-        rho_a = fock.partial_trace(s, keep=[0])
-        qp, qm = squeezing_params(rho_a)
+        qp, qm = squeezing_params(mode_factor(s, [0]))
         assert (qp + 1.0) * (qm + 1.0) >= 1.0 - 1e-8
 
 

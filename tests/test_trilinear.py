@@ -34,6 +34,7 @@ from oracles import (
     ladder_ops,
     max_boundary_population,
     mode_numbers,
+    reduced,
 )
 
 
@@ -211,7 +212,7 @@ def test_pair_state_matches_branch_formula_and_full_grid():
         assert np.max(np.abs(state.C - expected)) < 1e-14
 
         psi = state.state_vector(spec)
-        rho_a, p_b = state.reduced()
+        rho_a, p_b = reduced(state)
         for rho, mode in ((rho_a.entries, 0), (np.diag(p_b), 1)):
             oracle = partial_trace(psi, keep=[mode]).entries
             assert np.max(np.abs(rho - oracle)) < 1e-14
@@ -227,7 +228,7 @@ def test_pair_state_matches_branch_formula_and_full_grid():
 
 def test_short_time_zero_tau_recovers_initial():
     init = PumpInitialState.coherent(4.0, 18)
-    rho_a, p_b = short_time_state(init, 0.0).reduced()
+    rho_a, p_b = reduced(short_time_state(init, 0.0))
     assert p_b[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.diag(rho_a.entries)[: init.coefficients.size],
                        init.probabilities, atol=1e-12)
@@ -255,24 +256,24 @@ def test_reduced_trace_check_covers_signal_distribution():
     # Tr rho_a = sum p_b = |C|^2: an unnormalized or NaN C fails rho_a's check
     C = short_time_state(PumpInitialState.coherent(4.0, 18), 0.5).C
     with pytest.raises(ValueError):
-        PairState(1.01 * C).reduced()
+        reduced(PairState(1.01 * C))
     C = C.copy()
     C[0, 0] = math.nan
     with pytest.raises(ValueError):
-        PairState(C).reduced()
+        reduced(PairState(C))
 
 
 def test_short_time_reduced_traces():
     init = PumpInitialState.coherent(9.0, 28)
     for tau in (0.2, 1.0, 10.0):
-        rho_a, p_b = short_time_state(init, tau).reduced()
+        rho_a, p_b = reduced(short_time_state(init, tau))
         assert np.trace(rho_a.entries).real == pytest.approx(1.0, abs=1e-9)
         assert p_b.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_short_time_long_time_distribution():
     init = PumpInitialState.coherent(9.0, 30)
-    _, diag = short_time_state(init, 100.0).reduced()
+    _, diag = reduced(short_time_state(init, 100.0))
     P = init.probabilities
     tv = 0.5 * np.sum(np.abs(diag[: P.size] - P)) + 0.5 * np.sum(diag[P.size:])
     assert tv < 1e-3
@@ -331,7 +332,7 @@ def test_state_and_trajectory_are_not_interchangeable():
     one = traj[1]
     spec = HilbertSpec((4,) * 3)
     for misuse in (lambda: len(one), lambda: iter(one), lambda: one[0],
-                   traj.reduced, lambda: traj.state_vector(spec)):
+                   lambda: reduced(traj), lambda: traj.state_vector(spec)):
         with pytest.raises(TypeError):
             misuse()
 
@@ -364,7 +365,8 @@ def test_long_time_signal_entropy_below_thermal():
     init = PumpInitialState.coherent(9.0, 30)
     rho = long_time_signal(init.probabilities)
     n_bar = float(np.sum(np.diag(rho.entries).real * np.arange(30)))
-    assert von_neumann_entropy(rho) < thermal_entropy(n_bar)
+    # rho is diagonal, so its elementwise root is a factor
+    assert von_neumann_entropy(np.sqrt(rho.entries)) < thermal_entropy(n_bar)
 
 
 def test_long_time_signal_unnormalized_error():
