@@ -309,6 +309,9 @@ def _run_hawking_line(cfg: ScenarioConfig):
     T_H = hawking.hawking_temperature(pulse, params, horizons[0])
     power = hawking.radiated_power(T_H)
     count = hawking.photons_per_pulse(T_H, params)
+    if not all(map(math.isfinite, (T_H, power, count))):  # numpy scalars overflow to inf
+        raise ValueError(f"rise_scale_m {rise} overflows the horizon gradient, T_H "
+                         "or the power")
 
     gates = hawking.validity_report(pulse, params)
     resolved = {

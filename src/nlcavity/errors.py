@@ -15,10 +15,6 @@ class ConvergenceError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-class BracketError(ValueError):
-    """Root bracket does not straddle a sign change."""
-
-
 class FitDegenerateError(RuntimeError):
     """Spectral fit has singular or unidentifiable normal equations."""
 

@@ -2,6 +2,12 @@
 propagation velocity, effective metric, horizon location, Hawking
 temperature/power, photon-count estimates, and impedance validity gates.
 
+Every horizon quantity is closed form: the horizon flux inverts the velocity
+law c0 sqrt(cos(pi phi)) = u, each pulse shape supplies its own inverse and
+slope, so the horizon, its gradient and the rise scale for a target gradient
+follow without a root finder or a difference stencil, and the photon count
+integrates a linearly decaying rate exactly.
+
 Comoving coordinate xi = x - u*t; external flux is everywhere expressed in
 units of the flux quantum and must stay below 1/2 (insulating transition).
 The velocity law, the pulse shapes and the flux gate act elementwise on
@@ -19,7 +25,6 @@ import numpy as np
 
 from .constants import Phi0, R_Q, e_charge, hbar, k_B
 from .errors import CriticalCurrentError, NoHorizonError
-from .numerics import Tolerance, find_root_bracketed, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,14 @@ def _check_flux(phi_ext):
 class FluxPulse:
     """Spatial flux-bias profile phi(xi) in units of Phi0, 0 <= phi < 1/2.
 
-    ``shape`` maps comoving coordinates (a scalar or an array) to flux.
+    ``shape`` maps comoving coordinates (a scalar or an array) to flux,
+    ``slope`` to its derivative dphi/dxi, and ``inverse`` maps a flux to
+    the list of every xi with shape(xi) = flux, in ascending order.
     """
 
     shape: Callable
+    inverse: Callable
+    slope: Callable
     amplitude: float
     rise_scale: float
 
@@ -88,7 +97,7 @@ class FluxPulse:
 
     @property
     def window(self) -> tuple:
-        """Support scanned for horizons and profiled: +-12 rise scales."""
+        """Support searched for horizons and profiled: +-12 rise scales."""
         return (-12.0 * self.rise_scale, 12.0 * self.rise_scale)
 
     def __call__(self, xi):
@@ -99,14 +108,31 @@ def tanh_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
     """Step-like pulse: flux = amplitude behind the front (xi < 0), 0 ahead."""
     def shape(xi):
         return 0.5 * amplitude * (1.0 - np.tanh(xi / rise_scale))
-    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale)
+
+    def inverse(phi):
+        if not (0.0 < phi < amplitude):
+            return []
+        return [rise_scale * math.atanh(1.0 - 2.0 * phi / amplitude)]
+
+    def slope(xi):
+        return -0.5 * amplitude / rise_scale / np.cosh(xi / rise_scale) ** 2
+    return FluxPulse(shape, inverse, slope, amplitude, rise_scale)
 
 
 def gaussian_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
     """Bump pulse; generates a black-hole / white-hole horizon pair."""
     def shape(xi):
         return amplitude * np.exp(-(xi / rise_scale) ** 2)
-    return FluxPulse(shape=shape, amplitude=amplitude, rise_scale=rise_scale)
+
+    def inverse(phi):
+        if not (0.0 < phi < amplitude):
+            return []
+        x = rise_scale * math.sqrt(math.log(amplitude / phi))
+        return [-x, x]
+
+    def slope(xi):
+        return -2.0 * xi * amplitude / rise_scale ** 2 * np.exp(-(xi / rise_scale) ** 2)
+    return FluxPulse(shape, inverse, slope, amplitude, rise_scale)
 
 
 def junction_inductance(I: float, phi_ext: float, params: LineParams) -> float:
@@ -146,22 +172,18 @@ def metric_components(c: float, params: LineParams):
 
 
 def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False):
-    """All comoving positions where c(xi) = u: one 2 001-point scan of the
-    pulse window, then a Brent solve in each bracket where c - u changes
-    sign.
+    """All comoving positions where c(xi) = u: the pulse's inverse at the
+    horizon flux phi_h = arccos((u/c0)^2)/pi, where c0 sqrt(cos(pi phi_h))
+    = u, kept inside the pulse window. No flux slows the line to u >= c0.
 
     A single root (step-like pulse) is the black-hole horizon. Multiple
     roots mean a white-hole partner is present: rejected with a warning
     unless ``allow_pair``.
     """
-    def gap(x):
-        return propagation_velocity(pulse(x), params) - params.u
-
-    xs = np.linspace(*pulse.window, 2001)
-    vals = gap(xs)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    roots = [float(xs[i]) if vals[i] == 0.0 else find_root_bracketed(gap, xs[i], xs[i + 1])
-             for i in hits]
+    ratio = params.u / propagation_velocity(0.0, params)
+    phi_h = math.acos(ratio ** 2) / math.pi if ratio < 1.0 else math.nan
+    lo, hi = pulse.window
+    roots = [x for x in pulse.inverse(phi_h) if lo <= x <= hi]
     if not roots:
         raise NoHorizonError(
             "propagation velocity never crosses the pulse velocity u")
@@ -176,16 +198,12 @@ def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False)
 
 
 def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
-    """|dc/dxi| by 5-point central differences with one Richardson step."""
-    h = 1e-3 * pulse.rise_scale
-
-    def five_point(step):
-        c = propagation_velocity(pulse(xi + np.array([-2, -1, 1, 2]) * step), params)
-        return (c[0] - 8.0 * c[1] + 8.0 * c[2] - c[3]) / (12.0 * step)
-
-    d1 = five_point(h)
-    d2 = five_point(0.5 * h)
-    return abs((16.0 * d2 - d1) / 15.0)
+    """|dc/dxi| = |dc/dphi * dphi/dxi| at xi, with the velocity law's
+    dc/dphi = -c0 pi sin(pi phi) / (2 sqrt(cos(pi phi)))."""
+    phi = pulse(xi)
+    dc_dphi = (-propagation_velocity(0.0, params) * math.pi * math.sin(math.pi * phi)
+               / (2.0 * math.sqrt(math.cos(math.pi * phi))))
+    return abs(dc_dphi * pulse.slope(xi))
 
 
 def hawking_temperature(pulse: FluxPulse, params: LineParams,
@@ -211,17 +229,17 @@ def photons_per_pulse(T_H: float, params: LineParams,
 
     Emission rate is P/(kB T_H) with mean photon energy taken as kB T_H;
     T_H decays linearly with the cells traversed (default 10% per 1000
-    cells, dispersion of the bias pulse), and the horizon lives N*a/u.
+    cells, dispersion of the bias pulse), and the horizon lives L = N*a/u.
+    With the decay rate r, the rate integrates in closed form to
+    pi kB T_H/(12 hbar) * (L - r L^2/2) while r L <= 1, and to
+    pi kB T_H/(12 hbar) / (2 r) once the horizon fades before the far end.
     """
     lifetime = params.N * params.a / params.u
     decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
-
-    def rate(t, _):
-        T = T_H * np.maximum(0.0, 1.0 - decay_rate * t)
-        return math.pi * k_B * T / (12.0 * hbar)
-
-    return integrate_adaptive(rate, 0.0, lifetime,
-                              Tolerance(abs_tol=1e-12, rel_tol=1e-10))
+    rate = math.pi * k_B * T_H / (12.0 * hbar)
+    if decay_rate * lifetime <= 1.0:
+        return rate * lifetime * (1.0 - 0.5 * decay_rate * lifetime)
+    return rate / (2.0 * decay_rate)
 
 
 def array_impedance(params: LineParams, phi_ext: float) -> float:
@@ -250,10 +268,9 @@ def rise_scale_for_gradient_rate(amplitude: float, params: LineParams,
     ``target_rate`` (1/s) for a tanh step of the given amplitude.
 
     The tanh pulse is a function of xi/rise_scale alone, so the horizon sits
-    at a fixed multiple of the rise scale and the gradient there is G/w for a
-    rise scale w (``velocity_gradient``'s stencil scales with w as well).
-    One horizon solve at the dimensional estimate w = (c_max - c_min)/target
-    gives G = w*g, and the rise scale G/target follows in closed form.
+    at a fixed multiple of the rise scale and the gradient there is g1/w for
+    a rise scale w, with g1 the gradient at w = 1 m. The rise scale is
+    g1/target.
     """
     if not (target_rate > 0.0) or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive and finite, got {target_rate}")
@@ -261,7 +278,5 @@ def rise_scale_for_gradient_rate(amplitude: float, params: LineParams,
     c_lo = propagation_velocity(amplitude, params)
     if not (c_lo < params.u < c_hi):
         raise NoHorizonError("pulse speed u outside (c_min, c_max): no horizon")
-    w = (c_hi - c_lo) / target_rate
-    pulse = tanh_pulse(amplitude, w)
-    g = velocity_gradient(pulse, params, find_horizon(pulse, params)[0])
-    return w * g / target_rate
+    unit = tanh_pulse(amplitude, 1.0)
+    return velocity_gradient(unit, params, find_horizon(unit, params)[0]) / target_rate

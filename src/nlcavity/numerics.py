@@ -1,4 +1,4 @@
-"""Shared numerical kernel: special functions, quadrature, root finding, and
+"""Shared numerical kernel: special functions, quadrature, cubic roots and
 Lorentzian spectral fitting.
 
 Everything here is a pure function of its inputs; no module state.
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, FitDegenerateError
+from .errors import ConvergenceError, FitDegenerateError
 
 _EPS = np.finfo(float).eps
 
@@ -278,58 +278,6 @@ def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:
         if not out or abs(x - out[-1]) > 1e-8 * root_scale:
             out.append(x)
     return out
-
-
-def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=120),
-) -> float:
-    """Brent's method on a sign-changing bracket [lo, hi]."""
-    a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise BracketError(f"f({a})={fa} and f({b})={fb} do not bracket a root")
-
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(tol.max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * max(tol.abs_tol, tol.rel_tol * abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p_, q_ = 2.0 * xm * s, 1.0 - s
-            else:
-                q_, r_ = fa / fc, fb / fc
-                p_ = s * (2.0 * xm * q_ * (q_ - r_) - (b - a) * (r_ - 1.0))
-                q_ = (q_ - 1.0) * (r_ - 1.0) * (s - 1.0)
-            if p_ > 0.0:
-                q_ = -q_
-            p_ = abs(p_)
-            if 2.0 * p_ < min(3.0 * xm * q_ - abs(tol1 * q_), abs(e * q_)):
-                e, d = d, p_ / q_
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-    raise ConvergenceError("Brent iteration budget exhausted", best_estimate=b)
 
 
 def fit_lorentzian(omega, spectrum):

@@ -9,6 +9,7 @@ suffix and are converted to rad/s at build time.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .constants import TWO_PI, Phi0
 from .detector import DetectorParams
@@ -138,13 +139,23 @@ def build_line_params(p: dict) -> LineParams:
         C_J = float(p["C_J_F"])
     else:
         w_p = TWO_PI * float(p["plasma_freq_hz"])
-        C_J = TWO_PI * (2.0 * I_c) / (2.0 * Phi0 * w_p ** 2)
+        try:  # w_p^2 overflows as an exception, or underflows to 0
+            scale = 2.0 * Phi0 * w_p ** 2
+        except OverflowError:
+            scale = math.inf
+        if not (w_p > 0.0 and 0.0 < scale < math.inf):
+            raise ValueError("plasma_freq_hz must be positive with a finite, nonzero "
+                             f"square, got {p['plasma_freq_hz']}")
+        C_J = TWO_PI * (2.0 * I_c) / scale
+    N = float(p["N"])
+    if not (1.0 <= N < math.inf and N == int(N)):
+        raise ValueError(f"N must be a finite whole count of at least 1, got {N}")
     params = LineParams(
         I_c=I_c,
         C_J=C_J,
         C_0=float(p["C_0_F"]),
         a=float(p["a_m"]),
-        N=int(float(p["N"])),
+        N=int(N),
         u=1.0,  # placeholder, fixed next from the velocity ratio
         loop_inductance=float(p["loop_inductance_H"]) if "loop_inductance_H" in p else None,
     )

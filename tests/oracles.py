@@ -25,17 +25,29 @@ those entropies take.
 ``evolve_pair_rk45`` integrates the pair amplitudes with it on the right-hand
 side ``pair_rhs``; the package's full tier propagates each conserved block
 exactly instead.
+
+``find_root_bracketed`` is Brent's method on a sign-changing bracket.
+``find_horizon`` scans the pulse window with 2 001 points and Brent-solves
+each sign change of c - u, ``velocity_gradient`` is a 5-point central
+difference with one Richardson step, and ``photons_per_pulse`` integrates
+the decaying emission rate by adaptive Simpson; the package resolves the
+horizon, its gradient and the photon count in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
+from nlcavity.constants import hbar, k_B
+from nlcavity.errors import ConvergenceError, NoHorizonError
 from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
-from nlcavity.numerics import Tolerance, _increasing_grid
+from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
+from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
 from nlcavity.qinfo import ThermalReference, entropy
 
 
@@ -354,3 +366,121 @@ def evolve_pair_rk45(psi: StateVector, tau_grid, tol: Tolerance = Tolerance(1e-1
     dp = min(db, dc)
     C0 = psi.tensor_view()[:, np.arange(dp), np.arange(dp)]
     return evolve_ode(pair_rhs(da, dp), C0.ravel(), tau_grid, tol).reshape(-1, da, dp)
+
+
+# ---------------------------------------------------------------------------
+# numerical analogue horizon
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+class BracketError(ValueError):
+    """Root bracket does not straddle a sign change."""
+
+
+def find_root_bracketed(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: Tolerance = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=120),
+) -> float:
+    """Brent's method on a sign-changing bracket [lo, hi]."""
+    a, b = float(lo), float(hi)
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise BracketError(f"f({a})={fa} and f({b})={fb} do not bracket a root")
+
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(tol.max_iter):
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * max(tol.abs_tol, tol.rel_tol * abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p_, q_ = 2.0 * xm * s, 1.0 - s
+            else:
+                q_, r_ = fa / fc, fb / fc
+                p_ = s * (2.0 * xm * q_ * (q_ - r_) - (b - a) * (r_ - 1.0))
+                q_ = (q_ - 1.0) * (r_ - 1.0) * (s - 1.0)
+            if p_ > 0.0:
+                q_ = -q_
+            p_ = abs(p_)
+            if 2.0 * p_ < min(3.0 * xm * q_ - abs(tol1 * q_), abs(e * q_)):
+                e, d = d, p_ / q_
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+    raise ConvergenceError("Brent iteration budget exhausted", best_estimate=b)
+
+
+def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False,
+                 tol: Tolerance = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=120)):
+    """All comoving positions where c(xi) = u: one 2 001-point scan of the
+    pulse window, then a Brent solve to ``tol`` in each bracket where c - u
+    changes sign. Several roots warn, and raise unless ``allow_pair``."""
+    def gap(x):
+        return propagation_velocity(pulse(x), params) - params.u
+
+    xs = np.linspace(*pulse.window, 2001)
+    vals = gap(xs)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [float(xs[i]) if vals[i] == 0.0
+             else find_root_bracketed(gap, xs[i], xs[i + 1], tol) for i in hits]
+    if not roots:
+        raise NoHorizonError(
+            "propagation velocity never crosses the pulse velocity u")
+    if len(roots) > 1:
+        warnings.warn(f"{len(roots)} horizons found: white-hole partner present",
+                      RuntimeWarning, stacklevel=2)
+        if not allow_pair:
+            raise NoHorizonError(
+                f"{len(roots)} horizons found; pass allow_pair=True for "
+                "black-hole/white-hole pairs")
+    return roots
+
+
+def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
+    """|dc/dxi| by 5-point central differences with one Richardson step."""
+    h = 1e-3 * pulse.rise_scale
+
+    def five_point(step):
+        c = propagation_velocity(pulse(xi + np.array([-2, -1, 1, 2]) * step), params)
+        return (c[0] - 8.0 * c[1] + 8.0 * c[2] - c[3]) / (12.0 * step)
+
+    d1 = five_point(h)
+    d2 = five_point(0.5 * h)
+    return abs((16.0 * d2 - d1) / 15.0)
+
+
+def photons_per_pulse(T_H: float, params: LineParams,
+                      decay_per_1000_cells: float = 0.10) -> float:
+    """Photon count over one traversal: the rate pi kB T/(12 hbar), with T
+    decaying linearly from T_H with the cells traversed, integrated over the
+    horizon lifetime N*a/u by adaptive Simpson."""
+    lifetime = params.N * params.a / params.u
+    decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
+
+    def rate(t, _):
+        T = T_H * np.maximum(0.0, 1.0 - decay_rate * t)
+        return math.pi * k_B * T / (12.0 * hbar)
+
+    return integrate_adaptive(rate, 0.0, lifetime,
+                              Tolerance(abs_tol=1e-12, rel_tol=1e-10))

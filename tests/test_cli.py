@@ -112,6 +112,11 @@ COOL_GRID = {"detuning_ratio": "1.3", "drive_points": "2", "bath_T_K": "0"}
 SIGNAL_NOISE_GRID = {"detuning_ratios": "0.2", "drive_points": "3", "bath_T_K": "0"}
 INFO_PARAMS = {"mean_occupations": "1", "tiers": "short"}
 BELTRAN = list_presets()["ch3-beltran"]["params"]
+# a tiny rise scale overflows the horizon gradient (1e-320) or the power
+# (1e-200); N and the plasma frequency overflow, truncate or underflow
+HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"), ("N", "1e400"),
+               ("N", "4800.5"), ("plasma_freq_hz", "1e-200"), ("plasma_freq_hz", "1e200"),
+               ("plasma_freq_hz", "-1e12")]
 
 
 @pytest.mark.parametrize("kind, params, grid", [
@@ -156,6 +161,7 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
     ("detector-signal-noise", dict(CH2, K_Tm="1e300"), SIGNAL_NOISE_GRID),
     ("detector-bistability", dict(CH2, K_Tm="1e300"), {"points": "3"}),
     ("detector-cooling", dict(CH2, K_Tm="1e300"), COOL_GRID),
+    *[("hawking-line", dict(BELTRAN, **{key: value}), {}) for key, value in HAWKING_BAD],
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
@@ -166,10 +172,19 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
         "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
         "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore",
-        "signal-noise-K_Tm-1e300", "bistability-K_Tm-1e300", "cooling-K_Tm-1e300"])
+        "signal-noise-K_Tm-1e300", "bistability-K_Tm-1e300", "cooling-K_Tm-1e300",
+        *[f"{key}-{value}" for key, value in HAWKING_BAD]])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
+
+
+def test_bad_hawking_numbers_name_the_key(tmp_path, capsys):
+    for key, value in HAWKING_BAD:
+        cfg = ScenarioConfig(kind="hawking-line", params=dict(BELTRAN, **{key: value}),
+                             grid={}, output_dir=tmp_path)
+        assert run(cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
 
 
 @pytest.mark.parametrize("key, value", [

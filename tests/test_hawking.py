@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlcavity.constants import Phi0, R_Q, TWO_PI, c_vacuum
 from nlcavity.errors import CriticalCurrentError, NoHorizonError
@@ -23,8 +24,12 @@ from nlcavity.hawking import (
     validity_report,
     velocity_gradient,
 )
-from nlcavity.numerics import Tolerance, find_root_bracketed
+from nlcavity.numerics import Tolerance
 from nlcavity.presets import PRESETS, build_line_params
+from oracles import find_root_bracketed
+from oracles import find_horizon as scan_find_horizon
+from oracles import photons_per_pulse as quadrature_photons
+from oracles import velocity_gradient as stencil_gradient
 
 
 @pytest.fixture(scope="module")
@@ -198,15 +203,16 @@ def test_gradient_scaling_linearity(params, pulse):
 
 def bracketed_rise_scale(amplitude, params, target_rate):
     """Reference solve of the gradient gap: brackets grown geometrically
-    from the dimensional estimate, then Brent, one horizon solve per gap."""
+    from the dimensional estimate, then Brent, one scanned horizon and one
+    stencil gradient per gap."""
     c_hi = propagation_velocity(0.0, params)
     c_lo = propagation_velocity(amplitude, params)
     w_guess = (c_hi - c_lo) / target_rate
 
     def gap(w):
         pulse = tanh_pulse(amplitude, w)
-        xi_h = find_horizon(pulse, params)[0]
-        return velocity_gradient(pulse, params, xi_h) - target_rate
+        xi_h = scan_find_horizon(pulse, params)[0]
+        return stencil_gradient(pulse, params, xi_h) - target_rate
 
     lo, hi = w_guess, w_guess
     for _ in range(60):
@@ -232,8 +238,8 @@ def test_rise_scale_closed_form_matches_bracketed_solve(params, amplitude, rate,
     rise = rise_scale_for_gradient_rate(amplitude, line, target)
     assert rise == pytest.approx(bracketed_rise_scale(amplitude, line, target), rel=1e-8)
     pulse = tanh_pulse(amplitude, rise)
-    xi_h = find_horizon(pulse, line)[0]
-    assert velocity_gradient(pulse, line, xi_h) == pytest.approx(target, rel=1e-8)
+    xi_h = scan_find_horizon(pulse, line)[0]
+    assert stencil_gradient(pulse, line, xi_h) == pytest.approx(target, rel=1e-8)
 
 
 def test_rise_scale_rejects_bad_target(params):
@@ -245,14 +251,19 @@ def test_rise_scale_rejects_bad_target(params):
 
 
 def test_gradient_matches_analytic_tanh(params, pulse):
-    xi = find_horizon(pulse, params)[0]
+    # the oracle's Richardson stencil at the scanned horizon against the
+    # analytic tanh gradient, and the closed-form gradient against both
+    xi = scan_find_horizon(pulse, params)[0]
     c0 = propagation_velocity(0.0, params)
     phi = pulse(xi)
     dphi = -0.5 * pulse.amplitude / pulse.rise_scale / math.cosh(
         xi / pulse.rise_scale) ** 2
     analytic = abs(c0 * 0.5 / math.sqrt(math.cos(math.pi * phi))
                    * (-math.pi * math.sin(math.pi * phi)) * dphi)
-    assert velocity_gradient(pulse, params, xi) == pytest.approx(analytic, rel=1e-6)
+    stencil = stencil_gradient(pulse, params, xi)
+    assert stencil == pytest.approx(analytic, rel=1e-6)
+    closed = velocity_gradient(pulse, params, find_horizon(pulse, params)[0])
+    assert closed == pytest.approx(stencil, rel=1e-6)
 
 
 def test_radiated_power():
@@ -283,6 +294,75 @@ def test_photons_decay_lowers_count(params, T_H):
     with_decay = photons_per_pulse(T_H, params)
     without = photons_per_pulse(T_H, params, decay_per_1000_cells=0.0)
     assert with_decay < without
+
+
+# --- closed form against the numerical oracles ---------------------------------------
+
+def _roots(solve, pulse, line, **kwargs):
+    """Every horizon ``solve`` finds (a pair allowed), or None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return solve(pulse, line, allow_pair=True, **kwargs)
+        except NoHorizonError:
+            return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(amplitude=st.floats(0.05, 0.49), ratio=st.floats(0.80, 0.999),
+       rise=st.floats(1e-8, 1e-5), make=st.sampled_from([tanh_pulse, gaussian_pulse]))
+def test_closed_form_matches_numerical_oracle(params, amplitude, ratio, rise, make):
+    import dataclasses
+
+    line = dataclasses.replace(params, u=ratio * propagation_velocity(0.0, params))
+    c0 = propagation_velocity(0.0, line)
+    phi_h = math.acos(ratio ** 2) / math.pi
+    # a horizon within one rise scale of the window edge is left out: there
+    # the step's flux is within e^-22 of 0 or of the amplitude
+    if abs(1.0 - 2.0 * phi_h / amplitude) > math.tanh(11.0):
+        return
+    pulse = make(amplitude, rise)
+    # Brent to 1e-14 m would limit a 1e-8 m rise scale to 1e-6 of it
+    closed = _roots(find_horizon, pulse, line)
+    scanned = _roots(scan_find_horizon, pulse, line,
+                     tol=Tolerance(abs_tol=1e-30, rel_tol=1e-15, max_iter=200))
+    assert (closed is None) == (scanned is None)
+    if closed is None:
+        return
+    assert len(closed) == len(scanned)
+    for x, x_scan in zip(closed, scanned):
+        gradient = velocity_gradient(pulse, line, x)
+        # The scan places a horizon to the rounding of c over the gradient,
+        # eps c0/|dc/dxi|, and the stencil's differences carry eps c0/h: on a
+        # flat horizon (the step's tail beyond ~5 rise scales, a Gaussian pair
+        # near tangency) neither resolves the closed form, so only the
+        # verdict is compared there.
+        if gradient * rise < 1e-4 * c0:
+            continue
+        assert abs(x - x_scan) <= 1e-7 * rise
+        assert gradient == pytest.approx(stencil_gradient(pulse, line, x_scan), rel=1e-6)
+    T_H = hawking_temperature(pulse, line, closed[0])
+    for decay in (0.0, 0.1, 5.0):
+        assert photons_per_pulse(T_H, line, decay) == pytest.approx(
+            quadrature_photons(T_H, line, decay), rel=1e-8)
+
+
+@pytest.mark.parametrize("edge, found", [(-11.99, True), (-12.01, False)])
+def test_horizon_window_edge(params, edge, found):
+    # a tanh horizon at the trailing edge of the +-12 rise-scale window: just
+    # inside is found, just outside is no horizon, as the 2 001-point scan
+    # decides. (At the leading edge the flux is ~1e-11 A, and u/c0 rounds to 1.)
+    import dataclasses
+
+    pulse = tanh_pulse(0.2, 1e-6)
+    xi = edge * pulse.rise_scale
+    line = dataclasses.replace(params, u=float(propagation_velocity(pulse(xi), params)))
+    for solve in (find_horizon, scan_find_horizon):
+        if found:
+            assert solve(pulse, line) == [pytest.approx(xi, rel=1e-6)]
+        else:
+            with pytest.raises(NoHorizonError):
+                solve(pulse, line)
 
 
 # --- impedance / validity -----------------------------------------------------------
@@ -323,7 +403,8 @@ def test_pulse_validation():
     with pytest.raises(ValueError):
         tanh_pulse(0.6, 1e-6)
     with pytest.raises(ValueError):
-        FluxPulse(shape=lambda x: 0.1, amplitude=0.1, rise_scale=0.0)
+        FluxPulse(shape=lambda x: 0.1, inverse=lambda phi: [], slope=lambda x: 0.0,
+                  amplitude=0.1, rise_scale=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             tanh_pulse(0.2, bad)

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
-from nlcavity.errors import BracketError, ConvergenceError, FitDegenerateError
+from nlcavity.errors import ConvergenceError, FitDegenerateError
 from nlcavity.numerics import (
     Tolerance,
-    find_root_bracketed,
     fit_lorentzian,
     integrate_adaptive,
     jacobi_dn,
     solve_cubic_real,
 )
-from oracles import StiffnessError, evolve_ode, pair_rhs
+from oracles import BracketError, StiffnessError, evolve_ode, find_root_bracketed, pair_rhs
 
 
 # --- jacobi dn -------------------------------------------------------------
@@ -473,7 +472,7 @@ def test_cubic_rejects_nonfinite():
         solve_cubic_real(math.nan, 0.0, 0.0)
 
 
-# --- Brent -----------------------------------------------------------------
+# --- Brent (the root-finding oracle of tests/oracles.py) -----------------
 
 def bisect_oracle(f, lo, hi, iters=80):
     for _ in range(iters):
