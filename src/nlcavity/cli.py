@@ -304,6 +304,10 @@ def _run_hawking_line(cfg: ScenarioConfig):
         target = frac * params.plasma_frequency(0.0) / TWO_PI
         rise = hawking.rise_scale_for_gradient_rate(amplitude, params, target)
     pulse = hawking.tanh_pulse(amplitude, rise)
+    lo, hi = pulse.window
+    if not math.isfinite(hi - lo):  # every grid over the window spans it
+        raise ValueError(f"rise_scale_m {rise} overflows the pulse window of "
+                         "+-12 rise scales")
 
     horizons = hawking.find_horizon(pulse, params)
     T_H = hawking.hawking_temperature(pulse, params, horizons[0])

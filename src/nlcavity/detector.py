@@ -585,7 +585,8 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     holds the bath-independent factors of the signal density over +-5
     widths of the renormalized +1 pole (1601 points): (omega, prefactor *
     cavity * combo, lor_plus, lor_minus). Raises InstabilityError when
-    that pole's damping is non-positive or the small branch has been lost.
+    that pole's damping is non-positive or the small branch has been lost,
+    and OverflowError when the pole or the window kernel is not finite.
     """
     if frequency_pulling:
         chi = _select_for_thermo(params, drive).chi
@@ -594,6 +595,8 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     # stability probe: renormalized mechanical pole must stay in the lower
     # half plane
     pole = _determinant_zero(params, drive, chi)
+    if not cmath.isfinite(pole):  # a huge K_d drives the secant to NaN
+        raise OverflowError(f"the renormalized +1 pole {pole} is not finite")
     r_gamma_probe = -pole.imag / params.gamma_bm
     if r_gamma_probe <= 0.0:
         raise InstabilityError(
@@ -604,7 +607,10 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     pt = _point(params, drive, chi)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
         params, pt, omega, response_coeffs(params, drive, chi, omega))
-    return chi, weak, (omega, pt.prefactor * cavity * combo, lor_plus, lor_minus)
+    kernel = pt.prefactor * cavity * combo
+    if not np.isfinite(kernel).all():
+        raise OverflowError("the signal window of the +1 pole is not finite")
+    return chi, weak, (omega, kernel, lor_plus, lor_minus)
 
 
 def _thermo_lines(params, drive, resolved, temps):

@@ -211,7 +211,8 @@ def hawking_temperature(pulse: FluxPulse, params: LineParams,
     """T_H = (hbar / 2 pi kB) |dc/dxi| at the horizon, kelvin."""
     if xi_h is None:
         xi_h = find_horizon(pulse, params)[0]
-    return hbar * velocity_gradient(pulse, params, xi_h) / (2.0 * math.pi * k_B)
+    # the constant first: hbar times a gradient of 1e-292 1/s would underflow
+    return velocity_gradient(pulse, params, xi_h) * (hbar / (2.0 * math.pi * k_B))
 
 
 def radiated_power(T_H: float) -> float:

@@ -314,52 +314,69 @@ def fit_lorentzian(omega, spectrum):
     theta = np.array([w0, gamma, amp])
     lam = 1e-3
     prev_cost = None
-    # offsets, denominator and model of the accepted theta; a rejected step
-    # keeps them, and with them the normal equations
+    # the accepted theta's offsets, denominator and residual, and a trial's
+    # in the second set: an accepted trial's are swapped in, so a rejected
+    # step keeps theta's, and with them the normal equations
     c, g, A = theta
     dc = w - c
     denom = dc ** 2 + g ** 2
-    model = 2.0 * A * g / denom
+    r = s - 2.0 * A * g / denom
+    dc2, denom2, r2, sq = (np.empty_like(w) for _ in range(4))
+    J = np.empty((w.size, 3))
+    j0, j1, j2 = J.T
+    # pairwise costs of the accepted theta and of the trials rejected since:
+    # cost only moves on acceptance, so a trial met again gets its old verdict
+    known_costs = {}
     fresh = True
     for _ in range(200):
         if fresh:
-            r = s - model
             cost = float(r @ r)
-            denom_sq = denom ** 2
-            J = np.column_stack([4.0 * A * g * dc / denom_sq,
-                                 2.0 * A * (denom - 2.0 * g ** 2) / denom_sq,
-                                 2.0 * g / denom])
+            np.square(denom, out=sq)
+            np.divide(np.multiply(4.0 * A * g, dc, out=j0), sq, out=j0)
+            np.subtract(denom, 2.0 * g ** 2, out=j1)
+            np.divide(np.multiply(2.0 * A, j1, out=j1), sq, out=j1)
+            np.divide(2.0 * g, denom, out=j2)
             JTJ = J.T @ J
-            diag = np.diag(JTJ).copy()
-            if np.any(diag <= 0.0) or not np.all(np.isfinite(JTJ)):
+            diag = JTJ.diagonal()
+            if not ((diag > 0.0).all() and np.isfinite(JTJ).all()):
                 raise FitDegenerateError("singular normal equations in Lorentzian fit")
+            damping = np.diag(diag)
             grad = J.T @ r
         try:
-            step = np.linalg.solve(JTJ + lam * np.diag(diag), grad)
+            step = np.linalg.solve(JTJ + lam * damping, grad)
         except np.linalg.LinAlgError as exc:
             raise FitDegenerateError("singular normal equations in Lorentzian fit") from exc
         trial = theta + step
         trial[1] = abs(trial[1])
-        c2, g2, A2 = trial
-        dc2 = w - c2
-        denom2 = dc2 ** 2 + g2 ** 2
-        model2 = 2.0 * A2 * g2 / denom2
-        cost2 = float(np.sum((s - model2) ** 2))
+        key = trial.tobytes()
+        known = key in known_costs
+        if known:
+            cost2 = known_costs[key]
+        else:
+            c2, g2, A2 = trial
+            np.subtract(w, c2, out=dc2)
+            np.add(np.square(dc2, out=denom2), g2 ** 2, out=denom2)
+            np.subtract(s, np.divide(2.0 * A2 * g2, denom2, out=r2), out=r2)
+            cost2 = float(np.square(r2, out=sq).sum())
         fresh = cost2 <= cost
         if fresh:
-            theta = trial
-            c, g, A, dc, denom, model = c2, g2, A2, dc2, denom2, model2
+            if not known:  # a known accepted trial is theta itself
+                theta = trial
+                c, g, A = c2, g2, A2
+                dc, dc2, denom, denom2, r, r2 = dc2, dc, denom2, denom, r2, r
+            known_costs = {key: cost2}
             lam = max(lam / 3.0, 1e-12)
             if prev_cost is not None and abs(prev_cost - cost2) <= 1e-14 * max(cost2, 1e-300):
                 break
             prev_cost = cost2
         else:
+            known_costs[key] = cost2
             lam *= 4.0
             if lam > 1e10:
                 break
 
     if not (np.isfinite(theta).all() and theta[1] > 0.0):
         raise FitDegenerateError("Lorentzian fit diverged")
-    residual = float(np.linalg.norm(s - model) / np.linalg.norm(s))
+    residual = float(np.sqrt(r @ r) / np.sqrt(s @ s))
     c, g, A = (float(v) for v in theta)
     return c, g, A, residual

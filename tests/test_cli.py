@@ -25,8 +25,9 @@ from nlcavity.cli import (
     main,
     run,
 )
+from nlcavity.constants import hbar, k_B
 from nlcavity.errors import FitDegenerateError
-from nlcavity.presets import build_detector_params, list_presets
+from nlcavity.presets import build_detector_params, build_line_params, list_presets
 from oracles import (
     dense_von_neumann_entropy,
     expectation,
@@ -113,8 +114,11 @@ SIGNAL_NOISE_GRID = {"detuning_ratios": "0.2", "drive_points": "3", "bath_T_K": 
 INFO_PARAMS = {"mean_occupations": "1", "tiers": "short"}
 BELTRAN = list_presets()["ch3-beltran"]["params"]
 # a tiny rise scale overflows the horizon gradient (1e-320) or the power
-# (1e-200); N and the plasma frequency overflow, truncate or underflow
-HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"), ("N", "1e400"),
+# (1e-200), a huge one the span of the +-12 rise-scale window (1e307) or the
+# window itself (1e308); N and the plasma frequency overflow, truncate or
+# underflow
+HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
+               ("rise_scale_m", "1e307"), ("rise_scale_m", "1e308"), ("N", "1e400"),
                ("N", "4800.5"), ("plasma_freq_hz", "1e-200"), ("plasma_freq_hz", "1e200"),
                ("plasma_freq_hz", "-1e12")]
 
@@ -246,6 +250,38 @@ def test_overflowing_params_name_the_params(tmp_path, capsys):
         assert run(cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "detector params" in err, (kind, params)
+
+
+@pytest.mark.parametrize("kind", ["detector-signal-noise", "detector-cooling"])
+@pytest.mark.parametrize("K_d", ["1e300", "-1e308"])
+def test_huge_duffing_constant_exits_2_naming_the_drive_keys(tmp_path, capsys, kind, K_d):
+    # the +1 pole of such a drive is NaN; it must not reach the fit (exit 4)
+    cfg = ScenarioConfig(kind=kind, params=dict(CH2, K_d=K_d),
+                         grid=DETECTOR_RUNNERS[kind], output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "drive_min_ratio" in err and "drive_max_ratio" in err and "detector params" in err
+
+
+def test_huge_rise_scale_keeps_a_positive_hawking_temperature(tmp_path):
+    # the horizon gradient at a 1e300 m rise scale is ~1e-293 1/s; hbar times
+    # it underflows, the gradient times hbar/(2 pi kB) does not
+    rise = 1e300
+    cfg = ScenarioConfig(kind="hawking-line", params=dict(BELTRAN, rise_scale_m=repr(rise)),
+                         grid={}, output_dir=tmp_path, label="wide")
+    assert run(cfg) == EXIT_OK
+    header, row = (tmp_path / "wide_summary.csv").read_text().splitlines()
+    T_H = float(row.split(",")[header.split(",").index("T_H_K")])
+    # closed form at the tanh horizon: |slope| = (2 phi_h / w)(1 - phi_h / A)
+    params = build_line_params(BELTRAN)
+    c0 = hawking.propagation_velocity(0.0, params)
+    phi_h = math.acos((params.u / c0) ** 2) / math.pi
+    amp = float(BELTRAN["amplitude_phi0"])
+    dc_dphi = c0 * math.pi * math.sin(math.pi * phi_h) / (2.0 * math.sqrt(math.cos(math.pi * phi_h)))
+    closed = hbar / (2.0 * math.pi * k_B) * dc_dphi * (2.0 * phi_h / rise) * (1.0 - phi_h / amp)
+    assert T_H > 0.0
+    assert T_H == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", DETECTOR_RUNNERS)

@@ -25,6 +25,7 @@ from nlcavity.errors import (
     NoBistabilityError,
     OutsideRegionError,
 )
+from nlcavity.numerics import fit_lorentzian
 from nlcavity.presets import PRESETS, build_detector_params
 
 
@@ -606,3 +607,24 @@ def test_cooling_curve_rejects_bad_bath_T_before_solving(cooling_params, monkeyp
         cooling_curve(cooling_params, 1.3 * dw_bi, [0.5 * I_bi, 0.8 * I_bi],
                       [0.0, 0.05, bad_T])
     assert calls["mean_field"] == 0
+
+
+@pytest.mark.parametrize("ratio_index", [4, 33], ids=["0.3108-I_bi", "1.1138-I_bi"])
+def test_stalled_cooling_fits_match_reference_loop_bitwise(cooling_params, ratio_index):
+    # the two ch2-cooling-Q1e4 drives whose fits stall (seed-0 rows 20 and
+    # 165-169): their results depend on the LM path, so the package loop must
+    # walk the reference loop's path bit for bit at every bath temperature
+    from nlcavity.detector import _occupied, _resolve_drive
+    from oracles import fit_lorentzian_reference
+
+    grid = PRESETS["ch2-cooling-Q1e4"]["grid"]
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    detuning = float(grid["detuning_ratio"]) * dw_bi
+    I_grid = np.linspace(float(grid["drive_min_ratio"]), float(grid["drive_max_ratio"]),
+                         int(grid["drive_points"])) * I_bi
+    drive = DrivePoint(I_0=float(I_grid[ratio_index]), delta_omega=detuning)
+    _, _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, drive)
+    wp = cooling_params.omega_T + detuning
+    for T in (float(t) for t in grid["bath_T_K"].split(",")):
+        s = np.clip(_occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)
+        assert fit_lorentzian(omega, s) == fit_lorentzian_reference(omega, s), T
