@@ -3,7 +3,7 @@
 Subpackages by physics area:
 
 * numerics  -- special functions, quadrature, roots, spectral fits
-* fock      -- truncated Fock-space states, density matrices, partial traces
+* fock      -- truncated coherent pump amplitudes
 * trilinear -- pump/signal/idler dynamics at four approximation tiers
 * qinfo     -- entropy, fidelity, information, squeezing diagnostics
 * detector  -- driven Duffing-cavity displacement detector and cooling

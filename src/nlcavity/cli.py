@@ -302,6 +302,9 @@ def _run_hawking_line(cfg: ScenarioConfig):
     else:
         frac = float(cfg.params.get("gradient_rate_over_plasma", 0.1))
         target = frac * params.plasma_frequency(0.0) / TWO_PI
+        if not (frac > 0.0 and 0.0 < target < math.inf):
+            raise ValueError(f"gradient_rate_over_plasma must give a positive finite "
+                             f"target rate, got {frac} ({target} Hz)")
         rise = hawking.rise_scale_for_gradient_rate(amplitude, params, target)
     pulse = hawking.tanh_pulse(amplitude, rise)
     lo, hi = pulse.window
@@ -352,19 +355,14 @@ def _tau_grid(cfg):
     return np.linspace(0.0, tau_max, _points(cfg, "tau_points", 400))
 
 
-def _full_tier(initial, taus):
-    """The full tier's trajectory from the pump state ``initial`` with signal
-    and idler in vacuum, on the cubic grid of the pump's dimension."""
-    dim = initial.coefficients.size
-    psi0 = trilinear.initial_product_state(initial, fock.HilbertSpec((dim, dim, dim)))
-    return trilinear.evolve_full(psi0, taus)
-
-
 def _run_trilinear_evolve(cfg: ScenarioConfig):
     mean_occ = float(cfg.params.get("mean_occupation", 9))
+    dim = float(cfg.params.get("dim_per_mode", 0))
+    if not (dim == 0.0 or (2.0 <= dim < math.inf and dim == int(dim))):
+        raise ValueError(f"dim_per_mode must be 0 (auto) or a finite whole count of at "
+                         f"least 2, got {dim}")
     # margin over the pump tail gate keeps the signal/idler boundary clean
-    dim = int(float(cfg.params.get("dim_per_mode", 0))) or \
-        fock.min_coherent_dim(mean_occ) + 3
+    dim = int(dim) or fock.min_coherent_dim(mean_occ) + 3
     taus = _tau_grid(cfg)
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
 
@@ -376,7 +374,7 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     short = trilinear.short_time_state(initial, taus)
     columns = [taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi, short.n_a, short.n_b]
     del short  # freed before the full tier's trajectory of the same size is built
-    full = _full_tier(initial, taus)
+    full = trilinear.full_state(initial, taus)
     rows = np.column_stack(columns + [full.n_a, full.n_b, full.n_b, full.pump_variance(),
                                       full.norm() - 1.0, full.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
@@ -422,7 +420,7 @@ def _run_trilinear_info(cfg: ScenarioConfig):
         if "short" in tiers:
             trajectories.append(("short", trilinear.short_time_state(initial, taus)))
         if "full" in tiers:
-            trajectories.append(("full", _full_tier(initial, taus)))
+            trajectories.append(("full", trilinear.full_state(initial, taus)))
         for tier, states in trajectories:
             rows += [[tau, mean_occ, tier, *cells]
                      for tau, *cells in zip(taus, *_info_diagnostics(states))]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hbar, k_B
-from .fock import NORM_TOL
 
+NORM_TOL = 1e-9
 _CLAMP = 1e-12
 
 

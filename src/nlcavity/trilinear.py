@@ -31,7 +31,6 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError
-from .fock import DensityMatrix, HilbertSpec, StateVector
 from .numerics import Tolerance, _increasing_grid, integrate_adaptive, jacobi_dn
 
 
@@ -66,8 +65,7 @@ class PumpInitialState:
     @classmethod
     def coherent(cls, mean_occupation, dim):
         """Coherent pump with <N_a(0)> = mean_occupation, truncation-gated."""
-        state = fock.coherent_state(math.sqrt(mean_occupation), dim)
-        return cls(state.amplitudes)
+        return cls(fock.coherent_state(math.sqrt(mean_occupation), dim))
 
 
 @dataclass(frozen=True)
@@ -87,28 +85,6 @@ def parametric_occupation(A: float, tau: float) -> float:
     if A < 0.0 or tau < 0.0:
         raise ValueError("pump amplitude and tau must be nonnegative")
     return math.sinh(A * tau) ** 2
-
-
-def parametric_state(A: float, tau: float, dim: int) -> StateVector:
-    """Two-mode squeezed vacuum sech(r) sum tanh(r)^n |n,n>, r = A*tau.
-
-    The truncation gate requires tanh(r)^(2*dim) < 1e-8 so the discarded
-    tail is negligible.
-    """
-    r = A * tau
-    th = math.tanh(r)
-    if th > 0.0 and th ** (2 * dim) >= 1e-8:
-        need = int(math.ceil(math.log(1e-8) / (2.0 * math.log(th)))) + 1
-        raise TruncationError(
-            f"two-mode squeezed tail too heavy at dim={dim} (tanh^2dim="
-            f"{th ** (2 * dim):.2e}); need dim >= {need}",
-            leak=th ** (2 * dim), required_dim=need)
-    spec = HilbertSpec((dim, dim))
-    amps = np.zeros(spec.total_dim, dtype=complex)
-    for n in range(dim):
-        amps[n * dim + n] = th ** n
-    amps /= np.linalg.norm(amps)
-    return StateVector(spec, amps)
 
 
 def parametric_temperature(A: float, tau: float, omega_b: float) -> float:
@@ -245,16 +221,6 @@ class PairState:
         """Truncation leak: population of the top pump level or top pair level."""
         return np.maximum(self._marginal(-1)[..., -1], self._marginal(-2)[..., -1])
 
-    def state_vector(self, spec: HilbertSpec) -> StateVector:
-        """Embedding of one state in the full three-mode truncation grid."""
-        C = self._require(2)
-        dp = C.shape[1]
-        if spec.n_modes != 3 or C.shape[0] > spec.dims[0] or dp > min(spec.dims[1:]):
-            raise ValueError(f"pair state of shape {C.shape} does not fit {spec}")
-        amps = np.zeros(spec.dims, dtype=complex)
-        amps[: C.shape[0], np.arange(dp), np.arange(dp)] = C
-        return StateVector(spec, amps.ravel())
-
 
 # ---------------------------------------------------------------------------
 # short-time (quantized pump) tier
@@ -285,74 +251,42 @@ def short_time_state(initial: PumpInitialState, tau) -> PairState:
     return PairState(C)
 
 
-def long_time_signal(P_s) -> DensityMatrix:
-    """Late-time signal state: diagonal mixture carrying the initial pump
-    number distribution."""
-    p = np.asarray(P_s, dtype=float).ravel()
-    if np.any(p < -1e-12):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    dim = max(p.size, 2)
-    mat = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(mat[:p.size, :p.size], np.clip(p, 0.0, None))
-    return DensityMatrix(HilbertSpec((dim,)), mat)
-
-
 # ---------------------------------------------------------------------------
 # full quantum tier
 # ---------------------------------------------------------------------------
-
-def initial_product_state(initial: PumpInitialState, spec: HilbertSpec) -> StateVector:
-    """|psi_pump> |0>_b |0>_c on the given truncation grid."""
-    da = spec.dims[0]
-    if initial.coefficients.size > da:
-        raise ValueError("pump dim too small for the initial pump state")
-    amps = np.zeros(spec.dims, dtype=complex)
-    amps[: initial.coefficients.size, 0, 0] = initial.coefficients
-    return StateVector(spec, amps.ravel())
-
 
 # i^k for k mod 4, exact
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> PairState:
-    """Interaction-picture Schrodinger evolution dpsi/dtau = G psi,
-    propagated exactly one conserved block at a time.
+def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> PairState:
+    """Interaction-picture Schrodinger evolution dpsi/dtau = G psi of the
+    pump state ``initial`` with signal and idler in vacuum, propagated
+    exactly one conserved block at a time.
 
-    ``initial`` must lie in the pair span {|p, i, i>} (a pump-only state
-    does), which G leaves invariant on the truncated grid; the evolution
-    runs on C[p, i] with pair dimension min(d_b, d_c), where G couples
-    (p, i) to (p + 1, i - 1) with weight sqrt(p+1)*i. G conserves
-    n = p + i, so each anti-diagonal block C_n, indexed by k = i, obeys
-    dC_n/dtau = A C_n with A real antisymmetric tridiagonal (Walls &
-    Barakat, Phys. Rev. A 1, 446 (1970)). With D = diag(i^k), A = -i D T
-    D^-1 for the real symmetric T of off-diagonal sqrt(n-k+1)*k, so one
-    eigh(T) = U diag(lam) U^T per block gives every tau at once:
-    C_n(tau) = D U exp(-i lam (tau - tau_0)) U^T D^-1 C_n(tau_0), where
-    tau_0 is the grid's first point and blocks without initial weight stay
-    zero. Returns the trajectory C[tau, p, i]. Raises ValueError for weight
-    off the span and TruncationError if the top pump or pair level holds
-    more than ``leak_tol`` population anywhere along the trajectory.
+    The evolution runs on C[p, i] of the (dim, dim) pair grid that
+    ``short_time_state`` uses, dim = max(pump dimension, 2), where G couples
+    (p, i) to (p + 1, i - 1) with weight sqrt(p+1)*i. G conserves n = p + i,
+    so each anti-diagonal block C_n, indexed by k = i, obeys dC_n/dtau =
+    A C_n with A real antisymmetric tridiagonal (Walls & Barakat, Phys. Rev.
+    A 1, 446 (1970)). With D = diag(i^k), A = -i D T D^-1 for the real
+    symmetric T of off-diagonal sqrt(n-k+1)*k, so one eigh(T) = U diag(lam)
+    U^T per block gives every tau at once: C_n(tau) = D U exp(-i lam (tau -
+    tau_0)) U^T D^-1 C_n(tau_0), where tau_0 is the grid's first point and
+    blocks without initial weight stay zero. Returns the trajectory C[tau,
+    p, i]. Raises TruncationError if the top pump or pair level holds more
+    than ``leak_tol`` population anywhere along the trajectory.
     """
-    spec = initial.spec
-    if spec.n_modes != 3:
-        raise ValueError("trilinear dynamics need a three-mode spec")
-    da, db, dc = spec.dims
-    dp = min(db, dc)
-    psi = initial.tensor_view()
-    C0 = psi[:, np.arange(dp), np.arange(dp)]
-    if np.count_nonzero(psi) != np.count_nonzero(C0):  # C0 holds the span's entries
-        raise ValueError("initial state has weight outside the pair span |p, i, i>")
+    coeff = initial.coefficients
+    dim = max(coeff.size, 2)
     grid = _increasing_grid(tau_grid)
 
-    C = np.zeros((grid.size, da, dp), dtype=complex)
-    C[0] = C0
+    C = np.zeros((grid.size, dim, dim), dtype=complex)
+    C[0, :coeff.size, 0] = coeff
     minus_i_dt = -1j * (grid[1:] - grid[0])
-    for n in range(da + dp - 1):
-        k = np.arange(max(0, n - da + 1), min(n, dp - 1) + 1)
-        c0 = C0[n - k, k]
+    for n in range(2 * dim - 1):
+        k = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1)
+        c0 = C[0, n - k, k]
         if not c0.any():
             continue
         off = np.sqrt(n - k[1:] + 1.0) * k[1:]
@@ -371,6 +305,6 @@ def evolve_full(initial: StateVector, tau_grid, leak_tol: float = 1e-6) -> PairS
     leak = trajectory.max_boundary_population().max()
     if leak > leak_tol:
         raise TruncationError(
-            f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge dims {spec.dims}",
-            leak=leak)
+            f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge the pump "
+            f"dimension {dim}", leak=leak)
     return trajectory

@@ -1,5 +1,10 @@
-"""Sparse operator algebra on the full truncated Fock grid, kept as test
-oracles for the pair-basis (C[p, i]) paths of ``nlcavity``.
+"""Dense states and sparse operator algebra on the full truncated Fock grid,
+kept as test oracles for the pair-basis (C[p, i]) paths of ``nlcavity``.
+
+``StateVector`` and ``DensityMatrix`` are states on a ``HilbertSpec`` grid,
+``partial_trace`` reduces them and ``state_vector`` embeds a pair or pump
+state in the three-mode grid; ``parametric_state`` and ``long_time_signal``
+are the two-mode squeezed vacuum and the late-time signal mixture.
 
 ``ModeOperator``, ``ladder_ops``, ``embed`` and ``expectation`` build and
 apply CSR operators on a ``HilbertSpec``; ``interaction_generator``,
@@ -48,11 +53,168 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.constants import hbar, k_B
-from nlcavity.errors import ConvergenceError, NoHorizonError
-from nlcavity.fock import DensityMatrix, HilbertSpec, StateVector
+from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
-from nlcavity.qinfo import ThermalReference, entropy
+from nlcavity.qinfo import NORM_TOL, ThermalReference, entropy
+from nlcavity.trilinear import PumpInitialState
+
+
+# ---------------------------------------------------------------------------
+# states on the full truncated Fock grid
+# ---------------------------------------------------------------------------
+
+HERM_TOL = 1e-10
+EIG_FLOOR = -1e-9
+
+
+class HilbertSpec:
+    """Per-mode truncation dimensions with a fixed mode order; basis index
+    j maps to occupations np.unravel_index(j, dims)."""
+
+    def __init__(self, dims):
+        dims = tuple(int(d) for d in dims)
+        if not dims:
+            raise ValueError("need at least one mode")
+        if any(d < 2 for d in dims):
+            raise ValueError(f"every mode dimension must be >= 2, got {dims}")
+        self.dims = dims
+        self.total_dim = int(np.prod(dims))
+
+    @property
+    def n_modes(self):
+        return len(self.dims)
+
+    def __eq__(self, other):
+        return isinstance(other, HilbertSpec) and self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
+
+    def __repr__(self):
+        return f"HilbertSpec(dims={self.dims})"
+
+
+class StateVector:
+    """Normalized pure state over a truncated tensor-product Fock basis."""
+
+    def __init__(self, spec: HilbertSpec, amplitudes):
+        amps = np.asarray(amplitudes, dtype=complex).ravel()
+        if amps.size != spec.total_dim:
+            raise ValueError(f"amplitude length {amps.size} != total dim {spec.total_dim}")
+        norm = float(np.linalg.norm(amps))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        self.spec = spec
+        self.amplitudes = amps
+        self.amplitudes.setflags(write=False)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def tensor_view(self):
+        return self.amplitudes.reshape(self.spec.dims)
+
+
+class DensityMatrix:
+    """Hermitian, trace-one, positive operator on a truncated Fock space."""
+
+    def __init__(self, spec: HilbertSpec, entries):
+        mat = np.asarray(entries, dtype=complex)
+        if mat.shape != (spec.total_dim, spec.total_dim):
+            raise ValueError(f"matrix shape {mat.shape} != ({spec.total_dim},)*2")
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * scale:
+            raise ValueError("density matrix is not Hermitian")
+        tr = complex(np.trace(mat)).real
+        if not abs(tr - 1.0) <= NORM_TOL:
+            raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
+        herm = 0.5 * (mat + mat.conj().T)
+        herm.setflags(write=False)
+        evals = np.linalg.eigvalsh(herm)
+        if evals.min() < EIG_FLOOR:
+            raise ValueError(f"negative eigenvalue {evals.min()} below {EIG_FLOOR}")
+        evals.setflags(write=False)
+        self.spec = spec
+        self.entries = herm
+        self._evals = evals
+
+    def eigenvalues(self):
+        """Ascending spectrum of the Hermitian part, from the positivity check."""
+        return self._evals
+
+
+def partial_trace(state, keep) -> DensityMatrix:
+    """Reduced density matrix over the modes in ``keep`` (ascending order)."""
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    spec = state.spec
+    if any(k < 0 or k >= spec.n_modes for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {spec}")
+    kept_dims = tuple(spec.dims[k] for k in keep)
+    traced = [i for i in range(spec.n_modes) if i not in keep]
+    dk = int(np.prod(kept_dims))
+
+    if isinstance(state, StateVector):
+        psi = state.tensor_view()
+        perm = keep + traced
+        mat = np.transpose(psi, perm).reshape(dk, -1)
+        rho = mat @ mat.conj().T
+    elif isinstance(state, DensityMatrix):
+        nm = spec.n_modes
+        t = state.entries.reshape(spec.dims + spec.dims)
+        # contract each traced mode's ket index with its bra index; ``traced``
+        # is ascending, so after ``count`` traces the ket axis has shifted by
+        # count and the matching bra axis sits (remaining modes) further right
+        for count, ax in enumerate(traced):
+            a = ax - count
+            t = np.trace(t, axis1=a, axis2=a + nm - count)
+        rho = t.reshape(dk, dk)
+    else:
+        raise TypeError(f"cannot partial-trace a {type(state).__name__}")
+    return DensityMatrix(HilbertSpec(kept_dims), rho)
+
+
+def state_vector(state, spec: HilbertSpec) -> StateVector:
+    """sum C[p, i] |p, i, i> on the three-mode grid ``spec``, for the C of one
+    PairState, or the pump state |psi>|0>|0> of a PumpInitialState."""
+    C = state.coefficients[:, None] if isinstance(state, PumpInitialState) else state.C
+    dp = C.shape[1]
+    amps = np.zeros(spec.dims, dtype=complex)
+    amps[: C.shape[0], np.arange(dp), np.arange(dp)] = C
+    return StateVector(spec, amps.ravel())
+
+
+def parametric_state(A: float, tau: float, dim: int) -> StateVector:
+    """Two-mode squeezed vacuum sech(r) sum tanh(r)^n |n,n>, r = A*tau.
+
+    The truncation gate requires tanh(r)^(2*dim) < 1e-8 so the discarded
+    tail is negligible.
+    """
+    th = math.tanh(A * tau)
+    if th > 0.0 and th ** (2 * dim) >= 1e-8:
+        need = int(math.ceil(math.log(1e-8) / (2.0 * math.log(th)))) + 1
+        raise TruncationError(
+            f"two-mode squeezed tail too heavy at dim={dim} (tanh^2dim="
+            f"{th ** (2 * dim):.2e}); need dim >= {need}",
+            leak=th ** (2 * dim), required_dim=need)
+    amps = np.diag(th ** np.arange(dim)).astype(complex)
+    return StateVector(HilbertSpec((dim, dim)), amps / np.linalg.norm(amps))
+
+
+def long_time_signal(P_s) -> DensityMatrix:
+    """Late-time signal state: diagonal mixture carrying the initial pump
+    number distribution."""
+    p = np.asarray(P_s, dtype=float).ravel()
+    if np.any(p < -1e-12):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    dim = max(p.size, 2)
+    mat = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(mat[:p.size, :p.size], np.clip(p, 0.0, None))
+    return DensityMatrix(HilbertSpec((dim,)), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +232,12 @@ class ModeOperator:
         self.matrix = mat
         self.label = label
 
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.spec, self.matrix.conjugate().transpose().tocsr(),
-                            label=self.label + "+")
-
     def __matmul__(self, other):
         if isinstance(other, ModeOperator):
             if other.spec != self.spec:
                 raise ValueError("operator spec mismatch")
             return ModeOperator(self.spec, self.matrix @ other.matrix)
         return self.matrix @ other
-
-    def __add__(self, other):
-        return ModeOperator(self.spec, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return ModeOperator(self.spec, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return ModeOperator(self.spec, self.matrix * scalar)
-
-    __rmul__ = __mul__
 
     def toarray(self):
         return self.matrix.toarray()
@@ -363,13 +510,16 @@ def pair_rhs(da: int, dp: int):
     return rhs
 
 
-def evolve_pair_rk45(psi: StateVector, tau_grid, tol: Tolerance = Tolerance(1e-12, 1e-10)):
-    """The pair-span trajectory C[tau, p, i] of a pump-only ``psi`` by RK45,
-    at the tolerance the full tier once integrated with."""
-    da, db, dc = psi.spec.dims
-    dp = min(db, dc)
-    C0 = psi.tensor_view()[:, np.arange(dp), np.arange(dp)]
-    return evolve_ode(pair_rhs(da, dp), C0.ravel(), tau_grid, tol).reshape(-1, da, dp)
+def evolve_pair_rk45(initial: PumpInitialState, tau_grid,
+                     tol: Tolerance = Tolerance(1e-12, 1e-10)):
+    """The pair-span trajectory C[tau, p, i] of the pump state ``initial`` by
+    RK45 on the full tier's (dim, dim) grid, at the tolerance the full tier
+    once integrated with."""
+    coeff = initial.coefficients
+    dim = max(coeff.size, 2)
+    C0 = np.zeros((dim, dim), dtype=complex)
+    C0[:coeff.size, 0] = coeff
+    return evolve_ode(pair_rhs(dim, dim), C0.ravel(), tau_grid, tol).reshape(-1, dim, dim)
 
 
 # ---------------------------------------------------------------------------

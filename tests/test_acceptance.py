@@ -22,9 +22,9 @@ from nlcavity import detector, fock, hawking, qinfo, trilinear
 from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
-from oracles import (build_interaction_hamiltonian, expectation, fidelity,
-                     interaction_generator, mode_factor, mode_numbers, reduced,
-                     thermal_density_matrix)
+from oracles import (DensityMatrix, HilbertSpec, build_interaction_hamiltonian,
+                     expectation, fidelity, interaction_generator, mode_factor,
+                     mode_numbers, reduced, state_vector, thermal_density_matrix)
 
 RESULTS = []
 
@@ -48,11 +48,10 @@ def det_params():
 def coherent9_trajectory():
     """Shared <N_a(0)>=9 coherent trajectory on tau in [0,3]."""
     dim = fock.min_coherent_dim(9.0) + 3
-    spec = fock.HilbertSpec((dim,) * 3)
+    spec = HilbertSpec((dim,) * 3)
     init = trilinear.PumpInitialState.coherent(9.0, dim)
-    psi0 = trilinear.initial_product_state(init, spec)
     taus = np.linspace(0.0, 3.0, 121)
-    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, taus)]
+    states = [state_vector(s, spec) for s in trilinear.full_state(init, taus)]
     return spec, init, taus, states
 
 
@@ -267,22 +266,20 @@ def test_criterion_7_trilinear_oracles():
     import scipy.linalg as sla
 
     start = time.perf_counter()
-    spec = fock.HilbertSpec((3, 3, 3))
-    psi0 = trilinear.initial_product_state(
-        trilinear.PumpInitialState.fock(1, dim=2), spec)
+    spec = HilbertSpec((3, 3, 3))
     taus = np.linspace(0.0, 3.0, 31)
-    states = [s.state_vector(spec) for s in trilinear.evolve_full(psi0, taus)]
+    states = [state_vector(s, spec) for s in
+              trilinear.full_state(trilinear.PumpInitialState.fock(1, dim=3), taus)]
     nb_op = mode_numbers(spec)[1]
     rabi_err = max(abs(expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
 
-    spec64 = fock.HilbertSpec((4, 4, 4))
-    psi064 = trilinear.initial_product_state(
-        trilinear.PumpInitialState.fock(2, dim=3), spec64)
-    out = trilinear.evolve_full(psi064, [0.0, 2.0])
+    spec64 = HilbertSpec((4, 4, 4))
+    init64 = trilinear.PumpInitialState.fock(2, dim=4)
+    out = trilinear.full_state(init64, [0.0, 2.0])
     G = interaction_generator(spec64).toarray()
-    expm_err = float(np.linalg.norm(out[-1].state_vector(spec64).amplitudes
-                                    - sla.expm(2.0 * G) @ psi064.amplitudes))
+    expm_err = float(np.linalg.norm(state_vector(out[-1], spec64).amplitudes
+                                    - sla.expm(2.0 * G) @ state_vector(init64, spec64).amplitudes))
     elapsed = time.perf_counter() - start
     ok = rabi_err < 1e-6 and expm_err < 1e-7 and elapsed < 10.0
     report(7, ok, f"Rabi error {rabi_err:.2e} (<1e-6), expm error {expm_err:.2e} "
@@ -324,7 +321,7 @@ def thermal_fidelity(p_b):
     truncation ``thermal_density_matrix(nb, dim)``, so the fidelity is
     exactly F(rho_b, sigma_dim) * sqrt(1 - leak).
     """
-    rho_b = fock.DensityMatrix(fock.HilbertSpec((p_b.size,)), np.diag(p_b))
+    rho_b = DensityMatrix(HilbertSpec((p_b.size,)), np.diag(p_b))
     nb = float(np.sum(p_b * np.arange(p_b.size)))
     leak = qinfo.ThermalReference(nb, p_b.size).leak
     return nb, fidelity(rho_b, thermal_density_matrix(nb, p_b.size)) * math.sqrt(1.0 - leak)
@@ -451,8 +448,7 @@ def test_criterion_11_quantum_info_suite(coherent9_trajectory):
 
     d_eff_dev = abs(qinfo.effective_dimension(4.5) - 10.0)
 
-    psi_c = fock.coherent_state(3.0, 30)
-    qp_c, qm_c = qinfo.squeezing_params(psi_c.amplitudes[:, None])
+    qp_c, qm_c = qinfo.squeezing_params(fock.coherent_state(3.0, 30)[:, None])
 
     heis_min = math.inf
     qm_track = []

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -16,7 +17,6 @@ from nlcavity.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
     ScenarioConfig,
-    _full_tier,
     _info_diagnostics,
     _tau_grid,
     _write_csv,
@@ -29,10 +29,13 @@ from nlcavity.constants import hbar, k_B
 from nlcavity.errors import FitDegenerateError
 from nlcavity.presets import build_detector_params, build_line_params, list_presets
 from oracles import (
+    HilbertSpec,
     dense_von_neumann_entropy,
     expectation,
     fidelity,
     ladder_ops,
+    partial_trace,
+    state_vector,
     thermal_density_matrix,
 )
 
@@ -120,7 +123,8 @@ BELTRAN = list_presets()["ch3-beltran"]["params"]
 HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
                ("rise_scale_m", "1e307"), ("rise_scale_m", "1e308"), ("N", "1e400"),
                ("N", "4800.5"), ("plasma_freq_hz", "1e-200"), ("plasma_freq_hz", "1e200"),
-               ("plasma_freq_hz", "-1e12")]
+               ("plasma_freq_hz", "-1e12"), ("gradient_rate_over_plasma", "1e300"),
+               ("gradient_rate_over_plasma", "-0.1"), ("gradient_rate_over_plasma", "nan")]
 
 
 @pytest.mark.parametrize("kind, params, grid", [
@@ -149,6 +153,9 @@ HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
     ("trilinear-info", dict(INFO_PARAMS, mean_occupations="nan"), {"tau_points": "3"}),
     ("trilinear-evolve", {"mean_occupation": "nan"}, {"tau_points": "3"}),
     ("trilinear-evolve", {"mean_occupation": "inf"}, {"tau_points": "3"}),
+    ("trilinear-evolve", {"dim_per_mode": "inf"}, {"tau_points": "3"}),
+    ("trilinear-evolve", {"dim_per_mode": "13.5", "mean_occupation": "1"},
+     {"tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "nan", "tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "inf", "tau_points": "3"}),
     ("trilinear-info", dict(INFO_PARAMS), {"tau_max": "-1", "tau_points": "3"}),
@@ -172,7 +179,8 @@ HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
         "tiers-none", "tiers-empty-item", "ratio_max-nan", "bath_T-empty",
         "mean_occupations-empty", "gradient_rate-0", "I_c-inf", "C_0-nan",
         "a-inf", "u_over_c0flux-nan", "rise_scale-nan", "mean_occupations-nan",
-        "evolve-mean_occupation-nan", "evolve-mean_occupation-inf", "tau_max-nan",
+        "evolve-mean_occupation-nan", "evolve-mean_occupation-inf",
+        "dim_per_mode-inf", "dim_per_mode-13.5", "tau_max-nan",
         "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
         "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore",
@@ -189,6 +197,16 @@ def test_bad_hawking_numbers_name_the_key(tmp_path, capsys):
                              grid={}, output_dir=tmp_path)
         assert run(cfg) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+def test_bad_dim_per_mode_names_the_key(tmp_path, capsys):
+    # 0 picks the dimension; anything but a finite whole count >= 2 is refused
+    for value in ("inf", "nan", "13.5", "1", "-3"):
+        cfg = ScenarioConfig(kind="trilinear-evolve",
+                             params={"mean_occupation": "1", "dim_per_mode": value},
+                             grid={"tau_points": "3"}, output_dir=tmp_path)
+        assert run(cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: dim_per_mode ")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -632,7 +650,7 @@ def _info_trajectory(tier, mean_occ, taus):
     initial = trilinear.PumpInitialState.coherent(mean_occ, fock.min_coherent_dim(mean_occ) + 3)
     if tier == "short":
         return trilinear.short_time_state(initial, taus)
-    return _full_tier(initial, taus)
+    return trilinear.full_state(initial, taus)
 
 
 @pytest.mark.parametrize("tier, mean_occ", [("short", 3.0), ("short", 9.0),
@@ -646,13 +664,13 @@ def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
     states = _info_trajectory(tier, mean_occ, taus)
     columns = np.column_stack(_info_diagnostics(states))
     dim = states.C.shape[-1]
-    spec = fock.HilbertSpec((dim,) * 3)
+    spec = HilbertSpec((dim,) * 3)
     a, _, num = ladder_ops(dim)
     levels = np.arange(dim)
     for k, state in enumerate(states):
-        psi = state.state_vector(spec)
-        rho_a = fock.partial_trace(psi, keep=[0])
-        rho_b = fock.partial_trace(psi, keep=[1])
+        psi = state_vector(state, spec)
+        rho_a = partial_trace(psi, keep=[0])
+        rho_b = partial_trace(psi, keep=[1])
         p_b = np.diag(rho_b.entries).real
         n_a, n_b = np.diag(rho_a.entries).real @ levels, p_b @ levels
         s_a, s_b = dense_von_neumann_entropy(rho_a), dense_von_neumann_entropy(rho_b)
@@ -680,3 +698,26 @@ def test_info_trace_gate_fires_on_one_tau_slice(tmp_path, monkeypatch):
         kind="trilinear-info", params={"mean_occupations": "3", "tiers": "short"},
         grid={"tau_max": "2.0", "tau_points": "5"}, output_dir=tmp_path, label="bad")
     assert run(cfg) == EXIT_CONFIG
+
+
+def test_bench_tracer_leaves_outputs_unchanged(tmp_path):
+    # bench/tracer.py wraps every public function of the package; under it
+    # the evolve preset and both info tiers still exit 0 and write the same
+    # CSV bytes as an untraced run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    info = tmp_path / "info.ini"
+    info.write_text("[scenario]\nkind = trilinear-info\n[params]\nmean_occupations = 1\n"
+                    "tiers = short,full\n[grid]\ntau_max = 1.0\ntau_points = 3\n")
+
+    def csv_bytes(out):
+        assert main(["run", "--preset", "ch4-coherent9", "--out", str(out)]) == EXIT_OK
+        assert main(["run", str(info), "--out", str(out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    plain = csv_bytes(tmp_path / "plain")
+    with tracer.Tracer() as traced:
+        assert csv_bytes(tmp_path / "traced") == plain
+    assert len(plain) == 2 and "trilinear.full_state" in traced.summary()

@@ -5,21 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlcavity.errors import TruncationError
-from nlcavity.fock import (
+from nlcavity.fock import coherent_state, min_coherent_dim
+from oracles import (
     DensityMatrix,
     HilbertSpec,
+    ModeOperator,
     StateVector,
-    coherent_state,
-    min_coherent_dim,
+    boundary_population,
+    embed,
+    expectation,
+    ladder_ops,
+    parametric_state,
     partial_trace,
 )
-from oracles import boundary_population, embed, expectation, ladder_ops
 
 
 def basis_state(spec, occupations):
     amps = np.zeros(spec.dims, dtype=complex)
     amps[tuple(occupations)] = 1.0
     return StateVector(spec, amps.ravel())
+
+
+def coherent(alpha, dim):
+    """The truncated coherent state as a single-mode StateVector."""
+    return StateVector(HilbertSpec((dim,)), coherent_state(alpha, dim))
 
 
 # --- ladder operators --------------------------------------------------------
@@ -52,14 +61,8 @@ def test_ladder_dim_error():
 # --- embed -------------------------------------------------------------------
 
 def test_embed_identity():
-    import scipy.sparse as sp
-
-    spec = HilbertSpec((3, 4))
-    eye3 = ladder_ops(3)[2].spec  # noqa: F841 (just exercising attrs)
-    from oracles import ModeOperator
-
-    ident = ModeOperator(HilbertSpec((3,)), sp.identity(3, dtype=complex))
-    out = embed(ident, 0, spec)
+    ident = ModeOperator(HilbertSpec((3,)), np.eye(3))
+    out = embed(ident, 0, HilbertSpec((3, 4)))
     assert np.allclose(out.toarray(), np.eye(12))
 
 
@@ -91,13 +94,13 @@ def test_embed_index_error():
 # --- coherent state ----------------------------------------------------------
 
 def test_coherent_vacuum():
-    psi = coherent_state(0.0, 4)
-    assert psi.amplitudes[0] == pytest.approx(1.0)
-    assert np.allclose(psi.amplitudes[1:], 0.0)
+    amps = coherent_state(0.0, 4)
+    assert amps[0] == pytest.approx(1.0)
+    assert np.allclose(amps[1:], 0.0)
 
 
 def test_coherent_mean_occupation():
-    psi = coherent_state(3.0, 30)
+    psi = coherent(3.0, 30)
     _, _, num = ladder_ops(30)
     assert expectation(psi, num).real == pytest.approx(9.0, abs=1e-4)
 
@@ -114,7 +117,7 @@ def test_coherent_truncation_error():
 
 
 def test_coherent_phase_convention():
-    psi = coherent_state(2.0 * np.exp(1j * 0.7), 25)
+    psi = coherent(2.0 * np.exp(1j * 0.7), 25)
     a, _, _ = ladder_ops(25)
     val = expectation(psi, a)
     assert np.angle(val) == pytest.approx(0.7, abs=1e-6)
@@ -133,8 +136,6 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_squeezed_thermal():
-    from nlcavity.trilinear import parametric_state
-
     r = 0.9
     psi = parametric_state(1.0, r, 30)
     rho_b = partial_trace(psi, keep=[0])
@@ -209,7 +210,7 @@ def test_schmidt_symmetry_property(seed):
 # --- expectation / validation -------------------------------------------------
 
 def test_expectation_vacuum_number():
-    psi = coherent_state(0.0, 5)
+    psi = coherent(0.0, 5)
     _, _, num = ladder_ops(5)
     assert expectation(psi, num) == pytest.approx(0.0)
 
@@ -218,14 +219,12 @@ def test_expectation_fock_exact():
     spec = HilbertSpec((6,))
     psi = basis_state(spec, (4,))
     a, adag, _ = ladder_ops(6)
-    from oracles import ModeOperator
-
     n_op = ModeOperator(spec, adag.matrix @ a.matrix)
     assert expectation(psi, n_op).real == pytest.approx(4.0, abs=1e-14)
 
 
 def test_expectation_spec_mismatch():
-    psi = coherent_state(0.0, 5)
+    psi = coherent(0.0, 5)
     _, _, num = ladder_ops(6)
     with pytest.raises(ValueError):
         expectation(psi, num)

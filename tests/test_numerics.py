@@ -424,15 +424,12 @@ def test_ode_step_underflow_raises_stiffness():
 
 def test_grid_validation():
     # the runtime users of the one grid check, and the RK45 oracle
-    from nlcavity import fock
-    from nlcavity.trilinear import (PumpInitialState, evolve_full, initial_product_state,
-                                    semiclassical_pump)
+    from nlcavity.trilinear import PumpInitialState, full_state, semiclassical_pump
 
-    spec = fock.HilbertSpec((3, 3, 3))
-    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
+    init = PumpInitialState.fock(1, dim=3)
     for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="grid must be"):
-            evolve_full(psi0, grid)
+            full_state(init, grid)
         with pytest.raises(ValueError, match="grid must be"):
             semiclassical_pump(9.0, grid)
         with pytest.raises(ValueError, match="grid must be"):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlcavity import fock
-from nlcavity.fock import DensityMatrix, HilbertSpec
 from nlcavity.qinfo import (
     ThermalReference,
     bose_occupation,
@@ -18,18 +17,20 @@ from nlcavity.qinfo import (
     thermal_entropy,
     von_neumann_entropy,
 )
-from nlcavity.trilinear import (
-    PumpInitialState,
-    evolve_full,
-    initial_product_state,
-    parametric_state,
-)
+from nlcavity.trilinear import PumpInitialState, full_state
 from oracles import (
+    DensityMatrix,
+    HilbertSpec,
+    StateVector,
     dense_von_neumann_entropy,
     expectation,
     fidelity,
     ladder_ops,
+    long_time_signal,
     mode_factor,
+    parametric_state,
+    partial_trace,
+    state_vector,
     thermal_density_matrix,
 )
 
@@ -220,8 +221,6 @@ def test_information_fock_nine():
 
 
 def test_information_nonnegative_on_mixtures():
-    from nlcavity.trilinear import long_time_signal
-
     init = PumpInitialState.coherent(9.0, 30)
     rho = long_time_signal(init.probabilities)
     assert information(np.diag(rho.entries).real) > 0.0
@@ -245,8 +244,8 @@ def test_mutual_information_product_state():
     spec = HilbertSpec((8, 3, 3))
     amps = np.zeros(spec.dims, dtype=complex)
     amps[5, 0, 0] = 1.0
-    psi = fock.StateVector(spec, amps.ravel())
-    p_b = np.diag(fock.partial_trace(psi, keep=[1]).entries).real
+    psi = StateVector(spec, amps.ravel())
+    p_b = np.diag(partial_trace(psi, keep=[1]).entries).real
     i_abc, i_bc = mutual_information_partitions(mode_factor(psi, [0]), p_b)
     assert abs(i_abc) < 1e-9
     assert abs(i_bc) < 1e-9
@@ -256,13 +255,13 @@ def test_mutual_information_two_path_entropy():
     rng = np.random.default_rng(13)
     spec = HilbertSpec((4, 3, 3))
     v = rng.normal(size=36) + 1j * rng.normal(size=36)
-    psi = fock.StateVector(spec, v / np.linalg.norm(v))
+    psi = StateVector(spec, v / np.linalg.norm(v))
     # S_a from the Schmidt spectrum, S_bc from the dense marginal's eigenvalues
     s_a = von_neumann_entropy(mode_factor(psi, [0]))
-    s_bc = dense_von_neumann_entropy(fock.partial_trace(psi, keep=[1, 2]))
+    s_bc = dense_von_neumann_entropy(partial_trace(psi, keep=[1, 2]))
     assert s_a == pytest.approx(s_bc, abs=1e-8)
     # rho_b is not diagonal here: its entropy enters through its spectrum
-    rho_b = fock.partial_trace(psi, keep=[1])
+    rho_b = partial_trace(psi, keep=[1])
     i_abc, i_bc = mutual_information_partitions(mode_factor(psi, [0]),
                                                 rho_b.eigenvalues())
     assert i_abc == pytest.approx(2 * s_a, abs=1e-8)
@@ -281,8 +280,8 @@ def test_mutual_information_parametric_tier():
     spec = HilbertSpec((2, 30, 30))
     amps = np.zeros(spec.dims, dtype=complex)
     amps[0] = psi2.amplitudes.reshape(30, 30)
-    psi3 = fock.StateVector(spec, amps.ravel())
-    p_b = np.diag(fock.partial_trace(psi3, keep=[1]).entries).real
+    psi3 = StateVector(spec, amps.ravel())
+    p_b = np.diag(partial_trace(psi3, keep=[1]).entries).real
     i_abc, i_bc = mutual_information_partitions(mode_factor(psi3, [0]), p_b)
     assert abs(i_abc) < 1e-9
     assert i_bc == pytest.approx(2 * s_b, abs=1e-7)
@@ -315,8 +314,7 @@ def test_squeezing_vacuum():
 
 
 def test_squeezing_coherent():
-    psi = fock.coherent_state(3.0, 30)
-    qp, qm = squeezing_params(psi.amplitudes[:, None])
+    qp, qm = squeezing_params(fock.coherent_state(3.0, 30)[:, None])
     assert qp == pytest.approx(0.0, abs=1e-3)
     assert qm == pytest.approx(0.0, abs=1e-3)
 
@@ -353,9 +351,7 @@ def small_trajectory():
     dim = fock.min_coherent_dim(1.0) + 3
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(1.0, dim)
-    psi0 = initial_product_state(init, spec)
-    taus = np.linspace(0, 3, 16)
-    return [s.state_vector(spec) for s in evolve_full(psi0, taus)]
+    return [state_vector(s, spec) for s in full_state(init, np.linspace(0, 3, 16))]
 
 
 def test_entropy_bounds_along_trajectory(small_trajectory):
@@ -369,25 +365,24 @@ def test_entropy_bounds_along_trajectory(small_trajectory):
 def test_pure_total_state_identities():
     # small grid so the full-state eigendecomposition stays cheap
     spec = HilbertSpec((6, 6, 6))
-    psi0 = initial_product_state(PumpInitialState.fock(3, dim=4), spec)
-    for pair in evolve_full(psi0, np.linspace(0, 3, 7)):
-        s = pair.state_vector(spec)
+    for pair in full_state(PumpInitialState.fock(3, dim=6), np.linspace(0, 3, 7)):
+        s = state_vector(pair, spec)
         assert abs(von_neumann_entropy(s.amplitudes[:, None])) < 1e-8
         s_a = von_neumann_entropy(mode_factor(s, [0]))
-        s_bc = dense_von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
+        s_bc = dense_von_neumann_entropy(partial_trace(s, keep=[1, 2]))
         assert abs(s_a - s_bc) < 1e-7
 
 
 def test_schmidt_identity_along_trajectory(small_trajectory):
     for s in small_trajectory:
         s_a = von_neumann_entropy(mode_factor(s, [0]))
-        s_bc = dense_von_neumann_entropy(fock.partial_trace(s, keep=[1, 2]))
+        s_bc = dense_von_neumann_entropy(partial_trace(s, keep=[1, 2]))
         assert abs(s_a - s_bc) < 1e-7
 
 
 def test_information_nonnegative_along_trajectory(small_trajectory):
     for s in small_trajectory:
-        rho_b = fock.partial_trace(s, keep=[1]).entries
+        rho_b = partial_trace(s, keep=[1]).entries
         assert np.array_equal(rho_b, np.diag(np.diag(rho_b)))  # pair span: diagonal
         assert information(np.diag(rho_b).real) >= -1e-8
 

@@ -8,15 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlcavity import fock, trilinear
 from nlcavity.errors import TruncationError
-from nlcavity.fock import HilbertSpec, partial_trace
 from nlcavity.trilinear import (
     PairState,
     PumpInitialState,
-    evolve_full,
-    initial_product_state,
-    long_time_signal,
+    full_state,
     parametric_occupation,
-    parametric_state,
     parametric_temperature,
     pump_betas,
     semiclassical_occupation,
@@ -24,6 +20,7 @@ from nlcavity.trilinear import (
     short_time_state,
 )
 from oracles import (
+    HilbertSpec,
     branch_coefficient,
     branch_normalization,
     build_interaction_hamiltonian,
@@ -32,9 +29,13 @@ from oracles import (
     expectation,
     interaction_generator,
     ladder_ops,
+    long_time_signal,
     max_boundary_population,
     mode_numbers,
+    parametric_state,
+    partial_trace,
     reduced,
+    state_vector,
 )
 
 
@@ -150,8 +151,7 @@ def test_semiclassical_tracks_then_departs_full():
     dim = 30
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(9.0, dim)
-    states = [s.state_vector(spec)
-              for s in evolve_full(initial_product_state(init, spec), taus)]
+    states = [state_vector(s, spec) for s in full_state(init, taus)]
     nb_op = mode_numbers(spec)[1]
     nb_full = np.array([expectation(s, nb_op).real for s in states])
 
@@ -211,7 +211,7 @@ def test_pair_state_matches_branch_formula_and_full_grid():
                     / math.sqrt(branch_normalization(s, tau))
         assert np.max(np.abs(state.C - expected)) < 1e-14
 
-        psi = state.state_vector(spec)
+        psi = state_vector(state, spec)
         rho_a, p_b = reduced(state)
         for rho, mode in ((rho_a.entries, 0), (np.diag(p_b), 1)):
             oracle = partial_trace(psi, keep=[mode]).entries
@@ -238,11 +238,10 @@ def test_short_time_matches_full_evolution():
     # validity window: tau * sqrt(k M) <= 0.1
     dim = 13
     spec = HilbertSpec((dim,) * 3)
-    init = PumpInitialState.fock(9, dim=10)
+    init = PumpInitialState.fock(9, dim=dim)
     tau = 0.1 / math.sqrt(0.5 * 9)
-    states = evolve_full(initial_product_state(init, spec), [0.0, tau])
-    exact = states[-1].state_vector(spec).amplitudes
-    approx = short_time_state(init, tau).state_vector(spec).amplitudes
+    exact = state_vector(full_state(init, [0.0, tau])[-1], spec).amplitudes
+    approx = state_vector(short_time_state(init, tau), spec).amplitudes
     phase = np.vdot(approx, exact)
     assert np.linalg.norm(exact * np.exp(-1j * np.angle(phase)) - approx) < 1e-3
 
@@ -307,10 +306,9 @@ def _pop_reductions(C):
 
 def test_trajectory_reductions_match_per_tau_states():
     dim = fock.min_coherent_dim(3.0) + 3
-    spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(3.0, dim)
     taus = np.linspace(0.0, 2.5, 21)
-    for traj in (evolve_full(initial_product_state(init, spec), taus),
+    for traj in (full_state(init, taus),
                  short_time_state(init, taus)):
         assert traj.C.shape == (taus.size, dim, dim)
         reductions = [traj.n_a, traj.n_b, traj.pump_variance(), traj.norm(),
@@ -330,22 +328,24 @@ def test_state_and_trajectory_are_not_interchangeable():
     traj = short_time_state(PumpInitialState.fock(3), np.array([0.0, 0.5, 1.0]))
     assert len(traj) == 3 and [s.C.shape for s in traj] == [(4, 4)] * 3
     one = traj[1]
-    spec = HilbertSpec((4,) * 3)
     for misuse in (lambda: len(one), lambda: iter(one), lambda: one[0],
-                   lambda: reduced(traj), lambda: traj.state_vector(spec)):
+                   lambda: reduced(traj)):
         with pytest.raises(TypeError):
             misuse()
 
 
-def test_evolve_leak_gate_fires_mid_trajectory():
-    # Fock-1 pump: the top pair level of a (3, 2, 2) grid holds sin^2(tau),
-    # back near 0 at tau = pi, so only the tau = 1.5 sample trips the gate
-    spec = HilbertSpec((3, 2, 2))
-    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
-    assert evolve_full(psi0, [0.0, math.pi]).max_boundary_population().max() < 1e-6
+def test_full_leak_is_top_pump_weight():
+    # only block n = dim - 1 reaches the top pump level (k = 0) or the top
+    # pair level (k = n), so the boundary population is bounded by that
+    # block's weight |a_top|^2, reached at the first grid point
+    init = PumpInitialState([math.sqrt(1.0 - 1e-4), 0.0, 1e-2])
+    taus = [0.5, 1.0, 1.5, 2.0]
+    leak = full_state(init, taus, leak_tol=1e-3).max_boundary_population()
+    assert leak[0] == pytest.approx(1e-4, rel=1e-12)
+    assert np.all(leak <= leak[0] * (1.0 + 1e-12))
     with pytest.raises(TruncationError) as err:
-        evolve_full(psi0, [0.0, 1.5, math.pi])
-    assert err.value.leak == pytest.approx(math.sin(1.5) ** 2, rel=1e-6)
+        full_state(init, taus)
+    assert err.value.leak == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_long_time_signal_roundtrip():
@@ -379,7 +379,7 @@ def test_long_time_signal_unnormalized_error():
 def test_hamiltonian_vacuum_element():
     spec = HilbertSpec((3, 3, 3))
     H = build_interaction_hamiltonian(spec)
-    vac = initial_product_state(PumpInitialState.fock(0, dim=1), spec)
+    vac = state_vector(PumpInitialState.fock(0, dim=1), spec)
     assert abs(expectation(vac, H)) < 1e-14
 
 
@@ -392,7 +392,7 @@ def test_hamiltonian_vacuum_expectation_conserved_zero():
     dim = fock.min_coherent_dim(4.0)
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(4.0, dim)
-    psi = initial_product_state(init, spec)
+    psi = state_vector(init, spec)
     H = build_interaction_hamiltonian(spec)
     assert abs(expectation(psi, H)) < 1e-12
 
@@ -411,16 +411,28 @@ def test_hamiltonian_matrix_element_ladder():
 
 def test_evolve_tau_zero():
     spec = HilbertSpec((3, 3, 3))
-    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
-    out = evolve_full(psi0, [0.0])
-    assert np.allclose(out[0].state_vector(spec).amplitudes, psi0.amplitudes)
+    init = PumpInitialState.fock(1, dim=3)
+    out = full_state(init, [0.0])
+    assert np.allclose(state_vector(out[0], spec).amplitudes,
+                       state_vector(init, spec).amplitudes)
+
+
+def test_quantized_tiers_share_one_initial_state():
+    # both quantized-pump tiers seed C[:size, 0] = a_s on the same (dim, dim)
+    # pair grid, dim = max(pump dimension, 2)
+    coherent_dim = fock.min_coherent_dim(3.0) + 3
+    for init, dim in ((PumpInitialState.coherent(3.0, coherent_dim), coherent_dim),
+                      (PumpInitialState.fock(0, dim=1), 2)):
+        short = short_time_state(init, 0.0).C
+        assert short.shape == (dim, dim)
+        np.testing.assert_array_equal(short, full_state(init, [0.0]).C[0])
 
 
 def test_evolve_toy_rabi():
     spec = HilbertSpec((3, 3, 3))
-    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
+    init = PumpInitialState.fock(1, dim=3)
     taus = np.linspace(0, 3, 31)
-    states = [s.state_vector(spec) for s in evolve_full(psi0, taus)]
+    states = [state_vector(s, spec) for s in full_state(init, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in zip(taus, states):
         assert expectation(s, nb_op).real == pytest.approx(math.sin(t) ** 2, abs=1e-8)
@@ -428,56 +440,42 @@ def test_evolve_toy_rabi():
 
 def test_evolve_matches_expm_small():
     spec = HilbertSpec((4, 4, 4))  # total dim 64
-    psi0 = initial_product_state(PumpInitialState.fock(2, dim=3), spec)
+    init = PumpInitialState.fock(2, dim=4)
     tau = 1.7
-    out = evolve_full(psi0, [0.0, tau])
+    out = full_state(init, [0.0, tau])
     G = interaction_generator(spec).toarray()
-    exact = sla.expm(tau * G) @ psi0.amplitudes
-    assert np.linalg.norm(out[-1].state_vector(spec).amplitudes - exact) < 1e-7
+    exact = sla.expm(tau * G) @ state_vector(init, spec).amplitudes
+    assert np.linalg.norm(state_vector(out[-1], spec).amplitudes - exact) < 1e-7
 
 
 @settings(max_examples=25, deadline=None)
-@given(dims=st.tuples(*(st.integers(2, 5),) * 3),
+@given(dim=st.integers(2, 5),
        pump=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                         allow_infinity=False), min_size=1, max_size=5),
        tau=st.floats(0.0, 2.0))
 # all weight in the top pump level: its boundary population normalises to 1 + 4e-16
-@example(dims=(2, 2, 2), pump=[0j, 0.04747840197479656 + 0.6875j], tau=0.0)
-def test_pair_propagator_matches_dense_expm(dims, pump, tau):
-    coeff = np.array(pump[: dims[0]], dtype=complex)
+@example(dim=2, pump=[0j, 0.04747840197479656 + 0.6875j], tau=0.0)
+def test_pair_propagator_matches_dense_expm(dim, pump, tau):
+    coeff = np.array((pump + [0j] * dim)[:dim], dtype=complex)
     if np.linalg.norm(coeff) < 1e-3:
         coeff[0] = 1.0
-    spec = HilbertSpec(dims)
-    psi0 = initial_product_state(PumpInitialState(coeff / np.linalg.norm(coeff)), spec)
+    spec = HilbertSpec((dim,) * 3)
+    init = PumpInitialState(coeff / np.linalg.norm(coeff))
     # the dense oracle truncates the same way, so no leak gate applies
-    states = evolve_full(psi0, np.unique([0.0, tau]), leak_tol=math.inf)
-    exact = sla.expm(tau * interaction_generator(spec).toarray()) @ psi0.amplitudes
-    assert np.linalg.norm(states[-1].state_vector(spec).amplitudes - exact) < 1e-7
+    states = full_state(init, np.unique([0.0, tau]), leak_tol=math.inf)
+    exact = sla.expm(tau * interaction_generator(spec).toarray()) \
+        @ state_vector(init, spec).amplitudes
+    assert np.linalg.norm(state_vector(states[-1], spec).amplitudes - exact) < 1e-7
     assert abs(states[-1].norm() - 1.0) < 1e-8
     assert abs(states[-1].n_a + states[-1].n_b - states[0].n_a) < 1e-8
-
-
-def test_evolve_rejects_weight_off_pair_span():
-    spec = HilbertSpec((3, 3, 3))
-    amps = np.zeros(spec.dims, dtype=complex)
-    amps[1, 0, 0] = amps[0, 1, 0] = math.sqrt(0.5)
-    with pytest.raises(ValueError):
-        evolve_full(fock.StateVector(spec, amps.ravel()), [0.0, 1.0])
-
-
-def test_evolve_requires_three_modes():
-    spec = HilbertSpec((3, 3))
-    with pytest.raises(ValueError):
-        evolve_full(fock.StateVector(spec, np.eye(1, 9, dtype=complex).ravel()), [0.0, 1.0])
 
 
 def test_evolve_conservation_and_symmetry():
     dim = 16
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(3.0, dim)
-    psi0 = initial_product_state(init, spec)
     taus = np.linspace(0, 2.5, 26)
-    states = [s.state_vector(spec) for s in evolve_full(psi0, taus)]
+    states = [state_vector(s, spec) for s in full_state(init, taus)]
     na_op, nb_op, nc_op = mode_numbers(spec)
     H = build_interaction_hamiltonian(spec)
     na0 = expectation(states[0], na_op).real
@@ -496,10 +494,8 @@ def test_evolve_conservation_and_symmetry():
 
 
 def test_evolve_truncation_error_reports_leak():
-    spec = HilbertSpec((2, 2, 2))
-    psi0 = initial_product_state(PumpInitialState.fock(1, dim=2), spec)
     with pytest.raises(TruncationError) as err:
-        evolve_full(psi0, [0.0, 1.0])
+        full_state(PumpInitialState.fock(1, dim=2), [0.0, 1.0])
     assert err.value.leak > 1e-6
 
 
@@ -507,12 +503,11 @@ def test_evolve_truncation_error_reports_leak():
 
 @pytest.fixture(scope="module")
 def coherent9():
-    """N_a(0) = 9, dim 30 per mode, 400 tau on [0, 3]: the pump-only state,
-    the grid and the full tier's trajectory."""
-    spec = HilbertSpec((30,) * 3)
-    psi0 = initial_product_state(PumpInitialState.coherent(9.0, 30), spec)
+    """N_a(0) = 9, dim 30, 400 tau on [0, 3]: the pump state, the grid and
+    the full tier's trajectory."""
+    init = PumpInitialState.coherent(9.0, 30)
     taus = np.linspace(0.0, 3.0, 400)
-    return psi0, taus, evolve_full(psi0, taus)
+    return init, taus, full_state(init, taus)
 
 
 def test_full_tier_norm_holds_to_round_off(coherent9):
@@ -527,17 +522,16 @@ def test_full_tier_conserves_manley_rowe_sum(coherent9):
 
 
 def test_full_tier_matches_rk45_oracle(coherent9):
-    psi0, taus, traj = coherent9
-    assert np.max(np.abs(traj.C - evolve_pair_rk45(psi0, taus))) <= 1e-9
+    init, taus, traj = coherent9
+    assert np.max(np.abs(traj.C - evolve_pair_rk45(init, taus))) <= 1e-9
 
 
 def test_full_tier_starts_at_first_grid_point():
     # the first grid point is the initial time, wherever the grid starts
-    spec = HilbertSpec((5, 6, 4))
-    psi0 = initial_product_state(PumpInitialState([0.6, 0.64j, 0.48]), spec)
-    late = evolve_full(psi0, [0.5, 1.0])
-    np.testing.assert_array_equal(late.C[0], psi0.tensor_view()[:, np.arange(4), np.arange(4)])
-    early = evolve_full(psi0, [0.0, 0.5])
+    init = PumpInitialState([0.6, 0.64j, 0.48, 0.0])
+    late = full_state(init, [0.5, 1.0])
+    np.testing.assert_array_equal(late.C[0], short_time_state(init, 0.0).C)
+    early = full_state(init, [0.0, 0.5])
     assert np.max(np.abs(late.C[1] - early.C[1])) <= 1e-13
 
 
@@ -547,8 +541,7 @@ def test_parametric_limit_of_full_evolution():
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(25.0, dim)
     taus = np.linspace(0, 0.1, 5)
-    states = [s.state_vector(spec)
-              for s in evolve_full(initial_product_state(init, spec), taus)]
+    states = [state_vector(s, spec) for s in full_state(init, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in list(zip(taus, states))[1:]:
         nb = expectation(s, nb_op).real
