@@ -111,12 +111,15 @@ def _finite(key: str, values, lowest: float = -math.inf):
 def _write_csv(path: Path, header, rows):
     """One table as CSV. A str column is written as is and any other with
     17 significant digits in scientific notation; the row format is built
-    once, from the cell types of the first row."""
-    lines = [",".join(header)]
+    once, from the cell types of the first row, and the whole table is
+    formatted in one operation on a flat list of Python scalars."""
+    text = ",".join(header) + "\n"
     if len(rows):
-        fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
-        lines += [fmt % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+        fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0]) + "\n"
+        cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+                 else [v for row in rows for v in row])
+        text += fmt * len(rows) % tuple(cells)
+    path.write_text(text)
 
 
 def _write_manifest(cfg: ScenarioConfig, resolved: dict, columns: dict, files: list):

@@ -14,7 +14,8 @@ from .errors import TruncationError
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Fock amplitudes of the coherent state |alpha> truncated to ``dim``
-    levels and renormalized.
+    levels and renormalized: real when arg alpha = 0, otherwise carrying the
+    phase factor e^(i n arg alpha).
 
     Raises TruncationError when the Poisson tail above the truncation
     exceeds 1e-6, reporting a dimension that would pass.
@@ -27,7 +28,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     # log-space Poisson weights; tail = 1 - retained probability
     ns = np.arange(dim)
     if nbar == 0.0:
-        amps = np.zeros(dim, dtype=complex)
+        amps = np.zeros(dim)
         amps[0] = 1.0
         return amps
     logp = ns * math.log(nbar) - nbar - np.array([math.lgamma(n + 1) for n in ns])
@@ -42,8 +43,9 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
         raise TruncationError(
             f"coherent-state tail {tail:.3e} >= 1e-6 at dim={dim}; need dim >= {d}",
             leak=tail, required_dim=d)
-    phase = np.exp(1j * ns * np.angle(alpha)) if alpha != 0 else np.ones(dim)
-    amps = np.exp(0.5 * logp) * phase
+    amps = np.exp(0.5 * logp)
+    if np.angle(alpha) != 0.0:
+        amps = amps * np.exp(1j * ns * np.angle(alpha))
     amps /= np.linalg.norm(amps)
     return amps
 

@@ -144,12 +144,16 @@ def mutual_information_partitions(C, p_b):
 
 def _lowered(C, k):
     """Real and imaginary parts of the diagonal -k of rho = C C+,
-    rho[p+k, p] = sum_i C[p+k, i] C*[p, i], from einsums on views of C."""
+    rho[p+k, p] = sum_i C[p+k, i] C*[p, i], from einsums on views of C; a
+    real C has a real rho and takes one einsum."""
     hi, lo = C[..., k:, :], C[..., :C.shape[-2] - k, :]
 
     def dot(x, y):
         return np.einsum("...pi,...pi->...p", x, y)
 
+    if np.isrealobj(C):
+        re = dot(hi, lo)
+        return re, np.zeros_like(re)
     return (dot(hi.real, lo.real) + dot(hi.imag, lo.imag),
             dot(hi.imag, lo.real) - dot(hi.real, lo.imag))
 

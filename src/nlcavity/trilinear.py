@@ -36,12 +36,18 @@ from .numerics import Tolerance, _increasing_grid, integrate_adaptive, jacobi_dn
 
 @dataclass(frozen=True)
 class PumpInitialState:
-    """Pure initial pump state |psi> = sum_s a_s |s>, signal/idler in vacuum."""
+    """Pure initial pump state |psi> = sum_s a_s |s>, signal/idler in vacuum.
+
+    The coefficients keep a real dtype when the amplitudes are real (a Fock
+    state, a coherent pump with real alpha) and are complex otherwise; the
+    quantized-pump tiers hold C[p, i] in the same dtype.
+    """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=complex).ravel()
+        coeff = np.asarray(self.coefficients)
+        coeff = np.asarray(coeff, dtype=np.result_type(coeff, float)).ravel()
         total = float(np.sum(np.abs(coeff) ** 2))
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"pump coefficients not normalized: sum |a_s|^2 = {total}")
@@ -58,7 +64,7 @@ class PumpInitialState:
     @classmethod
     def fock(cls, s, dim=None):
         dim = dim if dim is not None else s + 1
-        coeff = np.zeros(dim, dtype=complex)
+        coeff = np.zeros(dim)
         coeff[s] = 1.0
         return cls(coeff)
 
@@ -184,9 +190,11 @@ class PairState:
 
     def _marginal(self, axis):
         """Pump (axis -1 summed) or pair (axis -2 summed) number distribution,
-        taken as re^2 + im^2 without a |C|^2 temporary."""
+        taken as re^2 + im^2 without a |C|^2 temporary (re^2 alone for a
+        real C)."""
         spec = "...pi,...pi->..." + ("p" if axis == -1 else "i")
-        return sum(np.einsum(spec, x, x) for x in (self.C.real, self.C.imag))
+        parts = (self.C,) if np.isrealobj(self.C) else (self.C.real, self.C.imag)
+        return sum(np.einsum(spec, x, x) for x in parts)
 
     def norm(self):
         return np.sqrt(self._marginal(-1).sum(axis=-1))
@@ -241,7 +249,7 @@ def short_time_state(initial: PumpInitialState, tau) -> PairState:
     log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
     with np.errstate(divide="ignore"):
         log_tau = np.log(tau)[..., None]
-    C = np.zeros(tau.shape + (dim, dim), dtype=complex)
+    C = np.zeros(tau.shape + (dim, dim), dtype=coeff.dtype)
     for s, a_s in enumerate(coeff):
         n = np.arange(s + 1)
         with np.errstate(invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
@@ -255,10 +263,6 @@ def short_time_state(initial: PumpInitialState, tau) -> PairState:
 # full quantum tier
 # ---------------------------------------------------------------------------
 
-# i^k for k mod 4, exact
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
 def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> PairState:
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi of the
     pump state ``initial`` with signal and idler in vacuum, propagated
@@ -269,42 +273,43 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> P
     (p, i) to (p + 1, i - 1) with weight sqrt(p+1)*i. G conserves n = p + i,
     so each anti-diagonal block C_n, indexed by k = i, obeys dC_n/dtau =
     A C_n with A real antisymmetric tridiagonal (Walls & Barakat, Phys. Rev.
-    A 1, 446 (1970)). With D = diag(i^k), A = -i D T D^-1 for the real
-    symmetric T of off-diagonal sqrt(n-k+1)*k, so one eigh(T) = U diag(lam)
-    U^T per block gives every tau at once: C_n(tau) = D U exp(-i lam (tau -
-    tau_0)) U^T D^-1 C_n(tau_0), where tau_0 is the grid's first point and
-    blocks without initial weight stay zero. Returns the trajectory C[tau,
-    p, i]. Raises TruncationError if the top pump or pair level holds more
-    than ``leak_tol`` population anywhere along the trajectory.
+    A 1, 446 (1970)): A = -i D T D^-1 with D = diag(i^k) and T real
+    symmetric of off-diagonal sqrt(n-k+1)*k. Block n starts as a_n e_0 at
+    the grid's first point tau_0, and T has a zero diagonal, so its spectrum
+    is symmetric, U[k, -lam] = +-(-1)^k U[k, lam], and one eigh(T) = U
+    diag(lam) U^T gives every tau at once in real arithmetic:
+
+        C_n(tau)[k] = a_n (-1)^(k // 2) sum_j U[k, j] U[0, j] f_k(lam_j (tau - tau_0)),
+
+    f_k = cos for even k and sin for odd k. C therefore has the dtype of the
+    amplitudes: real for a real pump. Blocks with a_n = 0 stay zero. Only
+    block n = dim - 1 reaches the top pump or pair level, and it keeps its
+    weight |a_{dim-1}|^2, so the truncation leak peaks at tau_0: TruncationError
+    is raised before any propagation if C(tau_0) holds more than ``leak_tol``
+    population on a top level. Returns the trajectory C[tau, p, i].
     """
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
     grid = _increasing_grid(tau_grid)
 
-    C = np.zeros((grid.size, dim, dim), dtype=complex)
+    C = np.zeros((grid.size, dim, dim), dtype=coeff.dtype)
     C[0, :coeff.size, 0] = coeff
-    minus_i_dt = -1j * (grid[1:] - grid[0])
-    for n in range(2 * dim - 1):
-        k = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1)
-        c0 = C[0, n - k, k]
-        if not c0.any():
-            continue
-        off = np.sqrt(n - k[1:] + 1.0) * k[1:]
-        lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        d = _I_POWERS[k % 4]
-        # built in place from complex operands (no casting buffers): a block
-        # holds at most two (tau, k) temporaries beside the trajectory
-        Z = np.multiply.outer(minus_i_dt, lam.astype(complex))
-        np.exp(Z, out=Z)
-        Z *= U.T @ (d.conj() * c0)
-        Z = Z @ U.T
-        Z *= d
-        C[1:, n - k, k] = Z
-
-    trajectory = PairState(C)
-    leak = trajectory.max_boundary_population().max()
+    leak = PairState(C[0]).max_boundary_population()
     if leak > leak_tol:
         raise TruncationError(
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge the pump "
             f"dimension {dim}", leak=leak)
-    return trajectory
+    dt = grid[1:] - grid[0]
+    for n, a_n in enumerate(coeff):
+        if a_n == 0:
+            continue
+        k = np.arange(n + 1)  # populated blocks have n < dim, so k runs 0..n
+        off = np.sqrt(n - k[1:] + 1.0) * k[1:]
+        lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        phase = np.multiply.outer(dt, lam)
+        weights = U * U[0]
+        sign = np.where(k % 4 < 2, a_n, -a_n)
+        for parity, f in ((0, np.cos), (1, np.sin)):
+            kk = k[parity::2]
+            C[1:, n - kk, kk] = (f(phase) @ weights[parity::2].T) * sign[parity::2]
+    return PairState(C)

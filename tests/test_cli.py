@@ -342,6 +342,30 @@ def test_write_csv_literal_text(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
+def _per_row_csv(header, rows):
+    """The table writer formatting one tuple of cells per row: the reference
+    for the one-operation writer."""
+    lines = [",".join(header)]
+    if len(rows):
+        fmt = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_row_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    array = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+    array[3] = [math.nan, math.inf, -math.inf, -0.0]
+    mixed = [["tag", 3, np.float64(0.1), math.nan, ""],
+             ["", -7, np.float64(-0.0), math.inf, "n_net_negative"],
+             ["x y", 0, np.float64(1e-310), -math.inf, ""],
+             ["z", 2 ** 53 + 1, -0.0, 1.0 / 3.0, "a,b"]]
+    for header, rows in ((["a", "b", "c", "d"], array), (["a", "b", "c", "d", "e"], mixed)):
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, rows)
+        assert path.read_text() == _per_row_csv(header, rows)
+
+
 @pytest.mark.parametrize("kind, params, grid, names", [
     ("detector-signal-noise", dict(CH2), dict(SIGNAL_NOISE_GRID, drive_points="2"),
      ["signal_noise"]),
@@ -592,6 +616,21 @@ def test_trilinear_evolve_scenario(tmp_path):
     for line in lines[1:]:
         row = dict(zip(header, (float(x) for x in line.split(","))))
         assert row["Na_shorttime"] + row["Nb_shorttime"] == pytest.approx(pump_mean, abs=1e-12)
+
+
+def test_trilinear_evolve_leak_gate_exits_before_propagating(tmp_path, monkeypatch, capsys):
+    # the tail gate's own dimension leaves 1.977e-6 on the top pump level:
+    # the full tier refuses the run at the first grid point
+    def no_eigh(_):
+        raise AssertionError("a block was propagated before the leak gate")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    cfg = ScenarioConfig(
+        kind="trilinear-evolve", params={"mean_occupation": "9", "dim_per_mode": "27"},
+        grid={"tau_max": "3.0", "tau_points": "400"}, output_dir=tmp_path, label="gate")
+    assert run(cfg) == EXIT_PHYSICS
+    assert capsys.readouterr().err == ("physics validity error: truncation leak 1.977e-06 "
+                                       "exceeds 1.0e-06; enlarge the pump dimension 27\n")
 
 
 def test_trilinear_info_scenario(tmp_path):

@@ -329,19 +329,21 @@ def test_squeezing_fock_one():
 
 @pytest.mark.parametrize("dim", [2, 5, 12, 30])
 def test_squeezing_matches_ladder_operator_oracle(dim):
+    # a complex factor, and its real part, which takes the real-rho path
     rng = np.random.default_rng(dim)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    C = m / np.sqrt(np.trace(m @ m.conj().T))
-    rho = DensityMatrix(HilbertSpec((dim,)), C @ C.conj().T)
-    a, _, num = ladder_ops(dim)
-    exp_a = expectation(rho, a)
-    exp_aa = expectation(rho, a @ a)
-    exp_n = expectation(rho, num).real
-    q_plus = 2.0 * exp_n + 2.0 * exp_aa.real - 4.0 * exp_a.real ** 2
-    q_minus = 2.0 * exp_n - 2.0 * exp_aa.real - 4.0 * exp_a.imag ** 2
-    qp, qm = squeezing_params(C)
-    assert qp == pytest.approx(q_plus, rel=1e-12, abs=1e-12)
-    assert qm == pytest.approx(q_minus, rel=1e-12, abs=1e-12)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for m in (z, z.real):
+        C = m / np.sqrt(np.trace(m @ m.conj().T))
+        rho = DensityMatrix(HilbertSpec((dim,)), C @ C.conj().T)
+        a, _, num = ladder_ops(dim)
+        exp_a = expectation(rho, a)
+        exp_aa = expectation(rho, a @ a)
+        exp_n = expectation(rho, num).real
+        q_plus = 2.0 * exp_n + 2.0 * exp_aa.real - 4.0 * exp_a.real ** 2
+        q_minus = 2.0 * exp_n - 2.0 * exp_aa.real - 4.0 * exp_a.imag ** 2
+        qp, qm = squeezing_params(C)
+        assert qp == pytest.approx(q_plus, rel=1e-12, abs=1e-12)
+        assert qm == pytest.approx(q_minus, rel=1e-12, abs=1e-12)
 
 
 # --- trajectory-level properties --------------------------------------------------------

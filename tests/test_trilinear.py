@@ -334,18 +334,57 @@ def test_state_and_trajectory_are_not_interchangeable():
             misuse()
 
 
-def test_full_leak_is_top_pump_weight():
+def test_full_leak_is_top_pump_weight(monkeypatch):
     # only block n = dim - 1 reaches the top pump level (k = 0) or the top
     # pair level (k = n), so the boundary population is bounded by that
-    # block's weight |a_top|^2, reached at the first grid point
+    # block's weight |a_top|^2, reached at the first grid point; the gate
+    # reads that point and a refused run propagates no block
     init = PumpInitialState([math.sqrt(1.0 - 1e-4), 0.0, 1e-2])
     taus = [0.5, 1.0, 1.5, 2.0]
     leak = full_state(init, taus, leak_tol=1e-3).max_boundary_population()
     assert leak[0] == pytest.approx(1e-4, rel=1e-12)
     assert np.all(leak <= leak[0] * (1.0 + 1e-12))
+
+    def no_eigh(_):
+        raise AssertionError("a block was propagated before the leak gate")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(TruncationError) as err:
         full_state(init, taus)
     assert err.value.leak == pytest.approx(1e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean", [1.0, 3.0, 6.0, 9.0])
+def test_real_pumps_stay_real(mean):
+    # the preset and workload pumps have real alpha: both quantized tiers
+    # then hold C[tau, p, i] real, and so does a Fock pump
+    init = PumpInitialState.coherent(mean, fock.min_coherent_dim(mean) + 3)
+    taus = np.linspace(0.0, 3.0, 7)
+    for pump in (init, PumpInitialState.fock(2, dim=4)):
+        assert pump.coefficients.dtype == np.float64
+        for traj in (short_time_state(pump, taus), full_state(pump, taus)):
+            assert traj.C.dtype == np.float64
+
+
+@pytest.mark.parametrize("phi", [0.3, 2.0])
+def test_pump_phase_is_carried_exactly(phi):
+    # alpha = 3 e^(i phi) puts e^(i n phi) on pump level n, and each block
+    # n = p + i keeps it: C is the real pump's C times e^(i (p + i) phi), so
+    # every reduction and |C| match the real pump's
+    from nlcavity.qinfo import von_neumann_entropy
+
+    dim = fock.min_coherent_dim(9.0) + 3
+    real = PumpInitialState.coherent(9.0, dim)
+    rotated = PumpInitialState(fock.coherent_state(3.0 * np.exp(1j * phi), dim))
+    phase = np.exp(1j * phi * np.add.outer(np.arange(dim), np.arange(dim)))
+    taus = np.linspace(0.0, 3.0, 13)
+    for tier in (short_time_state, full_state):
+        want, got = tier(real, taus), tier(rotated, taus)
+        assert got.C.dtype == complex
+        for reduction in (lambda s: s.n_a, lambda s: s.n_b, lambda s: s.p_b,
+                          lambda s: von_neumann_entropy(s.C), lambda s: np.abs(s.C)):
+            np.testing.assert_allclose(reduction(got), reduction(want), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.C, phase * want.C, rtol=0, atol=1e-12)
 
 
 def test_long_time_signal_roundtrip():
@@ -450,19 +489,24 @@ def test_evolve_matches_expm_small():
 
 @settings(max_examples=25, deadline=None)
 @given(dim=st.integers(2, 5),
-       pump=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
-                                        allow_infinity=False), min_size=1, max_size=5),
+       pump=st.one_of(
+           st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                       allow_infinity=False), min_size=1, max_size=5),
+           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5)),
        tau=st.floats(0.0, 2.0))
 # all weight in the top pump level: its boundary population normalises to 1 + 4e-16
 @example(dim=2, pump=[0j, 0.04747840197479656 + 0.6875j], tau=0.0)
+@example(dim=5, pump=[0.5, -0.25, 0.0, 0.75, 0.3], tau=1.7)
 def test_pair_propagator_matches_dense_expm(dim, pump, tau):
-    coeff = np.array((pump + [0j] * dim)[:dim], dtype=complex)
+    # real amplitudes keep the real dtype, and the propagator keeps it too
+    coeff = np.array((pump + [0.0] * dim)[:dim])
     if np.linalg.norm(coeff) < 1e-3:
         coeff[0] = 1.0
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState(coeff / np.linalg.norm(coeff))
     # the dense oracle truncates the same way, so no leak gate applies
     states = full_state(init, np.unique([0.0, tau]), leak_tol=math.inf)
+    assert states.C.dtype == coeff.dtype
     exact = sla.expm(tau * interaction_generator(spec).toarray()) \
         @ state_vector(init, spec).amplitudes
     assert np.linalg.norm(state_vector(states[-1], spec).amplitudes - exact) < 1e-7
