@@ -8,7 +8,7 @@ Four evolution tiers are provided:
 * semiclassical -- classical pump with back-reaction (elliptic-dn pump decay),
 * short-time  -- quantized pump, BCH-truncated propagator extrapolated in tau,
 * full        -- exact Schrodinger evolution on a truncated grid, one
-                 eigen-solve per conserved block n = p + i.
+                 half-size SVD per conserved block n = p + i.
 
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
@@ -25,7 +25,7 @@ time tau = chi*t, which scales out the coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,9 +168,21 @@ class PairState:
 
     C may hold a trajectory C[tau, p, i]: the reductions act on the last two
     axes, one value per tau, and len, iteration and indexing run over tau.
+    Every reduction reads the two number distributions, which are built
+    with the state: p_a[p] = sum_i |C[p, i]|^2 of the pump and p_b[i] =
+    sum_p |C[p, i]|^2 of the signal, the idler's too.
     """
 
     C: np.ndarray
+    p_a: np.ndarray = field(init=False, repr=False, compare=False)
+    p_b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # re^2 + im^2 without a |C|^2 temporary (re^2 alone for a real C)
+        parts = (self.C,) if np.isrealobj(self.C) else (self.C.real, self.C.imag)
+        for name, out in (("p_a", "p"), ("p_b", "i")):
+            object.__setattr__(self, name, sum(np.einsum("...pi,...pi->..." + out, x, x)
+                                               for x in parts))
 
     def _require(self, ndim):
         """C, checked to be one state (ndim 2) or a trajectory (ndim 3)."""
@@ -188,46 +200,42 @@ class PairState:
     def __getitem__(self, index):
         return PairState(self._require(3)[index])
 
-    def _marginal(self, axis):
-        """Pump (axis -1 summed) or pair (axis -2 summed) number distribution,
-        taken as re^2 + im^2 without a |C|^2 temporary (re^2 alone for a
-        real C)."""
-        spec = "...pi,...pi->..." + ("p" if axis == -1 else "i")
-        parts = (self.C,) if np.isrealobj(self.C) else (self.C.real, self.C.imag)
-        return sum(np.einsum(spec, x, x) for x in parts)
-
     def norm(self):
-        return np.sqrt(self._marginal(-1).sum(axis=-1))
+        return np.sqrt(self.p_a.sum(axis=-1))
 
-    def _moments(self, axis):
-        """(mean, second moment) of the pump (axis -1) or pair (axis -2) number."""
-        prob = self._marginal(axis)
+    @staticmethod
+    def _moments(prob):
+        """(mean, second moment) of a number distribution on the last axis."""
         n = np.arange(prob.shape[-1])
         return prob @ n, prob @ (n * n)
 
     @property
     def n_a(self):
-        return self._moments(-1)[0]
+        return self._moments(self.p_a)[0]
 
     @property
     def n_b(self):
         """Signal occupation, equal to the idler's."""
-        return self._moments(-2)[0]
-
-    @property
-    def p_b(self):
-        """Signal number distribution p_b[i] = sum_p |C[p, i]|^2, the idler's too."""
-        return self._marginal(-2)
+        return self._moments(self.p_b)[0]
 
     def pump_variance(self):
         """<N_a^2> - <N_a>^2: the residual of the mean-field factorization
         underlying the semiclassical tier."""
-        mean, second = self._moments(-1)
+        mean, second = self._moments(self.p_a)
         return second - mean * mean
 
     def max_boundary_population(self):
         """Truncation leak: population of the top pump level or top pair level."""
-        return np.maximum(self._marginal(-1)[..., -1], self._marginal(-2)[..., -1])
+        return np.maximum(self.p_a[..., -1], self.p_b[..., -1])
+
+
+def _anti_diagonal(C, n):
+    """Writable view of the anti-diagonal p + i = n of C[..., p, i], indexed
+    by k = i = 0..n: strided through the flattened (p, i) axes, starting at
+    (n, 0). C must be C-contiguous in its last two axes, so the flattening
+    is a view."""
+    dim = C.shape[-1]
+    return C.reshape(C.shape[:-2] + (dim * dim,))[..., n * dim::-(dim - 1)][..., :n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +263,7 @@ def short_time_state(initial: PumpInitialState, tau) -> PairState:
         with np.errstate(invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
             log_amp = np.where(n > 0, n * log_tau, 0.0) + 0.5 * (log_fact[s] - log_fact[s - n])
         amp = np.exp(log_amp - log_amp.max(axis=-1, keepdims=True))
-        C[..., s - n, n] = a_s * (amp / np.linalg.norm(amp, axis=-1, keepdims=True))
+        _anti_diagonal(C, s)[...] = a_s * (amp / np.linalg.norm(amp, axis=-1, keepdims=True))
     return PairState(C)
 
 
@@ -275,13 +283,18 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> P
     A C_n with A real antisymmetric tridiagonal (Walls & Barakat, Phys. Rev.
     A 1, 446 (1970)): A = -i D T D^-1 with D = diag(i^k) and T real
     symmetric of off-diagonal sqrt(n-k+1)*k. Block n starts as a_n e_0 at
-    the grid's first point tau_0, and T has a zero diagonal, so its spectrum
-    is symmetric, U[k, -lam] = +-(-1)^k U[k, lam], and one eigh(T) = U
-    diag(lam) U^T gives every tau at once in real arithmetic:
+    the grid's first point tau_0, and T has a zero diagonal, so it is
+    bipartite between even and odd k: T = [[0, B], [B^T, 0]], with B the
+    lower-bidiagonal even-row/odd-column part of T, of size ceil(m/2) x
+    floor(m/2) for m = n + 1. One SVD B = X diag(sig) Y^T (Golub & Kahan,
+    SIAM J. Numer. Anal. B 2, 205 (1965)) gives cos(T t) on the even and
+    sin(T t) on the odd levels, so every tau follows in real arithmetic:
 
-        C_n(tau)[k] = a_n (-1)^(k // 2) sum_j U[k, j] U[0, j] f_k(lam_j (tau - tau_0)),
+        C_n(tau)[2a]   = a_n (-1)^a sum_j X[a, j] X[0, j] cos(sig_j (tau - tau_0)),
+        C_n(tau)[2b+1] = a_n (-1)^b sum_j Y[b, j] X[0, j] sin(sig_j (tau - tau_0)),
 
-    f_k = cos for even k and sin for odd k. C therefore has the dtype of the
+    where for odd m the last column of X, the null vector of B^T, adds its
+    constant zero mode to the even levels. C therefore has the dtype of the
     amplitudes: real for a real pump. Blocks with a_n = 0 stay zero. Only
     block n = dim - 1 reaches the top pump or pair level, and it keeps its
     weight |a_{dim-1}|^2, so the truncation leak peaks at tau_0: TruncationError
@@ -303,13 +316,18 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> P
     for n, a_n in enumerate(coeff):
         if a_n == 0:
             continue
-        k = np.arange(n + 1)  # populated blocks have n < dim, so k runs 0..n
-        off = np.sqrt(n - k[1:] + 1.0) * k[1:]
-        lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        phase = np.multiply.outer(dt, lam)
-        weights = U * U[0]
-        sign = np.where(k % 4 < 2, a_n, -a_n)
-        for parity, f in ((0, np.cos), (1, np.sin)):
-            kk = k[parity::2]
-            C[1:, n - kk, kk] = (f(phase) @ weights[parity::2].T) * sign[parity::2]
+        off = np.sqrt(np.arange(n, 0, -1.0)) * np.arange(1, n + 1)  # T[k-1, k], k = 1..n
+        B = np.zeros(((n + 2) // 2, (n + 1) // 2))
+        np.fill_diagonal(B, off[0::2])      # T[2a, 2a + 1]
+        np.fill_diagonal(B[1:], off[1::2])  # T[2a, 2a - 1]
+        X, sig, Yt = np.linalg.svd(B)
+        X[1::2] *= -1.0  # the (-1)^(k // 2) of D, row 0 untouched
+        Yt[:, 1::2] *= -1.0
+        r = sig.size
+        x0 = X[0, :r, None]
+        block = _anti_diagonal(C[1:], n)
+        even = np.cos(np.multiply.outer(dt, sig)) @ (X[:, :r].T * x0)
+        even += X[:, r:] @ X[0, r:]  # the zero mode of odd m, constant in tau
+        np.multiply(a_n, even, out=block[:, 0::2])
+        np.multiply(a_n, np.sin(np.multiply.outer(dt, sig)) @ (Yt * x0), out=block[:, 1::2])
     return PairState(C)

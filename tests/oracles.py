@@ -29,7 +29,9 @@ those entropies take.
 ``evolve_ode`` is the Dormand-Prince embedded RK 4(5) stepper, and
 ``evolve_pair_rk45`` integrates the pair amplitudes with it on the right-hand
 side ``pair_rhs``; the package's full tier propagates each conserved block
-exactly instead.
+exactly instead. ``full_state_eigh`` is that exact block propagator as first
+written, one ``eigh`` of each whole block; the package takes one SVD of the
+block's even/odd half.
 
 ``find_root_bracketed`` is Brent's method on a sign-changing bracket.
 ``find_horizon`` scans the pulse window with 2 001 points and Brent-solves
@@ -419,6 +421,34 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if value > 1.0 + 1e-8:
         raise ValueError(f"fidelity {value} exceeds 1 beyond numerical slack")
     return min(value, 1.0)
+
+
+def full_state_eigh(initial: PumpInitialState, tau_grid) -> np.ndarray:
+    """The full tier's trajectory C[tau, p, i] from one eigh(T) = U diag(lam)
+    U^T of each conserved block n = p + i, with no leak gate:
+
+        C_n(tau)[k] = a_n (-1)^(k // 2) sum_j U[k, j] U[0, j] f_k(lam_j (tau - tau_0)),
+
+    f_k = cos for even k and sin for odd k, over all n + 1 eigenvalues."""
+    coeff = initial.coefficients
+    dim = max(coeff.size, 2)
+    grid = _increasing_grid(tau_grid)
+    C = np.zeros((grid.size, dim, dim), dtype=coeff.dtype)
+    C[0, :coeff.size, 0] = coeff
+    dt = grid[1:] - grid[0]
+    for n, a_n in enumerate(coeff):
+        if a_n == 0:
+            continue
+        k = np.arange(n + 1)
+        off = np.sqrt(n - k[1:] + 1.0) * k[1:]
+        lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        phase = np.multiply.outer(dt, lam)
+        weights = U * U[0]
+        sign = np.where(k % 4 < 2, a_n, -a_n)
+        for parity, f in ((0, np.cos), (1, np.sin)):
+            kk = k[parity::2]
+            C[1:, n - kk, kk] = (f(phase) @ weights[parity::2].T) * sign[parity::2]
+    return C
 
 
 # ---------------------------------------------------------------------------

@@ -621,10 +621,10 @@ def test_trilinear_evolve_scenario(tmp_path):
 def test_trilinear_evolve_leak_gate_exits_before_propagating(tmp_path, monkeypatch, capsys):
     # the tail gate's own dimension leaves 1.977e-6 on the top pump level:
     # the full tier refuses the run at the first grid point
-    def no_eigh(_):
+    def no_svd(*_, **__):
         raise AssertionError("a block was propagated before the leak gate")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     cfg = ScenarioConfig(
         kind="trilinear-evolve", params={"mean_occupation": "9", "dim_per_mode": "27"},
         grid={"tau_max": "3.0", "tau_points": "400"}, output_dir=tmp_path, label="gate")

@@ -27,6 +27,7 @@ from oracles import (
     embed,
     evolve_pair_rk45,
     expectation,
+    full_state_eigh,
     interaction_generator,
     ladder_ops,
     long_time_signal,
@@ -345,10 +346,10 @@ def test_full_leak_is_top_pump_weight(monkeypatch):
     assert leak[0] == pytest.approx(1e-4, rel=1e-12)
     assert np.all(leak <= leak[0] * (1.0 + 1e-12))
 
-    def no_eigh(_):
+    def no_svd(*_, **__):
         raise AssertionError("a block was propagated before the leak gate")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     with pytest.raises(TruncationError) as err:
         full_state(init, taus)
     assert err.value.leak == pytest.approx(1e-4, rel=1e-12)
@@ -512,6 +513,38 @@ def test_pair_propagator_matches_dense_expm(dim, pump, tau):
     assert np.linalg.norm(state_vector(states[-1], spec).amplitudes - exact) < 1e-7
     assert abs(states[-1].norm() - 1.0) < 1e-8
     assert abs(states[-1].n_a + states[-1].n_b - states[0].n_a) < 1e-8
+
+
+@st.composite
+def _pumps(draw):
+    """A normalised real, complex or Fock pump of dimension 2..40, so the
+    populated blocks n = 0 .. dim - 1 take both parities of m = n + 1."""
+    dim = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["real", "complex", "fock"]))
+    if kind == "fock":
+        return PumpInitialState.fock(draw(st.integers(0, dim - 1)), dim=dim)
+    amp = (st.floats(-1.0, 1.0) if kind == "real" else
+           st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+    coeff = np.array(draw(st.lists(amp, min_size=dim, max_size=dim)))
+    if np.linalg.norm(coeff) < 1e-3:
+        coeff[0] = 1.0
+    return PumpInitialState(coeff / np.linalg.norm(coeff))
+
+
+@settings(max_examples=60, deadline=None)
+@given(init=_pumps(), tau_0=st.floats(0.0, 2.0),
+       steps=st.lists(st.floats(1e-3, 1.0), max_size=4))
+@example(init=PumpInitialState.fock(0, dim=2), tau_0=0.0, steps=[1.0])
+@example(init=PumpInitialState.fock(1, dim=2), tau_0=0.5, steps=[])
+@example(init=PumpInitialState(np.full(40, 40 ** -0.5)), tau_0=1.0, steps=[1.0, 1.0])
+@example(init=PumpInitialState(np.full(39, 39 ** -0.5 * 1j)), tau_0=0.0, steps=[0.5, 1.0])
+def test_half_size_propagator_matches_eigh_oracle(init, tau_0, steps):
+    # one SVD of each block's even/odd half against one eigh of the whole
+    # block: the same C on any grid, a one-point grid and tau_0 > 0 included
+    grid = tau_0 + np.cumsum([0.0] + steps)
+    C = full_state(init, grid, leak_tol=math.inf).C
+    assert C.dtype == init.coefficients.dtype
+    np.testing.assert_allclose(C, full_state_eigh(init, grid), rtol=0, atol=1e-12)
 
 
 def test_evolve_conservation_and_symmetry():
