@@ -374,12 +374,14 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     nb_semi = trilinear.semiclassical_occupation(curve)
 
     nb_param = np.array([trilinear.parametric_occupation(A, float(t)) for t in taus])
-    short = trilinear.short_time_state(initial, taus)
-    columns = [taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi, short.n_a, short.n_b]
-    del short  # freed before the full tier's trajectory of the same size is built
-    full = trilinear.full_state(initial, taus)
-    rows = np.column_stack(columns + [full.n_a, full.n_b, full.n_b, full.pump_variance(),
-                                      full.norm() - 1.0, full.max_boundary_population()])
+    # both quantized tiers fold their blocks straight into p_a and p_b, so
+    # no trajectory C[tau, p, i] is ever held
+    short = trilinear.pair_state(trilinear.short_time_state(initial, taus), dim)
+    full = trilinear.pair_state(trilinear.full_state(initial, taus), dim)
+    rows = np.column_stack([taus, mean_occ - nb_param, nb_param, curve.N_a, nb_semi,
+                            short.n_a, short.n_b, full.n_a, full.n_b, full.n_b,
+                            full.pump_variance(), full.norm() - 1.0,
+                            full.max_boundary_population()])
     header = ["tau", "Na_parametric", "Nb_parametric", "Na_semiclassical",
               "Nb_semiclassical", "Na_shorttime", "Nb_shorttime",
               "Na_full", "Nb_full", "Nc_full", "Na_var_residual",
@@ -389,19 +391,23 @@ def _run_trilinear_evolve(cfg: ScenarioConfig):
     return resolved, {"evolve": (header, rows)}
 
 
-def _info_diagnostics(states):
-    """N_b and the seven info columns of a trajectory PairState, one value per
-    tau: the pump entropy from the Schmidt spectrum of C, the signal's from
-    its pair distribution p_b and the squeezing from C, without forming rho_a."""
+def _info_diagnostics(C, blocks):
+    """N_b and the seven info columns of a quantized tier's block stream, one
+    value per tau. The blocks are written into the trajectory C[tau, p, i]
+    (zeros on entry) and folded into the pair distributions on the same
+    pass: the pump entropy comes from the Schmidt spectrum of C, the
+    signal's from its pair distribution p_b and the squeezing from C,
+    without forming rho_a."""
+    states = trilinear.pair_state(trilinear.written_into(C, blocks), C.shape[-1])
     p_b, n_a, n_b = states.p_b, states.n_a, states.n_b
     # checks both marginals to unit trace at every tau, before F relies on it
-    i_abc, i_bc = qinfo.mutual_information_partitions(states.C, p_b)
+    i_abc, i_bc = qinfo.mutual_information_partitions(C, p_b)
     # rho_b and its thermal reference are diagonal: F is the Bhattacharyya sum
     q = qinfo.ThermalReference(n_b, p_b.shape[-1]).probabilities
     fid = np.sum(np.sqrt(p_b * q), axis=-1)
     if fid.max() > 1.0 + 1e-8:
         raise ValueError(f"fidelity {fid.max()} exceeds 1 beyond numerical slack")
-    qp, qm = qinfo.squeezing_params(states.C)
+    qp, qm = qinfo.squeezing_params(C)
     d_gap = qinfo.effective_dimension(n_a) - qinfo.effective_dimension(n_b) ** 2
     return (n_b, np.minimum(fid, 1.0), qinfo.information(p_b), i_abc, i_bc, qp, qm,
             d_gap)
@@ -419,14 +425,13 @@ def _run_trilinear_info(cfg: ScenarioConfig):
         dim = fock.min_coherent_dim(mean_occ) + 3
         resolved["dims"][mean_occ] = dim
         initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
-        trajectories = []
-        if "short" in tiers:
-            trajectories.append(("short", trilinear.short_time_state(initial, taus)))
-        if "full" in tiers:
-            trajectories.append(("full", trilinear.full_state(initial, taus)))
-        for tier, states in trajectories:
+        runs = {"short": trilinear.short_time_state, "full": trilinear.full_state}
+        # both streams are made (and the full tier's leak gate read) first
+        streams = [(tier, runs[tier](initial, taus)) for tier in runs if tier in tiers]
+        for tier, blocks in streams:
+            C = np.zeros((taus.size, dim, dim), dtype=initial.coefficients.dtype)
             rows += [[tau, mean_occ, tier, *cells]
-                     for tau, *cells in zip(taus, *_info_diagnostics(states))]
+                     for tau, *cells in zip(taus, *_info_diagnostics(C, blocks))]
 
     header = ["tau", "mean_occupation", "tier", "N_b", "fidelity",
               "information_nats", "I_a_bc", "I_b_c", "q_plus", "q_minus",

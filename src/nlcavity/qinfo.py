@@ -2,7 +2,7 @@
 information, and quadrature-squeezing diagnostics for the trilinear
 trajectories.
 
-Apart from the scalar temperature conversions, every diagnostic acts on the
+Apart from the scalar Bose occupation, every diagnostic acts on the
 trailing axes of its argument and returns one value per leading index, so a
 whole tau trajectory takes one call. A weight vector lives on the last axis;
 a state rho = C C+ is given by its factor C on the last two axes, for the
@@ -99,17 +99,8 @@ def thermal_entropy(n_bar):
         - n_bar * np.log(np.where(n_bar > 0.0, n_bar, 1.0))
 
 
-def effective_temperature(n_bar: float, omega: float) -> float:
-    """Bose-inversion temperature h*w / (kB ln(1 + 1/n_bar)) in kelvin."""
-    if n_bar < 0.0:
-        raise ValueError("mean occupation must be nonnegative")
-    if n_bar == 0.0:
-        return 0.0
-    return hbar * omega / (k_B * math.log1p(1.0 / n_bar))
-
-
 def bose_occupation(omega: float, T: float) -> float:
-    """Mean thermal occupation 1/(e^(hw/kT) - 1); inverse of the above."""
+    """Mean thermal occupation 1/(e^(hw/kT) - 1)."""
     if T <= 0.0:
         return 0.0
     return 1.0 / math.expm1(hbar * omega / (k_B * T))

@@ -12,11 +12,16 @@ Four evolution tiers are provided:
 
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
-Phys. Rev. A 1, 446 (1970)). The quantized-pump tiers therefore share one
-state, ``PairState``: the amplitude matrix C[p, i], from which occupations
-and the reduced pump and signal states follow directly. The full tier
-propagates each anti-diagonal p + i = n of C exactly, without building an
-operator on the full grid.
+Phys. Rev. A 1, 446 (1970)): the state is an amplitude matrix C[p, i], and
+H_I also conserves n = p + i, so each anti-diagonal of C evolves on its own.
+The two quantized-pump tiers therefore return the state as a stream of its
+conserved blocks (n, C_n), C_n[..., k] at (p, i) = (n - k, k), and hold one
+block at a time. ``pair_state`` folds a stream into the pump and pair number
+distributions, ``PairState``, from which every occupation, the pump
+variance, the norm and the truncation leak follow in O(tau * dim) memory;
+``written_into`` also writes each block into a trajectory C[tau, p, i] for
+the diagnostics that need the amplitudes (the Schmidt spectrum, the
+squeezing).
 
 All dynamics are expressed in the interaction frame and in dimensionless
 time tau = chi*t, which scales out the coupling.
@@ -25,7 +30,7 @@ time tau = chi*t, which scales out the coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +45,7 @@ class PumpInitialState:
 
     The coefficients keep a real dtype when the amplitudes are real (a Fock
     state, a coherent pump with real alpha) and are complex otherwise; the
-    quantized-pump tiers hold C[p, i] in the same dtype.
+    quantized-pump tiers' blocks of C[p, i] take the same dtype.
     """
 
     coefficients: np.ndarray
@@ -91,16 +96,6 @@ def parametric_occupation(A: float, tau: float) -> float:
     if A < 0.0 or tau < 0.0:
         raise ValueError("pump amplitude and tau must be nonnegative")
     return math.sinh(A * tau) ** 2
-
-
-def parametric_temperature(A: float, tau: float, omega_b: float) -> float:
-    """Effective signal temperature h*w_b / (2 kB ln coth(A tau)) in kelvin."""
-    from .constants import hbar, k_B
-
-    r = A * tau
-    if r <= 0.0:
-        return 0.0
-    return hbar * omega_b / (2.0 * k_B * math.log(1.0 / math.tanh(r)))
 
 
 def pump_betas(N_a0: float):
@@ -160,121 +155,120 @@ def semiclassical_occupation(curve: SemiclassicalCurve) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairState:
-    """Pure state sum_{p,i} C[p, i] |p>_a |i>_b |i>_c of the Manley-Rowe
-    pair span: p pump quanta and i signal-idler pairs.
+    """Number distributions of a pure state sum_{p,i} C[p, i] |p>_a |i>_b |i>_c
+    of the Manley-Rowe pair span: p pump quanta and i signal-idler pairs.
 
-    Signal and idler carry the same number distribution, so N_c = N_b and
-    rho_c = rho_b; their top pair level is the last column of C.
-
-    C may hold a trajectory C[tau, p, i]: the reductions act on the last two
-    axes, one value per tau, and len, iteration and indexing run over tau.
-    Every reduction reads the two number distributions, which are built
-    with the state: p_a[p] = sum_i |C[p, i]|^2 of the pump and p_b[i] =
-    sum_p |C[p, i]|^2 of the signal, the idler's too.
+    p_a[..., p] = sum_i |C[p, i]|^2 is the pump's and p_b[..., i] =
+    sum_p |C[p, i]|^2 the signal's, the idler's too, so N_c = N_b and the top
+    pair level is p_b's last entry. Leading axes run over tau; every
+    reduction returns one value per tau. ``pair_state`` builds both from the
+    block stream of a quantized tier.
     """
 
-    C: np.ndarray
-    p_a: np.ndarray = field(init=False, repr=False, compare=False)
-    p_b: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # re^2 + im^2 without a |C|^2 temporary (re^2 alone for a real C)
-        parts = (self.C,) if np.isrealobj(self.C) else (self.C.real, self.C.imag)
-        for name, out in (("p_a", "p"), ("p_b", "i")):
-            object.__setattr__(self, name, sum(np.einsum("...pi,...pi->..." + out, x, x)
-                                               for x in parts))
-
-    def _require(self, ndim):
-        """C, checked to be one state (ndim 2) or a trajectory (ndim 3)."""
-        if self.C.ndim != ndim:
-            kind = "one state" if ndim == 2 else "a trajectory"
-            raise TypeError(f"needs {kind}, got a PairState of shape {self.C.shape}")
-        return self.C
-
-    def __len__(self):
-        return len(self._require(3))
-
-    def __iter__(self):
-        return map(PairState, self._require(3))
-
-    def __getitem__(self, index):
-        return PairState(self._require(3)[index])
+    p_a: np.ndarray
+    p_b: np.ndarray
 
     def norm(self):
         return np.sqrt(self.p_a.sum(axis=-1))
 
     @staticmethod
-    def _moments(prob):
-        """(mean, second moment) of a number distribution on the last axis."""
-        n = np.arange(prob.shape[-1])
-        return prob @ n, prob @ (n * n)
+    def _mean(prob):
+        """Mean of a number distribution on the last axis."""
+        return prob @ np.arange(prob.shape[-1])
 
     @property
     def n_a(self):
-        return self._moments(self.p_a)[0]
+        return self._mean(self.p_a)
 
     @property
     def n_b(self):
         """Signal occupation, equal to the idler's."""
-        return self._moments(self.p_b)[0]
+        return self._mean(self.p_b)
 
     def pump_variance(self):
-        """<N_a^2> - <N_a>^2: the residual of the mean-field factorization
-        underlying the semiclassical tier."""
-        mean, second = self._moments(self.p_a)
-        return second - mean * mean
+        """<(N_a - <N_a>)^2>: the residual of the mean-field factorization
+        underlying the semiclassical tier, summed about the mean so that it
+        does not cancel against <N_a>^2."""
+        dev = np.arange(self.p_a.shape[-1]) - self.n_a[..., None]
+        return np.sum(self.p_a * dev * dev, axis=-1)
 
     def max_boundary_population(self):
         """Truncation leak: population of the top pump level or top pair level."""
         return np.maximum(self.p_a[..., -1], self.p_b[..., -1])
 
 
-def _anti_diagonal(C, n):
-    """Writable view of the anti-diagonal p + i = n of C[..., p, i], indexed
-    by k = i = 0..n: strided through the flattened (p, i) axes, starting at
-    (n, 0). C must be C-contiguous in its last two axes, so the flattening
-    is a view."""
+def pair_state(blocks, dim: int) -> PairState:
+    """Fold a block stream into the pump and pair distributions of the
+    (dim, dim) pair grid: block n, C_n[tau, k] at (p, i) = (n - k, k), adds
+    |C_n[tau, k]|^2 to p_a[tau, n - k] and to p_b[tau, k], for one tau or a
+    1-D grid of them. One block is held at a time."""
+    p_a = p_b = None
+    for n, block in blocks:
+        # level-major weights (n + 1, tau), so both sums run over contiguous tau
+        weight = np.square(block.real.T, order="C")
+        if block.dtype.kind == "c":
+            weight += np.square(block.imag.T)
+        if p_a is None:
+            p_a, p_b = np.zeros((2, dim) + weight.shape[1:])
+        p_a[n::-1] += weight
+        p_b[:n + 1] += weight
+    return PairState(np.ascontiguousarray(p_a.T), np.ascontiguousarray(p_b.T))
+
+
+def written_into(C, blocks):
+    """The block stream ``blocks`` passed on unchanged, each block first
+    written into its anti-diagonal p + i = n of the trajectory C[..., p, i]:
+    a strided view of the flattened (p, i) axes starting at (n, 0). C must
+    be C-contiguous in its last two axes, so the flattening is a view."""
     dim = C.shape[-1]
-    return C.reshape(C.shape[:-2] + (dim * dim,))[..., n * dim::-(dim - 1)][..., :n + 1]
+    flat = C.reshape(C.shape[:-2] + (dim * dim,))
+    for n, block in blocks:
+        flat[..., n * dim::-(dim - 1)][..., :n + 1] = block
+        yield n, block
 
 
 # ---------------------------------------------------------------------------
 # short-time (quantized pump) tier
 # ---------------------------------------------------------------------------
 
-def short_time_state(initial: PumpInitialState, tau) -> PairState:
-    """The BCH short-time state at dimensionless tau, a scalar or an array
-    for the trajectory C[tau, p, i]. Pump level s branches onto the
-    anti-diagonal p + i = s of C, with amplitudes a_s f_i(s) tau^i /
-    sqrt(N_s(tau)), built in log space one branch at a time for all tau, so
-    tau >> 1 stays finite; tau = 0 gives C[s, 0] = a_s.
+def short_time_state(initial: PumpInitialState, tau):
+    """The BCH short-time state at dimensionless tau, a scalar or a 1-D grid,
+    as a stream of its conserved blocks (s, C_s): pump level s branches onto
+    the anti-diagonal p + i = s, C_s[..., k] = a_s f_k(s) tau^k /
+    sqrt(N_s(tau)) at (p, i) = (s - k, k), built in log space for all tau at
+    once, so tau >> 1 stays finite; tau = 0 gives C_s = a_s e_0. Blocks with
+    a_s = 0 are zero and not yielded. tau is checked before the first block.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
     coeff = initial.coefficients
-    dim = max(coeff.size, 2)
-    log_fact = np.array([math.lgamma(j + 1) for j in range(coeff.size)])
-    with np.errstate(divide="ignore"):
-        log_tau = np.log(tau)[..., None]
-    C = np.zeros(tau.shape + (dim, dim), dtype=coeff.dtype)
-    for s, a_s in enumerate(coeff):
-        n = np.arange(s + 1)
-        with np.errstate(invalid="ignore"):  # n log(0) is -inf, 0 at n = 0
-            log_amp = np.where(n > 0, n * log_tau, 0.0) + 0.5 * (log_fact[s] - log_fact[s - n])
-        amp = np.exp(log_amp - log_amp.max(axis=-1, keepdims=True))
-        _anti_diagonal(C, s)[...] = a_s * (amp / np.linalg.norm(amp, axis=-1, keepdims=True))
-    return PairState(C)
+    half_log_fact = 0.5 * np.array([math.lgamma(j + 1) for j in range(coeff.size)])
+    k = np.arange(coeff.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k log(0) is -inf, 0 at k = 0
+        k_log_tau = np.where(k > 0, k * np.log(tau)[..., None], 0.0)
+
+    def blocks():
+        for s, a_s in enumerate(coeff):
+            if a_s == 0:
+                continue
+            log_amp = k_log_tau[..., :s + 1] + (half_log_fact[s] - half_log_fact[s::-1])
+            log_amp -= log_amp.max(axis=-1, keepdims=True)
+            amp = np.exp(log_amp, out=log_amp)
+            yield s, a_s * (amp / np.sqrt(np.sum(amp * amp, axis=-1, keepdims=True)))
+
+    return blocks()
 
 
 # ---------------------------------------------------------------------------
 # full quantum tier
 # ---------------------------------------------------------------------------
 
-def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> PairState:
+def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi of the
     pump state ``initial`` with signal and idler in vacuum, propagated
-    exactly one conserved block at a time.
+    exactly one conserved block at a time and returned as a stream of the
+    blocks (n, C_n), C_n[tau, k] at (p, i) = (n - k, k).
 
     The evolution runs on C[p, i] of the (dim, dim) pair grid that
     ``short_time_state`` uses, dim = max(pump dimension, 2), where G couples
@@ -294,40 +288,45 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6) -> P
         C_n(tau)[2b+1] = a_n (-1)^b sum_j Y[b, j] X[0, j] sin(sig_j (tau - tau_0)),
 
     where for odd m the last column of X, the null vector of B^T, adds its
-    constant zero mode to the even levels. C therefore has the dtype of the
-    amplitudes: real for a real pump. Blocks with a_n = 0 stay zero. Only
-    block n = dim - 1 reaches the top pump or pair level, and it keeps its
-    weight |a_{dim-1}|^2, so the truncation leak peaks at tau_0: TruncationError
-    is raised before any propagation if C(tau_0) holds more than ``leak_tol``
-    population on a top level. Returns the trajectory C[tau, p, i].
+    constant zero mode to the even levels. C_n therefore has the dtype of
+    the amplitudes: real for a real pump. Blocks with a_n = 0 stay zero and
+    are not yielded. Only block n = dim - 1 reaches the top pump or pair
+    level, and it keeps its weight |a_{dim-1}|^2, so the truncation leak
+    peaks at tau_0: the grid is checked, and TruncationError raised if
+    C(tau_0) holds more than ``leak_tol`` population on a top level, when
+    the stream is made, before any block is propagated.
     """
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
     grid = _increasing_grid(tau_grid)
-
-    C = np.zeros((grid.size, dim, dim), dtype=coeff.dtype)
-    C[0, :coeff.size, 0] = coeff
-    leak = PairState(C[0]).max_boundary_population()
+    # C(tau_0) holds a_p at (p, 0): only the top pump level can carry weight
+    leak = float(initial.probabilities[dim - 1]) if coeff.size == dim else 0.0
     if leak > leak_tol:
         raise TruncationError(
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge the pump "
             f"dimension {dim}", leak=leak)
     dt = grid[1:] - grid[0]
-    for n, a_n in enumerate(coeff):
-        if a_n == 0:
-            continue
-        off = np.sqrt(np.arange(n, 0, -1.0)) * np.arange(1, n + 1)  # T[k-1, k], k = 1..n
-        B = np.zeros(((n + 2) // 2, (n + 1) // 2))
-        np.fill_diagonal(B, off[0::2])      # T[2a, 2a + 1]
-        np.fill_diagonal(B[1:], off[1::2])  # T[2a, 2a - 1]
-        X, sig, Yt = np.linalg.svd(B)
-        X[1::2] *= -1.0  # the (-1)^(k // 2) of D, row 0 untouched
-        Yt[:, 1::2] *= -1.0
-        r = sig.size
-        x0 = X[0, :r, None]
-        block = _anti_diagonal(C[1:], n)
-        even = np.cos(np.multiply.outer(dt, sig)) @ (X[:, :r].T * x0)
-        even += X[:, r:] @ X[0, r:]  # the zero mode of odd m, constant in tau
-        np.multiply(a_n, even, out=block[:, 0::2])
-        np.multiply(a_n, np.sin(np.multiply.outer(dt, sig)) @ (Yt * x0), out=block[:, 1::2])
-    return PairState(C)
+
+    def blocks():
+        for n, a_n in enumerate(coeff):
+            if a_n == 0:
+                continue
+            off = np.sqrt(np.arange(n, 0, -1.0)) * np.arange(1, n + 1)  # T[k-1, k], k = 1..n
+            B = np.zeros(((n + 2) // 2, (n + 1) // 2))
+            np.fill_diagonal(B, off[0::2])      # T[2a, 2a + 1]
+            np.fill_diagonal(B[1:], off[1::2])  # T[2a, 2a - 1]
+            X, sig, Yt = np.linalg.svd(B)
+            X[1::2] *= -1.0  # the (-1)^(k // 2) of D, row 0 untouched
+            Yt[:, 1::2] *= -1.0
+            r = sig.size
+            x0 = X[0, :r, None]
+            block = np.zeros((grid.size, n + 1), dtype=coeff.dtype)
+            block[0, 0] = a_n
+            even = np.cos(np.multiply.outer(dt, sig)) @ (X[:, :r].T * x0)
+            even += X[:, r:] @ X[0, r:]  # the zero mode of odd m, constant in tau
+            np.multiply(a_n, even, out=block[1:, 0::2])
+            np.multiply(a_n, np.sin(np.multiply.outer(dt, sig)) @ (Yt * x0),
+                        out=block[1:, 1::2])
+            yield n, block
+
+    return blocks()

@@ -6,6 +6,13 @@ kept as test oracles for the pair-basis (C[p, i]) paths of ``nlcavity``.
 state in the three-mode grid; ``parametric_state`` and ``long_time_signal``
 are the two-mode squeezed vacuum and the late-time signal mixture.
 
+``assemble`` writes a quantized tier's block stream (n, C_n) into the pair
+grid C[..., p, i] by fancy indexing, ``blocks_of`` splits a C back into its
+stream, and ``einsum_pair_state`` reduces a C to its pump and pair
+distributions with einsums over the (p, i) axes: the package folds the
+stream into those distributions block by block and writes C only for the
+info diagnostics.
+
 ``ModeOperator``, ``ladder_ops``, ``embed`` and ``expectation`` build and
 apply CSR operators on a ``HilbertSpec``; ``interaction_generator``,
 ``build_interaction_hamiltonian`` and ``mode_numbers`` assemble the
@@ -33,6 +40,10 @@ exactly instead. ``full_state_eigh`` is that exact block propagator as first
 written, one ``eigh`` of each whole block; the package takes one SVD of the
 block's even/odd half.
 
+``parametric_temperature`` and ``effective_temperature`` are the signal
+temperature of the frozen-pump tier and the Bose-inversion temperature,
+formulas no scenario reports.
+
 ``find_root_bracketed`` is Brent's method on a sign-changing bracket.
 ``find_horizon`` scans the pulse window with 2 001 points and Brent-solves
 each sign change of c - u, ``velocity_gradient`` is a 5-point central
@@ -59,7 +70,7 @@ from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
 from nlcavity.qinfo import NORM_TOL, ThermalReference, entropy
-from nlcavity.trilinear import PumpInitialState
+from nlcavity.trilinear import PairState, PumpInitialState
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +190,10 @@ def partial_trace(state, keep) -> DensityMatrix:
 
 
 def state_vector(state, spec: HilbertSpec) -> StateVector:
-    """sum C[p, i] |p, i, i> on the three-mode grid ``spec``, for the C of one
-    PairState, or the pump state |psi>|0>|0> of a PumpInitialState."""
-    C = state.coefficients[:, None] if isinstance(state, PumpInitialState) else state.C
+    """sum C[p, i] |p, i, i> on the three-mode grid ``spec``, for one pair
+    amplitude matrix C[p, i], or the pump state |psi>|0>|0> of a
+    PumpInitialState."""
+    C = state.coefficients[:, None] if isinstance(state, PumpInitialState) else state
     dp = C.shape[1]
     amps = np.zeros(spec.dims, dtype=complex)
     amps[: C.shape[0], np.arange(dp), np.arange(dp)] = C
@@ -330,6 +342,45 @@ def mode_numbers(spec: HilbertSpec):
 
 
 # ---------------------------------------------------------------------------
+# block streams of the quantized tiers and their einsum reductions
+# ---------------------------------------------------------------------------
+
+def pair_dim(initial: PumpInitialState) -> int:
+    """Side of the quantized tiers' (dim, dim) pair grid: the pump dimension, at least 2."""
+    return max(initial.coefficients.size, 2)
+
+
+def assemble(blocks, dim: int) -> np.ndarray:
+    """C[..., p, i] on the (dim, dim) pair grid from a block stream (n, C_n),
+    C_n[..., k] placed at (p, i) = (n - k, k) by fancy indexing; anti-diagonals
+    the stream skips stay zero. C takes the first block's dtype and leading shape."""
+    C = None
+    for n, block in blocks:
+        if C is None:
+            C = np.zeros(block.shape[:-1] + (dim, dim), dtype=block.dtype)
+        k = np.arange(n + 1)
+        C[..., n - k, k] = block
+    return C
+
+
+def blocks_of(C):
+    """The block stream (n, C_n) of every anti-diagonal n = 0 .. dim - 1 of
+    C[..., p, i]: the inverse of ``assemble``."""
+    dim = C.shape[-1]
+    for n in range(dim):
+        k = np.arange(n + 1)
+        yield n, C[..., n - k, k]
+
+
+def einsum_pair_state(C) -> PairState:
+    """PairState of C[..., p, i] from einsum reductions of |C|^2 over its last
+    two axes: p_a sums over i, p_b over p."""
+    parts = (C,) if np.isrealobj(C) else (C.real, C.imag)
+    return PairState(*(sum(np.einsum("...pi,...pi->..." + out, x, x) for x in parts)
+                       for out in "pi"))
+
+
+# ---------------------------------------------------------------------------
 # short-time branch closed forms
 # ---------------------------------------------------------------------------
 
@@ -359,6 +410,28 @@ def branch_normalization(s: int, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# temperature formulas no scenario reports
+# ---------------------------------------------------------------------------
+
+def parametric_temperature(A: float, tau: float, omega_b: float) -> float:
+    """Effective signal temperature h*w_b / (2 kB ln coth(A tau)) in kelvin
+    of the frozen-pump (parametric) tier."""
+    r = A * tau
+    if r <= 0.0:
+        return 0.0
+    return hbar * omega_b / (2.0 * k_B * math.log(1.0 / math.tanh(r)))
+
+
+def effective_temperature(n_bar: float, omega: float) -> float:
+    """Bose-inversion temperature h*w / (kB ln(1 + 1/n_bar)) in kelvin."""
+    if n_bar < 0.0:
+        raise ValueError("mean occupation must be nonnegative")
+    if n_bar == 0.0:
+        return 0.0
+    return hbar * omega / (k_B * math.log1p(1.0 / n_bar))
+
+
+# ---------------------------------------------------------------------------
 # dense-state diagnostics
 # ---------------------------------------------------------------------------
 
@@ -377,12 +450,12 @@ def max_boundary_population(psi: StateVector) -> float:
     return max(boundary_population(psi))
 
 
-def reduced(state):
+def reduced(C):
     """Pump marginal rho_a = C C+ and signal diagonal p_b[i] = sum_p |C[p, i]|^2
-    of one PairState (index a trajectory first); traces |C|^2, checked on rho_a."""
-    C = state.C
+    of one pair amplitude matrix C[p, i] (index a trajectory first); traces
+    |C|^2, checked on rho_a."""
     if C.ndim != 2:
-        raise TypeError(f"needs one state, got a PairState of shape {C.shape}")
+        raise TypeError(f"needs one state, got C of shape {C.shape}")
     rho_a = C @ C.conj().T
     return (DensityMatrix(HilbertSpec((rho_a.shape[0],)), rho_a),
             np.sum(np.abs(C) ** 2, axis=0))

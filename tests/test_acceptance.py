@@ -23,8 +23,9 @@ from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
 from oracles import (DensityMatrix, HilbertSpec, build_interaction_hamiltonian,
-                     expectation, fidelity, interaction_generator, mode_factor,
-                     mode_numbers, reduced, state_vector, thermal_density_matrix)
+                     assemble, expectation, fidelity, interaction_generator,
+                     mode_factor, mode_numbers, reduced, state_vector,
+                     thermal_density_matrix)
 
 RESULTS = []
 
@@ -51,7 +52,7 @@ def coherent9_trajectory():
     spec = HilbertSpec((dim,) * 3)
     init = trilinear.PumpInitialState.coherent(9.0, dim)
     taus = np.linspace(0.0, 3.0, 121)
-    states = [state_vector(s, spec) for s in trilinear.full_state(init, taus)]
+    states = [state_vector(C, spec) for C in assemble(trilinear.full_state(init, taus), dim)]
     return spec, init, taus, states
 
 
@@ -268,15 +269,15 @@ def test_criterion_7_trilinear_oracles():
     start = time.perf_counter()
     spec = HilbertSpec((3, 3, 3))
     taus = np.linspace(0.0, 3.0, 31)
-    states = [state_vector(s, spec) for s in
-              trilinear.full_state(trilinear.PumpInitialState.fock(1, dim=3), taus)]
+    states = [state_vector(C, spec) for C in
+              assemble(trilinear.full_state(trilinear.PumpInitialState.fock(1, dim=3), taus), 3)]
     nb_op = mode_numbers(spec)[1]
     rabi_err = max(abs(expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
 
     spec64 = HilbertSpec((4, 4, 4))
     init64 = trilinear.PumpInitialState.fock(2, dim=4)
-    out = trilinear.full_state(init64, [0.0, 2.0])
+    out = assemble(trilinear.full_state(init64, [0.0, 2.0]), 4)
     G = interaction_generator(spec64).toarray()
     expm_err = float(np.linalg.norm(state_vector(out[-1], spec64).amplitudes
                                     - sla.expm(2.0 * G) @ state_vector(init64, spec64).amplitudes))
@@ -348,8 +349,8 @@ def short_time_signal():
     on tau in [0,3]."""
     init = trilinear.PumpInitialState.coherent(9.0, 30)
     taus = np.linspace(0.0, 3.0, 400)
-    return init, taus, [reduced(trilinear.short_time_state(init, float(tau)))[1]
-                        for tau in taus]
+    return init, taus, [reduced(C)[1]
+                        for C in assemble(trilinear.short_time_state(init, taus), 30)]
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +381,7 @@ def test_criterion_9a_fidelity_shape(short_time_signal, short_time_curves):
     # tau -> infinity: the signal carries the pump's Poisson(9) distribution,
     # so F tends to the Bhattacharyya coefficient of Poisson(9) against the
     # thermal distribution of mean 9
-    _, F_100 = thermal_fidelity(reduced(trilinear.short_time_state(init, 100.0))[1])
+    _, F_100 = thermal_fidelity(reduced(assemble(trilinear.short_time_state(init, 100.0), 30))[1])
     m = np.arange(400)
     bhattacharyya = float(np.sum(np.exp(0.5 * (m * math.log(9.0) - 9.0 - gammaln(m + 1)
                                                + m * math.log(0.9) - math.log(10.0)))))
@@ -418,7 +419,7 @@ def test_criterion_9b_information_onset(short_time_curves):
 def test_criterion_10_long_time_distribution():
     start = time.perf_counter()
     init = trilinear.PumpInitialState.coherent(9.0, 30)
-    _, diag = reduced(trilinear.short_time_state(init, 100.0))
+    _, diag = reduced(assemble(trilinear.short_time_state(init, 100.0), 30))
     P = init.probabilities
     tv = 0.5 * float(np.sum(np.abs(diag[: P.size] - P)) + np.sum(diag[P.size:]))
     elapsed = time.perf_counter() - start

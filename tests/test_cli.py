@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from nlcavity.constants import hbar, k_B
 from nlcavity.errors import FitDegenerateError
 from nlcavity.presets import build_detector_params, build_line_params, list_presets
 from oracles import (
+    assemble,
+    blocks_of,
     HilbertSpec,
     dense_von_neumann_entropy,
     expectation,
@@ -633,6 +636,22 @@ def test_trilinear_evolve_leak_gate_exits_before_propagating(tmp_path, monkeypat
                                        "exceeds 1.0e-06; enlarge the pump dimension 27\n")
 
 
+def test_trilinear_evolve_holds_one_block_at_a_time(tmp_path):
+    # N_a = 100 (dim 155) over 100 tau: the trajectory C[tau, p, i] alone
+    # would take 19.2 MB; both quantized tiers fold one conserved block at a
+    # time into the pump and pair distributions instead
+    cfg = ScenarioConfig(
+        kind="trilinear-evolve", params={"mean_occupation": "100"},
+        grid={"tau_max": "1.0", "tau_points": "100"}, output_dir=tmp_path, label="big")
+    tracemalloc.start()
+    try:
+        assert run(cfg) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_trilinear_info_scenario(tmp_path):
     def info_run():
         cfg = ScenarioConfig(
@@ -686,10 +705,12 @@ def test_main_missing_config_file(tmp_path):
 
 
 def _info_trajectory(tier, mean_occ, taus):
-    initial = trilinear.PumpInitialState.coherent(mean_occ, fock.min_coherent_dim(mean_occ) + 3)
-    if tier == "short":
-        return trilinear.short_time_state(initial, taus)
-    return trilinear.full_state(initial, taus)
+    """The info runner's trajectory C[tau, p, i] of one tier, assembled from
+    the tier's block stream."""
+    dim = fock.min_coherent_dim(mean_occ) + 3
+    initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
+    run_tier = trilinear.short_time_state if tier == "short" else trilinear.full_state
+    return assemble(run_tier(initial, taus), dim)
 
 
 @pytest.mark.parametrize("tier, mean_occ", [("short", 3.0), ("short", 9.0),
@@ -700,13 +721,13 @@ def test_info_diagnostics_match_dense_oracle(tier, mean_occ):
     # their eigenvalue entropies, the Uhlmann fidelity of rho_b against the
     # dense thermal reference, and the ladder-operator squeezing of rho_a
     taus = np.linspace(0.0, 3.0, 25)
-    states = _info_trajectory(tier, mean_occ, taus)
-    columns = np.column_stack(_info_diagnostics(states))
-    dim = states.C.shape[-1]
+    C = _info_trajectory(tier, mean_occ, taus)
+    columns = np.column_stack(_info_diagnostics(np.zeros_like(C), blocks_of(C)))
+    dim = C.shape[-1]
     spec = HilbertSpec((dim,) * 3)
     a, _, num = ladder_ops(dim)
     levels = np.arange(dim)
-    for k, state in enumerate(states):
+    for k, state in enumerate(C):
         psi = state_vector(state, spec)
         rho_a = partial_trace(psi, keep=[0])
         rho_b = partial_trace(psi, keep=[1])
@@ -727,12 +748,12 @@ def test_info_trace_gate_fires_on_one_tau_slice(tmp_path, monkeypatch):
     # a trajectory whose tau = 1 slice has norm 1.01: the per-tau trace check
     # raises ValueError, and the CLI maps it to the config exit code
     taus = np.linspace(0.0, 2.0, 5)
-    C = _info_trajectory("short", 3.0, taus).C.copy()
+    C = _info_trajectory("short", 3.0, taus)
     C[2] *= 1.01
     with pytest.raises(ValueError, match="trace"):
-        _info_diagnostics(trilinear.PairState(C))
+        _info_diagnostics(np.zeros_like(C), blocks_of(C))
     monkeypatch.setattr(trilinear, "short_time_state",
-                        lambda initial, tau: trilinear.PairState(C))
+                        lambda initial, tau: blocks_of(C))
     cfg = ScenarioConfig(
         kind="trilinear-info", params={"mean_occupations": "3", "tiers": "short"},
         grid={"tau_max": "2.0", "tau_points": "5"}, output_dir=tmp_path, label="bad")

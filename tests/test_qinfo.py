@@ -9,7 +9,6 @@ from nlcavity.qinfo import (
     ThermalReference,
     bose_occupation,
     effective_dimension,
-    effective_temperature,
     entropy,
     information,
     mutual_information_partitions,
@@ -22,7 +21,9 @@ from oracles import (
     DensityMatrix,
     HilbertSpec,
     StateVector,
+    assemble,
     dense_von_neumann_entropy,
+    effective_temperature,
     expectation,
     fidelity,
     ladder_ops,
@@ -353,7 +354,7 @@ def small_trajectory():
     dim = fock.min_coherent_dim(1.0) + 3
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(1.0, dim)
-    return [state_vector(s, spec) for s in full_state(init, np.linspace(0, 3, 16))]
+    return [state_vector(C, spec) for C in assemble(full_state(init, np.linspace(0, 3, 16)), dim)]
 
 
 def test_entropy_bounds_along_trajectory(small_trajectory):
@@ -367,8 +368,8 @@ def test_entropy_bounds_along_trajectory(small_trajectory):
 def test_pure_total_state_identities():
     # small grid so the full-state eigendecomposition stays cheap
     spec = HilbertSpec((6, 6, 6))
-    for pair in full_state(PumpInitialState.fock(3, dim=6), np.linspace(0, 3, 7)):
-        s = state_vector(pair, spec)
+    for C in assemble(full_state(PumpInitialState.fock(3, dim=6), np.linspace(0, 3, 7)), 6):
+        s = state_vector(C, spec)
         assert abs(von_neumann_entropy(s.amplitudes[:, None])) < 1e-8
         s_a = von_neumann_entropy(mode_factor(s, [0]))
         s_bc = dense_von_neumann_entropy(partial_trace(s, keep=[1, 2]))

@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from nlcavity import fock, trilinear
 from nlcavity.errors import TruncationError
 from nlcavity.trilinear import (
-    PairState,
     PumpInitialState,
     full_state,
+    pair_state,
     parametric_occupation,
-    parametric_temperature,
     pump_betas,
     semiclassical_occupation,
     semiclassical_pump,
@@ -21,9 +20,12 @@ from nlcavity.trilinear import (
 )
 from oracles import (
     HilbertSpec,
+    assemble,
+    blocks_of,
     branch_coefficient,
     branch_normalization,
     build_interaction_hamiltonian,
+    einsum_pair_state,
     embed,
     evolve_pair_rk45,
     expectation,
@@ -33,11 +35,18 @@ from oracles import (
     long_time_signal,
     max_boundary_population,
     mode_numbers,
+    pair_dim,
     parametric_state,
+    parametric_temperature,
     partial_trace,
     reduced,
     state_vector,
 )
+
+
+def C_of(tier, init, tau, **kwargs):
+    """C[..., p, i] of a quantized tier, assembled from its block stream."""
+    return assemble(tier(init, tau, **kwargs), pair_dim(init))
 
 
 # --- parametric tier ---------------------------------------------------------
@@ -152,7 +161,7 @@ def test_semiclassical_tracks_then_departs_full():
     dim = 30
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(9.0, dim)
-    states = [state_vector(s, spec) for s in full_state(init, taus)]
+    states = [state_vector(C, spec) for C in C_of(full_state, init, taus)]
     nb_op = mode_numbers(spec)[1]
     nb_full = np.array([expectation(s, nb_op).real for s in states])
 
@@ -190,7 +199,7 @@ def test_short_time_branches_normalized():
     # branch s sits on the anti-diagonal p + i = s and carries weight |a_s|^2
     init = PumpInitialState.coherent(9.0, 30)
     for tau in (0.0, 0.3, 2.0, 100.0):
-        pops = np.abs(short_time_state(init, tau).C) ** 2
+        pops = np.abs(C_of(short_time_state, init, tau)) ** 2
         for s, P_s in enumerate(init.probabilities):
             assert np.trace(np.fliplr(pops), offset=pops.shape[1] - 1 - s) == \
                 pytest.approx(P_s, abs=1e-9)
@@ -204,16 +213,17 @@ def test_pair_state_matches_branch_formula_and_full_grid():
     spec = HilbertSpec((dim, dim, dim + 2))
     N = mode_numbers(spec)
     for tau in (0.3, 1.5):
-        state = short_time_state(init, tau)
+        C = C_of(short_time_state, init, tau)
+        state = pair_state(short_time_state(init, tau), dim)
         expected = np.zeros((dim, dim), dtype=complex)
         for s, a_s in enumerate(init.coefficients):
             for n in range(s + 1):
                 expected[s - n, n] = a_s * branch_coefficient(n, s) * tau ** n \
                     / math.sqrt(branch_normalization(s, tau))
-        assert np.max(np.abs(state.C - expected)) < 1e-14
+        assert np.max(np.abs(C - expected)) < 1e-14
 
-        psi = state_vector(state, spec)
-        rho_a, p_b = reduced(state)
+        psi = state_vector(C, spec)
+        rho_a, p_b = reduced(C)
         for rho, mode in ((rho_a.entries, 0), (np.diag(p_b), 1)):
             oracle = partial_trace(psi, keep=[mode]).entries
             assert np.max(np.abs(rho - oracle)) < 1e-14
@@ -229,7 +239,7 @@ def test_pair_state_matches_branch_formula_and_full_grid():
 
 def test_short_time_zero_tau_recovers_initial():
     init = PumpInitialState.coherent(4.0, 18)
-    rho_a, p_b = reduced(short_time_state(init, 0.0))
+    rho_a, p_b = reduced(C_of(short_time_state, init, 0.0))
     assert p_b[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.diag(rho_a.entries)[: init.coefficients.size],
                        init.probabilities, atol=1e-12)
@@ -241,8 +251,8 @@ def test_short_time_matches_full_evolution():
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.fock(9, dim=dim)
     tau = 0.1 / math.sqrt(0.5 * 9)
-    exact = state_vector(full_state(init, [0.0, tau])[-1], spec).amplitudes
-    approx = state_vector(short_time_state(init, tau), spec).amplitudes
+    exact = state_vector(C_of(full_state, init, [0.0, tau])[-1], spec).amplitudes
+    approx = state_vector(C_of(short_time_state, init, tau), spec).amplitudes
     phase = np.vdot(approx, exact)
     assert np.linalg.norm(exact * np.exp(-1j * np.angle(phase)) - approx) < 1e-3
 
@@ -254,26 +264,25 @@ def test_pump_coefficients_reject_non_finite():
 
 def test_reduced_trace_check_covers_signal_distribution():
     # Tr rho_a = sum p_b = |C|^2: an unnormalized or NaN C fails rho_a's check
-    C = short_time_state(PumpInitialState.coherent(4.0, 18), 0.5).C
+    C = C_of(short_time_state, PumpInitialState.coherent(4.0, 18), 0.5)
     with pytest.raises(ValueError):
-        reduced(PairState(1.01 * C))
-    C = C.copy()
+        reduced(1.01 * C)
     C[0, 0] = math.nan
     with pytest.raises(ValueError):
-        reduced(PairState(C))
+        reduced(C)
 
 
 def test_short_time_reduced_traces():
     init = PumpInitialState.coherent(9.0, 28)
     for tau in (0.2, 1.0, 10.0):
-        rho_a, p_b = reduced(short_time_state(init, tau))
+        rho_a, p_b = reduced(C_of(short_time_state, init, tau))
         assert np.trace(rho_a.entries).real == pytest.approx(1.0, abs=1e-9)
         assert p_b.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_short_time_long_time_distribution():
     init = PumpInitialState.coherent(9.0, 30)
-    _, diag = reduced(short_time_state(init, 100.0))
+    _, diag = reduced(C_of(short_time_state, init, 100.0))
     P = init.probabilities
     tv = 0.5 * np.sum(np.abs(diag[: P.size] - P)) + 0.5 * np.sum(diag[P.size:])
     assert tv < 1e-3
@@ -282,15 +291,16 @@ def test_short_time_long_time_distribution():
 def test_short_time_trajectory_matches_per_tau_calls():
     init = PumpInitialState.coherent(9.0, 30)
     taus = np.array([0.0, 0.05, 0.3, 1.0, 2.0, 10.0, 100.0])
-    traj = short_time_state(init, taus)
-    assert traj.C.shape == (taus.size, 30, 30)
-    for tau, C in zip(taus, traj.C):
-        np.testing.assert_array_equal(C, short_time_state(init, float(tau)).C)
+    traj = C_of(short_time_state, init, taus)
+    assert traj.shape == (taus.size, 30, 30)
+    for tau, C in zip(taus, traj):
+        np.testing.assert_array_equal(C, C_of(short_time_state, init, float(tau)))
     # the tau = 0 row is the initial pump state, exactly
-    np.testing.assert_array_equal(traj.C[0, :, 0], init.coefficients)
-    assert not traj.C[0, :, 1:].any()
-    assert traj.n_b[0] == 0.0
-    assert traj.n_a[0] == pytest.approx(init.mean_occupation, abs=1e-14)
+    np.testing.assert_array_equal(traj[0, :, 0], init.coefficients)
+    assert not traj[0, :, 1:].any()
+    states = pair_state(short_time_state(init, taus), 30)
+    assert states.n_b[0] == 0.0
+    assert states.n_a[0] == pytest.approx(init.mean_occupation, abs=1e-14)
 
 
 def _pop_reductions(C):
@@ -305,34 +315,30 @@ def _pop_reductions(C):
             max(p_a[-1], p_b[-1]))
 
 
+def _reductions(state):
+    return [state.n_a, state.n_b, state.pump_variance(), state.norm(),
+            state.max_boundary_population()]
+
+
 def test_trajectory_reductions_match_per_tau_states():
+    # the block-stream reductions of a trajectory, tau by tau, against one
+    # state's stream and against the |C|^2 populations of the assembled C
     dim = fock.min_coherent_dim(3.0) + 3
     init = PumpInitialState.coherent(3.0, dim)
     taus = np.linspace(0.0, 2.5, 21)
-    for traj in (full_state(init, taus),
-                 short_time_state(init, taus)):
-        assert traj.C.shape == (taus.size, dim, dim)
-        reductions = [traj.n_a, traj.n_b, traj.pump_variance(), traj.norm(),
-                      traj.max_boundary_population()]
-        for k, C in enumerate(traj.C):
-            one = PairState(C)
-            per_tau = [one.n_a, one.n_b, one.pump_variance(), one.norm(),
-                       one.max_boundary_population()]
+    for tier in (full_state, short_time_state):
+        traj = C_of(tier, init, taus)
+        assert traj.shape == (taus.size, dim, dim)
+        reductions = _reductions(pair_state(tier(init, taus), dim))
+        for k, C in enumerate(traj):
+            per_tau = _reductions(pair_state(blocks_of(C), dim))
             assert all(isinstance(v, float) for v in per_tau)
-            assert traj[k].n_b == one.n_b
             np.testing.assert_allclose([r[k] for r in reductions], per_tau,
                                        rtol=1e-14, atol=1e-300)
             np.testing.assert_allclose(per_tau, _pop_reductions(C), rtol=1e-13, atol=1e-15)
-
-
-def test_state_and_trajectory_are_not_interchangeable():
-    traj = short_time_state(PumpInitialState.fock(3), np.array([0.0, 0.5, 1.0]))
-    assert len(traj) == 3 and [s.C.shape for s in traj] == [(4, 4)] * 3
-    one = traj[1]
-    for misuse in (lambda: len(one), lambda: iter(one), lambda: one[0],
-                   lambda: reduced(traj)):
-        with pytest.raises(TypeError):
-            misuse()
+    # reduced takes one state, not a trajectory
+    with pytest.raises(TypeError):
+        reduced(traj)
 
 
 def test_full_leak_is_top_pump_weight(monkeypatch):
@@ -342,7 +348,7 @@ def test_full_leak_is_top_pump_weight(monkeypatch):
     # reads that point and a refused run propagates no block
     init = PumpInitialState([math.sqrt(1.0 - 1e-4), 0.0, 1e-2])
     taus = [0.5, 1.0, 1.5, 2.0]
-    leak = full_state(init, taus, leak_tol=1e-3).max_boundary_population()
+    leak = pair_state(full_state(init, taus, leak_tol=1e-3), 3).max_boundary_population()
     assert leak[0] == pytest.approx(1e-4, rel=1e-12)
     assert np.all(leak <= leak[0] * (1.0 + 1e-12))
 
@@ -363,8 +369,8 @@ def test_real_pumps_stay_real(mean):
     taus = np.linspace(0.0, 3.0, 7)
     for pump in (init, PumpInitialState.fock(2, dim=4)):
         assert pump.coefficients.dtype == np.float64
-        for traj in (short_time_state(pump, taus), full_state(pump, taus)):
-            assert traj.C.dtype == np.float64
+        for tier in (short_time_state, full_state):
+            assert all(block.dtype == np.float64 for _, block in tier(pump, taus))
 
 
 @pytest.mark.parametrize("phi", [0.3, 2.0])
@@ -380,12 +386,14 @@ def test_pump_phase_is_carried_exactly(phi):
     phase = np.exp(1j * phi * np.add.outer(np.arange(dim), np.arange(dim)))
     taus = np.linspace(0.0, 3.0, 13)
     for tier in (short_time_state, full_state):
-        want, got = tier(real, taus), tier(rotated, taus)
-        assert got.C.dtype == complex
-        for reduction in (lambda s: s.n_a, lambda s: s.n_b, lambda s: s.p_b,
-                          lambda s: von_neumann_entropy(s.C), lambda s: np.abs(s.C)):
+        want, got = C_of(tier, real, taus), C_of(tier, rotated, taus)
+        assert got.dtype == complex
+        states = [pair_state(tier(pump, taus), dim) for pump in (real, rotated)]
+        for reduction in (lambda s: s.n_a, lambda s: s.n_b, lambda s: s.p_b):
+            np.testing.assert_allclose(*map(reduction, states), rtol=0, atol=1e-12)
+        for reduction in (von_neumann_entropy, np.abs):
             np.testing.assert_allclose(reduction(got), reduction(want), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.C, phase * want.C, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, phase * want, rtol=0, atol=1e-12)
 
 
 def test_long_time_signal_roundtrip():
@@ -452,7 +460,7 @@ def test_hamiltonian_matrix_element_ladder():
 def test_evolve_tau_zero():
     spec = HilbertSpec((3, 3, 3))
     init = PumpInitialState.fock(1, dim=3)
-    out = full_state(init, [0.0])
+    out = C_of(full_state, init, [0.0])
     assert np.allclose(state_vector(out[0], spec).amplitudes,
                        state_vector(init, spec).amplitudes)
 
@@ -463,16 +471,16 @@ def test_quantized_tiers_share_one_initial_state():
     coherent_dim = fock.min_coherent_dim(3.0) + 3
     for init, dim in ((PumpInitialState.coherent(3.0, coherent_dim), coherent_dim),
                       (PumpInitialState.fock(0, dim=1), 2)):
-        short = short_time_state(init, 0.0).C
-        assert short.shape == (dim, dim)
-        np.testing.assert_array_equal(short, full_state(init, [0.0]).C[0])
+        short = C_of(short_time_state, init, 0.0)
+        assert short.shape == (dim, dim) and pair_dim(init) == dim
+        np.testing.assert_array_equal(short, C_of(full_state, init, [0.0])[0])
 
 
 def test_evolve_toy_rabi():
     spec = HilbertSpec((3, 3, 3))
     init = PumpInitialState.fock(1, dim=3)
     taus = np.linspace(0, 3, 31)
-    states = [state_vector(s, spec) for s in full_state(init, taus)]
+    states = [state_vector(C, spec) for C in C_of(full_state, init, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in zip(taus, states):
         assert expectation(s, nb_op).real == pytest.approx(math.sin(t) ** 2, abs=1e-8)
@@ -482,7 +490,7 @@ def test_evolve_matches_expm_small():
     spec = HilbertSpec((4, 4, 4))  # total dim 64
     init = PumpInitialState.fock(2, dim=4)
     tau = 1.7
-    out = full_state(init, [0.0, tau])
+    out = C_of(full_state, init, [0.0, tau])
     G = interaction_generator(spec).toarray()
     exact = sla.expm(tau * G) @ state_vector(init, spec).amplitudes
     assert np.linalg.norm(state_vector(out[-1], spec).amplitudes - exact) < 1e-7
@@ -506,13 +514,15 @@ def test_pair_propagator_matches_dense_expm(dim, pump, tau):
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState(coeff / np.linalg.norm(coeff))
     # the dense oracle truncates the same way, so no leak gate applies
-    states = full_state(init, np.unique([0.0, tau]), leak_tol=math.inf)
-    assert states.C.dtype == coeff.dtype
+    grid = np.unique([0.0, tau])
+    C = C_of(full_state, init, grid, leak_tol=math.inf)
+    assert C.dtype == coeff.dtype
     exact = sla.expm(tau * interaction_generator(spec).toarray()) \
         @ state_vector(init, spec).amplitudes
-    assert np.linalg.norm(state_vector(states[-1], spec).amplitudes - exact) < 1e-7
-    assert abs(states[-1].norm() - 1.0) < 1e-8
-    assert abs(states[-1].n_a + states[-1].n_b - states[0].n_a) < 1e-8
+    assert np.linalg.norm(state_vector(C[-1], spec).amplitudes - exact) < 1e-7
+    states = pair_state(full_state(init, grid, leak_tol=math.inf), dim)
+    assert abs(states.norm()[-1] - 1.0) < 1e-8
+    assert abs(states.n_a[-1] + states.n_b[-1] - states.n_a[0]) < 1e-8
 
 
 @st.composite
@@ -542,8 +552,30 @@ def test_half_size_propagator_matches_eigh_oracle(init, tau_0, steps):
     # one SVD of each block's even/odd half against one eigh of the whole
     # block: the same C on any grid, a one-point grid and tau_0 > 0 included
     grid = tau_0 + np.cumsum([0.0] + steps)
-    C = full_state(init, grid, leak_tol=math.inf).C
+    C = C_of(full_state, init, grid, leak_tol=math.inf)
     assert C.dtype == init.coefficients.dtype
+    np.testing.assert_allclose(C, full_state_eigh(init, grid), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(init=_pumps(), tau_0=st.floats(0.0, 2.0),
+       steps=st.lists(st.floats(1e-3, 1.0), max_size=4))
+@example(init=PumpInitialState.fock(0, dim=2), tau_0=0.0, steps=[])
+@example(init=PumpInitialState.fock(39, dim=40), tau_0=2.0, steps=[1.0] * 4)
+@example(init=PumpInitialState(np.full(40, 40 ** -0.5 * 1j)), tau_0=1.0, steps=[1.0] * 4)
+def test_block_stream_reductions_match_assembled_C(init, tau_0, steps):
+    # both tiers: the distributions folded from the stream one block at a
+    # time against the einsum reductions of the assembled C, and the
+    # assembled full-tier C against one eigh of each whole block
+    grid = tau_0 + np.cumsum([0.0] + steps)
+    dim = pair_dim(init)
+    for tier, kwargs in ((short_time_state, {}), (full_state, {"leak_tol": math.inf})):
+        C = assemble(tier(init, grid, **kwargs), dim)
+        got = pair_state(tier(init, grid, **kwargs), dim)
+        want = einsum_pair_state(C)
+        np.testing.assert_allclose(got.p_a, want.p_a, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.p_b, want.p_b, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_reductions(got), _reductions(want), rtol=0, atol=1e-13)
     np.testing.assert_allclose(C, full_state_eigh(init, grid), rtol=0, atol=1e-12)
 
 
@@ -552,7 +584,7 @@ def test_evolve_conservation_and_symmetry():
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(3.0, dim)
     taus = np.linspace(0, 2.5, 26)
-    states = [state_vector(s, spec) for s in full_state(init, taus)]
+    states = [state_vector(C, spec) for C in C_of(full_state, init, taus)]
     na_op, nb_op, nc_op = mode_numbers(spec)
     H = build_interaction_hamiltonian(spec)
     na0 = expectation(states[0], na_op).real
@@ -581,35 +613,35 @@ def test_evolve_truncation_error_reports_leak():
 @pytest.fixture(scope="module")
 def coherent9():
     """N_a(0) = 9, dim 30, 400 tau on [0, 3]: the pump state, the grid and
-    the full tier's trajectory."""
+    the full tier's trajectory C with its pair distributions."""
     init = PumpInitialState.coherent(9.0, 30)
     taus = np.linspace(0.0, 3.0, 400)
-    return init, taus, full_state(init, taus)
+    return init, taus, C_of(full_state, init, taus), pair_state(full_state(init, taus), 30)
 
 
 def test_full_tier_norm_holds_to_round_off(coherent9):
-    _, _, traj = coherent9
+    _, _, _, traj = coherent9
     assert np.max(np.abs(traj.norm() - 1.0)) <= 1e-14
 
 
 def test_full_tier_conserves_manley_rowe_sum(coherent9):
     # every block n = p + i keeps its own weight, so N_a + N_b is exact
-    _, _, traj = coherent9
+    _, _, _, traj = coherent9
     assert np.max(np.abs(traj.n_a + traj.n_b - traj.n_a[0])) <= 1e-12
 
 
 def test_full_tier_matches_rk45_oracle(coherent9):
-    init, taus, traj = coherent9
-    assert np.max(np.abs(traj.C - evolve_pair_rk45(init, taus))) <= 1e-9
+    init, taus, C, _ = coherent9
+    assert np.max(np.abs(C - evolve_pair_rk45(init, taus))) <= 1e-9
 
 
 def test_full_tier_starts_at_first_grid_point():
     # the first grid point is the initial time, wherever the grid starts
     init = PumpInitialState([0.6, 0.64j, 0.48, 0.0])
-    late = full_state(init, [0.5, 1.0])
-    np.testing.assert_array_equal(late.C[0], short_time_state(init, 0.0).C)
-    early = full_state(init, [0.0, 0.5])
-    assert np.max(np.abs(late.C[1] - early.C[1])) <= 1e-13
+    late = C_of(full_state, init, [0.5, 1.0])
+    np.testing.assert_array_equal(late[0], C_of(short_time_state, init, 0.0))
+    early = C_of(full_state, init, [0.0, 0.5])
+    assert np.max(np.abs(late[1] - early[1])) <= 1e-13
 
 
 def test_parametric_limit_of_full_evolution():
@@ -618,7 +650,7 @@ def test_parametric_limit_of_full_evolution():
     spec = HilbertSpec((dim,) * 3)
     init = PumpInitialState.coherent(25.0, dim)
     taus = np.linspace(0, 0.1, 5)
-    states = [state_vector(s, spec) for s in full_state(init, taus)]
+    states = [state_vector(C, spec) for C in C_of(full_state, init, taus)]
     nb_op = mode_numbers(spec)[1]
     for t, s in list(zip(taus, states))[1:]:
         nb = expectation(s, nb_op).real
