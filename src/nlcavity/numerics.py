@@ -222,6 +222,7 @@ def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:
     shift = c2 / 3.0
     scale6 = max(abs(p), abs(q) ** (2.0 / 3.0), 1e-300) ** 3
 
+    double = None
     if p == 0.0 and q == 0.0:
         roots = [-shift]
     elif disc > 1e-12 * scale6:
@@ -237,9 +238,11 @@ def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:
         roots = [math.copysign(abs(u1) ** (1.0 / 3.0), u1)
                  + math.copysign(abs(u2) ** (1.0 / 3.0), u2) - shift]
     else:
-        # borderline discriminant: double-root structure
+        # borderline discriminant: a simple root and a near-double one, which
+        # may be a true double root, two close real roots or a complex pair
         if p != 0.0:
-            roots = [3.0 * q / p - shift, -3.0 * q / (2.0 * p) - shift]
+            roots = [3.0 * q / p - shift]
+            double = -3.0 * q / (2.0 * p) - shift
         else:
             roots = [-shift]
 
@@ -253,9 +256,7 @@ def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:
     def dpoly(x):
         return (3.0 * x + 2.0 * oc2) * x + oc1
 
-    polished = []
-    for x in roots:
-        x *= lam
+    def newton(x):
         for _ in range(14):
             fx, dfx = poly(x), dpoly(x)
             if dfx == 0.0 or not math.isfinite(fx):
@@ -269,7 +270,34 @@ def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:
             x = x_new
             if abs(step) <= 1e-15 * max(1.0, abs(x)):
                 break
-        polished.append(x)
+        return x
+
+    polished = [newton(x * lam) for x in roots]
+
+    if double is not None:
+        # the near-double seed sits at a local extremum of the cubic: find
+        # that extremum on the original cubic, then read off whether the
+        # cubic touches zero there, crosses it on both sides, or misses it
+        x = double * lam
+        for _ in range(14):
+            half_curv = 3.0 * x + oc2
+            if half_curv == 0.0:
+                break
+            step = dpoly(x) / (2.0 * half_curv)
+            if not math.isfinite(step):
+                break
+            x -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(x)):
+                break
+        fx, half_curv = poly(x), 3.0 * x + oc2
+        roundoff = 8.0 * _EPS * (abs(x) ** 3 + abs(oc2) * x * x
+                                 + abs(oc1) * abs(x) + abs(oc0))
+        if abs(fx) <= roundoff:
+            polished.append(x)
+        elif fx * half_curv < 0.0:
+            h = math.sqrt(-fx / half_curv)
+            polished += [newton(x - h), newton(x + h)]
+        # otherwise the extremum misses zero: a complex pair, no real root
 
     polished.sort()
     out: list[float] = []

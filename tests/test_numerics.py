@@ -455,6 +455,24 @@ def test_cubic_double_root():
     assert roots[1] == pytest.approx(7.0, abs=1e-9)
 
 
+def test_cubic_near_double_root_is_resolved():
+    # E^2 (E + 48) + 1e-9: the discriminant sits in the borderline band, and
+    # the near-double pair at E ~ 0 is complex, so only E ~ -48 is real
+    roots = solve_cubic_real(48.0, 0.0, 1e-9)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(-48.0, abs=1e-12)
+    # E (E - 1)^2 + 1e-14 E: the same pair pushed off the axis
+    assert solve_cubic_real(-2.0, 1.0 + 1e-14, 0.0) == pytest.approx([0.0], abs=1e-12)
+    # E (E - 1)^2 - d E: the pair splits into two real roots 1 -+ sqrt(d)
+    c1 = 1.0 - 1e-14
+    h = math.sqrt(1.0 - c1)
+    roots = solve_cubic_real(-2.0, c1, 0.0)
+    assert len(roots) == 3
+    # the slope there is ~2h, so round-off in the residual moves each root
+    # by ~1e-15 / 2h ~ 1e-8
+    assert roots[1:] == pytest.approx([1.0 - h, 1.0 + h], abs=1e-8)
+
+
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=300, deadline=None)
 def test_cubic_residual_property(c2, c1, c0):
