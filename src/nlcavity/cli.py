@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -32,7 +33,8 @@ from .errors import (
     SingularFluxError,
     TruncationError,
 )
-from .presets import build_detector_params, build_line_params, list_presets
+from .presets import (SCHEMAS, build_detector_params, build_line_params, checked,
+                      list_presets)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,31 +85,6 @@ def config_from_preset(name: str, out_dir: Path) -> ScenarioConfig:
                           output_dir=Path(out_dir), label=name)
 
 
-def _floats(text: str):
-    """Comma- or space-separated numbers; an empty list is a config error."""
-    values = [float(tok) for tok in str(text).replace(",", " ").split()]
-    if not values:
-        raise ValueError(f"expected a list of numbers, got {text!r}")
-    return values
-
-
-def _points(cfg, key: str, default: int) -> int:
-    """Grid point count ``key``; an empty, unbounded or fractional count is a
-    config error."""
-    n = float(cfg.grid.get(key, default))
-    if not (1.0 <= n < math.inf and n == int(n)):
-        raise ValueError(f"{key} must be a finite whole count of at least 1, got {n}")
-    return int(n)
-
-
-def _finite(key: str, values, lowest: float = -math.inf):
-    """``values`` of grid ``key``, each checked finite and >= ``lowest``."""
-    if not all(math.isfinite(v) and v >= lowest for v in values):
-        bound = "" if lowest == -math.inf else f" and at least {lowest}"
-        raise ValueError(f"{key} must be finite{bound}, got {values}")
-    return values
-
-
 def _write_csv(path: Path, header, rows):
     """One table as CSV. A str column is written as is and any other with
     17 significant digits in scientific notation; the row format is built
@@ -142,24 +119,12 @@ def _write_manifest(cfg: ScenarioConfig, resolved: dict, columns: dict, files: l
 # detector scenarios
 # ---------------------------------------------------------------------------
 
-def _drive_overflow(lo, hi, detuning):
-    """The config error of a drive sweep that overflows the detector response."""
-    return ValueError(f"the drive sweep of drive_min_ratio {lo} to drive_max_ratio {hi} "
-                      f"at {detuning} overflows the detector response with these "
-                      "detector params")
-
-
-def _detector_common(cfg):
-    params = build_detector_params(cfg.params)
-    try:  # huge finite params overflow either as an exception or to inf
-        K_eff = detector.effective_duffing(params)
-        E_bi, dw_bi, I_bi = detector.bistability_onset(params)
-        finite = all(map(math.isfinite, (K_eff, E_bi, dw_bi, I_bi)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError("the detector params overflow the effective Duffing constant "
-                         "or the bistability onset")
+def _detector_common(cfg, p):
+    params = build_detector_params(p)
+    K_eff = detector.effective_duffing(params)
+    E_bi, dw_bi, I_bi = detector.bistability_onset(params)
+    if not all(map(math.isfinite, (K_eff, E_bi, dw_bi, I_bi))):  # huge params reach inf
+        raise OverflowError("K_eff or the bistability onset is not finite")
     resolved = {
         "gamma_pT": params.gamma_pT, "gamma_bm": params.gamma_bm,
         "K_eff": K_eff,
@@ -208,31 +173,21 @@ def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
     return rows
 
 
-def _run_detector_signal_noise(cfg: ScenarioConfig):
-    params, resolved = _detector_common(cfg)
+def _run_detector_signal_noise(cfg: ScenarioConfig, p: dict, g: dict):
+    params, resolved = _detector_common(cfg, p)
     I_bi = resolved["I_bi"]
     dw_bi = resolved["delta_omega_bi"]
-    # every grid value is checked before any operating point is solved
-    ratios = _finite("detuning_ratios",
-                     _floats(cfg.grid.get("detuning_ratios", "0, 0.2, 0.4")))
-    n_pts = _points(cfg, "drive_points", 30)
-    lo, = _finite("drive_min_ratio", [float(cfg.grid.get("drive_min_ratio", 0.05))], 0.0)
-    hi, = _finite("drive_max_ratio", [float(cfg.grid.get("drive_max_ratio", 0.95))], 0.0)
-    bath_T = float(cfg.grid.get("bath_T_K", 0.0))
-    drive_ratios = np.linspace(lo, hi, n_pts)
+    drive_ratios = np.linspace(g["drive_min_ratio"], g["drive_max_ratio"], g["drive_points"])
 
-    curves = [("duffing", r) for r in ratios] + [("harmonic", 0.0)]
-    harmonic = build_detector_params(dict(cfg.params, K_d="0"))
+    curves = [("duffing", r) for r in g["detuning_ratios"]] + [("harmonic", 0.0)]
+    harmonic = dataclasses.replace(params, K_d=0.0)
     _, _, I_bi_harm = detector.bistability_onset(harmonic)
 
     rows = []
     for label, r in curves:
-        p, scale = (harmonic, I_bi_harm) if label == "harmonic" else (params, I_bi)
-        try:
-            rows += _signal_noise_curve(cfg, label, p, r, r * abs(dw_bi), scale,
-                                        drive_ratios, bath_T)
-        except OverflowError as exc:
-            raise _drive_overflow(lo, hi, f"detuning_ratios {ratios}") from exc
+        curve_params, scale = (harmonic, I_bi_harm) if label == "harmonic" else (params, I_bi)
+        rows += _signal_noise_curve(cfg, label, curve_params, r, r * abs(dw_bi), scale,
+                                    drive_ratios, g["bath_T_K"])
 
     header = ["I_over_Ibi", "curve", "detuning_ratio", "I_0_A", "signal_A2",
               "noise_A2", "caves_A2", "noise_to_signal", "R_omega", "R_gamma",
@@ -240,46 +195,28 @@ def _run_detector_signal_noise(cfg: ScenarioConfig):
     return resolved, {"signal_noise": (header, rows)}
 
 
-def _run_detector_bistability(cfg: ScenarioConfig):
-    params, resolved = _detector_common(cfg)
-    lo, = _finite("ratio_min", [float(cfg.grid.get("ratio_min", 1.0))])
-    hi, = _finite("ratio_max", [float(cfg.grid.get("ratio_max", 3.0))])
-    n = _points(cfg, "points", 101)
-    try:  # the boundary is a function of the ratio alone
-        rows = [[r, *detector.bistability_boundary(params, float(r))]
-                for r in np.linspace(lo, hi, n)]
-    except OverflowError as exc:
-        raise ValueError(f"ratio_min {lo} or ratio_max {hi} overflows the boundary") from exc
+def _run_detector_bistability(cfg: ScenarioConfig, p: dict, g: dict):
+    params, resolved = _detector_common(cfg, p)
+    rows = [[r, *detector.bistability_boundary(params, float(r))]
+            for r in np.linspace(g["ratio_min"], g["ratio_max"], g["points"])]
     header = ["detuning_over_detuning_bi", "I_lower_over_Ibi", "I_upper_over_Ibi"]
     return resolved, {"bistability": (header, rows)}
 
 
-def _run_detector_cooling(cfg: ScenarioConfig):
-    params, resolved = _detector_common(cfg)
+def _run_detector_cooling(cfg: ScenarioConfig, p: dict, g: dict):
+    params, resolved = _detector_common(cfg, p)
     I_bi = resolved["I_bi"]
-    dw_bi = resolved["delta_omega_bi"]
-    # every grid value is checked before any drive is solved
-    mode = cfg.grid.get("detuning_mode", "ratio")
-    if mode == "optimal-harmonic":
+    if g["detuning_mode"] == "optimal-harmonic":
         detuning = -math.sqrt(params.omega_m ** 2 + params.gamma_pT ** 2)
-    elif mode == "ratio":
-        ratio, = _finite("detuning_ratio", [float(cfg.grid.get("detuning_ratio", 1.3))])
-        detuning = ratio * dw_bi
+    elif math.isfinite(g["detuning_ratio"]):
+        detuning = g["detuning_ratio"] * resolved["delta_omega_bi"]
     else:
-        raise ValueError(f"detuning_mode must be ratio or optimal-harmonic, got {mode!r}")
+        raise ValueError(f"detuning_ratio must be finite in ratio mode, got "
+                         f"{g['detuning_ratio']}")
     resolved["detuning"] = detuning
-    n_pts = _points(cfg, "drive_points", 40)
-    lo, = _finite("drive_min_ratio", [float(cfg.grid.get("drive_min_ratio", 0.2))], 0.0)
-    hi, = _finite("drive_max_ratio", [float(cfg.grid.get("drive_max_ratio", 1.2))], 0.0)
-    temps = _floats(cfg.grid.get("bath_T_K", "0"))
-    I_grid = np.linspace(lo, hi, n_pts) * I_bi
-
-    try:
-        all_rows = detector.cooling_curve(params, detuning, I_grid, temps)
-    except OverflowError as exc:  # the drive and the detector params enter together
-        raise _drive_overflow(lo, hi, f"detuning {detuning} rad/s") from exc
+    I_grid = np.linspace(g["drive_min_ratio"], g["drive_max_ratio"], g["drive_points"]) * I_bi
     rows = []
-    for row in all_rows:
+    for row in detector.cooling_curve(params, detuning, I_grid, g["bath_T_K"]):
         if row["gate_failure"]:
             cfg.warnings.append(
                 f"drive {row['I_0'] / I_bi:.3f} I_bi, T={row['bath_T']}: "
@@ -296,16 +233,14 @@ def _run_detector_cooling(cfg: ScenarioConfig):
 # hawking scenario
 # ---------------------------------------------------------------------------
 
-def _run_hawking_line(cfg: ScenarioConfig):
-    params = build_line_params(cfg.params)
-    n = _points(cfg, "xi_points", 201)
-    amplitude = float(cfg.params.get("amplitude_phi0", 0.2))
-    if "rise_scale_m" in cfg.params:
-        rise = float(cfg.params["rise_scale_m"])
-    else:
-        frac = float(cfg.params.get("gradient_rate_over_plasma", 0.1))
+def _run_hawking_line(cfg: ScenarioConfig, p: dict, g: dict):
+    params = build_line_params(p)
+    amplitude = p["amplitude_phi0"]
+    rise = p.get("rise_scale_m")
+    if rise is None:
+        frac = p["gradient_rate_over_plasma"]
         target = frac * params.plasma_frequency(0.0) / TWO_PI
-        if not (frac > 0.0 and 0.0 < target < math.inf):
+        if not 0.0 < target < math.inf:
             raise ValueError(f"gradient_rate_over_plasma must give a positive finite "
                              f"target rate, got {frac} ({target} Hz)")
         rise = hawking.rise_scale_for_gradient_rate(amplitude, params, target)
@@ -334,7 +269,7 @@ def _run_hawking_line(cfg: ScenarioConfig):
     if gates["Z_A_over_R_Q"] >= 1.0:
         cfg.warnings.append(f"impedance gate Z_A/R_Q = {gates['Z_A_over_R_Q']:.3g} >= 1")
 
-    xi = np.linspace(*pulse.window, n)
+    xi = np.linspace(*pulse.window, g["xi_points"])
     flux = pulse(xi)
     c = hawking.propagation_velocity(flux, params)
     g_tt, _, _ = hawking.metric_components(c, params)
@@ -351,22 +286,11 @@ def _run_hawking_line(cfg: ScenarioConfig):
 # trilinear scenarios
 # ---------------------------------------------------------------------------
 
-def _tau_grid(cfg):
-    tau_max = float(cfg.grid.get("tau_max", 3.0))
-    if not 0.0 < tau_max < math.inf:
-        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
-    return np.linspace(0.0, tau_max, _points(cfg, "tau_points", 400))
-
-
-def _run_trilinear_evolve(cfg: ScenarioConfig):
-    mean_occ = float(cfg.params.get("mean_occupation", 9))
-    dim = float(cfg.params.get("dim_per_mode", 0))
-    if not (dim == 0.0 or (2.0 <= dim < math.inf and dim == int(dim))):
-        raise ValueError(f"dim_per_mode must be 0 (auto) or a finite whole count of at "
-                         f"least 2, got {dim}")
+def _run_trilinear_evolve(cfg: ScenarioConfig, p: dict, g: dict):
+    mean_occ = p["mean_occupation"]
     # margin over the pump tail gate keeps the signal/idler boundary clean
-    dim = int(dim) or fock.min_coherent_dim(mean_occ) + 3
-    taus = _tau_grid(cfg)
+    dim = p["dim_per_mode"] or fock.min_coherent_dim(mean_occ) + 3
+    taus = np.linspace(0.0, g["tau_max"], g["tau_points"])
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
 
     A = math.sqrt(mean_occ)
@@ -413,21 +337,17 @@ def _info_diagnostics(C, blocks):
             d_gap)
 
 
-def _run_trilinear_info(cfg: ScenarioConfig):
-    means = _floats(cfg.params.get("mean_occupations", "1, 3, 6, 9"))
-    taus = _tau_grid(cfg)
-    tiers = [tok.strip() for tok in cfg.params.get("tiers", "short,full").split(",")]
-    if not set(tiers) <= {"short", "full"}:
-        raise ValueError(f"tiers must be a comma list of short, full; got {tiers}")
+def _run_trilinear_info(cfg: ScenarioConfig, p: dict, g: dict):
+    taus = np.linspace(0.0, g["tau_max"], g["tau_points"])
     rows = []
     resolved = {"dims": {}}
-    for mean_occ in means:
+    for mean_occ in p["mean_occupations"]:
         dim = fock.min_coherent_dim(mean_occ) + 3
         resolved["dims"][mean_occ] = dim
         initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
         runs = {"short": trilinear.short_time_state, "full": trilinear.full_state}
         # both streams are made (and the full tier's leak gate read) first
-        streams = [(tier, runs[tier](initial, taus)) for tier in runs if tier in tiers]
+        streams = [(tier, runs[tier](initial, taus)) for tier in runs if tier in p["tiers"]]
         for tier, blocks in streams:
             C = np.zeros((taus.size, dim, dim), dtype=initial.coefficients.dtype)
             rows += [[tau, mean_occ, tier, *cells]
@@ -463,11 +383,15 @@ def run(cfg: ScenarioConfig) -> int:
     try:
         if not cfg.grid and cfg.kind != "hawking-line":
             raise ValueError("empty grid section")
+        family = cfg.kind.split("-")[0]
+        param_keys, grid_keys = SCHEMAS[cfg.kind]
+        params = checked(param_keys, cfg.params, family)
+        grid = checked(grid_keys, cfg.grid, family)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         # numerical warnings of any runner go to the manifest, not stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resolved, tables = _RUNNERS[cfg.kind](cfg)
+            resolved, tables = _RUNNERS[cfg.kind](cfg, params, grid)
         cfg.warnings.extend(str(w.message) for w in caught)
         paths = [cfg.output_dir / f"{cfg.label}_{name}.csv" for name in tables]
         for path, (header, rows) in zip(paths, tables.values()):
@@ -480,6 +404,11 @@ def run(cfg: ScenarioConfig) -> int:
     except (ConvergenceError, FitDegenerateError) as exc:
         print(f"numerical convergence error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except ArithmeticError as exc:  # a finite input overflowing, or an underflow to 0
+        print(f"config error: the {family} params or the grid keys "
+              f"{', '.join(SCHEMAS[cfg.kind][1])} take a resolved quantity out of "
+              f"floating-point range ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

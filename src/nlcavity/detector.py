@@ -48,19 +48,17 @@ class DetectorParams:
     Q_m: float
     mass: float
     I_c: float
-    C_J: float
     phi_ext: float
-    B_ext: float
     K_d: float
     K_Tm: float
     loop_inductance: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("Z_p", "omega_T", "Q_T", "omega_m", "Q_m", "mass", "I_c", "C_J"):
+        for name in ("Z_p", "omega_T", "Q_T", "omega_m", "Q_m", "mass", "I_c"):
             x = getattr(self, name)
             if not (x > 0.0) or not math.isfinite(x):
                 raise ValueError(f"{name} must be positive and finite, got {x}")
-        for name in ("phi_ext", "B_ext", "K_d", "K_Tm", "loop_inductance"):
+        for name in ("phi_ext", "K_d", "K_Tm", "loop_inductance"):
             x = getattr(self, name)
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
@@ -199,8 +197,8 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
     c1 = (dw ** 2 + gpt ** 2) / wk ** 2
     c0 = -2.0 * gpt * b_in_sq / wk ** 2
     roots = [E for E in solve_cubic_real(c2, c1, c0) if E > 0.0]
-    if not roots:
-        raise RuntimeError("mean-field cubic produced no physical (E > 0) root")
+    if not roots:  # c0 < 0 forces a positive root unless c0 underflowed to 0
+        raise FloatingPointError("mean-field cubic produced no physical (E > 0) root")
 
     labels = {1: ("small",), 2: ("small", "large"),
               3: ("small", "unstable", "large")}[len(roots)]

@@ -35,11 +35,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     retained = float(np.sum(np.exp(logp)))
     tail = max(0.0, 1.0 - retained)
     if tail >= 1e-6:
-        d = dim
-        cum = retained
-        while cum < 1.0 - 1e-6 and d < 10_000:
-            cum += math.exp(d * math.log(nbar) - nbar - math.lgamma(d + 1))
-            d += 1
+        d = min_coherent_dim(nbar)
         raise TruncationError(
             f"coherent-state tail {tail:.3e} >= 1e-6 at dim={dim}; need dim >= {d}",
             leak=tail, required_dim=d)
@@ -65,5 +61,6 @@ def min_coherent_dim(mean_occupation: float, tail_bound: float = 1e-6) -> int:
                         - math.lgamma(d + 1))
         d += 1
         if d > 100_000:
-            raise RuntimeError("coherent tail search runaway")
+            raise ValueError(f"mean occupation {mean_occupation} needs more than 100000 "
+                             "Fock levels")
     return max(d, 2)

@@ -3,13 +3,16 @@
 Every preset is a flat, config-serializable mapping (section -> key ->
 string) so it round-trips unchanged through the INI config format; the CLI
 resolves it exactly like a user-supplied file. Frequencies carry the _hz
-suffix and are converted to rad/s at build time.
+suffix and are converted to rad/s at build time. The key tables (SCHEMAS)
+give every [params] and [grid] key of each scenario kind its type, range
+and default; the CLI checks a config against them before it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 from .constants import TWO_PI, Phi0
 from .detector import DetectorParams
@@ -104,60 +107,163 @@ def list_presets() -> dict[str, dict]:
             for name, body in PRESETS.items()}
 
 
-def build_detector_params(p: dict) -> DetectorParams:
-    """DetectorParams from a flat config mapping (strings or numbers);
-    B_ext_T and loop_inductance_H are optional, every other key is required."""
-    def g(key, optional=False):
-        if key in p:
-            return float(p[key])
-        if optional:
-            return None
-        raise ValueError(f"detector config needs {key}")
+# ---------------------------------------------------------------------------
+# config key tables: every [params] and [grid] key of each scenario kind
+# ---------------------------------------------------------------------------
 
+# a range is (what a value must be, its test)
+FINITE = ("finite", math.isfinite)
+POSITIVE = ("positive and finite", lambda x: 0.0 < x < math.inf)
+AT_LEAST_0 = ("finite and at least 0", lambda x: 0.0 <= x < math.inf)
+AT_LEAST_1 = ("finite and at least 1", lambda x: 1.0 <= x < math.inf)
+COUNT = ("a finite whole count of at least 1", lambda n: 1.0 <= n < math.inf and n == int(n))
+REQUIRED, OPTIONAL = "required", "optional"
+_PARSERS = {"float": float, "count": float, "word": lambda text: str(text).strip(),
+            "floats": lambda text: [float(tok) for tok in str(text).replace(",", " ").split()],
+            "words": lambda text: [tok.strip() for tok in str(text).split(",")]}
+
+
+class Key(NamedTuple):
+    """A [params] or [grid] key: the range of its value (of each item of a
+    floats or words list), its typed default (an absent OPTIONAL key is left
+    out), its ``_PARSERS`` type, and if it is inert: read by no formula."""
+
+    range: tuple
+    default: object = REQUIRED
+    type: str = "float"
+    inert: bool = False
+
+
+DETECTOR_PARAMS = {
+    **dict.fromkeys(("Z_p_ohm", "omega_T_hz", "Q_T", "omega_m_hz", "Q_m", "mass_kg", "I_c_A"),
+                    Key(POSITIVE)),
+    "C_J_F": Key(POSITIVE, inert=True),
+    **dict.fromkeys(("phi_ext_phi0", "K_d", "K_Tm"), Key(FINITE)),
+    "B_ext_T": Key(FINITE, OPTIONAL, inert=True),
+    "loop_inductance_H": Key(FINITE, OPTIONAL),
+}
+
+LINE_PARAMS = {
+    **dict.fromkeys(("I_c_A", "C_0_F", "a_m"), Key(POSITIVE)),
+    "N": Key(COUNT, type="count"),
+    # C_J_F or else plasma_freq_hz; rise_scale_m or else gradient_rate_over_plasma
+    **dict.fromkeys(("C_J_F", "plasma_freq_hz", "rise_scale_m"), Key(POSITIVE, OPTIONAL)),
+    "loop_inductance_H": Key(FINITE, OPTIONAL),
+    "u_over_c0flux": Key(POSITIVE, 0.95),
+    "amplitude_phi0": Key(("at least 0 and below 0.5", lambda x: 0.0 <= x < 0.5), 0.2),
+    "gradient_rate_over_plasma": Key(POSITIVE, 0.1),
+}
+
+_TAU_GRID = {"tau_max": Key(POSITIVE, 3.0), "tau_points": Key(COUNT, 400, "count")}
+
+# scenario kind -> ([params] keys, [grid] keys)
+SCHEMAS = {
+    "detector-signal-noise": (DETECTOR_PARAMS, {
+        "detuning_ratios": Key(FINITE, (0.0, 0.2, 0.4), "floats"),
+        "drive_points": Key(COUNT, 30, "count"),
+        "drive_min_ratio": Key(AT_LEAST_0, 0.05), "drive_max_ratio": Key(AT_LEAST_0, 0.95),
+        "bath_T_K": Key(AT_LEAST_0, 0.0),
+    }),
+    "detector-bistability": (DETECTOR_PARAMS, {
+        # the bistable region: detunings of at least the onset detuning
+        "ratio_min": Key(AT_LEAST_1, 1.0), "ratio_max": Key(AT_LEAST_1, 3.0),
+        "points": Key(COUNT, 101, "count"),
+    }),
+    "detector-cooling": (DETECTOR_PARAMS, {
+        "detuning_mode": Key(("ratio or optimal-harmonic",
+                              {"ratio", "optimal-harmonic"}.__contains__), "ratio", "word"),
+        "detuning_ratio": Key(("a number, read (and checked finite) in ratio mode only",
+                               lambda x: True), 1.3),
+        "drive_points": Key(COUNT, 40, "count"),
+        "drive_min_ratio": Key(AT_LEAST_0, 0.2), "drive_max_ratio": Key(AT_LEAST_0, 1.2),
+        "bath_T_K": Key(AT_LEAST_0, (0.0,), "floats"),
+    }),
+    "hawking-line": (LINE_PARAMS, {"xi_points": Key(COUNT, 201, "count")}),
+    "trilinear-evolve": ({
+        "mean_occupation": Key(AT_LEAST_0, 9.0),
+        "dim_per_mode": Key(("0 (auto) or a finite whole count of at least 2",
+                             lambda n: n == 0.0 or (COUNT[1](n) and n >= 2.0)), 0, "count"),
+    }, _TAU_GRID),
+    "trilinear-info": ({
+        "mean_occupations": Key(AT_LEAST_0, (1.0, 3.0, 6.0, 9.0), "floats"),
+        "tiers": Key(("short or full", {"short", "full"}.__contains__), ("short", "full"),
+                     "words"),
+    }, _TAU_GRID),
+}
+
+
+def checked(keys: dict, raw: dict, family: str) -> dict:
+    """The values of a flat [params] or [grid] mapping (strings or numbers),
+    parsed and range-checked against its key table, with defaults filled in.
+    An unknown key, a missing required one or a value out of range raises
+    ValueError naming the key; ``family`` names the config."""
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown {family} config key {unknown[0]!r}; the keys are "
+                         f"{', '.join(keys)}")
+    values = {}
+    for key, spec in keys.items():
+        if key not in raw:
+            if spec.default is REQUIRED:
+                raise ValueError(f"{family} config needs {key}")
+            if spec.default is not OPTIONAL:
+                values[key] = spec.default
+            continue
+        what, ok = spec.range
+        try:
+            value = _PARSERS[spec.type](raw[key])
+        except ValueError:  # text that is no number
+            value = []
+        items = value if isinstance(value, list) else [value]
+        if not (items and all(map(ok, items))):
+            raise ValueError(f"{key} must be {what}, got {raw[key]!r}")
+        values[key] = int(value) if spec.type == "count" else value
+    return values
+
+
+def build_detector_params(p: dict) -> DetectorParams:
+    """DetectorParams from a flat [params] mapping (strings or numbers),
+    checked against DETECTOR_PARAMS."""
+    v = checked(DETECTOR_PARAMS, p, "detector")
     return DetectorParams(
-        Z_p=g("Z_p_ohm"),
-        omega_T=TWO_PI * g("omega_T_hz"),
-        Q_T=g("Q_T"),
-        omega_m=TWO_PI * g("omega_m_hz"),
-        Q_m=g("Q_m"),
-        mass=g("mass_kg"),
-        I_c=g("I_c_A"),
-        C_J=g("C_J_F"),
-        phi_ext=g("phi_ext_phi0"),
-        B_ext=g("B_ext_T", optional=True),
-        K_d=g("K_d"),
-        K_Tm=g("K_Tm"),
-        loop_inductance=g("loop_inductance_H", optional=True),
+        Z_p=v["Z_p_ohm"],
+        omega_T=TWO_PI * v["omega_T_hz"],
+        Q_T=v["Q_T"],
+        omega_m=TWO_PI * v["omega_m_hz"],
+        Q_m=v["Q_m"],
+        mass=v["mass_kg"],
+        I_c=v["I_c_A"],
+        phi_ext=v["phi_ext_phi0"],
+        K_d=v["K_d"],
+        K_Tm=v["K_Tm"],
+        loop_inductance=v.get("loop_inductance_H"),
     )
 
 
 def build_line_params(p: dict) -> LineParams:
-    """LineParams from a flat config mapping; C_J may be given directly or
-    implied by a target zero-flux plasma frequency."""
-    I_c = float(p["I_c_A"])
-    if "C_J_F" in p:
-        C_J = float(p["C_J_F"])
-    else:
-        w_p = TWO_PI * float(p["plasma_freq_hz"])
-        try:  # w_p^2 overflows as an exception, or underflows to 0
-            scale = 2.0 * Phi0 * w_p ** 2
-        except OverflowError:
-            scale = math.inf
-        if not (w_p > 0.0 and 0.0 < scale < math.inf):
+    """LineParams from a flat [params] mapping, checked against LINE_PARAMS;
+    C_J may be given directly or implied by a target zero-flux plasma
+    frequency."""
+    v = checked(LINE_PARAMS, p, "hawking")
+    I_c = v["I_c_A"]
+    C_J = v.get("C_J_F")
+    if C_J is None:
+        if "plasma_freq_hz" not in v:
+            raise ValueError("hawking config needs C_J_F or plasma_freq_hz")
+        w_p = TWO_PI * v["plasma_freq_hz"]
+        scale = 2.0 * Phi0 * (w_p * w_p)  # w_p^2 may overflow to inf or underflow to 0
+        if not 0.0 < scale < math.inf:
             raise ValueError("plasma_freq_hz must be positive with a finite, nonzero "
                              f"square, got {p['plasma_freq_hz']}")
         C_J = TWO_PI * (2.0 * I_c) / scale
-    N = float(p["N"])
-    if not (1.0 <= N < math.inf and N == int(N)):
-        raise ValueError(f"N must be a finite whole count of at least 1, got {N}")
     params = LineParams(
         I_c=I_c,
         C_J=C_J,
-        C_0=float(p["C_0_F"]),
-        a=float(p["a_m"]),
-        N=int(N),
+        C_0=v["C_0_F"],
+        a=v["a_m"],
+        N=v["N"],
         u=1.0,  # placeholder, fixed next from the velocity ratio
-        loop_inductance=float(p["loop_inductance_H"]) if "loop_inductance_H" in p else None,
+        loop_inductance=v.get("loop_inductance_H"),
     )
-    u = float(p.get("u_over_c0flux", "0.95")) * propagation_velocity(0.0, params)
+    u = v["u_over_c0flux"] * propagation_velocity(0.0, params)
     return dataclasses.replace(params, u=u)

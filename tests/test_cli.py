@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nlcavity
 from nlcavity import detector, fock, hawking, qinfo, trilinear
@@ -19,7 +20,6 @@ from nlcavity.cli import (
     EXIT_PHYSICS,
     ScenarioConfig,
     _info_diagnostics,
-    _tau_grid,
     _write_csv,
     config_from_preset,
     load_config,
@@ -28,7 +28,13 @@ from nlcavity.cli import (
 )
 from nlcavity.constants import hbar, k_B
 from nlcavity.errors import FitDegenerateError
-from nlcavity.presets import build_detector_params, build_line_params, list_presets
+from nlcavity.presets import (
+    SCHEMAS,
+    build_detector_params,
+    build_line_params,
+    checked,
+    list_presets,
+)
 from oracles import (
     assemble,
     blocks_of,
@@ -128,6 +134,25 @@ HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
                ("N", "4800.5"), ("plasma_freq_hz", "1e-200"), ("plasma_freq_hz", "1e200"),
                ("plasma_freq_hz", "-1e12"), ("gradient_rate_over_plasma", "1e300"),
                ("gradient_rate_over_plasma", "-0.1"), ("gradient_rate_over_plasma", "nan")]
+DETECTOR_PRESETS = [name for name, body in list_presets().items()
+                    if body["scenario"]["kind"].startswith("detector-")]
+# finite inputs that divide by an underflowed zero (omega_T_hz, omega_m_hz) or
+# underflow the mean-field cubic's constant term to 0 (Q_T, the drive ratios)
+DEGENERATE = [*[(name, "params", "omega_T_hz", value) for name in DETECTOR_PRESETS
+                for value in ("0.5", "2.5", "1e-300")],
+              ("ch2-detection", "params", "omega_T_hz", "1e6"),
+              *[(name, section, key, value) for name in DETECTOR_PRESETS
+                for section, key, value in [("params", "omega_m_hz", "1e-300"),
+                                            ("params", "Q_T", "1e300"),
+                                            ("grid", "drive_min_ratio", "1e-300"),
+                                            ("grid", "drive_max_ratio", "1e-300")]]]
+
+
+def _preset_with(name, section, key, value):
+    """(kind, params, grid) of preset ``name`` with one key set to ``value``."""
+    body = list_presets()[name]
+    body[section][key] = value
+    return body["scenario"]["kind"], body["params"], body["grid"]
 
 
 @pytest.mark.parametrize("kind, params, grid", [
@@ -176,6 +201,11 @@ HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
     ("detector-bistability", dict(CH2, K_Tm="1e300"), {"points": "3"}),
     ("detector-cooling", dict(CH2, K_Tm="1e300"), COOL_GRID),
     *[("hawking-line", dict(BELTRAN, **{key: value}), {}) for key, value in HAWKING_BAD],
+    *[_preset_with(*case) for case in DEGENERATE],
+    ("trilinear-evolve", {"mean_occupation": "2e5"}, {"tau_points": "3"}),
+    ("trilinear-evolve", {"mean_occupation": "2e5", "dim_per_mode": "30"}, {"tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS, mean_occupations="2e5"), {"tau_points": "3"}),
+    ("trilinear-info", dict(INFO_PARAMS, mean_occupations="1e6"), {"tau_points": "3"}),
 ], ids=["Q_T-inf", "Q_T-nan", "bath_T-negative", "cooling-bath_T-nan",
         "cooling-bath_T-inf", "signal-noise-bath_T-nan", "signal-noise-bath_T-inf",
         "drive_points-0", "points-0", "xi_points-0", "tau_points-0",
@@ -188,7 +218,10 @@ HAWKING_BAD = [("rise_scale_m", "1e-320"), ("rise_scale_m", "1e-200"),
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
         "drive_max_ratio-inf", "drive_min_ratio-negative", "detuning_mode-underscore",
         "signal-noise-K_Tm-1e300", "bistability-K_Tm-1e300", "cooling-K_Tm-1e300",
-        *[f"{key}-{value}" for key, value in HAWKING_BAD]])
+        *[f"{key}-{value}" for key, value in HAWKING_BAD],
+        *[f"{name}-{key}-{value}" for name, _, key, value in DEGENERATE],
+        "evolve-mean_occupation-2e5", "evolve-dim_per_mode-30-mean_occupation-2e5",
+        "mean_occupations-2e5", "mean_occupations-1e6"])
 def test_bad_numbers_exit_2(tmp_path, kind, params, grid):
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -315,6 +348,120 @@ def test_missing_coupling_constant_names_the_key(tmp_path, capsys, kind, key):
     assert capsys.readouterr().err == f"config error: detector config needs {key}\n"
 
 
+# a small valid config of each scenario kind: (params, grid)
+SMALL = {
+    "detector-signal-noise": (CH2, dict(SIGNAL_NOISE_GRID, drive_points="2")),
+    "detector-bistability": (CH2, {"points": "3"}),
+    "detector-cooling": (CH2, COOL_GRID),
+    "hawking-line": (BELTRAN, {"xi_points": "5"}),
+    "trilinear-evolve": ({"mean_occupation": "1"}, {"tau_points": "3"}),
+    "trilinear-info": (INFO_PARAMS, {"tau_points": "3"}),
+}
+
+
+@pytest.mark.parametrize("kind", SMALL)
+@pytest.mark.parametrize("section", ["params", "grid"])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, kind, section):
+    params, grid = (dict(raw) for raw in SMALL[kind])
+    (params if section == "params" else grid)["no_such_key"] = "1"
+    cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown") and "'no_such_key'" in err
+
+
+@pytest.mark.parametrize("preset, section, typo, value", [
+    ("ch3-beltran", "params", "amplitdue", "0.3"), ("ch4-coherent9", "grid", "tau_ponts", "5"),
+    ("ch2-detection", "grid", "drive_point", "5"), ("ch2-cooling-Q1e4", "params", "Q_M", "1e4")])
+def test_misspelt_key_exits_2_before_running(tmp_path, capsys, preset, section, typo, value):
+    # a misspelt key used to run the scenario on the default of the key meant
+    cfg = config_from_preset(preset, tmp_path)
+    getattr(cfg, section)[typo] = value
+    assert run(cfg) == EXIT_CONFIG
+    assert f"unknown {cfg.kind.split('-')[0]} config key {typo!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_missing_line_constant_names_the_key(tmp_path, capsys):
+    params = {k: v for k, v in BELTRAN.items() if k != "I_c_A"}
+    cfg = ScenarioConfig(kind="hawking-line", params=params, grid={}, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: hawking config needs I_c_A\n"
+
+
+def _bad_values(key):
+    """Raw values the key table refuses for ``key``: a non-finite number or
+    no number, a finite number out of its range (when it has one), a
+    fractional count, an empty list or an unknown word."""
+    what, ok = key.range
+    if key.type in ("word", "words"):
+        words = st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=12)
+        bad = words.filter(lambda word: not ok(word))
+        return st.one_of(bad, st.just("")) if key.type == "words" else bad
+    values = [st.sampled_from(["nan", "inf", "-inf", "1e400", "one"])]
+    if not (ok(-1.0) and ok(1e300)):
+        values.append(st.floats(-1e300, 1e300).filter(lambda x: not ok(x)).map(repr))
+    if key.type == "count":
+        values.append(st.floats(0.0, 1e6).filter(lambda x: x != int(x)).map(repr))
+    if key.type == "floats":
+        values.append(st.just(""))
+    return st.one_of(values)
+
+
+@pytest.mark.parametrize("kind, section, name", [
+    (kind, section, name) for kind, tables in SCHEMAS.items()
+    for section, keys in zip(("params", "grid"), tables) for name in keys])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_key_table_refusals_exit_2_naming_the_key(tmp_path, capsys, kind, section, name,
+                                                 data):
+    # generated from the key tables: every value a key's range refuses (and a
+    # non-finite detuning_ratio, which the ratio-mode runner refuses) exits 2
+    # naming the key, on a config that runs with every other key as given
+    keys = SCHEMAS[kind][section == "grid"]
+    value = data.draw(_bad_values(keys[name]), label=name)
+    params, grid = (dict(raw) for raw in SMALL[kind])
+    (params if section == "params" else grid)[name] = value
+    cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
+    capsys.readouterr()
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {name} must be")
+
+
+def test_presets_and_bench_configs_pass_the_key_tables(monkeypatch):
+    # every preset, and every benchmark workload config at seeds 0-5, uses only
+    # table keys with values in range
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    configs = [(body["scenario"]["kind"], body["params"], body["grid"])
+               for body in list_presets().values()]
+    configs += [(sc.kind, sc.params, sc.grid) for name in workloads.WORKLOADS
+                for seed in range(6) for sc in workloads.scenarios(name, seed)]
+    assert len(configs) > 5 * 6
+    for kind, params, grid in configs:
+        for keys, raw in zip(SCHEMAS[kind], (params, grid)):
+            checked(keys, raw, kind)
+
+
+def test_readme_key_tables_follow_the_schema():
+    # every key of every kind has a README row rendered from its table entry
+    # (type, default, range, inert; the unit column is prose)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {tuple(cell.strip() for cell in line.split("|")[1:-1])
+            for line in readme.splitlines() if line.startswith("| `")}
+    rows = {row[:2] + row[3:] for row in rows if len(row) == 6}
+    for param_keys, grid_keys in SCHEMAS.values():
+        for name, key in {**param_keys, **grid_keys}.items():
+            default = (", ".join(map(str, key.default)) if isinstance(key.default, tuple)
+                       else str(key.default))
+            row = (f"`{name}`", key.type, default, key.range[0], "inert" if key.inert else "")
+            assert row in rows, row
+
+
 def test_optimal_harmonic_detuning(tmp_path):
     cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
                          grid=dict(COOL_GRID, detuning_mode="optimal-harmonic",
@@ -403,11 +550,11 @@ def test_run_writes_one_csv_per_table(tmp_path, monkeypatch, kind, params, grid,
 
 
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-1", "0"])
-def test_tau_grid_rejects_bad_tau_max(tau_max):
-    cfg = ScenarioConfig(kind="trilinear-info", params={}, output_dir=Path("."),
+def test_tau_grid_rejects_bad_tau_max(tmp_path, capsys, tau_max):
+    cfg = ScenarioConfig(kind="trilinear-info", params={}, output_dir=tmp_path,
                          grid={"tau_max": tau_max, "tau_points": "3"})
-    with pytest.raises(ValueError, match="tau_max"):
-        _tau_grid(cfg)
+    assert run(cfg) == EXIT_CONFIG
+    assert "tau_max" in capsys.readouterr().err
 
 
 def test_fit_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -294,6 +294,16 @@ def test_min_coherent_dim_rejects_bad_mean(mean):
         min_coherent_dim(mean)
 
 
+def test_coherent_dim_search_runaway_names_the_mean():
+    # 2e5 quanta need more than the 100 000 levels the tail search may try;
+    # coherent_state reports the dimension through the same search, so a
+    # small truncation of such a pump gets the same error, not a false bound
+    with pytest.raises(ValueError, match="needs more than 100000 Fock levels"):
+        min_coherent_dim(2e5)
+    with pytest.raises(ValueError, match="needs more than 100000 Fock levels"):
+        coherent_state(math.sqrt(2e5), 30)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_coherent_rejects_non_finite_amplitude(alpha):
     with pytest.raises(ValueError, match="not finite"):
