@@ -393,7 +393,7 @@ def _bad_values(key):
     """Raw values the key table refuses for ``key``: a non-finite number or
     no number, a finite number out of its range (when it has one), a
     fractional count, an empty list or an unknown word."""
-    what, ok = key.range
+    _, ok = key.range
     if key.type in ("word", "words"):
         words = st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=12)
         bad = words.filter(lambda word: not ok(word))
