@@ -251,19 +251,6 @@ def bistability_boundary(params: DetectorParams, delta_omega_ratio: float):
 # response coefficients (appendix closed forms)
 # ---------------------------------------------------------------------------
 
-def _b_func(omega, omega_prime, params, K_Tm):
-    gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
-    return ((params.omega_T * K_Tm) ** 2 / (4.0 * math.pi)
-            / (omega - params.omega_T + 1j * gpt)
-            * (1.0 / (omega_prime - wm + 1j * gbm)
-               + 1.0 / (-omega_prime - wm - 1j * gbm)))
-
-
-def _d_func(omega, params, K_d):
-    return (params.omega_T * K_d / (2.0 * math.pi)
-            / (omega - params.omega_T + 1j * params.gamma_pT))
-
-
 class _Point(NamedTuple):
     """The drive- and mean-field-dependent factors of the response algebra
     at one operating point: detuning, chi, |chi|^2, |chi|^4, chi^2, the
@@ -296,19 +283,32 @@ def _response_terms(params, pt, omega):
     """(upper, lower, cross_w, determinant) of the 2x2 response system at
     omega. Plain arithmetic, so omega may be real or complex, scalar or
     array, and the ``_Point`` factors scalars or arrays of omega's shape;
-    the zero-frequency argument is 0.0 * omega for the same reason."""
-    K_Tm, K_d = params.K_Tm, params.K_d
-    wp = params.omega_T + pt.dw
+    the zero-frequency argument is 0.0 * omega for the same reason.
+
+    The coupling coefficients are the appendix closed forms
+    b(w, w') = (w_T K_Tm)^2/(4 pi) / (w - w_T + i g_pT)
+    * (1/(w' - w_m + i g_bm) + 1/(-w' - w_m - i g_bm)) and
+    d(w) = w_T K_d/(2 pi) / (w - w_T + i g_pT), at w = omega and at the
+    mirror omega - 2 dw with w' = 0 and w' = omega - omega_p; each cavity
+    factor and mechanical bracket is formed once and shared."""
+    wT, gpt, gbm, wm = params.omega_T, params.gamma_pT, params.gamma_bm, params.omega_m
+    wp = wT + pt.dw
 
     mirror = omega - 2.0 * pt.dw
-    zero = 0.0 * omega
-    b_w_s = _b_func(omega, omega - wp, params, K_Tm)
-    b_m_s = _b_func(mirror, omega - wp, params, K_Tm)
-    d_w = _d_func(omega, params, K_d)
-    d_m = _d_func(mirror, params, K_d)
+    cavity_w = omega - wT + 1j * gpt
+    cavity_m = mirror - wT + 1j * gpt
+    zero, shift = 0.0 * omega, omega - wp
+    mech_0 = 1.0 / (zero - wm + 1j * gbm) + 1.0 / (-zero - wm - 1j * gbm)
+    mech_s = 1.0 / (shift - wm + 1j * gbm) + 1.0 / (-shift - wm - 1j * gbm)
+    b_pref = (wT * params.K_Tm) ** 2 / (4.0 * math.pi)
+    d_pref = wT * params.K_d / (2.0 * math.pi)
+    # b(w, w') = (b_pref / cavity(w)) * mech(w'), d(w) = d_pref / cavity(w)
+    b_cav_w, b_cav_m = b_pref / cavity_w, b_pref / cavity_m
+    b_w_s, b_m_s = b_cav_w * mech_s, b_cav_m * mech_s
+    d_w, d_m = d_pref / cavity_w, d_pref / cavity_m
 
-    upper = 1.0 - 2.0 * pt.chi2 * (_b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
-    lower = 1.0 + 2.0 * pt.chi2 * (_b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
+    upper = 1.0 - 2.0 * pt.chi2 * (b_cav_w * mech_0 + b_w_s + d_w)
+    lower = 1.0 + 2.0 * pt.chi2 * (b_cav_m * mech_0 + b_m_s + d_m)
     cross_w = 2.0 * b_w_s + d_w
     cross_m = 2.0 * b_m_s + d_m
     return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m

@@ -59,6 +59,3 @@ class NonLorentzianError(RuntimeError):
 class NoHorizonError(RuntimeError):
     """Propagation velocity never crosses the pulse velocity."""
 
-
-class CriticalCurrentError(ValueError):
-    """Junction current at or above the flux-suppressed critical current."""

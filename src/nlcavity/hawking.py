@@ -17,14 +17,13 @@ arrays, so a grid of positions is one call.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .constants import Phi0, R_Q, e_charge, hbar, k_B
-from .errors import CriticalCurrentError, NoHorizonError
+from .errors import NoHorizonError
 
 
 @dataclass(frozen=True)
@@ -119,35 +118,6 @@ def tanh_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
     return FluxPulse(shape, inverse, slope, amplitude, rise_scale)
 
 
-def gaussian_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
-    """Bump pulse; generates a black-hole / white-hole horizon pair."""
-    def shape(xi):
-        return amplitude * np.exp(-(xi / rise_scale) ** 2)
-
-    def inverse(phi):
-        if not (0.0 < phi < amplitude):
-            return []
-        x = rise_scale * math.sqrt(math.log(amplitude / phi))
-        return [-x, x]
-
-    def slope(xi):
-        return -2.0 * xi * amplitude / rise_scale ** 2 * np.exp(-(xi / rise_scale) ** 2)
-    return FluxPulse(shape, inverse, slope, amplitude, rise_scale)
-
-
-def junction_inductance(I: float, phi_ext: float, params: LineParams) -> float:
-    """Current- and flux-dependent cell inductance
-    L = Phi0 arcsin(I/I_c^s)/(2 pi I), with the small-current limit
-    Phi0/(2 pi I_c^s); scalar in both arguments."""
-    ics = params.critical_current(phi_ext)
-    if abs(I) >= ics:
-        raise CriticalCurrentError(
-            f"|I|={abs(I)} exceeds flux-suppressed critical current {ics}")
-    if abs(I) < 1e-12 * ics:
-        return Phi0 / (2.0 * math.pi * ics)
-    return Phi0 * math.asin(I / ics) / (2.0 * math.pi * I)
-
-
 def propagation_velocity(phi_ext, params: LineParams):
     """Low-current propagation speed c = a/sqrt(L C_0) at flux phi_ext, with
     the small-current cell inductance L = Phi0/(2 pi I_c^s); this is
@@ -156,29 +126,18 @@ def propagation_velocity(phi_ext, params: LineParams):
     return params.a / np.sqrt(L * params.C_0)
 
 
-def dispersion(k: float, phi_ext: float, params: LineParams) -> float:
-    """Lattice dispersion w = (2c/a) |sin(k a / 2)| inside the Brillouin
-    zone |k| a <= pi, with c the propagation speed at phi_ext."""
-    if abs(k) * params.a > math.pi + 1e-12:
-        raise ValueError(f"|k|a = {abs(k) * params.a} outside the Brillouin zone")
-    c = propagation_velocity(phi_ext, params)
-    return 2.0 * c / params.a * abs(math.sin(0.5 * k * params.a))
-
-
 def metric_components(c: float, params: LineParams):
     """Effective 1+1 metric entries (g_tt, g_tx, g_xx) = (c^2 - u^2, -u, -1)
     where the local propagation speed is c."""
     return (c * c - params.u ** 2, -params.u, -1.0)
 
 
-def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False):
-    """All comoving positions where c(xi) = u: the pulse's inverse at the
-    horizon flux phi_h = arccos((u/c0)^2)/pi, where c0 sqrt(cos(pi phi_h))
-    = u, kept inside the pulse window. No flux slows the line to u >= c0.
-
-    A single root (step-like pulse) is the black-hole horizon. Multiple
-    roots mean a white-hole partner is present: rejected with a warning
-    unless ``allow_pair``.
+def find_horizon(pulse: FluxPulse, params: LineParams):
+    """All comoving positions where c(xi) = u, ascending: the pulse's
+    inverse at the horizon flux phi_h = arccos((u/c0)^2)/pi, where
+    c0 sqrt(cos(pi phi_h)) = u, kept inside the pulse window. No flux slows
+    the line to u >= c0. A step-like pulse has one root, the black-hole
+    horizon.
     """
     ratio = params.u / propagation_velocity(0.0, params)
     phi_h = math.acos(ratio ** 2) / math.pi if ratio < 1.0 else math.nan
@@ -187,13 +146,6 @@ def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False)
     if not roots:
         raise NoHorizonError(
             "propagation velocity never crosses the pulse velocity u")
-    if len(roots) > 1:
-        warnings.warn(f"{len(roots)} horizons found: white-hole partner present",
-                      RuntimeWarning, stacklevel=2)
-        if not allow_pair:
-            raise NoHorizonError(
-                f"{len(roots)} horizons found; pass allow_pair=True for "
-                "black-hole/white-hole pairs")
     return roots
 
 

@@ -11,10 +11,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, FitDegenerateError
 
 _EPS = np.finfo(float).eps
+
+# the LAPACK gesv gufunc behind np.linalg.solve(a, b) for a vector b, called
+# without that wrapper's checks and casts (about a quarter of its cost on a
+# 3x3): a singular system comes back as NaN instead of raising LinAlgError
+_solve = _umath_linalg.solve1
 
 
 @dataclass(frozen=True)
@@ -345,13 +351,15 @@ def fit_lorentzian(omega, spectrum):
     # the accepted theta's offsets, denominator and residual, and a trial's
     # in the second set: an accepted trial's are swapped in, so a rejected
     # step keeps theta's, and with them the normal equations
-    c, g, A = theta
+    c, g, A = theta.tolist()
     dc = w - c
     denom = dc ** 2 + g ** 2
     r = s - 2.0 * A * g / denom
-    dc2, denom2, r2, sq = (np.empty_like(w) for _ in range(4))
+    dc2, denom2, r2, sq, col = (np.empty_like(w) for _ in range(5))
     J = np.empty((w.size, 3))
     j0, j1, j2 = J.T
+    damped = np.empty((3, 3))
+    damped_diag = damped.reshape(9)[::4]
     # pairwise costs of the accepted theta and of the trials rejected since:
     # cost only moves on acceptance, so a trial met again gets its old verdict
     known_costs = {}
@@ -360,20 +368,27 @@ def fit_lorentzian(omega, spectrum):
         if fresh:
             cost = float(r @ r)
             np.square(denom, out=sq)
-            np.divide(np.multiply(4.0 * A * g, dc, out=j0), sq, out=j0)
-            np.subtract(denom, 2.0 * g ** 2, out=j1)
-            np.divide(np.multiply(2.0 * A, j1, out=j1), sq, out=j1)
+            # writes into J's columns are strided and slow: each column is
+            # built in the contiguous ``col`` and written to J once
+            np.divide(np.multiply(4.0 * A * g, dc, out=col), sq, out=j0)
+            np.subtract(denom, 2.0 * g ** 2, out=col)
+            np.divide(np.multiply(2.0 * A, col, out=col), sq, out=j1)
             np.divide(2.0 * g, denom, out=j2)
             JTJ = J.T @ J
-            diag = JTJ.diagonal()
-            if not ((diag > 0.0).all() and np.isfinite(JTJ).all()):
+            entries = JTJ.ravel().tolist()
+            if not (min(entries[::4]) > 0.0 and all(map(math.isfinite, entries))):
                 raise FitDegenerateError("singular normal equations in Lorentzian fit")
-            damping = np.diag(diag)
+            diag = JTJ.diagonal()
             grad = J.T @ r
-        try:
-            step = np.linalg.solve(JTJ + lam * damping, grad)
-        except np.linalg.LinAlgError as exc:
-            raise FitDegenerateError("singular normal equations in Lorentzian fit") from exc
+            np.copyto(damped, JTJ)
+        # JTJ + lam * diag(JTJ), only the diagonal rewritten per step (the
+        # solve reads its inputs without writing them): positive definite
+        # while that diagonal is positive and finite, so a non-finite step
+        # means overflow
+        np.add(diag, diag * lam, out=damped_diag)
+        step = _solve(damped, grad)
+        if not all(map(math.isfinite, step.tolist())):
+            raise FitDegenerateError("singular normal equations in Lorentzian fit")
         trial = theta + step
         trial[1] = abs(trial[1])
         key = trial.tobytes()
@@ -381,7 +396,7 @@ def fit_lorentzian(omega, spectrum):
         if known:
             cost2 = known_costs[key]
         else:
-            c2, g2, A2 = trial
+            c2, g2, A2 = trial.tolist()
             np.subtract(w, c2, out=dc2)
             np.add(np.square(dc2, out=denom2), g2 ** 2, out=denom2)
             np.subtract(s, np.divide(2.0 * A2 * g2, denom2, out=r2), out=r2)

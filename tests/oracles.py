@@ -44,12 +44,22 @@ block's even/odd half.
 temperature of the frozen-pump tier and the Bose-inversion temperature,
 formulas no scenario reports.
 
+``junction_inductance`` (with its ``CriticalCurrentError``), ``dispersion``
+and ``gaussian_pulse`` are line formulas no scenario reports; the Gaussian
+bump has two horizons, a black-hole/white-hole pair, which only the scan
+below resolves.
+
 ``find_root_bracketed`` is Brent's method on a sign-changing bracket.
 ``find_horizon`` scans the pulse window with 2 001 points and Brent-solves
 each sign change of c - u, ``velocity_gradient`` is a 5-point central
 difference with one Richardson step, and ``photons_per_pulse`` integrates
 the decaying emission rate by adaptive Simpson; the package resolves the
 horizon, its gradient and the photon count in closed form.
+
+``b_func`` and ``d_func`` are the detector's coupling coefficients as first
+written, one closed form per call, and ``response_terms_reference`` assembles
+the 2x2 response system from them; the package forms each shared cavity
+factor and mechanical bracket once and must return the same bits.
 
 ``fit_lorentzian_reference`` is the Levenberg-Marquardt Lorentzian fit as
 first written, rebuilding the model and Jacobian at every iteration; the
@@ -65,7 +75,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from nlcavity.constants import hbar, k_B
+from nlcavity.constants import Phi0, hbar, k_B
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
@@ -632,6 +642,41 @@ def evolve_pair_rk45(initial: PumpInitialState, tau_grid,
 _EPS = np.finfo(float).eps
 
 
+class CriticalCurrentError(ValueError):
+    """Junction current at or above the flux-suppressed critical current."""
+
+
+def junction_inductance(I: float, phi_ext: float, params: LineParams) -> float:
+    """Current- and flux-dependent cell inductance
+    L = Phi0 arcsin(I/I_c^s)/(2 pi I), with the small-current limit
+    Phi0/(2 pi I_c^s); scalar in both arguments."""
+    ics = params.critical_current(phi_ext)
+    if abs(I) >= ics:
+        raise CriticalCurrentError(
+            f"|I|={abs(I)} exceeds flux-suppressed critical current {ics}")
+    if abs(I) < 1e-12 * ics:
+        return Phi0 / (2.0 * math.pi * ics)
+    return Phi0 * math.asin(I / ics) / (2.0 * math.pi * I)
+
+
+def dispersion(k: float, phi_ext: float, params: LineParams) -> float:
+    """Lattice dispersion w = (2c/a) |sin(k a / 2)| inside the Brillouin
+    zone |k| a <= pi, with c the propagation speed at phi_ext."""
+    if abs(k) * params.a > math.pi + 1e-12:
+        raise ValueError(f"|k|a = {abs(k) * params.a} outside the Brillouin zone")
+    c = propagation_velocity(phi_ext, params)
+    return 2.0 * c / params.a * abs(math.sin(0.5 * k * params.a))
+
+
+def gaussian_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
+    """Bump pulse amplitude exp(-(xi/rise_scale)^2): a black-hole /
+    white-hole horizon pair. Only its shape is given; the scan and the
+    stencil below read nothing else."""
+    def shape(xi):
+        return amplitude * np.exp(-(xi / rise_scale) ** 2)
+    return FluxPulse(shape, None, None, amplitude, rise_scale)
+
+
 class BracketError(ValueError):
     """Root bracket does not straddle a sign change."""
 
@@ -741,6 +786,43 @@ def photons_per_pulse(T_H: float, params: LineParams,
 
     return integrate_adaptive(rate, 0.0, lifetime,
                               Tolerance(abs_tol=1e-12, rel_tol=1e-10))
+
+
+# ---------------------------------------------------------------------------
+# detector response coefficients
+# ---------------------------------------------------------------------------
+
+def b_func(omega, omega_prime, params, K_Tm):
+    gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
+    return ((params.omega_T * K_Tm) ** 2 / (4.0 * math.pi)
+            / (omega - params.omega_T + 1j * gpt)
+            * (1.0 / (omega_prime - wm + 1j * gbm)
+               + 1.0 / (-omega_prime - wm - 1j * gbm)))
+
+
+def d_func(omega, params, K_d):
+    return (params.omega_T * K_d / (2.0 * math.pi)
+            / (omega - params.omega_T + 1j * params.gamma_pT))
+
+
+def response_terms_reference(params, pt, omega):
+    """(upper, lower, cross_w, determinant) of the 2x2 response system at
+    omega from one ``b_func``/``d_func`` call per coefficient."""
+    K_Tm, K_d = params.K_Tm, params.K_d
+    wp = params.omega_T + pt.dw
+
+    mirror = omega - 2.0 * pt.dw
+    zero = 0.0 * omega
+    b_w_s = b_func(omega, omega - wp, params, K_Tm)
+    b_m_s = b_func(mirror, omega - wp, params, K_Tm)
+    d_w = d_func(omega, params, K_d)
+    d_m = d_func(mirror, params, K_d)
+
+    upper = 1.0 - 2.0 * pt.chi2 * (b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
+    lower = 1.0 + 2.0 * pt.chi2 * (b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
+    cross_w = 2.0 * b_w_s + d_w
+    cross_m = 2.0 * b_m_s + d_m
+    return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def test_beta_at_zero_chi(params):
 
 def test_determinant_vs_linear_solve_oracle(params, onset):
     # reconstruct alpha1/alpha2 by directly inverting the 2x2 linear system
-    from nlcavity.detector import _b_func, _d_func, _point, _response_terms
+    from nlcavity.detector import _point, _response_terms
+    from oracles import b_func, d_func
 
     K_Tm, K_d = params.K_Tm, params.K_d
     _, dw_bi, I_bi = onset
@@ -221,12 +222,12 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
     for w in (wp + 1.001 * wm, wp - 0.98 * wm, wp + wm - 0.5j * gbm, wp - wm - 0.5j * gbm):
         chi2 = abs(chi) ** 2
         mirror = w - 2 * dw
-        b_w0 = _b_func(w, 0.0, params, K_Tm)
-        b_ws = _b_func(w, w - wp, params, K_Tm)
-        b_m0 = _b_func(mirror, 0.0, params, K_Tm)
-        b_ms = _b_func(mirror, w - wp, params, K_Tm)
-        d_w = _d_func(w, params, K_d)
-        d_m = _d_func(mirror, params, K_d)
+        b_w0 = b_func(w, 0.0, params, K_Tm)
+        b_ws = b_func(w, w - wp, params, K_Tm)
+        b_m0 = b_func(mirror, 0.0, params, K_Tm)
+        b_ms = b_func(mirror, w - wp, params, K_Tm)
+        d_w = d_func(w, params, K_d)
+        d_m = d_func(mirror, params, K_d)
         # rows: [upper, -chi^2 cross_w; chi*^2 cross_m, lower]
         M = np.array([
             [1.0 - 2 * chi2 * (b_w0 + b_ws + d_w), -chi ** 2 * (2 * b_ws + d_w)],
@@ -245,6 +246,57 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
         assert a1[0] + a2[0] == pytest.approx(sol[0], rel=1e-10)
         # determinant identity against the direct 2x2 determinant
         assert det[0] == pytest.approx(np.linalg.det(M), rel=1e-10)
+
+
+def _assert_same_bits(new, ref):
+    """``new`` and ``ref`` have one type, dtype and shape, and equal IEEE
+    bits in every real and imaginary part."""
+    assert type(new) is type(ref)
+    new, ref = np.atleast_1d(new), np.atleast_1d(ref)
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+
+def _assert_response_terms_match_oracle(params, pt, omega):
+    from nlcavity.detector import _response_terms
+    from oracles import response_terms_reference
+
+    for new, ref in zip(_response_terms(params, pt, omega),
+                        response_terms_reference(params, pt, omega), strict=True):
+        _assert_same_bits(new, ref)
+
+
+@pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4",
+                                    "ch2-goodcavity-Q1000"])
+def test_response_terms_match_oracle_bitwise(preset):
+    # the shared-factor kernel against one b/d closed form per coefficient:
+    # on each resolved 1601-point window, with scalar and with gathered
+    # per-node _Point factors (as band_spectra passes them), on complex
+    # omega around both sideband poles (the pole search's domain), and on
+    # Python scalars, real and complex
+    from nlcavity.detector import _Point, _point, _resolve_drive
+
+    preset_params = build_detector_params(PRESETS[preset]["params"])
+    grid = PRESETS[preset]["grid"]
+    _, dw_bi, I_bi = bistability_onset(preset_params)
+    ratio = float(grid.get("detuning_ratio", "0.2"))  # ch2-detection: 0, 0.2, 0.4
+    wm, gbm = preset_params.omega_m, preset_params.gamma_bm
+    for drive_ratio in np.linspace(float(grid["drive_min_ratio"]),
+                                   float(grid["drive_max_ratio"]), 4):
+        drive = DrivePoint(I_0=float(drive_ratio * I_bi), delta_omega=ratio * dw_bi)
+        chi, _, (omega, *_) = _resolve_drive(preset_params, drive)
+        pt = _point(preset_params, drive, chi)
+        _assert_response_terms_match_oracle(preset_params, pt, omega)
+        gathered = _Point._make(np.full(omega.shape, v) for v in pt)
+        _assert_response_terms_match_oracle(preset_params, gathered, omega)
+
+        wp = preset_params.omega_T + drive.delta_omega
+        offsets = np.linspace(-3.0, 3.0, 7)
+        near = (offsets[:, None] + 1j * (offsets[None, :] - 1.0)).ravel() * gbm
+        poles = np.concatenate([wp + wm + near, wp - wm + near])
+        _assert_response_terms_match_oracle(preset_params, pt, poles)
+        for w in [complex(z) for z in poles[::5]] + [float(x) for x in omega[::400]]:
+            _assert_response_terms_match_oracle(preset_params, pt, w)
 
 
 # --- spectra ---------------------------------------------------------------------------
@@ -628,3 +680,26 @@ def test_stalled_cooling_fits_match_reference_loop_bitwise(cooling_params, ratio
     for T in (float(t) for t in grid["bath_T_K"].split(",")):
         s = np.clip(_occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)
         assert fit_lorentzian(omega, s) == fit_lorentzian_reference(omega, s), T
+
+
+def test_preset_fits_match_reference_loop_bitwise(tmp_path, monkeypatch):
+    # every Lorentzian fit the three detector presets make (400 cooling
+    # lines, 64 detection lines): the package's LM step, which calls the
+    # LAPACK solve directly, must walk the reference loop's
+    # np.linalg.solve path bit for bit
+    import nlcavity.detector as det
+    from nlcavity.cli import config_from_preset, run
+    from oracles import fit_lorentzian_reference
+
+    results = []
+
+    def checked_fit(omega, s):
+        fit = fit_lorentzian(omega, s)
+        results.append(fit == fit_lorentzian_reference(omega, s))
+        return fit
+
+    monkeypatch.setattr(det, "fit_lorentzian", checked_fit)
+    for preset in ("ch2-cooling-Q1e4", "ch2-goodcavity-Q1000", "ch2-detection"):
+        assert run(config_from_preset(preset, tmp_path)) == 0
+    assert len(results) == 464
+    assert all(results), [i for i, same in enumerate(results) if not same]

@@ -594,6 +594,23 @@ def test_fit_matches_reference_loop_on_corpus(center, width, noise, background, 
     assert fit_lorentzian(w, s) == fit_lorentzian_reference(w, s)
 
 
+def test_fit_non_finite_step_is_degenerate(monkeypatch):
+    # the LM step calls the LAPACK solve directly, which returns NaN for a
+    # singular system (with numpy's "invalid value" RuntimeWarning) where
+    # np.linalg.solve raised LinAlgError: a non-finite step must still end
+    # the fit as degenerate
+    import nlcavity.numerics as numerics
+
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(numerics._solve(np.zeros((3, 3)), np.ones(3))).all()
+    w = np.linspace(-10, 10, 301)
+    s = lorentzian(w, 1.3, 0.8, 2.5)
+    for bad in (math.nan, math.inf):
+        monkeypatch.setattr(numerics, "_solve", lambda a, b, bad=bad: np.full(3, bad))
+        with pytest.raises(FitDegenerateError, match="singular normal equations"):
+            fit_lorentzian(w, s)
+
+
 def test_fit_needs_five_samples():
     with pytest.raises(ValueError):
         fit_lorentzian([0, 1, 2], [1, 2, 1])
