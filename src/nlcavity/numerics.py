@@ -166,7 +166,12 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     Subdivision stops once the Richardson error estimate satisfies
     err <= max(abs_tol, rel_tol*|result|); exhausting the depth budget
     (tol.max_iter, at most 48) raises ConvergenceError carrying the best
-    estimate.
+    estimate. An interval whose first pass met the coarse target
+    max(abs_tol, rel_tol*|coarse estimate|) does not raise when only the
+    sharpened target is out of reach: that target lies below round-off
+    (a result that cancels between a peak and its background), and the
+    sharpened pass, which refines every panel the first pass refined,
+    gives the estimate.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = lo.shape
@@ -184,13 +189,15 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     result, failed = _simpson_pass(f, index, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
     # refine once if the converged magnitude sharpened the relative target,
     # or loosened it where the coarse estimate missed a peak and the first
-    # pass chased a budget below round-off into the depth cap
+    # pass chased a budget below round-off into the depth cap; an interval
+    # fails only if both passes hit the cap
     eps1 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(result))
     redo = (eps1 < eps0 / 4.0) | (failed & (eps1 > eps0))
     if redo.any():
-        result[redo], failed[redo] = _simpson_pass(
+        result[redo], again_failed = _simpson_pass(
             f, index[redo], lo[redo], hi[redo], fa[redo], fm[redo], fb[redo],
             whole[redo], eps1[redo], depth_cap)
+        failed[redo] &= again_failed
 
     result = float(result[0]) if shape == () else result.reshape(shape)
     if failed.any():

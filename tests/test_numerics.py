@@ -180,6 +180,24 @@ def test_integrate_narrow_peak_missed_by_coarse_estimate():
     assert got == pytest.approx(exact, rel=1e-10)
 
 
+def test_integrate_cancelling_result_below_round_off():
+    # the line (area ~12.56) nearly cancels the background (-12.69): the
+    # first pass meets rel_tol*|coarse estimate|, but rel_tol*|result| sits
+    # below the round-off of the peak's samples, so the sharpened pass hits
+    # the depth cap; its estimate refines the converged first pass's
+    gamma, b = 1e-3, 12.690695510287037
+
+    def f(x, _):
+        return 4.0 * gamma / ((x - 1.0) ** 2 + gamma ** 2) - 1.0
+
+    exact = 4.0 * (math.atan((b - 1.0) / gamma) + math.atan(1.0 / gamma)) - b
+    got = integrate_adaptive(f, 0.0, b, Tolerance(abs_tol=1e-12, rel_tol=1e-10))
+    assert abs(got - exact) <= 1e-10 * abs(exact)
+    # a depth budget the first pass cannot converge in still raises
+    with pytest.raises(ConvergenceError, match="depth cap"):
+        integrate_adaptive(f, 0.0, b, Tolerance(abs_tol=1e-12, rel_tol=1e-10, max_iter=6))
+
+
 def test_integrate_unresolvable_integrand_stops():
     # NaN never passes the Richardson test, so every panel splits at every
     # level; the panel budget ends the doubling long before the depth cap
@@ -212,7 +230,8 @@ def recursive_simpson(f, a, b, tol):
     result, failed = recurse(a, b, fa, fm, fb, whole, eps0, 0)
     eps1 = max(tol.abs_tol, tol.rel_tol * abs(result))
     if eps1 < eps0 / 4.0 or (failed and eps1 > eps0):
-        result, failed = recurse(a, b, fa, fm, fb, whole, eps1, 0)
+        result, again_failed = recurse(a, b, fa, fm, fb, whole, eps1, 0)
+        failed = failed and again_failed
     assert not failed, "oracle hit the depth cap"
     return result
 
@@ -229,6 +248,9 @@ def recursive_simpson(f, a, b, tol):
 # only interval 1 (a line at 1.0 the coarse estimate misses) is refined twice
 @example(coeffs=[0.0], peak=(1.0, 0.25, 0.001 / 1.5),
          intervals=[(5.0, 1.0), (0.0, 2.7091838691349146)], rel_tol=1e-10)
+# the line cancels its background: the sharpened target is below round-off
+@example(coeffs=[-1.0], peak=(2.0, 1.0, 0.001), intervals=[(0.0, 12.690695510287037)],
+         rel_tol=1e-10)
 @settings(max_examples=60, deadline=None)
 def test_integrate_intervals_match_scalar_calls_and_recursion(coeffs, peak, intervals, rel_tol):
     height, x0, gamma = peak
