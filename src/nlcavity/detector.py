@@ -38,7 +38,8 @@ class DetectorParams:
 
     phi_ext is in units of the flux quantum; K_d is the Duffing constant
     and K_Tm the cavity-mechanics coupling. loop_inductance (H) feeds the
-    beta_L validity gate when provided.
+    beta_L validity gate when provided. The values are not checked here:
+    ``presets.build_detector_params`` checks a config's.
     """
 
     Z_p: float
@@ -52,16 +53,6 @@ class DetectorParams:
     K_d: float
     K_Tm: float
     loop_inductance: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("Z_p", "omega_T", "Q_T", "omega_m", "Q_m", "mass", "I_c"):
-            x = getattr(self, name)
-            if not (x > 0.0) or not math.isfinite(x):
-                raise ValueError(f"{name} must be positive and finite, got {x}")
-        for name in ("phi_ext", "K_d", "K_Tm", "loop_inductance"):
-            x = getattr(self, name)
-            if x is not None and not math.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x}")
 
     @property
     def gamma_pT(self) -> float:
@@ -94,10 +85,6 @@ class DrivePoint:
 
     I_0: float
     delta_omega: float
-
-    def __post_init__(self):
-        if self.I_0 < 0.0:
-            raise ValueError("drive amplitude must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -374,15 +361,6 @@ def _signal_at(params, pt, omega, coeffs, bath_T):
                      omega - (params.omega_T + pt.dw), bath_T)
 
 
-def signal_density(params: DetectorParams, drive: DrivePoint, chi: complex,
-                   omega, bath_T: float = 0.0):
-    """Thermal/zero-point signal response density (A^2 per rad/s, includes
-    the 1/2pi measure)."""
-    pt = _point(params, drive, chi)
-    omega = np.asarray(omega, dtype=float)
-    return _signal_at(params, pt, omega, _coefficients(params, pt, omega), bath_T)
-
-
 def _noise_terms(params, pt, omega, coeffs):
     """Back-reaction noise density at omega from the response coefficients
     there."""
@@ -396,14 +374,6 @@ def _noise_terms(params, pt, omega, coeffs):
                - np.real(b1) + x / gpt * np.imag(b1))
     return (hbar * omega / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
         * bracket / (2.0 * math.pi)
-
-
-def noise_density(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
-    """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
-    added-noise term is accounted for separately."""
-    pt = _point(params, drive, chi)
-    omega = np.asarray(omega, dtype=float)
-    return _noise_terms(params, pt, omega, _coefficients(params, pt, omega))
 
 
 def _caves_at(params, pt, omega, coeffs):

@@ -30,7 +30,8 @@ from .errors import NoHorizonError
 class LineParams:
     """Array constants: per-junction critical current (A), junction and
     ground capacitances (F), cell length (m), cell count, pulse speed (m/s).
-    Each cell is a dc SQUID of two junctions.
+    Each cell is a dc SQUID of two junctions. The values are not checked
+    here: ``presets.build_line_params`` checks a config's.
     """
 
     I_c: float
@@ -40,14 +41,6 @@ class LineParams:
     N: int
     u: float
     loop_inductance: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("I_c", "C_J", "C_0", "a", "N", "u"):
-            x = getattr(self, name)
-            if not (x > 0) or not math.isfinite(x):
-                raise ValueError(f"{name} must be positive and finite, got {x}")
-        if self.loop_inductance is not None and not math.isfinite(self.loop_inductance):
-            raise ValueError(f"loop_inductance must be finite, got {self.loop_inductance}")
 
     def critical_current(self, phi_ext):
         """Flux-suppressed critical current I_c^s = 2 I_c cos(pi phi)."""

@@ -223,7 +223,9 @@ def checked(keys: dict, raw: dict, family: str) -> dict:
 
 def build_detector_params(p: dict) -> DetectorParams:
     """DetectorParams from a flat [params] mapping (strings or numbers),
-    checked against DETECTOR_PARAMS."""
+    checked against DETECTOR_PARAMS; a 2 pi conversion to rad/s that
+    overflows reaches the runner's finiteness check of the bistability
+    onset."""
     v = checked(DETECTOR_PARAMS, p, "detector")
     return DetectorParams(
         Z_p=v["Z_p_ohm"],
@@ -241,9 +243,11 @@ def build_detector_params(p: dict) -> DetectorParams:
 
 
 def build_line_params(p: dict) -> LineParams:
-    """LineParams from a flat [params] mapping, checked against LINE_PARAMS;
-    C_J may be given directly or implied by a target zero-flux plasma
-    frequency."""
+    """LineParams from a flat [params] mapping (strings or numbers), checked
+    against LINE_PARAMS; C_J may be given directly or implied by a target
+    zero-flux plasma frequency. The two constants built here, C_J and the
+    pulse speed u, are checked once: one out of floating-point range raises
+    OverflowError."""
     v = checked(LINE_PARAMS, p, "hawking")
     I_c = v["I_c_A"]
     C_J = v.get("C_J_F")
@@ -266,4 +270,6 @@ def build_line_params(p: dict) -> LineParams:
         loop_inductance=v.get("loop_inductance_H"),
     )
     u = v["u_over_c0flux"] * propagation_velocity(0.0, params)
+    if not (0.0 < C_J < math.inf and 0.0 < u < math.inf):
+        raise OverflowError(f"C_J = {C_J} F or u = {u} m/s is out of floating-point range")
     return dataclasses.replace(params, u=u)

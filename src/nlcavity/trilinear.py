@@ -62,17 +62,6 @@ class PumpInitialState:
     def probabilities(self):
         return np.abs(self.coefficients) ** 2
 
-    @property
-    def mean_occupation(self):
-        return float(np.sum(self.probabilities * np.arange(self.coefficients.size)))
-
-    @classmethod
-    def fock(cls, s, dim=None):
-        dim = dim if dim is not None else s + 1
-        coeff = np.zeros(dim)
-        coeff[s] = 1.0
-        return cls(coeff)
-
     @classmethod
     def coherent(cls, mean_occupation, dim):
         """Coherent pump with <N_a(0)> = mean_occupation, truncation-gated."""

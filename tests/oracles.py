@@ -6,6 +6,10 @@ kept as test oracles for the pair-basis (C[p, i]) paths of ``nlcavity``.
 state in the three-mode grid; ``parametric_state`` and ``long_time_signal``
 are the two-mode squeezed vacuum and the late-time signal mixture.
 
+``fock_pump`` is a pump in one number state and ``pump_mean_occupation``
+its (or any pump's) mean occupation; the package starts its tiers from a
+coherent pump only.
+
 ``assemble`` writes a quantized tier's block stream (n, C_n) into the pair
 grid C[..., p, i] by fancy indexing, ``blocks_of`` splits a C back into its
 stream, and ``einsum_pair_state`` reduces a C to its pump and pair
@@ -61,6 +65,10 @@ written, one closed form per call, and ``response_terms_reference`` assembles
 the 2x2 response system from them; the package forms each shared cavity
 factor and mechanical bracket once and must return the same bits.
 
+``signal_density`` and ``noise_density`` are the signal and back-reaction
+noise densities of one operating point on any frequency grid; the package
+evaluates them only inside the band integrals of ``band_spectra``.
+
 ``fit_lorentzian_reference`` is the Levenberg-Marquardt Lorentzian fit as
 first written, rebuilding the model and Jacobian at every iteration; the
 package's fit must return the same bits while reusing what it already holds.
@@ -76,6 +84,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.constants import Phi0, hbar, k_B
+from nlcavity.detector import _coefficients, _noise_terms, _point, _signal_at
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
@@ -354,6 +363,19 @@ def mode_numbers(spec: HilbertSpec):
 # ---------------------------------------------------------------------------
 # block streams of the quantized tiers and their einsum reductions
 # ---------------------------------------------------------------------------
+
+def fock_pump(s: int, dim: int = None) -> PumpInitialState:
+    """Pump in the number state |s> on dim levels (s + 1 by default)."""
+    dim = dim if dim is not None else s + 1
+    coeff = np.zeros(dim)
+    coeff[s] = 1.0
+    return PumpInitialState(coeff)
+
+
+def pump_mean_occupation(initial: PumpInitialState) -> float:
+    """<N_a> = sum_s s |a_s|^2 of a pump state."""
+    return float(np.sum(initial.probabilities * np.arange(initial.coefficients.size)))
+
 
 def pair_dim(initial: PumpInitialState) -> int:
     """Side of the quantized tiers' (dim, dim) pair grid: the pump dimension, at least 2."""
@@ -789,7 +811,7 @@ def photons_per_pulse(T_H: float, params: LineParams,
 
 
 # ---------------------------------------------------------------------------
-# detector response coefficients
+# detector response coefficients and densities
 # ---------------------------------------------------------------------------
 
 def b_func(omega, omega_prime, params, K_Tm):
@@ -823,6 +845,22 @@ def response_terms_reference(params, pt, omega):
     cross_w = 2.0 * b_w_s + d_w
     cross_m = 2.0 * b_m_s + d_m
     return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
+
+
+def signal_density(params, drive, chi, omega, bath_T: float = 0.0):
+    """Thermal/zero-point signal response density (A^2 per rad/s, includes
+    the 1/2pi measure)."""
+    pt = _point(params, drive, chi)
+    omega = np.asarray(omega, dtype=float)
+    return _signal_at(params, pt, omega, _coefficients(params, pt, omega), bath_T)
+
+
+def noise_density(params, drive, chi, omega):
+    """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
+    added-noise term is accounted for separately."""
+    pt = _point(params, drive, chi)
+    omega = np.asarray(omega, dtype=float)
+    return _noise_terms(params, pt, omega, _coefficients(params, pt, omega))
 
 
 # ---------------------------------------------------------------------------

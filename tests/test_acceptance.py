@@ -23,7 +23,7 @@ from nlcavity.constants import TWO_PI, c_vacuum
 from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
 from oracles import (DensityMatrix, HilbertSpec, build_interaction_hamiltonian,
-                     assemble, expectation, fidelity, interaction_generator,
+                     assemble, expectation, fidelity, fock_pump, interaction_generator,
                      mode_factor, mode_numbers, reduced, state_vector,
                      thermal_density_matrix)
 
@@ -270,13 +270,13 @@ def test_criterion_7_trilinear_oracles():
     spec = HilbertSpec((3, 3, 3))
     taus = np.linspace(0.0, 3.0, 31)
     states = [state_vector(C, spec) for C in
-              assemble(trilinear.full_state(trilinear.PumpInitialState.fock(1, dim=3), taus), 3)]
+              assemble(trilinear.full_state(fock_pump(1, dim=3), taus), 3)]
     nb_op = mode_numbers(spec)[1]
     rabi_err = max(abs(expectation(s, nb_op).real - math.sin(t) ** 2)
                    for t, s in zip(taus, states))
 
     spec64 = HilbertSpec((4, 4, 4))
-    init64 = trilinear.PumpInitialState.fock(2, dim=4)
+    init64 = fock_pump(2, dim=4)
     out = assemble(trilinear.full_state(init64, [0.0, 2.0]), 4)
     G = interaction_generator(spec64).toarray()
     expm_err = float(np.linalg.norm(state_vector(out[-1], spec64).amplitudes

@@ -44,6 +44,7 @@ from oracles import (
     fidelity,
     ladder_ops,
     partial_trace,
+    pump_mean_occupation,
     state_vector,
     thermal_density_matrix,
 )
@@ -109,10 +110,20 @@ def test_unknown_preset(tmp_path):
         config_from_preset("nope", tmp_path)
 
 
-def test_empty_grid_exits_2(tmp_path):
-    cfg = ScenarioConfig(kind="detector-bistability", params=dict(CH2), grid={},
-                         output_dir=tmp_path)
-    assert run(cfg) == EXIT_CONFIG
+@pytest.mark.parametrize("kind, params", [("detector-bistability", CH2),
+                                          ("trilinear-evolve", {"mean_occupation": "1"})],
+                         ids=["detector-bistability", "trilinear-evolve"])
+def test_absent_grid_runs_on_the_table_defaults(tmp_path, kind, params):
+    # no [grid] section is the grid that lists every key at its table default
+    defaults = {name: str(key.default) for name, key in SCHEMAS[kind][1].items()}
+    written = []
+    for label, grid in (("absent", {}), ("listed", defaults)):
+        cfg = ScenarioConfig(kind=kind, params=dict(params), grid=grid,
+                             output_dir=tmp_path, label=label)
+        assert run(cfg) == EXIT_OK
+        written.append({path.name.removeprefix(label): path.read_bytes()
+                        for path in tmp_path.glob(f"{label}_*.csv")})
+    assert written[0] and written[0] == written[1]
 
 
 def test_missing_param_exits_2(tmp_path):
@@ -304,6 +315,34 @@ def test_overflowing_params_name_the_params(tmp_path, capsys):
         assert run(cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "detector params" in err, (kind, params)
+
+
+# finite table-valid inputs whose derived constants leave floating-point range:
+# omega_T, omega_m (2 pi times the _hz value), and a line's C_J and u
+DERIVED_OVERFLOW = [
+    *[(kind, dict(CH2, **{key: "1e308"}), DETECTOR_RUNNERS[kind], key)
+      for kind in ("detector-cooling", "detector-bistability")
+      for key in ("omega_T_hz", "omega_m_hz")],
+    *[("hawking-line", dict(BELTRAN, **{key: value}), {}, key)
+      for key, value in [("I_c_A", "1e308"), ("I_c_A", "1e-320"), ("I_c_A", "1e300"),
+                         ("C_0_F", "1e-320"), ("a_m", "1e308"), ("a_m", "1e300"),
+                         ("u_over_c0flux", "1e308")]]]
+
+
+@pytest.mark.parametrize("kind, params, grid, key", DERIVED_OVERFLOW,
+                         ids=[f"{kind}-{key}-{params[key]}"
+                              for kind, params, _, key in DERIVED_OVERFLOW])
+def test_derived_overflow_exits_2_naming_the_params(tmp_path, capsys, kind, params, grid,
+                                                    key):
+    # the builders' derived quantities are checked once, and the message names
+    # the config key or its family, not a dataclass field; a line whose u
+    # overflows must not read as a missing horizon (exit 3)
+    cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    family = kind.split("-")[0]
+    assert err.startswith("config error:")
+    assert key in err or f"{family} params" in err, err
 
 
 @pytest.mark.parametrize("kind", ["detector-signal-noise", "detector-cooling"])
@@ -762,7 +801,7 @@ def test_trilinear_evolve_scenario(tmp_path):
     assert row0["Na_full"] == pytest.approx(1.0, abs=1e-9)
     assert row0["Nb_full"] == pytest.approx(0.0, abs=1e-9)
     # the short-time tier conserves N_a + N_b at the truncated pump's mean
-    pump_mean = trilinear.PumpInitialState.coherent(1.0, 13).mean_occupation
+    pump_mean = pump_mean_occupation(trilinear.PumpInitialState.coherent(1.0, 13))
     for line in lines[1:]:
         row = dict(zip(header, (float(x) for x in line.split(","))))
         assert row["Na_shorttime"] + row["Nb_shorttime"] == pytest.approx(pump_mean, abs=1e-12)

@@ -14,10 +14,8 @@ from nlcavity.detector import (
     effective_thermo,
     linear_amplitude,
     mean_field,
-    noise_density,
     response_coeffs,
     select_branch,
-    signal_density,
     zero_point,
 )
 from nlcavity.errors import (
@@ -27,6 +25,7 @@ from nlcavity.errors import (
 )
 from nlcavity.numerics import fit_lorentzian
 from nlcavity.presets import PRESETS, build_detector_params
+from oracles import noise_density, signal_density
 
 
 @pytest.fixture(scope="module")

@@ -406,12 +406,12 @@ def test_pulse_validation():
             tanh_pulse(0.2, bad)
 
 
-def test_line_params_reject_non_finite(params):
-    import dataclasses
-
-    for name in ("I_c", "C_J", "C_0", "a", "u"):
-        for bad in (math.nan, math.inf, 0.0):
-            with pytest.raises(ValueError):
-                dataclasses.replace(params, **{name: bad})
-    with pytest.raises(ValueError):
-        dataclasses.replace(params, loop_inductance=math.inf)
+def test_build_line_params_rejects_bad_constants_naming_the_key():
+    # the key table is the one check of the line constants; LineParams trusts it
+    raw = PRESETS["ch3-beltran"]["params"]
+    cases = [(key, bad) for key in ("I_c_A", "C_J_F", "C_0_F", "a_m", "u_over_c0flux")
+             for bad in ("nan", "inf", "0")]
+    cases += [("loop_inductance_H", bad) for bad in ("nan", "inf")]
+    for key, bad in cases:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            build_line_params(dict(raw, **{key: bad}))

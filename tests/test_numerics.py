@@ -14,7 +14,7 @@ from nlcavity.numerics import (
     solve_cubic_real,
 )
 from oracles import (BracketError, StiffnessError, evolve_ode, find_root_bracketed,
-                     fit_lorentzian_reference, pair_rhs)
+                     fit_lorentzian_reference, fock_pump, pair_rhs)
 
 
 # --- jacobi dn -------------------------------------------------------------
@@ -446,9 +446,9 @@ def test_ode_step_underflow_raises_stiffness():
 
 def test_grid_validation():
     # the runtime users of the one grid check, and the RK45 oracle
-    from nlcavity.trilinear import PumpInitialState, full_state, semiclassical_pump
+    from nlcavity.trilinear import full_state, semiclassical_pump
 
-    init = PumpInitialState.fock(1, dim=3)
+    init = fock_pump(1, dim=3)
     for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="grid must be"):
             full_state(init, grid)

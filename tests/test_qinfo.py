@@ -26,6 +26,7 @@ from oracles import (
     effective_temperature,
     expectation,
     fidelity,
+    fock_pump,
     ladder_ops,
     long_time_signal,
     mode_factor,
@@ -368,7 +369,7 @@ def test_entropy_bounds_along_trajectory(small_trajectory):
 def test_pure_total_state_identities():
     # small grid so the full-state eigendecomposition stays cheap
     spec = HilbertSpec((6, 6, 6))
-    for C in assemble(full_state(PumpInitialState.fock(3, dim=6), np.linspace(0, 3, 7)), 6):
+    for C in assemble(full_state(fock_pump(3, dim=6), np.linspace(0, 3, 7)), 6):
         s = state_vector(C, spec)
         assert abs(von_neumann_entropy(s.amplitudes[:, None])) < 1e-8
         s_a = von_neumann_entropy(mode_factor(s, [0]))

@@ -29,6 +29,7 @@ from oracles import (
     embed,
     evolve_pair_rk45,
     expectation,
+    fock_pump,
     full_state_eigh,
     interaction_generator,
     ladder_ops,
@@ -39,6 +40,7 @@ from oracles import (
     parametric_state,
     parametric_temperature,
     partial_trace,
+    pump_mean_occupation,
     reduced,
     state_vector,
 )
@@ -249,7 +251,7 @@ def test_short_time_matches_full_evolution():
     # validity window: tau * sqrt(k M) <= 0.1
     dim = 13
     spec = HilbertSpec((dim,) * 3)
-    init = PumpInitialState.fock(9, dim=dim)
+    init = fock_pump(9, dim=dim)
     tau = 0.1 / math.sqrt(0.5 * 9)
     exact = state_vector(C_of(full_state, init, [0.0, tau])[-1], spec).amplitudes
     approx = state_vector(C_of(short_time_state, init, tau), spec).amplitudes
@@ -300,7 +302,7 @@ def test_short_time_trajectory_matches_per_tau_calls():
     assert not traj[0, :, 1:].any()
     states = pair_state(short_time_state(init, taus), 30)
     assert states.n_b[0] == 0.0
-    assert states.n_a[0] == pytest.approx(init.mean_occupation, abs=1e-14)
+    assert states.n_a[0] == pytest.approx(pump_mean_occupation(init), abs=1e-14)
 
 
 def _pop_reductions(C):
@@ -367,7 +369,7 @@ def test_real_pumps_stay_real(mean):
     # then hold C[tau, p, i] real, and so does a Fock pump
     init = PumpInitialState.coherent(mean, fock.min_coherent_dim(mean) + 3)
     taus = np.linspace(0.0, 3.0, 7)
-    for pump in (init, PumpInitialState.fock(2, dim=4)):
+    for pump in (init, fock_pump(2, dim=4)):
         assert pump.coefficients.dtype == np.float64
         for tier in (short_time_state, full_state):
             assert all(block.dtype == np.float64 for _, block in tier(pump, taus))
@@ -427,7 +429,7 @@ def test_long_time_signal_unnormalized_error():
 def test_hamiltonian_vacuum_element():
     spec = HilbertSpec((3, 3, 3))
     H = build_interaction_hamiltonian(spec)
-    vac = state_vector(PumpInitialState.fock(0, dim=1), spec)
+    vac = state_vector(fock_pump(0, dim=1), spec)
     assert abs(expectation(vac, H)) < 1e-14
 
 
@@ -459,7 +461,7 @@ def test_hamiltonian_matrix_element_ladder():
 
 def test_evolve_tau_zero():
     spec = HilbertSpec((3, 3, 3))
-    init = PumpInitialState.fock(1, dim=3)
+    init = fock_pump(1, dim=3)
     out = C_of(full_state, init, [0.0])
     assert np.allclose(state_vector(out[0], spec).amplitudes,
                        state_vector(init, spec).amplitudes)
@@ -470,7 +472,7 @@ def test_quantized_tiers_share_one_initial_state():
     # pair grid, dim = max(pump dimension, 2)
     coherent_dim = fock.min_coherent_dim(3.0) + 3
     for init, dim in ((PumpInitialState.coherent(3.0, coherent_dim), coherent_dim),
-                      (PumpInitialState.fock(0, dim=1), 2)):
+                      (fock_pump(0, dim=1), 2)):
         short = C_of(short_time_state, init, 0.0)
         assert short.shape == (dim, dim) and pair_dim(init) == dim
         np.testing.assert_array_equal(short, C_of(full_state, init, [0.0])[0])
@@ -478,7 +480,7 @@ def test_quantized_tiers_share_one_initial_state():
 
 def test_evolve_toy_rabi():
     spec = HilbertSpec((3, 3, 3))
-    init = PumpInitialState.fock(1, dim=3)
+    init = fock_pump(1, dim=3)
     taus = np.linspace(0, 3, 31)
     states = [state_vector(C, spec) for C in C_of(full_state, init, taus)]
     nb_op = mode_numbers(spec)[1]
@@ -488,7 +490,7 @@ def test_evolve_toy_rabi():
 
 def test_evolve_matches_expm_small():
     spec = HilbertSpec((4, 4, 4))  # total dim 64
-    init = PumpInitialState.fock(2, dim=4)
+    init = fock_pump(2, dim=4)
     tau = 1.7
     out = C_of(full_state, init, [0.0, tau])
     G = interaction_generator(spec).toarray()
@@ -532,7 +534,7 @@ def _pumps(draw):
     dim = draw(st.integers(2, 40))
     kind = draw(st.sampled_from(["real", "complex", "fock"]))
     if kind == "fock":
-        return PumpInitialState.fock(draw(st.integers(0, dim - 1)), dim=dim)
+        return fock_pump(draw(st.integers(0, dim - 1)), dim=dim)
     amp = (st.floats(-1.0, 1.0) if kind == "real" else
            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
     coeff = np.array(draw(st.lists(amp, min_size=dim, max_size=dim)))
@@ -544,8 +546,8 @@ def _pumps(draw):
 @settings(max_examples=60, deadline=None)
 @given(init=_pumps(), tau_0=st.floats(0.0, 2.0),
        steps=st.lists(st.floats(1e-3, 1.0), max_size=4))
-@example(init=PumpInitialState.fock(0, dim=2), tau_0=0.0, steps=[1.0])
-@example(init=PumpInitialState.fock(1, dim=2), tau_0=0.5, steps=[])
+@example(init=fock_pump(0, dim=2), tau_0=0.0, steps=[1.0])
+@example(init=fock_pump(1, dim=2), tau_0=0.5, steps=[])
 @example(init=PumpInitialState(np.full(40, 40 ** -0.5)), tau_0=1.0, steps=[1.0, 1.0])
 @example(init=PumpInitialState(np.full(39, 39 ** -0.5 * 1j)), tau_0=0.0, steps=[0.5, 1.0])
 def test_half_size_propagator_matches_eigh_oracle(init, tau_0, steps):
@@ -560,8 +562,8 @@ def test_half_size_propagator_matches_eigh_oracle(init, tau_0, steps):
 @settings(max_examples=60, deadline=None)
 @given(init=_pumps(), tau_0=st.floats(0.0, 2.0),
        steps=st.lists(st.floats(1e-3, 1.0), max_size=4))
-@example(init=PumpInitialState.fock(0, dim=2), tau_0=0.0, steps=[])
-@example(init=PumpInitialState.fock(39, dim=40), tau_0=2.0, steps=[1.0] * 4)
+@example(init=fock_pump(0, dim=2), tau_0=0.0, steps=[])
+@example(init=fock_pump(39, dim=40), tau_0=2.0, steps=[1.0] * 4)
 @example(init=PumpInitialState(np.full(40, 40 ** -0.5 * 1j)), tau_0=1.0, steps=[1.0] * 4)
 def test_block_stream_reductions_match_assembled_C(init, tau_0, steps):
     # both tiers: the distributions folded from the stream one block at a
@@ -604,7 +606,7 @@ def test_evolve_conservation_and_symmetry():
 
 def test_evolve_truncation_error_reports_leak():
     with pytest.raises(TruncationError) as err:
-        full_state(PumpInitialState.fock(1, dim=2), [0.0, 1.0])
+        full_state(fock_pump(1, dim=2), [0.0, 1.0])
     assert err.value.leak > 1e-6
 
 
