@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -115,16 +116,29 @@ def _write_manifest(cfg: ScenarioConfig, resolved: dict, columns: dict, files: l
     return path
 
 
+@contextlib.contextmanager
+def _params_range(family):
+    """Blame a quantity taken out of floating-point range inside the block
+    on the scenario's params: the builders and the detector onset read no
+    grid key."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise ValueError(f"the {family} params take a resolved quantity out of "
+                         f"floating-point range ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # detector scenarios
 # ---------------------------------------------------------------------------
 
 def _detector_common(cfg, p):
-    params = build_detector_params(p)
-    K_eff = detector.effective_duffing(params)
-    E_bi, dw_bi, I_bi = detector.bistability_onset(params)
-    if not all(map(math.isfinite, (K_eff, E_bi, dw_bi, I_bi))):  # huge params reach inf
-        raise OverflowError("K_eff or the bistability onset is not finite")
+    with _params_range("detector"):
+        params = build_detector_params(p)
+        K_eff = detector.effective_duffing(params)
+        E_bi, dw_bi, I_bi = detector.bistability_onset(params)
+        if not all(map(math.isfinite, (K_eff, E_bi, dw_bi, I_bi))):  # huge params reach inf
+            raise OverflowError("K_eff or the bistability onset is not finite")
     resolved = {
         "gamma_pT": params.gamma_pT, "gamma_bm": params.gamma_bm,
         "K_eff": K_eff,
@@ -234,7 +248,8 @@ def _run_detector_cooling(cfg: ScenarioConfig, p: dict, g: dict):
 # ---------------------------------------------------------------------------
 
 def _run_hawking_line(cfg: ScenarioConfig, p: dict, g: dict):
-    params = build_line_params(p)
+    with _params_range("hawking"):
+        params = build_line_params(p)
     amplitude = p["amplitude_phi0"]
     rise = p.get("rise_scale_m")
     if rise is None:

@@ -301,20 +301,29 @@ def _response_terms(params, pt, omega):
     return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
 
 
-def _coefficients(params, pt, omega):
-    """``response_coeffs`` from the ``_Point`` factors at real omega."""
+def _quotients(params, pt, omega):
+    """(lower/det, cross_w/det, det) of the response system at real omega,
+    from the ``_Point`` factors. Warns when the determinant is within 1e-14
+    of singular (bifurcation proximity)."""
     upper, lower, cross_w, det = _response_terms(params, pt, omega)
 
     scale = 1.0 + np.abs(upper) + np.abs(lower)
     if np.any(np.abs(det) < 1e-14 * scale):
         warnings.warn("response determinant nearly singular (bifurcation proximity)",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
+    return lower / det, cross_w / det, det
 
-    alpha1 = lower / det * pt.chi
-    alpha2 = -cross_w / det * pt.chi2 * pt.chi
-    beta1 = lower / det
-    beta2 = cross_w / det * pt.chi_sq
-    return alpha1, alpha2, beta1, beta2, det
+
+def _alphas(pt, beta1, ratio):
+    """(alpha1, alpha2) from the first two ``_quotients``: all the signal
+    kernel reads."""
+    return beta1 * pt.chi, -ratio * pt.chi2 * pt.chi
+
+
+def _coefficients(params, pt, omega):
+    """``response_coeffs`` from the ``_Point`` factors at real omega."""
+    beta1, ratio, det = _quotients(params, pt, omega)
+    return (*_alphas(pt, beta1, ratio), beta1, ratio * pt.chi_sq, det)
 
 
 def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
@@ -405,9 +414,9 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
     band of width bands[j] centred on omega_s[j]. The noise includes the
     added zero-point term; the Caves bound is the Heisenberg minimum-noise
     bound for the same band. All 3n band integrals run as one adaptive
-    Simpson call (abs_tol 1e-300, rel_tol 1e-8), each node evaluating only
-    its own point and kind, so entry j equals the one-point call bit for
-    bit. Returns three arrays of length n (empty when n is 0).
+    Gauss-Kronrod call (abs_tol 1e-300, rel_tol 1e-8), each node evaluating
+    only its own point and kind, so entry j equals the one-point call bit
+    for bit. Returns three arrays of length n (empty when n is 0).
     """
     _check_bath_T(bath_T)
     points = [_point(params, DrivePoint(I_0=float(I_0), delta_omega=delta_omega), chi)
@@ -574,7 +583,7 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
     pt = _point(params, drive, chi)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
-        params, pt, omega, response_coeffs(params, drive, chi, omega))
+        params, pt, omega, _alphas(pt, *_quotients(params, pt, omega)[:2]))
     kernel = pt.prefactor * cavity * combo
     if not np.isfinite(kernel).all():
         raise OverflowError("the signal window of the +1 pole is not finite")

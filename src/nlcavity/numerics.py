@@ -90,10 +90,36 @@ def jacobi_dn(u, m: float):
     return np.sqrt(np.maximum(1.0 - m * sn * sn, 0.0))
 
 
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, Piessens et al.
+# 1983), built by symmetry: its positive nodes from 1 down with their
+# Kronrod weights (then the weight of node 0), and the 10-point Gauss
+# weights of the nodes at odd positions, which are the Gauss nodes
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208564211510, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
+# columns, to broadcast against a row of panels
+_GK_NODES = np.array([*(-x for x in _XGK), 0.0, *_XGK[::-1]]).reshape(-1, 1)
+_KRONROD_WEIGHTS = np.array(
+    [*_WGK, 0.149445554002916905664936468389821, *_WGK[::-1]]).reshape(-1, 1)
+_GAUSS_WEIGHTS = np.array([*_WG, *_WG[::-1]]).reshape(-1, 1)
+
 # unconverged panels one refinement level may hold before the integral is
 # given up: a level this wide means the integrand is not resolvable (NaN
 # everywhere, say), and each further level doubles the memory held
-_MAX_PANELS = 1 << 18
+_MAX_PANELS = 1 << 15
 
 
 def _sample(f, nodes, k):
@@ -104,54 +130,38 @@ def _sample(f, nodes, k):
     return values
 
 
-def _simpson_pass(f, index, lo, hi, flo, fmid, fhi, whole, eps, depth_cap):
-    """One adaptive Simpson pass over the panels [lo, hi], refined a level
-    at a time. Returns (sums, failed) per panel.
+def _weighted_sum(weights, rows):
+    """sum_j weights[j] * rows[j] over the first axis, accumulated in row
+    order (a cumulative sum is never pairwise): each column's sum depends
+    only on its own entries, whatever the number of columns."""
+    return np.cumsum(weights * rows, axis=0)[-1]
 
-    Each level splits every panel whose Richardson error exceeds its eps
-    (halved per level) and samples all new nodes in one call, passing each
-    node's interval number ``index[panel]``. The tree is then summed
-    bottom-up, children pairwise, exactly as the depth-first recursion
-    would add them.
-    """
-    failed = np.zeros(lo.size, dtype=bool)
-    owner = np.arange(lo.size)
-    levels = []
-    for depth in range(depth_cap + 1):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = np.split(_sample(f, np.concatenate([lm, rm]),
-                                    index[np.concatenate([owner, owner])]), 2)
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (s_left + s_right - whole) / 15.0
-        split = ~(np.abs(err) <= eps)
-        if depth == depth_cap:
-            failed[owner[np.abs(err) > eps]] = True
-            split[:] = False
-        levels.append((s_left + s_right + err, split))
-        if not split.any():
-            break
-        if 2 * np.count_nonzero(split) > _MAX_PANELS:
-            raise ConvergenceError(
-                f"adaptive Simpson needs over {_MAX_PANELS} panels at depth {depth + 1}")
-        # children of the split panels: all left halves, then all right halves
-        children = ((lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
-                    (s_left, s_right), (eps / 2.0, eps / 2.0), (owner, owner))
-        lo, hi, flo, fmid, fhi, whole, eps, owner = (
-            np.concatenate([left[split], right[split]]) for left, right in children)
 
-    sums = levels[-1][0]
-    for value, split in reversed(levels[:-1]):
-        half = sums.size // 2
-        value[split] = sums[:half] + sums[half:]
-        sums = value
-    return sums, failed
+def _gauss_kronrod(f, lo, hi, k):
+    """(Kronrod estimate, error estimate, round-off floor) of each panel
+    [lo, hi], all sampled in one call, the nodes of panel p owned by
+    interval k[p].
+
+    The error is QUADPACK's: the Kronrod-Gauss difference scaled against
+    the panel's spread s = K21 of |f - mean f| as s*min(1, (200*diff/s)^1.5).
+    The floor is 50*eps*(K21 of |f|), the round-off of the samples' sum."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centre + half * _GK_NODES
+    fx = _sample(f, nodes.ravel(), np.tile(k, _GK_NODES.size)).reshape(nodes.shape)
+    total = _weighted_sum(_KRONROD_WEIGHTS, fx)
+    kronrod = half * total
+    diff = np.abs(kronrod - half * _weighted_sum(_GAUSS_WEIGHTS, fx[1::2]))
+    spread = half * _weighted_sum(_KRONROD_WEIGHTS, np.abs(fx - total / 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(spread > 0.0,
+                       spread * np.fmin(1.0, (200.0 * diff / spread) ** 1.5), diff)
+    floor = 50.0 * _EPS * half * _weighted_sum(_KRONROD_WEIGHTS, np.abs(fx))
+    return kronrod, err, floor
 
 
 def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
                        tol: Tolerance = Tolerance()):
-    """Adaptive Simpson quadrature of f over [a, b].
+    """Adaptive 21-point Gauss-Kronrod quadrature of f over [a, b].
 
     ``f(x, k)`` maps a 1D array of nodes x to an array of the same shape
     (any other shape is a ValueError); k[j] is the index into the flattened
@@ -163,15 +173,25 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     that interval with the integrand x -> f(x, k). Scalar ends return a
     float. Every a_k < b_k is required.
 
-    Subdivision stops once the Richardson error estimate satisfies
-    err <= max(abs_tol, rel_tol*|result|); exhausting the depth budget
-    (tol.max_iter, at most 48) raises ConvergenceError carrying the best
-    estimate. An interval whose first pass met the coarse target
-    max(abs_tol, rel_tol*|coarse estimate|) does not raise when only the
-    sharpened target is out of reach: that target lies below round-off
-    (a result that cancels between a peak and its background), and the
-    sharpened pass, which refines every panel the first pass refined,
-    gives the estimate.
+    Each panel carries its 21-point Kronrod estimate and QUADPACK's qk21
+    error estimate (``_gauss_kronrod``). At every level an interval's
+    target is max(abs_tol, rel_tol*|estimate|), its estimate being the sum
+    over its panels so far. The interval is done once its panels' errors
+    sum to at most that target. Until then an open panel is bisected
+    unless its error is within its width's share of the target, or within
+    the round-off floor of its own samples (50*eps times the Kronrod
+    integral of |f|, where refining only resamples noise). So the panel at
+    a square-root kink, whose error falls as h^1.5 against a share that
+    halves per level, is ended by the interval's sum, not by its share.
+    Levels are refined breadth first, one integrand call each, and the
+    tree is summed bottom-up, children pairwise. A panel still open at the
+    depth budget (tol.max_iter, at most 48) raises ConvergenceError
+    carrying the best estimate, and so does a level that would hold over
+    _MAX_PANELS panels (an integrand that is NaN everywhere, say).
+
+    Like any rule that samples points, it can miss a line much narrower
+    than its node spacing whose samples stay below the target; give such a
+    line a breakpoint by splitting the interval at it.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = lo.shape
@@ -179,30 +199,47 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     if not np.all(lo < hi):
         raise ValueError("integration requires a < b")
 
-    index = np.arange(lo.size)
-    fa, fm, fb = np.split(_sample(f, np.concatenate([lo, 0.5 * (lo + hi), hi]),
-                                  np.concatenate([index, index, index])), 3)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    n = lo.size
+    width = hi - lo
+    owner = np.arange(n)
+    done_sum, done_err = np.zeros(n), np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
     depth_cap = min(tol.max_iter, 48)
+    levels = []
+    for depth in range(depth_cap + 1):
+        kronrod, err, floor = _gauss_kronrod(f, lo, hi, owner)
+        # per interval sums run in panel order, which a batch keeps
+        estimate = done_sum + np.bincount(owner, kronrod, n)
+        target = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(estimate))
+        open_ = ~(done_err + np.bincount(owner, err, n) <= target)
+        share = target[owner] * ((hi - lo) / width[owner])
+        split = open_[owner] & ~(err <= np.fmax(share, floor))
+        if depth == depth_cap:
+            failed[owner[split]] = True
+            split[:] = False
+        levels.append((kronrod, split))
+        if not split.any():
+            break
+        if 2 * np.count_nonzero(split) > _MAX_PANELS:
+            raise ConvergenceError(
+                f"adaptive quadrature needs over {_MAX_PANELS} panels at depth {depth + 1}")
+        kept = ~split
+        done_sum += np.bincount(owner[kept], kronrod[kept], n)
+        done_err += np.bincount(owner[kept], err[kept], n)
+        mid = 0.5 * (lo + hi)
+        # children of the split panels: all left halves, then all right halves
+        lo, hi, owner = (np.concatenate([left[split], right[split]])
+                         for left, right in ((lo, mid), (mid, hi), (owner, owner)))
 
-    eps0 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(whole))
-    result, failed = _simpson_pass(f, index, lo, hi, fa, fm, fb, whole, eps0, depth_cap)
-    # refine once if the converged magnitude sharpened the relative target,
-    # or loosened it where the coarse estimate missed a peak and the first
-    # pass chased a budget below round-off into the depth cap; an interval
-    # fails only if both passes hit the cap
-    eps1 = np.fmax(tol.abs_tol, tol.rel_tol * np.abs(result))
-    redo = (eps1 < eps0 / 4.0) | (failed & (eps1 > eps0))
-    if redo.any():
-        result[redo], again_failed = _simpson_pass(
-            f, index[redo], lo[redo], hi[redo], fa[redo], fm[redo], fb[redo],
-            whole[redo], eps1[redo], depth_cap)
-        failed[redo] &= again_failed
-
-    result = float(result[0]) if shape == () else result.reshape(shape)
+    sums = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        half = sums.size // 2
+        value[split] = sums[:half] + sums[half:]
+        sums = value
+    result = float(sums[0]) if shape == () else sums.reshape(shape)
     if failed.any():
         raise ConvergenceError(
-            f"adaptive Simpson hit the depth cap ({depth_cap}) before converging",
+            f"adaptive quadrature hit the depth cap ({depth_cap}) before converging",
             best_estimate=result,
         )
     return result

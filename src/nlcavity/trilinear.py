@@ -102,8 +102,8 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     (and the theta integrand sqrt(N_a)) clamps at zero.
 
     theta(tau) = int_0^tau sqrt(N_a) dtau' accumulated in grid order over
-    adaptive Simpson segments between grid points, all integrated in one
-    batched call.
+    adaptive Gauss-Kronrod segments between grid points, all integrated in
+    one batched call.
     """
     if N_a0 <= 0.0:
         raise ValueError("N_a0 must be positive")
@@ -121,7 +121,8 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     n_vals = n_a(grid)
 
     # sqrt(N_a) has a one-sided square-root kink where the pump touches
-    # zero, which caps the attainable Simpson accuracy per segment
+    # zero: the panel there converges only as h^1.5, and it ends once its
+    # segment's summed error meets the target (integrate_adaptive)
     quad_tol = Tolerance(abs_tol=1e-9, rel_tol=1e-8, max_iter=48)
     first = 1 if grid[0] == 0.0 else 0  # a grid starting at 0 has no [0, tau_0]
     segments = integrate_adaptive(

@@ -57,7 +57,7 @@ below resolves.
 ``find_horizon`` scans the pulse window with 2 001 points and Brent-solves
 each sign change of c - u, ``velocity_gradient`` is a 5-point central
 difference with one Richardson step, and ``photons_per_pulse`` integrates
-the decaying emission rate by adaptive Simpson; the package resolves the
+the decaying emission rate by adaptive quadrature; the package resolves the
 horizon, its gradient and the photon count in closed form.
 
 ``b_func`` and ``d_func`` are the detector's coupling coefficients as first
@@ -798,7 +798,7 @@ def photons_per_pulse(T_H: float, params: LineParams,
                       decay_per_1000_cells: float = 0.10) -> float:
     """Photon count over one traversal: the rate pi kB T/(12 hbar), with T
     decaying linearly from T_H with the cells traversed, integrated over the
-    horizon lifetime N*a/u by adaptive Simpson."""
+    horizon lifetime N*a/u by adaptive quadrature."""
     lifetime = params.N * params.a / params.u
     decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
 

@@ -336,13 +336,15 @@ def test_derived_overflow_exits_2_naming_the_params(tmp_path, capsys, kind, para
                                                     key):
     # the builders' derived quantities are checked once, and the message names
     # the config key or its family, not a dataclass field; a line whose u
-    # overflows must not read as a missing horizon (exit 3)
+    # overflows must not read as a missing horizon (exit 3). No grid key
+    # reaches a builder or the detector onset, so none is named
     cfg = ScenarioConfig(kind=kind, params=params, grid=grid, output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
     err = capsys.readouterr().err
     family = kind.split("-")[0]
     assert err.startswith("config error:")
     assert key in err or f"{family} params" in err, err
+    assert "grid keys" not in err and not any(k in err for k in SCHEMAS[kind][1]), err
 
 
 @pytest.mark.parametrize("kind", ["detector-signal-noise", "detector-cooling"])

@@ -439,6 +439,39 @@ def test_band_spectra_curve_matches_one_point_calls(params, onset, bath_T):
     assert [(v.shape, v.dtype) for v in empty] == [((0,), np.float64)] * 3
 
 
+# ch2-detection operating points (detuning ratio, drive over I_bi): the
+# first is the preset's 24th drive on the zero-detuning curve, the point
+# whose band integrals the level-wise Gauss-Kronrod rule resolves worst
+BAND_ORACLE_POINTS = [(0.0, 0.01 + 23 * 0.31 / 29), (0.2, 0.1), (0.4, 0.03)]
+
+
+# quad reports the node round-off of the first point as a round-off warning
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+@pytest.mark.parametrize("ratio, drive_ratio", BAND_ORACLE_POINTS)
+def test_band_spectra_match_scipy_quad(params, onset, ratio, drive_ratio):
+    # the signal and noise band integrals against QUADPACK's adaptive
+    # qags at epsrel 1e-12. Bound: rel_tol 1e-8 plus the node round-off of
+    # a density of absolute omega, eps*omega/band (each node moves by up to
+    # an ulp of omega ~ 3e10 rad/s across a band of ~80 rad/s), which both
+    # quadratures carry
+    from scipy.integrate import quad
+
+    _, dw_bi, I_bi = onset
+    dw = ratio * abs(dw_bi)
+    drive = DrivePoint(I_0=drive_ratio * I_bi, delta_omega=dw)
+    th = effective_thermo(params, drive)
+    ws = params.omega_T + dw + th.R_omega * params.omega_m
+    band = 2.0 * th.R_gamma * params.gamma_bm
+    signal, noise, _ = band_spectra(params, dw, [drive.I_0], [th.chi], [ws], [band])
+    lo, hi = ws - band / 2.0, ws + band / 2.0
+    rel = 1e-8 + np.finfo(float).eps * hi / band
+    for got, density in ((signal[0], signal_density),
+                         (noise[0] - added_noise(params, ws, band), noise_density)):
+        exact, _ = quad(lambda w: float(density(params, drive, th.chi, w)), lo, hi,
+                        epsabs=0.0, epsrel=1e-12, limit=200)
+        assert abs(got - exact) <= rel * abs(exact)
+
+
 @pytest.mark.parametrize("bath_T", [-0.01, math.nan, math.inf])
 def test_band_spectra_rejects_bad_bath_T(params, onset, bath_T):
     drive = DrivePoint(I_0=0.1 * onset[2], delta_omega=0.0)

@@ -16,6 +16,8 @@ from nlcavity.numerics import (
 from oracles import (BracketError, StiffnessError, evolve_ode, find_root_bracketed,
                      fit_lorentzian_reference, fock_pump, pair_rhs)
 
+EPS = np.finfo(float).eps
+
 
 # --- jacobi dn -------------------------------------------------------------
 
@@ -104,7 +106,7 @@ def test_gamma_complementarity(s, x):
         math.gamma(s), rel=1e-9)
 
 
-# --- adaptive Simpson ------------------------------------------------------
+# --- adaptive Gauss-Kronrod ------------------------------------------------
 
 def test_integrate_constant():
     assert integrate_adaptive(lambda x, _: np.ones_like(x), 0.0, 2.0) == pytest.approx(
@@ -167,9 +169,8 @@ def test_integrate_rejects_bad_intervals_and_shapes():
 
 
 def test_integrate_narrow_peak_missed_by_coarse_estimate():
-    # the 3-node estimate (~0.03) misses the gamma = 1e-3 peak, so the first
-    # pass's per-panel budget sits at round-off near the peak; the stopping
-    # rule err <= rel_tol*|result| is still met through the retry
+    # the gamma = 1e-3 line is far narrower than the first level's node
+    # spacing; the target follows the estimate as the refinement finds it
     gamma, b = 1e-3, 2.7091838691349146
 
     def f(x, _):
@@ -182,9 +183,8 @@ def test_integrate_narrow_peak_missed_by_coarse_estimate():
 
 def test_integrate_cancelling_result_below_round_off():
     # the line (area ~12.56) nearly cancels the background (-12.69): the
-    # first pass meets rel_tol*|coarse estimate|, but rel_tol*|result| sits
-    # below the round-off of the peak's samples, so the sharpened pass hits
-    # the depth cap; its estimate refines the converged first pass's
+    # target rel_tol*|estimate| falls a hundredfold as the refinement
+    # resolves the line, and the result meets the final one
     gamma, b = 1e-3, 12.690695510287037
 
     def f(x, _):
@@ -193,47 +193,29 @@ def test_integrate_cancelling_result_below_round_off():
     exact = 4.0 * (math.atan((b - 1.0) / gamma) + math.atan(1.0 / gamma)) - b
     got = integrate_adaptive(f, 0.0, b, Tolerance(abs_tol=1e-12, rel_tol=1e-10))
     assert abs(got - exact) <= 1e-10 * abs(exact)
-    # a depth budget the first pass cannot converge in still raises
+    # a depth budget the refinement cannot converge in still raises (it
+    # needs 14 levels; max_iter 13 or less raises)
     with pytest.raises(ConvergenceError, match="depth cap"):
         integrate_adaptive(f, 0.0, b, Tolerance(abs_tol=1e-12, rel_tol=1e-10, max_iter=6))
 
 
 def test_integrate_unresolvable_integrand_stops():
-    # NaN never passes the Richardson test, so every panel splits at every
+    # NaN never passes the error test, so every panel splits at every
     # level; the panel budget ends the doubling long before the depth cap
     with pytest.raises(ConvergenceError, match="panels"):
         integrate_adaptive(lambda x, _: np.full_like(x, np.nan), 0.0, 1.0)
 
 
-def recursive_simpson(f, a, b, tol):
-    """The depth-first adaptive Simpson recursion with scalar callbacks that
-    integrate_adaptive's level-wise form reproduces."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    depth_cap = min(tol.max_iter, 48)
-
-    def recurse(lo, hi, flo, fmid, fhi, s_whole, eps, depth):
-        """(sum, hit the depth cap) over [lo, hi]."""
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (s_left + s_right - s_whole) / 15.0
-        if abs(err) <= eps or depth >= depth_cap:
-            return s_left + s_right + err, not abs(err) <= eps
-        left, left_failed = recurse(lo, mid, flo, flm, fmid, s_left, eps / 2.0, depth + 1)
-        right, right_failed = recurse(mid, hi, fmid, frm, fhi, s_right, eps / 2.0, depth + 1)
-        return left + right, left_failed or right_failed
-
-    eps0 = max(tol.abs_tol, tol.rel_tol * abs(whole))
-    result, failed = recurse(a, b, fa, fm, fb, whole, eps0, 0)
-    eps1 = max(tol.abs_tol, tol.rel_tol * abs(result))
-    if eps1 < eps0 / 4.0 or (failed and eps1 > eps0):
-        result, again_failed = recurse(a, b, fa, fm, fb, whole, eps1, 0)
-        failed = failed and again_failed
-    assert not failed, "oracle hit the depth cap"
-    return result
+def line_integral(coeffs, height, centre, width, a, b):
+    """(exact integral, bound on the integral of |f|) over [a, b] of the
+    Lorentzian-plus-Horner-polynomial integrand of the property below."""
+    exact = height * 2.0 * (math.atan((b - centre) / width) - math.atan((a - centre) / width))
+    magnitude = abs(exact)
+    for i, c in enumerate(coeffs):
+        p = len(coeffs) - i  # c multiplies x^(p - 1)
+        exact += c * (b ** p - a ** p) / p
+        magnitude += abs(c) * (math.copysign(abs(b) ** p, b) - math.copysign(abs(a) ** p, a)) / p
+    return exact, magnitude
 
 
 @given(
@@ -245,14 +227,23 @@ def recursive_simpson(f, a, b, tol):
 )
 @example(coeffs=[0.0], peak=(1.0, 1.0, 0.001), intervals=[(0.0, 2.7091838691349146)],
          rel_tol=1e-10)
-# only interval 1 (a line at 1.0 the coarse estimate misses) is refined twice
 @example(coeffs=[0.0], peak=(1.0, 0.25, 0.001 / 1.5),
          intervals=[(5.0, 1.0), (0.0, 2.7091838691349146)], rel_tol=1e-10)
-# the line cancels its background: the sharpened target is below round-off
+# the line cancels its background
 @example(coeffs=[-1.0], peak=(2.0, 1.0, 0.001), intervals=[(0.0, 12.690695510287037)],
          rel_tol=1e-10)
+# narrow lines whose node round-off exceeded the per-panel budget of the
+# adaptive Simpson rule this quadrature replaced (a depth-cap or panel-budget
+# ConvergenceError)
+@example(coeffs=[-0.587], peak=(2.74, 8.28, 0.001), intervals=[(5.13, 23.05 - 5.13)],
+         rel_tol=1e-10)
+@example(coeffs=[-1.0], peak=(4.25, -8.966, 0.001), intervals=[(-9.467, 6.025 + 9.467)],
+         rel_tol=1e-10)
+@example(coeffs=[0.0], peak=(4.41, 5.46, 0.001), intervals=[(2.18, 17.98 - 2.18)],
+         rel_tol=1e-10)
 @settings(max_examples=60, deadline=None)
-def test_integrate_intervals_match_scalar_calls_and_recursion(coeffs, peak, intervals, rel_tol):
+def test_integrate_intervals_match_scalar_calls_and_closed_form(coeffs, peak, intervals,
+                                                               rel_tol):
     height, x0, gamma = peak
 
     def line(x, centre, width):  # Lorentzian plus Horner polynomial
@@ -269,20 +260,32 @@ def test_integrate_intervals_match_scalar_calls_and_recursion(coeffs, peak, inte
     centres = x0 + 0.75 * np.arange(a.size)
     widths = gamma * (1.0 + 0.5 * np.arange(a.size))
     integrands = (
-        (lambda x, _: line(x, x0, gamma), lambda k: lambda x: line(x, x0, gamma)),
+        (lambda x, _: line(x, x0, gamma), lambda k: (x0, gamma)),
         (lambda x, k: line(x, centres[k], widths[k]),
-         lambda k: lambda x: line(x, float(centres[k]), float(widths[k]))),
+         lambda k: (float(centres[k]), float(widths[k]))),
     )
-    for batched_f, scalar_f in integrands:
+    for batched_f, line_of in integrands:
         batched = integrate_adaptive(batched_f, a, b, tol)
         assert isinstance(batched, np.ndarray) and batched.shape == a.shape
         for k in range(a.size):
-            f_k = scalar_f(k)
-            scalar = integrate_adaptive(lambda x, _: f_k(x), float(a[k]), float(b[k]), tol)
+            centre, width = line_of(k)
+            lo, hi = float(a[k]), float(b[k])
+            scalar = integrate_adaptive(lambda x, _: line(x, centre, width), lo, hi, tol)
             assert isinstance(scalar, float)
             assert scalar == batched[k]
-            oracle = recursive_simpson(f_k, float(a[k]), float(b[k]), tol)
-            assert abs(scalar - oracle) <= 1e-12 * max(abs(oracle), tol.abs_tol)
+            # the closed form is checked on a partition that resolves the
+            # line, with breakpoints at its centre and 1, 10, 100, ... widths
+            # from it: no rule that samples points can see a line much
+            # narrower than its node spacing
+            offsets = width * 10.0 ** np.arange(5)
+            inner = np.concatenate([centre - offsets, [centre], centre + offsets])
+            cuts = np.concatenate([[lo], np.sort(inner[(inner > lo) & (inner < hi)]), [hi]])
+            pieces = integrate_adaptive(lambda x, _: line(x, centre, width),
+                                        cuts[:-1], cuts[1:], tol)
+            for p, q, got in zip(cuts, cuts[1:], pieces):
+                exact, magnitude = line_integral(coeffs, height, centre, width, p, q)
+                bound = max(tol.abs_tol, tol.rel_tol * abs(exact)) + 64.0 * EPS * magnitude
+                assert abs(got - exact) <= bound
 
 
 # --- ODE (the RK45 oracle of tests/oracles.py) ------------------------------
