@@ -144,7 +144,10 @@ def _gauss_kronrod(f, lo, hi, k):
 
     The error is QUADPACK's: the Kronrod-Gauss difference scaled against
     the panel's spread s = K21 of |f - mean f| as s*min(1, (200*diff/s)^1.5).
-    The floor is 50*eps*(K21 of |f|), the round-off of the samples' sum."""
+    The floor is the round-off of the samples: 50*eps*(K21 of |f|) for
+    their sum, plus eps*max|x| times their variation for the nodes, each
+    rounded by up to an ulp of x (a band far narrower than |x| is limited
+    by the second)."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = centre + half * _GK_NODES
     fx = _sample(f, nodes.ravel(), np.tile(k, _GK_NODES.size)).reshape(nodes.shape)
@@ -155,7 +158,9 @@ def _gauss_kronrod(f, lo, hi, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(spread > 0.0,
                        spread * np.fmin(1.0, (200.0 * diff / spread) ** 1.5), diff)
-    floor = 50.0 * _EPS * half * _weighted_sum(_KRONROD_WEIGHTS, np.abs(fx))
+    variation = np.cumsum(np.abs(np.diff(fx, axis=0)), axis=0)[-1]
+    floor = (50.0 * _EPS * half * _weighted_sum(_KRONROD_WEIGHTS, np.abs(fx))
+             + _EPS * np.fmax(np.abs(lo), np.abs(hi)) * variation)
     return kronrod, err, floor
 
 
@@ -179,8 +184,8 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     over its panels so far. The interval is done once its panels' errors
     sum to at most that target. Until then an open panel is bisected
     unless its error is within its width's share of the target, or within
-    the round-off floor of its own samples (50*eps times the Kronrod
-    integral of |f|, where refining only resamples noise). So the panel at
+    the round-off floor of its own samples, where refining only resamples
+    noise. So the panel at
     a square-root kink, whose error falls as h^1.5 against a share that
     halves per level, is ended by the interval's sum, not by its share.
     Levels are refined breadth first, one integrand call each, and the

@@ -440,8 +440,8 @@ def test_band_spectra_curve_matches_one_point_calls(params, onset, bath_T):
 
 
 # ch2-detection operating points (detuning ratio, drive over I_bi): the
-# first is the preset's 24th drive on the zero-detuning curve, the point
-# whose band integrals the level-wise Gauss-Kronrod rule resolves worst
+# first is the preset's 24th drive on the zero-detuning curve, where node
+# round-off moves a two-panel split of the band by 2.8e-8
 BAND_ORACLE_POINTS = [(0.0, 0.01 + 23 * 0.31 / 29), (0.2, 0.1), (0.4, 0.03)]
 
 
