@@ -185,9 +185,9 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     sum to at most that target. Until then an open panel is bisected
     unless its error is within its width's share of the target, or within
     the round-off floor of its own samples, where refining only resamples
-    noise. So the panel at
-    a square-root kink, whose error falls as h^1.5 against a share that
-    halves per level, is ended by the interval's sum, not by its share.
+    noise. So the panel at a square-root kink, whose error falls as h^1.5
+    against a share that halves per level, is ended by the interval's sum,
+    not by its share.
     Levels are refined breadth first, one integrand call each, and the
     tree is summed bottom-up, children pairwise. A panel still open at the
     depth budget (tol.max_iter, at most 48) raises ConvergenceError

@@ -232,9 +232,8 @@ def line_integral(coeffs, height, centre, width, a, b):
 # the line cancels its background
 @example(coeffs=[-1.0], peak=(2.0, 1.0, 0.001), intervals=[(0.0, 12.690695510287037)],
          rel_tol=1e-10)
-# narrow lines whose node round-off exceeded the per-panel budget of the
-# adaptive Simpson rule this quadrature replaced (a depth-cap or panel-budget
-# ConvergenceError)
+# narrow lines whose node round-off exceeds a per-panel budget that halves
+# with depth, which raised a depth-cap or panel-budget ConvergenceError
 @example(coeffs=[-0.587], peak=(2.74, 8.28, 0.001), intervals=[(5.13, 23.05 - 5.13)],
          rel_tol=1e-10)
 @example(coeffs=[-1.0], peak=(4.25, -8.966, 0.001), intervals=[(-9.467, 6.025 + 9.467)],
@@ -247,10 +246,12 @@ def test_integrate_intervals_match_scalar_calls_and_closed_form(coeffs, peak, in
     height, x0, gamma = peak
 
     def line(x, centre, width):  # Lorentzian plus Horner polynomial
+        # width * width: a float's ** 2 (libm pow) and an array's (a square)
+        # can differ in the last bit, and the scalar calls take floats
         poly = 0.0 * x
         for c in coeffs:
             poly = poly * x + c
-        return height * 2.0 * width / ((x - centre) ** 2 + width ** 2) + poly
+        return height * 2.0 * width / ((x - centre) ** 2 + width * width) + poly
 
     tol = Tolerance(abs_tol=1e-12, rel_tol=rel_tol)
     a = np.array([lo for lo, _ in intervals])
