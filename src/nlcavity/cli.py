@@ -66,12 +66,17 @@ def load_config(path: Path) -> ScenarioConfig:
     if "scenario" not in parser or "kind" not in parser["scenario"]:
         raise ValueError("config must contain [scenario] kind = ...")
     out = Path(parser.get("output", "dir", fallback="."))
+    label = parser.get("scenario", "label", fallback=Path(path).stem)
+    # the label prefixes every artifact's file name inside the output dir
+    if Path(label).name != label:
+        raise ValueError(f"[scenario] label {label!r} must be a file name, without a "
+                         "path separator")
     return ScenarioConfig(
         kind=parser["scenario"]["kind"],
         params=dict(parser["params"]) if "params" in parser else {},
         grid=dict(parser["grid"]) if "grid" in parser else {},
         output_dir=out,
-        label=parser.get("scenario", "label", fallback=Path(path).stem),
+        label=label,
     )
 
 
@@ -153,35 +158,33 @@ def _detector_common(cfg, p):
 
 
 def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
-    """CSV rows of one detuning curve. Each drive is resolved on its own
-    (mean field, gates, sideband fit); the band spectra of every point that
-    passes its gates then come from one ``band_spectra`` call."""
+    """CSV rows of one detuning curve. One detector sweep resolves and fits
+    every drive (mean field, gates, sideband fit); the band spectra of every
+    point that passes its gates then come from one ``band_spectra`` call."""
+    I_0s = drive_ratios * scale
     thermos = []
-    for x in drive_ratios:
-        drive = detector.DrivePoint(I_0=float(x) * scale, delta_omega=dw)
-        try:
-            thermos.append(detector.effective_thermo(params, drive, bath_T=bath_T))
-        except (InstabilityError, NonLorentzianError) as exc:
-            thermos.append(type(exc).__name__)
-            cfg.warnings.append(
-                f"{label} detuning {r}: drive {x:.3f} I_bi failed {thermos[-1]}")
+    for x, (th,) in zip(drive_ratios, detector._thermo_sweep(params, dw, I_0s, [bath_T])):
+        if not isinstance(th, detector.EffectiveThermo):
+            th = type(th).__name__
+            cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {th}")
+        thermos.append(th)
     ok = [i for i, th in enumerate(thermos) if not isinstance(th, str)]
     spectra = {}
     if ok:
         wp = params.omega_T + dw
         sig, noi, cav = detector.band_spectra(
-            params, dw, [float(drive_ratios[i]) * scale for i in ok],
+            params, dw, [I_0s[i] for i in ok],
             [thermos[i].chi for i in ok],
             [wp + thermos[i].R_omega * params.omega_m for i in ok],
             [2.0 * thermos[i].R_gamma * params.gamma_bm for i in ok], bath_T)
         spectra = dict(zip(ok, zip(sig.tolist(), noi.tolist(), cav.tolist())))
     rows = []
-    for i, (x, th) in enumerate(zip(drive_ratios, thermos)):
+    for i, (x, I_0, th) in enumerate(zip(drive_ratios, I_0s, thermos)):
         if isinstance(th, str):
-            rows.append([x, label, r, x * scale] + [math.nan] * 8 + [th])
+            rows.append([x, label, r, I_0] + [math.nan] * 8 + [th])
             continue
         sig, noi, cav = spectra[i]
-        rows.append([x, label, r, x * scale, sig, noi, cav,
+        rows.append([x, label, r, I_0, sig, noi, cav,
                      noi / sig if sig > 0 else math.nan, th.R_omega, th.R_gamma,
                      th.n_back_plus, th.lorentzian_residual, ""])
     return rows
@@ -438,7 +441,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a scenario config or preset")
     runp.add_argument("config", nargs="?", help="path to INI config")
     runp.add_argument("--preset", help="preset name instead of a config file")
-    runp.add_argument("--out", default=".", help="output directory")
+    runp.add_argument("--out", help="output directory (default: a config's [output] dir, "
+                      "else the working directory)")
     sub.add_parser("presets", help="list available presets")
 
     args = ap.parse_args(argv)
@@ -449,10 +453,10 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             if args.preset:
-                cfg = config_from_preset(args.preset, Path(args.out))
+                cfg = config_from_preset(args.preset, Path(args.out or "."))
             elif args.config:
                 cfg = load_config(Path(args.config))
-                if args.out != ".":
+                if args.out is not None:
                     cfg.output_dir = Path(args.out)
             else:
                 raise ValueError("need a config path or --preset")

@@ -242,8 +242,8 @@ class _Point(NamedTuple):
     """The drive- and mean-field-dependent factors of the response algebra
     at one operating point: detuning, chi, |chi|^2, |chi|^4, chi^2, the
     small-drive amplitude c and the drive- and coupling-strength prefactor
-    of the signal kernel. ``band_spectra`` gathers them into per-node
-    arrays."""
+    of the signal kernel. ``band_spectra`` and the detector sweep's
+    post-fit kernel gather them into per-node arrays."""
 
     dw: float
     chi: complex
@@ -269,8 +269,10 @@ def _point(params, drive, chi) -> _Point:
 def _response_terms(params, pt, omega):
     """(upper, lower, cross_w, determinant) of the 2x2 response system at
     omega. Plain arithmetic, so omega may be real or complex, scalar or
-    array, and the ``_Point`` factors scalars or arrays of omega's shape;
-    the zero-frequency argument is 0.0 * omega for the same reason.
+    array, and the ``_Point`` factors scalars or arrays of omega's shape.
+    The mechanical bracket at w' = 0 is the same at every node, so an array
+    omega gets it formed on one zero node and broadcast; a scalar omega
+    forms it from 0.0 * omega in scalar arithmetic.
 
     The coupling coefficients are the appendix closed forms
     b(w, w') = (w_T K_Tm)^2/(4 pi) / (w - w_T + i g_pT)
@@ -284,7 +286,8 @@ def _response_terms(params, pt, omega):
     mirror = omega - 2.0 * pt.dw
     cavity_w = omega - wT + 1j * gpt
     cavity_m = mirror - wT + 1j * gpt
-    zero, shift = 0.0 * omega, omega - wp
+    zero = np.zeros((1,) * omega.ndim) if isinstance(omega, np.ndarray) else 0.0 * omega
+    shift = omega - wp
     mech_0 = 1.0 / (zero - wm + 1j * gbm) + 1.0 / (-zero - wm - 1j * gbm)
     mech_s = 1.0 / (shift - wm + 1j * gbm) + 1.0 / (-shift - wm - 1j * gbm)
     b_pref = (wT * params.K_Tm) ** 2 / (4.0 * math.pi)
@@ -301,14 +304,20 @@ def _response_terms(params, pt, omega):
     return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
 
 
-def _quotients(params, pt, omega):
+# relative size of a response determinant that warns of bifurcation proximity
+_SINGULAR_TOL = 1e-14
+
+
+def _quotients(params, pt, omega, owner=None):
     """(lower/det, cross_w/det, det) of the response system at real omega,
-    from the ``_Point`` factors. Warns when the determinant is within 1e-14
-    of singular (bifurcation proximity)."""
+    from the ``_Point`` factors. Warns when the determinant is within
+    ``_SINGULAR_TOL`` of singular (bifurcation proximity): once, or, when
+    ``owner`` labels each node with its operating point, once per operating
+    point."""
     upper, lower, cross_w, det = _response_terms(params, pt, omega)
 
-    scale = 1.0 + np.abs(upper) + np.abs(lower)
-    if np.any(np.abs(det) < 1e-14 * scale):
+    near = np.abs(det) < _SINGULAR_TOL * (1.0 + np.abs(upper) + np.abs(lower))
+    for _ in range(int(near.any()) if owner is None else len(set(owner[near].tolist()))):
         warnings.warn("response determinant nearly singular (bifurcation proximity)",
                       RuntimeWarning, stacklevel=4)
     return lower / det, cross_w / det, det
@@ -320,9 +329,10 @@ def _alphas(pt, beta1, ratio):
     return beta1 * pt.chi, -ratio * pt.chi2 * pt.chi
 
 
-def _coefficients(params, pt, omega):
-    """``response_coeffs`` from the ``_Point`` factors at real omega."""
-    beta1, ratio, det = _quotients(params, pt, omega)
+def _coefficients(params, pt, omega, owner=None):
+    """``response_coeffs`` from the ``_Point`` factors at real omega; owner
+    as in ``_quotients``."""
+    beta1, ratio, det = _quotients(params, pt, omega, owner)
     return (*_alphas(pt, beta1, ratio), beta1, ratio * pt.chi_sq, det)
 
 
@@ -343,12 +353,14 @@ def _signal_terms(params, pt, omega, coeffs):
     gpt, gbm, wm = params.gamma_pT, params.gamma_bm, params.omega_m
     dw = pt.dw
     wp = params.omega_T + dw
-    cavity = (omega / wp) * gpt ** 2 / ((omega - wp + dw) ** 2 + gpt ** 2)
+    shift = omega - wp
+    x = shift + dw
+    cavity = (omega / wp) * gpt ** 2 / (x ** 2 + gpt ** 2)
     a1, a2 = coeffs[:2]
-    ratio = (omega - wp + dw + 1j * gpt) / (omega - wp - dw + 1j * gpt)
+    ratio = (x + 1j * gpt) / (shift - dw + 1j * gpt)
     combo = np.abs(a1 / pt.c + a2 / pt.c * ratio) ** 2
-    lor_plus = 2.0 * gbm / ((omega - wp - wm) ** 2 + gbm ** 2)
-    lor_minus = 2.0 * gbm / ((wp - omega - wm) ** 2 + gbm ** 2)
+    lor_plus = 2.0 * gbm / ((shift - wm) ** 2 + gbm ** 2)
+    lor_minus = 2.0 * gbm / ((-shift - wm) ** 2 + gbm ** 2)
     return cavity, combo, lor_plus, lor_minus
 
 
@@ -377,8 +389,9 @@ def _noise_terms(params, pt, omega, coeffs):
     dw = pt.dw
     wp = params.omega_T + dw
     b1, b2 = coeffs[2:4]
-    x = omega - wp + dw
-    mirror_ratio = (x ** 2 + gpt ** 2) / ((omega - wp - dw) ** 2 + gpt ** 2)
+    shift = omega - wp
+    x = shift + dw
+    mirror_ratio = (x ** 2 + gpt ** 2) / ((shift - dw) ** 2 + gpt ** 2)
     bracket = (np.abs(b1) ** 2 + mirror_ratio * np.abs(b2) ** 2
                - np.real(b1) + x / gpt * np.imag(b1))
     return (hbar * omega / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
@@ -481,20 +494,28 @@ def _determinant_zero(params, drive, chi):
     return z2
 
 
-def _select_for_thermo(params, drive):
-    """Small-branch selection with a fold guard: inside the bistable
-    detuning range, past the upper fold (where the small branch has merged
-    with the unstable one and vanished) is a validity failure."""
-    sols = mean_field(params, drive)
+def _fold(params):
+    """(E_bi, delta_omega_bi) of the fold guard, or None when params have no
+    bistability."""
     try:
         E_bi, dw_bi, _ = bistability_onset(params)
     except NoBistabilityError:
-        return select_branch(sols)
-    in_range = drive.delta_omega / dw_bi >= 1.0
-    stable = [s for s in sols if s.branch != "unstable"]
-    if in_range and len(stable) == 1 and stable[0].E > E_bi:
-        raise InstabilityError(
-            "small-amplitude branch lost past the upper bistable boundary")
+        return None
+    return E_bi, dw_bi
+
+
+def _select_for_thermo(params, drive, fold):
+    """Small-branch selection with a fold guard: inside the bistable
+    detuning range, past the upper fold (where the small branch has merged
+    with the unstable one and vanished) is a validity failure. fold is the
+    ``_fold`` of params."""
+    sols = mean_field(params, drive)
+    if fold is not None:
+        E_bi, dw_bi = fold
+        stable = [s for s in sols if s.branch != "unstable"]
+        if drive.delta_omega / dw_bi >= 1.0 and len(stable) == 1 and stable[0].E > E_bi:
+            raise InstabilityError(
+                "small-amplitude branch lost past the upper bistable boundary")
     return select_branch(sols)
 
 
@@ -502,10 +523,10 @@ def _select_for_thermo(params, drive):
 _NOISE_PROBES = np.array([0.0, -10.0, 10.0, -20.0, 20.0])
 
 
-def _noise_peak_height(v):
-    """Peak height of the mechanical noise Lorentzian above the broad
-    added-noise background, from the noise density ``v`` at the
-    ``_NOISE_PROBES`` offsets.
+def _noise_peak_heights(v):
+    """Peak heights of mechanical noise Lorentzians above the broad
+    added-noise background, from each row of ``v``: one line's noise density
+    at the ``_NOISE_PROBES`` offsets.
 
     With (center, gamma) pinned by the signal fit, symmetric probe pairs at
     0, 10 and 20 linewidths give three even-moment equations in (flat
@@ -513,51 +534,20 @@ def _noise_peak_height(v):
     terms odd about the peak cancel in the pair averages. The closed-form
     elimination below is exact for quadratic background + Lorentzian.
     """
-    e0, e10, e20 = v[0], 0.5 * (v[1] + v[2]), 0.5 * (v[3] + v[4])
-    return float((3.0 * e0 - 4.0 * e10 + e20) * (40501.0 / 120000.0))
+    e0, e10, e20 = v[:, 0], 0.5 * (v[:, 1] + v[:, 2]), 0.5 * (v[:, 3] + v[:, 4])
+    return (3.0 * e0 - 4.0 * e10 + e20) * (40501.0 / 120000.0)
 
 
 # Lorentzian residual above which a sideband's thermal parametrization fails
 _RESIDUAL_GATE = 0.05
 
 
-def _sideband_fits(params, drive, chi, window, temps):
-    """Lorentzian fits of the signal line in ``window``, one per bath
-    temperature.
-
-    Each temperature only applies its occupation factors to the window and
-    fits the result. The noise probes and the signal peak of every fitted
-    line are then evaluated in one response call. Returns, per temperature,
-    (center, width, amplitude, noise-to-signal peak ratio, fit residual).
-    """
-    omega, kernel, lor_plus, lor_minus = window
-    wp = params.omega_T + drive.delta_omega
-    fits = [fit_lorentzian(omega, np.clip(
-        _occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)) for T in temps]
-    centers = np.array([fit[0] for fit in fits])
-    widths = np.array([fit[1] for fit in fits])
-    n_noise = _NOISE_PROBES.size * len(fits)
-    probe = np.concatenate(
-        [(centers[:, None] + widths[:, None] * _NOISE_PROBES).ravel(), centers])
-    pt = _point(params, drive, chi)
-    coeffs = response_coeffs(params, drive, chi, probe)
-    noise = _noise_terms(params, pt, probe[:n_noise],
-                         [c[:n_noise] for c in coeffs]).reshape(len(fits), -1)
-    cavity, combo, pk_plus, pk_minus = _signal_terms(
-        params, pt, centers, [c[n_noise:] for c in coeffs])
-    pk_kernel = pt.prefactor * cavity * combo
-    out = []
-    for j, (T, (c_s, g_s, a_s, res_s)) in enumerate(zip(temps, fits)):
-        s_pk = float(_occupied(pk_kernel[j], pk_plus[j], pk_minus[j], centers[j] - wp, T))
-        out.append((c_s, g_s, a_s, _noise_peak_height(noise[j]) / s_pk, res_s))
-    return out
-
-
-def _resolve_drive(params, drive, frequency_pulling=True):
+def _resolve_drive(params, drive, pt=None):
     """The bath-independent part of the +1 thermal parametrization at one
     drive: (chi, weak, window).
 
-    chi is the fold-guarded small-branch mean field, weak flags a pole that
+    pt is the drive's ``_Point``, by default that of the fold-guarded
+    small-branch mean field; chi is its mean field. weak flags a pole that
     the drive has not moved off the bare mechanical damping, and window
     holds the bath-independent factors of the signal density over +-5
     widths of the renormalized +1 pole (1601 points): (omega, prefactor *
@@ -565,13 +555,11 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     that pole's damping is non-positive or the small branch has been lost,
     and OverflowError when the pole or the window kernel is not finite.
     """
-    if frequency_pulling:
-        chi = _select_for_thermo(params, drive).chi
-    else:
-        chi = mean_field(params, drive, frequency_pulling=False)[0].chi
+    if pt is None:
+        pt = _point(params, drive, _select_for_thermo(params, drive, _fold(params)).chi)
     # stability probe: renormalized mechanical pole must stay in the lower
     # half plane
-    pole = _determinant_zero(params, drive, chi)
+    pole = _determinant_zero(params, drive, pt.chi)
     if not cmath.isfinite(pole):  # a huge K_d drives the secant to NaN
         raise OverflowError(f"the renormalized +1 pole {pole} is not finite")
     r_gamma_probe = -pole.imag / params.gamma_bm
@@ -581,48 +569,132 @@ def _resolve_drive(params, drive, frequency_pulling=True):
     weak = abs(r_gamma_probe - 1.0) < 1e-9
     width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
     omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
-    pt = _point(params, drive, chi)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
         params, pt, omega, _alphas(pt, *_quotients(params, pt, omega)[:2]))
     kernel = pt.prefactor * cavity * combo
     if not np.isfinite(kernel).all():
         raise OverflowError("the signal window of the +1 pole is not finite")
-    return chi, weak, (omega, kernel, lor_plus, lor_minus)
+    return pt.chi, weak, (omega, kernel, lor_plus, lor_minus)
 
 
-def _thermo_lines(params, drive, resolved, temps):
-    """The +1 thermal parametrization of a ``_resolve_drive`` resolution at
-    each bath temperature: an EffectiveThermo, or the NonLorentzianError of
-    a line that fails the residual gate."""
-    chi, weak, window = resolved
-    wp = params.omega_T + drive.delta_omega
+def _peak_ratios(params, points, fits, temps):
+    """Noise-to-signal peak ratio of every fitted line of a sweep, as a
+    (drives, temperatures) array: fits[i][t] is the Lorentzian fit of the
+    window of the resolved drive with ``_Point`` points[i] at bath
+    temperature temps[t].
+
+    The noise probes and the signal peak of every line run as one gathered
+    response call on per-node ``_Point`` factors, as in ``band_spectra``, so
+    each ratio equals that of a one-line sweep bit for bit; a nearly
+    singular determinant warns once per drive. Only the occupation factors
+    of the peaks run once per temperature.
+    """
+    shape = (len(points), len(temps))
+    if not points:
+        return np.empty(shape)
+    table = _Point._make(np.array(column) for column in zip(*points))
+    centers, widths = (np.array([[fit[k] for fit in row] for row in fits]).ravel()
+                       for k in (0, 1))
+    # the noise probes of every line, then every line center
+    nodes = np.concatenate(
+        [(centers[:, None] + widths[:, None] * _NOISE_PROBES).ravel(), centers])
+    owner = np.repeat(np.arange(len(points)), len(temps))
+    owner = np.concatenate([np.repeat(owner, _NOISE_PROBES.size), owner])
+    pt = _Point._make(column[owner] for column in table)
+    coeffs = _coefficients(params, pt, nodes, owner)
+    probes, peaks = slice(0, -centers.size), slice(-centers.size, None)
+    noise = _noise_terms(params, _Point._make(c[probes] for c in pt), nodes[probes],
+                         [c[probes] for c in coeffs])
+    peak = _Point._make(c[peaks] for c in pt)
+    cavity, combo, lor_plus, lor_minus = _signal_terms(
+        params, peak, centers, [c[peaks] for c in coeffs])
+    kernel, lor_plus, lor_minus, x = (a.reshape(shape) for a in (
+        peak.prefactor * cavity * combo, lor_plus, lor_minus,
+        centers - (params.omega_T + peak.dw)))
+    signal = np.empty(shape)
+    for t, T in enumerate(temps):
+        signal[:, t] = _occupied(kernel[:, t], lor_plus[:, t], lor_minus[:, t], x[:, t], T)
+    return _noise_peak_heights(noise.reshape(-1, _NOISE_PROBES.size)).reshape(shape) / signal
+
+
+def _thermo_line(params, wp, chi, weak, T, fit, peak_ratio):
+    """The +1 thermal parametrization of one fitted line at bath
+    temperature T: an EffectiveThermo, or the NonLorentzianError of a line
+    that fails the residual gate."""
+    c_s, g_s, a_s, residual = fit
+    if residual > _RESIDUAL_GATE:
+        return NonLorentzianError(
+            f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
+            residual=residual)
     gbm, wm = params.gamma_bm, params.omega_m
-    out = []
-    for T, (c_s, g_s, a_s, peak_ratio, residual) in zip(
-            temps, _sideband_fits(params, drive, chi, window, temps)):
-        if residual > _RESIDUAL_GATE:
-            out.append(NonLorentzianError(
-                f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
-                residual=residual))
+    R_omega = (c_s - wp) / wm
+    R_gamma = g_s / gbm
+    occ_bath = 2.0 * bose_occupation(R_omega * wm, T) + 1.0  # 2 n_bath + 1
+    gamma_back = (R_gamma - 1.0) * gbm
+    if weak or gamma_back == 0.0:
+        # no back-action damping to invert the noise peak with
+        nb_plus = n_net = math.nan
+    else:
+        nb_plus = (peak_ratio * occ_bath * gbm / gamma_back - 1.0) / 2.0
+        n_net = 0.5 * (occ_bath / R_gamma
+                       + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
+    return EffectiveThermo(
+        R_omega=R_omega, R_gamma=R_gamma,
+        G_plus=params.Z_p * a_s * g_s * (2.0 * params.mass * R_omega * wm)
+        / (hbar * gbm * occ_bath),
+        n_back_plus=nb_plus,
+        n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
+
+
+def _thermo_sweep(params, detuning, I_grid, temps, frequency_pulling=True):
+    """The +1 thermal parametrization over a (drive current, bath
+    temperature) grid at one pump detuning: per drive, a list with one
+    entry per temperature, an EffectiveThermo or the InstabilityError or
+    NonLorentzianError of the gate the line fails. A drive that fails the
+    stability gate fails it at every temperature.
+
+    Every temperature is checked before any drive is solved (ValueError for
+    a negative or non-finite one). Each drive is then resolved once (mean
+    field, +1 pole and signal window, with one ``bistability_onset`` for the
+    fold guard of the whole sweep) and its window fitted at each
+    temperature. The post-fit work of every line (noise probes, peak signal
+    and occupation factors) runs once for the sweep in ``_peak_ratios``, and
+    the inversion per line in ``_thermo_line``.
+    """
+    temps = [float(T) for T in temps]
+    for T in temps:
+        _check_bath_T(T)
+    fold = _fold(params) if frequency_pulling else None
+    wp = params.omega_T + detuning
+    drives, points, fits = [], [], []  # drives: (point index, weak) or the failure
+    for I_0 in I_grid:
+        drive = DrivePoint(I_0=float(I_0), delta_omega=detuning)
+        try:
+            chi = (_select_for_thermo(params, drive, fold).chi if frequency_pulling
+                   else mean_field(params, drive, frequency_pulling=False)[0].chi)
+            pt = _point(params, drive, chi)
+            _, weak, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(params, drive, pt)
+        except InstabilityError as exc:
+            # without its traceback, which would hold this frame (the last
+            # window and ``drives`` itself) in a reference cycle
+            drives.append(exc.with_traceback(None))
             continue
-        R_omega = (c_s - wp) / wm
-        R_gamma = g_s / gbm
-        occ_bath = 2.0 * bose_occupation(R_omega * wm, T) + 1.0  # 2 n_bath + 1
-        gamma_back = (R_gamma - 1.0) * gbm
-        if weak or gamma_back == 0.0:
-            # no back-action damping to invert the noise peak with
-            nb_plus = n_net = math.nan
-        else:
-            nb_plus = (peak_ratio * occ_bath * gbm / gamma_back - 1.0) / 2.0
-            n_net = 0.5 * (occ_bath / R_gamma
-                           + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
-        out.append(EffectiveThermo(
-            R_omega=R_omega, R_gamma=R_gamma,
-            G_plus=params.Z_p * a_s * g_s * (2.0 * params.mass * R_omega * wm)
-            / (hbar * gbm * occ_bath),
-            n_back_plus=nb_plus,
-            n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak))
-    return out
+        x = omega - wp
+        drives.append((len(points), weak))
+        points.append(pt)
+        fits.append([fit_lorentzian(omega, np.clip(
+            _occupied(kernel, lor_plus, lor_minus, x, T), 0.0, None)) for T in temps])
+        del omega, kernel, lor_plus, lor_minus, x  # one window alive at a time
+    ratios = _peak_ratios(params, points, fits, temps).tolist()
+    lines = []
+    for entry in drives:
+        if isinstance(entry, InstabilityError):
+            lines.append([entry] * len(temps))
+            continue
+        i, weak = entry
+        lines.append([_thermo_line(params, wp, points[i].chi, weak, T, fit, ratio)
+                      for T, fit, ratio in zip(temps, fits[i], ratios[i])])
+    return lines
 
 
 def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 0.0,
@@ -639,18 +711,18 @@ def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 
     parametrization at the fitted line center (where interference
     contributions odd about the peak vanish) after removing the broad
     added-noise background, probed out to +-20 linewidths. This is the
-    one-temperature case of ``cooling_curve``'s per-drive resolution. The
-    phase-conjugating (-1) line is not parametrized.
+    one-drive, one-temperature case of the detector sweep that
+    ``cooling_curve`` and the detection curves run. The phase-conjugating
+    (-1) line is not parametrized.
 
     Raises ValueError for a negative or non-finite bath temperature,
     InstabilityError when the renormalized mechanical damping is
     non-positive (or the low branch has been lost) and NonLorentzianError
     on a residual-gate failure.
     """
-    _check_bath_T(bath_T)
-    line, = _thermo_lines(params, drive,
-                          _resolve_drive(params, drive, frequency_pulling), [bath_T])
-    if isinstance(line, NonLorentzianError):
+    (line,), = _thermo_sweep(params, drive.delta_omega, [drive.I_0], [bath_T],
+                             frequency_pulling)
+    if not isinstance(line, EffectiveThermo):
         raise line
     return line
 
@@ -659,26 +731,16 @@ def cooling_curve(params: DetectorParams, detuning: float, I_grid, bath_T_list):
     """Net mechanical occupation over a (drive current, bath temperature)
     grid, as a list of row dicts in drive-major order.
 
-    Every bath temperature is checked before any drive is solved (ValueError
-    for a negative or non-finite one). Each drive is then resolved once
-    (mean field, +1 pole and signal window) and only the occupation
-    factors, the fit and the inversion run per temperature, with the
-    results of ``effective_thermo`` at that (drive, temperature). Rows
-    failing a validity gate carry NaN and the failure reason; a drive that
-    fails the stability gate fails it at every temperature.
+    One detector sweep: every bath temperature is checked before any drive
+    is solved (ValueError for a negative or non-finite one), each drive is
+    resolved once, and each row has the values of ``effective_thermo`` at
+    its (drive, temperature). Rows failing a validity gate carry NaN and the
+    failure reason; a drive that fails the stability gate fails it at every
+    temperature.
     """
     temps = [float(T) for T in bath_T_list]
-    for T in temps:
-        _check_bath_T(T)
     rows = []
-    for I0 in I_grid:
-        drive = DrivePoint(I_0=float(I0), delta_omega=detuning)
-        try:
-            resolved = _resolve_drive(params, drive)
-        except InstabilityError as exc:
-            lines = [exc] * len(temps)
-        else:
-            lines = _thermo_lines(params, drive, resolved, temps)
+    for I0, lines in zip(I_grid, _thermo_sweep(params, detuning, I_grid, temps)):
         for T, line in zip(temps, lines):
             row = {"I_0": float(I0), "bath_T": T, "n_net": math.nan,
                    "R_omega": math.nan, "R_gamma": math.nan,

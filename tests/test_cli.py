@@ -261,7 +261,7 @@ def test_bad_dim_per_mode_names_the_key(tmp_path, capsys):
     ("drive_min_ratio", "-0.5"), ("drive_points", "2.5")])
 def test_detection_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key, value):
     solved = []
-    monkeypatch.setattr(detector, "effective_thermo", lambda *args, **kw: solved.append(args))
+    monkeypatch.setattr(detector, "_thermo_sweep", lambda *args, **kw: solved.append(args))
     cfg = ScenarioConfig(kind="detector-signal-noise", params=dict(CH2),
                          grid=dict(SIGNAL_NOISE_GRID, **{key: value}), output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -890,6 +890,44 @@ def test_main_run_requires_input():
 
 def test_main_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
+
+
+def _bistability_ini(path, label=None, out_dir=None):
+    """A small detector-bistability config file at path."""
+    text = "[scenario]\nkind = detector-bistability\n"
+    if label is not None:
+        text += f"label = {label}\n"
+    text += "[params]\n" + "".join(f"{k} = {v}\n" for k, v in CH2.items())
+    text += "[grid]\npoints = 3\n"
+    if out_dir is not None:
+        text += f"[output]\ndir = {out_dir}\n"
+    path.write_text(text)
+    return path
+
+
+def test_main_explicit_out_dot_overrides_the_config_dir(tmp_path, monkeypatch, capsys):
+    # --out . is an explicit choice of the working directory; only an absent
+    # --out falls back to the config's [output] dir
+    config = _bistability_ini(tmp_path / "t.ini", out_dir="fromcfg")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(config), "--out", "."]) == EXIT_OK
+    assert (tmp_path / "t_manifest.json").is_file()
+    assert not (tmp_path / "fromcfg").exists()
+    assert main(["run", str(config)]) == EXIT_OK
+    assert (tmp_path / "fromcfg" / "t_manifest.json").is_file()
+
+
+@pytest.mark.parametrize("label", ["o2/nodir/t", "sub/", "{tmp}/abs"],
+                         ids=["nested", "trailing", "absolute"])
+def test_label_with_a_path_separator_exits_2(tmp_path, monkeypatch, capsys, label):
+    # the absolute label lies inside tmp_path, so a regression writes there
+    config = _bistability_ini(tmp_path / "t.ini", label=label.format(tmp=tmp_path),
+                              out_dir="o2")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [scenario] label") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def _info_trajectory(tier, mean_occ, taus):

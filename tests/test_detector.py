@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlcavity.detector import (
     DrivePoint,
+    EffectiveThermo,
     added_noise,
     band_spectra,
     bistability_boundary,
@@ -21,6 +23,7 @@ from nlcavity.detector import (
 from nlcavity.errors import (
     InstabilityError,
     NoBistabilityError,
+    NonLorentzianError,
     OutsideRegionError,
 )
 from nlcavity.numerics import fit_lorentzian
@@ -691,6 +694,109 @@ def test_cooling_curve_rejects_bad_bath_T_before_solving(cooling_params, monkeyp
         cooling_curve(cooling_params, 1.3 * dw_bi, [0.5 * I_bi, 0.8 * I_bi],
                       [0.0, 0.05, bad_T])
     assert calls["mean_field"] == 0
+
+
+def _preset_curves(preset):
+    """[(params, detuning, drive grid, bath temperatures)] of every drive
+    sweep the detector preset runs through the CLI, in its order."""
+    import dataclasses
+
+    params = build_detector_params(PRESETS[preset]["params"])
+    grid = PRESETS[preset]["grid"]
+    ratios = np.linspace(float(grid["drive_min_ratio"]), float(grid["drive_max_ratio"]),
+                         int(grid["drive_points"]))
+    temps = [float(T) for T in grid["bath_T_K"].split(",")]
+    _, dw_bi, I_bi = bistability_onset(params)
+    if preset != "ch2-detection":
+        return [(params, float(grid["detuning_ratio"]) * dw_bi, ratios * I_bi, temps)]
+    harmonic = dataclasses.replace(params, K_d=0.0)
+    return [(params, float(r) * abs(dw_bi), ratios * I_bi, temps)
+            for r in grid["detuning_ratios"].split(",")] \
+        + [(harmonic, 0.0, ratios * bistability_onset(harmonic)[2], temps)]
+
+
+def _singular_warnings(call, *args):
+    """(number of nearly-singular-determinant warnings, result) of
+    call(*args); no warning escapes."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call(*args)
+    return sum("nearly singular" in str(w.message) for w in caught), out
+
+
+def _line_bits(line):
+    """Every field of a sweep line, floats as float.hex, or the failure."""
+    if not isinstance(line, EffectiveThermo):
+        return type(line), str(line)
+    return [float.hex(getattr(line, name)) for name in (
+        "R_omega", "R_gamma", "G_plus", "n_back_plus", "n_net", "lorentzian_residual")] \
+        + [float.hex(line.chi.real), float.hex(line.chi.imag), line.weak_coupling]
+
+
+# determinant tolerance at which some drives of the ch2-detection and
+# ch2-cooling-Q1e4 sweeps warn (their windows and probes near the +1 pole)
+# and others do not
+WIDE_SINGULAR_TOL = 0.07
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4"])
+def test_sweep_lines_do_not_depend_on_batching(preset, data):
+    # any subset of a preset curve's drives, in any order, through one sweep:
+    # every line is the one-point effective_thermo at its (drive, T) bit for
+    # bit, and the sweep warns of a nearly singular determinant as often as
+    # the one-drive sweeps do together
+    import nlcavity.detector as det
+
+    params, detuning, I_grid, temps = data.draw(st.sampled_from(_preset_curves(preset)))
+    picks = data.draw(st.lists(st.integers(0, len(I_grid) - 1), min_size=1, max_size=4,
+                               unique=True))
+    drives = [float(I_grid[i]) for i in picks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(det, "_SINGULAR_TOL", WIDE_SINGULAR_TOL)
+        batched, lines = _singular_warnings(det._thermo_sweep, params, detuning, drives,
+                                            temps)
+        one_drive = sum(_singular_warnings(det._thermo_sweep, params, detuning, [I_0],
+                                           temps)[0] for I_0 in drives)
+    assert batched == one_drive <= 2 * len(drives)  # window and probes, once each
+    assert len(lines) == len(drives)
+    for I_0, drive_lines in zip(drives, lines):
+        drive = DrivePoint(I_0=I_0, delta_omega=detuning)
+        for T, line in zip(temps, drive_lines, strict=True):
+            try:
+                single = effective_thermo(params, drive, T)
+            except (InstabilityError, NonLorentzianError) as exc:
+                single = exc
+            assert _line_bits(line) == _line_bits(single), (I_0, T)
+
+
+@pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4"])
+def test_manifest_warns_once_per_offending_drive(tmp_path, monkeypatch, preset):
+    # a gathered response call over the lines of many drives and
+    # temperatures warns once per drive that has a nearly singular node,
+    # so the manifest holds as many warnings as one-drive sweeps emit (the
+    # band kernel's own warnings are kept out of it here)
+    import json
+
+    import nlcavity.detector as det
+    from nlcavity import cli
+
+    band_spectra_ = det.band_spectra
+    monkeypatch.setattr(det, "band_spectra",
+                        lambda *args: _singular_warnings(band_spectra_, *args)[1])
+    monkeypatch.setattr(det, "_SINGULAR_TOL", WIDE_SINGULAR_TOL)
+    assert cli.run(cli.config_from_preset(preset, tmp_path)) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / f"{preset}_manifest.json").read_text())
+    per_drive = [_singular_warnings(det._thermo_sweep, params, detuning, [I_0], temps)[0]
+                 for params, detuning, I_grid, temps in _preset_curves(preset)
+                 for I_0 in I_grid]
+    assert sum(per_drive) > 0 and per_drive.count(0) > 0
+    assert max(per_drive) <= 2  # the window and the probes warn once each
+    assert manifest["warnings"].count(
+        "response determinant nearly singular (bifurcation proximity)") == sum(per_drive)
 
 
 @pytest.mark.parametrize("ratio_index", [4, 33], ids=["0.3108-I_bi", "1.1138-I_bi"])
