@@ -157,18 +157,26 @@ def _detector_common(cfg, p):
     return params, resolved
 
 
+def _gate_failure(line) -> str:
+    """The gate a detector sweep line fails, or "" for one that passes them
+    all. A weak_coupling line keeps its fit, but its pole sits on the bare
+    damping, so its occupations are NaN."""
+    if not isinstance(line, detector.EffectiveThermo):
+        return type(line).__name__
+    return "weak_coupling" if line.weak_coupling else ""
+
+
 def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
     """CSV rows of one detuning curve. One detector sweep resolves and fits
     every drive (mean field, gates, sideband fit); the band spectra of every
-    point that passes its gates then come from one ``band_spectra`` call."""
+    fitted point then come from one ``band_spectra`` call."""
     I_0s = drive_ratios * scale
-    thermos = []
-    for x, (th,) in zip(drive_ratios, detector._thermo_sweep(params, dw, I_0s, [bath_T])):
-        if not isinstance(th, detector.EffectiveThermo):
-            th = type(th).__name__
-            cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {th}")
-        thermos.append(th)
-    ok = [i for i, th in enumerate(thermos) if not isinstance(th, str)]
+    thermos = [th for (th,) in detector.thermo_sweep(params, dw, I_0s, [bath_T])]
+    gates = [_gate_failure(th) for th in thermos]
+    for x, gate in zip(drive_ratios, gates):
+        if gate:
+            cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {gate}")
+    ok = [i for i, th in enumerate(thermos) if isinstance(th, detector.EffectiveThermo)]
     spectra = {}
     if ok:
         wp = params.omega_T + dw
@@ -179,14 +187,14 @@ def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
             [2.0 * thermos[i].R_gamma * params.gamma_bm for i in ok], bath_T)
         spectra = dict(zip(ok, zip(sig.tolist(), noi.tolist(), cav.tolist())))
     rows = []
-    for i, (x, I_0, th) in enumerate(zip(drive_ratios, I_0s, thermos)):
-        if isinstance(th, str):
-            rows.append([x, label, r, I_0] + [math.nan] * 8 + [th])
+    for i, (x, I_0, th, gate) in enumerate(zip(drive_ratios, I_0s, thermos, gates)):
+        if i not in spectra:
+            rows.append([x, label, r, I_0] + [math.nan] * 8 + [gate])
             continue
         sig, noi, cav = spectra[i]
         rows.append([x, label, r, I_0, sig, noi, cav,
                      noi / sig if sig > 0 else math.nan, th.R_omega, th.R_gamma,
-                     th.n_back_plus, th.lorentzian_residual, ""])
+                     th.n_back_plus, th.lorentzian_residual, gate])
     return rows
 
 
@@ -232,15 +240,18 @@ def _run_detector_cooling(cfg: ScenarioConfig, p: dict, g: dict):
                          f"{g['detuning_ratio']}")
     resolved["detuning"] = detuning
     I_grid = np.linspace(g["drive_min_ratio"], g["drive_max_ratio"], g["drive_points"]) * I_bi
+    temps = g["bath_T_K"]
     rows = []
-    for row in detector.cooling_curve(params, detuning, I_grid, g["bath_T_K"]):
-        if row["gate_failure"]:
-            cfg.warnings.append(
-                f"drive {row['I_0'] / I_bi:.3f} I_bi, T={row['bath_T']}: "
-                f"{row['gate_failure']}")
-        rows.append([row["I_0"] / I_bi, row["bath_T"], row["n_net"],
-                     row["R_omega"], row["R_gamma"], row["n_back"],
-                     row["residual"], row["gate_failure"]])
+    for I_0, lines in zip(I_grid.tolist(), detector.thermo_sweep(params, detuning, I_grid,
+                                                                 temps)):
+        for T, th in zip(temps, lines):
+            gate = _gate_failure(th)
+            if gate:
+                cfg.warnings.append(f"drive {I_0 / I_bi:.3f} I_bi, T={T}: {gate}")
+            cells = ([th.n_net, th.R_omega, th.R_gamma, th.n_back_plus,
+                      th.lorentzian_residual] if isinstance(th, detector.EffectiveThermo)
+                     else [math.nan] * 5)
+            rows.append([I_0 / I_bi, T, *cells, gate])
     header = ["I_over_Ibi", "bath_T_K", "n_net", "R_omega", "R_gamma",
               "n_back_plus", "lorentzian_residual", "gate_failure"]
     return resolved, {"cooling": (header, rows)}

@@ -243,7 +243,8 @@ class _Point(NamedTuple):
     at one operating point: detuning, chi, |chi|^2, |chi|^4, chi^2, the
     small-drive amplitude c and the drive- and coupling-strength prefactor
     of the signal kernel. ``band_spectra`` and the detector sweep's
-    post-fit kernel gather them into per-node arrays."""
+    post-fit kernel gather them into per-node arrays (``_table`` and
+    ``_gathered``)."""
 
     dw: float
     chi: complex
@@ -264,6 +265,18 @@ def _point(params, drive, chi) -> _Point:
     chi2 = abs(chi) ** 2
     return _Point(dw, chi, chi2, chi2 ** 2, chi ** 2, linear_amplitude(params, drive),
                   prefactor)
+
+
+def _table(points) -> _Point:
+    """The ``_Point`` factors of several operating points, one array per
+    factor."""
+    return _Point._make(np.array(column) for column in zip(*points))
+
+
+def _gathered(table, owner) -> _Point:
+    """Per-node ``_Point`` factors from a ``_table``: node k takes those of
+    operating point owner[k] (an index array or a slice)."""
+    return _Point._make(column[owner] for column in table)
 
 
 def _response_terms(params, pt, omega):
@@ -308,42 +321,20 @@ def _response_terms(params, pt, omega):
 _SINGULAR_TOL = 1e-14
 
 
-def _quotients(params, pt, omega, owner=None):
-    """(lower/det, cross_w/det, det) of the response system at real omega,
-    from the ``_Point`` factors. Warns when the determinant is within
-    ``_SINGULAR_TOL`` of singular (bifurcation proximity): once, or, when
-    ``owner`` labels each node with its operating point, once per operating
-    point."""
+def _coefficients(params, pt, omega, owner=None):
+    """(alpha1, alpha2, beta1, beta2, determinant) of the response system at
+    real omega, from the ``_Point`` factors. Warns when the determinant is
+    within ``_SINGULAR_TOL`` of singular (bifurcation proximity): once, or,
+    when ``owner`` labels each node with its operating point, once per
+    operating point."""
     upper, lower, cross_w, det = _response_terms(params, pt, omega)
 
     near = np.abs(det) < _SINGULAR_TOL * (1.0 + np.abs(upper) + np.abs(lower))
     for _ in range(int(near.any()) if owner is None else len(set(owner[near].tolist()))):
         warnings.warn("response determinant nearly singular (bifurcation proximity)",
-                      RuntimeWarning, stacklevel=4)
-    return lower / det, cross_w / det, det
-
-
-def _alphas(pt, beta1, ratio):
-    """(alpha1, alpha2) from the first two ``_quotients``: all the signal
-    kernel reads."""
-    return beta1 * pt.chi, -ratio * pt.chi2 * pt.chi
-
-
-def _coefficients(params, pt, omega, owner=None):
-    """``response_coeffs`` from the ``_Point`` factors at real omega; owner
-    as in ``_quotients``."""
-    beta1, ratio, det = _quotients(params, pt, omega, owner)
-    return (*_alphas(pt, beta1, ratio), beta1, ratio * pt.chi_sq, det)
-
-
-def response_coeffs(params: DetectorParams, drive: DrivePoint, chi: complex, omega):
-    """(alpha1, alpha2, beta1, beta2, determinant) at frequency omega.
-
-    Accepts scalar or array omega. Warns when the determinant is within
-    1e-14 of singular (bifurcation proximity).
-    """
-    return _coefficients(params, _point(params, drive, chi),
-                         np.asarray(omega, dtype=float))
+                      RuntimeWarning, stacklevel=3)
+    beta1, ratio = lower / det, cross_w / det
+    return beta1 * pt.chi, -ratio * pt.chi2 * pt.chi, beta1, ratio * pt.chi_sq, det
 
 
 def _signal_terms(params, pt, omega, coeffs):
@@ -437,7 +428,7 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
     n = len(points)
     if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    table = _Point._make(np.array(column) for column in zip(*points))
+    table = _table(points)
     kinds = (functools.partial(_signal_at, bath_T=bath_T), _noise_terms, _caves_at)
     omega_s = np.asarray(omega_s, dtype=float)
     bands = np.asarray(bands, dtype=float)
@@ -449,7 +440,7 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
         for which, density in enumerate(kinds):
             mine = kind == which
             w = omega[mine]
-            pt = _Point._make(column[j[mine]] for column in table)
+            pt = _gathered(table, j[mine])
             out[mine] = density(params, pt, w, _coefficients(params, pt, w))
         return out
 
@@ -464,15 +455,13 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
 # effective thermal parametrization
 # ---------------------------------------------------------------------------
 
-def _determinant_zero(params, drive, chi):
-    """Complex zero of the response determinant near omega_p + omega_m: the
-    renormalized mechanical pole of the +1 sideband. Stability requires
-    Im(zero) < 0."""
+def _determinant_zero(params, pt):
+    """Complex zero of the response determinant near omega_p + omega_m at
+    the operating point with ``_Point`` pt: the renormalized mechanical pole
+    of the +1 sideband. Stability requires Im(zero) < 0."""
     gbm, wm = params.gamma_bm, params.omega_m
-    wp = params.omega_T + drive.delta_omega
+    wp = params.omega_T + pt.dw
     pole = wp + wm - 1j * gbm
-
-    pt = _point(params, drive, chi)
 
     def g(w):
         # bare mechanical pole cleared so the secant iteration sees only the zero
@@ -542,24 +531,20 @@ def _noise_peak_heights(v):
 _RESIDUAL_GATE = 0.05
 
 
-def _resolve_drive(params, drive, pt=None):
-    """The bath-independent part of the +1 thermal parametrization at one
-    drive: (chi, weak, window).
+def _resolve_drive(params, pt):
+    """The bath-independent part of the +1 thermal parametrization at the
+    drive with ``_Point`` pt: (weak, window).
 
-    pt is the drive's ``_Point``, by default that of the fold-guarded
-    small-branch mean field; chi is its mean field. weak flags a pole that
-    the drive has not moved off the bare mechanical damping, and window
-    holds the bath-independent factors of the signal density over +-5
-    widths of the renormalized +1 pole (1601 points): (omega, prefactor *
-    cavity * combo, lor_plus, lor_minus). Raises InstabilityError when
-    that pole's damping is non-positive or the small branch has been lost,
-    and OverflowError when the pole or the window kernel is not finite.
+    weak flags a pole that the drive has not moved off the bare mechanical
+    damping, and window holds the bath-independent factors of the signal
+    density over +-5 widths of the renormalized +1 pole (1601 points):
+    (omega, prefactor * cavity * combo, lor_plus, lor_minus). Raises
+    InstabilityError when that pole's damping is non-positive, and
+    OverflowError when the pole or the window kernel is not finite.
     """
-    if pt is None:
-        pt = _point(params, drive, _select_for_thermo(params, drive, _fold(params)).chi)
     # stability probe: renormalized mechanical pole must stay in the lower
     # half plane
-    pole = _determinant_zero(params, drive, pt.chi)
+    pole = _determinant_zero(params, pt)
     if not cmath.isfinite(pole):  # a huge K_d drives the secant to NaN
         raise OverflowError(f"the renormalized +1 pole {pole} is not finite")
     r_gamma_probe = -pole.imag / params.gamma_bm
@@ -570,11 +555,11 @@ def _resolve_drive(params, drive, pt=None):
     width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
     omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
-        params, pt, omega, _alphas(pt, *_quotients(params, pt, omega)[:2]))
+        params, pt, omega, _coefficients(params, pt, omega))
     kernel = pt.prefactor * cavity * combo
     if not np.isfinite(kernel).all():
         raise OverflowError("the signal window of the +1 pole is not finite")
-    return pt.chi, weak, (omega, kernel, lor_plus, lor_minus)
+    return weak, (omega, kernel, lor_plus, lor_minus)
 
 
 def _peak_ratios(params, points, fits, temps):
@@ -592,7 +577,7 @@ def _peak_ratios(params, points, fits, temps):
     shape = (len(points), len(temps))
     if not points:
         return np.empty(shape)
-    table = _Point._make(np.array(column) for column in zip(*points))
+    table = _table(points)
     centers, widths = (np.array([[fit[k] for fit in row] for row in fits]).ravel()
                        for k in (0, 1))
     # the noise probes of every line, then every line center
@@ -600,12 +585,12 @@ def _peak_ratios(params, points, fits, temps):
         [(centers[:, None] + widths[:, None] * _NOISE_PROBES).ravel(), centers])
     owner = np.repeat(np.arange(len(points)), len(temps))
     owner = np.concatenate([np.repeat(owner, _NOISE_PROBES.size), owner])
-    pt = _Point._make(column[owner] for column in table)
+    pt = _gathered(table, owner)
     coeffs = _coefficients(params, pt, nodes, owner)
     probes, peaks = slice(0, -centers.size), slice(-centers.size, None)
-    noise = _noise_terms(params, _Point._make(c[probes] for c in pt), nodes[probes],
+    noise = _noise_terms(params, _gathered(pt, probes), nodes[probes],
                          [c[probes] for c in coeffs])
-    peak = _Point._make(c[peaks] for c in pt)
+    peak = _gathered(pt, peaks)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
         params, peak, centers, [c[peaks] for c in coeffs])
     kernel, lor_plus, lor_minus, x = (a.reshape(shape) for a in (
@@ -646,20 +631,37 @@ def _thermo_line(params, wp, chi, weak, T, fit, peak_ratio):
         n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
 
 
-def _thermo_sweep(params, detuning, I_grid, temps, frequency_pulling=True):
-    """The +1 thermal parametrization over a (drive current, bath
-    temperature) grid at one pump detuning: per drive, a list with one
-    entry per temperature, an EffectiveThermo or the InstabilityError or
-    NonLorentzianError of the gate the line fails. A drive that fails the
-    stability gate fails it at every temperature.
+def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
+                 frequency_pulling: bool = True) -> list[list]:
+    """Lorentzian parametrization of the phase-preserving (+1) sideband over
+    a (drive current, bath temperature) grid at one pump detuning: per
+    drive, a list with one entry per temperature, an EffectiveThermo or the
+    InstabilityError or NonLorentzianError of the gate the line fails.
+
+    The drive fixes the mean field, the renormalized +1 pole and the
+    bath-independent signal kernel; the bath temperature enters only
+    through the occupation factors 2n + 1. R_omega, R_gamma and the gain
+    come from a Lorentzian fit of the +1 signal spectrum over +-5 pole
+    widths; the fit residual is the validity gate on the whole thermal
+    parametrization. The back-action occupation inverts the noise
+    parametrization at the fitted line center (where interference
+    contributions odd about the peak vanish) after removing the broad
+    added-noise background, probed out to +-20 linewidths. The
+    phase-conjugating (-1) line is not parametrized.
+    ``frequency_pulling=False`` drops the cubic term of the mean field
+    (linear cavity response, no fold guard).
 
     Every temperature is checked before any drive is solved (ValueError for
     a negative or non-finite one). Each drive is then resolved once (mean
     field, +1 pole and signal window, with one ``bistability_onset`` for the
     fold guard of the whole sweep) and its window fitted at each
-    temperature. The post-fit work of every line (noise probes, peak signal
-    and occupation factors) runs once for the sweep in ``_peak_ratios``, and
-    the inversion per line in ``_thermo_line``.
+    temperature. A drive whose renormalized mechanical damping is
+    non-positive, or whose small branch has been lost past the upper fold,
+    fails the stability gate (InstabilityError) at every temperature. The
+    post-fit work of every line (noise probes, peak signal and occupation
+    factors) runs once for the sweep in ``_peak_ratios``, and the inversion
+    per line in ``_thermo_line``, so each line equals that of a one-drive,
+    one-temperature sweep bit for bit.
     """
     temps = [float(T) for T in temps]
     for T in temps:
@@ -673,7 +675,7 @@ def _thermo_sweep(params, detuning, I_grid, temps, frequency_pulling=True):
             chi = (_select_for_thermo(params, drive, fold).chi if frequency_pulling
                    else mean_field(params, drive, frequency_pulling=False)[0].chi)
             pt = _point(params, drive, chi)
-            _, weak, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(params, drive, pt)
+            weak, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(params, pt)
         except InstabilityError as exc:
             # without its traceback, which would hold this frame (the last
             # window and ``drives`` itself) in a reference cycle
@@ -695,61 +697,3 @@ def _thermo_sweep(params, detuning, I_grid, temps, frequency_pulling=True):
         lines.append([_thermo_line(params, wp, points[i].chi, weak, T, fit, ratio)
                       for T, fit, ratio in zip(temps, fits[i], ratios[i])])
     return lines
-
-
-def effective_thermo(params: DetectorParams, drive: DrivePoint, bath_T: float = 0.0,
-                     frequency_pulling: bool = True) -> EffectiveThermo:
-    """Lorentzian parametrization of the phase-preserving (+1) sideband at
-    one drive and one bath temperature.
-
-    The drive fixes the mean field, the renormalized +1 pole and the
-    bath-independent signal kernel; the bath temperature enters only
-    through the occupation factors 2n + 1. R_omega, R_gamma and the gain
-    come from a Lorentzian fit of the +1 signal spectrum over +-5 pole
-    widths; the fit residual is the validity gate on the whole thermal
-    parametrization. The back-action occupation inverts the noise
-    parametrization at the fitted line center (where interference
-    contributions odd about the peak vanish) after removing the broad
-    added-noise background, probed out to +-20 linewidths. This is the
-    one-drive, one-temperature case of the detector sweep that
-    ``cooling_curve`` and the detection curves run. The phase-conjugating
-    (-1) line is not parametrized.
-
-    Raises ValueError for a negative or non-finite bath temperature,
-    InstabilityError when the renormalized mechanical damping is
-    non-positive (or the low branch has been lost) and NonLorentzianError
-    on a residual-gate failure.
-    """
-    (line,), = _thermo_sweep(params, drive.delta_omega, [drive.I_0], [bath_T],
-                             frequency_pulling)
-    if not isinstance(line, EffectiveThermo):
-        raise line
-    return line
-
-
-def cooling_curve(params: DetectorParams, detuning: float, I_grid, bath_T_list):
-    """Net mechanical occupation over a (drive current, bath temperature)
-    grid, as a list of row dicts in drive-major order.
-
-    One detector sweep: every bath temperature is checked before any drive
-    is solved (ValueError for a negative or non-finite one), each drive is
-    resolved once, and each row has the values of ``effective_thermo`` at
-    its (drive, temperature). Rows failing a validity gate carry NaN and the
-    failure reason; a drive that fails the stability gate fails it at every
-    temperature.
-    """
-    temps = [float(T) for T in bath_T_list]
-    rows = []
-    for I0, lines in zip(I_grid, _thermo_sweep(params, detuning, I_grid, temps)):
-        for T, line in zip(temps, lines):
-            row = {"I_0": float(I0), "bath_T": T, "n_net": math.nan,
-                   "R_omega": math.nan, "R_gamma": math.nan,
-                   "n_back": math.nan, "residual": math.nan, "gate_failure": ""}
-            if isinstance(line, EffectiveThermo):
-                row.update(n_net=line.n_net, R_omega=line.R_omega,
-                           R_gamma=line.R_gamma, n_back=line.n_back_plus,
-                           residual=line.lorentzian_residual)
-            else:
-                row["gate_failure"] = type(line).__name__
-            rows.append(row)
-    return rows

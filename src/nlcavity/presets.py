@@ -161,7 +161,7 @@ SCHEMAS = {
     "detector-signal-noise": (DETECTOR_PARAMS, {
         "detuning_ratios": Key(FINITE, (0.0, 0.2, 0.4), "floats"),
         "drive_points": Key(COUNT, 30, "count"),
-        "drive_min_ratio": Key(AT_LEAST_0, 0.05), "drive_max_ratio": Key(AT_LEAST_0, 0.95),
+        "drive_min_ratio": Key(POSITIVE, 0.05), "drive_max_ratio": Key(POSITIVE, 0.95),
         "bath_T_K": Key(AT_LEAST_0, 0.0),
     }),
     "detector-bistability": (DETECTOR_PARAMS, {
@@ -175,7 +175,7 @@ SCHEMAS = {
         "detuning_ratio": Key(("a number, read (and checked finite) in ratio mode only",
                                lambda x: True), 1.3),
         "drive_points": Key(COUNT, 40, "count"),
-        "drive_min_ratio": Key(AT_LEAST_0, 0.2), "drive_max_ratio": Key(AT_LEAST_0, 1.2),
+        "drive_min_ratio": Key(POSITIVE, 0.2), "drive_max_ratio": Key(POSITIVE, 1.2),
         "bath_T_K": Key(AT_LEAST_0, (0.0,), "floats"),
     }),
     "hawking-line": (LINE_PARAMS, {"xi_points": Key(COUNT, 201, "count")}),

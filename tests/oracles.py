@@ -68,6 +68,9 @@ factor and mechanical bracket once and must return the same bits.
 ``signal_density`` and ``noise_density`` are the signal and back-reaction
 noise densities of one operating point on any frequency grid; the package
 evaluates them only inside the band integrals of ``band_spectra``.
+``one_line`` is the +1 thermal parametrization of one drive at one bath
+temperature, the one line of a one-point ``thermo_sweep``; the package runs
+the sweep over whole (drive, temperature) grids only.
 
 ``fit_lorentzian_reference`` is the Levenberg-Marquardt Lorentzian fit as
 first written, rebuilding the model and Jacobian at every iteration; the
@@ -84,7 +87,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.constants import Phi0, hbar, k_B
-from nlcavity.detector import _coefficients, _noise_terms, _point, _signal_at
+from nlcavity.detector import (EffectiveThermo, _coefficients, _noise_terms, _point,
+                               _signal_at, thermo_sweep)
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
@@ -861,6 +865,16 @@ def noise_density(params, drive, chi, omega):
     pt = _point(params, drive, chi)
     omega = np.asarray(omega, dtype=float)
     return _noise_terms(params, pt, omega, _coefficients(params, pt, omega))
+
+
+def one_line(params, drive, bath_T: float = 0.0, frequency_pulling: bool = True):
+    """The EffectiveThermo of one drive at one bath temperature; raises the
+    InstabilityError or NonLorentzianError of a failed gate."""
+    (line,), = thermo_sweep(params, drive.delta_omega, [drive.I_0], [bath_T],
+                            frequency_pulling)
+    if not isinstance(line, EffectiveThermo):
+        raise line
+    return line
 
 
 # ---------------------------------------------------------------------------

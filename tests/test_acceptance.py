@@ -20,7 +20,6 @@ from scipy.special import gammaincc, gammaln
 
 from nlcavity import detector, fock, hawking, qinfo, trilinear
 from nlcavity.constants import TWO_PI, c_vacuum
-from nlcavity.errors import InstabilityError, NonLorentzianError
 from nlcavity.presets import PRESETS, build_detector_params, build_line_params
 from oracles import (DensityMatrix, HilbertSpec, build_interaction_hamiltonian,
                      assemble, expectation, fidelity, fock_pump, interaction_generator,
@@ -72,7 +71,8 @@ def test_criterion_2_small_drive_limits(det_params):
     chi = detector.mean_field(det_params, drive)[0].chi
     c = detector.linear_amplitude(det_params, drive)
     w = det_params.omega_T + np.linspace(-2, 2, 41) * det_params.omega_m
-    a1, a2, _, _, _ = detector.response_coeffs(det_params, drive, chi, w)
+    pt = detector._point(det_params, drive, chi)
+    a1, a2, _, _, _ = detector._coefficients(det_params, pt, w)
     dev1 = float(np.max(np.abs(a1 / c - 1.0)))
     dev2 = float(np.max(np.abs(a2 / c)))
     elapsed = time.perf_counter() - start
@@ -109,14 +109,10 @@ def test_criterion_3_bistability_topology(det_params):
 
 
 def _sweep_signal_noise(params, dw, I_bi, n_points, max_ratio):
-    points = []
-    for x in np.linspace(0.01, max_ratio, n_points):
-        drive = detector.DrivePoint(I_0=x * I_bi, delta_omega=dw)
-        try:
-            th = detector.effective_thermo(params, drive, bath_T=0.0)
-        except (InstabilityError, NonLorentzianError):
-            continue
-        points.append((x, drive.I_0, th))
+    xs = np.linspace(0.01, max_ratio, n_points)
+    points = [(x, I_0, th) for x, I_0, (th,) in
+              zip(xs, xs * I_bi, detector.thermo_sweep(params, dw, xs * I_bi, [0.0]))
+              if isinstance(th, detector.EffectiveThermo)]
     sig, noi, cav = detector.band_spectra(
         params, dw, [I_0 for _, I_0, _ in points], [th.chi for _, _, th in points],
         [params.omega_T + dw + th.R_omega * params.omega_m for _, _, th in points],
@@ -172,12 +168,10 @@ def test_criterion_4_caves_consistency(det_params):
 def _cooling_sweep(params, detuning, I_bi, upper_ratio):
     """Gate-passing (drive ratio, 2 n_back_plus + 1) points marching to the
     upper bistable boundary."""
+    xs = np.arange(0.30, upper_ratio, 0.0025)
     out = []
-    for x in np.arange(0.30, upper_ratio, 0.0025):
-        drive = detector.DrivePoint(I_0=x * I_bi, delta_omega=detuning)
-        try:
-            th = detector.effective_thermo(params, drive, bath_T=0.0)
-        except (InstabilityError, NonLorentzianError):
+    for x, (th,) in zip(xs, detector.thermo_sweep(params, detuning, xs * I_bi, [0.0])):
+        if not isinstance(th, detector.EffectiveThermo):
             break
         out.append((x, 2.0 * th.n_back_plus + 1.0))
     return out
@@ -219,15 +213,9 @@ def test_criterion_5_cooling_anchors():
     # back-action damping makes that region unusable for cooling), so the
     # reference value is the sweep minimum above 0.3 I_bi
     dopt = -math.sqrt(p1000.omega_m ** 2 + p1000.gamma_pT ** 2)
-    occ_h = []
-    for x in np.linspace(0.3, 1.5, 25):
-        try:
-            th = detector.effective_thermo(
-                p1000, detector.DrivePoint(I_0=x * I_bi2, delta_omega=dopt),
-                frequency_pulling=False)
-        except (InstabilityError, NonLorentzianError):
-            continue
-        occ_h.append(2.0 * th.n_back_plus + 1.0)
+    occ_h = [2.0 * th.n_back_plus + 1.0 for (th,) in detector.thermo_sweep(
+        p1000, dopt, np.linspace(0.3, 1.5, 25) * I_bi2, [0.0], frequency_pulling=False)
+        if isinstance(th, detector.EffectiveThermo)]
     harm_min = min(occ_h)
     ok_h = 0.8 * 0.13 <= harm_min <= 1.2 * 0.13
 

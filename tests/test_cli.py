@@ -258,10 +258,10 @@ def test_bad_dim_per_mode_names_the_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("detuning_ratios", "0.2, nan"), ("drive_max_ratio", "inf"),
-    ("drive_min_ratio", "-0.5"), ("drive_points", "2.5")])
+    ("drive_min_ratio", "-0.5"), ("drive_min_ratio", "0"), ("drive_points", "2.5")])
 def test_detection_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key, value):
     solved = []
-    monkeypatch.setattr(detector, "_thermo_sweep", lambda *args, **kw: solved.append(args))
+    monkeypatch.setattr(detector, "thermo_sweep", lambda *args, **kw: solved.append(args))
     cfg = ScenarioConfig(kind="detector-signal-noise", params=dict(CH2),
                          grid=dict(SIGNAL_NOISE_GRID, **{key: value}), output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -271,10 +271,12 @@ def test_detection_grid_checked_before_solving(tmp_path, monkeypatch, capsys, ke
 
 @pytest.mark.parametrize("key, value", [
     ("detuning_ratio", "nan"), ("detuning_ratio", "inf"), ("drive_max_ratio", "inf"),
-    ("drive_min_ratio", "-0.5"), ("drive_min_ratio", "nan"), ("detuning_mode", "optimal")])
+    ("drive_min_ratio", "-0.5"), ("drive_min_ratio", "nan"), ("drive_min_ratio", "0"),
+    ("detuning_mode", "optimal")])
 def test_cooling_grid_checked_before_solving(tmp_path, monkeypatch, capsys, key, value):
     solved = []
-    monkeypatch.setattr(detector, "cooling_curve", lambda *args: solved.append(args) or [])
+    monkeypatch.setattr(detector, "thermo_sweep",
+                        lambda *args, **kw: solved.append(args) or [])
     cfg = ScenarioConfig(kind="detector-cooling", params=dict(CH2),
                          grid=dict(COOL_GRID, **{key: value}), output_dir=tmp_path)
     assert run(cfg) == EXIT_CONFIG
@@ -786,6 +788,37 @@ def test_cooling_rerun_byte_identical(tmp_path, capsys):
     for row in gated:
         prefix = f"drive {float(row[0]):.3f} I_bi, T={float(row[1])}: {row[-1]}"
         assert warnings_.count(prefix) == 1
+
+
+@pytest.mark.parametrize("preset, grid, table, occupations", [
+    ("ch2-cooling-Q1e4", {"drive_min_ratio": "1e-6", "drive_points": "3"}, "cooling",
+     ("n_net", "n_back_plus")),
+    ("ch2-detection", {"detuning_ratios": "0", "drive_min_ratio": "1e-5",
+                       "drive_max_ratio": "1e-4", "drive_points": "3"}, "signal_noise",
+     ("n_back_plus",)),
+], ids=["cooling", "signal-noise"])
+def test_weak_coupling_rows_name_their_gate(tmp_path, preset, grid, table, occupations):
+    # a drive too weak to move the +1 pole off the bare damping leaves no
+    # back-action damping to invert the noise with: its NaN occupations are
+    # a named gate failure with one manifest warning per row, and the fit
+    # (and the band spectra) of the row are kept
+    cfg = config_from_preset(preset, tmp_path)
+    cfg.grid.update(grid)
+    assert run(cfg) == EXIT_OK
+    header, *lines = (tmp_path / f"{preset}_{table}.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    weak = [row for row in rows if row["gate_failure"] == "weak_coupling"]
+    assert weak
+    for row in rows:
+        if any(math.isnan(float(row[key])) for key in occupations):
+            assert row["gate_failure"]
+    for row in weak:
+        assert all(math.isnan(float(row[key])) for key in occupations)
+        assert math.isfinite(float(row["R_gamma"]))
+        assert table == "cooling" or float(row["signal_A2"]) > 0.0
+    warnings_ = json.loads((tmp_path / f"{preset}_manifest.json").read_text())["warnings"]
+    assert len(warnings_) == sum(1 for row in rows if row["gate_failure"])
+    assert sum(w.endswith("weak_coupling") for w in warnings_) == len(weak)
 
 
 def test_trilinear_evolve_scenario(tmp_path):

@@ -11,14 +11,14 @@ from nlcavity.detector import (
     band_spectra,
     bistability_boundary,
     bistability_onset,
-    cooling_curve,
     effective_duffing,
-    effective_thermo,
     linear_amplitude,
     mean_field,
-    response_coeffs,
     select_branch,
+    thermo_sweep,
     zero_point,
+    _coefficients,
+    _point,
 )
 from nlcavity.errors import (
     InstabilityError,
@@ -28,7 +28,7 @@ from nlcavity.errors import (
 )
 from nlcavity.numerics import fit_lorentzian
 from nlcavity.presets import PRESETS, build_detector_params
-from oracles import noise_density, signal_density
+from oracles import noise_density, one_line, signal_density
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ def test_alpha_beta_small_drive_limits(params, onset):
     chi = mean_field(params, drive)[0].chi
     c = linear_amplitude(params, drive)
     w = params.omega_T + np.linspace(-2, 2, 9) * params.omega_m
-    a1, a2, b1, b2, _ = response_coeffs(params, drive, chi, w)
+    a1, a2, b1, b2, _ = _coefficients(params, _point(params, drive, chi), w)
     assert np.max(np.abs(a1 / c - 1.0)) < 1e-3
     assert np.max(np.abs(a2 / c)) < 1e-3
     assert np.max(np.abs(b1 - 1.0)) < 1e-3
@@ -202,7 +202,7 @@ def test_alpha_beta_small_drive_limits(params, onset):
 def test_beta_at_zero_chi(params):
     drive = DrivePoint(I_0=0.0, delta_omega=0.0)
     w = np.array([params.omega_T + 0.3 * params.omega_m])
-    _, _, b1, b2, det = response_coeffs(params, drive, 0j, w)
+    _, _, b1, b2, det = _coefficients(params, _point(params, drive, 0j), w)
     assert b1[0] == pytest.approx(1.0)
     assert b2[0] == 0.0
     assert det[0] == pytest.approx(1.0)
@@ -210,7 +210,7 @@ def test_beta_at_zero_chi(params):
 
 def test_determinant_vs_linear_solve_oracle(params, onset):
     # reconstruct alpha1/alpha2 by directly inverting the 2x2 linear system
-    from nlcavity.detector import _point, _response_terms
+    from nlcavity.detector import _response_terms
     from oracles import b_func, d_func
 
     K_Tm, K_d = params.K_Tm, params.K_d
@@ -243,7 +243,8 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
             continue
         rhs = np.array([chi, -np.conj(chi)])
         sol = np.linalg.solve(M, rhs)  # response to unit signal sources
-        a1, a2, _, _, det = response_coeffs(params, drive, chi, np.array([w]))
+        a1, a2, _, _, det = _coefficients(params, _point(params, drive, chi),
+                                          np.array([w]))
         # with both source kernels set to one, a_T^(1) = alpha1 + alpha2
         assert a1[0] + a2[0] == pytest.approx(sol[0], rel=1e-10)
         # determinant identity against the direct 2x2 determinant
@@ -276,7 +277,7 @@ def test_response_terms_match_oracle_bitwise(preset):
     # per-node _Point factors (as band_spectra passes them), on complex
     # omega around both sideband poles (the pole search's domain), and on
     # Python scalars, real and complex
-    from nlcavity.detector import _Point, _point, _resolve_drive
+    from nlcavity.detector import _Point, _resolve_drive
 
     preset_params = build_detector_params(PRESETS[preset]["params"])
     grid = PRESETS[preset]["grid"]
@@ -286,8 +287,8 @@ def test_response_terms_match_oracle_bitwise(preset):
     for drive_ratio in np.linspace(float(grid["drive_min_ratio"]),
                                    float(grid["drive_max_ratio"]), 4):
         drive = DrivePoint(I_0=float(drive_ratio * I_bi), delta_omega=ratio * dw_bi)
-        chi, _, (omega, *_) = _resolve_drive(preset_params, drive)
-        pt = _point(preset_params, drive, chi)
+        pt = _point(preset_params, drive, select_branch(mean_field(preset_params, drive)).chi)
+        _, (omega, *_) = _resolve_drive(preset_params, pt)
         _assert_response_terms_match_oracle(preset_params, pt, omega)
         gathered = _Point._make(np.full(omega.shape, v) for v in pt)
         _assert_response_terms_match_oracle(preset_params, gathered, omega)
@@ -355,7 +356,7 @@ def test_thermal_signal_density_matches_scalar_occupations(params, onset):
 def test_signal_adaptive_vs_fixed_grid(params, onset):
     drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
     chi = select_branch(mean_field(params, drive)).chi
-    th = effective_thermo(params, drive)
+    th = one_line(params, drive)
     ws = params.omega_T + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
     adaptive, _, _ = one_point(params, drive, chi, ws, band)
@@ -389,7 +390,7 @@ def test_noise_at_least_caves_sampled(params, onset):
     _, dw_bi, I_bi = onset
     for ratio, dwf in [(0.1, 0.0), (0.25, 0.0), (0.05, 0.4), (0.12, 0.4), (0.1, 0.2)]:
         drive = DrivePoint(I_0=ratio * I_bi, delta_omega=dwf * abs(dw_bi))
-        th = effective_thermo(params, drive)
+        th = one_line(params, drive)
         ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
         band = 2 * th.R_gamma * params.gamma_bm
         _, noi, cav = one_point(params, drive, th.chi, ws, band)
@@ -399,7 +400,7 @@ def test_noise_at_least_caves_sampled(params, onset):
 def test_caves_ratio_one_at_large_gain(params, onset):
     _, dw_bi, I_bi = onset
     drive = DrivePoint(I_0=0.15 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    th = effective_thermo(params, drive)
+    th = one_line(params, drive)
     ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
     sig, _, cav = one_point(params, drive, th.chi, ws, band)
@@ -419,7 +420,7 @@ def test_band_spectra_curve_matches_one_point_calls(params, onset, bath_T):
     I_0s, chis, centres, bands = [], [], [], []
     for ratio in np.linspace(0.02, 0.15, 7):
         drive = DrivePoint(I_0=float(ratio) * I_bi, delta_omega=dw)
-        th = effective_thermo(params, drive, bath_T=bath_T)
+        th = one_line(params, drive, bath_T=bath_T)
         I_0s.append(drive.I_0)
         chis.append(th.chi)
         centres.append(params.omega_T + dw + th.R_omega * params.omega_m)
@@ -462,7 +463,7 @@ def test_band_spectra_match_scipy_quad(params, onset, ratio, drive_ratio):
     _, dw_bi, I_bi = onset
     dw = ratio * abs(dw_bi)
     drive = DrivePoint(I_0=drive_ratio * I_bi, delta_omega=dw)
-    th = effective_thermo(params, drive)
+    th = one_line(params, drive)
     ws = params.omega_T + dw + th.R_omega * params.omega_m
     band = 2.0 * th.R_gamma * params.gamma_bm
     signal, noise, _ = band_spectra(params, dw, [drive.I_0], [th.chi], [ws], [band])
@@ -515,7 +516,7 @@ def test_all_gated_curve_skips_the_band_kernel(tmp_path, monkeypatch):
 
 def test_thermo_weak_coupling_flag(params, onset):
     drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
-    th = effective_thermo(params, drive)
+    th = one_line(params, drive)
     assert th.weak_coupling
     assert th.R_omega == pytest.approx(1.0, abs=1e-6)
     assert th.R_gamma == pytest.approx(1.0, abs=1e-6)
@@ -531,8 +532,7 @@ def test_thermo_red_detuned_cooling_trend(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     occ = []
     for ratio in (0.4, 0.8, 1.1, 1.2):
-        th = effective_thermo(cooling_params,
-                              DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
+        th = one_line(cooling_params, DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
         assert th.R_gamma > 1.0  # red detuning damps
         occ.append(2 * th.n_back_plus + 1)
     assert occ[-1] < occ[0]  # occupation falls approaching the boundary
@@ -543,9 +543,9 @@ def test_thermo_fit_matches_determinant_probe(cooling_params):
 
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drive = DrivePoint(I_0=0.9 * I_bi, delta_omega=1.3 * dw_bi)
-    th = effective_thermo(cooling_params, drive)
+    th = one_line(cooling_params, drive)
     chi = select_branch(mean_field(cooling_params, drive)).chi
-    pole = _determinant_zero(cooling_params, drive, chi)
+    pole = _determinant_zero(cooling_params, _point(cooling_params, drive, chi))
     wp = cooling_params.omega_T + drive.delta_omega
     assert th.R_omega == pytest.approx((pole.real - wp) / cooling_params.omega_m,
                                        abs=1e-4)
@@ -557,14 +557,14 @@ def test_thermo_instability_on_blue_side(params, onset):
     _, dw_bi, I_bi = onset
     drive = DrivePoint(I_0=0.5 * I_bi, delta_omega=0.4 * abs(dw_bi))
     with pytest.raises(InstabilityError):
-        effective_thermo(params, drive)
+        one_line(params, drive)
 
 
 def test_thermo_branch_lost_past_fold(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drive = DrivePoint(I_0=1.2912 * I_bi, delta_omega=1.3 * dw_bi)
     with pytest.raises(InstabilityError):
-        effective_thermo(cooling_params, drive)
+        one_line(cooling_params, drive)
 
 
 def test_nnet_formula_limits():
@@ -579,18 +579,14 @@ def test_nnet_formula_limits():
 
 def test_cooling_curve_rows_and_failures(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    rows = cooling_curve(cooling_params, 1.3 * dw_bi,
+    lines = thermo_sweep(cooling_params, 1.3 * dw_bi,
                          [0.5 * I_bi, 1.2 * I_bi, 1.2912 * I_bi], [0.0, 0.05])
-    assert len(rows) == 6
-    ok = [r for r in rows if not r["gate_failure"]]
-    bad = [r for r in rows if r["gate_failure"]]
-    assert len(bad) == 2  # the past-fold drive at both temperatures
-    assert all(math.isnan(r["n_net"]) for r in bad)
-    for r in ok:
-        if r["bath_T"] > 0:
-            partner = next(x for x in ok
-                           if x["I_0"] == r["I_0"] and x["bath_T"] == 0.0)
-            assert r["n_net"] > partner["n_net"]  # hotter bath, higher n_net
+    assert [len(drive_lines) for drive_lines in lines] == [2, 2, 2]
+    # the past-fold drive fails at both temperatures
+    assert all(isinstance(th, InstabilityError) for th in lines[-1])
+    for cold, hot in lines[:-1]:
+        assert isinstance(cold, EffectiveThermo) and isinstance(hot, EffectiveThermo)
+        assert hot.n_net > cold.n_net  # hotter bath, higher n_net
 
 
 def test_lorentzian_gate_holds_away_from_boundaries(cooling_params):
@@ -599,15 +595,14 @@ def test_lorentzian_gate_holds_away_from_boundaries(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     low, up = bistability_boundary(cooling_params, 1.3)
     for ratio in (0.3, 0.7, 1.0, low - 0.05, (low + up) / 2, up - 0.05):
-        th = effective_thermo(cooling_params,
-                              DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
+        th = one_line(cooling_params, DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
         assert th.lorentzian_residual < 0.05
 
 
 def test_thermo_gain_positive(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drive = DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi)
-    th = effective_thermo(cooling_params, drive)
+    th = one_line(cooling_params, drive)
     assert th.G_plus > 0.0
 
 
@@ -628,8 +623,7 @@ def test_thermo_fits_one_sideband(cooling_params, monkeypatch):
     monkeypatch.setattr(det, "fit_lorentzian", counted_fit)
     monkeypatch.setattr(det, "_determinant_zero", counted_pole)
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    effective_thermo(cooling_params,
-                     DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
+    one_line(cooling_params, DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
     assert calls == {"fit": 1, "pole": 1}
 
 
@@ -656,31 +650,27 @@ def test_cooling_curve_resolves_each_drive_once(cooling_params, monkeypatch):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drives = [0.5 * I_bi, 1.2 * I_bi, 1.2912 * I_bi]  # the last is past the fold
     calls = _count_calls(monkeypatch, det, ("mean_field", "_determinant_zero",
-                                            "fit_lorentzian", "response_coeffs"))
-    rows = cooling_curve(cooling_params, 1.3 * dw_bi, drives, COOL_TEMPS)
-    assert len(rows) == len(drives) * len(COOL_TEMPS)
-    assert [r["gate_failure"] for r in rows[-len(COOL_TEMPS):]] == \
-        ["InstabilityError"] * len(COOL_TEMPS)
-    assert not any(r["gate_failure"] for r in rows[:-len(COOL_TEMPS)])
+                                            "fit_lorentzian", "_coefficients"))
+    lines = det.thermo_sweep(cooling_params, 1.3 * dw_bi, drives, COOL_TEMPS)
+    assert [len(drive_lines) for drive_lines in lines] == [len(COOL_TEMPS)] * len(drives)
+    assert all(isinstance(th, InstabilityError) for th in lines[-1])
+    assert all(isinstance(th, EffectiveThermo) for th in lines[0] + lines[1])
     resolved = len(drives) - 1
     assert calls["mean_field"] == len(drives)
     assert calls["_determinant_zero"] == resolved  # the fold guard fires first
     assert calls["fit_lorentzian"] == resolved * len(COOL_TEMPS)
-    assert calls["response_coeffs"] <= 2 * resolved
+    # one signal window per resolved drive, one gathered post-fit call
+    assert calls["_coefficients"] == resolved + 1
 
-    # every row is the single-point parametrization at its (drive, T), bit for bit
-    fields = {"n_net": "n_net", "R_omega": "R_omega", "R_gamma": "R_gamma",
-              "n_back": "n_back_plus", "residual": "lorentzian_residual"}
-    for row in rows:
-        drive = DrivePoint(I_0=row["I_0"], delta_omega=1.3 * dw_bi)
-        if row["gate_failure"]:
-            with pytest.raises(InstabilityError):
-                effective_thermo(cooling_params, drive, row["bath_T"])
-            assert all(math.isnan(row[key]) for key in fields)
-            continue
-        th = effective_thermo(cooling_params, drive, row["bath_T"])
-        for key, attr in fields.items():
-            assert float.hex(row[key]) == float.hex(getattr(th, attr)), key
+    # every line is the single-point parametrization at its (drive, T), bit for bit
+    for I_0, drive_lines in zip(drives, lines):
+        drive = DrivePoint(I_0=I_0, delta_omega=1.3 * dw_bi)
+        for T, line in zip(COOL_TEMPS, drive_lines):
+            try:
+                single = one_line(cooling_params, drive, T)
+            except InstabilityError as exc:
+                single = exc
+            assert _line_bits(line) == _line_bits(single), (I_0, T)
 
 
 @pytest.mark.parametrize("bad_T", [-1e-3, math.nan, math.inf])
@@ -691,8 +681,8 @@ def test_cooling_curve_rejects_bad_bath_T_before_solving(cooling_params, monkeyp
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     calls = _count_calls(monkeypatch, det, ("mean_field",))
     with pytest.raises(ValueError, match="bath temperature"):
-        cooling_curve(cooling_params, 1.3 * dw_bi, [0.5 * I_bi, 0.8 * I_bi],
-                      [0.0, 0.05, bad_T])
+        det.thermo_sweep(cooling_params, 1.3 * dw_bi, [0.5 * I_bi, 0.8 * I_bi],
+                         [0.0, 0.05, bad_T])
     assert calls["mean_field"] == 0
 
 
@@ -746,7 +736,7 @@ WIDE_SINGULAR_TOL = 0.07
 @pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4"])
 def test_sweep_lines_do_not_depend_on_batching(preset, data):
     # any subset of a preset curve's drives, in any order, through one sweep:
-    # every line is the one-point effective_thermo at its (drive, T) bit for
+    # every line is that of a one-point sweep at its (drive, T) bit for
     # bit, and the sweep warns of a nearly singular determinant as often as
     # the one-drive sweeps do together
     import nlcavity.detector as det
@@ -757,9 +747,9 @@ def test_sweep_lines_do_not_depend_on_batching(preset, data):
     drives = [float(I_grid[i]) for i in picks]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(det, "_SINGULAR_TOL", WIDE_SINGULAR_TOL)
-        batched, lines = _singular_warnings(det._thermo_sweep, params, detuning, drives,
+        batched, lines = _singular_warnings(det.thermo_sweep, params, detuning, drives,
                                             temps)
-        one_drive = sum(_singular_warnings(det._thermo_sweep, params, detuning, [I_0],
+        one_drive = sum(_singular_warnings(det.thermo_sweep, params, detuning, [I_0],
                                            temps)[0] for I_0 in drives)
     assert batched == one_drive <= 2 * len(drives)  # window and probes, once each
     assert len(lines) == len(drives)
@@ -767,7 +757,7 @@ def test_sweep_lines_do_not_depend_on_batching(preset, data):
         drive = DrivePoint(I_0=I_0, delta_omega=detuning)
         for T, line in zip(temps, drive_lines, strict=True):
             try:
-                single = effective_thermo(params, drive, T)
+                single = one_line(params, drive, T)
             except (InstabilityError, NonLorentzianError) as exc:
                 single = exc
             assert _line_bits(line) == _line_bits(single), (I_0, T)
@@ -790,7 +780,7 @@ def test_manifest_warns_once_per_offending_drive(tmp_path, monkeypatch, preset):
     monkeypatch.setattr(det, "_SINGULAR_TOL", WIDE_SINGULAR_TOL)
     assert cli.run(cli.config_from_preset(preset, tmp_path)) == cli.EXIT_OK
     manifest = json.loads((tmp_path / f"{preset}_manifest.json").read_text())
-    per_drive = [_singular_warnings(det._thermo_sweep, params, detuning, [I_0], temps)[0]
+    per_drive = [_singular_warnings(det.thermo_sweep, params, detuning, [I_0], temps)[0]
                  for params, detuning, I_grid, temps in _preset_curves(preset)
                  for I_0 in I_grid]
     assert sum(per_drive) > 0 and per_drive.count(0) > 0
@@ -813,7 +803,8 @@ def test_stalled_cooling_fits_match_reference_loop_bitwise(cooling_params, ratio
     I_grid = np.linspace(float(grid["drive_min_ratio"]), float(grid["drive_max_ratio"]),
                          int(grid["drive_points"])) * I_bi
     drive = DrivePoint(I_0=float(I_grid[ratio_index]), delta_omega=detuning)
-    _, _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, drive)
+    pt = _point(cooling_params, drive, select_branch(mean_field(cooling_params, drive)).chi)
+    _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, pt)
     wp = cooling_params.omega_T + detuning
     for T in (float(t) for t in grid["bath_T_K"].split(",")):
         s = np.clip(_occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)
