@@ -27,10 +27,8 @@ from .constants import TWO_PI
 from .errors import (
     ConvergenceError,
     FitDegenerateError,
-    InstabilityError,
     NoBistabilityError,
     NoHorizonError,
-    NonLorentzianError,
     SingularFluxError,
     TruncationError,
 )
@@ -157,45 +155,29 @@ def _detector_common(cfg, p):
     return params, resolved
 
 
-def _gate_failure(line) -> str:
-    """The gate a detector sweep line fails, or "" for one that passes them
-    all. A weak_coupling line keeps its fit, but its pole sits on the bare
-    damping, so its occupations are NaN."""
-    if not isinstance(line, detector.EffectiveThermo):
-        return type(line).__name__
-    return "weak_coupling" if line.weak_coupling else ""
-
-
 def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
     """CSV rows of one detuning curve. One detector sweep resolves and fits
     every drive (mean field, gates, sideband fit); the band spectra of every
-    fitted point then come from one ``band_spectra`` call."""
+    line that keeps its fit then come from one ``band_spectra`` call, and
+    are NaN on the others."""
     I_0s = drive_ratios * scale
     thermos = [th for (th,) in detector.thermo_sweep(params, dw, I_0s, [bath_T])]
-    gates = [_gate_failure(th) for th in thermos]
-    for x, gate in zip(drive_ratios, gates):
-        if gate:
-            cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {gate}")
-    ok = [i for i, th in enumerate(thermos) if isinstance(th, detector.EffectiveThermo)]
-    spectra = {}
-    if ok:
+    for x, th in zip(drive_ratios, thermos):
+        if th.gate:
+            cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {th.gate}")
+    spectra = [(math.nan,) * 3] * len(thermos)
+    fitted = [i for i, th in enumerate(thermos) if th.gate in ("", "weak_coupling")]
+    if fitted:
         wp = params.omega_T + dw
         sig, noi, cav = detector.band_spectra(
-            params, dw, [I_0s[i] for i in ok],
-            [thermos[i].chi for i in ok],
-            [wp + thermos[i].R_omega * params.omega_m for i in ok],
-            [2.0 * thermos[i].R_gamma * params.gamma_bm for i in ok], bath_T)
-        spectra = dict(zip(ok, zip(sig.tolist(), noi.tolist(), cav.tolist())))
-    rows = []
-    for i, (x, I_0, th, gate) in enumerate(zip(drive_ratios, I_0s, thermos, gates)):
-        if i not in spectra:
-            rows.append([x, label, r, I_0] + [math.nan] * 8 + [gate])
-            continue
-        sig, noi, cav = spectra[i]
-        rows.append([x, label, r, I_0, sig, noi, cav,
-                     noi / sig if sig > 0 else math.nan, th.R_omega, th.R_gamma,
-                     th.n_back_plus, th.lorentzian_residual, gate])
-    return rows
+            params, dw, I_0s[fitted], [thermos[i].chi for i in fitted],
+            [wp + thermos[i].R_omega * params.omega_m for i in fitted],
+            [2.0 * thermos[i].R_gamma * params.gamma_bm for i in fitted], bath_T)
+        for i, cells in zip(fitted, zip(sig.tolist(), noi.tolist(), cav.tolist())):
+            spectra[i] = cells
+    return [[x, label, r, I_0, sig, noi, cav, noi / sig if sig > 0 else math.nan,
+             th.R_omega, th.R_gamma, th.n_back_plus, th.lorentzian_residual, th.gate]
+            for x, I_0, th, (sig, noi, cav) in zip(drive_ratios, I_0s, thermos, spectra)]
 
 
 def _run_detector_signal_noise(cfg: ScenarioConfig, p: dict, g: dict):
@@ -245,13 +227,10 @@ def _run_detector_cooling(cfg: ScenarioConfig, p: dict, g: dict):
     for I_0, lines in zip(I_grid.tolist(), detector.thermo_sweep(params, detuning, I_grid,
                                                                  temps)):
         for T, th in zip(temps, lines):
-            gate = _gate_failure(th)
-            if gate:
-                cfg.warnings.append(f"drive {I_0 / I_bi:.3f} I_bi, T={T}: {gate}")
-            cells = ([th.n_net, th.R_omega, th.R_gamma, th.n_back_plus,
-                      th.lorentzian_residual] if isinstance(th, detector.EffectiveThermo)
-                     else [math.nan] * 5)
-            rows.append([I_0 / I_bi, T, *cells, gate])
+            if th.gate:
+                cfg.warnings.append(f"drive {I_0 / I_bi:.3f} I_bi, T={T}: {th.gate}")
+            rows.append([I_0 / I_bi, T, th.n_net, th.R_omega, th.R_gamma, th.n_back_plus,
+                         th.lorentzian_residual, th.gate])
     header = ["I_over_Ibi", "bath_T_K", "n_net", "R_omega", "R_gamma",
               "n_back_plus", "lorentzian_residual", "gate_failure"]
     return resolved, {"cooling": (header, rows)}
@@ -315,10 +294,15 @@ def _run_hawking_line(cfg: ScenarioConfig, p: dict, g: dict):
 # trilinear scenarios
 # ---------------------------------------------------------------------------
 
+def _pump_dim(mean_occ):
+    """Fock levels per mode for a coherent pump: the tail gate's dimension
+    plus a margin that keeps the signal/idler boundary clean."""
+    return fock.min_coherent_dim(mean_occ) + 3
+
+
 def _run_trilinear_evolve(cfg: ScenarioConfig, p: dict, g: dict):
     mean_occ = p["mean_occupation"]
-    # margin over the pump tail gate keeps the signal/idler boundary clean
-    dim = p["dim_per_mode"] or fock.min_coherent_dim(mean_occ) + 3
+    dim = p["dim_per_mode"] or _pump_dim(mean_occ)
     taus = np.linspace(0.0, g["tau_max"], g["tau_points"])
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
 
@@ -371,7 +355,7 @@ def _run_trilinear_info(cfg: ScenarioConfig, p: dict, g: dict):
     rows = []
     resolved = {"dims": {}}
     for mean_occ in p["mean_occupations"]:
-        dim = fock.min_coherent_dim(mean_occ) + 3
+        dim = _pump_dim(mean_occ)
         resolved["dims"][mean_occ] = dim
         initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
         runs = {"short": trilinear.short_time_state, "full": trilinear.full_state}
@@ -425,7 +409,7 @@ def run(cfg: ScenarioConfig) -> int:
             _write_csv(path, header, rows)
     # physics gates first: several of them subclass ValueError
     except (SingularFluxError, NoBistabilityError, NoHorizonError,
-            TruncationError, InstabilityError, NonLorentzianError) as exc:
+            TruncationError) as exc:
         print(f"physics validity error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except (ConvergenceError, FitDegenerateError) as exc:

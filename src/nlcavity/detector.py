@@ -21,13 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .constants import Phi0, hbar, k_B
-from .errors import (
-    InstabilityError,
-    NoBistabilityError,
-    NonLorentzianError,
-    OutsideRegionError,
-    SingularFluxError,
-)
+from .errors import NoBistabilityError, OutsideRegionError, SingularFluxError
 from .numerics import Tolerance, fit_lorentzian, integrate_adaptive, solve_cubic_real
 from .qinfo import bose_occupation
 
@@ -92,7 +86,6 @@ class MeanFieldSolution:
     chi: complex
     E: float
     branch: str            # small | unstable | large
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,14 @@ class EffectiveThermo:
     n_back_plus the back-action occupation and n_net the net mechanical
     occupation. chi is the mean field the drive was resolved at, so the
     band spectra of the same operating point need no second mean-field
-    solve; weak_coupling flags a pole the drive has not moved off the bare
-    damping, where n_back_plus and n_net are NaN.
+    solve.
+
+    gate names the per-point gate the line fails, "" for none:
+    "InstabilityError" (non-positive net mechanical damping, or the small
+    branch lost past the upper fold) and "NonLorentzianError" (the fit
+    residual gate) leave NaN in every float field, chi included;
+    "weak_coupling" (no back-action damping to invert the noise peak with)
+    keeps the fit, with n_back_plus and n_net NaN.
     """
 
     R_omega: float
@@ -116,7 +115,13 @@ class EffectiveThermo:
     n_net: float
     lorentzian_residual: float
     chi: complex           # mean-field amplitude the response was resolved at
-    weak_coupling: bool = False
+    gate: str = ""
+
+
+def _failed(gate: str) -> EffectiveThermo:
+    """The line of a gate that leaves no fit: NaN in every float field."""
+    nan = math.nan
+    return EffectiveThermo(nan, nan, nan, nan, nan, nan, complex(nan, nan), gate)
 
 
 def zero_point(params: DetectorParams) -> float:
@@ -164,19 +169,13 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
     src = _drive_source(params, drive)
     K = effective_duffing(params)
 
-    def residual_of(chi):
-        lhs = (-dw - 1j * gpt) * chi
-        if frequency_pulling:
-            lhs += (params.omega_T / (2.0 * math.pi)) * K * chi * abs(chi) ** 2
-        return abs(lhs - src) / max(abs(src), 1e-300)
-
     if drive.I_0 == 0.0:
-        return [MeanFieldSolution(chi=0j, E=0.0, branch="small", residual=0.0)]
+        return [MeanFieldSolution(chi=0j, E=0.0, branch="small")]
 
     if not frequency_pulling or K == 0.0:
         chi = src / (-dw - 1j * gpt)
         return [MeanFieldSolution(chi=chi, E=abs(chi) ** 2 / (2.0 * math.pi),
-                                  branch="small", residual=residual_of(chi))]
+                                  branch="small")]
 
     wk = params.omega_T * K
     b_in_sq = drive.I_0 ** 2 * params.Z_p / (2.0 * hbar * (params.omega_T + dw))
@@ -196,8 +195,7 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
         phase = cmath.phase(complex(-dw + wk * E, -gpt) * M
                             / (math.sqrt(2.0 * gpt * b_in_sq)))
         chi = math.sqrt(2.0 * math.pi) * M * cmath.exp(-1j * phase)
-        sols.append(MeanFieldSolution(chi=chi, E=E, branch=branch,
-                                      residual=residual_of(chi)))
+        sols.append(MeanFieldSolution(chi=chi, E=E, branch=branch))
     return sols
 
 
@@ -493,19 +491,19 @@ def _fold(params):
     return E_bi, dw_bi
 
 
-def _select_for_thermo(params, drive, fold):
-    """Small-branch selection with a fold guard: inside the bistable
-    detuning range, past the upper fold (where the small branch has merged
-    with the unstable one and vanished) is a validity failure. fold is the
-    ``_fold`` of params."""
-    sols = mean_field(params, drive)
+def _select_for_thermo(params, drive, fold, frequency_pulling):
+    """(gate, chi) of the small-amplitude branch with a fold guard: inside
+    the bistable detuning range, past the upper fold (where the small
+    branch has merged with the unstable one and vanished) the stability
+    gate "InstabilityError" fires, with chi None. fold is the ``_fold`` of
+    params, or None for no guard."""
+    sols = mean_field(params, drive, frequency_pulling)
     if fold is not None:
         E_bi, dw_bi = fold
         stable = [s for s in sols if s.branch != "unstable"]
         if drive.delta_omega / dw_bi >= 1.0 and len(stable) == 1 and stable[0].E > E_bi:
-            raise InstabilityError(
-                "small-amplitude branch lost past the upper bistable boundary")
-    return select_branch(sols)
+            return "InstabilityError", None
+    return "", select_branch(sols).chi
 
 
 # noise probe offsets from the fitted line center, in fitted linewidths
@@ -533,14 +531,14 @@ _RESIDUAL_GATE = 0.05
 
 def _resolve_drive(params, pt):
     """The bath-independent part of the +1 thermal parametrization at the
-    drive with ``_Point`` pt: (weak, window).
+    drive with ``_Point`` pt: (gate, r_gamma_probe, window).
 
-    weak flags a pole that the drive has not moved off the bare mechanical
-    damping, and window holds the bath-independent factors of the signal
-    density over +-5 widths of the renormalized +1 pole (1601 points):
-    (omega, prefactor * cavity * combo, lor_plus, lor_minus). Raises
-    InstabilityError when that pole's damping is non-positive, and
-    OverflowError when the pole or the window kernel is not finite.
+    r_gamma_probe is the renormalized +1 pole's damping in gamma_bm. gate
+    is "InstabilityError", with window None, when that damping is
+    non-positive, and "" otherwise; window then holds the bath-independent
+    factors of the signal density over +-5 widths of the pole (1601
+    points): (omega, prefactor * cavity * combo, lor_plus, lor_minus).
+    Raises OverflowError when the pole or the window kernel is not finite.
     """
     # stability probe: renormalized mechanical pole must stay in the lower
     # half plane
@@ -549,9 +547,7 @@ def _resolve_drive(params, pt):
         raise OverflowError(f"the renormalized +1 pole {pole} is not finite")
     r_gamma_probe = -pole.imag / params.gamma_bm
     if r_gamma_probe <= 0.0:
-        raise InstabilityError(
-            f"net mechanical damping non-positive (R_gamma ~ {r_gamma_probe:.3g})")
-    weak = abs(r_gamma_probe - 1.0) < 1e-9
+        return "InstabilityError", r_gamma_probe, None
     width = max(abs(pole.imag), 1e-3 * params.gamma_bm)
     omega = np.linspace(pole.real - 5.0 * width, pole.real + 5.0 * width, 1601)
     cavity, combo, lor_plus, lor_minus = _signal_terms(
@@ -559,7 +555,7 @@ def _resolve_drive(params, pt):
     kernel = pt.prefactor * cavity * combo
     if not np.isfinite(kernel).all():
         raise OverflowError("the signal window of the +1 pole is not finite")
-    return weak, (omega, kernel, lor_plus, lor_minus)
+    return "", r_gamma_probe, (omega, kernel, lor_plus, lor_minus)
 
 
 def _peak_ratios(params, points, fits, temps):
@@ -602,22 +598,27 @@ def _peak_ratios(params, points, fits, temps):
     return _noise_peak_heights(noise.reshape(-1, _NOISE_PROBES.size)).reshape(shape) / signal
 
 
-def _thermo_line(params, wp, chi, weak, T, fit, peak_ratio):
+def _thermo_line(params, wp, chi, r_gamma_probe, T, fit, peak_ratio):
     """The +1 thermal parametrization of one fitted line at bath
-    temperature T: an EffectiveThermo, or the NonLorentzianError of a line
-    that fails the residual gate."""
+    temperature T, at the drive whose pole probe gave r_gamma_probe.
+
+    The line fails "NonLorentzianError" when its fit residual exceeds
+    ``_RESIDUAL_GATE``, and "weak_coupling" when the fit leaves no
+    back-action damping to invert the noise peak with: the probe sits on
+    the bare damping (|r_gamma_probe - 1| < 1e-9), or the fitted
+    R_gamma - 1 is zero or of the other sign than the probe's, so that it
+    is fit noise."""
     c_s, g_s, a_s, residual = fit
     if residual > _RESIDUAL_GATE:
-        return NonLorentzianError(
-            f"Lorentzian residual {residual:.3g} exceeds gate {_RESIDUAL_GATE}",
-            residual=residual)
+        return _failed("NonLorentzianError")
     gbm, wm = params.gamma_bm, params.omega_m
     R_omega = (c_s - wp) / wm
     R_gamma = g_s / gbm
     occ_bath = 2.0 * bose_occupation(R_omega * wm, T) + 1.0  # 2 n_bath + 1
     gamma_back = (R_gamma - 1.0) * gbm
-    if weak or gamma_back == 0.0:
-        # no back-action damping to invert the noise peak with
+    weak = (abs(r_gamma_probe - 1.0) < 1e-9
+            or (R_gamma - 1.0) * (r_gamma_probe - 1.0) <= 0.0)
+    if weak:
         nb_plus = n_net = math.nan
     else:
         nb_plus = (peak_ratio * occ_bath * gbm / gamma_back - 1.0) / 2.0
@@ -628,15 +629,16 @@ def _thermo_line(params, wp, chi, weak, T, fit, peak_ratio):
         G_plus=params.Z_p * a_s * g_s * (2.0 * params.mass * R_omega * wm)
         / (hbar * gbm * occ_bath),
         n_back_plus=nb_plus,
-        n_net=n_net, lorentzian_residual=residual, chi=chi, weak_coupling=weak)
+        n_net=n_net, lorentzian_residual=residual, chi=chi,
+        gate="weak_coupling" if weak else "")
 
 
 def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
-                 frequency_pulling: bool = True) -> list[list]:
+                 frequency_pulling: bool = True) -> list[list[EffectiveThermo]]:
     """Lorentzian parametrization of the phase-preserving (+1) sideband over
     a (drive current, bath temperature) grid at one pump detuning: per
-    drive, a list with one entry per temperature, an EffectiveThermo or the
-    InstabilityError or NonLorentzianError of the gate the line fails.
+    drive, a list of one EffectiveThermo per temperature, whose gate names
+    the per-point gate the line fails.
 
     The drive fixes the mean field, the renormalized +1 pole and the
     bath-independent signal kernel; the bath temperature enters only
@@ -657,7 +659,7 @@ def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
     fold guard of the whole sweep) and its window fitted at each
     temperature. A drive whose renormalized mechanical damping is
     non-positive, or whose small branch has been lost past the upper fold,
-    fails the stability gate (InstabilityError) at every temperature. The
+    fails the stability gate ("InstabilityError") at every temperature. The
     post-fit work of every line (noise probes, peak signal and occupation
     factors) runs once for the sweep in ``_peak_ratios``, and the inversion
     per line in ``_thermo_line``, so each line equals that of a one-drive,
@@ -668,32 +670,30 @@ def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
         _check_bath_T(T)
     fold = _fold(params) if frequency_pulling else None
     wp = params.omega_T + detuning
-    drives, points, fits = [], [], []  # drives: (point index, weak) or the failure
+    drives = []  # per drive: (point, r_gamma_probe, fits), or None past the stability gate
     for I_0 in I_grid:
         drive = DrivePoint(I_0=float(I_0), delta_omega=detuning)
-        try:
-            chi = (_select_for_thermo(params, drive, fold).chi if frequency_pulling
-                   else mean_field(params, drive, frequency_pulling=False)[0].chi)
+        gate, chi = _select_for_thermo(params, drive, fold, frequency_pulling)
+        if not gate:
             pt = _point(params, drive, chi)
-            weak, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(params, pt)
-        except InstabilityError as exc:
-            # without its traceback, which would hold this frame (the last
-            # window and ``drives`` itself) in a reference cycle
-            drives.append(exc.with_traceback(None))
+            gate, probe, window = _resolve_drive(params, pt)
+        if gate:
+            drives.append(None)
             continue
+        omega, kernel, lor_plus, lor_minus = window
         x = omega - wp
-        drives.append((len(points), weak))
-        points.append(pt)
-        fits.append([fit_lorentzian(omega, np.clip(
-            _occupied(kernel, lor_plus, lor_minus, x, T), 0.0, None)) for T in temps])
-        del omega, kernel, lor_plus, lor_minus, x  # one window alive at a time
-    ratios = _peak_ratios(params, points, fits, temps).tolist()
+        drives.append((pt, probe, [fit_lorentzian(omega, np.clip(
+            _occupied(kernel, lor_plus, lor_minus, x, T), 0.0, None)) for T in temps]))
+        del window, omega, kernel, lor_plus, lor_minus, x  # one window alive at a time
+    resolved = [entry for entry in drives if entry is not None]
+    ratios = iter(_peak_ratios(params, [pt for pt, _, _ in resolved],
+                               [fits for _, _, fits in resolved], temps).tolist())
     lines = []
     for entry in drives:
-        if isinstance(entry, InstabilityError):
-            lines.append([entry] * len(temps))
+        if entry is None:
+            lines.append([_failed("InstabilityError")] * len(temps))
             continue
-        i, weak = entry
-        lines.append([_thermo_line(params, wp, points[i].chi, weak, T, fit, ratio)
-                      for T, fit, ratio in zip(temps, fits[i], ratios[i])])
+        pt, probe, fits = entry
+        lines.append([_thermo_line(params, wp, pt.chi, probe, T, fit, ratio)
+                      for T, fit, ratio in zip(temps, fits, next(ratios))])
     return lines

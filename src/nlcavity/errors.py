@@ -44,18 +44,6 @@ class OutsideRegionError(ValueError):
     """Requested detuning lies outside the bistable region."""
 
 
-class InstabilityError(RuntimeError):
-    """Net mechanical damping is non-positive: solution unstable."""
-
-
-class NonLorentzianError(RuntimeError):
-    """Spectrum fails the Lorentzian-approximation residual gate."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NoHorizonError(RuntimeError):
     """Propagation velocity never crosses the pulse velocity."""
 

@@ -11,6 +11,9 @@ import numpy as np
 
 from .errors import TruncationError
 
+# largest Poisson tail a truncated coherent state may discard
+_TAIL_BOUND = 1e-6
+
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Fock amplitudes of the coherent state |alpha> truncated to ``dim``
@@ -18,7 +21,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     phase factor e^(i n arg alpha).
 
     Raises TruncationError when the Poisson tail above the truncation
-    exceeds 1e-6, reporting a dimension that would pass.
+    reaches ``_TAIL_BOUND``, reporting a dimension that would pass.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -34,10 +37,11 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     logp = ns * math.log(nbar) - nbar - np.array([math.lgamma(n + 1) for n in ns])
     retained = float(np.sum(np.exp(logp)))
     tail = max(0.0, 1.0 - retained)
-    if tail >= 1e-6:
+    if tail >= _TAIL_BOUND:
         d = min_coherent_dim(nbar)
         raise TruncationError(
-            f"coherent-state tail {tail:.3e} >= 1e-6 at dim={dim}; need dim >= {d}",
+            f"coherent-state tail {tail:.3e} >= {_TAIL_BOUND:g} at dim={dim}; "
+            f"need dim >= {d}",
             leak=tail, required_dim=d)
     amps = np.exp(0.5 * logp)
     if np.angle(alpha) != 0.0:
@@ -46,7 +50,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def min_coherent_dim(mean_occupation: float, tail_bound: float = 1e-6) -> int:
+def min_coherent_dim(mean_occupation: float) -> int:
     """Smallest truncation passing the coherent-state tail gate for the
     given mean occupation."""
     if not 0.0 <= mean_occupation < math.inf:
@@ -56,7 +60,7 @@ def min_coherent_dim(mean_occupation: float, tail_bound: float = 1e-6) -> int:
         return 2
     cum = 0.0
     d = 0
-    while cum < 1.0 - tail_bound:
+    while cum < 1.0 - _TAIL_BOUND:
         cum += math.exp(d * math.log(mean_occupation) - mean_occupation
                         - math.lgamma(d + 1))
         d += 1

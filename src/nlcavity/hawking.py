@@ -151,11 +151,8 @@ def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
     return abs(dc_dphi * pulse.slope(xi))
 
 
-def hawking_temperature(pulse: FluxPulse, params: LineParams,
-                        xi_h: float = None) -> float:
-    """T_H = (hbar / 2 pi kB) |dc/dxi| at the horizon, kelvin."""
-    if xi_h is None:
-        xi_h = find_horizon(pulse, params)[0]
+def hawking_temperature(pulse: FluxPulse, params: LineParams, xi_h: float) -> float:
+    """T_H = (hbar / 2 pi kB) |dc/dxi| at the horizon xi_h, kelvin."""
     # the constant first: hbar times a gradient of 1e-292 1/s would underflow
     return velocity_gradient(pulse, params, xi_h) * (hbar / (2.0 * math.pi * k_B))
 
@@ -167,21 +164,24 @@ def radiated_power(T_H: float) -> float:
     return math.pi / (12.0 * hbar) * (k_B * T_H) ** 2
 
 
-def photons_per_pulse(T_H: float, params: LineParams,
-                      decay_per_1000_cells: float = 0.10) -> float:
+# fraction of T_H the bias pulse's dispersion takes per 1000 cells traversed
+_DECAY_PER_1000_CELLS = 0.10
+
+
+def photons_per_pulse(T_H: float, params: LineParams) -> float:
     """Expected photon count over one pulse traversal of the array, for a
     horizon that forms at temperature ``T_H`` (kelvin, as resolved by
     ``hawking_temperature``).
 
     Emission rate is P/(kB T_H) with mean photon energy taken as kB T_H;
-    T_H decays linearly with the cells traversed (default 10% per 1000
-    cells, dispersion of the bias pulse), and the horizon lives L = N*a/u.
+    T_H decays linearly with the cells traversed (``_DECAY_PER_1000_CELLS``,
+    dispersion of the bias pulse), and the horizon lives L = N*a/u.
     With the decay rate r, the rate integrates in closed form to
     pi kB T_H/(12 hbar) * (L - r L^2/2) while r L <= 1, and to
     pi kB T_H/(12 hbar) / (2 r) once the horizon fades before the far end.
     """
     lifetime = params.N * params.a / params.u
-    decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
+    decay_rate = _DECAY_PER_1000_CELLS * params.u / (1000.0 * params.a)  # 1/s
     rate = math.pi * k_B * T_H / (12.0 * hbar)
     if decay_rate * lifetime <= 1.0:
         return rate * lifetime * (1.0 - 0.5 * decay_rate * lifetime)

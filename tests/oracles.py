@@ -87,8 +87,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from nlcavity.constants import Phi0, hbar, k_B
-from nlcavity.detector import (EffectiveThermo, _coefficients, _noise_terms, _point,
-                               _signal_at, thermo_sweep)
+from nlcavity.detector import (_coefficients, _noise_terms, _point, _signal_at,
+                               thermo_sweep)
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
@@ -798,13 +798,12 @@ def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
     return abs((16.0 * d2 - d1) / 15.0)
 
 
-def photons_per_pulse(T_H: float, params: LineParams,
-                      decay_per_1000_cells: float = 0.10) -> float:
+def photons_per_pulse(T_H: float, params: LineParams) -> float:
     """Photon count over one traversal: the rate pi kB T/(12 hbar), with T
-    decaying linearly from T_H with the cells traversed, integrated over the
-    horizon lifetime N*a/u by adaptive quadrature."""
+    decaying linearly from T_H by 10% per 1000 cells traversed, integrated
+    over the horizon lifetime N*a/u by adaptive quadrature."""
     lifetime = params.N * params.a / params.u
-    decay_rate = decay_per_1000_cells * params.u / (1000.0 * params.a)  # 1/s
+    decay_rate = 0.10 * params.u / (1000.0 * params.a)  # 1/s
 
     def rate(t, _):
         T = T_H * np.maximum(0.0, 1.0 - decay_rate * t)
@@ -868,12 +867,10 @@ def noise_density(params, drive, chi, omega):
 
 
 def one_line(params, drive, bath_T: float = 0.0, frequency_pulling: bool = True):
-    """The EffectiveThermo of one drive at one bath temperature; raises the
-    InstabilityError or NonLorentzianError of a failed gate."""
+    """The EffectiveThermo of one drive at one bath temperature, whatever
+    gate it fails."""
     (line,), = thermo_sweep(params, drive.delta_omega, [drive.I_0], [bath_T],
                             frequency_pulling)
-    if not isinstance(line, EffectiveThermo):
-        raise line
     return line
 
 

@@ -112,7 +112,7 @@ def _sweep_signal_noise(params, dw, I_bi, n_points, max_ratio):
     xs = np.linspace(0.01, max_ratio, n_points)
     points = [(x, I_0, th) for x, I_0, (th,) in
               zip(xs, xs * I_bi, detector.thermo_sweep(params, dw, xs * I_bi, [0.0]))
-              if isinstance(th, detector.EffectiveThermo)]
+              if th.gate in ("", "weak_coupling")]
     sig, noi, cav = detector.band_spectra(
         params, dw, [I_0 for _, I_0, _ in points], [th.chi for _, _, th in points],
         [params.omega_T + dw + th.R_omega * params.omega_m for _, _, th in points],
@@ -171,7 +171,7 @@ def _cooling_sweep(params, detuning, I_bi, upper_ratio):
     xs = np.arange(0.30, upper_ratio, 0.0025)
     out = []
     for x, (th,) in zip(xs, detector.thermo_sweep(params, detuning, xs * I_bi, [0.0])):
-        if not isinstance(th, detector.EffectiveThermo):
+        if th.gate:
             break
         out.append((x, 2.0 * th.n_back_plus + 1.0))
     return out
@@ -215,7 +215,7 @@ def test_criterion_5_cooling_anchors():
     dopt = -math.sqrt(p1000.omega_m ** 2 + p1000.gamma_pT ** 2)
     occ_h = [2.0 * th.n_back_plus + 1.0 for (th,) in detector.thermo_sweep(
         p1000, dopt, np.linspace(0.3, 1.5, 25) * I_bi2, [0.0], frequency_pulling=False)
-        if isinstance(th, detector.EffectiveThermo)]
+        if not th.gate]
     harm_min = min(occ_h)
     ok_h = 0.8 * 0.13 <= harm_min <= 1.2 * 0.13
 
@@ -238,7 +238,8 @@ def test_criterion_6_hawking_anchors():
     target = 0.1 * params.plasma_frequency(0.0) / TWO_PI
     rise = hawking.rise_scale_for_gradient_rate(0.2, params, target)
     pulse = hawking.tanh_pulse(0.2, rise)
-    T_H = hawking.hawking_temperature(pulse, params)
+    horizon = hawking.find_horizon(pulse, params)[0]
+    T_H = hawking.hawking_temperature(pulse, params, horizon)
     ok_T = abs(T_H / 0.120 - 1.0) < 0.10
 
     count = hawking.photons_per_pulse(T_H, params)

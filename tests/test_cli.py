@@ -790,25 +790,33 @@ def test_cooling_rerun_byte_identical(tmp_path, capsys):
         assert warnings_.count(prefix) == 1
 
 
-@pytest.mark.parametrize("preset, grid, table, occupations", [
+@pytest.mark.parametrize("preset, grid, table, occupations, n_weak", [
     ("ch2-cooling-Q1e4", {"drive_min_ratio": "1e-6", "drive_points": "3"}, "cooling",
-     ("n_net", "n_back_plus")),
+     ("n_net", "n_back_plus"), 5),
     ("ch2-detection", {"detuning_ratios": "0", "drive_min_ratio": "1e-5",
                        "drive_max_ratio": "1e-4", "drive_points": "3"}, "signal_noise",
-     ("n_back_plus",)),
-], ids=["cooling", "signal-noise"])
-def test_weak_coupling_rows_name_their_gate(tmp_path, preset, grid, table, occupations):
-    # a drive too weak to move the +1 pole off the bare damping leaves no
-    # back-action damping to invert the noise with: its NaN occupations are
-    # a named gate failure with one manifest warning per row, and the fit
-    # (and the band spectra) of the row are kept
+     ("n_back_plus",), 6),
+    # the harmonic 1e-3 row: its probe sits 3e-9 below the bare damping and
+    # its fit 1.3e-7 above it, so the inversion would divide by fit noise
+    # (n_back_plus -3.9e6 without a gate)
+    ("ch2-detection", {"detuning_ratios": "0", "drive_min_ratio": "1e-4",
+                       "drive_max_ratio": "1e-3", "drive_points": "3"}, "signal_noise",
+     ("n_back_plus",), 6),
+], ids=["cooling", "signal-noise", "signal-noise-fit-against-probe"])
+def test_weak_coupling_rows_name_their_gate(tmp_path, preset, grid, table, occupations,
+                                            n_weak):
+    # a drive too weak to move the +1 pole off the bare damping, or whose
+    # fitted damping shift has the other sign than the pole probe's, leaves
+    # no back-action damping to invert the noise with: its NaN occupations
+    # are a named gate failure with one manifest warning per row, and the
+    # fit (and the band spectra) of the row are kept
     cfg = config_from_preset(preset, tmp_path)
     cfg.grid.update(grid)
     assert run(cfg) == EXIT_OK
     header, *lines = (tmp_path / f"{preset}_{table}.csv").read_text().splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     weak = [row for row in rows if row["gate_failure"] == "weak_coupling"]
-    assert weak
+    assert len(weak) == n_weak
     for row in rows:
         if any(math.isnan(float(row[key])) for key in occupations):
             assert row["gate_failure"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from nlcavity.detector import (
     DrivePoint,
-    EffectiveThermo,
     added_noise,
     band_spectra,
     bistability_boundary,
@@ -20,12 +19,7 @@ from nlcavity.detector import (
     _coefficients,
     _point,
 )
-from nlcavity.errors import (
-    InstabilityError,
-    NoBistabilityError,
-    NonLorentzianError,
-    OutsideRegionError,
-)
+from nlcavity.errors import NoBistabilityError, OutsideRegionError
 from nlcavity.numerics import fit_lorentzian
 from nlcavity.presets import PRESETS, build_detector_params
 from oracles import noise_density, one_line, signal_density
@@ -91,11 +85,26 @@ def test_mean_field_small_drive_linear(params, onset):
 
 
 def test_mean_field_residual_invariant(params, onset):
+    # every root chi solves the mean-field equation
+    # (w_T - w_p - i g_pT) chi + (w_T/2pi) K_eff chi|chi|^2 = source,
+    # source = sqrt(2 pi I0^2 Z_p g_pT / (hbar w_p)), to 1e-9 of the source
+    from nlcavity.constants import hbar
+
     _, dw_bi, I_bi = onset
+    K = effective_duffing(params)
+    gpt = params.gamma_pT
     rng = [(0.3, 0.0), (0.8, 0.5 * dw_bi), (1.2, 1.3 * dw_bi), (0.9, -2 * dw_bi)]
     for ratio, dw in rng:
-        for sol in mean_field(params, DrivePoint(I_0=ratio * I_bi, delta_omega=dw)):
-            assert sol.residual < 1e-9
+        I_0 = ratio * I_bi
+        source = math.sqrt(2 * math.pi * I_0 ** 2 * params.Z_p * gpt
+                           / (hbar * (params.omega_T + dw)))
+        sols = mean_field(params, DrivePoint(I_0=I_0, delta_omega=dw))
+        assert sols
+        for sol in sols:
+            chi = sol.chi
+            lhs = (-dw - 1j * gpt) * chi \
+                + params.omega_T / (2 * math.pi) * K * chi * abs(chi) ** 2
+            assert abs(lhs - source) < 1e-9 * source
 
 
 def test_mean_field_onset_double_root(params, onset):
@@ -288,7 +297,7 @@ def test_response_terms_match_oracle_bitwise(preset):
                                    float(grid["drive_max_ratio"]), 4):
         drive = DrivePoint(I_0=float(drive_ratio * I_bi), delta_omega=ratio * dw_bi)
         pt = _point(preset_params, drive, select_branch(mean_field(preset_params, drive)).chi)
-        _, (omega, *_) = _resolve_drive(preset_params, pt)
+        _, _, (omega, *_) = _resolve_drive(preset_params, pt)
         _assert_response_terms_match_oracle(preset_params, pt, omega)
         gathered = _Point._make(np.full(omega.shape, v) for v in pt)
         _assert_response_terms_match_oracle(preset_params, gathered, omega)
@@ -517,7 +526,7 @@ def test_all_gated_curve_skips_the_band_kernel(tmp_path, monkeypatch):
 def test_thermo_weak_coupling_flag(params, onset):
     drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
     th = one_line(params, drive)
-    assert th.weak_coupling
+    assert th.gate == "weak_coupling"
     assert th.R_omega == pytest.approx(1.0, abs=1e-6)
     assert th.R_gamma == pytest.approx(1.0, abs=1e-6)
     assert math.isnan(th.n_back_plus)
@@ -556,15 +565,38 @@ def test_thermo_fit_matches_determinant_probe(cooling_params):
 def test_thermo_instability_on_blue_side(params, onset):
     _, dw_bi, I_bi = onset
     drive = DrivePoint(I_0=0.5 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    with pytest.raises(InstabilityError):
-        one_line(params, drive)
+    assert one_line(params, drive).gate == "InstabilityError"
 
 
 def test_thermo_branch_lost_past_fold(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     drive = DrivePoint(I_0=1.2912 * I_bi, delta_omega=1.3 * dw_bi)
-    with pytest.raises(InstabilityError):
-        one_line(cooling_params, drive)
+    assert one_line(cooling_params, drive).gate == "InstabilityError"
+
+
+def test_failed_lines_are_nan_in_every_float_field(cooling_params):
+    # the preset's last drive fails the residual gate and the past-fold one
+    # the stability gate: neither keeps a fit, so every float field of
+    # their lines is NaN, chi included; a passing line has none
+    import dataclasses
+
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    lines = thermo_sweep(cooling_params, 1.3 * dw_bi,
+                         [0.5 * I_bi, 1.28 * I_bi, 1.2912 * I_bi], [0.0, 0.05])
+    gates = [[th.gate for th in drive_lines] for drive_lines in lines]
+    assert gates == [["", ""], ["NonLorentzianError"] * 2, ["InstabilityError"] * 2]
+    for drive_lines in lines:
+        for th in drive_lines:
+            values = [getattr(th, f.name) for f in dataclasses.fields(th)
+                      if f.name != "gate"]
+            assert len(values) == 7
+            parts = [part for v in values
+                     for part in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+            assert len(parts) == 8
+            if th.gate:
+                assert all(math.isnan(part) for part in parts)
+            else:
+                assert all(math.isfinite(part) for part in parts)
 
 
 def test_nnet_formula_limits():
@@ -583,9 +615,9 @@ def test_cooling_curve_rows_and_failures(cooling_params):
                          [0.5 * I_bi, 1.2 * I_bi, 1.2912 * I_bi], [0.0, 0.05])
     assert [len(drive_lines) for drive_lines in lines] == [2, 2, 2]
     # the past-fold drive fails at both temperatures
-    assert all(isinstance(th, InstabilityError) for th in lines[-1])
+    assert all(th.gate == "InstabilityError" for th in lines[-1])
     for cold, hot in lines[:-1]:
-        assert isinstance(cold, EffectiveThermo) and isinstance(hot, EffectiveThermo)
+        assert cold.gate == hot.gate == ""
         assert hot.n_net > cold.n_net  # hotter bath, higher n_net
 
 
@@ -653,8 +685,8 @@ def test_cooling_curve_resolves_each_drive_once(cooling_params, monkeypatch):
                                             "fit_lorentzian", "_coefficients"))
     lines = det.thermo_sweep(cooling_params, 1.3 * dw_bi, drives, COOL_TEMPS)
     assert [len(drive_lines) for drive_lines in lines] == [len(COOL_TEMPS)] * len(drives)
-    assert all(isinstance(th, InstabilityError) for th in lines[-1])
-    assert all(isinstance(th, EffectiveThermo) for th in lines[0] + lines[1])
+    assert all(th.gate == "InstabilityError" for th in lines[-1])
+    assert all(th.gate == "" for th in lines[0] + lines[1])
     resolved = len(drives) - 1
     assert calls["mean_field"] == len(drives)
     assert calls["_determinant_zero"] == resolved  # the fold guard fires first
@@ -666,11 +698,8 @@ def test_cooling_curve_resolves_each_drive_once(cooling_params, monkeypatch):
     for I_0, drive_lines in zip(drives, lines):
         drive = DrivePoint(I_0=I_0, delta_omega=1.3 * dw_bi)
         for T, line in zip(COOL_TEMPS, drive_lines):
-            try:
-                single = one_line(cooling_params, drive, T)
-            except InstabilityError as exc:
-                single = exc
-            assert _line_bits(line) == _line_bits(single), (I_0, T)
+            assert _line_bits(line) == _line_bits(one_line(cooling_params, drive, T)), \
+                (I_0, T)
 
 
 @pytest.mark.parametrize("bad_T", [-1e-3, math.nan, math.inf])
@@ -717,12 +746,10 @@ def _singular_warnings(call, *args):
 
 
 def _line_bits(line):
-    """Every field of a sweep line, floats as float.hex, or the failure."""
-    if not isinstance(line, EffectiveThermo):
-        return type(line), str(line)
+    """Every field of a sweep line, floats as float.hex."""
     return [float.hex(getattr(line, name)) for name in (
         "R_omega", "R_gamma", "G_plus", "n_back_plus", "n_net", "lorentzian_residual")] \
-        + [float.hex(line.chi.real), float.hex(line.chi.imag), line.weak_coupling]
+        + [float.hex(line.chi.real), float.hex(line.chi.imag), line.gate]
 
 
 # determinant tolerance at which some drives of the ch2-detection and
@@ -756,11 +783,7 @@ def test_sweep_lines_do_not_depend_on_batching(preset, data):
     for I_0, drive_lines in zip(drives, lines):
         drive = DrivePoint(I_0=I_0, delta_omega=detuning)
         for T, line in zip(temps, drive_lines, strict=True):
-            try:
-                single = one_line(params, drive, T)
-            except (InstabilityError, NonLorentzianError) as exc:
-                single = exc
-            assert _line_bits(line) == _line_bits(single), (I_0, T)
+            assert _line_bits(line) == _line_bits(one_line(params, drive, T)), (I_0, T)
 
 
 @pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4"])
@@ -804,7 +827,7 @@ def test_stalled_cooling_fits_match_reference_loop_bitwise(cooling_params, ratio
                          int(grid["drive_points"])) * I_bi
     drive = DrivePoint(I_0=float(I_grid[ratio_index]), delta_omega=detuning)
     pt = _point(cooling_params, drive, select_branch(mean_field(cooling_params, drive)).chi)
-    _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, pt)
+    _, _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, pt)
     wp = cooling_params.omega_T + detuning
     for T in (float(t) for t in grid["bath_T_K"].split(",")):
         s = np.clip(_occupied(kernel, lor_plus, lor_minus, omega - wp, T), 0.0, None)

@@ -44,7 +44,7 @@ def pulse(params):
 
 @pytest.fixture(scope="module")
 def T_H(params, pulse):
-    return hawking_temperature(pulse, params)
+    return hawking_temperature(pulse, params, find_horizon(pulse, params)[0])
 
 
 # --- inductance / velocity -----------------------------------------------------
@@ -185,7 +185,7 @@ def test_gaussian_pulse_pair_warns(params, pulse):
 # --- temperature / power / photons ----------------------------------------------------
 
 def test_hawking_temperature_anchor(params, pulse):
-    T = hawking_temperature(pulse, params)
+    T = hawking_temperature(pulse, params, find_horizon(pulse, params)[0])
     assert T == pytest.approx(0.120, rel=0.10)
 
 
@@ -281,17 +281,26 @@ def test_photons_per_pulse_anchor(params, T_H):
 
 
 def test_photons_linear_in_cell_count(params, T_H):
+    # T_H decays by 10% per 1000 cells, so while the horizon outlives the
+    # array the count is the undecayed one times 1 - 0.5e-4 N; with that
+    # factor divided out it is linear in the cell count
     import dataclasses
 
-    full = photons_per_pulse(T_H, params, decay_per_1000_cells=0.0)
-    half = photons_per_pulse(T_H, dataclasses.replace(params, N=params.N // 2),
-                             decay_per_1000_cells=0.0)
-    assert full / half == pytest.approx(2.0, rel=0.01)
+    def undecayed(N):
+        line = dataclasses.replace(params, N=N)
+        return photons_per_pulse(T_H, line) / (1.0 - 0.5e-4 * N)
+
+    assert params.N <= 10_000
+    assert undecayed(params.N) / undecayed(params.N // 2) == pytest.approx(2.0, rel=0.01)
 
 
 def test_photons_decay_lowers_count(params, T_H):
+    # below a horizon that keeps T_H over the whole array: the rate
+    # pi kB T_H/(12 hbar) times the lifetime N a/u
+    from nlcavity.constants import hbar, k_B
+
     with_decay = photons_per_pulse(T_H, params)
-    without = photons_per_pulse(T_H, params, decay_per_1000_cells=0.0)
+    without = math.pi * k_B * T_H / (12 * hbar) * params.N * params.a / params.u
     assert with_decay < without
 
 
@@ -338,9 +347,12 @@ def test_closed_form_matches_numerical_oracle(params, amplitude, ratio, rise):
         assert abs(x - x_scan) <= 1e-7 * rise
         assert gradient == pytest.approx(stencil_gradient(pulse, line, x_scan), rel=1e-6)
     T_H = hawking_temperature(pulse, line, closed[0])
-    for decay in (0.0, 0.1, 5.0):
-        assert photons_per_pulse(T_H, line, decay) == pytest.approx(
-            quadrature_photons(T_H, line, decay), rel=1e-8)
+    # T_H decays by 10% per 1000 cells: the horizon outlives a 4 800-cell
+    # array and fades before the far end of a 20 000-cell one
+    for cells in (line.N, 20_000):
+        array = dataclasses.replace(line, N=cells)
+        assert photons_per_pulse(T_H, array) == pytest.approx(
+            quadrature_photons(T_H, array), rel=1e-8)
 
 
 @pytest.mark.parametrize("edge, found", [(-11.99, True), (-12.01, False)])
