@@ -252,7 +252,7 @@ def _run_hawking_line(cfg: ScenarioConfig, p: dict, g: dict):
             raise ValueError(f"gradient_rate_over_plasma must give a positive finite "
                              f"target rate, got {frac} ({target} Hz)")
         rise = hawking.rise_scale_for_gradient_rate(amplitude, params, target)
-    pulse = hawking.tanh_pulse(amplitude, rise)
+    pulse = hawking.TanhPulse(amplitude, rise)
     lo, hi = pulse.window
     if not math.isfinite(hi - lo):  # every grid over the window spans it
         raise ValueError(f"rise_scale_m {rise} overflows the pulse window of "

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .constants import Phi0, hbar, k_B
-from .errors import NoBistabilityError, OutsideRegionError, SingularFluxError
+from .errors import NoBistabilityError, SingularFluxError
 from .numerics import Tolerance, fit_lorentzian, integrate_adaptive, solve_cubic_real
 from .qinfo import bose_occupation
 
@@ -137,13 +137,6 @@ def effective_duffing(params: DetectorParams) -> float:
         / (params.omega_m ** 2 + gbm ** 2)
 
 
-def _drive_source(params: DetectorParams, drive: DrivePoint) -> float:
-    """RHS magnitude sqrt(2 pi I0^2 Z_p gamma_pT / (hbar omega_p))."""
-    omega_p = params.omega_T + drive.delta_omega
-    return math.sqrt(2.0 * math.pi * drive.I_0 ** 2 * params.Z_p
-                     * params.gamma_pT / (hbar * omega_p))
-
-
 def linear_amplitude(params: DetectorParams, drive: DrivePoint) -> complex:
     """Small-drive amplitude c = i sqrt(2 pi) sqrt(I0^2 Zp gpt/(h wp))
     / (gamma_pT - i d_omega)."""
@@ -166,14 +159,13 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
     """
     gpt = params.gamma_pT
     dw = drive.delta_omega
-    src = _drive_source(params, drive)
     K = effective_duffing(params)
 
     if drive.I_0 == 0.0:
         return [MeanFieldSolution(chi=0j, E=0.0, branch="small")]
 
     if not frequency_pulling or K == 0.0:
-        chi = src / (-dw - 1j * gpt)
+        chi = linear_amplitude(params, drive)
         return [MeanFieldSolution(chi=chi, E=abs(chi) ** 2 / (2.0 * math.pi),
                                   branch="small")]
 
@@ -221,10 +213,11 @@ def bistability_onset(params: DetectorParams):
 
 
 def bistability_boundary(params: DetectorParams, delta_omega_ratio: float):
-    """(I_lower/I_bi, I_upper/I_bi) at detuning ratio r = d_omega/d_omega_bi >= 1."""
+    """(I_lower/I_bi, I_upper/I_bi) at detuning ratio r = d_omega/d_omega_bi;
+    ValueError outside the bistable region r >= 1."""
     r = delta_omega_ratio
     if not r >= 1.0:  # NaN fails this test too
-        raise OutsideRegionError(f"detuning ratio {r} outside the bistable region r >= 1")
+        raise ValueError(f"detuning ratio {r} outside the bistable region r >= 1")
     base = 1.0 + 3.0 / r ** 2
     wing = (1.0 - 1.0 / r ** 2) ** 1.5
     lower = 0.5 * r ** 1.5 * math.sqrt(base - wing)
@@ -278,9 +271,10 @@ def _gathered(table, owner) -> _Point:
 
 
 def _response_terms(params, pt, omega):
-    """(upper, lower, cross_w, determinant) of the 2x2 response system at
-    omega. Plain arithmetic, so omega may be real or complex, scalar or
-    array, and the ``_Point`` factors scalars or arrays of omega's shape.
+    """(upper, lower, pull_w, cross_w, cross_m, determinant) of the 2x2
+    response system at omega, with upper = 1 - pull_w. Plain arithmetic,
+    so omega may be real or complex, scalar or array, and the ``_Point``
+    factors scalars or arrays of omega's shape.
     The mechanical bracket at w' = 0 is the same at every node, so an array
     omega gets it formed on one zero node and broadcast; a scalar omega
     forms it from 0.0 * omega in scalar arithmetic.
@@ -308,11 +302,13 @@ def _response_terms(params, pt, omega):
     b_w_s, b_m_s = b_cav_w * mech_s, b_cav_m * mech_s
     d_w, d_m = d_pref / cavity_w, d_pref / cavity_m
 
-    upper = 1.0 - 2.0 * pt.chi2 * (b_cav_w * mech_0 + b_w_s + d_w)
+    pull_w = 2.0 * pt.chi2 * (b_cav_w * mech_0 + b_w_s + d_w)
+    upper = 1.0 - pull_w
     lower = 1.0 + 2.0 * pt.chi2 * (b_cav_m * mech_0 + b_m_s + d_m)
     cross_w = 2.0 * b_w_s + d_w
     cross_m = 2.0 * b_m_s + d_m
-    return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
+    det = upper * lower + pt.chi4 * cross_w * cross_m
+    return upper, lower, pull_w, cross_w, cross_m, det
 
 
 # relative size of a response determinant that warns of bifurcation proximity
@@ -320,19 +316,22 @@ _SINGULAR_TOL = 1e-14
 
 
 def _coefficients(params, pt, omega, owner=None):
-    """(alpha1, alpha2, beta1, beta2, determinant) of the response system at
-    real omega, from the ``_Point`` factors. Warns when the determinant is
-    within ``_SINGULAR_TOL`` of singular (bifurcation proximity): once, or,
-    when ``owner`` labels each node with its operating point, once per
-    operating point."""
-    upper, lower, cross_w, det = _response_terms(params, pt, omega)
+    """(alpha1, alpha2, beta1, beta2, pull_w, cross_m, determinant) of the
+    response system at real omega, from the ``_Point`` factors; pull_w and
+    cross_m are the ``_response_terms`` that give the noise density
+    beta1 - 1 without cancellation. Warns when the determinant is within
+    ``_SINGULAR_TOL`` of singular (bifurcation proximity): once, or, when
+    ``owner`` labels each node with its operating point, once per operating
+    point."""
+    upper, lower, pull_w, cross_w, cross_m, det = _response_terms(params, pt, omega)
 
     near = np.abs(det) < _SINGULAR_TOL * (1.0 + np.abs(upper) + np.abs(lower))
     for _ in range(int(near.any()) if owner is None else len(set(owner[near].tolist()))):
         warnings.warn("response determinant nearly singular (bifurcation proximity)",
                       RuntimeWarning, stacklevel=3)
     beta1, ratio = lower / det, cross_w / det
-    return beta1 * pt.chi, -ratio * pt.chi2 * pt.chi, beta1, ratio * pt.chi_sq, det
+    return (beta1 * pt.chi, -ratio * pt.chi2 * pt.chi, beta1, ratio * pt.chi_sq,
+            pull_w, cross_m, det)
 
 
 def _signal_terms(params, pt, omega, coeffs):
@@ -373,16 +372,22 @@ def _signal_at(params, pt, omega, coeffs, bath_T):
 
 def _noise_terms(params, pt, omega, coeffs):
     """Back-reaction noise density at omega from the response coefficients
-    there."""
+    there.
+
+    Its bracket |b1|^2 - Re b1 + (x/g_pT) Im b1 + mirror |b2|^2 subtracts
+    terms of order one, since b1 -> 1 at small drive. It is formed from
+    delta = b1 - 1 = b1 pull_w - b2 conj(chi^2) cross_m, which cancels
+    nothing, as Re delta + |delta|^2 + (x/g_pT) Im delta + mirror |b2|^2."""
     gpt = params.gamma_pT
     dw = pt.dw
     wp = params.omega_T + dw
-    b1, b2 = coeffs[2:4]
+    b1, b2, pull_w, cross_m = coeffs[2:6]
+    delta = b1 * pull_w - b2 * np.conj(pt.chi_sq) * cross_m
     shift = omega - wp
     x = shift + dw
     mirror_ratio = (x ** 2 + gpt ** 2) / ((shift - dw) ** 2 + gpt ** 2)
-    bracket = (np.abs(b1) ** 2 + mirror_ratio * np.abs(b2) ** 2
-               - np.real(b1) + x / gpt * np.imag(b1))
+    bracket = (np.real(delta) + np.abs(delta) ** 2 + mirror_ratio * np.abs(b2) ** 2
+               + x / gpt * np.imag(delta))
     return (hbar * omega / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
         * bracket / (2.0 * math.pi)
 

@@ -2,17 +2,13 @@
 
 Domain/precondition violations raise ValueError subclasses so that callers
 can still catch them generically; numerical failures (non-convergence,
-a degenerate fit) derive from RuntimeError; ConvergenceError carries the
-best estimate found.
+a degenerate fit) derive from RuntimeError. Each carries only its message,
+which names the quantity that failed the check.
 """
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature or iteration failed to converge; carries the best estimate."""
-
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """Quadrature or iteration failed to converge."""
 
 
 class FitDegenerateError(RuntimeError):
@@ -20,16 +16,8 @@ class FitDegenerateError(RuntimeError):
 
 
 class TruncationError(ValueError):
-    """Fock-space truncation too small; carries the leaked probability.
-
-    ``required_dim`` is set when a dimension large enough to pass the gate
-    is known.
-    """
-
-    def __init__(self, message, leak=None, required_dim=None):
-        super().__init__(message)
-        self.leak = leak
-        self.required_dim = required_dim
+    """Fock-space truncation too small; the message reports the leaked
+    probability."""
 
 
 class SingularFluxError(ValueError):
@@ -40,10 +28,5 @@ class NoBistabilityError(ValueError):
     """Effective Duffing constant vanishes: no bistable region exists."""
 
 
-class OutsideRegionError(ValueError):
-    """Requested detuning lies outside the bistable region."""
-
-
 class NoHorizonError(RuntimeError):
     """Propagation velocity never crosses the pulse velocity."""
-

@@ -38,11 +38,9 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     retained = float(np.sum(np.exp(logp)))
     tail = max(0.0, 1.0 - retained)
     if tail >= _TAIL_BOUND:
-        d = min_coherent_dim(nbar)
         raise TruncationError(
             f"coherent-state tail {tail:.3e} >= {_TAIL_BOUND:g} at dim={dim}; "
-            f"need dim >= {d}",
-            leak=tail, required_dim=d)
+            f"need dim >= {min_coherent_dim(nbar)}")
     amps = np.exp(0.5 * logp)
     if np.angle(alpha) != 0.0:
         amps = amps * np.exp(1j * ns * np.angle(alpha))

@@ -3,14 +3,14 @@ propagation velocity, effective metric, horizon location, Hawking
 temperature/power, photon-count estimates, and impedance validity gates.
 
 Every horizon quantity is closed form: the horizon flux inverts the velocity
-law c0 sqrt(cos(pi phi)) = u, each pulse shape supplies its own inverse and
+law c0 sqrt(cos(pi phi)) = u, the tanh pulse gives its own inverse and
 slope, so the horizon, its gradient and the rise scale for a target gradient
 follow without a root finder or a difference stencil, and the photon count
 integrates a linearly decaying rate exactly.
 
 Comoving coordinate xi = x - u*t; external flux is everywhere expressed in
 units of the flux quantum and must stay below 1/2 (insulating transition).
-The velocity law, the pulse shapes and the flux gate act elementwise on
+The velocity law, the pulse and the flux gate act elementwise on
 arrays, so a grid of positions is one call.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,17 +67,17 @@ def _check_flux(phi_ext):
 
 
 @dataclass(frozen=True)
-class FluxPulse:
-    """Spatial flux-bias profile phi(xi) in units of Phi0, 0 <= phi < 1/2.
+class TanhPulse:
+    """Step-like flux-bias profile phi(xi) = (amplitude/2)(1 - tanh(xi/w)),
+    in units of Phi0, with w the rise scale: flux = amplitude behind the
+    front (xi < 0), 0 ahead, 0 <= amplitude < 1/2.
 
-    ``shape`` maps comoving coordinates (a scalar or an array) to flux,
-    ``slope`` to its derivative dphi/dxi, and ``inverse`` maps a flux to
-    the list of every xi with shape(xi) = flux, in ascending order.
+    Calling it and ``slope`` map comoving coordinates (a scalar or an
+    array) to the flux and to dphi/dxi; ``inverse`` maps a flux to the list
+    of every xi with phi(xi) = flux: one point inside (0, amplitude), none
+    outside.
     """
 
-    shape: Callable
-    inverse: Callable
-    slope: Callable
     amplitude: float
     rise_scale: float
 
@@ -93,22 +93,15 @@ class FluxPulse:
         return (-12.0 * self.rise_scale, 12.0 * self.rise_scale)
 
     def __call__(self, xi):
-        return self.shape(xi)
+        return 0.5 * self.amplitude * (1.0 - np.tanh(xi / self.rise_scale))
 
+    def slope(self, xi):
+        return -0.5 * self.amplitude / self.rise_scale / np.cosh(xi / self.rise_scale) ** 2
 
-def tanh_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
-    """Step-like pulse: flux = amplitude behind the front (xi < 0), 0 ahead."""
-    def shape(xi):
-        return 0.5 * amplitude * (1.0 - np.tanh(xi / rise_scale))
-
-    def inverse(phi):
-        if not (0.0 < phi < amplitude):
+    def inverse(self, phi) -> list:
+        if not (0.0 < phi < self.amplitude):
             return []
-        return [rise_scale * math.atanh(1.0 - 2.0 * phi / amplitude)]
-
-    def slope(xi):
-        return -0.5 * amplitude / rise_scale / np.cosh(xi / rise_scale) ** 2
-    return FluxPulse(shape, inverse, slope, amplitude, rise_scale)
+        return [self.rise_scale * math.atanh(1.0 - 2.0 * phi / self.amplitude)]
 
 
 def propagation_velocity(phi_ext, params: LineParams):
@@ -125,7 +118,7 @@ def metric_components(c: float, params: LineParams):
     return (c * c - params.u ** 2, -params.u, -1.0)
 
 
-def find_horizon(pulse: FluxPulse, params: LineParams):
+def find_horizon(pulse: TanhPulse, params: LineParams):
     """All comoving positions where c(xi) = u, ascending: the pulse's
     inverse at the horizon flux phi_h = arccos((u/c0)^2)/pi, where
     c0 sqrt(cos(pi phi_h)) = u, kept inside the pulse window. No flux slows
@@ -142,7 +135,7 @@ def find_horizon(pulse: FluxPulse, params: LineParams):
     return roots
 
 
-def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
+def velocity_gradient(pulse: TanhPulse, params: LineParams, xi: float) -> float:
     """|dc/dxi| = |dc/dphi * dphi/dxi| at xi, with the velocity law's
     dc/dphi = -c0 pi sin(pi phi) / (2 sqrt(cos(pi phi)))."""
     phi = pulse(xi)
@@ -151,7 +144,7 @@ def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
     return abs(dc_dphi * pulse.slope(xi))
 
 
-def hawking_temperature(pulse: FluxPulse, params: LineParams, xi_h: float) -> float:
+def hawking_temperature(pulse: TanhPulse, params: LineParams, xi_h: float) -> float:
     """T_H = (hbar / 2 pi kB) |dc/dxi| at the horizon xi_h, kelvin."""
     # the constant first: hbar times a gradient of 1e-292 1/s would underflow
     return velocity_gradient(pulse, params, xi_h) * (hbar / (2.0 * math.pi * k_B))
@@ -197,7 +190,7 @@ def array_impedance(params: LineParams, phi_ext: float) -> float:
                            / (Phi0 * params.C_0 * params.I_c))
 
 
-def validity_report(pulse: FluxPulse, params: LineParams) -> dict:
+def validity_report(pulse: TanhPulse, params: LineParams) -> dict:
     """Gate triple reported with every run: beta_L (if known), max impedance
     ratio over the pulse, and the peak flux ratio."""
     max_flux = float(np.max(pulse(np.linspace(*pulse.window, 101))))
@@ -224,5 +217,5 @@ def rise_scale_for_gradient_rate(amplitude: float, params: LineParams,
     c_lo = propagation_velocity(amplitude, params)
     if not (c_lo < params.u < c_hi):
         raise NoHorizonError("pulse speed u outside (c_min, c_max): no horizon")
-    unit = tanh_pulse(amplitude, 1.0)
+    unit = TanhPulse(amplitude, 1.0)
     return velocity_gradient(unit, params, find_horizon(unit, params)[0]) / target_rate

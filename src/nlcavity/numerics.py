@@ -190,9 +190,9 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     not by its share.
     Levels are refined breadth first, one integrand call each, and the
     tree is summed bottom-up, children pairwise. A panel still open at the
-    depth budget (tol.max_iter, at most 48) raises ConvergenceError
-    carrying the best estimate, and so does a level that would hold over
-    _MAX_PANELS panels (an integrand that is NaN everywhere, say).
+    depth budget (tol.max_iter, at most 48) raises ConvergenceError, and
+    so does a level that would hold over _MAX_PANELS panels (an integrand
+    that is NaN everywhere, say).
 
     Like any rule that samples points, it can miss a line much narrower
     than its node spacing whose samples stay below the target; give such a
@@ -208,7 +208,6 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     width = hi - lo
     owner = np.arange(n)
     done_sum, done_err = np.zeros(n), np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
     depth_cap = min(tol.max_iter, 48)
     levels = []
     for depth in range(depth_cap + 1):
@@ -219,12 +218,12 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
         open_ = ~(done_err + np.bincount(owner, err, n) <= target)
         share = target[owner] * ((hi - lo) / width[owner])
         split = open_[owner] & ~(err <= np.fmax(share, floor))
-        if depth == depth_cap:
-            failed[owner[split]] = True
-            split[:] = False
         levels.append((kronrod, split))
         if not split.any():
             break
+        if depth == depth_cap:
+            raise ConvergenceError(
+                f"adaptive quadrature hit the depth cap ({depth_cap}) before converging")
         if 2 * np.count_nonzero(split) > _MAX_PANELS:
             raise ConvergenceError(
                 f"adaptive quadrature needs over {_MAX_PANELS} panels at depth {depth + 1}")
@@ -241,13 +240,7 @@ def integrate_adaptive(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
         half = sums.size // 2
         value[split] = sums[:half] + sums[half:]
         sums = value
-    result = float(sums[0]) if shape == () else sums.reshape(shape)
-    if failed.any():
-        raise ConvergenceError(
-            f"adaptive quadrature hit the depth cap ({depth_cap}) before converging",
-            best_estimate=result,
-        )
-    return result
+    return float(sums[0]) if shape == () else sums.reshape(shape)
 
 
 def solve_cubic_real(c2: float, c1: float, c0: float) -> list[float]:

@@ -294,7 +294,7 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
     if leak > leak_tol:
         raise TruncationError(
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge the pump "
-            f"dimension {dim}", leak=leak)
+            f"dimension {dim}")
     dt = grid[1:] - grid[0]
 
     def blocks():

@@ -49,7 +49,7 @@ temperature of the frozen-pump tier and the Bose-inversion temperature,
 formulas no scenario reports.
 
 ``junction_inductance`` (with its ``CriticalCurrentError``), ``dispersion``
-and ``gaussian_pulse`` are line formulas no scenario reports; the Gaussian
+and ``GaussianPulse`` are line formulas no scenario reports; the Gaussian
 bump has two horizons, a black-hole/white-hole pair, which only the scan
 below resolves.
 
@@ -90,7 +90,7 @@ from nlcavity.constants import Phi0, hbar, k_B
 from nlcavity.detector import (_coefficients, _noise_terms, _point, _signal_at,
                                thermo_sweep)
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
-from nlcavity.hawking import FluxPulse, LineParams, propagation_velocity
+from nlcavity.hawking import LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
 from nlcavity.qinfo import NORM_TOL, ThermalReference, entropy
 from nlcavity.trilinear import PairState, PumpInitialState
@@ -234,8 +234,7 @@ def parametric_state(A: float, tau: float, dim: int) -> StateVector:
         need = int(math.ceil(math.log(1e-8) / (2.0 * math.log(th)))) + 1
         raise TruncationError(
             f"two-mode squeezed tail too heavy at dim={dim} (tanh^2dim="
-            f"{th ** (2 * dim):.2e}); need dim >= {need}",
-            leak=th ** (2 * dim), required_dim=need)
+            f"{th ** (2 * dim):.2e}); need dim >= {need}")
     amps = np.diag(th ** np.arange(dim)).astype(complex)
     return StateVector(HilbertSpec((dim, dim)), amps / np.linalg.norm(amps))
 
@@ -694,13 +693,18 @@ def dispersion(k: float, phi_ext: float, params: LineParams) -> float:
     return 2.0 * c / params.a * abs(math.sin(0.5 * k * params.a))
 
 
-def gaussian_pulse(amplitude: float, rise_scale: float) -> FluxPulse:
+class GaussianPulse:
     """Bump pulse amplitude exp(-(xi/rise_scale)^2): a black-hole /
-    white-hole horizon pair. Only its shape is given; the scan and the
-    stencil below read nothing else."""
-    def shape(xi):
-        return amplitude * np.exp(-(xi / rise_scale) ** 2)
-    return FluxPulse(shape, None, None, amplitude, rise_scale)
+    white-hole horizon pair. It gives its shape, its rise scale and the
+    tanh pulse's +-12 rise-scale window; the scan and the stencil below
+    read nothing else."""
+
+    def __init__(self, amplitude: float, rise_scale: float):
+        self.amplitude, self.rise_scale = amplitude, rise_scale
+        self.window = (-12.0 * rise_scale, 12.0 * rise_scale)
+
+    def __call__(self, xi):
+        return self.amplitude * np.exp(-(xi / self.rise_scale) ** 2)
 
 
 class BracketError(ValueError):
@@ -756,14 +760,15 @@ def find_root_bracketed(
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
-    raise ConvergenceError("Brent iteration budget exhausted", best_estimate=b)
+    raise ConvergenceError("Brent iteration budget exhausted")
 
 
-def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False,
+def find_horizon(pulse, params: LineParams, allow_pair: bool = False,
                  tol: Tolerance = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=120)):
-    """All comoving positions where c(xi) = u: one 2 001-point scan of the
-    pulse window, then a Brent solve to ``tol`` in each bracket where c - u
-    changes sign. Several roots warn, and raise unless ``allow_pair``."""
+    """All comoving positions where c(xi) = u along a ``TanhPulse`` or a
+    ``GaussianPulse``: one 2 001-point scan of the pulse window, then a
+    Brent solve to ``tol`` in each bracket where c - u changes sign.
+    Several roots warn, and raise unless ``allow_pair``."""
     def gap(x):
         return propagation_velocity(pulse(x), params) - params.u
 
@@ -785,7 +790,7 @@ def find_horizon(pulse: FluxPulse, params: LineParams, allow_pair: bool = False,
     return roots
 
 
-def velocity_gradient(pulse: FluxPulse, params: LineParams, xi: float) -> float:
+def velocity_gradient(pulse, params: LineParams, xi: float) -> float:
     """|dc/dxi| by 5-point central differences with one Richardson step."""
     h = 1e-3 * pulse.rise_scale
 
@@ -831,8 +836,9 @@ def d_func(omega, params, K_d):
 
 
 def response_terms_reference(params, pt, omega):
-    """(upper, lower, cross_w, determinant) of the 2x2 response system at
-    omega from one ``b_func``/``d_func`` call per coefficient."""
+    """(upper, lower, pull_w, cross_w, cross_m, determinant) of the 2x2
+    response system at omega from one ``b_func``/``d_func`` call per
+    coefficient."""
     K_Tm, K_d = params.K_Tm, params.K_d
     wp = params.omega_T + pt.dw
 
@@ -843,11 +849,13 @@ def response_terms_reference(params, pt, omega):
     d_w = d_func(omega, params, K_d)
     d_m = d_func(mirror, params, K_d)
 
-    upper = 1.0 - 2.0 * pt.chi2 * (b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
+    pull_w = 2.0 * pt.chi2 * (b_func(omega, zero, params, K_Tm) + b_w_s + d_w)
+    upper = 1.0 - pull_w
     lower = 1.0 + 2.0 * pt.chi2 * (b_func(mirror, zero, params, K_Tm) + b_m_s + d_m)
     cross_w = 2.0 * b_w_s + d_w
     cross_m = 2.0 * b_m_s + d_m
-    return upper, lower, cross_w, upper * lower + pt.chi4 * cross_w * cross_m
+    det = upper * lower + pt.chi4 * cross_w * cross_m
+    return upper, lower, pull_w, cross_w, cross_m, det
 
 
 def signal_density(params, drive, chi, omega, bath_T: float = 0.0):

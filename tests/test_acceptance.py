@@ -72,7 +72,7 @@ def test_criterion_2_small_drive_limits(det_params):
     c = detector.linear_amplitude(det_params, drive)
     w = det_params.omega_T + np.linspace(-2, 2, 41) * det_params.omega_m
     pt = detector._point(det_params, drive, chi)
-    a1, a2, _, _, _ = detector._coefficients(det_params, pt, w)
+    a1, a2, *_ = detector._coefficients(det_params, pt, w)
     dev1 = float(np.max(np.abs(a1 / c - 1.0)))
     dev2 = float(np.max(np.abs(a2 / c)))
     elapsed = time.perf_counter() - start
@@ -237,7 +237,7 @@ def test_criterion_6_hawking_anchors():
 
     target = 0.1 * params.plasma_frequency(0.0) / TWO_PI
     rise = hawking.rise_scale_for_gradient_rate(0.2, params, target)
-    pulse = hawking.tanh_pulse(0.2, rise)
+    pulse = hawking.TanhPulse(0.2, rise)
     horizon = hawking.find_horizon(pulse, params)[0]
     T_H = hawking.hawking_temperature(pulse, params, horizon)
     ok_T = abs(T_H / 0.120 - 1.0) < 0.10

@@ -700,6 +700,21 @@ def test_detection_rerun_byte_identical(tmp_path, capsys):
     assert len(json.loads(first[1])["warnings"]) == len(gated)
 
 
+def test_tiny_drive_noise_band_converges(tmp_path, capsys):
+    # at 1e-6 I_bi, |b1|^2 - Re b1 in the noise bracket cancels terms of
+    # order one; formed from delta = b1 - 1, the bracket leaves no round-off
+    # for the band quadrature to chase past its panel budget (exit 4)
+    cfg = config_from_preset("ch2-detection", tmp_path)
+    cfg.grid.update(drive_min_ratio="1e-6")
+    assert run(cfg) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "ch2-detection_signal_noise.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    tiny = [row for row in rows if float(row[0]) == 1e-6]
+    assert len(tiny) == 4  # three duffing detunings and the harmonic curve
+    assert all(math.isfinite(float(row[5])) and float(row[5]) > 0.0 for row in tiny)
+
+
 def test_detector_signal_noise_solves_mean_field_once_per_point(tmp_path, monkeypatch):
     solved = []
     mean_field = detector.mean_field

@@ -19,7 +19,7 @@ from nlcavity.detector import (
     _coefficients,
     _point,
 )
-from nlcavity.errors import NoBistabilityError, OutsideRegionError
+from nlcavity.errors import NoBistabilityError
 from nlcavity.numerics import fit_lorentzian
 from nlcavity.presets import PRESETS, build_detector_params
 from oracles import noise_density, one_line, signal_density
@@ -168,7 +168,7 @@ def test_boundary_cusp(params):
 
 
 def test_boundary_outside_region(params):
-    with pytest.raises(OutsideRegionError):
+    with pytest.raises(ValueError, match="outside the bistable region"):
         bistability_boundary(params, 0.9)
 
 
@@ -201,7 +201,7 @@ def test_alpha_beta_small_drive_limits(params, onset):
     chi = mean_field(params, drive)[0].chi
     c = linear_amplitude(params, drive)
     w = params.omega_T + np.linspace(-2, 2, 9) * params.omega_m
-    a1, a2, b1, b2, _ = _coefficients(params, _point(params, drive, chi), w)
+    a1, a2, b1, b2, *_ = _coefficients(params, _point(params, drive, chi), w)
     assert np.max(np.abs(a1 / c - 1.0)) < 1e-3
     assert np.max(np.abs(a2 / c)) < 1e-3
     assert np.max(np.abs(b1 - 1.0)) < 1e-3
@@ -211,7 +211,7 @@ def test_alpha_beta_small_drive_limits(params, onset):
 def test_beta_at_zero_chi(params):
     drive = DrivePoint(I_0=0.0, delta_omega=0.0)
     w = np.array([params.omega_T + 0.3 * params.omega_m])
-    _, _, b1, b2, det = _coefficients(params, _point(params, drive, 0j), w)
+    _, _, b1, b2, *_, det = _coefficients(params, _point(params, drive, 0j), w)
     assert b1[0] == pytest.approx(1.0)
     assert b2[0] == 0.0
     assert det[0] == pytest.approx(1.0)
@@ -252,8 +252,8 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
             continue
         rhs = np.array([chi, -np.conj(chi)])
         sol = np.linalg.solve(M, rhs)  # response to unit signal sources
-        a1, a2, _, _, det = _coefficients(params, _point(params, drive, chi),
-                                          np.array([w]))
+        a1, a2, *_, det = _coefficients(params, _point(params, drive, chi),
+                                        np.array([w]))
         # with both source kernels set to one, a_T^(1) = alpha1 + alpha2
         assert a1[0] + a2[0] == pytest.approx(sol[0], rel=1e-10)
         # determinant identity against the direct 2x2 determinant
@@ -384,6 +384,35 @@ def test_noise_reduces_to_added(params, onset):
     band = 4 * p.gamma_bm
     assert one_point(p, drive, chi, ws, band)[1] == pytest.approx(
         added_noise(p, ws, band), rel=1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+@pytest.mark.parametrize("drive_ratio", [1e-6, 1e-3, 0.3])
+def test_noise_bracket_matches_long_double_direct_form(params, onset, drive_ratio):
+    # the direct bracket |b1|^2 - Re b1 + (x/g_pT) Im b1 + mirror |b2|^2,
+    # from the oracle response terms in long double, against the package's
+    # float64 bracket from delta = b1 - 1; in float64 the direct form loses
+    # ~1.8e-6 of the peak at 1e-6 I_bi to the cancelling order-one terms
+    from nlcavity.constants import hbar
+    from oracles import response_terms_reference
+
+    _, dw_bi, I_bi = onset
+    drive = DrivePoint(I_0=drive_ratio * I_bi, delta_omega=0.2 * dw_bi)
+    chi = select_branch(mean_field(params, drive)).chi
+    pt = _point(params, drive, chi)
+    gpt, wp = params.gamma_pT, params.omega_T + drive.delta_omega
+    w = wp + np.linspace(0.9, 1.1, 11) * params.omega_m
+    wl = w.astype(np.longdouble)
+    _, lower, _, cross_w, _, det = response_terms_reference(params, pt, wl)
+    b1, b2 = lower / det, cross_w / det * pt.chi_sq
+    x = wl - params.omega_T
+    mirror = (x ** 2 + gpt ** 2) / ((wl - wp - drive.delta_omega) ** 2 + gpt ** 2)
+    bracket = np.abs(b1) ** 2 - b1.real + x / gpt * b1.imag + mirror * np.abs(b2) ** 2
+    ref = (hbar * wl / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
+        * bracket / (2.0 * math.pi)
+    err = np.max(np.abs(noise_density(params, drive, chi, w) - ref))
+    assert err <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_caves_small_drive_is_added(params, onset):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nlcavity.constants import Phi0, R_Q, TWO_PI, c_vacuum
 from nlcavity.errors import NoHorizonError
 from nlcavity.hawking import (
-    FluxPulse,
+    TanhPulse,
     array_impedance,
     find_horizon,
     hawking_temperature,
@@ -17,13 +17,12 @@ from nlcavity.hawking import (
     propagation_velocity,
     radiated_power,
     rise_scale_for_gradient_rate,
-    tanh_pulse,
     validity_report,
     velocity_gradient,
 )
 from nlcavity.numerics import Tolerance
 from nlcavity.presets import PRESETS, build_line_params
-from oracles import (CriticalCurrentError, dispersion, find_root_bracketed, gaussian_pulse,
+from oracles import (CriticalCurrentError, GaussianPulse, dispersion, find_root_bracketed,
                      junction_inductance)
 from oracles import find_horizon as scan_find_horizon
 from oracles import photons_per_pulse as quadrature_photons
@@ -39,7 +38,7 @@ def params():
 def pulse(params):
     target = 0.1 * params.plasma_frequency(0.0) / TWO_PI
     rise = rise_scale_for_gradient_rate(0.2, params, target)
-    return tanh_pulse(0.2, rise)
+    return TanhPulse(0.2, rise)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +168,7 @@ def test_no_horizon_when_too_fast(params, pulse):
 
 def test_gaussian_pulse_pair_warns(params, pulse):
     # the bump's black-hole/white-hole pair, resolved by the scan oracle
-    gp = gaussian_pulse(0.2, 3 * pulse.rise_scale)
+    gp = GaussianPulse(0.2, 3 * pulse.rise_scale)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NoHorizonError):
@@ -191,7 +190,7 @@ def test_hawking_temperature_anchor(params, pulse):
 
 def test_gradient_scaling_linearity(params, pulse):
     xi = find_horizon(pulse, params)[0]
-    half = tanh_pulse(0.2, 2 * pulse.rise_scale)
+    half = TanhPulse(0.2, 2 * pulse.rise_scale)
     xi2 = find_horizon(half, params)[0]
     g1 = velocity_gradient(pulse, params, xi)
     g2 = velocity_gradient(half, params, xi2)
@@ -209,7 +208,7 @@ def bracketed_rise_scale(amplitude, params, target_rate):
     w_guess = (c_hi - c_lo) / target_rate
 
     def gap(w):
-        pulse = tanh_pulse(amplitude, w)
+        pulse = TanhPulse(amplitude, w)
         xi_h = scan_find_horizon(pulse, params)[0]
         return stencil_gradient(pulse, params, xi_h) - target_rate
 
@@ -236,7 +235,7 @@ def test_rise_scale_closed_form_matches_bracketed_solve(params, amplitude, rate,
     target = rate * line.plasma_frequency(0.0) / TWO_PI
     rise = rise_scale_for_gradient_rate(amplitude, line, target)
     assert rise == pytest.approx(bracketed_rise_scale(amplitude, line, target), rel=1e-8)
-    pulse = tanh_pulse(amplitude, rise)
+    pulse = TanhPulse(amplitude, rise)
     xi_h = scan_find_horizon(pulse, line)[0]
     assert stencil_gradient(pulse, line, xi_h) == pytest.approx(target, rel=1e-8)
 
@@ -327,7 +326,7 @@ def test_closed_form_matches_numerical_oracle(params, amplitude, ratio, rise):
     # the step's flux is within e^-22 of 0 or of the amplitude
     if abs(1.0 - 2.0 * phi_h / amplitude) > math.tanh(11.0):
         return
-    pulse = tanh_pulse(amplitude, rise)
+    pulse = TanhPulse(amplitude, rise)
     # Brent to 1e-14 m would limit a 1e-8 m rise scale to 1e-6 of it
     closed = _roots(find_horizon, pulse, line)
     scanned = _roots(scan_find_horizon, pulse, line,
@@ -362,7 +361,7 @@ def test_horizon_window_edge(params, edge, found):
     # decides. (At the leading edge the flux is ~1e-11 A, and u/c0 rounds to 1.)
     import dataclasses
 
-    pulse = tanh_pulse(0.2, 1e-6)
+    pulse = TanhPulse(0.2, 1e-6)
     xi = edge * pulse.rise_scale
     line = dataclasses.replace(params, u=float(propagation_velocity(pulse(xi), params)))
     for solve in (find_horizon, scan_find_horizon):
@@ -409,13 +408,12 @@ def test_validity_report_gates(params, pulse):
 
 def test_pulse_validation():
     with pytest.raises(ValueError):
-        tanh_pulse(0.6, 1e-6)
+        TanhPulse(0.6, 1e-6)
     with pytest.raises(ValueError):
-        FluxPulse(shape=lambda x: 0.1, inverse=lambda phi: [], slope=lambda x: 0.0,
-                  amplitude=0.1, rise_scale=0.0)
+        TanhPulse(amplitude=0.1, rise_scale=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            tanh_pulse(0.2, bad)
+            TanhPulse(0.2, bad)
 
 
 def test_build_line_params_rejects_bad_constants_naming_the_key():
