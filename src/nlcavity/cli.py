@@ -157,27 +157,17 @@ def _detector_common(cfg, p):
 
 def _signal_noise_curve(cfg, label, params, r, dw, scale, drive_ratios, bath_T):
     """CSV rows of one detuning curve. One detector sweep resolves and fits
-    every drive (mean field, gates, sideband fit); the band spectra of every
-    line that keeps its fit then come from one ``band_spectra`` call, and
-    are NaN on the others."""
+    every drive (mean field, gates, sideband fit), and one ``band_spectra``
+    call integrates the band of every line that keeps its fit."""
     I_0s = drive_ratios * scale
     thermos = [th for (th,) in detector.thermo_sweep(params, dw, I_0s, [bath_T])]
     for x, th in zip(drive_ratios, thermos):
         if th.gate:
             cfg.warnings.append(f"{label} detuning {r}: drive {x:.3f} I_bi failed {th.gate}")
-    spectra = [(math.nan,) * 3] * len(thermos)
-    fitted = [i for i, th in enumerate(thermos) if th.gate in ("", "weak_coupling")]
-    if fitted:
-        wp = params.omega_T + dw
-        sig, noi, cav = detector.band_spectra(
-            params, dw, I_0s[fitted], [thermos[i].chi for i in fitted],
-            [wp + thermos[i].R_omega * params.omega_m for i in fitted],
-            [2.0 * thermos[i].R_gamma * params.gamma_bm for i in fitted], bath_T)
-        for i, cells in zip(fitted, zip(sig.tolist(), noi.tolist(), cav.tolist())):
-            spectra[i] = cells
+    spectra = (a.tolist() for a in detector.band_spectra(params, dw, I_0s, thermos, bath_T))
     return [[x, label, r, I_0, sig, noi, cav, noi / sig if sig > 0 else math.nan,
              th.R_omega, th.R_gamma, th.n_back_plus, th.lorentzian_residual, th.gate]
-            for x, I_0, th, (sig, noi, cav) in zip(drive_ratios, I_0s, thermos, spectra)]
+            for x, I_0, th, sig, noi, cav in zip(drive_ratios, I_0s, thermos, *spectra)]
 
 
 def _run_detector_signal_noise(cfg: ScenarioConfig, p: dict, g: dict):

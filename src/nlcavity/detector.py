@@ -74,31 +74,15 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class DrivePoint:
-    """Drive current amplitude (A) and pump detuning omega_p - omega_T (rad/s)."""
-
-    I_0: float
-    delta_omega: float
-
-
-@dataclass(frozen=True)
-class MeanFieldSolution:
-    chi: complex
-    E: float
-    branch: str            # small | unstable | large
-
-
-@dataclass(frozen=True)
 class EffectiveThermo:
     """Thermal parametrization of the phase-preserving (+1) sideband at one
     (drive, bath temperature).
 
     R_omega and R_gamma are the fitted line center (offset from the pump,
-    in omega_m) and width (in gamma_bm); G_plus is the detector gain,
-    n_back_plus the back-action occupation and n_net the net mechanical
-    occupation. chi is the mean field the drive was resolved at, so the
-    band spectra of the same operating point need no second mean-field
-    solve.
+    in omega_m) and width (in gamma_bm), n_back_plus the back-action
+    occupation and n_net the net mechanical occupation. chi is the mean
+    field the drive was resolved at, so the band spectra of the same
+    operating point need no second mean-field solve.
 
     gate names the per-point gate the line fails, "" for none:
     "InstabilityError" (non-positive net mechanical damping, or the small
@@ -110,7 +94,6 @@ class EffectiveThermo:
 
     R_omega: float
     R_gamma: float
-    G_plus: float
     n_back_plus: float
     n_net: float
     lorentzian_residual: float
@@ -121,7 +104,7 @@ class EffectiveThermo:
 def _failed(gate: str) -> EffectiveThermo:
     """The line of a gate that leaves no fit: NaN in every float field."""
     nan = math.nan
-    return EffectiveThermo(nan, nan, nan, nan, nan, nan, complex(nan, nan), gate)
+    return EffectiveThermo(nan, nan, nan, nan, nan, complex(nan, nan), gate)
 
 
 def zero_point(params: DetectorParams) -> float:
@@ -137,40 +120,40 @@ def effective_duffing(params: DetectorParams) -> float:
         / (params.omega_m ** 2 + gbm ** 2)
 
 
-def linear_amplitude(params: DetectorParams, drive: DrivePoint) -> complex:
+def linear_amplitude(params: DetectorParams, I_0: float, dw: float) -> complex:
     """Small-drive amplitude c = i sqrt(2 pi) sqrt(I0^2 Zp gpt/(h wp))
-    / (gamma_pT - i d_omega)."""
-    omega_p = params.omega_T + drive.delta_omega
+    / (gamma_pT - i d_omega) at drive current I_0 (A) and pump detuning
+    dw = omega_p - omega_T (rad/s)."""
+    omega_p = params.omega_T + dw
     return (1j * math.sqrt(2.0 * math.pi)
-            / (params.gamma_pT - 1j * drive.delta_omega)
-            * math.sqrt(drive.I_0 ** 2 * params.Z_p * params.gamma_pT
+            / (params.gamma_pT - 1j * dw)
+            * math.sqrt(I_0 ** 2 * params.Z_p * params.gamma_pT
                         / (hbar * omega_p)))
 
 
-def mean_field(params: DetectorParams, drive: DrivePoint,
-               frequency_pulling: bool = True) -> list[MeanFieldSolution]:
-    """Steady drive response: solutions chi of
-    (w_T - w_p - i g_pT) chi + (w_T/2pi) K chi|chi|^2 = source.
+def mean_field(params: DetectorParams, I_0: float, dw: float,
+               frequency_pulling: bool = True) -> list[tuple[float, complex]]:
+    """Steady drive response at drive current I_0 and pump detuning dw:
+    solutions chi of (w_T - w_p - i g_pT) chi + (w_T/2pi) K chi|chi|^2 = source.
 
-    Solves the cubic in E = |chi|^2/(2 pi); nonnegative roots are kept and
-    labeled small/unstable/large by amplitude (the intermediate root is the
-    unstable one). ``frequency_pulling=False`` drops the cubic term
+    Solves the cubic in E = |chi|^2/(2 pi) and returns one (E, chi) pair per
+    positive root, in ascending order of E. With three roots the middle one
+    is the unstable branch, so the first pair is always the small-amplitude
+    stable branch. ``frequency_pulling=False`` drops the cubic term
     entirely (linear cavity response).
     """
     gpt = params.gamma_pT
-    dw = drive.delta_omega
     K = effective_duffing(params)
 
-    if drive.I_0 == 0.0:
-        return [MeanFieldSolution(chi=0j, E=0.0, branch="small")]
+    if I_0 == 0.0:
+        return [(0.0, 0j)]
 
     if not frequency_pulling or K == 0.0:
-        chi = linear_amplitude(params, drive)
-        return [MeanFieldSolution(chi=chi, E=abs(chi) ** 2 / (2.0 * math.pi),
-                                  branch="small")]
+        chi = linear_amplitude(params, I_0, dw)
+        return [(abs(chi) ** 2 / (2.0 * math.pi), chi)]
 
     wk = params.omega_T * K
-    b_in_sq = drive.I_0 ** 2 * params.Z_p / (2.0 * hbar * (params.omega_T + dw))
+    b_in_sq = I_0 ** 2 * params.Z_p / (2.0 * hbar * (params.omega_T + dw))
     c2 = -2.0 * dw / wk
     c1 = (dw ** 2 + gpt ** 2) / wk ** 2
     c0 = -2.0 * gpt * b_in_sq / wk ** 2
@@ -178,22 +161,15 @@ def mean_field(params: DetectorParams, drive: DrivePoint,
     if not roots:  # c0 < 0 forces a positive root unless c0 underflowed to 0
         raise FloatingPointError("mean-field cubic produced no physical (E > 0) root")
 
-    labels = {1: ("small",), 2: ("small", "large"),
-              3: ("small", "unstable", "large")}[len(roots)]
     sols = []
-    for E, branch in zip(roots, labels):
+    for E in roots:
         M = math.sqrt(E)
         # phase from the amplitude-phase form of the mean-field equation
         phase = cmath.phase(complex(-dw + wk * E, -gpt) * M
                             / (math.sqrt(2.0 * gpt * b_in_sq)))
         chi = math.sqrt(2.0 * math.pi) * M * cmath.exp(-1j * phase)
-        sols.append(MeanFieldSolution(chi=chi, E=E, branch=branch))
+        sols.append((E, chi))
     return sols
-
-
-def select_branch(solutions) -> MeanFieldSolution:
-    """The small-amplitude stable branch."""
-    return min((s for s in solutions if s.branch != "unstable"), key=lambda s: s.E)
 
 
 def bistability_onset(params: DetectorParams):
@@ -246,15 +222,16 @@ class _Point(NamedTuple):
     prefactor: float
 
 
-def _point(params, drive, chi) -> _Point:
-    """The ``_Point`` of (drive, chi), in scalar Python arithmetic: numpy's
-    abs and power round differently on complex arrays, and every gathered
-    copy must equal the scalar factor bit for bit."""
-    gpt, dw = params.gamma_pT, drive.delta_omega
-    prefactor = (drive.I_0 * params.K_Tm * params.omega_T / gpt) ** 2 \
+def _point(params, I_0, dw, chi) -> _Point:
+    """The ``_Point`` of drive current I_0, detuning dw and mean field chi,
+    in scalar Python arithmetic: numpy's abs and power round differently on
+    complex arrays, and every gathered copy must equal the scalar factor bit
+    for bit."""
+    gpt = params.gamma_pT
+    prefactor = (I_0 * params.K_Tm * params.omega_T / gpt) ** 2 \
         * gpt ** 2 / (gpt ** 2 + dw ** 2)
     chi2 = abs(chi) ** 2
-    return _Point(dw, chi, chi2, chi2 ** 2, chi ** 2, linear_amplitude(params, drive),
+    return _Point(dw, chi, chi2, chi2 ** 2, chi ** 2, linear_amplitude(params, I_0, dw),
                   prefactor)
 
 
@@ -412,32 +389,39 @@ def _check_bath_T(bath_T: float) -> None:
 _BAND_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=40)
 
 
-def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
-                 omega_s, bands, bath_T: float = 0.0):
+def band_spectra(params: DetectorParams, delta_omega: float, I_0s, lines,
+                 bath_T: float = 0.0):
     """Band-integrated (signal, noise, Caves bound) variances (A^2) of
-    operating points that share params and the pump detuning.
+    ``thermo_sweep`` lines that share params, the pump detuning and the
+    bath temperature: lines[j] is the line of drive current I_0s[j].
 
-    Point j has drive current I_0s[j], mean-field amplitude chis[j] and the
-    band of width bands[j] centred on omega_s[j]. The noise includes the
-    added zero-point term; the Caves bound is the Heisenberg minimum-noise
-    bound for the same band. All 3n band integrals run as one adaptive
-    Gauss-Kronrod call (abs_tol 1e-300, rel_tol 1e-8), each node evaluating
-    only its own point and kind, so entry j equals the one-point call bit
-    for bit. Returns three arrays of length n (empty when n is 0).
+    The band of a line is its fitted +1 sideband: width 2 R_gamma gamma_bm
+    centred on omega_p + R_omega omega_m, at the line's mean field chi. A
+    line whose gate left no fit ("InstabilityError", "NonLorentzianError")
+    is NaN in all three outputs. The noise includes the added zero-point
+    term; the Caves bound is the Heisenberg minimum-noise bound for the
+    same band. The band integrals of every fitted line run as one adaptive
+    Gauss-Kronrod call (abs_tol 1e-300, rel_tol 1e-8), none when no line
+    kept a fit, each node evaluating only its own line and kind, so entry j
+    equals the one-line call bit for bit. Returns three arrays of length
+    len(lines).
     """
     _check_bath_T(bath_T)
-    points = [_point(params, DrivePoint(I_0=float(I_0), delta_omega=delta_omega), chi)
-              for I_0, chi in zip(I_0s, chis)]
-    n = len(points)
+    spectra = np.full((3, len(lines)), math.nan)
+    fitted = [j for j, th in enumerate(lines)
+              if th.gate not in ("InstabilityError", "NonLorentzianError")]
+    n = len(fitted)
     if n == 0:
-        return np.empty(0), np.empty(0), np.empty(0)
-    table = _table(points)
+        return tuple(spectra)
+    wp = params.omega_T + delta_omega
+    table = _table([_point(params, float(I_0s[j]), delta_omega, lines[j].chi)
+                    for j in fitted])
+    omega_s = np.array([wp + lines[j].R_omega * params.omega_m for j in fitted])
+    bands = np.array([2.0 * lines[j].R_gamma * params.gamma_bm for j in fitted])
     kinds = (functools.partial(_signal_at, bath_T=bath_T), _noise_terms, _caves_at)
-    omega_s = np.asarray(omega_s, dtype=float)
-    bands = np.asarray(bands, dtype=float)
 
     def densities(omega, k):
-        # interval k is point k % n of kind k // n
+        # interval k is fitted line k % n of kind k // n
         kind, j = np.divmod(k, n)
         out = np.empty_like(omega)
         for which, density in enumerate(kinds):
@@ -451,7 +435,8 @@ def band_spectra(params: DetectorParams, delta_omega: float, I_0s, chis,
     signal, noise, caves = np.split(
         integrate_adaptive(densities, np.tile(lo, 3), np.tile(hi, 3), _BAND_TOL), 3)
     added = added_noise(params, omega_s, bands)
-    return signal, noise + added, np.abs(added - table.prefactor * caves)
+    spectra[:, fitted] = signal, noise + added, np.abs(added - table.prefactor * caves)
+    return tuple(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +469,6 @@ def _determinant_zero(params, pt):
         if abs(z2 - z) < 1e-10 * gbm:
             break
     return z2
-
-
-def _fold(params):
-    """(E_bi, delta_omega_bi) of the fold guard, or None when params have no
-    bistability."""
-    try:
-        E_bi, dw_bi, _ = bistability_onset(params)
-    except NoBistabilityError:
-        return None
-    return E_bi, dw_bi
-
-
-def _select_for_thermo(params, drive, fold, frequency_pulling):
-    """(gate, chi) of the small-amplitude branch with a fold guard: inside
-    the bistable detuning range, past the upper fold (where the small
-    branch has merged with the unstable one and vanished) the stability
-    gate "InstabilityError" fires, with chi None. fold is the ``_fold`` of
-    params, or None for no guard."""
-    sols = mean_field(params, drive, frequency_pulling)
-    if fold is not None:
-        E_bi, dw_bi = fold
-        stable = [s for s in sols if s.branch != "unstable"]
-        if drive.delta_omega / dw_bi >= 1.0 and len(stable) == 1 and stable[0].E > E_bi:
-            return "InstabilityError", None
-    return "", select_branch(sols).chi
 
 
 # noise probe offsets from the fitted line center, in fitted linewidths
@@ -613,7 +573,7 @@ def _thermo_line(params, wp, chi, r_gamma_probe, T, fit, peak_ratio):
     the bare damping (|r_gamma_probe - 1| < 1e-9), or the fitted
     R_gamma - 1 is zero or of the other sign than the probe's, so that it
     is fit noise."""
-    c_s, g_s, a_s, residual = fit
+    c_s, g_s, _, residual = fit
     if residual > _RESIDUAL_GATE:
         return _failed("NonLorentzianError")
     gbm, wm = params.gamma_bm, params.omega_m
@@ -630,10 +590,7 @@ def _thermo_line(params, wp, chi, r_gamma_probe, T, fit, peak_ratio):
         n_net = 0.5 * (occ_bath / R_gamma
                        + (1.0 - 1.0 / R_gamma) * (2.0 * nb_plus + 1.0) - 1.0)
     return EffectiveThermo(
-        R_omega=R_omega, R_gamma=R_gamma,
-        G_plus=params.Z_p * a_s * g_s * (2.0 * params.mass * R_omega * wm)
-        / (hbar * gbm * occ_bath),
-        n_back_plus=nb_plus,
+        R_omega=R_omega, R_gamma=R_gamma, n_back_plus=nb_plus,
         n_net=n_net, lorentzian_residual=residual, chi=chi,
         gate="weak_coupling" if weak else "")
 
@@ -647,14 +604,14 @@ def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
 
     The drive fixes the mean field, the renormalized +1 pole and the
     bath-independent signal kernel; the bath temperature enters only
-    through the occupation factors 2n + 1. R_omega, R_gamma and the gain
-    come from a Lorentzian fit of the +1 signal spectrum over +-5 pole
-    widths; the fit residual is the validity gate on the whole thermal
-    parametrization. The back-action occupation inverts the noise
-    parametrization at the fitted line center (where interference
-    contributions odd about the peak vanish) after removing the broad
-    added-noise background, probed out to +-20 linewidths. The
-    phase-conjugating (-1) line is not parametrized.
+    through the occupation factors 2n + 1. R_omega and R_gamma come from a
+    Lorentzian fit of the +1 signal spectrum over +-5 pole widths; the fit
+    residual is the validity gate on the whole thermal parametrization.
+    The back-action occupation inverts the noise parametrization at the
+    fitted line center (where interference contributions odd about the
+    peak vanish) after removing the broad added-noise background, probed
+    out to +-20 linewidths. The phase-conjugating (-1) line is not
+    parametrized.
     ``frequency_pulling=False`` drops the cubic term of the mean field
     (linear cavity response, no fold guard).
 
@@ -673,14 +630,22 @@ def thermo_sweep(params: DetectorParams, detuning: float, I_grid, temps,
     temps = [float(T) for T in temps]
     for T in temps:
         _check_bath_T(T)
-    fold = _fold(params) if frequency_pulling else None
+    # fold guard: inside the bistable detuning range, a lone root above the
+    # onset amplitude is the large branch past the upper fold, where the
+    # small branch has merged with the unstable one and vanished
+    E_fold = math.inf
+    if frequency_pulling and effective_duffing(params) != 0.0:
+        E_bi, dw_bi, _ = bistability_onset(params)
+        if detuning / dw_bi >= 1.0:
+            E_fold = E_bi
     wp = params.omega_T + detuning
     drives = []  # per drive: (point, r_gamma_probe, fits), or None past the stability gate
     for I_0 in I_grid:
-        drive = DrivePoint(I_0=float(I_0), delta_omega=detuning)
-        gate, chi = _select_for_thermo(params, drive, fold, frequency_pulling)
+        I_0 = float(I_0)
+        sols = mean_field(params, I_0, detuning, frequency_pulling)
+        gate = "InstabilityError" if len(sols) == 1 and sols[0][0] > E_fold else ""
         if not gate:
-            pt = _point(params, drive, chi)
+            pt = _point(params, I_0, detuning, sols[0][1])
             gate, probe, window = _resolve_drive(params, pt)
         if gate:
             drives.append(None)

@@ -858,27 +858,26 @@ def response_terms_reference(params, pt, omega):
     return upper, lower, pull_w, cross_w, cross_m, det
 
 
-def signal_density(params, drive, chi, omega, bath_T: float = 0.0):
+def signal_density(params, I_0, dw, chi, omega, bath_T: float = 0.0):
     """Thermal/zero-point signal response density (A^2 per rad/s, includes
     the 1/2pi measure)."""
-    pt = _point(params, drive, chi)
+    pt = _point(params, I_0, dw, chi)
     omega = np.asarray(omega, dtype=float)
     return _signal_at(params, pt, omega, _coefficients(params, pt, omega), bath_T)
 
 
-def noise_density(params, drive, chi, omega):
+def noise_density(params, I_0, dw, chi, omega):
     """Back-reaction noise density (A^2 per rad/s, 1/2pi included); the flat
     added-noise term is accounted for separately."""
-    pt = _point(params, drive, chi)
+    pt = _point(params, I_0, dw, chi)
     omega = np.asarray(omega, dtype=float)
     return _noise_terms(params, pt, omega, _coefficients(params, pt, omega))
 
 
-def one_line(params, drive, bath_T: float = 0.0, frequency_pulling: bool = True):
-    """The EffectiveThermo of one drive at one bath temperature, whatever
-    gate it fails."""
-    (line,), = thermo_sweep(params, drive.delta_omega, [drive.I_0], [bath_T],
-                            frequency_pulling)
+def one_line(params, I_0, dw, bath_T: float = 0.0, frequency_pulling: bool = True):
+    """The EffectiveThermo of drive current I_0 at pump detuning dw and one
+    bath temperature, whatever gate it fails."""
+    (line,), = thermo_sweep(params, dw, [I_0], [bath_T], frequency_pulling)
     return line
 
 

@@ -67,11 +67,11 @@ def test_criterion_1_zero_point(det_params):
 def test_criterion_2_small_drive_limits(det_params):
     start = time.perf_counter()
     _, _, I_bi = detector.bistability_onset(det_params)
-    drive = detector.DrivePoint(I_0=1e-3 * I_bi, delta_omega=0.0)
-    chi = detector.mean_field(det_params, drive)[0].chi
-    c = detector.linear_amplitude(det_params, drive)
+    I_0 = 1e-3 * I_bi
+    (_, chi), = detector.mean_field(det_params, I_0, 0.0)
+    c = detector.linear_amplitude(det_params, I_0, 0.0)
     w = det_params.omega_T + np.linspace(-2, 2, 41) * det_params.omega_m
-    pt = detector._point(det_params, drive, chi)
+    pt = detector._point(det_params, I_0, 0.0, chi)
     a1, a2, *_ = detector._coefficients(det_params, pt, w)
     dev1 = float(np.max(np.abs(a1 / c - 1.0)))
     dev2 = float(np.max(np.abs(a2 / c)))
@@ -96,8 +96,7 @@ def test_criterion_3_bistability_topology(det_params):
             if low is not None and (abs(x - low) < 0.01 or abs(x - up) < 0.01):
                 continue  # within 1% of I_bi of a boundary curve
             expect = 3 if (low is not None and low < x < up) else 1
-            sols = detector.mean_field(
-                det_params, detector.DrivePoint(I_0=x * I_bi, delta_omega=r * dw_bi))
+            sols = detector.mean_field(det_params, x * I_bi, r * dw_bi)
             checked += 1
             if len(sols) != expect:
                 mismatches += 1
@@ -110,14 +109,10 @@ def test_criterion_3_bistability_topology(det_params):
 
 def _sweep_signal_noise(params, dw, I_bi, n_points, max_ratio):
     xs = np.linspace(0.01, max_ratio, n_points)
-    points = [(x, I_0, th) for x, I_0, (th,) in
-              zip(xs, xs * I_bi, detector.thermo_sweep(params, dw, xs * I_bi, [0.0]))
-              if th.gate in ("", "weak_coupling")]
-    sig, noi, cav = detector.band_spectra(
-        params, dw, [I_0 for _, I_0, _ in points], [th.chi for _, _, th in points],
-        [params.omega_T + dw + th.R_omega * params.omega_m for _, _, th in points],
-        [2.0 * th.R_gamma * params.gamma_bm for _, _, th in points], 0.0)
-    return list(zip([x for x, _, _ in points], sig, noi, cav))
+    lines = [th for (th,) in detector.thermo_sweep(params, dw, xs * I_bi, [0.0])]
+    spectra = detector.band_spectra(params, dw, xs * I_bi, lines, 0.0)
+    return [(x, sig, noi, cav) for x, th, sig, noi, cav in zip(xs, lines, *spectra)
+            if th.gate in ("", "weak_coupling")]
 
 
 def test_criterion_4_caves_consistency(det_params):

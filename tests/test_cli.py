@@ -719,9 +719,9 @@ def test_detector_signal_noise_solves_mean_field_once_per_point(tmp_path, monkey
     solved = []
     mean_field = detector.mean_field
 
-    def counted_mean_field(params, drive, *args, **kwargs):
-        solved.append(drive)
-        return mean_field(params, drive, *args, **kwargs)
+    def counted_mean_field(params, I_0, dw, *args, **kwargs):
+        solved.append((I_0, dw))
+        return mean_field(params, I_0, dw, *args, **kwargs)
 
     monkeypatch.setattr(detector, "mean_field", counted_mean_field)
     cfg = config_from_preset("ch2-detection", tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlcavity.detector import (
-    DrivePoint,
+    EffectiveThermo,
     added_noise,
     band_spectra,
     bistability_boundary,
@@ -13,7 +13,6 @@ from nlcavity.detector import (
     effective_duffing,
     linear_amplitude,
     mean_field,
-    select_branch,
     thermo_sweep,
     zero_point,
     _coefficients,
@@ -77,11 +76,11 @@ def test_validity_gates_margin(params, onset):
 # --- mean field -----------------------------------------------------------------
 
 def test_mean_field_small_drive_linear(params, onset):
-    drive = DrivePoint(I_0=1e-3 * onset[2], delta_omega=0.0)
-    sols = mean_field(params, drive)
+    I_0 = 1e-3 * onset[2]
+    sols = mean_field(params, I_0, 0.0)
     assert len(sols) == 1
-    c = linear_amplitude(params, drive)
-    assert sols[0].chi == pytest.approx(c, rel=1e-5)
+    c = linear_amplitude(params, I_0, 0.0)
+    assert sols[0][1] == pytest.approx(c, rel=1e-5)
 
 
 def test_mean_field_residual_invariant(params, onset):
@@ -98,10 +97,9 @@ def test_mean_field_residual_invariant(params, onset):
         I_0 = ratio * I_bi
         source = math.sqrt(2 * math.pi * I_0 ** 2 * params.Z_p * gpt
                            / (hbar * (params.omega_T + dw)))
-        sols = mean_field(params, DrivePoint(I_0=I_0, delta_omega=dw))
+        sols = mean_field(params, I_0, dw)
         assert sols
-        for sol in sols:
-            chi = sol.chi
+        for _, chi in sols:
             lhs = (-dw - 1j * gpt) * chi \
                 + params.omega_T / (2 * math.pi) * K * chi * abs(chi) ** 2
             assert abs(lhs - source) < 1e-9 * source
@@ -109,9 +107,9 @@ def test_mean_field_residual_invariant(params, onset):
 
 def test_mean_field_onset_double_root(params, onset):
     E_bi, dw_bi, I_bi = onset
-    sols = mean_field(params, DrivePoint(I_0=I_bi, delta_omega=dw_bi))
+    sols = mean_field(params, I_bi, dw_bi)
     assert len(sols) <= 2
-    assert min(abs(s.E - E_bi) for s in sols) < 1e-2 * E_bi
+    assert min(abs(E - E_bi) for E, _ in sols) < 1e-2 * E_bi
     # discriminant of the cubic nearly vanishes at onset
     assert E_bi == pytest.approx(2 * params.gamma_pT
                                  / (math.sqrt(3) * params.omega_T
@@ -120,20 +118,20 @@ def test_mean_field_onset_double_root(params, onset):
 
 def test_mean_field_three_roots_inside(params, onset):
     _, dw_bi, I_bi = onset
-    sols = mean_field(params, DrivePoint(I_0=1.23 * I_bi, delta_omega=1.3 * dw_bi))
-    assert [s.branch for s in sols] == ["small", "unstable", "large"]
-    assert sols[0].E < sols[1].E < sols[2].E
+    sols = mean_field(params, 1.23 * I_bi, 1.3 * dw_bi)
+    assert len(sols) == 3
+    assert sols[0][0] < sols[1][0] < sols[2][0]
 
 
 def test_mean_field_zero_drive(params):
-    sols = mean_field(params, DrivePoint(I_0=0.0, delta_omega=0.0))
-    assert sols[0].E == 0.0
+    sols = mean_field(params, 0.0, 0.0)
+    assert sols == [(0.0, 0j)]
 
 
 def test_mean_field_no_pulling(params, onset):
-    drive = DrivePoint(I_0=0.8 * onset[2], delta_omega=onset[1])
-    sol = mean_field(params, drive, frequency_pulling=False)[0]
-    assert sol.chi == pytest.approx(linear_amplitude(params, drive), rel=1e-12)
+    I_0, dw = 0.8 * onset[2], onset[1]
+    (_, chi), = mean_field(params, I_0, dw, frequency_pulling=False)
+    assert chi == pytest.approx(linear_amplitude(params, I_0, dw), rel=1e-12)
 
 
 # --- bistability ------------------------------------------------------------------
@@ -186,10 +184,8 @@ def test_boundary_vs_root_count_scan(params, onset):
     low, up = bistability_boundary(params, ratio)
     dw = ratio * dw_bi
     for target, direction in ((low, +1), (up, -1)):
-        inside = mean_field(params, DrivePoint(
-            I_0=(target + direction * 0.01) * I_bi, delta_omega=dw))
-        outside = mean_field(params, DrivePoint(
-            I_0=(target - direction * 0.01) * I_bi, delta_omega=dw))
+        inside = mean_field(params, (target + direction * 0.01) * I_bi, dw)
+        outside = mean_field(params, (target - direction * 0.01) * I_bi, dw)
         assert len(inside) == 3
         assert len(outside) == 1
 
@@ -197,11 +193,11 @@ def test_boundary_vs_root_count_scan(params, onset):
 # --- response coefficients -----------------------------------------------------------
 
 def test_alpha_beta_small_drive_limits(params, onset):
-    drive = DrivePoint(I_0=1e-3 * onset[2], delta_omega=0.0)
-    chi = mean_field(params, drive)[0].chi
-    c = linear_amplitude(params, drive)
+    I_0 = 1e-3 * onset[2]
+    (_, chi), = mean_field(params, I_0, 0.0)
+    c = linear_amplitude(params, I_0, 0.0)
     w = params.omega_T + np.linspace(-2, 2, 9) * params.omega_m
-    a1, a2, b1, b2, *_ = _coefficients(params, _point(params, drive, chi), w)
+    a1, a2, b1, b2, *_ = _coefficients(params, _point(params, I_0, 0.0, chi), w)
     assert np.max(np.abs(a1 / c - 1.0)) < 1e-3
     assert np.max(np.abs(a2 / c)) < 1e-3
     assert np.max(np.abs(b1 - 1.0)) < 1e-3
@@ -209,9 +205,8 @@ def test_alpha_beta_small_drive_limits(params, onset):
 
 
 def test_beta_at_zero_chi(params):
-    drive = DrivePoint(I_0=0.0, delta_omega=0.0)
     w = np.array([params.omega_T + 0.3 * params.omega_m])
-    _, _, b1, b2, *_, det = _coefficients(params, _point(params, drive, 0j), w)
+    _, _, b1, b2, *_, det = _coefficients(params, _point(params, 0.0, 0.0, 0j), w)
     assert b1[0] == pytest.approx(1.0)
     assert b2[0] == 0.0
     assert det[0] == pytest.approx(1.0)
@@ -224,9 +219,9 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
 
     K_Tm, K_d = params.K_Tm, params.K_d
     _, dw_bi, I_bi = onset
-    drive = DrivePoint(I_0=0.7 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    chi = select_branch(mean_field(params, drive)).chi
-    dw = drive.delta_omega
+    I_0, dw = 0.7 * I_bi, 0.4 * abs(dw_bi)
+    chi = mean_field(params, I_0, dw)[0][1]
+    pt = _point(params, I_0, dw, chi)
     wp = params.omega_T + dw
     wm, gbm = params.omega_m, params.gamma_bm
     # complex omega near the sideband poles is where the pole search runs
@@ -246,14 +241,13 @@ def test_determinant_vs_linear_solve_oracle(params, onset):
              1.0 + 2 * chi2 * (b_m0 + b_ms + d_m)],
         ])
         # the shared kernel against the direct 2x2 determinant
-        assert _response_terms(params, _point(params, drive, chi), w)[-1] == pytest.approx(
+        assert _response_terms(params, pt, w)[-1] == pytest.approx(
             np.linalg.det(M), rel=1e-10)
         if isinstance(w, complex):
             continue
         rhs = np.array([chi, -np.conj(chi)])
         sol = np.linalg.solve(M, rhs)  # response to unit signal sources
-        a1, a2, *_, det = _coefficients(params, _point(params, drive, chi),
-                                        np.array([w]))
+        a1, a2, *_, det = _coefficients(params, pt, np.array([w]))
         # with both source kernels set to one, a_T^(1) = alpha1 + alpha2
         assert a1[0] + a2[0] == pytest.approx(sol[0], rel=1e-10)
         # determinant identity against the direct 2x2 determinant
@@ -295,14 +289,14 @@ def test_response_terms_match_oracle_bitwise(preset):
     wm, gbm = preset_params.omega_m, preset_params.gamma_bm
     for drive_ratio in np.linspace(float(grid["drive_min_ratio"]),
                                    float(grid["drive_max_ratio"]), 4):
-        drive = DrivePoint(I_0=float(drive_ratio * I_bi), delta_omega=ratio * dw_bi)
-        pt = _point(preset_params, drive, select_branch(mean_field(preset_params, drive)).chi)
+        I_0, dw = float(drive_ratio * I_bi), ratio * dw_bi
+        pt = _point(preset_params, I_0, dw, mean_field(preset_params, I_0, dw)[0][1])
         _, _, (omega, *_) = _resolve_drive(preset_params, pt)
         _assert_response_terms_match_oracle(preset_params, pt, omega)
         gathered = _Point._make(np.full(omega.shape, v) for v in pt)
         _assert_response_terms_match_oracle(preset_params, gathered, omega)
 
-        wp = preset_params.omega_T + drive.delta_omega
+        wp = preset_params.omega_T + dw
         offsets = np.linspace(-3.0, 3.0, 7)
         near = (offsets[:, None] + 1j * (offsets[None, :] - 1.0)).ravel() * gbm
         poles = np.concatenate([wp + wm + near, wp - wm + near])
@@ -313,28 +307,34 @@ def test_response_terms_match_oracle_bitwise(preset):
 
 # --- spectra ---------------------------------------------------------------------------
 
-def one_point(params, drive, chi, ws, band, bath_T=0.0):
-    """(signal, noise, caves) of one operating point from the band kernel."""
-    return tuple(float(v[0]) for v in band_spectra(
-        params, drive.delta_omega, [drive.I_0], [chi], [ws], [band], bath_T))
+def one_point(params, I_0, dw, line, bath_T=0.0):
+    """(signal, noise, caves) of one sweep line from the band kernel."""
+    return tuple(float(v[0]) for v in band_spectra(params, dw, [I_0], [line], bath_T))
+
+
+def band_line(chi, R_omega, R_gamma):
+    """An ungated line at mean field chi whose band is centred on
+    omega_p + R_omega omega_m with width 2 R_gamma gamma_bm."""
+    nan = math.nan
+    return EffectiveThermo(R_omega, R_gamma, nan, nan, nan, chi)
 
 
 def test_signal_zero_coupling(params, onset):
     import dataclasses
 
     p = dataclasses.replace(params, K_Tm=0.0)
-    drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(p, drive)).chi
-    ws = p.omega_T + p.omega_m
-    assert one_point(p, drive, chi, ws, 4 * p.gamma_bm)[0] == 0.0
+    I_0 = 0.5 * onset[2]
+    chi = mean_field(p, I_0, 0.0)[0][1]
+    # the band omega_T + omega_m, 4 gamma_bm wide
+    assert one_point(p, I_0, 0.0, band_line(chi, 1.0, 2.0))[0] == 0.0
 
 
 def test_signal_two_peaks_small_drive(params, onset):
-    drive = DrivePoint(I_0=1e-3 * onset[2], delta_omega=0.0)
-    chi = mean_field(params, drive)[0].chi
+    I_0 = 1e-3 * onset[2]
+    chi = mean_field(params, I_0, 0.0)[0][1]
     wp = params.omega_T
     w = np.linspace(wp - 2 * params.omega_m, wp + 2 * params.omega_m, 4001)
-    dens = signal_density(params, drive, chi, w, 0.0)
+    dens = signal_density(params, I_0, 0.0, chi, w, 0.0)
     # peaks at wp +- wm
     ipk = np.argsort(dens)[-2:]
     centers = np.sort(w[ipk])
@@ -346,8 +346,8 @@ def test_thermal_signal_density_matches_scalar_occupations(params, onset):
     # the vectorised occupation factor against per-frequency bose_occupation
     from nlcavity.qinfo import bose_occupation
 
-    drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
-    chi = mean_field(params, drive)[0].chi
+    I_0 = 0.2 * onset[2]
+    chi = mean_field(params, I_0, 0.0)[0][1]
     wp, wm, gbm = params.omega_T, params.omega_m, params.gamma_bm
     w = np.linspace(wp - 2 * wm, wp + 2 * wm, 4000)  # even count: omega != wp
     lor_plus = 2.0 * gbm / ((w - wp - wm) ** 2 + gbm ** 2)
@@ -355,22 +355,21 @@ def test_thermal_signal_density_matches_scalar_occupations(params, onset):
     bath_T = 0.05
     occ_plus = np.array([2.0 * bose_occupation(abs(x), bath_T) + 1.0 for x in w - wp])
     occ_minus = np.array([2.0 * bose_occupation(abs(x), bath_T) + 1.0 for x in wp - w])
-    expected = signal_density(params, drive, chi, w, 0.0) \
+    expected = signal_density(params, I_0, 0.0, chi, w, 0.0) \
         * (lor_plus * occ_plus + lor_minus * occ_minus) / (lor_plus + lor_minus)
-    got = signal_density(params, drive, chi, w, bath_T)
+    got = signal_density(params, I_0, 0.0, chi, w, bath_T)
     assert np.all(occ_plus > 1.0)
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 def test_signal_adaptive_vs_fixed_grid(params, onset):
-    drive = DrivePoint(I_0=0.2 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(params, drive)).chi
-    th = one_line(params, drive)
+    I_0 = 0.2 * onset[2]
+    th = one_line(params, I_0, 0.0)
     ws = params.omega_T + th.R_omega * params.omega_m
     band = 2 * th.R_gamma * params.gamma_bm
-    adaptive, _, _ = one_point(params, drive, chi, ws, band)
+    adaptive, _, _ = one_point(params, I_0, 0.0, th)
     w = np.linspace(ws - band / 2, ws + band / 2, 60_001)
-    fixed = np.trapezoid(signal_density(params, drive, chi, w, 0.0), w)
+    fixed = np.trapezoid(signal_density(params, I_0, 0.0, th.chi, w, 0.0), w)
     assert adaptive == pytest.approx(fixed, rel=1e-6)
 
 
@@ -378,11 +377,11 @@ def test_noise_reduces_to_added(params, onset):
     import dataclasses
 
     p = dataclasses.replace(params, K_Tm=0.0, K_d=0.0)
-    drive = DrivePoint(I_0=0.5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(p, drive)).chi
+    I_0 = 0.5 * onset[2]
+    chi = mean_field(p, I_0, 0.0)[0][1]
     ws = p.omega_T + p.omega_m
     band = 4 * p.gamma_bm
-    assert one_point(p, drive, chi, ws, band)[1] == pytest.approx(
+    assert one_point(p, I_0, 0.0, band_line(chi, 1.0, 2.0))[1] == pytest.approx(
         added_noise(p, ws, band), rel=1e-12)
 
 
@@ -398,50 +397,44 @@ def test_noise_bracket_matches_long_double_direct_form(params, onset, drive_rati
     from oracles import response_terms_reference
 
     _, dw_bi, I_bi = onset
-    drive = DrivePoint(I_0=drive_ratio * I_bi, delta_omega=0.2 * dw_bi)
-    chi = select_branch(mean_field(params, drive)).chi
-    pt = _point(params, drive, chi)
-    gpt, wp = params.gamma_pT, params.omega_T + drive.delta_omega
+    I_0, dw = drive_ratio * I_bi, 0.2 * dw_bi
+    chi = mean_field(params, I_0, dw)[0][1]
+    pt = _point(params, I_0, dw, chi)
+    gpt, wp = params.gamma_pT, params.omega_T + dw
     w = wp + np.linspace(0.9, 1.1, 11) * params.omega_m
     wl = w.astype(np.longdouble)
     _, lower, _, cross_w, _, det = response_terms_reference(params, pt, wl)
     b1, b2 = lower / det, cross_w / det * pt.chi_sq
     x = wl - params.omega_T
-    mirror = (x ** 2 + gpt ** 2) / ((wl - wp - drive.delta_omega) ** 2 + gpt ** 2)
+    mirror = (x ** 2 + gpt ** 2) / ((wl - wp - dw) ** 2 + gpt ** 2)
     bracket = np.abs(b1) ** 2 - b1.real + x / gpt * b1.imag + mirror * np.abs(b2) ** 2
     ref = (hbar * wl / params.Z_p) * 2.0 * gpt ** 2 / (x ** 2 + gpt ** 2) \
         * bracket / (2.0 * math.pi)
-    err = np.max(np.abs(noise_density(params, drive, chi, w) - ref))
+    err = np.max(np.abs(noise_density(params, I_0, dw, chi, w) - ref))
     assert err <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_caves_small_drive_is_added(params, onset):
-    drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(params, drive)).chi
+    I_0 = 1e-5 * onset[2]
+    chi = mean_field(params, I_0, 0.0)[0][1]
     ws = params.omega_T + params.omega_m
     band = 4 * params.gamma_bm
-    assert one_point(params, drive, chi, ws, band)[2] == pytest.approx(
+    assert one_point(params, I_0, 0.0, band_line(chi, 1.0, 2.0))[2] == pytest.approx(
         added_noise(params, ws, band), rel=1e-3)
 
 
 def test_noise_at_least_caves_sampled(params, onset):
     _, dw_bi, I_bi = onset
     for ratio, dwf in [(0.1, 0.0), (0.25, 0.0), (0.05, 0.4), (0.12, 0.4), (0.1, 0.2)]:
-        drive = DrivePoint(I_0=ratio * I_bi, delta_omega=dwf * abs(dw_bi))
-        th = one_line(params, drive)
-        ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
-        band = 2 * th.R_gamma * params.gamma_bm
-        _, noi, cav = one_point(params, drive, th.chi, ws, band)
+        I_0, dw = ratio * I_bi, dwf * abs(dw_bi)
+        _, noi, cav = one_point(params, I_0, dw, one_line(params, I_0, dw))
         assert noi >= cav * (1.0 - 1e-9)
 
 
 def test_caves_ratio_one_at_large_gain(params, onset):
     _, dw_bi, I_bi = onset
-    drive = DrivePoint(I_0=0.15 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    th = one_line(params, drive)
-    ws = params.omega_T + drive.delta_omega + th.R_omega * params.omega_m
-    band = 2 * th.R_gamma * params.gamma_bm
-    sig, _, cav = one_point(params, drive, th.chi, ws, band)
+    I_0, dw = 0.15 * I_bi, 0.4 * abs(dw_bi)
+    sig, _, cav = one_point(params, I_0, dw, one_line(params, I_0, dw))
     assert cav / sig == pytest.approx(1.0, abs=0.05)
 
 
@@ -450,35 +443,57 @@ def test_band_spectra_curve_matches_one_point_calls(params, onset, bath_T):
     # one detuning curve through one kernel call: every entry is the
     # one-point call bit for bit, whatever the other points of the curve,
     # and the signal and noise are the scalar integrals of the densities
+    # over the line's fitted band
     from nlcavity.detector import _BAND_TOL
     from nlcavity.numerics import integrate_adaptive
 
     _, dw_bi, I_bi = onset
     dw = 0.2 * abs(dw_bi)
-    I_0s, chis, centres, bands = [], [], [], []
-    for ratio in np.linspace(0.02, 0.15, 7):
-        drive = DrivePoint(I_0=float(ratio) * I_bi, delta_omega=dw)
-        th = one_line(params, drive, bath_T=bath_T)
-        I_0s.append(drive.I_0)
-        chis.append(th.chi)
-        centres.append(params.omega_T + dw + th.R_omega * params.omega_m)
-        bands.append(2.0 * th.R_gamma * params.gamma_bm)
-    curve = band_spectra(params, dw, I_0s, chis, centres, bands, bath_T)
+    I_0s = [float(ratio) * I_bi for ratio in np.linspace(0.02, 0.15, 7)]
+    lines = [one_line(params, I_0, dw, bath_T=bath_T) for I_0 in I_0s]
+    curve = band_spectra(params, dw, I_0s, lines, bath_T)
     assert all(v.shape == (7,) for v in curve)
-    for j in range(7):
-        drive = DrivePoint(I_0=I_0s[j], delta_omega=dw)
-        single = one_point(params, drive, chis[j], centres[j], bands[j], bath_T)
-        assert single == tuple(float(v[j]) for v in curve)
+    for I_0, th, *entry in zip(I_0s, lines, *curve):
+        single = one_point(params, I_0, dw, th, bath_T)
+        assert single == tuple(float(v) for v in entry)
         assert single[1] >= single[2] * (1.0 - 1e-9)
-        lo, hi = centres[j] - bands[j] / 2.0, centres[j] + bands[j] / 2.0
+        centre = params.omega_T + dw + th.R_omega * params.omega_m
+        band = 2.0 * th.R_gamma * params.gamma_bm
+        lo, hi = centre - band / 2.0, centre + band / 2.0
         assert single[0] == integrate_adaptive(
-            lambda w, _: signal_density(params, drive, chis[j], w, bath_T), lo, hi, _BAND_TOL)
+            lambda w, _: signal_density(params, I_0, dw, th.chi, w, bath_T), lo, hi,
+            _BAND_TOL)
         assert single[1] == integrate_adaptive(
-            lambda w, _: noise_density(params, drive, chis[j], w), lo, hi, _BAND_TOL) \
-            + added_noise(params, centres[j], bands[j])
-    # a curve with no points left (all gated) has empty spectra
-    empty = band_spectra(params, dw, [], [], [], [], bath_T)
+            lambda w, _: noise_density(params, I_0, dw, th.chi, w), lo, hi, _BAND_TOL) \
+            + added_noise(params, centre, band)
+    # a curve with no lines has empty spectra
+    empty = band_spectra(params, dw, [], [], bath_T)
     assert [(v.shape, v.dtype) for v in empty] == [((0,), np.float64)] * 3
+
+
+def test_band_spectra_mixed_curve_is_nan_only_without_a_fit(cooling_params, monkeypatch):
+    # a curve mixing every gate: the lines the stability and residual gates
+    # left without a fit are NaN in all three outputs; the weak_coupling and
+    # ungated lines keep their fitted bands and equal their one-line calls
+    # bit for bit
+    import nlcavity.detector as det
+
+    _, dw_bi, I_bi = bistability_onset(cooling_params)
+    dw = 1.3 * dw_bi
+    I_0s = [r * I_bi for r in (1e-6, 0.5, 1.28, 0.8, 1.2912, 3e-6)]
+    lines = [th for (th,) in thermo_sweep(cooling_params, dw, I_0s, [0.0])]
+    gates = [th.gate for th in lines]
+    assert gates == ["weak_coupling", "", "NonLorentzianError", "",
+                     "InstabilityError", "weak_coupling"]
+    calls = _count_calls(monkeypatch, det, ("integrate_adaptive",))
+    curve = band_spectra(cooling_params, dw, I_0s, lines)
+    assert calls["integrate_adaptive"] == 1
+    for I_0, th, *entry in zip(I_0s, lines, *curve):
+        if th.gate in ("InstabilityError", "NonLorentzianError"):
+            assert all(math.isnan(v) for v in entry)
+            continue
+        assert all(math.isfinite(v) for v in entry)
+        assert one_point(cooling_params, I_0, dw, th) == tuple(float(v) for v in entry)
 
 
 # ch2-detection operating points (detuning ratio, drive over I_bi): the
@@ -500,43 +515,41 @@ def test_band_spectra_match_scipy_quad(params, onset, ratio, drive_ratio):
 
     _, dw_bi, I_bi = onset
     dw = ratio * abs(dw_bi)
-    drive = DrivePoint(I_0=drive_ratio * I_bi, delta_omega=dw)
-    th = one_line(params, drive)
+    I_0 = drive_ratio * I_bi
+    th = one_line(params, I_0, dw)
     ws = params.omega_T + dw + th.R_omega * params.omega_m
     band = 2.0 * th.R_gamma * params.gamma_bm
-    signal, noise, _ = band_spectra(params, dw, [drive.I_0], [th.chi], [ws], [band])
+    signal, noise, _ = band_spectra(params, dw, [I_0], [th])
     lo, hi = ws - band / 2.0, ws + band / 2.0
     rel = 1e-8 + np.finfo(float).eps * hi / band
     for got, density in ((signal[0], signal_density),
                          (noise[0] - added_noise(params, ws, band), noise_density)):
-        exact, _ = quad(lambda w: float(density(params, drive, th.chi, w)), lo, hi,
+        exact, _ = quad(lambda w: float(density(params, I_0, dw, th.chi, w)), lo, hi,
                         epsabs=0.0, epsrel=1e-12, limit=200)
         assert abs(got - exact) <= rel * abs(exact)
 
 
 @pytest.mark.parametrize("bath_T", [-0.01, math.nan, math.inf])
 def test_band_spectra_rejects_bad_bath_T(params, onset, bath_T):
-    drive = DrivePoint(I_0=0.1 * onset[2], delta_omega=0.0)
-    chi = select_branch(mean_field(params, drive)).chi
+    I_0 = 0.1 * onset[2]
+    chi = mean_field(params, I_0, 0.0)[0][1]
     with pytest.raises(ValueError, match="bath temperature"):
-        one_point(params, drive, chi, params.omega_T + params.omega_m,
-                  4 * params.gamma_bm, bath_T)
+        one_point(params, I_0, 0.0, band_line(chi, 1.0, 2.0), bath_T)
 
 
 def test_all_gated_curve_skips_the_band_kernel(tmp_path, monkeypatch):
-    # every drive of every curve is past the stability gate: no kernel call,
-    # NaN spectra in every row and one manifest warning per row
+    # every drive of every curve is past the stability gate: each curve's
+    # band_spectra call makes no quadrature call, and every row has NaN
+    # spectra and one manifest warning
     import json
 
     from nlcavity import cli, detector
 
-    calls = []
-    monkeypatch.setattr(detector, "band_spectra",
-                        lambda *args: calls.append(args) or band_spectra(*args))
+    calls = _count_calls(monkeypatch, detector, ("band_spectra", "integrate_adaptive"))
     cfg = cli.config_from_preset("ch2-detection", tmp_path)
     cfg.grid.update(drive_min_ratio="0.3", drive_max_ratio="0.32", drive_points="3")
     assert cli.run(cfg) == cli.EXIT_OK
-    assert calls == []
+    assert calls == {"band_spectra": 4, "integrate_adaptive": 0}
     rows = [line.split(",") for line in
             (tmp_path / "ch2-detection_signal_noise.csv").read_text().splitlines()[1:]]
     assert len(rows) == 4 * 3
@@ -553,8 +566,7 @@ def test_all_gated_curve_skips_the_band_kernel(tmp_path, monkeypatch):
 # --- effective thermometry ----------------------------------------------------------
 
 def test_thermo_weak_coupling_flag(params, onset):
-    drive = DrivePoint(I_0=1e-5 * onset[2], delta_omega=0.0)
-    th = one_line(params, drive)
+    th = one_line(params, 1e-5 * onset[2], 0.0)
     assert th.gate == "weak_coupling"
     assert th.R_omega == pytest.approx(1.0, abs=1e-6)
     assert th.R_gamma == pytest.approx(1.0, abs=1e-6)
@@ -570,7 +582,7 @@ def test_thermo_red_detuned_cooling_trend(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     occ = []
     for ratio in (0.4, 0.8, 1.1, 1.2):
-        th = one_line(cooling_params, DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
+        th = one_line(cooling_params, ratio * I_bi, 1.3 * dw_bi)
         assert th.R_gamma > 1.0  # red detuning damps
         occ.append(2 * th.n_back_plus + 1)
     assert occ[-1] < occ[0]  # occupation falls approaching the boundary
@@ -580,11 +592,11 @@ def test_thermo_fit_matches_determinant_probe(cooling_params):
     from nlcavity.detector import _determinant_zero
 
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    drive = DrivePoint(I_0=0.9 * I_bi, delta_omega=1.3 * dw_bi)
-    th = one_line(cooling_params, drive)
-    chi = select_branch(mean_field(cooling_params, drive)).chi
-    pole = _determinant_zero(cooling_params, _point(cooling_params, drive, chi))
-    wp = cooling_params.omega_T + drive.delta_omega
+    I_0, dw = 0.9 * I_bi, 1.3 * dw_bi
+    th = one_line(cooling_params, I_0, dw)
+    chi = mean_field(cooling_params, I_0, dw)[0][1]
+    pole = _determinant_zero(cooling_params, _point(cooling_params, I_0, dw, chi))
+    wp = cooling_params.omega_T + dw
     assert th.R_omega == pytest.approx((pole.real - wp) / cooling_params.omega_m,
                                        abs=1e-4)
     assert th.R_gamma == pytest.approx(-pole.imag / cooling_params.gamma_bm,
@@ -593,14 +605,38 @@ def test_thermo_fit_matches_determinant_probe(cooling_params):
 
 def test_thermo_instability_on_blue_side(params, onset):
     _, dw_bi, I_bi = onset
-    drive = DrivePoint(I_0=0.5 * I_bi, delta_omega=0.4 * abs(dw_bi))
-    assert one_line(params, drive).gate == "InstabilityError"
+    assert one_line(params, 0.5 * I_bi, 0.4 * abs(dw_bi)).gate == "InstabilityError"
 
 
 def test_thermo_branch_lost_past_fold(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    drive = DrivePoint(I_0=1.2912 * I_bi, delta_omega=1.3 * dw_bi)
-    assert one_line(cooling_params, drive).gate == "InstabilityError"
+    assert one_line(cooling_params, 1.2912 * I_bi, 1.3 * dw_bi).gate == "InstabilityError"
+
+
+def test_fold_guard_fires_on_a_lone_root_above_onset(cooling_params, monkeypatch):
+    # across the upper edge of the bistable region at 1.3 dw_bi, the
+    # stability gate fires exactly on the drives whose mean field has one
+    # root, above E_bi, and those drives never reach the pole probe; below
+    # the bistable detuning range a lone root above E_bi is no fold
+    import nlcavity.detector as det
+
+    E_bi, dw_bi, I_bi = bistability_onset(cooling_params)
+    _, up = bistability_boundary(cooling_params, 1.3)
+    drives = [float(x) * I_bi for x in np.linspace(up - 0.02, up + 0.02, 9)]
+    past = [len(sols) == 1 and sols[0][0] > E_bi
+            for sols in (mean_field(cooling_params, I_0, 1.3 * dw_bi) for I_0 in drives)]
+    assert 0 < sum(past) < len(drives)
+    calls = _count_calls(monkeypatch, det, ("_determinant_zero",))
+    lines = thermo_sweep(cooling_params, 1.3 * dw_bi, drives, [0.0])
+    assert [th.gate == "InstabilityError" for (th,) in lines] == past
+    assert calls["_determinant_zero"] == past.count(False)
+
+    drives = [1.0 * I_bi, 2.0 * I_bi]
+    for I_0 in drives:
+        (E, _), = mean_field(cooling_params, I_0, 0.9 * dw_bi)
+        assert E > E_bi
+    thermo_sweep(cooling_params, 0.9 * dw_bi, drives, [0.0])
+    assert calls["_determinant_zero"] == past.count(False) + len(drives)
 
 
 def test_failed_lines_are_nan_in_every_float_field(cooling_params):
@@ -618,10 +654,10 @@ def test_failed_lines_are_nan_in_every_float_field(cooling_params):
         for th in drive_lines:
             values = [getattr(th, f.name) for f in dataclasses.fields(th)
                       if f.name != "gate"]
-            assert len(values) == 7
+            assert len(values) == 6
             parts = [part for v in values
                      for part in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
-            assert len(parts) == 8
+            assert len(parts) == 7
             if th.gate:
                 assert all(math.isnan(part) for part in parts)
             else:
@@ -656,15 +692,8 @@ def test_lorentzian_gate_holds_away_from_boundaries(cooling_params):
     _, dw_bi, I_bi = bistability_onset(cooling_params)
     low, up = bistability_boundary(cooling_params, 1.3)
     for ratio in (0.3, 0.7, 1.0, low - 0.05, (low + up) / 2, up - 0.05):
-        th = one_line(cooling_params, DrivePoint(I_0=ratio * I_bi, delta_omega=1.3 * dw_bi))
+        th = one_line(cooling_params, ratio * I_bi, 1.3 * dw_bi)
         assert th.lorentzian_residual < 0.05
-
-
-def test_thermo_gain_positive(cooling_params):
-    _, dw_bi, I_bi = bistability_onset(cooling_params)
-    drive = DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi)
-    th = one_line(cooling_params, drive)
-    assert th.G_plus > 0.0
 
 
 def test_thermo_fits_one_sideband(cooling_params, monkeypatch):
@@ -684,7 +713,7 @@ def test_thermo_fits_one_sideband(cooling_params, monkeypatch):
     monkeypatch.setattr(det, "fit_lorentzian", counted_fit)
     monkeypatch.setattr(det, "_determinant_zero", counted_pole)
     _, dw_bi, I_bi = bistability_onset(cooling_params)
-    one_line(cooling_params, DrivePoint(I_0=0.8 * I_bi, delta_omega=1.3 * dw_bi))
+    one_line(cooling_params, 0.8 * I_bi, 1.3 * dw_bi)
     assert calls == {"fit": 1, "pole": 1}
 
 
@@ -725,10 +754,9 @@ def test_cooling_curve_resolves_each_drive_once(cooling_params, monkeypatch):
 
     # every line is the single-point parametrization at its (drive, T), bit for bit
     for I_0, drive_lines in zip(drives, lines):
-        drive = DrivePoint(I_0=I_0, delta_omega=1.3 * dw_bi)
         for T, line in zip(COOL_TEMPS, drive_lines):
-            assert _line_bits(line) == _line_bits(one_line(cooling_params, drive, T)), \
-                (I_0, T)
+            assert _line_bits(line) == _line_bits(
+                one_line(cooling_params, I_0, 1.3 * dw_bi, T)), (I_0, T)
 
 
 @pytest.mark.parametrize("bad_T", [-1e-3, math.nan, math.inf])
@@ -777,7 +805,7 @@ def _singular_warnings(call, *args):
 def _line_bits(line):
     """Every field of a sweep line, floats as float.hex."""
     return [float.hex(getattr(line, name)) for name in (
-        "R_omega", "R_gamma", "G_plus", "n_back_plus", "n_net", "lorentzian_residual")] \
+        "R_omega", "R_gamma", "n_back_plus", "n_net", "lorentzian_residual")] \
         + [float.hex(line.chi.real), float.hex(line.chi.imag), line.gate]
 
 
@@ -810,9 +838,8 @@ def test_sweep_lines_do_not_depend_on_batching(preset, data):
     assert batched == one_drive <= 2 * len(drives)  # window and probes, once each
     assert len(lines) == len(drives)
     for I_0, drive_lines in zip(drives, lines):
-        drive = DrivePoint(I_0=I_0, delta_omega=detuning)
         for T, line in zip(temps, drive_lines, strict=True):
-            assert _line_bits(line) == _line_bits(one_line(params, drive, T)), (I_0, T)
+            assert _line_bits(line) == _line_bits(one_line(params, I_0, detuning, T)), (I_0, T)
 
 
 @pytest.mark.parametrize("preset", ["ch2-detection", "ch2-cooling-Q1e4"])
@@ -854,8 +881,8 @@ def test_stalled_cooling_fits_match_reference_loop_bitwise(cooling_params, ratio
     detuning = float(grid["detuning_ratio"]) * dw_bi
     I_grid = np.linspace(float(grid["drive_min_ratio"]), float(grid["drive_max_ratio"]),
                          int(grid["drive_points"])) * I_bi
-    drive = DrivePoint(I_0=float(I_grid[ratio_index]), delta_omega=detuning)
-    pt = _point(cooling_params, drive, select_branch(mean_field(cooling_params, drive)).chi)
+    I_0 = float(I_grid[ratio_index])
+    pt = _point(cooling_params, I_0, detuning, mean_field(cooling_params, I_0, detuning)[0][1])
     _, _, (omega, kernel, lor_plus, lor_minus) = _resolve_drive(cooling_params, pt)
     wp = cooling_params.omega_T + detuning
     for T in (float(t) for t in grid["bath_T_K"].split(",")):
