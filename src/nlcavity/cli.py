@@ -322,9 +322,9 @@ def _info_diagnostics(C, blocks):
     """N_b and the seven info columns of a quantized tier's block stream, one
     value per tau. The blocks are written into the trajectory C[tau, p, i]
     (zeros on entry) and folded into the pair distributions on the same
-    pass: the pump entropy comes from the Schmidt spectrum of C, the
-    signal's from its pair distribution p_b and the squeezing from C,
-    without forming rho_a."""
+    pass: the pump entropy comes from the Schmidt spectrum of C (the
+    eigenvalues of rho_a = C C+), the signal's from its pair distribution
+    p_b and the squeezing from C."""
     states = trilinear.pair_state(trilinear.written_into(C, blocks), C.shape[-1])
     p_b, n_a, n_b = states.p_b, states.n_a, states.n_b
     # checks both marginals to unit trace at every tau, before F relies on it

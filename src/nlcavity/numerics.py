@@ -445,10 +445,11 @@ def fit_lorentzian(omega, spectrum):
             cost2 = float(np.square(r2, out=sq).sum())
         fresh = cost2 <= cost
         if fresh:
-            if not known:  # a known accepted trial is theta itself
-                theta = trial
-                c, g, A = c2, g2, A2
-                dc, dc2, denom, denom2, r, r2 = dc2, dc, denom2, denom, r2, r
+            if known:  # theta itself, a zero step: its repeated cost has converged
+                break
+            theta = trial
+            c, g, A = c2, g2, A2
+            dc, dc2, denom, denom2, r, r2 = dc2, dc, denom2, denom, r2, r
             known_costs = {key: cost2}
             lam = max(lam / 3.0, 1e-12)
             if prev_cost is not None and abs(prev_cost - cost2) <= 1e-14 * max(cost2, 1e-300):

@@ -10,9 +10,10 @@ pump the pair amplitude matrix C[p, i].
 
 Entropies are in nats (no Boltzmann factor), of weight vectors with weights
 below 1e-12 clamped to zero: a diagonal state's distribution (the pair-span
-signal marginal) or the squared singular values of C, which are rho's
-spectrum and, for a pure bipartite state, its Schmidt weights. No density
-matrix is formed.
+signal marginal) or rho's spectrum, for a pure bipartite state its Schmidt
+weights: the eigenvalues of the smaller Gram matrix of C (C C+ if C has no
+more rows than columns, else C+ C) from one batched Hermitian eigensolve, a
+temporary the size of C and the only density matrix formed.
 """
 
 from __future__ import annotations
@@ -86,9 +87,13 @@ def _unit_trace(weights):
 
 
 def von_neumann_entropy(C):
-    """Entropy of rho = C C+ over the last two axes of the factor C, nats,
-    from the squared singular values of C; rho's trace is checked to be one."""
-    return entropy(_unit_trace(np.linalg.svd(C, compute_uv=False) ** 2))
+    """Entropy of rho = C C+ over the last two axes of the factor C, nats, from
+    the eigenvalues of the smaller Gram matrix (C C+ or C+ C, one nonzero
+    spectrum), its trace sum |C|^2 checked to be one before the solve."""
+    Ch = C.swapaxes(-1, -2).conj()
+    gram = C @ Ch if C.shape[-2] <= C.shape[-1] else Ch @ C
+    _unit_trace(np.diagonal(gram, axis1=-2, axis2=-1).real)
+    return entropy(np.linalg.eigvalsh(gram))
 
 
 def thermal_entropy(n_bar):

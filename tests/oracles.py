@@ -33,9 +33,10 @@ Bhattacharyya sums of the package are checked against, and
 ``thermal_density_matrix`` is the dense form of a ``ThermalReference``.
 ``reduced`` forms one pair state's pump density matrix and signal diagonal,
 ``dense_von_neumann_entropy`` is the eigenvalue entropy of a dense density
-matrix that the package's singular-value (Schmidt) entropies are checked
-against, and ``mode_factor`` is the factor C of a reduced state C C+ that
-those entropies take.
+matrix that the package's Gram-matrix (Schmidt) entropies are checked
+against, ``svd_von_neumann_entropy`` the same entropy from one batched SVD
+of the factor, as first written, and ``mode_factor`` is the factor C of a
+reduced state C C+ that those entropies take.
 
 ``evolve_ode`` is the Dormand-Prince embedded RK 4(5) stepper, and
 ``evolve_pair_rk45`` integrates the pair amplitudes with it on the right-hand
@@ -92,7 +93,7 @@ from nlcavity.detector import (_coefficients, _noise_terms, _point, _signal_at,
 from nlcavity.errors import ConvergenceError, NoHorizonError, TruncationError
 from nlcavity.hawking import LineParams, propagation_velocity
 from nlcavity.numerics import Tolerance, _increasing_grid, integrate_adaptive
-from nlcavity.qinfo import NORM_TOL, ThermalReference, entropy
+from nlcavity.qinfo import NORM_TOL, ThermalReference, _unit_trace, entropy
 from nlcavity.trilinear import PairState, PumpInitialState
 
 
@@ -499,6 +500,13 @@ def reduced(C):
 def dense_von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalues of a dense density matrix, nats."""
     return float(entropy(rho.eigenvalues()))
+
+
+def svd_von_neumann_entropy(C) -> np.ndarray:
+    """Entropy of rho = C C+ over the last two axes of the factor C, nats,
+    from the squared singular values of C, one batched SVD, rho's trace
+    checked to be one: the Schmidt entropy as first written."""
+    return entropy(_unit_trace(np.linalg.svd(C, compute_uv=False) ** 2))
 
 
 def mode_factor(psi: StateVector, keep) -> np.ndarray:

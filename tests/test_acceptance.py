@@ -422,7 +422,7 @@ def test_criterion_11_quantum_info_suite(coherent9_trajectory):
     v[3] = 1.0
     s_pure = qinfo.von_neumann_entropy(v[:, None])  # factor of |v><v|
 
-    # closed form vs singular-value decomposition; rho is diagonal, so its
+    # closed form vs the Gram-matrix eigenvalues; rho is diagonal, so its
     # elementwise root is a factor
     therm_dev = 0.0
     for n_bar in (0.5, 4.5, 9.0):

@@ -16,7 +16,7 @@ from nlcavity.qinfo import (
     thermal_entropy,
     von_neumann_entropy,
 )
-from nlcavity.trilinear import PumpInitialState, full_state
+from nlcavity.trilinear import PumpInitialState, full_state, short_time_state
 from oracles import (
     DensityMatrix,
     HilbertSpec,
@@ -33,6 +33,7 @@ from oracles import (
     parametric_state,
     partial_trace,
     state_vector,
+    svd_von_neumann_entropy,
     thermal_density_matrix,
 )
 
@@ -63,7 +64,7 @@ def test_entropy_maximally_mixed():
 
 @pytest.mark.parametrize("n_bar", [0.5, 4.5, 9.0])
 def test_entropy_thermal_closed_form(n_bar):
-    # singular-value route vs the closed form; truncation chosen so the
+    # Gram-eigenvalue route vs the closed form; truncation chosen so the
     # discarded tail is below the comparison tolerance. rho is diagonal, so
     # its elementwise root is a factor
     dim = 40 * (1 + int(n_bar))
@@ -110,8 +111,8 @@ def test_entropy_matches_diagonal_von_neumann(weights, big):
 @given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_schmidt_entropy_matches_dense_eigenvalues(d_a, d_p, rank, seed):
     # a normalized pair amplitude matrix of any shape (d_a != d_p allowed) and
-    # rank: the entropy of its squared singular values is that of the
-    # eigenvalues of the dense rho_a = C C+
+    # rank: the entropy of its smaller Gram matrix's eigenvalues is that of
+    # the eigenvalues of the dense rho_a = C C+
     rng = np.random.default_rng(seed)
     r = min(rank, d_a, d_p)
     left = rng.normal(size=(d_a, r)) + 1j * rng.normal(size=(d_a, r))
@@ -120,6 +121,74 @@ def test_schmidt_entropy_matches_dense_eigenvalues(d_a, d_p, rank, seed):
     rho = DensityMatrix(HilbertSpec((d_a,)), C @ C.conj().T)
     assert von_neumann_entropy(C) == pytest.approx(dense_von_neumann_entropy(rho),
                                                    rel=0, abs=1e-12)
+
+
+# von_neumann_entropy against the batched-SVD oracle: both read the same
+# spectrum, one as Gram eigenvalues and one as squared singular values, so
+# they agree to round-off; the tolerance is 1e-12 nats absolute
+SVD_TOL = 1e-12
+
+
+@pytest.mark.parametrize("tier, mean", [(short_time_state, m) for m in (1.0, 3.0, 6.0, 9.0)]
+                         + [(full_state, m) for m in (1.0, 3.0)])
+def test_entropy_matches_svd_oracle_on_info_trajectories(tier, mean):
+    # the info workload's trajectories: each tier at its means, 121 tau on
+    # [0, 3], at the pump dimension trilinear-info gives them
+    dim = fock.min_coherent_dim(mean) + 3
+    C = assemble(tier(PumpInitialState.coherent(mean, dim), np.linspace(0.0, 3.0, 121)), dim)
+    np.testing.assert_allclose(von_neumann_entropy(C), svd_von_neumann_entropy(C),
+                               rtol=0, atol=SVD_TOL)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4), (7, 1), (1, 7)])
+@pytest.mark.parametrize("rank", [1, 2, None])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_entropy_matches_svd_oracle_on_factors(shape, rank, complex_):
+    # a batch of five normalized factors, real or complex, of full rank or
+    # rank-deficient, wide or tall
+    rng = np.random.default_rng(list(shape) + [rank or 0, complex_])
+    m, n = shape
+    r = min(rank or m, m, n)
+
+    def draw(*dims):
+        z = rng.normal(size=dims)
+        return z + 1j * rng.normal(size=dims) if complex_ else z
+
+    C = draw(5, m, r) @ draw(5, r, n)
+    C /= np.linalg.norm(C, axis=(-2, -1), keepdims=True)
+    assert np.linalg.matrix_rank(C).tolist() == [r] * 5
+    np.testing.assert_allclose(von_neumann_entropy(C), svd_von_neumann_entropy(C),
+                               rtol=0, atol=SVD_TOL)
+
+
+@pytest.mark.parametrize("shape, side", [((7, 1), 1), ((1, 7), 1), ((3, 5), 3),
+                                         ((5, 3), 3), ((4, 4), 4), ((2, 5, 3), 3)])
+def test_entropy_forms_the_gram_on_the_smaller_side(monkeypatch, shape, side):
+    # the factor's smaller dimension sets the Gram matrix the eigensolve takes:
+    # a d x 1 factor (a pure state's |v>) gives a 1 x 1 Gram
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        seen.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    C = np.random.default_rng(side).normal(size=shape)
+    C /= np.linalg.norm(C, axis=(-2, -1), keepdims=True)
+    S = von_neumann_entropy(C)
+    assert seen == [shape[:-2] + (side, side)]
+    np.testing.assert_allclose(S, svd_von_neumann_entropy(C), rtol=0, atol=SVD_TOL)
+
+
+def test_entropy_matches_svd_oracle_at_large_pump():
+    # a large pump, N_a = 100 (dim 155): the short tier at four tau
+    dim = fock.min_coherent_dim(100.0) + 3
+    C = assemble(short_time_state(PumpInitialState.coherent(100.0, dim), [0.1, 0.5, 1.0, 3.0]),
+                 dim)
+    assert C.shape == (4, 155, 155)
+    np.testing.assert_allclose(von_neumann_entropy(C), svd_von_neumann_entropy(C),
+                               rtol=0, atol=SVD_TOL)
 
 
 def test_thermal_entropy_values():
@@ -291,7 +360,7 @@ def test_mutual_information_parametric_tier():
 
 def test_marginal_trace_gates_per_tau():
     # a trajectory of pure pump factors whose tau = 1 slice has norm 1.01, or
-    # holds a NaN: rho_a's trace (sum of squared singular values) and p_b's
+    # holds a NaN: rho_a's trace (the sum of |C|^2) and p_b's
     # are each checked at every tau, replacing the dense matrix's trace check
     C = np.stack([pure_factor([1.0, t, 0.5j]) for t in (0.0, 1.0, 2.0)])
     p_b = np.array([[1.0, 0.0]] * 3)
