@@ -180,7 +180,7 @@ SCHEMAS = {
     }),
     "hawking-line": (LINE_PARAMS, {"xi_points": Key(COUNT, 201, "count")}),
     "trilinear-evolve": ({
-        "mean_occupation": Key(AT_LEAST_0, 9.0),
+        "mean_occupation": Key(POSITIVE, 9.0),  # the semiclassical tier needs N_a0 > 0
         "dim_per_mode": Key(("0 (auto) or a finite whole count of at least 2",
                              lambda n: n == 0.0 or (COUNT[1](n) and n >= 2.0)), 0, "count"),
     }, _TAU_GRID),

@@ -7,8 +7,8 @@ Four evolution tiers are provided:
 * parametric  -- pump frozen at a classical amplitude A (two-mode squeezing),
 * semiclassical -- classical pump with back-reaction (elliptic-dn pump decay),
 * short-time  -- quantized pump, BCH-truncated propagator extrapolated in tau,
-* full        -- exact Schrodinger evolution on a truncated grid, one
-                 half-size SVD per conserved block n = p + i.
+* full        -- exact evolution on a truncated grid: one half-size SVD per
+                 conserved block n = p + i, one phase per distinct tau step.
 
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
@@ -254,6 +254,9 @@ def short_time_state(initial: PumpInitialState, tau):
 # full quantum tier
 # ---------------------------------------------------------------------------
 
+_ANCHOR = 32  # full_state's phase product restarts here: round-off ~32 ulp
+
+
 def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
     """Interaction-picture Schrodinger evolution dpsi/dtau = G psi of the
     pump state ``initial`` with signal and idler in vacuum, propagated
@@ -272,19 +275,23 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
     lower-bidiagonal even-row/odd-column part of T, of size ceil(m/2) x
     floor(m/2) for m = n + 1. One SVD B = X diag(sig) Y^T (Golub & Kahan,
     SIAM J. Numer. Anal. B 2, 205 (1965)) gives cos(T t) on the even and
-    sin(T t) on the odd levels, so every tau follows in real arithmetic:
+    sin(T t) on the odd levels, the real and imaginary parts of the phases
+    e^{i sig_j (tau - tau_0)}:
 
-        C_n(tau)[2a]   = a_n (-1)^a sum_j X[a, j] X[0, j] cos(sig_j (tau - tau_0)),
-        C_n(tau)[2b+1] = a_n (-1)^b sum_j Y[b, j] X[0, j] sin(sig_j (tau - tau_0)),
+        C_n(tau)[2a]   = a_n (-1)^a sum_j X[a, j] X[0, j] Re e^{i sig_j (tau - tau_0)},
+        C_n(tau)[2b+1] = a_n (-1)^b sum_j Y[b, j] X[0, j] Im e^{i sig_j (tau - tau_0)},
 
     where for odd m the last column of X, the null vector of B^T, adds its
-    constant zero mode to the even levels. C_n therefore has the dtype of
-    the amplitudes: real for a real pump. Blocks with a_n = 0 stay zero and
-    are not yielded. Only block n = dim - 1 reaches the top pump or pair
-    level, and it keeps its weight |a_{dim-1}|^2, so the truncation leak
-    peaks at tau_0: the grid is checked, and TruncationError raised if
-    C(tau_0) holds more than ``leak_tol`` population on a top level, when
-    the stream is made, before any block is propagated.
+    constant zero mode to the even levels. By the group property the phases
+    at tau_j are those at tau_{j-1} times e^{i sig (tau_j - tau_{j-1})},
+    restarted from the exact phase every _ANCHOR points: one exponential per
+    distinct step. C_n has the dtype of the amplitudes: real for a real
+    pump. Blocks with a_n = 0 stay zero and are not yielded. Only block
+    n = dim - 1 reaches the top pump or pair level, and it keeps its weight
+    |a_{dim-1}|^2, so the truncation leak peaks at tau_0: the grid is
+    checked, and TruncationError raised if C(tau_0) holds more than
+    ``leak_tol`` population on a top level, when the stream is made, before
+    any block is propagated.
     """
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
@@ -295,7 +302,14 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
         raise TruncationError(
             f"truncation leak {leak:.3e} exceeds {leak_tol:.1e}; enlarge the pump "
             f"dimension {dim}")
-    dt = grid[1:] - grid[0]
+    K = grid.size - 1
+    h = np.diff(grid)  # the step to point j = 1..K, or tau_j - tau_0 at an anchor
+    h[::_ANCHOR] = grid[1::_ANCHOR] - grid[0]
+    distinct = {}  # not np.unique, whose sorted copies raise the peak memory
+    pick = [distinct.setdefault(v, len(distinct)) for v in h.tolist()]
+    chunks = -(-K // _ANCHOR)  # the padding to whole chunks picks a row of ones
+    pick = np.array(pick + [len(distinct)] * (chunks * _ANCHOR - K), dtype=np.intp)
+    steps = np.array(list(distinct))
 
     def blocks():
         for n, a_n in enumerate(coeff):
@@ -310,13 +324,17 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
             Yt[:, 1::2] *= -1.0
             r = sig.size
             x0 = X[0, :r, None]
+            factor = np.ones((steps.size + 1, r), dtype=complex)
+            np.exp(1j * np.multiply.outer(steps, sig), out=factor[:-1])
+            phase = factor[pick].reshape(chunks, _ANCHOR, r)
+            np.cumprod(phase, axis=1, out=phase)  # in place: one complex temporary
+            phase = phase.reshape(chunks * _ANCHOR, r)[:K]  # e^{i sig (tau - tau_0)}
             block = np.zeros((grid.size, n + 1), dtype=coeff.dtype)
             block[0, 0] = a_n
-            even = np.cos(np.multiply.outer(dt, sig)) @ (X[:, :r].T * x0)
+            even = phase.real @ (X[:, :r].T * x0)
             even += X[:, r:] @ X[0, r:]  # the zero mode of odd m, constant in tau
             np.multiply(a_n, even, out=block[1:, 0::2])
-            np.multiply(a_n, np.sin(np.multiply.outer(dt, sig)) @ (Yt * x0),
-                        out=block[1:, 1::2])
+            np.multiply(a_n, phase.imag @ (Yt * x0), out=block[1:, 1::2])
             yield n, block
 
     return blocks()

@@ -192,6 +192,7 @@ def _preset_with(name, section, key, value):
     ("trilinear-info", dict(INFO_PARAMS, mean_occupations="nan"), {"tau_points": "3"}),
     ("trilinear-evolve", {"mean_occupation": "nan"}, {"tau_points": "3"}),
     ("trilinear-evolve", {"mean_occupation": "inf"}, {"tau_points": "3"}),
+    ("trilinear-evolve", {"mean_occupation": "0"}, {"tau_points": "3"}),
     ("trilinear-evolve", {"dim_per_mode": "inf"}, {"tau_points": "3"}),
     ("trilinear-evolve", {"dim_per_mode": "13.5", "mean_occupation": "1"},
      {"tau_points": "3"}),
@@ -224,6 +225,7 @@ def _preset_with(name, section, key, value):
         "mean_occupations-empty", "gradient_rate-0", "I_c-inf", "C_0-nan",
         "a-inf", "u_over_c0flux-nan", "rise_scale-nan", "mean_occupations-nan",
         "evolve-mean_occupation-nan", "evolve-mean_occupation-inf",
+        "evolve-mean_occupation-0",
         "dim_per_mode-inf", "dim_per_mode-13.5", "tau_max-nan",
         "tau_max-inf", "tau_max-negative", "full-tau_max-nan", "drive_points-2.5",
         "points-2.5", "xi_points-2.5", "tau_points-2.5", "detuning_ratios-nan",
@@ -244,6 +246,20 @@ def test_bad_hawking_numbers_name_the_key(tmp_path, capsys):
                              grid={}, output_dir=tmp_path)
         assert run(cfg) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+def test_zero_pump_names_the_key_only_where_it_cannot_run(tmp_path, capsys):
+    # the evolve kind's semiclassical tier needs N_a0 > 0, so its key table
+    # refuses 0 in one line naming the key; the info kind runs at 0
+    cfg = ScenarioConfig(kind="trilinear-evolve", params={"mean_occupation": "0"},
+                         grid={"tau_points": "3"}, output_dir=tmp_path)
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: mean_occupation must be positive and finite, got '0'\n"
+    cfg = ScenarioConfig(kind="trilinear-info",
+                         params={"mean_occupations": "0", "tiers": "short,full"},
+                         grid={"tau_points": "3"}, output_dir=tmp_path)
+    assert run(cfg) == EXIT_OK
 
 
 def test_bad_dim_per_mode_names_the_key(tmp_path, capsys):

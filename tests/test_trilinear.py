@@ -647,6 +647,56 @@ def test_full_tier_starts_at_first_grid_point():
     assert np.max(np.abs(late[1] - early[1])) <= 1e-13
 
 
+# --- the full tier's anchored step-phase product ------------------------------
+
+_RNG_GRID = np.cumsum(  # 300 points, every step drawn at random
+    np.concatenate([[0.0], np.random.default_rng(34).uniform(1e-3, 2e-2, 299)]))
+
+
+@pytest.mark.parametrize("grid", [_RNG_GRID, np.linspace(0.5, 3.5, 200), [1.7], [0.2, 2.9]],
+                         ids=["random-300", "tau_0-0.5", "one-point", "two-point"])
+@pytest.mark.parametrize("init", [PumpInitialState.coherent(9.0, 30),
+                                  PumpInitialState(np.full(12, 12 ** -0.5 * 1j))],
+                         ids=["coherent9", "complex"])
+def test_phase_product_matches_eigh_oracle_on_any_grid(init, grid):
+    # bound stated before measuring: the oracle's own 1e-12, on grids with
+    # many distinct steps, a late first point and no step at all
+    C = C_of(full_state, init, grid, leak_tol=math.inf)
+    assert C.dtype == init.coefficients.dtype
+    np.testing.assert_allclose(C, full_state_eigh(init, grid), rtol=0, atol=1e-12)
+
+
+def test_phase_product_anchors_keep_a_long_grid_at_round_off():
+    # 4 001 points at N_a = 9: the anchored product stays within 1e-14 of
+    # the oracle (bound stated before measuring); a product restarted only at
+    # tau_0 gathers round-off along the grid and reads above it
+    init = PumpInitialState.coherent(9.0, 30)
+    grid = np.linspace(0.0, 3.0, 4001)
+    gap = np.max(np.abs(C_of(full_state, init, grid) - full_state_eigh(init, grid)))
+    assert gap <= 1e-14
+
+
+def test_full_tier_takes_one_exponential_per_distinct_step(monkeypatch):
+    # no cosine or sine at all, and one complex exponential of sig per
+    # distinct step and per anchor: at most (steps + ceil(K / 32)) sum_n r_n
+    # elements, where a cosine and a sine per grid point take K sum_n r_n each
+    init = PumpInitialState.coherent(9.0, 30)
+    grid = np.linspace(0.0, 3.0, 4001)
+    calls = {"exp": 0, "cos": 0, "sin": 0}
+    for name in calls:
+        def counted(x, *args, _f=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += np.size(x)
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    list(full_state(init, grid))
+    monkeypatch.undo()
+    K = grid.size - 1
+    steps = len(set(np.diff(grid).tolist()))
+    ranks = sum((n + 1) // 2 for n, a_n in enumerate(init.coefficients) if a_n != 0)
+    assert calls["cos"] == calls["sin"] == 0
+    assert 0 < calls["exp"] <= (steps + -(-K // trilinear._ANCHOR)) * ranks
+
+
 def test_parametric_limit_of_full_evolution():
     # scaled-down version of the classical-pump limit: N_a(0)=25, tau <= 0.1
     dim = fock.min_coherent_dim(25.0) + 3
