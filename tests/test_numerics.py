@@ -602,21 +602,40 @@ def test_fit_matches_reference_loop_bitwise():
         assert fit_lorentzian(w, s) == fit_lorentzian_reference(w, s)
 
 
+def _fit_outcome(w, s):
+    try:
+        return fit_lorentzian(w, s)
+    except FitDegenerateError:
+        return "singular"
+
+
+def _reference_outcome(w, s):
+    try:
+        return fit_lorentzian_reference(w, s)
+    except np.linalg.LinAlgError:
+        return "singular"
+
+
 @settings(max_examples=80, deadline=None)
 @given(center=st.floats(-4.0, 4.0), width=st.floats(0.05, 4.0),
        noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.05]),
        background=st.sampled_from([0.0, 1e-3, 0.02, 0.2]),
        second=st.sampled_from([0.0, 0.3, 1.0]), split=st.floats(1.0, 8.0),
        n=st.sampled_from([41, 401, 1601]), seed=st.integers(0, 2 ** 16))
+@example(center=1.1225888398548114, width=0.05078125, noise=0.0, background=0.0,
+         second=0.0, split=1.0, n=41, seed=0)
 def test_fit_matches_reference_loop_on_corpus(center, width, noise, background, second,
                                               split, n, seed):
     # clean, noisy, flat-background and two-peak (stalling) lines: the loop
-    # that reuses what it holds must take the reference loop's path exactly
+    # that reuses what it holds must take the reference loop's path exactly.
+    # A line far narrower than the grid can drive both into singular normal
+    # equations: the reference's solve raises LinAlgError there, and the fit
+    # must stop with FitDegenerateError on the same path
     w = np.linspace(-10.0, 10.0, n)
     s = lorentzian(w, center, width, 1.0) + second * lorentzian(w, center + split, width, 1.0)
     s = s + background * s.max()
     s = np.clip(s * (1.0 + noise * np.random.default_rng(seed).standard_normal(n)), 0.0, None)
-    assert fit_lorentzian(w, s) == fit_lorentzian_reference(w, s)
+    assert _fit_outcome(w, s) == _reference_outcome(w, s)
 
 
 def test_fit_non_finite_step_is_degenerate(monkeypatch):
