@@ -51,23 +51,23 @@ def _increasing_grid(points) -> np.ndarray:
     return grid
 
 
-def jacobi_dn(u, m: float):
-    """Jacobi elliptic dn(u|m) for modulus parameter m in [0,1], elementwise
-    in u.
+def jacobi_am(u, m: float):
+    """Jacobi amplitude am(u|m) for modulus parameter m in [0,1], elementwise
+    in u: sn = sin(am) and dn = sqrt(1 - m sin^2(am)).
 
     Descending-Landen arithmetic-geometric-mean recursion (Abramowitz &
-    Stegun 16.4): the AGM ladder depends on m only; its phases give
-    sn(u|m), then dn follows from the identity dn^2 = 1 - m*sn^2 (dn > 0
-    throughout for m < 1). Convergence is quadratic; the recursion depth is
-    capped at 32.
+    Stegun 16.4): the AGM ladder depends on m only, and its backward phase
+    recursion ends at the amplitude. With the ladder's last mean a_N the
+    quarter period is K = pi/(2 a_N), and am(u + 2K) = am(u) + pi. At m = 0
+    the ladder takes no step, am(u|0) = u; m = 1, where the AGM never meets,
+    is the closed form am(u|1) = gd(u) = 2 atan(tanh(u/2)). Convergence is
+    quadratic; the recursion depth is capped at 32.
     """
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"modulus parameter m={m} outside [0,1]")
     u = np.asarray(u, dtype=float)
-    if m == 0.0:
-        return np.ones_like(u)[()]  # [()] unwraps a 0-d result to a scalar
     if m == 1.0:
-        return 1.0 / np.cosh(u)
+        return 2.0 * np.arctan(np.tanh(0.5 * u))
 
     a = [1.0]
     c = [math.sqrt(m)]
@@ -86,8 +86,7 @@ def jacobi_dn(u, m: float):
     for k in range(n, 0, -1):
         arg = (c[k] / a[k]) * np.sin(phi)
         phi = 0.5 * (phi + np.arcsin(np.clip(arg, -1.0, 1.0)))
-    sn = np.sin(phi)
-    return np.sqrt(np.maximum(1.0 - m * sn * sn, 0.0))
+    return phi
 
 
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, Piessens et al.

@@ -10,6 +10,13 @@ Four evolution tiers are provided:
 * full        -- exact evolution on a truncated grid: one half-size SVD per
                  conserved block n = p + i, one phase per distinct tau step.
 
+The semiclassical phase theta = int sqrt(N_a) dtau is integrated in the
+pump's Jacobi amplitude phi = am(rate tau | m): its integrand g/rate,
+g = sqrt(max(0, N_a0 - beta+ m sin^2 phi))/(1 - m sin^2 phi), is pi-periodic,
+even about pi/2 and zero from phi_z = asin(sqrt(N_a0/(beta+ m))) to
+pi - phi_z, so theta is whole half periods I = 2 int_0^phi_z g plus one
+smooth quadrature per grid point.
+
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
 Phys. Rev. A 1, 446 (1970)): the state is an amplitude matrix C[p, i], and
@@ -36,7 +43,7 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError
-from .numerics import Tolerance, _increasing_grid, integrate_adaptive, jacobi_dn
+from .numerics import Tolerance, _increasing_grid, integrate_adaptive, jacobi_am
 
 
 @dataclass(frozen=True)
@@ -88,22 +95,29 @@ def parametric_occupation(A: float, tau: float) -> float:
 
 
 def pump_betas(N_a0: float):
-    """Turning-point parameters beta+- of the classical pump evolution."""
-    root = math.sqrt(1.0 + 12.0 * N_a0 + 4.0 * N_a0 ** 2)
-    return (0.25 * (1.0 + 2.0 * N_a0 + root), 0.25 * (1.0 + 2.0 * N_a0 - root))
+    """Turning-point parameters beta+- of the classical pump evolution, the
+    roots of 2 beta^2 - (1 + 2 N_a0) beta - N_a0; beta- = -N_a0/(2 beta+),
+    from their product, cancels nothing."""
+    bp = 0.25 * (1.0 + 2.0 * N_a0 + math.sqrt(1.0 + 12.0 * N_a0 + 4.0 * N_a0 ** 2))
+    return bp, -N_a0 / (2.0 * bp)
 
 
 def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     """Classical pump trajectory with back-reaction, signal/idler from vacuum.
 
-    N_a(tau) = beta+ + (N_a0 - beta+)/dn^2(sqrt(beta+ - beta-) tau | m) with
-    m = (N_a0 - beta-)/(beta+ - beta-). Since beta- is slightly negative the
-    raw curve dips just below zero at the turning points; the exposed curve
-    (and the theta integrand sqrt(N_a)) clamps at zero.
+    N_a(tau) = beta+ + (N_a0 - beta+)/dn^2(rate tau | m) with
+    m = (N_a0 - beta-)/(beta+ - beta-) and rate = sqrt(beta+ - beta-), which
+    is (N_a0 - beta+ m sin^2 phi)/(1 - m sin^2 phi) in the amplitude phi.
+    Since beta- < 0 it dips just below zero around the turning points; the
+    exposed curve (and sqrt(N_a) in theta) clamps at zero.
 
-    theta(tau) = int_0^tau sqrt(N_a) dtau' accumulated in grid order over
-    adaptive Gauss-Kronrod segments between grid points, all integrated in
-    one batched call.
+    rate theta = int_0^phi g (dtau = dphi/(rate dn); g, phi_z and I as in
+    the module docstring): with G(x) = int_0^x g, rate theta = k I + H(psi)
+    at phi = k pi + psi, 0 <= psi < pi, where H = G(psi) up to phi_z, I/2 on
+    the clamped zone and I - G(pi - psi) beyond. x = phi_z t (2 - t) makes
+    the square-root edge at phi_z a smooth end at t = 1, and one batched
+    Gauss-Kronrod call (abs_tol 1e-13, rel_tol 1e-14) over [0, 1] and
+    [0, t_j] per grid point gives every G.
     """
     if N_a0 <= 0.0:
         raise ValueError("N_a0 must be positive")
@@ -113,23 +127,36 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     bp, bm = pump_betas(N_a0)
     m = (N_a0 - bm) / (bp - bm)
     rate = math.sqrt(bp - bm)
+    phi = jacobi_am(rate * grid, m)
+    s2 = np.sin(phi) ** 2
+    n_vals = np.maximum(0.0, (N_a0 - bp * m * s2) / (1.0 - m * s2))
 
-    def n_a(tau):
-        dn = jacobi_dn(rate * tau, m)
-        return np.maximum(0.0, bp + (N_a0 - bp) / (dn * dn))
+    # tan^2 phi_z = 2 beta+ (beta+ - beta-)/(1/2 - beta-) and, over its
+    # constant 2 phi_z sqrt(beta+ m), g dx/dt = (1 - t) sqrt(sin(phi_z - x)
+    # sin(phi_z + x))/(cos^2 x + (1 - m) sin^2 x), phi_z - x = phi_z (1 - t)^2:
+    # no term cancels as m -> 1 (1 - m is exact for m >= 1/2)
+    phi_z = math.atan(math.sqrt(2.0 * bp * (bp - bm) / (0.5 - bm)))
+    cz, sz, m1 = math.cos(phi_z), math.sin(phi_z), 1.0 - m
 
-    n_vals = n_a(grid)
+    def shape(ts, _):
+        left = 1.0 - ts
+        xs = phi_z * ts * (1.0 + left)
+        cx, sx = np.cos(xs), np.sin(xs)
+        return left * np.sqrt(np.sin(phi_z * left * left) * (sz * cx + cz * sx)) / (
+            cx * cx + m1 * sx * sx)
 
-    # sqrt(N_a) has a one-sided square-root kink where the pump touches
-    # zero: the panel there converges only as h^1.5, and it ends once its
-    # segment's summed error meets the target (integrate_adaptive)
-    quad_tol = Tolerance(abs_tol=1e-9, rel_tol=1e-8, max_iter=48)
-    first = 1 if grid[0] == 0.0 else 0  # a grid starting at 0 has no [0, tau_0]
-    segments = integrate_adaptive(
-        lambda ts, _: np.sqrt(n_a(ts)),
-        np.concatenate([[0.0], grid[:-1]])[first:], grid[first:], quad_tol)
-    theta = np.cumsum(np.concatenate([np.zeros(first), segments]))
-
+    k = np.floor(phi / math.pi)
+    psi = phi - k * math.pi
+    x = np.minimum(psi, math.pi - psi)  # H is even about pi/2
+    t = 1.0 - np.sqrt(np.maximum(0.0, phi_z - x) / phi_z)  # 1 on the clamped zone
+    inside = (0.0 < t) & (t < 1.0)
+    ends = integrate_adaptive(shape, 0.0, np.concatenate([[1.0], t[inside]]),
+                              Tolerance(abs_tol=1e-13, rel_tol=1e-14, max_iter=48))
+    half = ends[0]  # G(phi_z) = I/2, like every G here over the shape's constant
+    G = np.where(t > 0.0, half, 0.0)
+    G[inside] = np.minimum(ends[1:], half)
+    H = np.where(psi <= 0.5 * math.pi, G, 2.0 * half - G)
+    theta = (2.0 * phi_z * math.sqrt(bp * m) / rate) * (k * (2.0 * half) + H)
     return SemiclassicalCurve(N_a=n_vals, theta=theta, beta_plus=bp, beta_minus=bm,
                               modulus=m)
 

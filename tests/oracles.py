@@ -45,6 +45,10 @@ exactly instead. ``full_state_eigh`` is that exact block propagator as first
 written, one ``eigh`` of each whole block; the package takes one SVD of the
 block's even/odd half.
 
+``semiclassical_theta_quad`` is the semiclassical pump's phase theta by
+QUADPACK in tau with breakpoints at the clamp edges; the package integrates
+it in the pump's amplitude variable instead.
+
 ``parametric_temperature`` and ``effective_temperature`` are the signal
 temperature of the frozen-pump tier and the Bose-inversion temperature,
 formulas no scenario reports.
@@ -86,6 +90,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import quad
+from scipy.special import ellipj, ellipk, ellipkinc
 
 from nlcavity.constants import Phi0, hbar, k_B
 from nlcavity.detector import (_coefficients, _noise_terms, _point, _signal_at,
@@ -666,6 +672,41 @@ def evolve_pair_rk45(initial: PumpInitialState, tau_grid,
     C0 = np.zeros((dim, dim), dtype=complex)
     C0[:coeff.size, 0] = coeff
     return evolve_ode(pair_rhs(dim, dim), C0.ravel(), tau_grid, tol).reshape(-1, dim, dim)
+
+
+def semiclassical_theta_quad(N_a0: float, tau_grid) -> np.ndarray:
+    """theta(tau) = int_0^tau sqrt(N_a) of the semiclassical pump at each
+    grid point, by QUADPACK in tau on N_a = max(0, beta+ + (N_a0 - beta+)/dn^2)
+    with dn from ``scipy.special.ellipj``.
+
+    Every clamp edge tau = (2 j K +- F(phi_z|m))/rate, where N_a touches zero
+    with a square-root kink, is a breakpoint; the pieces are summed by fsum
+    in grid order."""
+    bp = 0.25 * (1.0 + 2.0 * N_a0 + math.sqrt(1.0 + 12.0 * N_a0 + 4.0 * N_a0 ** 2))
+    bm = -N_a0 / (2.0 * bp)
+    m = (N_a0 - bm) / (bp - bm)
+    rate = math.sqrt(bp - bm)
+    grid = _increasing_grid(tau_grid)
+    K = ellipk(m)
+    F_z = ellipkinc(math.asin(math.sqrt(N_a0 / (bp * m))), m)
+    periods = np.arange(math.ceil(grid[-1] * rate / (2.0 * K)) + 1)
+    edges = np.sort(np.concatenate([2.0 * periods * K + F_z,
+                                    2.0 * (periods + 1) * K - F_z])) / rate
+
+    def sqrt_n_a(tau):
+        dn = ellipj(rate * tau, m)[2]
+        return math.sqrt(max(0.0, bp + (N_a0 - bp) / (dn * dn)))
+
+    pieces, theta, start = [], [], 0.0
+    for tau in grid:
+        inner = edges[(edges > start) & (edges < tau)]
+        for lo, hi in zip([start, *inner], [*inner, tau]):
+            if hi > lo:
+                pieces.append(quad(sqrt_n_a, lo, hi, epsabs=1e-13, epsrel=1e-13,
+                                   limit=200)[0])
+        theta.append(math.fsum(pieces))
+        start = tau
+    return np.array(theta)
 
 
 # ---------------------------------------------------------------------------

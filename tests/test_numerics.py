@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaincc
+from scipy.special import ellipk, gammaincc
 
 from nlcavity.errors import ConvergenceError, FitDegenerateError
 from nlcavity.numerics import (
     Tolerance,
     fit_lorentzian,
     integrate_adaptive,
-    jacobi_dn,
+    jacobi_am,
     solve_cubic_real,
 )
 from oracles import (BracketError, StiffnessError, evolve_ode, find_root_bracketed,
@@ -19,7 +19,7 @@ from oracles import (BracketError, StiffnessError, evolve_ode, find_root_bracket
 EPS = np.finfo(float).eps
 
 
-# --- jacobi dn -------------------------------------------------------------
+# --- jacobi amplitude ------------------------------------------------------
 
 def dn_rk4_oracle(u, m, steps=4000):
     """Integrate the defining ODE system sn' = cn dn, cn' = -sn dn,
@@ -39,46 +39,66 @@ def dn_rk4_oracle(u, m, steps=4000):
     return y[2]
 
 
+def dn_of(u, m):
+    """dn(u|m) = sqrt(1 - m sn^2) with sn = sin(am(u|m))."""
+    return np.sqrt(1.0 - m * np.sin(jacobi_am(u, m)) ** 2)
+
+
 def test_dn_at_zero():
-    assert jacobi_dn(0.0, 0.5) == 1.0
+    assert jacobi_am(0.0, 0.5) == 0.0
+    assert dn_of(0.0, 0.5) == 1.0
 
 
 def test_dn_m1_is_sech():
-    assert jacobi_dn(2.0, 1.0) == pytest.approx(1.0 / math.cosh(2.0), abs=1e-15)
+    assert dn_of(2.0, 1.0) == pytest.approx(1.0 / math.cosh(2.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("u", np.linspace(-4, 4, 9))
 def test_dn_limit_identities(u):
-    assert jacobi_dn(u, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert jacobi_dn(u, 1.0) == pytest.approx(1.0 / math.cosh(u), abs=1e-12)
+    # am(u|0) = u and am(u|1) = gd(u) = 2 atan(tanh(u/2)) = atan(sinh(u))
+    assert jacobi_am(u, 0.0) == u
+    assert jacobi_am(u, 1.0) == pytest.approx(math.atan(math.sinh(u)), abs=1e-15)
+    assert dn_of(u, 0.0) == 1.0
+    assert dn_of(u, 1.0) == pytest.approx(1.0 / math.cosh(u), abs=1e-12)
 
 
 @pytest.mark.parametrize("u,m", [(1.0, 0.9085), (0.4, 0.3), (2.5, 0.75)])
 def test_dn_vs_ode_oracle(u, m):
-    assert jacobi_dn(u, m) == pytest.approx(dn_rk4_oracle(u, m), abs=1e-9)
+    assert dn_of(u, m) == pytest.approx(dn_rk4_oracle(u, m), abs=1e-9)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.3, 0.9085, 1.0])
 def test_dn_array_matches_scalar_calls(m):
     u = np.linspace(-6.0, 6.0, 49)
-    dn = jacobi_dn(u, m)
-    assert dn.shape == u.shape
-    np.testing.assert_allclose(dn, [jacobi_dn(float(x), m) for x in u], rtol=1e-15, atol=0.0)
+    am = jacobi_am(u, m)
+    assert am.shape == u.shape
+    np.testing.assert_array_equal(am, [jacobi_am(float(x), m) for x in u])
 
 
 def test_dn_domain_error():
     with pytest.raises(ValueError):
-        jacobi_dn(1.0, -0.1)
+        jacobi_am(1.0, -0.1)
     with pytest.raises(ValueError):
-        jacobi_dn(1.0, 1.5)
+        jacobi_am(1.0, 1.5)
 
 
 @given(u=st.floats(-10, 10), m=st.floats(0, 1))
 @settings(max_examples=200, deadline=None)
 def test_dn_range_property(u, m):
-    dn = jacobi_dn(u, m)
+    dn = dn_of(u, m)
     assert dn <= 1.0 + 1e-12
     assert dn >= math.sqrt(1.0 - m) - 1e-12
+
+
+@pytest.mark.parametrize("m", [0.3, 0.9085, 0.9934, 1.0 - 1e-9])
+def test_am_advances_by_pi_over_two_quarter_periods(m):
+    # the ladder's quarter period pi/(2 a_N) is K(m): am(K) = pi/2 and
+    # am(u + 2K) = am(u) + pi, with K from scipy's ellipk
+    K = ellipk(m)
+    u = np.linspace(-10.0, 10.0, 81)
+    assert jacobi_am(K, m) == pytest.approx(0.5 * math.pi, abs=1e-14)
+    np.testing.assert_allclose(jacobi_am(u + 2.0 * K, m), jacobi_am(u, m) + math.pi,
+                               rtol=0.0, atol=1e-13)
 
 
 # --- incomplete gamma by quadrature ----------------------------------------

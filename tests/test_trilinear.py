@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.special import gammaincc
+from scipy.special import ellipk, gammaincc
 from hypothesis import example, given, settings, strategies as st
 
 from nlcavity import fock, trilinear
@@ -43,6 +43,7 @@ from oracles import (
     partial_trace,
     pump_mean_occupation,
     reduced,
+    semiclassical_theta_quad,
     state_vector,
 )
 
@@ -131,19 +132,70 @@ def test_semiclassical_initial_value():
     assert np.all(curve.N_a <= 9.0 + 1e-12)
 
 
-def test_semiclassical_pump_evaluates_dn_per_grid(monkeypatch):
-    # the pump curve and each quadrature level are one elementwise dn call
-    calls = []
-    dn = trilinear.jacobi_dn
+def test_semiclassical_pump_calls_ladder_once(monkeypatch):
+    # one amplitude ladder on the grid, and theta in at most three
+    # quadrature levels, each one integrand call
+    am_calls, levels = [], []
+    am, integrate = trilinear.jacobi_am, trilinear.integrate_adaptive
 
-    def counted_dn(*args):
-        calls.append(1)
-        return dn(*args)
+    def counted_am(*args):
+        am_calls.append(1)
+        return am(*args)
 
-    monkeypatch.setattr(trilinear, "jacobi_dn", counted_dn)
-    taus = np.linspace(0.0, 3.0, 400)
-    semiclassical_pump(9.0, taus)
-    assert 0 < len(calls) < taus.size
+    def counted_integrate(f, *args):
+        def counted_f(*f_args):
+            levels.append(1)
+            return f(*f_args)
+        return integrate(counted_f, *args)
+
+    monkeypatch.setattr(trilinear, "jacobi_am", counted_am)
+    monkeypatch.setattr(trilinear, "integrate_adaptive", counted_integrate)
+    semiclassical_pump(9.0, np.linspace(0.0, 3.0, 400))
+    assert len(am_calls) == 1
+    assert 1 <= len(levels) <= 3
+
+
+@pytest.mark.parametrize("N_a0", [1e-300, 1e-12, 1.0, 9.0, 1e4])
+def test_semiclassical_starts_at_N_a0_on_every_scale(N_a0):
+    # beta- = -N_a0/(2 beta+) keeps N_a(0) = N_a0 where the root difference
+    # 1 + 2 N_a0 - root would cancel; theta = sqrt(N_a0) tau (1 - O(tau^2))
+    taus = np.array([0.0, 1e-6, 1e-5, 1e-4])
+    curve = semiclassical_pump(N_a0, taus)
+    assert curve.N_a[0] == pytest.approx(N_a0, rel=1e-15, abs=0.0)
+    np.testing.assert_allclose(curve.theta, math.sqrt(N_a0) * taus, rtol=1e-8, atol=0.0)
+
+
+_THETA_GRIDS = {
+    "uniform": np.linspace(0.0, 10.0, 101),
+    "non-uniform": np.sort(np.random.default_rng(7).uniform(0.0, 10.0, 60)),
+    "two-point": np.array([0.37, 9.2]),
+}
+
+
+@pytest.mark.parametrize("grid", list(_THETA_GRIDS))
+@pytest.mark.parametrize("N_a0", [1e-3, 1.0, 9.0, 100.0, 150.0])
+def test_semiclassical_theta_matches_quad_oracle(N_a0, grid):
+    taus = _THETA_GRIDS[grid]
+    theta = semiclassical_pump(N_a0, taus).theta
+    np.testing.assert_allclose(theta, semiclassical_theta_quad(N_a0, taus),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N_a0", [1e-3, 9.0, 150.0])
+def test_semiclassical_theta_is_non_decreasing(N_a0):
+    theta = semiclassical_pump(N_a0, np.linspace(0.0, 10.0, 4001)).theta
+    assert np.all(np.diff(theta) >= 0.0)
+
+
+@pytest.mark.parametrize("N_a0", [1.0, 9.0, 150.0])
+def test_semiclassical_theta_advances_by_one_period(N_a0):
+    # the pump repeats with period P = 2K/rate, so theta gains theta(P) per period
+    curve = semiclassical_pump(N_a0, [1.0])
+    P = 2.0 * ellipk(curve.modulus) / math.sqrt(curve.beta_plus - curve.beta_minus)
+    taus = np.linspace(0.0, 5.0, 201)
+    gain = semiclassical_pump(N_a0, taus + P).theta - semiclassical_pump(N_a0, taus).theta
+    np.testing.assert_allclose(gain, semiclassical_pump(N_a0, [P]).theta[0],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_semiclassical_occupation_small_tau():
