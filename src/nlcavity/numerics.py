@@ -40,14 +40,14 @@ class Tolerance:
             raise ValueError("max_iter must be >= 1")
 
 
-def _increasing_grid(points) -> np.ndarray:
-    """``points`` as a float array, checked to be a nonempty, strictly
-    increasing 1D grid."""
+def _increasing_grid(points, name: str = "grid") -> np.ndarray:
+    """``points`` as a float array, checked to be a nonempty, finite and
+    strictly increasing 1D grid; ``name`` labels it in the ValueError."""
     grid = np.asarray(points, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1D array")
-    if not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+        raise ValueError(f"{name} must be a nonempty 1D array")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError(f"{name} must be finite and strictly increasing")
     return grid
 
 

@@ -14,8 +14,8 @@ The semiclassical phase theta = int sqrt(N_a) dtau is integrated in the
 pump's Jacobi amplitude phi = am(rate tau | m): its integrand g/rate,
 g = sqrt(max(0, N_a0 - beta+ m sin^2 phi))/(1 - m sin^2 phi), is pi-periodic,
 even about pi/2 and zero from phi_z = asin(sqrt(N_a0/(beta+ m))) to
-pi - phi_z, so theta is whole half periods I = 2 int_0^phi_z g plus one
-smooth quadrature per grid point.
+pi - phi_z, so theta is whole half periods I = 2 int_0^phi_z g plus a
+partial integral G, read off fixed breakpoints of one quadrature call.
 
 H_I conserves N_a + N_b and N_b - N_c, so a pump-only initial state never
 leaves the Manley-Rowe pair span {|p>_a |i>_b |i>_c} (Walls & Barakat,
@@ -89,8 +89,9 @@ class SemiclassicalCurve:
 
 def parametric_occupation(A: float, tau: float) -> float:
     """Signal/idler quanta sinh^2(A*tau) for a fixed classical pump A."""
-    if A < 0.0 or tau < 0.0:
-        raise ValueError("pump amplitude and tau must be nonnegative")
+    if not (0.0 <= A < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError(f"pump amplitude A = {A} and tau = {tau} must be finite "
+                         f"and nonnegative")
     return math.sinh(A * tau) ** 2
 
 
@@ -100,6 +101,9 @@ def pump_betas(N_a0: float):
     from their product, cancels nothing."""
     bp = 0.25 * (1.0 + 2.0 * N_a0 + math.sqrt(1.0 + 12.0 * N_a0 + 4.0 * N_a0 ** 2))
     return bp, -N_a0 / (2.0 * bp)
+
+
+_BREAKS = 16  # semiclassical_pump's fixed breakpoints i/_BREAKS of the quadrature in t
 
 
 def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
@@ -115,13 +119,17 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     the module docstring): with G(x) = int_0^x g, rate theta = k I + H(psi)
     at phi = k pi + psi, 0 <= psi < pi, where H = G(psi) up to phi_z, I/2 on
     the clamped zone and I - G(pi - psi) beyond. x = phi_z t (2 - t) makes
-    the square-root edge at phi_z a smooth end at t = 1, and one batched
-    Gauss-Kronrod call (abs_tol 1e-13, rel_tol 1e-14) over [0, 1] and
-    [0, t_j] per grid point gives every G.
+    the square-root edge at phi_z a smooth end at t = 1. One batched
+    Gauss-Kronrod call (abs_tol 1e-13, rel_tol 1e-14 per interval) takes
+    the pieces between the fixed breakpoints b_i = i/B, i = 0..B with
+    B = _BREAKS = 16, and each grid point's remainder [b_i, t_j] from
+    i = floor(B t_j) (none when t_j is a breakpoint): G(t_j) is the
+    cumulative sum of the pieces up to b_i plus the remainder, and I/2 the
+    sum of all pieces. The bucket i comes from t_j itself, with no sort.
     """
-    if N_a0 <= 0.0:
-        raise ValueError("N_a0 must be positive")
-    grid = _increasing_grid(tau_grid)
+    if not 0.0 < N_a0 < math.inf:
+        raise ValueError(f"pump size N_a0 = {N_a0} must be positive and finite")
+    grid = _increasing_grid(tau_grid, "tau grid")
     if grid[0] < 0.0:
         raise ValueError("tau grid must start at tau >= 0")
     bp, bm = pump_betas(N_a0)
@@ -149,12 +157,20 @@ def semiclassical_pump(N_a0: float, tau_grid) -> SemiclassicalCurve:
     psi = phi - k * math.pi
     x = np.minimum(psi, math.pi - psi)  # H is even about pi/2
     t = 1.0 - np.sqrt(np.maximum(0.0, phi_z - x) / phi_z)  # 1 on the clamped zone
-    inside = (0.0 < t) & (t < 1.0)
-    ends = integrate_adaptive(shape, 0.0, np.concatenate([[1.0], t[inside]]),
-                              Tolerance(abs_tol=1e-13, rel_tol=1e-14, max_iter=48))
-    half = ends[0]  # G(phi_z) = I/2, like every G here over the shape's constant
-    G = np.where(t > 0.0, half, 0.0)
-    G[inside] = np.minimum(ends[1:], half)
+    # b_i = i/_BREAKS is exact (a power of two), so a t_j on a breakpoint has
+    # no remainder and t = 1 lands on i = _BREAKS; t rounds a hair below 0
+    # where psi rounds out of [0, pi)
+    bucket = np.floor(np.maximum(t, 0.0) * _BREAKS)
+    start = bucket / _BREAKS
+    tail = start < t
+    edges = np.arange(_BREAKS + 1) / _BREAKS
+    pieces = integrate_adaptive(shape, np.concatenate([edges[:-1], start[tail]]),
+                                np.concatenate([edges[1:], t[tail]]),
+                                Tolerance(abs_tol=1e-13, rel_tol=1e-14, max_iter=48))
+    at_edges = np.concatenate([[0.0], np.cumsum(pieces[:_BREAKS])])
+    half = at_edges[-1]  # G(phi_z) = I/2, like every G here over the shape's constant
+    G = at_edges[bucket.astype(np.intp)]
+    G[tail] = np.minimum(G[tail] + pieces[_BREAKS:], half)
     H = np.where(psi <= 0.5 * math.pi, G, 2.0 * half - G)
     theta = (2.0 * phi_z * math.sqrt(bp * m) / rate) * (k * (2.0 * half) + H)
     return SemiclassicalCurve(N_a=n_vals, theta=theta, beta_plus=bp, beta_minus=bm,
@@ -255,24 +271,37 @@ def short_time_state(initial: PumpInitialState, tau):
     sqrt(N_s(tau)) at (p, i) = (s - k, k), built in log space for all tau at
     once, so tau >> 1 stays finite; tau = 0 gives C_s = a_s e_0. Blocks with
     a_s = 0 are zero and not yielded. tau is checked before the first block.
+
+    Each block is built level-major, as (s + 1, tau), so its max shift,
+    exponential and norm run over contiguous tau, and is yielded as the
+    transposed view C_s[tau, k] (shape (s + 1,) for a scalar tau). A scalar
+    tau runs as a grid of two equal points: a column sum over one point
+    would be summed pairwise, over two or more in level order, so scalar and
+    grid calls agree to the bit.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be nonnegative")
+    if not np.all((0.0 <= tau) & (tau < math.inf)):
+        raise ValueError("tau must be finite and nonnegative")
     coeff = initial.coefficients
     half_log_fact = 0.5 * np.array([math.lgamma(j + 1) for j in range(coeff.size)])
-    k = np.arange(coeff.size)
+    k = np.arange(coeff.size)[:, None]
+    grid = np.array([tau, tau]) if tau.ndim == 0 else tau
     with np.errstate(divide="ignore", invalid="ignore"):  # k log(0) is -inf, 0 at k = 0
-        k_log_tau = np.where(k > 0, k * np.log(tau)[..., None], 0.0)
+        k_log_tau = np.where(k > 0, k * np.log(grid), 0.0)
 
     def blocks():
         for s, a_s in enumerate(coeff):
             if a_s == 0:
                 continue
-            log_amp = k_log_tau[..., :s + 1] + (half_log_fact[s] - half_log_fact[s::-1])
-            log_amp -= log_amp.max(axis=-1, keepdims=True)
+            log_amp = k_log_tau[:s + 1] + (half_log_fact[s] - half_log_fact[s::-1, None])
+            log_amp -= log_amp.max(axis=0)
             amp = np.exp(log_amp, out=log_amp)
-            yield s, a_s * (amp / np.sqrt(np.sum(amp * amp, axis=-1, keepdims=True)))
+            scale = a_s / np.sqrt(np.sum(amp * amp, axis=0))
+            if scale.dtype.kind == "c":  # a complex a_s cannot scale floats in place
+                amp = amp * scale
+            else:
+                amp *= scale
+            yield s, amp.T if tau.ndim else amp[:, 0]
 
     return blocks()
 
@@ -322,7 +351,7 @@ def full_state(initial: PumpInitialState, tau_grid, leak_tol: float = 1e-6):
     """
     coeff = initial.coefficients
     dim = max(coeff.size, 2)
-    grid = _increasing_grid(tau_grid)
+    grid = _increasing_grid(tau_grid, "tau grid")
     # C(tau_0) holds a_p at (p, 0): only the top pump level can carry weight
     leak = float(initial.probabilities[dim - 1]) if coeff.size == dim else 0.0
     if leak > leak_tol:

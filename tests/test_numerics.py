@@ -472,7 +472,8 @@ def test_grid_validation():
     from nlcavity.trilinear import full_state, semiclassical_pump
 
     init = fock_pump(1, dim=3)
-    for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
+    for grid in ([], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0], [math.nan], [0.0, math.inf],
+                 [0.0, math.nan, 1.0]):
         with pytest.raises(ValueError, match="grid must be"):
             full_state(init, grid)
         with pytest.raises(ValueError, match="grid must be"):

@@ -61,6 +61,13 @@ def test_parametric_occupation_values():
     assert parametric_occupation(0.0, 7.7) == 0.0
 
 
+@pytest.mark.parametrize("A, tau", [(math.nan, 1.0), (math.inf, 1.0), (3.0, math.nan),
+                                    (3.0, math.inf), (-1.0, 1.0)])
+def test_parametric_occupation_refuses_non_finite(A, tau):
+    with pytest.raises(ValueError, match="pump amplitude A .* and tau"):
+        parametric_occupation(A, tau)
+
+
 def test_parametric_state_vacuum_at_zero():
     psi = parametric_state(3.0, 0.0, 6)
     assert abs(psi.amplitudes[0]) == pytest.approx(1.0)
@@ -198,6 +205,62 @@ def test_semiclassical_theta_advances_by_one_period(N_a0):
                                rtol=0.0, atol=1e-12)
 
 
+def test_semiclassical_theta_takes_one_quadrature_level(monkeypatch):
+    # fixed breakpoints in t plus one short remainder per grid point: every
+    # interval converges on its first 21 nodes
+    calls = []
+    integrate = trilinear.integrate_adaptive
+
+    def counted_integrate(f, *args):
+        def counted_f(x, k):
+            calls.append(x.size)
+            return f(x, k)
+        return integrate(counted_f, *args)
+
+    monkeypatch.setattr(trilinear, "integrate_adaptive", counted_integrate)
+    semiclassical_pump(9.0, np.linspace(0.0, 3.0, 400))
+    assert len(calls) == 1
+    assert calls[0] <= 8000
+
+
+def test_semiclassical_theta_on_a_breakpoint(monkeypatch):
+    # a grid point whose quadrature variable t lands exactly on a breakpoint
+    # i/_BREAKS takes G from the breakpoint sums alone, with no empty
+    # remainder interval; t of a one-point grid is the last upper end handed
+    # to the quadrature, bisected in tau onto a breakpoint
+    ends = []
+    integrate = trilinear.integrate_adaptive
+
+    def recorded(f, a, b, tol):
+        ends.append(np.asarray(b))
+        return integrate(f, a, b, tol)
+
+    monkeypatch.setattr(trilinear, "integrate_adaptive", recorded)
+    breaks = trilinear._BREAKS
+
+    def t_of(tau):
+        """t of the grid point tau, or None when it has no remainder."""
+        semiclassical_pump(9.0, [tau])
+        b = ends.pop()
+        return b[-1] if b.size > breaks else None
+
+    hits = []
+    for i in range(1, breaks):
+        lo, hi = 1e-3, 0.74  # t(lo) < 1/_BREAKS and 1 - 1/_BREAKS < t(hi) < 1
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            t = t_of(mid)
+            if t is None:
+                hits.append(mid)
+                break
+            lo, hi = (mid, hi) if t < i / breaks else (lo, mid)
+    assert len(hits) >= 3
+    taus = np.array([0.0, *hits, 2.0])
+    monkeypatch.undo()
+    theta = semiclassical_pump(9.0, taus).theta
+    np.testing.assert_allclose(theta, semiclassical_theta_quad(9.0, taus),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_semiclassical_occupation_small_tau():
     taus = np.linspace(0, 0.05, 11)
     curve = semiclassical_pump(9.0, taus)
@@ -230,6 +293,14 @@ def test_semiclassical_tracks_then_departs_full():
 def test_semiclassical_rejects_bad_input():
     with pytest.raises(ValueError):
         semiclassical_pump(0.0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("N_a0, grid, name", [
+    (math.nan, [0.0, 1.0], "N_a0"), (math.inf, [0.0, 1.0], "N_a0"),
+    (9.0, [0.0, math.inf], "tau"), (9.0, [0.0, math.nan], "tau"), (9.0, [math.nan], "tau")])
+def test_semiclassical_refuses_non_finite_pump_and_tau(N_a0, grid, name):
+    with pytest.raises(ValueError, match=name):
+        semiclassical_pump(N_a0, grid)
 
 
 # --- short-time tier -----------------------------------------------------------
@@ -310,6 +381,42 @@ def test_short_time_matches_full_evolution():
     approx = state_vector(C_of(short_time_state, init, tau), spec).amplitudes
     phase = np.vdot(approx, exact)
     assert np.linalg.norm(exact * np.exp(-1j * np.angle(phase)) - approx) < 1e-3
+
+
+_SHORT_ORACLE_TAUS = {1.0: 30.0, 9.0: 10.0, 100.0: 1.2}  # the oracle's N_s(tau) stays finite
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+@pytest.mark.parametrize("N_a", list(_SHORT_ORACLE_TAUS))
+def test_short_time_blocks_match_branch_oracle(N_a, phase):
+    # C_s[tau, k] = a_s f_k(s) tau^k / sqrt(N_s(tau)) from the scalar branch
+    # closed forms, to 1e-14 absolute on every amplitude, for a real and a
+    # complex pump; a grid gives (tau, s + 1) blocks, a scalar tau (s + 1,)
+    dim = fock.min_coherent_dim(N_a) + 3
+    alpha = math.sqrt(N_a) * (np.exp(1j * phase) if phase else 1.0)
+    init = PumpInitialState(fock.coherent_state(alpha, dim))
+    taus = np.linspace(0.0, _SHORT_ORACLE_TAUS[N_a], 13)
+    grid_blocks = dict(short_time_state(init, taus))
+    assert sorted(grid_blocks) == [s for s, a_s in enumerate(init.coefficients) if a_s != 0]
+    worst = 0.0
+    for j, tau in enumerate(taus):
+        scalar_blocks = dict(short_time_state(init, float(tau)))
+        for s, block in grid_blocks.items():
+            assert block.shape == (taus.size, s + 1)
+            assert scalar_blocks[s].shape == (s + 1,)
+            a_s = init.coefficients[s]
+            norm = math.sqrt(branch_normalization(s, tau))
+            want = np.array([a_s * branch_coefficient(k, s) * tau ** k / norm
+                             for k in range(s + 1)])
+            worst = max(worst, np.max(np.abs(block[j] - want)),
+                        np.max(np.abs(scalar_blocks[s] - want)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, [0.0, math.nan], [0.0, math.inf]])
+def test_short_time_refuses_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+        short_time_state(PumpInitialState.coherent(9.0, 30), tau)
 
 
 def test_pump_coefficients_reject_non_finite():
@@ -688,6 +795,12 @@ def test_full_tier_conserves_manley_rowe_sum(coherent9):
 def test_full_tier_matches_rk45_oracle(coherent9):
     init, taus, C, _ = coherent9
     assert np.max(np.abs(C - evolve_pair_rk45(init, taus))) <= 1e-9
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan], [math.nan]])
+def test_full_state_refuses_non_finite_tau(grid):
+    with pytest.raises(ValueError, match="tau grid must be finite"):
+        full_state(PumpInitialState.coherent(9.0, 30), grid)
 
 
 def test_full_tier_starts_at_first_grid_point():
