@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -296,11 +297,10 @@ def _run_trilinear_evolve(cfg: ScenarioConfig, p: dict, g: dict):
     taus = np.linspace(0.0, g["tau_max"], g["tau_points"])
     initial = trilinear.PumpInitialState.coherent(mean_occ, dim)
 
-    A = math.sqrt(mean_occ)
     curve = trilinear.semiclassical_pump(mean_occ, taus)
     nb_semi = trilinear.semiclassical_occupation(curve)
 
-    nb_param = np.array([trilinear.parametric_occupation(A, float(t)) for t in taus])
+    nb_param = trilinear.parametric_occupation(math.sqrt(mean_occ), taus)
     # both quantized tiers fold their blocks straight into p_a and p_b, so
     # no trajectory C[tau, p, i] is ever held
     short = trilinear.pair_state(trilinear.short_time_state(initial, taus), dim)
@@ -419,7 +419,8 @@ def run(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache  # the CLI grammar, built on the first main() call (not at import)
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nlcavity",
                                  description="nonlinear-cavity scenario runner")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -429,27 +430,30 @@ def main(argv=None) -> int:
     runp.add_argument("--out", help="output directory (default: a config's [output] dir, "
                       "else the working directory)")
     sub.add_parser("presets", help="list available presets")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "presets":
         for name, body in sorted(list_presets().items()):
             print(f"{name}: {body['scenario']['kind']}")
         return EXIT_OK
-    if args.command == "run":
-        try:
-            if args.preset:
-                cfg = config_from_preset(args.preset, Path(args.out or "."))
-            elif args.config:
-                cfg = load_config(Path(args.config))
-                if args.out is not None:
-                    cfg.output_dir = Path(args.out)
-            else:
-                raise ValueError("need a config path or --preset")
-        except (ValueError, KeyError, configparser.Error) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return run(cfg)
-    return EXIT_CONFIG
+    try:  # the one other command, run
+        if args.preset and args.config:
+            raise ValueError("give a config path or --preset, not both")
+        if args.preset:
+            cfg = config_from_preset(args.preset, Path(args.out or "."))
+        elif args.config:
+            cfg = load_config(Path(args.config))
+            if args.out is not None:
+                cfg.output_dir = Path(args.out)
+        else:
+            raise ValueError("need a config path or --preset")
+    except (ValueError, KeyError, configparser.Error) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return run(cfg)
 
 
 if __name__ == "__main__":

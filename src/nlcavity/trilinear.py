@@ -87,12 +87,16 @@ class SemiclassicalCurve:
     modulus: float
 
 
-def parametric_occupation(A: float, tau: float) -> float:
-    """Signal/idler quanta sinh^2(A*tau) for a fixed classical pump A."""
-    if not (0.0 <= A < math.inf and 0.0 <= tau < math.inf):
+def parametric_occupation(A: float, tau):
+    """Signal/idler quanta sinh^2(A*tau) at a fixed classical pump A; float or array tau."""
+    if not (0.0 <= A < math.inf and 0.0 <= np.min(tau) and np.max(tau) < math.inf):
         raise ValueError(f"pump amplitude A = {A} and tau = {tau} must be finite "
                          f"and nonnegative")
-    return math.sinh(A * tau) ** 2
+    with np.errstate(over="ignore"):
+        n = np.sinh(A * np.asarray(tau)) ** 2
+    if not np.isfinite(n).all():
+        raise OverflowError(f"sinh(A tau)^2 leaves the float range at A = {A}")
+    return float(n) if n.ndim == 0 else n
 
 
 def pump_betas(N_a0: float):

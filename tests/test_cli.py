@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -71,12 +72,17 @@ def test_preset_catalog_contents():
 
 
 def test_cli_import_loads_no_scipy():
+    # nor does the import build the argument parser: a fresh process pays
+    # for that on its first main() call
     src = str(Path(nlcavity.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import nlcavity.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import argparse; built = []; "
+            "init = argparse.ArgumentParser.__init__; argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(k) or init(self, *a, **k); "
+            "import nlcavity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), len(built))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"
 
 
 def test_preset_round_trip_through_config(tmp_path):
@@ -962,6 +968,63 @@ def test_main_run_requires_input():
 
 def test_main_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
+
+
+def test_main_run_refuses_config_and_preset(tmp_path, monkeypatch, capsys):
+    # a preset must not silently win over a config path given beside it
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(tmp_path / "absent.ini"), "--preset", "ch3-beltran"]) \
+        == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: give a config path or --preset, not both\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_overflowing_parametric_occupation_exits_2(tmp_path, capsys):
+    # sinh^2(A tau) at A = sqrt(5e4), tau = 4 is past the float range
+    config = tmp_path / "ovf.ini"
+    config.write_text("[scenario]\nkind = trilinear-evolve\n"
+                      "[params]\nmean_occupation = 5e4\ndim_per_mode = 0\n"
+                      "[grid]\ntau_max = 4\ntau_points = 5\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "take a resolved quantity out of floating-point range (OverflowError)\n")
+    assert not (tmp_path / "o" / "ovf_manifest.json").exists()
+
+
+def test_repeated_main_calls_are_independent_and_share_one_parser(tmp_path, monkeypatch,
+                                                                 capsys):
+    nlcavity.cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    out_a = tmp_path / "A"
+    assert main(["run", "--preset", "ch3-beltran", "--out", str(out_a)]) == EXIT_OK
+    assert (out_a / "ch3-beltran_manifest.json").is_file()
+    assert main(["presets"]) == EXIT_OK
+    assert "ch3-beltran: hawking-line" in capsys.readouterr().out
+    assert main(["run"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: need a config path or --preset\n"
+    # no --out: the config's own [output] dir, not the previous call's
+    config = _bistability_ini(tmp_path / "t.ini", out_dir=str(tmp_path / "B"))
+    assert main(["run", str(config)]) == EXIT_OK
+    assert (tmp_path / "B" / "t_manifest.json").is_file()
+    assert not (out_a / "t_manifest.json").exists()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid choice: 'bogus'" in errors[0]
+    assert built.count("nlcavity") == 1  # the first call builds it, the rest reuse it
 
 
 def _bistability_ini(path, label=None, out_dir=None):

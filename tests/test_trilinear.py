@@ -62,10 +62,33 @@ def test_parametric_occupation_values():
 
 
 @pytest.mark.parametrize("A, tau", [(math.nan, 1.0), (math.inf, 1.0), (3.0, math.nan),
-                                    (3.0, math.inf), (-1.0, 1.0)])
+                                    (3.0, math.inf), (-1.0, 1.0),
+                                    (3.0, np.array([0.0, 0.5, math.nan])),
+                                    (3.0, np.array([0.5, -1.0])),
+                                    (math.nan, np.array([0.0, 0.5]))])
 def test_parametric_occupation_refuses_non_finite(A, tau):
     with pytest.raises(ValueError, match="pump amplitude A .* and tau"):
         parametric_occupation(A, tau)
+
+
+def test_parametric_occupation_over_an_array_of_tau():
+    # one array call gives the scalar closed form at every tau, within 1e-15
+    # of the column's scale (np.sinh and math.sinh differ by an ulp at most);
+    # a float tau still gives a float
+    A, taus = 3.0, np.linspace(0.0, 3.0, 400)
+    n = parametric_occupation(A, taus)
+    exact = np.array([math.sinh(A * t) ** 2 for t in taus])
+    assert n.shape == taus.shape
+    assert np.max(np.abs(n - exact)) <= 1e-15 * np.max(np.abs(exact))
+    assert type(parametric_occupation(A, 0.5)) is float
+
+
+@pytest.mark.parametrize("tau", [400.0 / 3.0, np.array([0.0, 1.0, 400.0 / 3.0])],
+                         ids=["scalar", "array"])
+def test_parametric_occupation_overflow_raises(tau):
+    # sinh^2(400) is past the float range: an error, never an inf in the table
+    with pytest.raises(OverflowError):
+        parametric_occupation(3.0, tau)
 
 
 def test_parametric_state_vacuum_at_zero():
